@@ -23,6 +23,7 @@ from .metrics import Beamformer, TxCovariance, achievable_rate, canonical_beam, 
 __all__ = [
     "STRATEGIES",
     "check_strategy",
+    "water_level",
     "waterfill",
     "IwfResult",
     "iterative_waterfilling",
@@ -36,9 +37,6 @@ __all__ = [
 
 STRATEGIES = ("meb", "mlb", "sler", "slnr", "meb_rank2")
 
-# convergence floor for the water-level bisection, relative to the budget
-_WF_TOL = 1e-10
-
 
 def check_strategy(strategy):
     """Validate a strategy id, returning it unchanged."""
@@ -49,12 +47,33 @@ def check_strategy(strategy):
     return strategy
 
 
+def water_level(floors, p, weights=None):
+    """Exact level eta with sum_k w_k (eta - a_k)^+ = P, by sorting the floors.
+
+    `floors` a_k are finite, `weights` w_k positive (default all ones) and P
+    positive.  The spent power is piecewise linear in eta with breakpoints at
+    the sorted floors; with the m lowest floors active the level is
+    (P + sum_{k<m} w_k a_k) / sum_{k<m} w_k, and m is the number of floors
+    below that level (Palomar & Fonollosa, IEEE TSP 2005).
+    """
+    floors = np.asarray(floors, dtype=float)
+    order = np.argsort(floors)
+    a = floors[order]
+    w = np.ones_like(a) if weights is None else np.asarray(weights, dtype=float)[order]
+    cw = np.cumsum(w)
+    cwa = np.cumsum(w * a)
+    # power spent once the level reaches each floor past the first
+    spent_at = a[1:] * cw[:-1] - cwa[:-1]
+    m = int(np.count_nonzero(spent_at < p))
+    return float((p + cwa[m]) / cw[m])
+
+
 def waterfill(h, r_noise, p):
     """Water-filling covariance for log det(I + H^H R^{-1} H Q), tr(Q) <= P.
 
-    Eigenmodes come from H^H R^{-1} H = U D U^H; powers are (mu - 1/d_i)^+
-    with the water level mu found by bisection until the spent power matches
-    P within 1e-10 * P.  The full budget is always spent.
+    Eigenmodes come from H^H R^{-1} H = U D U^H; powers are (eta - 1/d_i)^+
+    with the water level eta from the exact sort-based `water_level`.  The
+    full budget is always spent.
     """
     h = as_matrix(h, "h")
     p = float(p)
@@ -71,20 +90,8 @@ def waterfill(h, r_noise, p):
         raise DegenerateChannelError("channel is numerically zero; no mode to fill")
     active = d > d[0] * 1e-15
     inv = 1.0 / d[active]
-    lo = float(inv.min())  # water at the best mode's floor: zero power
-    hi = lo + p            # enough water to overfill by construction
-    spent = 0.0
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        spent = float(np.sum(np.maximum(mu - inv, 0.0)))
-        if abs(spent - p) <= _WF_TOL * p:
-            break
-        if spent > p:
-            hi = mu
-        else:
-            lo = mu
     powers = np.zeros(m_t)
-    powers[active] = np.maximum(mu - inv, 0.0)
+    powers[active] = np.maximum(water_level(inv, p) - inv, 0.0)
     q = (v * powers[None, :]) @ v.conj().T
     return TxCovariance(hermitian_part(q), p)
 

@@ -9,10 +9,21 @@ energy target E_bar the boundary point solves, in alternation,
 * the power backoff P1 = (E_bar - cross energy) / kappa at transmitter 1,
 
 where kappa is the direct-link energy per unit transmit power of the active
-beam.  Sweeping E_bar over [0, emax] traces the boundary.
+beam.  Sweeping E_bar over [0, emax] traces the boundary (Zhang & Ho, "MIMO
+broadcasting for simultaneous wireless information and power transfer",
+IEEE TWC 2013, define the region).
+
+`solve_p3` prices the floored problem with multipliers (lam, mu) on the
+energy floor and the power budget.  With G = H12^H H12 = W diag(c) W^H
+factored once per cross link, the price matrix mu I - lam G = mu (I - rho G)
+is diagonal in W's basis.  Along the ray rho = lam / mu in [0, 1/cmax) one
+SVD fixes the transmit directions, and the level 1/mu that spends the budget
+is an exact weighted water-filling level (`beamformers.water_level`), so the
+DUAL branch is a single scalar root: energy(rho) = E_floor.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +38,7 @@ from .beamformers import (
     mlb,
     sler_beam,
     slnr_beam,
+    water_level,
     waterfill,
 )
 from .channel import channel_digest
@@ -42,7 +54,6 @@ from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, svd
 from .metrics import TxCovariance, canonical_beam
 
 __all__ = [
-    "DualState",
     "P3Diagnostics",
     "REPoint",
     "REBoundary",
@@ -65,19 +76,9 @@ _P1_TOL = 1e-8
 # accepted relative overshoot of an energy target before declaring infeasibility
 _FEAS_SLACK = 1e-9
 
-
-@dataclass
-class DualState:
-    """Multiplier pair for the energy-floor problem plus progress markers.
-
-    Invariant while the inner problem is solvable: mu > lam * sigma_max^2 of
-    the cross link, i.e. the price matrix mu I - lam H12^H H12 stays PD.
-    """
-
-    lam: float
-    mu: float
-    step_index: int
-    best_gap: float
+# top of the price-ray interval: rho <= (1 - margin) / cmax keeps 1 - rho c
+# resolved in floating point
+_RHO_MARGIN = 1e-12
 
 
 @dataclass
@@ -109,6 +110,7 @@ class REPoint:
     lam: float | None = None
     mu: float | None = None
     clamped: bool = False
+    carried: bool = False      # copied from a higher target by re_sweep
 
 
 @dataclass
@@ -170,11 +172,45 @@ class Lemma1Result:
 # inner problem: maximize log det(I + Ht Q Ht^H) - tr((mu I - lam G) Q)
 
 
+@functools.lru_cache(maxsize=8)
+def _cross_factor(shape, data):
+    """G = H12^H H12 = W diag(c) W^H for the cross link stored in `data`.
+
+    Keyed on the link's shape and bytes, so each channel is factored once;
+    returns read-only (c, W, cmax, v12).
+    """
+    h12 = np.frombuffer(data, dtype=np.complex128).reshape(shape)
+    c, w = hermitian_eig(h12.conj().T @ h12)
+    c = np.maximum(c, 0.0)
+    v12 = canonical_beam(w[:, 0], 1.0).v
+    for arr in (c, w, v12):
+        arr.setflags(write=False)
+    return c, w, float(c[0]), v12
+
+
+@dataclass
+class _RayPoint:
+    """Priced maximizer on the ray mu (I - rho G) at the level spending P.
+
+    In W's basis the covariance is D V diag(powers) V^H D, with D =
+    diag(d) = diag((1 - rho c)^{-1/2}) and V the right singular vectors of
+    F D; eta = 1/mu is the water level.
+    """
+
+    eta: float
+    energy: float
+    trace: float
+    d: np.ndarray
+    vh: np.ndarray
+    powers: np.ndarray
+
+
 class _P3Kernel:
     """Shared factorizations for repeated inner evaluations.
 
-    G = H12^H H12 = W diag(c) W^H is factored once; for any (lam, mu) the
-    price matrix is diagonal in W's basis, so each inner evaluation costs a
+    G = H12^H H12 = W diag(c) W^H is factored once per cross link; for any
+    (lam, mu) the price matrix is diagonal in W's basis, so each inner
+    evaluation (`inner` at a fixed pair, `ray` at a fixed ratio) costs a
     single small SVD of F diag(s) with F = Ht W and s = (mu - lam c)^{-1/2}.
     """
 
@@ -185,13 +221,8 @@ class _P3Kernel:
             raise InvalidInputError(
                 f"transmit dims differ: h22_tilde {self.ht.shape}, h12 {h12.shape}"
             )
-        c, w = hermitian_eig(h12.conj().T @ h12)
-        self.c = np.maximum(c, 0.0)
-        self.w = w
-        self.cmax = float(self.c[0])
-        self.v12 = canonical_beam(w[:, 0], 1.0).v
-        self.f = self.ht @ w
-        self.fnorm2 = float(np.linalg.norm(self.f, 2) ** 2)
+        self.c, self.w, self.cmax, self.v12 = _cross_factor(h12.shape, h12.tobytes())
+        self.f = self.ht @ self.w
         self.evals = 0
 
     def inner(self, lam, mu, want_q=False):
@@ -216,29 +247,41 @@ class _P3Kernel:
             q = hermitian_part(self.w @ mid @ self.w.conj().T)
         return trace, energy, rate_nats, q
 
-    def solve_mu(self, lam, p, hint=None):
-        """Water level: the unique mu > lam*cmax with tr(Q(lam, mu)) = P."""
-        base = lam * self.cmax
-        h_hi = self.fnorm2 * (1.0 + 1e-9) + 1e-12  # sigma <= 1 here, so trace = 0
-        h_lo = min(hint - base, h_hi / 4.0) if hint is not None and hint > base else h_hi / 4.0
-        h_lo = max(h_lo, 1e-280)
-        excess_lo = self.inner(lam, base + h_lo)[0] - p
-        while excess_lo <= 0.0 and h_lo > 1e-270:
-            h_lo /= 16.0
-            excess_lo = self.inner(lam, base + h_lo)[0] - p
-        if excess_lo <= 0.0:
-            # the priced directions carry no rate gain; leftover power is
-            # topped up along the cross-link beam by the caller's repair
-            return base + h_lo
-        t = scipy.optimize.brentq(
-            lambda t_: self.inner(lam, base + math.exp(t_))[0] - p,
-            math.log(h_lo),
-            math.log(h_hi),
-            xtol=1e-14,
-            rtol=8.9e-16,
-            maxiter=160,
+    def ray(self, rho, p):
+        """Inner maximizer on the price ray mu (I - rho G), 0 <= rho < 1/cmax,
+        with mu fixed by tr(Q) = P.
+
+        One SVD of F D gives gains sig_k and directions V, neither depending
+        on mu.  With a_k = 1/sig_k^2, the trace is sum_k w_k (eta - a_k)^+ and
+        the energy sum_k e_k (eta - a_k)^+, where w_k = sum_i |V_ik|^2 d_i^2
+        and e_k = sum_i |V_ik|^2 c_i d_i^2, so the level eta = 1/mu is exact.
+        """
+        d2 = 1.0 / (1.0 - rho * self.c)
+        d = np.sqrt(d2)
+        self.evals += 1
+        _, sig, vh = np.linalg.svd(self.f * d[None, :], full_matrices=False)
+        gain = sig**2
+        # modes below the rounding floor of the strongest gain carry no power
+        keep = gain > gain[0] * 1e-15
+        mag = np.abs(vh[keep]) ** 2
+        w = mag @ d2
+        a = 1.0 / gain[keep]
+        eta = water_level(a, p, w)
+        powers = np.maximum(eta - a, 0.0)
+        return _RayPoint(
+            eta=eta,
+            energy=float(powers @ (mag @ (self.c * d2))),
+            trace=float(powers @ w),
+            d=d,
+            vh=vh[keep],
+            powers=powers,
         )
-        return base + math.exp(t)
+
+    def ray_covariance(self, pt):
+        """Transmit covariance of a ray point, in the antenna basis."""
+        core = (pt.vh.conj().T * pt.powers[None, :]) @ pt.vh
+        mid = (pt.d[:, None] * core) * pt.d[None, :]
+        return hermitian_part(self.w @ mid @ self.w.conj().T)
 
     def cross_energy(self, q):
         """tr(H12 Q H12^H) through the cached factorization."""
@@ -275,15 +318,18 @@ def inner_max(a, h22_tilde):
     return TxCovariance(q, float(np.trace(q).real) + 1e-12)
 
 
-def solve_p3(h22_tilde, h12, e_target, p, method="bisection", warm=None, t_max=2000):
+def solve_p3(h22_tilde, h12, e_target, p, method="bisection", t_max=2000):
     """Rate maximization for the decoding user under an energy floor.
 
     maximize log det(I + Ht Q Ht^H) s.t. tr(H12 Q H12^H) >= e_target,
     tr(Q) <= P, Q PSD.  If water-filling alone meets the floor it is
     returned (branch WF); otherwise the two dual multipliers are resolved
-    (branch DUAL) by nested scalar root finding ("bisection", default) or by
-    the projected subgradient schedule ("subgradient").  Any residual energy
-    shortfall is repaired by mixing toward the cross-link beam covariance.
+    (branch DUAL).  The default "bisection" method brackets one root over
+    the ratio rho = lam / mu, with the water level 1/mu exact at each rho,
+    and reports lam = rho / eta and mu = 1 / eta; "subgradient" runs the
+    projected subgradient schedule instead.  Any residual energy shortfall
+    is repaired by mixing toward the cross-link beam covariance.
+    `P3Diagnostics.iterations` counts the SVDs spent.
 
     Returns (TxCovariance, P3Diagnostics).
     """
@@ -339,7 +385,7 @@ def solve_p3(h22_tilde, h12, e_target, p, method="bisection", warm=None, t_max=2
 
     if method == "subgradient":
         return _solve_p3_subgradient(kern, e_req, p, t_max)
-    return _solve_p3_bisection(kern, e_req, p, warm)
+    return _solve_p3_ray(kern, e_req, p, e_wf)
 
 
 def _repair(kern, q, trace, energy, e_req, p):
@@ -367,66 +413,34 @@ def _repair(kern, q, trace, energy, e_req, p):
     return q, energy, trace, repaired
 
 
-def _solve_p3_bisection(kern, e_req, p, warm):
-    cache = {}
+def _solve_p3_ray(kern, e_req, p, e_wf):
+    """Root of energy(rho) = e_req along the price ray mu (I - rho G).
 
-    def phi(lam):
-        if lam not in cache:
-            mu = kern.solve_mu(lam, p, hint=None)
-            trace, energy, rate_nats, _ = kern.inner(lam, mu)
-            cache[lam] = (energy - e_req, mu)
-        return cache[lam][0]
+    At rho = 0 the ray point is water-filling, whose energy e_wf is short of
+    the target; energy grows toward p * cmax as rho approaches 1/cmax.
+    """
+    rays = {}
 
-    lo, hi = 0.0, None
-    if phi(0.0) >= 0.0:
-        lam_star = 0.0
+    def shortfall(rho):
+        if rho == 0.0:
+            return e_wf - e_req
+        if rho not in rays:
+            rays[rho] = kern.ray(rho, p)
+        return rays[rho].energy - e_req
+
+    rho_hi = (1.0 - _RHO_MARGIN) / kern.cmax
+    if shortfall(rho_hi) < 0.0:
+        # no gain along the cross-link beam: repair closes the gap
+        rho_star = rho_hi
     else:
-        if warm is not None and warm.lam > 0.0 and np.isfinite(warm.lam):
-            a, b = warm.lam / 4.0, warm.lam * 4.0
-            if phi(a) < 0.0 <= phi(b):
-                lo, hi = a, b
-            elif phi(b) < 0.0:
-                lo = b
-            elif phi(a) >= 0.0:
-                hi = a
-        if hi is None:
-            step = 1.0 / (1.0 + p * kern.cmax)
-            cand = max(lo, step / 8.0)
-            prev_gap = None
-            for _ in range(200):
-                cand = max(cand * 2.0, step)
-                gap_now = phi(cand)
-                if gap_now >= 0.0:
-                    hi = cand
-                    break
-                lo = cand
-                # energy saturates below the target near the cap; stop once
-                # doubling lambda no longer moves it and let repair close up
-                if prev_gap is not None and abs(gap_now - prev_gap) <= 1e-12 * max(
-                    1.0, e_req
-                ):
-                    break
-                prev_gap = gap_now
-            if hi is None:
-                hi = cand  # asymptotic regime; repair closes the gap
-        if phi(hi) < 0.0:
-            lam_star = hi
-        elif hi <= lo:
-            lam_star = hi
-        else:
-            lam_star = scipy.optimize.brentq(
-                phi, lo, hi, xtol=1e-18, rtol=8.9e-16, maxiter=200
-            )
-            phi(lam_star)
-    mu_star = cache[lam_star][1] if lam_star in cache else kern.solve_mu(lam_star, p)
-    trace, energy, _, q = kern.inner(lam_star, mu_star, want_q=True)
-    # leftover budget with no rate value is worth spending on the beam
-    if trace < p * (1.0 - 1e-9) and energy < e_req:
-        q = q + (p - trace) * np.outer(kern.v12, kern.v12.conj())
-        energy += (p - trace) * kern.cmax
-        trace = p
-    q, energy, trace, repaired = _repair(kern, q, trace, energy, e_req, p)
-    rate = _rate_bits(kern.ht, q)
+        rho_star = scipy.optimize.brentq(
+            shortfall, 0.0, rho_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200
+        )
+    # a target within rounding of e_wf can return the endpoint rho = 0
+    pt = rays[rho_star] if rho_star in rays else kern.ray(rho_star, p)
+    q, energy, trace, repaired = _repair(
+        kern, kern.ray_covariance(pt), pt.trace, pt.energy, e_req, p
+    )
     gap = max(
         max(e_req - energy, 0.0) / max(1.0, e_req),
         max(trace - p, 0.0) / p,
@@ -435,12 +449,12 @@ def _solve_p3_bisection(kern, e_req, p, warm):
         branch="DUAL",
         method="bisection",
         iterations=kern.evals,
-        lam=float(lam_star),
-        mu=float(mu_star),
+        lam=float(rho_star / pt.eta),
+        mu=float(1.0 / pt.eta),
         gap=gap,
         energy=energy,
         trace=trace,
-        rate_bits=rate,
+        rate_bits=_rate_bits(kern.ht, q),
         repaired=repaired,
     )
     return TxCovariance(hermitian_part(q), p), diag
@@ -568,7 +582,7 @@ class _StrategyContext:
         tol = 1e-9 * max(1.0, e)
 
         def surplus(target):
-            ev, _ = _evaluate(self, target, self.p, None)
+            ev, _ = _evaluate(self, target, self.p)
             return ev.e11 + ev.e2 - target
 
         g = surplus(e)
@@ -618,7 +632,7 @@ class _Evaluation:
     clamped: bool
 
 
-def _evaluate(ctx, e_bar, p1, warm):
+def _evaluate(ctx, e_bar, p1):
     cs = ctx.cs
     w_unit, kappa = ctx.unit_cov(e_bar, p1)
     e11 = kappa * p1
@@ -631,7 +645,7 @@ def _evaluate(ctx, e_bar, p1, warm):
     cap = ctx.p * ctx.sig12_max2
     clamped = e_need > cap * (1.0 + _FEAS_SLACK)
     e_need = min(max(e_need, 0.0), cap)
-    q2, diag = solve_p3(h22t, cs.h12, e_need, ctx.p, warm=warm)
+    q2, diag = solve_p3(h22t, cs.h12, e_need, ctx.p)
     return _Evaluation(
         p1=p1,
         kappa=kappa,
@@ -643,7 +657,7 @@ def _evaluate(ctx, e_bar, p1, warm):
     ), q2
 
 
-def _rescue_stall(ctx, e_eff, warm, n_max):
+def _rescue_stall(ctx, e_eff, n_max):
     """Recover a boundary point when the power backoff stalls short.
 
     An adaptive beam stops tilting toward the energy subspace as soon as its
@@ -658,7 +672,7 @@ def _rescue_stall(ctx, e_eff, warm, n_max):
     best = None
     max_seen = -np.inf
     for cand in np.linspace(0.0, p, 33):
-        ev, _ = _evaluate(ctx, e_eff, float(cand), warm)
+        ev, _ = _evaluate(ctx, e_eff, float(cand))
         max_seen = max(max_seen, ev.e11 + ev.e2)
         if ev.e11 + ev.e2 >= e_eff - tol:
             if best is None or ev.rate_bits > best[1].rate_bits:
@@ -672,14 +686,14 @@ def _rescue_stall(ctx, e_eff, warm, n_max):
         p1_new = min(max((e_eff - ev.e2) / ev.kappa, 0.0), p)
         if abs(p1_new - p1) <= _P1_TOL * max(p, 1.0):
             break
-        ev_new, _ = _evaluate(ctx, e_eff, p1_new, warm)
+        ev_new, _ = _evaluate(ctx, e_eff, p1_new)
         if ev_new.e11 + ev_new.e2 < e_eff - tol:
             break
         p1, ev = p1_new, ev_new
     return p1, ev
 
 
-def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5, _ctx=None, _warm=None):
+def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5, _ctx=None):
     """One point of the rate-energy boundary at energy target `e_bar`.
 
     Alternates the decoding user's floored rate problem with the power
@@ -699,13 +713,10 @@ def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5, _ctx=None
     e_eff = min(e_bar, em)
     p = ctx.p
     p1 = p
-    warm = _warm
     ev = None
     iters = 0
     for iters in range(1, n_max + 1):
-        ev, _q2 = _evaluate(ctx, e_eff, p1, warm)
-        if ev.diag.branch == "DUAL" and ev.diag.lam is not None:
-            warm = DualState(ev.diag.lam, ev.diag.mu, ev.diag.iterations, ev.diag.gap)
+        ev, _q2 = _evaluate(ctx, e_eff, p1)
         if ev.e11 + ev.e2 > e_eff and ev.kappa > 0.0:
             p1_new = min(max((e_eff - ev.e2) / ev.kappa, 0.0), p)
         else:
@@ -715,11 +726,11 @@ def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5, _ctx=None
             break
         p1 = p1_new
     if ev.p1 != p1:
-        ev, _q2 = _evaluate(ctx, e_eff, p1, warm)
+        ev, _q2 = _evaluate(ctx, e_eff, p1)
     achieved = ev.e11 + ev.e2
     tol_e = 1e-9 * max(1.0, e_eff)
     if achieved < e_eff - tol_e and ctx._w_fixed is None:
-        p1_rescued, rescued = _rescue_stall(ctx, e_eff, warm, n_max)
+        p1_rescued, rescued = _rescue_stall(ctx, e_eff, n_max)
         if p1_rescued is not None:
             p1, ev = p1_rescued, rescued
         else:
@@ -736,7 +747,7 @@ def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5, _ctx=None
     if no_tx:
         p1 = 0.0
         if ev.p1 != p1:
-            ev, _q2 = _evaluate(ctx, e_eff, p1, warm)
+            ev, _q2 = _evaluate(ctx, e_eff, p1)
     branch = "NO_TX" if no_tx else ev.diag.branch
     return REPoint(
         e_bar=e_bar,
@@ -764,17 +775,14 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5)
     grid = np.linspace(0.0, em, n_points) if e_grid is None else np.asarray(e_grid, float)
     points = []
     gaps = []
-    warm = None
     for k, e_bar in enumerate(grid):
         try:
             pt = re_boundary_point(
-                cs, strategy, float(e_bar), p, n_max=n_max, split=split, _ctx=ctx, _warm=warm
+                cs, strategy, float(e_bar), p, n_max=n_max, split=split, _ctx=ctx
             )
         except SwiptError as exc:
             gaps.append((k, float(e_bar), str(exc)))
             continue
-        if pt.lam is not None:
-            warm = DualState(pt.lam, pt.mu, 0, 0.0)
         points.append(pt)
     # a solution for a higher target over-delivers every lower target, so
     # carry it backward wherever it beats the lower target's own solution
@@ -782,7 +790,7 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5)
     for k in range(len(points) - 2, -1, -1):
         nxt = points[k + 1]
         if nxt.rate_bits > points[k].rate_bits:
-            points[k] = dataclasses.replace(nxt, e_bar=points[k].e_bar)
+            points[k] = dataclasses.replace(nxt, e_bar=points[k].e_bar, carried=True)
     boundary = REBoundary(
         points=points,
         strategy=strategy,

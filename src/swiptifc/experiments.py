@@ -7,7 +7,9 @@ tradeoff curves, and writes one CSV per curve plus one aggregate CSV of
 per-grid-index means across seeds (curves are averaged at matched indices
 of their own normalized energy grids, since the reachable energy range
 varies per realization).  A JSON summary records the config, channel
-digests, artifact list, and timing.
+digests, artifact list, timing, and the seeds whose (decode, decode)
+water-filling game stopped at its round limit without converging, with the
+rounds run and the last covariance step.
 
 Exit codes: 0 full success, 1 hard error, 2 completed with gap-marked
 sweep points.
@@ -340,9 +342,12 @@ def _seed_task(cfg_dict, seed):
         sched, _tags = scheduled_sweep(cs, cfg.p, n_points=cfg.e_grid_points)
         curves["sler_sched"] = list(sched.points)
     mode_rows = []
+    game = None
     if "id_id" in cfg.modes:
         iwf = iterative_waterfilling(cs, cfg.p)
         mode_rows.append(("id_id", float(sum(iwf.rates)), 0.0))
+        if not iwf.converged:
+            game = {"rounds": iwf.iterations, "last_step": iwf.deltas[-1]}
     if "eh_eh" in cfg.modes:
         _, _, e_total = eh_eh_optimal(cs, cfg.p)
         mode_rows.append(("eh_eh", 0.0, float(e_total)))
@@ -352,6 +357,7 @@ def _seed_task(cfg_dict, seed):
         "curves": curves,
         "gaps": gaps,
         "modes": mode_rows,
+        "unconverged_game": game,
         "elapsed": time.perf_counter() - t0,
     }
 
@@ -452,6 +458,9 @@ def run_experiment(cfg, workers=1):
         "artifacts": sorted(artifacts),
         "gaps": {
             str(r["seed"]): r["gaps"] for r in results if r["gaps"]
+        },
+        "unconverged_games": {
+            str(r["seed"]): r["unconverged_game"] for r in results if r["unconverged_game"]
         },
         "seconds_per_seed": {str(r["seed"]): round(r["elapsed"], 3) for r in results},
         "seconds_total": round(time.perf_counter() - t0, 3),

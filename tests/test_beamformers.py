@@ -21,6 +21,7 @@ from swiptifc import (
     stacked_channel,
     waterfill,
 )
+from swiptifc.beamformers import water_level
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
 
@@ -86,6 +87,57 @@ class TestWaterfill:
             for i in range(m):
                 if pw[i] <= 1e-7 * p and d[i] > 0:
                     assert 1.0 / d[i] >= mu * (1.0 - 1e-8)
+
+
+class TestWaterLevel:
+    def _spent(self, a, w, eta):
+        return float(np.sum(w * np.maximum(eta - a, 0.0)))
+
+    def test_spends_budget_at_one_level(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            a = 1.0 / rng.uniform(0.01, 10.0, n)
+            w = rng.uniform(0.2, 5.0, n) if rng.random() < 0.5 else np.ones(n)
+            p = float(rng.uniform(0.05, 50.0))
+            eta = water_level(a, p, w)
+            assert abs(self._spent(a, w, eta) - p) <= 1e-12 * p
+            # active modes sit below the level, inactive ones at or above it
+            active = a < eta
+            assert active.any()
+            assert np.all(a[~active] >= eta)
+
+    def test_matches_dense_scan(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            a = 1.0 / rng.uniform(0.05, 5.0, n)
+            p = float(rng.uniform(0.1, 20.0))
+            grid = np.linspace(a.min(), a.max() + p, 200001)
+            spent = np.maximum(grid[:, None] - a[None, :], 0.0).sum(axis=1)
+            k = int(np.searchsorted(spent, p))
+            assert grid[k - 1] <= water_level(a, p) <= grid[k]
+
+    def test_weighted_matches_active_set_enumeration(self):
+        # brute force: the one active set whose level is consistent with it
+        rng = np.random.default_rng(19)
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            a = 1.0 / rng.uniform(0.05, 5.0, n)
+            w = rng.uniform(0.1, 10.0, n)
+            p = float(rng.uniform(0.1, 20.0))
+            found = []
+            for mask in range(1, 2**n):
+                s = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+                eta = (p + np.sum(w[s] * a[s])) / np.sum(w[s])
+                if np.all(a[s] < eta) and np.all(a[~s] >= eta):
+                    found.append(eta)
+            assert len(found) == 1
+            assert water_level(a, p, w) == pytest.approx(found[0], rel=1e-12)
+
+    def test_tied_floors(self):
+        assert water_level(np.array([1.0, 1.0, 3.0]), 2.0) == pytest.approx(2.0)
+        assert water_level(np.array([0.5]), 1.0, np.array([4.0])) == pytest.approx(0.75)
 
 
 class TestIterativeWaterfilling:

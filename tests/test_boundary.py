@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from swiptifc import boundary
 from swiptifc import (
     ChannelSet,
     DualInfeasibleError,
@@ -225,6 +226,111 @@ class TestSolveP3:
             solve_p3(h22t, h12, 0.1, 1.0, method="newton")
 
 
+class TestRatioRoot:
+    """The DUAL branch: one root over rho = lam / mu on the price ray."""
+
+    def _cases(self):
+        rng = np.random.default_rng(2024)
+        cases = []
+        for m_r, m_t in ((2, 4), (1, 3), (4, 2), (3, 1)):
+            cases.append((_cgauss(rng, m_r, m_t), _cgauss(rng, m_r, m_t)))
+        for rank, m in ((1, 3), (2, 4)):
+            ht = _cgauss(rng, m, rank) @ _cgauss(rng, rank, m)
+            cases.append((ht, _cgauss(rng, m, m)))
+        return cases
+
+    def test_budget_energy_and_rate(self):
+        p = 3.0
+        for ht, h12 in self._cases():
+            cap = p * np.linalg.svd(h12, compute_uv=False)[0] ** 2
+            for frac in (0.3, 0.7, 0.95, 1.0 - 1e-9):
+                e_req = frac * cap
+                q, diag = solve_p3(ht, h12, e_req, p)
+                energy = float(np.trace(h12 @ q.q @ h12.conj().T).real)
+                assert abs(q.trace - p) <= 1e-12 * p
+                assert energy >= e_req * (1.0 - 1e-12)
+                _, ds = solve_p3(ht, h12, e_req, p, method="subgradient")
+                assert diag.rate_bits >= ds.rate_bits - 1e-9
+                assert diag.iterations <= 64
+
+    def test_target_one_ulp_above_waterfilling(self):
+        p = 4.0
+        for seed in range(5):
+            cs = draw_channel_set(3, 3, ALPHA, seed=450 + seed)
+            kern = boundary._P3Kernel(cs.h22, cs.h12)
+            e_wf = kern.cross_energy(waterfill(cs.h22, None, p).q)
+            e_req = float(np.nextafter(e_wf, np.inf))
+            q, diag = solve_p3(cs.h22, cs.h12, e_req, p)
+            assert diag.branch == "DUAL"
+            assert diag.energy >= e_req * (1.0 - 1e-12)
+            assert q.trace == pytest.approx(p, rel=1e-12)
+
+    def test_energy_monotone_along_ray(self):
+        p = 4.0
+        for seed in range(10):
+            cs = draw_channel_set(3, 3, ALPHA, seed=400 + seed)
+            kern = boundary._P3Kernel(cs.h22, cs.h12)
+            top = (1.0 - boundary._RHO_MARGIN) / kern.cmax
+            rhos = np.concatenate(
+                (np.linspace(0.0, top, 120), top * (1.0 - np.logspace(-2, -11, 40)))
+            )
+            energies = np.array([kern.ray(float(r), p).energy for r in np.sort(rhos)])
+            assert np.all(np.diff(energies) >= -1e-12 * p * kern.cmax)
+
+    def test_no_gain_along_cross_beam(self):
+        # the own link is blind to the cross-link beam e0, so the energy
+        # along the ray stays short and the beam mix closes the gap; the
+        # optimum keeps q11 = (12 - e) / 3 on the one rate-carrying mode
+        h12 = np.diag([2.0, 1.0]).astype(complex)
+        ht = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
+        p = 3.0
+        for e_req in (4.0, 8.0, 11.0):
+            q, diag = solve_p3(ht, h12, e_req, p)
+            assert diag.branch == "DUAL" and diag.repaired
+            assert q.trace == pytest.approx(p, rel=1e-12)
+            assert diag.energy >= e_req * (1.0 - 1e-12)
+            want = np.log2(1.0 + 2.0 * (12.0 - e_req) / 3.0)
+            assert diag.rate_bits == pytest.approx(want, rel=1e-9)
+
+    def test_strong_duality_at_reported_pair(self):
+        # lam = rho / eta and mu = 1 / eta keep their meaning: the dual value
+        # at the reported pair closes on the primal rate
+        for seed in range(5):
+            cs = draw_channel_set(3, 3, ALPHA, seed=500 + seed)
+            p = 4.0
+            cap = p * np.linalg.svd(cs.h12, compute_uv=False)[0] ** 2
+            e_req = 0.7 * cap
+            q, diag = solve_p3(cs.h22, cs.h12, e_req, p)
+            assert diag.branch == "DUAL" and not diag.repaired
+            a = diag.mu * np.eye(3) - diag.lam * (cs.h12.conj().T @ cs.h12)
+            q_in = inner_max(a, cs.h22)
+            prob = P3Problem(cs.h22, cs.h12, e_target=e_req, p=p)
+            inner_val = float(prob.objective(q_in.q[None])[0]) - float(
+                np.trace(a @ q_in.q).real
+            )
+            dual = inner_val + diag.mu * p - diag.lam * e_req
+            primal = float(prob.objective(q.q[None])[0])
+            assert abs(dual - primal) <= 1e-9
+
+    def test_cross_link_factored_once(self, monkeypatch):
+        calls = []
+        real = boundary.hermitian_eig
+
+        def counting(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(boundary, "hermitian_eig", counting)
+        boundary._cross_factor.cache_clear()
+        cs = draw_channel_set(3, 3, ALPHA, seed=77)
+        cap = 2.0 * np.linalg.svd(cs.h12, compute_uv=False)[0] ** 2
+        for scale in (1.0, 0.5, 2.0):
+            solve_p3(scale * cs.h22, cs.h12, 0.8 * cap, 2.0)
+        assert len(calls) == 1
+        c, w, _, v12 = boundary._cross_factor(cs.h12.shape, cs.h12.tobytes())
+        assert not (c.flags.writeable or w.flags.writeable or v12.flags.writeable)
+
+
 class TestReBoundaryPoint:
     def test_zero_target_turns_transmitter_off(self):
         cs = draw_channel_set(3, 3, ALPHA, seed=51)
@@ -291,6 +397,23 @@ class TestReSweep:
             bd = re_sweep(cs, strategy, 2.0, n_points=8)
             bd.validate()
             assert len(bd.points) == 8
+
+
+class TestCarriedPoints:
+    def test_carried_rows_are_flagged(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=7)
+        p = 5.0
+        bd = re_sweep(cs, "sler", p, n_points=16)
+        carried = [k for k, pt in enumerate(bd.points) if pt.carried]
+        assert carried
+        for k in carried:
+            pt = bd.points[k]
+            assert pt.energy >= pt.e_bar
+            assert pt.rate_bits == bd.points[k + 1].rate_bits
+            own = re_boundary_point(cs, "sler", pt.e_bar, p)
+            assert not own.carried
+            assert own.rate_bits < pt.rate_bits
+        assert not bd.points[-1].carried
 
 
 class TestBoundaryValidate:

@@ -15,6 +15,7 @@ from swiptifc import (
     apply_overrides,
     draw_channel_set,
     emit_plot_data,
+    iterative_waterfilling,
     preset_variants,
     re_sweep,
     read_plot_data,
@@ -240,6 +241,22 @@ class TestRunExperiment:
         assert first[0] == "meb"
         assert int(first[3]) == 1
         assert float(first[5]) == pytest.approx(rows[0]["rate_bits"], rel=1e-10)
+
+    def test_unconverged_games_in_summary(self, tmp_path):
+        # at p = 2 the 2x2 game of seed 1 converges and that of seed 2 stops
+        # at its round limit
+        cfg = _tiny_cfg(tmp_path, strategies=(), modes=("id_id",), seeds=(1, 2))
+        manifest = run_experiment(cfg)
+        game = iterative_waterfilling(draw_channel_set(2, 2, np.array(cfg.alpha), 2), cfg.p)
+        assert not game.converged
+        want = {"2": {"rounds": game.iterations, "last_step": game.deltas[-1]}}
+        assert manifest["unconverged_games"] == want
+        assert manifest["exit_code"] == 0
+        out = tmp_path / "out"
+        with open(out / "summary.json") as fh:
+            assert json.load(fh)["unconverged_games"] == want
+        lines = (out / "modes.csv").read_text().splitlines()
+        assert lines[0] == "mode,seed,m_t,m_r,rate_bits,energy"
 
     def test_requires_output_dir(self, tmp_path):
         cfg = _tiny_cfg(tmp_path)
