@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import stacked_channel
 from .exceptions import DegenerateChannelError, InvalidInputError, RankDeficiencyError
@@ -25,6 +24,7 @@ __all__ = [
     "check_strategy",
     "water_level",
     "waterfill",
+    "waterfill_stack",
     "IwfResult",
     "iterative_waterfilling",
     "eh_eh_optimal",
@@ -32,7 +32,9 @@ __all__ = [
     "mlb",
     "meb_rank2",
     "sler_beam",
+    "sler_directions",
     "slnr_beam",
+    "slnr_directions",
 ]
 
 STRATEGIES = ("meb", "mlb", "sler", "slnr", "meb_rank2")
@@ -50,22 +52,33 @@ def check_strategy(strategy):
 def water_level(floors, p, weights=None):
     """Exact level eta with sum_k w_k (eta - a_k)^+ = P, by sorting the floors.
 
-    `floors` a_k are finite, `weights` w_k positive (default all ones) and P
-    positive.  The spent power is piecewise linear in eta with breakpoints at
-    the sorted floors; with the m lowest floors active the level is
-    (P + sum_{k<m} w_k a_k) / sum_{k<m} w_k, and m is the number of floors
-    below that level (Palomar & Fonollosa, IEEE TSP 2005).
+    `floors` a_k are finite or +inf (a mode that takes no power), `weights`
+    w_k positive (default all ones) and P positive.  The spent power is
+    piecewise linear in eta with breakpoints at the sorted floors; with the m
+    lowest floors active the level is (P + sum_{k<m} w_k a_k) / sum_{k<m} w_k,
+    and m is the number of floors below that level (Palomar & Fonollosa,
+    IEEE TSP 2005).  Floors of shape (n, K) give one level per row.
     """
     floors = np.asarray(floors, dtype=float)
-    order = np.argsort(floors)
-    a = floors[order]
-    w = np.ones_like(a) if weights is None else np.asarray(weights, dtype=float)[order]
-    cw = np.cumsum(w)
-    cwa = np.cumsum(w * a)
-    # power spent once the level reaches each floor past the first
-    spent_at = a[1:] * cw[:-1] - cwa[:-1]
-    m = int(np.count_nonzero(spent_at < p))
-    return float((p + cwa[m]) / cw[m])
+    if weights is None:
+        a = np.sort(floors, axis=-1)
+        w = np.ones_like(a)
+    else:
+        order = floors.argsort(axis=-1)
+        pick = order if floors.ndim == 1 else (np.arange(len(floors))[:, None], order)
+        a = floors[pick]
+        w = np.asarray(weights, dtype=float)[pick]
+    cw = w.cumsum(axis=-1)
+    cwa = (w * a).cumsum(axis=-1)
+    # power spent once the level reaches each floor past the first; an
+    # infinite floor gives inf or nan here, and neither counts below P
+    with np.errstate(invalid="ignore"):
+        spent_at = a[..., 1:] * cw[..., :-1] - cwa[..., :-1]
+    m = (spent_at < p).sum(axis=-1)
+    if floors.ndim == 1:
+        return float((p + cwa[m]) / cw[m])
+    rows = np.arange(len(a))
+    return (p + cwa[rows, m]) / cw[rows, m]
 
 
 def waterfill(h, r_noise, p):
@@ -83,17 +96,23 @@ def waterfill(h, r_noise, p):
     if p == 0.0:
         return TxCovariance(np.zeros((m_t, m_t), dtype=np.complex128), 0.0)
     b = h if r_noise is None else inv_sqrt_psd(as_matrix(r_noise, "r_noise")) @ h
-    _, s, v = svd(b)
-    d = np.zeros(m_t)
-    d[: s.size] = s**2
-    if d[0] <= 0.0:
+    return TxCovariance(waterfill_stack(b[None], p)[0], p)
+
+
+def waterfill_stack(b, p):
+    """`waterfill` for a stack of whitened channels B (n, M_r, M_t) at P > 0.
+
+    Returns the (n, M_t, M_t) Hermitian covariances, unvalidated.
+    """
+    _, s, vh = np.linalg.svd(b)
+    d = np.zeros((len(b), b.shape[-1]))
+    d[:, : s.shape[-1]] = s**2
+    if (d[:, 0] <= 0.0).any():
         raise DegenerateChannelError("channel is numerically zero; no mode to fill")
-    active = d > d[0] * 1e-15
-    inv = 1.0 / d[active]
-    powers = np.zeros(m_t)
-    powers[active] = np.maximum(water_level(inv, p) - inv, 0.0)
-    q = (v * powers[None, :]) @ v.conj().T
-    return TxCovariance(hermitian_part(q), p)
+    inv = np.divide(1.0, d, out=np.full_like(d, np.inf), where=d > d[:, :1] * 1e-15)
+    powers = np.maximum(water_level(inv, p)[:, None] - inv, 0.0)
+    v = vh.conj().swapaxes(-1, -2)
+    return hermitian_part((v * powers[:, None, :]) @ vh)
 
 
 @dataclass
@@ -229,24 +248,40 @@ def sler_beam(h11, h21, e_bar, p1):
     e_bar = float(e_bar)
     if not np.isfinite(e_bar) or e_bar < 0:
         raise InvalidInputError(f"e_bar must be finite nonnegative, got {e_bar!r}")
-    m_r, m_t = h11.shape
     floor = sler_floor(h11, e_bar, p1)
-    k = np.vstack((h11, h21, np.sqrt(floor) * np.eye(m_t, dtype=np.complex128)))
+    return canonical_beam(sler_directions(h11, h21, np.array([floor]))[0], p1)
+
+
+def sler_directions(h11, h21, floors):
+    """`sler_beam`'s unnormalized directions (n, M_t), one per floor of a
+    stack (n,), from one stacked QR and one stacked SVD."""
+    m_r, m_t = h11.shape
+    floors = np.asarray(floors, dtype=float)
+    eye = np.eye(m_t)
+    k = np.empty((floors.size, 2 * m_r + m_t, m_t), dtype=np.complex128)
+    k[:, :m_r] = h11
+    k[:, m_r : 2 * m_r] = h21
+    k[:, 2 * m_r :] = np.sqrt(floors)[:, None, None] * eye
     try:
         q, rbar = qrd(k)
     except RankDeficiencyError:
         # floor = 0 with jointly rank-deficient links; a tiny ridge restores
-        # an invertible stack
+        # an invertible stack for each target that needs it
         warnings.warn("sler_beam: links share a null direction, using 1e-12 ridge")
-        k = np.vstack((h11, h21, np.sqrt(1e-12) * np.eye(m_t, dtype=np.complex128)))
-        q, rbar = qrd(k)
-    _, _, v_alpha = svd(q[:m_r])
-    u = v_alpha[:, 0]
-    if floor > 0.0:
-        vbar = q[2 * m_r :] @ u / np.sqrt(floor)
-    else:
-        vbar = scipy.linalg.solve_triangular(rbar, u)
-    return canonical_beam(vbar, p1)
+        q, rbar = np.empty_like(k), np.empty_like(k[:, :m_t])
+        for i, ki in enumerate(k):
+            try:
+                q[i], rbar[i] = qrd(ki)
+            except RankDeficiencyError:
+                ki[2 * m_r :] = np.sqrt(1e-12) * eye
+                q[i], rbar[i] = qrd(ki)
+    _, _, v_alpha = svd(q[:, :m_r])
+    u = v_alpha[:, :, :1]
+    out = np.empty((floors.size, m_t), dtype=np.complex128)
+    on = floors > 0.0
+    out[on] = (q[on, 2 * m_r :] @ u[on])[..., 0] / np.sqrt(floors[on])[:, None]
+    out[~on] = np.linalg.solve(rbar[~on], u[~on])[..., 0]
+    return out
 
 
 def slnr_beam(h11, h21, p1):
@@ -257,9 +292,17 @@ def slnr_beam(h11, h21, p1):
     p1 = float(p1)
     if not np.isfinite(p1) or p1 <= 0:
         raise InvalidInputError(f"P1 must be positive, got {p1!r}")
+    return canonical_beam(slnr_directions(h11, h21, np.array([p1]))[0], p1)
+
+
+def slnr_directions(h11, h21, p1s):
+    """`slnr_beam`'s unnormalized directions (n, M_t) for a stack of powers
+    (n,): whiten by the Cholesky factor L of the denominator, take the top
+    eigenvector y of L^-1 num L^-H, and map it back as L^-H y."""
     num = hermitian_part(h11.conj().T @ h11)
-    den = hermitian_part(h21.conj().T @ h21) + (h11.shape[0] / p1) * np.eye(
-        h11.shape[1], dtype=np.complex128
-    )
-    _, vecs = scipy.linalg.eigh(num, den)
-    return canonical_beam(vecs[:, -1], p1)  # scipy orders ascending
+    eye = np.eye(h11.shape[1])
+    den = hermitian_part(h21.conj().T @ h21) + (h11.shape[0] / np.asarray(p1s))[:, None, None] * eye
+    low = np.linalg.cholesky(den)
+    half = np.linalg.solve(low, num)
+    _, vecs = np.linalg.eigh(hermitian_part(np.linalg.solve(low, half.conj().swapaxes(-1, -2))))
+    return np.linalg.solve(low.conj().swapaxes(-1, -2), vecs[:, :, -1:])[..., 0]

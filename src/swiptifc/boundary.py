@@ -20,6 +20,15 @@ is diagonal in W's basis.  Along the ray rho = lam / mu in [0, 1/cmax) one
 SVD fixes the transmit directions, and the level 1/mu that spends the budget
 is an exact weighted water-filling level (`beamformers.water_level`), so the
 DUAL branch is a single scalar root: energy(rho) = E_floor.
+
+Every target of a sweep is solved in lockstep.  Each target keeps its own
+control flow, a generator that yields the (E_bar, P1) pairs it needs and
+makes its own P1 update, convergence test, stall rescue and no-TX check; a
+round collects the pending pairs of all targets and evaluates them in one
+stacked pass (`_evaluate_batch`): transmitter 1's beams, the whitened links
+H22~, water-filling, and, for the targets on the DUAL branch, a lockstep
+root over rho whose every step is one stacked SVD.  `re_boundary_point`,
+`solve_p3` and the endpoint search run the same code with one target.
 """
 
 import dataclasses
@@ -29,17 +38,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .beamformers import (
     check_strategy,
     meb,
     meb_rank2,
     mlb,
-    sler_beam,
-    slnr_beam,
+    sler_directions,
+    slnr_directions,
     water_level,
     waterfill,
+    waterfill_stack,
 )
 from .channel import channel_digest
 from .exceptions import (
@@ -50,8 +59,8 @@ from .exceptions import (
     SingularMatrixError,
     SwiptError,
 )
-from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, svd
-from .metrics import TxCovariance, canonical_beam
+from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm, svd
+from .metrics import TxCovariance, canonical_beam, canonical_directions, check_covariances
 
 __all__ = [
     "P3Diagnostics",
@@ -72,6 +81,7 @@ _LN2 = float(np.log(2.0))
 # outer loop defaults
 _N_MAX = 20
 _P1_TOL = 1e-8
+_RESCUE_SCAN = 33
 
 # accepted relative overshoot of an energy target before declaring infeasibility
 _FEAS_SLACK = 1e-9
@@ -80,21 +90,26 @@ _FEAS_SLACK = 1e-9
 # resolved in floating point
 _RHO_MARGIN = 1e-12
 
+# the ratio root stops as scipy.optimize.brentq does at these settings
+_XTOL = 1e-18
+_RTOL = 8.9e-16
+_MAXITER = 200
+
 
 @dataclass
 class P3Diagnostics:
     """How a single energy-floored rate maximization was resolved."""
 
     branch: str                # "WF" or "DUAL"
-    method: str
-    iterations: int            # inner evaluations spent
+    iterations: int            # ray evaluations (one SVD each)
     lam: float | None
     mu: float | None
     gap: float                 # worst relative residual after repair
     energy: float
     trace: float
     rate_bits: float
-    repaired: bool = False
+    repaired: bool = False     # energy shortfall mixed toward the cross-link beam
+    rescaled: bool = False     # trace above P scaled back to P
 
 
 @dataclass
@@ -111,6 +126,7 @@ class REPoint:
     mu: float | None = None
     clamped: bool = False
     carried: bool = False      # copied from a higher target by re_sweep
+    p3: P3Diagnostics | None = None  # the floored rate solve behind the point
 
 
 @dataclass
@@ -169,7 +185,111 @@ class Lemma1Result:
 
 
 # ---------------------------------------------------------------------------
-# inner problem: maximize log det(I + Ht Q Ht^H) - tr((mu I - lam G) Q)
+# lockstep driver
+
+
+def _run_lockstep(steps, evaluate):
+    """Advance per-target step generators together.
+
+    Each generator yields a list of requests and is sent back the list of
+    their results; one round answers the pending requests of every target
+    with a single `evaluate(owners, requests)` call.  A target's outcome is
+    its generator's return value, or the SwiptError it raised.  If a round
+    fails with a SwiptError, its requests are answered one at a time, and
+    each target that asked for a failing one has the error raised into it.
+    """
+    out = [None] * len(steps)
+    pending = {}
+
+    def advance(k, results=None, error=None):
+        try:
+            if error is not None:
+                request = steps[k].throw(error)
+            else:
+                request = steps[k].send(results)
+        except StopIteration as stop:
+            out[k] = stop.value
+        except SwiptError as exc:
+            out[k] = exc
+        else:
+            pending[k] = request
+
+    for k in range(len(steps)):
+        advance(k)
+    while pending:
+        batch = list(pending.items())
+        pending.clear()
+        owners = [k for k, req in batch for _ in req]
+        flat = [r for _, req in batch for r in req]
+        try:
+            results = evaluate(owners, flat)
+        except SwiptError:
+            results = []
+            for k, r in zip(owners, flat):
+                try:
+                    results.extend(evaluate([k], [r]))
+                except SwiptError as exc:
+                    results.append(exc)
+        pos = 0
+        for k, req in batch:
+            mine = results[pos : pos + len(req)]
+            pos += len(req)
+            error = next((r for r in mine if isinstance(r, SwiptError)), None)
+            advance(k, mine, error)
+    return out
+
+
+def _brentq_steps(xpre, xcur):
+    """scipy.optimize.brentq on [xpre, xcur] at xtol 1e-18, rtol 8.9e-16 and
+    200 iterations, step for step, as a generator: it yields each abscissa,
+    is sent f there, and returns the root."""
+    fpre = yield xpre
+    fcur = yield xcur
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = yield xcur
+    raise RuntimeError(f"ratio root failed to converge after {_MAXITER} iterations")
+
+
+# ---------------------------------------------------------------------------
+# floored rate problem: maximize log det(I + Ht Q Ht^H) s.t. the energy floor
 
 
 @functools.lru_cache(maxsize=8)
@@ -188,113 +308,250 @@ def _cross_factor(shape, data):
     return c, w, float(c[0]), v12
 
 
-@dataclass
-class _RayPoint:
-    """Priced maximizer on the ray mu (I - rho G) at the level spending P.
-
-    In W's basis the covariance is D V diag(powers) V^H D, with D =
-    diag(d) = diag((1 - rho c)^{-1/2}) and V the right singular vectors of
-    F D; eta = 1/mu is the water level.
-    """
-
-    eta: float
-    energy: float
-    trace: float
-    d: np.ndarray
-    vh: np.ndarray
-    powers: np.ndarray
-
-
-class _P3Kernel:
-    """Shared factorizations for repeated inner evaluations.
-
-    G = H12^H H12 = W diag(c) W^H is factored once per cross link; for any
-    (lam, mu) the price matrix is diagonal in W's basis, so each inner
-    evaluation (`inner` at a fixed pair, `ray` at a fixed ratio) costs a
-    single small SVD of F diag(s) with F = Ht W and s = (mu - lam c)^{-1/2}.
-    """
-
-    def __init__(self, h22_tilde, h12):
-        self.ht = as_matrix(h22_tilde, "h22_tilde")
-        h12 = as_matrix(h12, "h12")
-        if h12.shape[1] != self.ht.shape[1]:
-            raise InvalidInputError(
-                f"transmit dims differ: h22_tilde {self.ht.shape}, h12 {h12.shape}"
-            )
-        self.c, self.w, self.cmax, self.v12 = _cross_factor(h12.shape, h12.tobytes())
-        self.f = self.ht @ self.w
-        self.evals = 0
-
-    def inner(self, lam, mu, want_q=False):
-        """Closed-form maximizer of the priced rate objective."""
-        a_diag = mu - lam * self.c
-        if a_diag.min() <= 0.0:
-            raise DualInfeasibleError(
-                f"price matrix not PD: mu={mu!r}, lam*cmax={lam * self.cmax!r}"
-            )
-        self.evals += 1
-        s = 1.0 / np.sqrt(a_diag)
-        u0, sig, v0h = np.linalg.svd(self.f * s[None, :], full_matrices=False)
-        ptil = np.maximum(1.0 - 1.0 / np.maximum(sig**2, 1e-300), 0.0)
-        core = (v0h.conj().T * ptil[None, :]) @ v0h
-        diag = np.maximum(core.diagonal().real, 0.0)
-        trace = float(np.sum(s**2 * diag))
-        energy = float(np.sum(self.c * s**2 * diag))
-        rate_nats = float(np.sum(np.log(np.maximum(sig**2, 1.0))))
-        q = None
-        if want_q:
-            mid = (s[:, None] * core) * s[None, :]
-            q = hermitian_part(self.w @ mid @ self.w.conj().T)
-        return trace, energy, rate_nats, q
-
-    def ray(self, rho, p):
-        """Inner maximizer on the price ray mu (I - rho G), 0 <= rho < 1/cmax,
-        with mu fixed by tr(Q) = P.
-
-        One SVD of F D gives gains sig_k and directions V, neither depending
-        on mu.  With a_k = 1/sig_k^2, the trace is sum_k w_k (eta - a_k)^+ and
-        the energy sum_k e_k (eta - a_k)^+, where w_k = sum_i |V_ik|^2 d_i^2
-        and e_k = sum_i |V_ik|^2 c_i d_i^2, so the level eta = 1/mu is exact.
-        """
-        d2 = 1.0 / (1.0 - rho * self.c)
-        d = np.sqrt(d2)
-        self.evals += 1
-        _, sig, vh = np.linalg.svd(self.f * d[None, :], full_matrices=False)
-        gain = sig**2
-        # modes below the rounding floor of the strongest gain carry no power
-        keep = gain > gain[0] * 1e-15
-        mag = np.abs(vh[keep]) ** 2
-        w = mag @ d2
-        a = 1.0 / gain[keep]
-        eta = water_level(a, p, w)
-        powers = np.maximum(eta - a, 0.0)
-        return _RayPoint(
-            eta=eta,
-            energy=float(powers @ (mag @ (self.c * d2))),
-            trace=float(powers @ w),
-            d=d,
-            vh=vh[keep],
-            powers=powers,
-        )
-
-    def ray_covariance(self, pt):
-        """Transmit covariance of a ray point, in the antenna basis."""
-        core = (pt.vh.conj().T * pt.powers[None, :]) @ pt.vh
-        mid = (pt.d[:, None] * core) * pt.d[None, :]
-        return hermitian_part(self.w @ mid @ self.w.conj().T)
-
-    def cross_energy(self, q):
-        """tr(H12 Q H12^H) through the cached factorization."""
-        wq = self.w.conj().T @ q @ self.w
-        return float(np.sum(self.c * wq.diagonal().real))
+def _cross_energy(c, w, q):
+    """tr(H12 Q H12^H) of each Q of a stack, through the cached factorization."""
+    wq = w.conj().T @ q @ w
+    return np.sum(c * np.diagonal(wq, axis1=-2, axis2=-1).real, axis=-1)
 
 
 def _rate_bits(ht, q):
-    s = ht @ q @ ht.conj().T
+    """log2 det(I + Ht Q Ht^H) of each (Ht, Q) pair of two stacks."""
+    s = ht @ q @ ht.conj().swapaxes(-1, -2)
     _, logdet = np.linalg.slogdet(
-        np.eye(ht.shape[0], dtype=np.complex128) + hermitian_part(s)
+        np.eye(ht.shape[-2], dtype=np.complex128) + hermitian_part(s)
     )
-    return max(float(logdet) / _LN2, 0.0)
+    return np.maximum(logdet / _LN2, 0.0)
+
+
+class _Rays:
+    """Priced maximizers on the rays mu (I - rho G) at the level spending P,
+    one per row of a stack.
+
+    For own link F = Ht W (in W's basis) and ratio rho, D = diag(d) =
+    diag((1 - rho c)^{-1/2}); one SVD of F D gives gains sig_k and
+    directions V, neither depending on mu.  With a_k = 1/sig_k^2 the trace is
+    sum_k w_k (eta - a_k)^+ and the energy sum_k e_k (eta - a_k)^+, where
+    w_k = sum_i |V_ik|^2 d_i^2 and e_k = sum_i |V_ik|^2 c_i d_i^2, so the
+    level eta = 1/mu is exact.  The covariance, in W's basis, is
+    D V diag(powers) V^H D.
+    """
+
+    def __init__(self, f, c, rho, p):
+        d2 = 1.0 / (1.0 - rho[:, None] * c)
+        self.d = np.sqrt(d2)
+        _, sig, self.vh = np.linalg.svd(f * self.d[:, None, :], full_matrices=False)
+        gain = sig**2
+        # modes below the rounding floor of the strongest gain carry no power
+        keep = gain > gain[:, :1] * 1e-15
+        floors = np.full_like(gain, np.inf)
+        floors[keep] = 1.0 / gain[keep]
+        mag = np.abs(self.vh) ** 2
+        w = (mag @ d2[:, :, None])[..., 0]
+        self.eta = water_level(floors, p, w)
+        self.powers = np.maximum(self.eta[:, None] - floors, 0.0)
+        row = self.powers[:, None, :]
+        self.energy = (row @ (mag @ (c * d2)[:, :, None]))[:, 0, 0]
+        self.trace = (row @ w[:, :, None])[:, 0, 0]
+
+
+def _ray_covariances(w, d, vh, powers):
+    """Transmit covariances of stacked ray points, in the antenna basis."""
+    core = (vh.conj().swapaxes(-1, -2) * powers[:, None, :]) @ vh
+    mid = (d[:, :, None] * core) * d[:, None, :]
+    return hermitian_part(w @ mid @ w.conj().T)
+
+
+def _repair(q, trace, energy, e_req, p, cap, v12):
+    """Scale each covariance into the power ball, then mix it toward the
+    cross-link beam until its energy floor holds.
+
+    Returns (q, energy, trace, rescaled, repaired): `rescaled` marks a trace
+    above P scaled back to P, `repaired` an energy shortfall that was mixed.
+    """
+    rescaled = trace > p
+    scale = np.where(rescaled, p / trace, 1.0)
+    q = q * scale[:, None, None]
+    energy = energy * scale
+    trace = np.where(rescaled, p, trace)
+    shortfall = e_req - energy
+    repaired = shortfall > 1e-12 * np.maximum(1.0, e_req)
+    if repaired.any():
+        denom = cap - energy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wmix = np.where(denom <= 0.0, 1.0, np.minimum(shortfall / denom, 1.0))
+        wmix = np.where(repaired, wmix, 0.0)
+        qb = p * np.outer(v12, v12.conj())
+        q = np.where(
+            repaired[:, None, None], (1.0 - wmix)[:, None, None] * q + wmix[:, None, None] * qb, q
+        )
+        trace = np.where(repaired, (1.0 - wmix) * trace + wmix * p, trace)
+        energy = np.where(repaired, (1.0 - wmix) * energy + wmix * cap, energy)
+    return q, energy, trace, rescaled, repaired
+
+
+def _ratio_root(e_req, e_wf, rho_hi):
+    """One target's root of energy(rho) = e_req on the price ray.
+
+    At rho = 0 the ray point is water-filling, whose energy e_wf is short of
+    the target; energy grows toward P cmax as rho approaches 1/cmax.  Yields
+    [rho] for each ray it needs and returns (rho, ray, ray evaluations).
+    """
+    rays = {}
+    (rays[rho_hi],) = yield [rho_hi]
+    if rays[rho_hi][0] - e_req < 0.0:
+        # no gain along the cross-link beam: repair closes the gap
+        rho = rho_hi
+    else:
+        root = _brentq_steps(0.0, rho_hi)
+        rho = next(root)
+        try:
+            while True:
+                if rho == 0.0:
+                    f = e_wf - e_req
+                else:
+                    if rho not in rays:
+                        (rays[rho],) = yield [rho]
+                    f = rays[rho][0] - e_req
+                rho = root.send(f)
+        except StopIteration as stop:
+            rho = stop.value
+    # a target within rounding of e_wf can return the endpoint rho = 0
+    if rho not in rays:
+        (rays[rho],) = yield [rho]
+    return rho, rays[rho], len(rays)
+
+
+@dataclass
+class _P3Batch:
+    """Floored rate solves of a stack of targets, one row each."""
+
+    q: np.ndarray              # (n, M_t, M_t) covariances, validated
+    dual: np.ndarray           # DUAL branch (else WF)
+    evals: np.ndarray          # ray evaluations
+    lam: np.ndarray            # nan where the branch reports none
+    mu: np.ndarray
+    gap: np.ndarray
+    energy: np.ndarray
+    trace: np.ndarray
+    rate_bits: np.ndarray
+    repaired: np.ndarray
+    rescaled: np.ndarray
+
+    def diagnostics(self, i):
+        lam, mu = float(self.lam[i]), float(self.mu[i])
+        return P3Diagnostics(
+            branch="DUAL" if self.dual[i] else "WF",
+            iterations=int(self.evals[i]),
+            lam=None if math.isnan(lam) else lam,
+            mu=None if math.isnan(mu) else mu,
+            gap=float(self.gap[i]),
+            energy=float(self.energy[i]),
+            trace=float(self.trace[i]),
+            rate_bits=float(self.rate_bits[i]),
+            repaired=bool(self.repaired[i]),
+            rescaled=bool(self.rescaled[i]),
+        )
+
+
+def _solve_p3_batch(ht, rows, e_req, p, cross):
+    """`solve_p3` for a stack of targets.
+
+    `ht` holds distinct own links (u, M_r, M_t), `rows` maps each target to
+    its link, `e_req` holds floors already clipped to [0, P cmax], and
+    `cross` is the cross link's `_cross_factor`.  Water-filling runs once per
+    link; the DUAL targets share one lockstep ratio root.
+    """
+    c, w, cmax, v12 = cross
+    n, m_t = e_req.size, w.shape[0]
+    cap = p * cmax
+    q = np.empty((n, m_t, m_t), dtype=np.complex128)
+    energy = np.empty(n)
+    trace = np.empty(n)
+    evals = np.zeros(n, dtype=int)
+    lam = np.full(n, np.nan)
+    mu = np.full(n, np.nan)
+    gap = np.zeros(n)
+    rescaled = np.zeros(n, dtype=bool)
+    repaired = np.zeros(n, dtype=bool)
+
+    # at the cap the feasible set collapses onto the cross-link beam; the
+    # dual pair diverges there, so return the beam directly
+    at_cap = e_req >= cap * (1.0 - 1e-10)
+    q[at_cap] = p * np.outer(v12, v12.conj())
+    energy[at_cap] = cap
+    trace[at_cap] = p
+
+    links = np.unique(rows[~at_cap])
+    q_wf = waterfill_stack(ht[links], p) if links.size else q[:0]
+    e_wf = np.full(ht.shape[0], np.nan)
+    e_wf[links] = _cross_energy(c, w, q_wf)
+    slot = np.zeros(ht.shape[0], dtype=int)
+    slot[links] = np.arange(links.size)
+    wf = ~at_cap & (e_req <= e_wf[rows])
+    q[wf] = q_wf[slot[rows[wf]]]
+    energy[wf] = e_wf[rows[wf]]
+    trace[wf] = np.trace(q[wf], axis1=-2, axis2=-1).real
+
+    idx = np.flatnonzero(~at_cap & ~wf)
+    if idx.size:
+        f = ht[rows[idx]] @ w
+        rho_hi = (1.0 - _RHO_MARGIN) / cmax
+        stack = []
+
+        def rays(owners, rhos):
+            r = _Rays(f[owners], c, np.array(rhos), p)
+            stack.append(r)
+            return [(e, r, i) for i, e in enumerate(r.energy.tolist())]
+
+        roots = _run_lockstep(
+            [
+                _ratio_root(e, e0, rho_hi)
+                for e, e0 in zip(e_req[idx].tolist(), e_wf[rows[idx]].tolist())
+            ],
+            rays,
+        )
+        rho = np.array([r[0] for r in roots])
+        picks = [r[1] for r in roots]
+        evals[idx] = [r[2] for r in roots]
+        eta = np.array([r.eta[i] for _, r, i in picks])
+        q_dual = _ray_covariances(
+            w,
+            np.stack([r.d[i] for _, r, i in picks]),
+            np.stack([r.vh[i] for _, r, i in picks]),
+            np.stack([r.powers[i] for _, r, i in picks]),
+        )
+        qd, ed, td, rescaled[idx], repaired[idx] = _repair(
+            q_dual,
+            np.array([r.trace[i] for _, r, i in picks]),
+            np.array([e for e, _, _ in picks]),
+            e_req[idx],
+            p,
+            cap,
+            v12,
+        )
+        q[idx], energy[idx], trace[idx] = qd, ed, td
+        gap[idx] = np.maximum(
+            np.maximum(e_req[idx] - ed, 0.0) / np.maximum(1.0, e_req[idx]),
+            np.maximum(td - p, 0.0) / p,
+        )
+        lam[idx] = rho / eta
+        mu[idx] = 1.0 / eta
+    q = hermitian_part(q)
+    # every covariance built here passes TxCovariance's checks
+    check_covariances(np.concatenate((q, q_wf)), p)
+    return _P3Batch(
+        q=q,
+        dual=~wf,
+        evals=evals,
+        lam=lam,
+        mu=mu,
+        gap=gap,
+        energy=energy,
+        trace=trace,
+        rate_bits=_rate_bits(ht[rows], q),
+        repaired=repaired,
+        rescaled=rescaled,
+    )
 
 
 def inner_max(a, h22_tilde):
@@ -318,18 +575,18 @@ def inner_max(a, h22_tilde):
     return TxCovariance(q, float(np.trace(q).real) + 1e-12)
 
 
-def solve_p3(h22_tilde, h12, e_target, p, method="bisection", t_max=2000):
+def solve_p3(h22_tilde, h12, e_target, p):
     """Rate maximization for the decoding user under an energy floor.
 
     maximize log det(I + Ht Q Ht^H) s.t. tr(H12 Q H12^H) >= e_target,
     tr(Q) <= P, Q PSD.  If water-filling alone meets the floor it is
-    returned (branch WF); otherwise the two dual multipliers are resolved
-    (branch DUAL).  The default "bisection" method brackets one root over
-    the ratio rho = lam / mu, with the water level 1/mu exact at each rho,
-    and reports lam = rho / eta and mu = 1 / eta; "subgradient" runs the
-    projected subgradient schedule instead.  Any residual energy shortfall
-    is repaired by mixing toward the cross-link beam covariance.
-    `P3Diagnostics.iterations` counts the SVDs spent.
+    returned (branch WF); otherwise one root over the ratio rho = lam / mu,
+    with the water level 1/mu exact at each rho, resolves the two dual
+    multipliers (branch DUAL), reported as lam = rho / eta and mu = 1 / eta.
+    A trace above P by rounding is scaled back (`rescaled`), and a residual
+    energy shortfall is repaired by mixing toward the cross-link beam
+    covariance (`repaired`).  `P3Diagnostics.iterations` counts the SVDs
+    spent.
 
     Returns (TxCovariance, P3Diagnostics).
     """
@@ -339,165 +596,22 @@ def solve_p3(h22_tilde, h12, e_target, p, method="bisection", t_max=2000):
     e_target = float(e_target)
     if not np.isfinite(e_target):
         raise InvalidInputError("e_target must be finite")
-    if method not in ("bisection", "subgradient"):
-        raise InvalidInputError(f"unknown method {method!r}")
-    kern = _P3Kernel(h22_tilde, h12)
-    cap = p * kern.cmax
+    ht = as_matrix(h22_tilde, "h22_tilde")
+    h12 = as_matrix(h12, "h12")
+    if h12.shape[1] != ht.shape[1]:
+        raise InvalidInputError(
+            f"transmit dims differ: h22_tilde {ht.shape}, h12 {h12.shape}"
+        )
+    cross = _cross_factor(h12.shape, h12.tobytes())
+    cap = p * cross[2]
     if e_target > cap * (1.0 + _FEAS_SLACK) + 1e-12:
         raise InfeasibleTargetError(
             f"energy target {e_target!r} exceeds the deliverable maximum {cap!r}",
             max_attainable=cap,
         )
     e_req = min(max(e_target, 0.0), cap)
-
-    if e_req >= cap * (1.0 - 1e-10):
-        # at the cap the feasible set collapses onto the cross-link beam;
-        # the dual pair diverges there, so return the beam directly
-        q = p * np.outer(kern.v12, kern.v12.conj())
-        diag = P3Diagnostics(
-            branch="DUAL",
-            method=method,
-            iterations=0,
-            lam=None,
-            mu=None,
-            gap=0.0,
-            energy=cap,
-            trace=p,
-            rate_bits=_rate_bits(kern.ht, q),
-        )
-        return TxCovariance(q, p), diag
-
-    q_wf = waterfill(kern.ht, None, p)
-    e_wf = kern.cross_energy(q_wf.q)
-    if e_req <= e_wf:
-        diag = P3Diagnostics(
-            branch="WF",
-            method=method,
-            iterations=kern.evals,
-            lam=None,
-            mu=None,
-            gap=0.0,
-            energy=e_wf,
-            trace=q_wf.trace,
-            rate_bits=_rate_bits(kern.ht, q_wf.q),
-        )
-        return q_wf, diag
-
-    if method == "subgradient":
-        return _solve_p3_subgradient(kern, e_req, p, t_max)
-    return _solve_p3_ray(kern, e_req, p, e_wf)
-
-
-def _repair(kern, q, trace, energy, e_req, p):
-    """Scale into the power ball, then mix toward the cross-link beam until
-    the energy floor holds.  Returns (q, energy, trace, repaired)."""
-    repaired = False
-    if trace > p:
-        q = q * (p / trace)
-        energy *= p / trace
-        trace = p
-        repaired = True
-    shortfall = e_req - energy
-    if shortfall > 1e-12 * max(1.0, e_req):
-        beam_energy = p * kern.cmax
-        denom = beam_energy - energy
-        if denom <= 0.0:
-            wmix = 1.0
-        else:
-            wmix = min(shortfall / denom, 1.0)
-        qb = p * np.outer(kern.v12, kern.v12.conj())
-        q = (1.0 - wmix) * q + wmix * qb
-        trace = (1.0 - wmix) * trace + wmix * p
-        energy = (1.0 - wmix) * energy + wmix * beam_energy
-        repaired = True
-    return q, energy, trace, repaired
-
-
-def _solve_p3_ray(kern, e_req, p, e_wf):
-    """Root of energy(rho) = e_req along the price ray mu (I - rho G).
-
-    At rho = 0 the ray point is water-filling, whose energy e_wf is short of
-    the target; energy grows toward p * cmax as rho approaches 1/cmax.
-    """
-    rays = {}
-
-    def shortfall(rho):
-        if rho == 0.0:
-            return e_wf - e_req
-        if rho not in rays:
-            rays[rho] = kern.ray(rho, p)
-        return rays[rho].energy - e_req
-
-    rho_hi = (1.0 - _RHO_MARGIN) / kern.cmax
-    if shortfall(rho_hi) < 0.0:
-        # no gain along the cross-link beam: repair closes the gap
-        rho_star = rho_hi
-    else:
-        rho_star = scipy.optimize.brentq(
-            shortfall, 0.0, rho_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200
-        )
-    # a target within rounding of e_wf can return the endpoint rho = 0
-    pt = rays[rho_star] if rho_star in rays else kern.ray(rho_star, p)
-    q, energy, trace, repaired = _repair(
-        kern, kern.ray_covariance(pt), pt.trace, pt.energy, e_req, p
-    )
-    gap = max(
-        max(e_req - energy, 0.0) / max(1.0, e_req),
-        max(trace - p, 0.0) / p,
-    )
-    diag = P3Diagnostics(
-        branch="DUAL",
-        method="bisection",
-        iterations=kern.evals,
-        lam=float(rho_star / pt.eta),
-        mu=float(1.0 / pt.eta),
-        gap=gap,
-        energy=energy,
-        trace=trace,
-        rate_bits=_rate_bits(kern.ht, q),
-        repaired=repaired,
-    )
-    return TxCovariance(hermitian_part(q), p), diag
-
-
-def _solve_p3_subgradient(kern, e_req, p, t_max):
-    """Projected subgradient on (lam, mu) with an a/sqrt(t) schedule,
-    keeping the best repaired-feasible primal seen along the way."""
-    a = 0.1 * max(1.0, p)
-    lam = 0.0
-    mu = lam * kern.cmax + 1.0
-    best = None
-    steps = 0
-    for t in range(1, t_max + 1):
-        steps = t
-        mu = max(mu, lam * kern.cmax + 1e-9 * (1.0 + lam * kern.cmax))
-        trace, energy, _, q = kern.inner(lam, mu, want_q=True)
-        qf, ef, trf, repaired = _repair(kern, q, trace, energy, e_req, p)
-        rate = _rate_bits(kern.ht, qf)
-        if best is None or rate > best[0]:
-            gap = max(max(e_req - ef, 0.0) / max(1.0, e_req), max(trf - p, 0.0) / p)
-            best = (rate, qf, ef, trf, lam, mu, repaired, gap)
-        r_e = energy - e_req
-        r_p = p - trace
-        if abs(r_e) <= 1e-5 * max(1.0, e_req) and abs(r_p) <= 1e-5 * max(1.0, p):
-            break
-        step = a / math.sqrt(t)
-        lam = max(lam - step * r_e, 0.0)
-        mu = max(mu - step * r_p, 0.0)
-    rate, qf, ef, trf, lam_b, mu_b, repaired, gap = best
-    diag = P3Diagnostics(
-        branch="DUAL",
-        method="subgradient",
-        iterations=steps,
-        lam=float(lam_b),
-        mu=float(mu_b),
-        gap=gap,
-        energy=ef,
-        trace=trf,
-        rate_bits=rate,
-        repaired=repaired,
-    )
-    return TxCovariance(hermitian_part(qf), p), diag
+    res = _solve_p3_batch(ht[None], np.zeros(1, dtype=int), np.array([e_req]), p, cross)
+    return TxCovariance(res.q[0], p), res.diagnostics(0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +631,7 @@ class _StrategyContext:
         self.split = split
         _, s12, _ = svd(cs.h12)
         self.sig12_max2 = float(s12[0] ** 2)
+        self.cross = _cross_factor(cs.h12.shape, cs.h12.tobytes())
         self._w_fixed = None
         if strategy == "meb":
             v = meb(cs.h11, 1.0).v
@@ -527,28 +642,57 @@ class _StrategyContext:
         elif strategy == "meb_rank2":
             self._w_fixed = meb_rank2(cs.h11, 1.0, split).q
         if self._w_fixed is not None:
-            self._kappa_fixed = self._kappa_of(self._w_fixed)
+            self._kappa_fixed = float(self._kappa_of(self._w_fixed[None])[0])
+            self._leak_fixed = cs.h21 @ self._w_fixed @ cs.h21.conj().T
+        else:
+            # vanishing power: both adaptive beams collapse to the pure
+            # energy beam (their denominators are dominated by the floor)
+            self._meb_v = meb(cs.h11, 1.0).v
+            if strategy == "sler":
+                self._h11_norm2 = spectral_norm(cs.h11) ** 2
         self._emax = None
 
     def _kappa_of(self, w_unit):
         h = self.cs.h11
-        return float(np.einsum("ij,jk,ik->", h, w_unit, h.conj()).real)
+        return np.einsum("ij,njk,ik->n", h, w_unit, h.conj()).real
 
-    def unit_cov(self, e_bar, p1):
-        """Unit-trace covariance structure of transmitter 1 at (e_bar, p1)
-        and its direct-link energy gain kappa."""
+    def unit_covs(self, e_bars, p1s):
+        """Unit-trace covariance structures (n, M_t, M_t) of transmitter 1 at
+        each (e_bar, p1) pair and their direct-link energy gains kappa."""
+        n = p1s.size
         if self._w_fixed is not None:
-            return self._w_fixed, self._kappa_fixed
-        if p1 <= 1e-12 * self.p:
-            # vanishing power: both adaptive beams collapse to the pure
-            # energy beam (their denominators are dominated by the floor)
-            v = meb(self.cs.h11, 1.0).v
-        elif self.strategy == "sler":
-            v = sler_beam(self.cs.h11, self.cs.h21, e_bar, p1).v
-        else:
-            v = slnr_beam(self.cs.h11, self.cs.h21, p1).v
-        w = np.outer(v, v.conj())
+            return (
+                np.broadcast_to(self._w_fixed, (n,) + self._w_fixed.shape),
+                np.full(n, self._kappa_fixed),
+            )
+        v = np.empty((n, self.cs.m_t), dtype=np.complex128)
+        low = p1s <= 1e-12 * self.p
+        v[low] = self._meb_v
+        hi = ~low
+        if hi.any():
+            if self.strategy == "sler":
+                floors = np.maximum(e_bars[hi] / p1s[hi] - self._h11_norm2, 0.0)
+                dirs = sler_directions(self.cs.h11, self.cs.h21, floors)
+            else:
+                dirs = slnr_directions(self.cs.h11, self.cs.h21, p1s[hi])
+            v[hi] = canonical_directions(dirs)
+        w = v[:, :, None] * v.conj()[:, None, :]
         return w, self._kappa_of(w)
+
+    def whitened_links(self, w_unit, p1s):
+        """H22~ = (I + P1 H21 W H21^H)^{-1/2} H22 for each stacked pair."""
+        cs = self.cs
+        out = np.empty((p1s.size,) + cs.h22.shape, dtype=np.complex128)
+        on = p1s > 0.0
+        out[~on] = cs.h22
+        if on.any():
+            if self._w_fixed is not None:
+                leak = self._leak_fixed
+            else:
+                leak = cs.h21 @ w_unit[on] @ cs.h21.conj().T
+            r2 = np.eye(cs.m_r, dtype=np.complex128) + p1s[on, None, None] * leak
+            out[on] = inv_sqrt_psd(hermitian_part(r2)) @ cs.h22
+        return out
 
     def emax(self):
         """Largest reachable energy target for this strategy at full power."""
@@ -565,8 +709,8 @@ class _StrategyContext:
             hard = p * (kappa + self.sig12_max2)
             e = hard
             for _ in range(32):
-                _, kappa = self.unit_cov(e, p)
-                e_new = p * (kappa + self.sig12_max2)
+                _, kappa = self.unit_covs(np.array([e]), np.array([p]))
+                e_new = p * (float(kappa[0]) + self.sig12_max2)
                 if abs(e_new - e) <= 1e-12 * max(1.0, e):
                     e = e_new
                     break
@@ -582,7 +726,7 @@ class _StrategyContext:
         tol = 1e-9 * max(1.0, e)
 
         def surplus(target):
-            ev, _ = _evaluate(self, target, self.p)
+            ev = _evaluate_batch(self, np.array([target]), np.array([self.p])).view(0)
             return ev.e11 + ev.e2 - target
 
         g = surplus(e)
@@ -623,41 +767,74 @@ def emax(cs, strategy, p, split=0.5):
 
 @dataclass
 class _Evaluation:
+    """One (e_bar, P1) pair's outcome, read off an `_Evaluations` row."""
+
     p1: float
     kappa: float
     e11: float
     e2: float
     rate_bits: float
-    diag: P3Diagnostics
     clamped: bool
+    p3: _P3Batch
+    row: int
+
+    @property
+    def diag(self):
+        return self.p3.diagnostics(self.row)
 
 
-def _evaluate(ctx, e_bar, p1):
-    cs = ctx.cs
-    w_unit, kappa = ctx.unit_cov(e_bar, p1)
-    e11 = kappa * p1
-    if p1 > 0.0:
-        r2 = np.eye(cs.m_r, dtype=np.complex128) + p1 * (cs.h21 @ w_unit @ cs.h21.conj().T)
-        h22t = inv_sqrt_psd(hermitian_part(r2)) @ cs.h22
+@dataclass
+class _Evaluations:
+    p1: list
+    kappa: list
+    e11: list
+    clamped: list
+    p3: _P3Batch
+
+    def view(self, i):
+        return _Evaluation(
+            p1=self.p1[i],
+            kappa=self.kappa[i],
+            e11=self.e11[i],
+            e2=float(self.p3.energy[i]),
+            rate_bits=float(self.p3.rate_bits[i]),
+            clamped=self.clamped[i],
+            p3=self.p3,
+            row=i,
+        )
+
+
+def _evaluate_batch(ctx, e_bars, p1s):
+    """Evaluate every (e_bar, P1) pair in one stacked pass: transmitter 1's
+    beam, the whitened link H22~ it leaves for receiver 2, and the floored
+    rate solve at the energy still missing."""
+    if ctx.strategy == "sler":
+        p1_u, rows, e_u = p1s, np.arange(p1s.size), e_bars
     else:
-        h22t = cs.h22
-    e_need = e_bar - e11
+        # the beam and H22~ depend on P1 alone: evaluate each distinct P1 once
+        p1_u, rows = np.unique(p1s, return_inverse=True)
+        e_u = None
+    w_unit, kappa_u = ctx.unit_covs(e_u, p1_u)
+    ht = ctx.whitened_links(w_unit, p1_u)
+    kappa = kappa_u[rows]
+    e11 = kappa * p1s
     cap = ctx.p * ctx.sig12_max2
+    e_need = e_bars - e11
     clamped = e_need > cap * (1.0 + _FEAS_SLACK)
-    e_need = min(max(e_need, 0.0), cap)
-    q2, diag = solve_p3(h22t, cs.h12, e_need, ctx.p)
-    return _Evaluation(
-        p1=p1,
-        kappa=kappa,
-        e11=e11,
-        e2=diag.energy,
-        rate_bits=diag.rate_bits,
-        diag=diag,
-        clamped=clamped,
-    ), q2
+    e_need = np.minimum(np.maximum(e_need, 0.0), cap)
+    p3 = _solve_p3_batch(
+        ht, rows, np.minimum(e_need, ctx.p * ctx.cross[2]), ctx.p, ctx.cross
+    )
+    return _Evaluations(
+        p1=p1s.tolist(),
+        kappa=kappa.tolist(),
+        e11=e11.tolist(),
+        clamped=clamped.tolist(),
+        p3=p3,
+    )
 
 
-def _rescue_stall(ctx, e_eff, n_max):
+def _rescue_steps(ctx, e_eff, n_max):
     """Recover a boundary point when the power backoff stalls short.
 
     An adaptive beam stops tilting toward the energy subspace as soon as its
@@ -671,12 +848,13 @@ def _rescue_stall(ctx, e_eff, n_max):
     tol = 1e-9 * max(1.0, e_eff)
     best = None
     max_seen = -np.inf
-    for cand in np.linspace(0.0, p, 33):
-        ev, _ = _evaluate(ctx, e_eff, float(cand))
+    cands = np.linspace(0.0, p, _RESCUE_SCAN).tolist()
+    evs = yield cands
+    for cand, ev in zip(cands, evs):
         max_seen = max(max_seen, ev.e11 + ev.e2)
         if ev.e11 + ev.e2 >= e_eff - tol:
             if best is None or ev.rate_bits > best[1].rate_bits:
-                best = (float(cand), ev)
+                best = (cand, ev)
     if best is None:
         return None, max_seen
     p1, ev = best
@@ -686,11 +864,98 @@ def _rescue_stall(ctx, e_eff, n_max):
         p1_new = min(max((e_eff - ev.e2) / ev.kappa, 0.0), p)
         if abs(p1_new - p1) <= _P1_TOL * max(p, 1.0):
             break
-        ev_new, _ = _evaluate(ctx, e_eff, p1_new)
+        (ev_new,) = yield [p1_new]
         if ev_new.e11 + ev_new.e2 < e_eff - tol:
             break
         p1, ev = p1_new, ev_new
     return p1, ev
+
+
+def _point_steps(ctx, e_bar, n_max):
+    """One target's boundary point, as a lockstep generator.
+
+    Alternates the decoding user's floored rate problem with the power
+    backoff at transmitter 1 until P1 moves less than 1e-8 * P or `n_max`
+    rounds pass, then reports the achieved (rate, energy) pair.  Yields the
+    P1 values to evaluate at this target and is sent their evaluations.
+    """
+    em = ctx.emax()
+    e_bar = float(e_bar)
+    if not np.isfinite(e_bar) or e_bar < 0:
+        raise InvalidInputError(f"e_bar must be finite nonnegative, got {e_bar!r}")
+    if e_bar > em * (1.0 + _FEAS_SLACK) + 1e-12:
+        raise InfeasibleTargetError(
+            f"energy target {e_bar!r} exceeds e_max {em!r} for strategy {ctx.strategy!r}",
+            max_attainable=em,
+        )
+    e_eff = min(e_bar, em)
+    p = ctx.p
+    p1 = p
+    ev = None
+    iters = 0
+    for iters in range(1, n_max + 1):
+        (ev,) = yield [p1]
+        if ev.e11 + ev.e2 > e_eff and ev.kappa > 0.0:
+            p1_new = min(max((e_eff - ev.e2) / ev.kappa, 0.0), p)
+        else:
+            p1_new = p1
+        if abs(p1_new - p1) <= _P1_TOL * max(p, 1.0):
+            p1 = p1_new
+            break
+        p1 = p1_new
+    if ev.p1 != p1:
+        (ev,) = yield [p1]
+    achieved = ev.e11 + ev.e2
+    tol_e = 1e-9 * max(1.0, e_eff)
+    if achieved < e_eff - tol_e and ctx._w_fixed is None:
+        p1_rescued, rescued = yield from _rescue_steps(ctx, e_eff, n_max)
+        if p1_rescued is not None:
+            p1, ev = p1_rescued, rescued
+        else:
+            achieved = max(achieved, rescued)
+        achieved = max(achieved, ev.e11 + ev.e2)
+    if achieved < e_eff - tol_e:
+        # reachability is genuinely not an interval for per-target beams:
+        # some interior targets stay short at every P1
+        raise InfeasibleTargetError(
+            f"strategy {ctx.strategy!r} delivers {achieved!r} at target {e_bar!r}",
+            max_attainable=achieved,
+        )
+    no_tx = p1 <= 1e-12 * max(p, 1.0)
+    if no_tx:
+        p1 = 0.0
+        if ev.p1 != p1:
+            (ev,) = yield [p1]
+    diag = ev.diag
+    branch = "NO_TX" if no_tx else diag.branch
+    return REPoint(
+        e_bar=e_bar,
+        rate_bits=ev.rate_bits,
+        energy=ev.e11 + ev.e2,
+        p1=p1,
+        branch=branch,
+        iterations=iters,
+        lam=diag.lam if branch == "DUAL" else None,
+        mu=diag.mu if branch == "DUAL" else None,
+        clamped=ev.clamped or e_bar > em,
+        p3=diag,
+    )
+
+
+def _solve_targets(ctx, e_bars, n_max):
+    """Boundary points of one strategy context at every target, in lockstep.
+
+    Returns, per target, its REPoint or the SwiptError that stopped it.
+    """
+    e_bars = [float(e) for e in e_bars]
+    em = ctx.emax()
+    e_eff = np.minimum(np.array(e_bars), em)
+
+    def evaluate(owners, p1s):
+        evs = _evaluate_batch(ctx, e_eff[owners], np.array(p1s))
+        return [evs.view(i) for i in range(len(p1s))]
+
+    return _run_lockstep([_point_steps(ctx, e, n_max) for e in e_bars], evaluate)
 
 
 def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5, _ctx=None):
@@ -701,72 +966,22 @@ def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5, _ctx=None
     rounds pass, then reports the achieved (rate, energy) pair.
     """
     ctx = _ctx if _ctx is not None else _StrategyContext(cs, strategy, p, split)
-    em = ctx.emax()
-    e_bar = float(e_bar)
-    if not np.isfinite(e_bar) or e_bar < 0:
-        raise InvalidInputError(f"e_bar must be finite nonnegative, got {e_bar!r}")
-    if e_bar > em * (1.0 + _FEAS_SLACK) + 1e-12:
-        raise InfeasibleTargetError(
-            f"energy target {e_bar!r} exceeds e_max {em!r} for strategy {strategy!r}",
-            max_attainable=em,
-        )
-    e_eff = min(e_bar, em)
-    p = ctx.p
-    p1 = p
-    ev = None
-    iters = 0
-    for iters in range(1, n_max + 1):
-        ev, _q2 = _evaluate(ctx, e_eff, p1)
-        if ev.e11 + ev.e2 > e_eff and ev.kappa > 0.0:
-            p1_new = min(max((e_eff - ev.e2) / ev.kappa, 0.0), p)
-        else:
-            p1_new = p1
-        if abs(p1_new - p1) <= _P1_TOL * max(p, 1.0):
-            p1 = p1_new
-            break
-        p1 = p1_new
-    if ev.p1 != p1:
-        ev, _q2 = _evaluate(ctx, e_eff, p1)
-    achieved = ev.e11 + ev.e2
-    tol_e = 1e-9 * max(1.0, e_eff)
-    if achieved < e_eff - tol_e and ctx._w_fixed is None:
-        p1_rescued, rescued = _rescue_stall(ctx, e_eff, n_max)
-        if p1_rescued is not None:
-            p1, ev = p1_rescued, rescued
-        else:
-            achieved = max(achieved, rescued)
-        achieved = max(achieved, ev.e11 + ev.e2)
-    if achieved < e_eff - tol_e:
-        # reachability is genuinely not an interval for per-target beams:
-        # some interior targets stay short at every P1
-        raise InfeasibleTargetError(
-            f"strategy {strategy!r} delivers {achieved!r} at target {e_bar!r}",
-            max_attainable=achieved,
-        )
-    no_tx = p1 <= 1e-12 * max(p, 1.0)
-    if no_tx:
-        p1 = 0.0
-        if ev.p1 != p1:
-            ev, _q2 = _evaluate(ctx, e_eff, p1)
-    branch = "NO_TX" if no_tx else ev.diag.branch
-    return REPoint(
-        e_bar=e_bar,
-        rate_bits=ev.rate_bits,
-        energy=ev.e11 + ev.e2,
-        p1=p1,
-        branch=branch,
-        iterations=iters,
-        lam=ev.diag.lam if branch == "DUAL" else None,
-        mu=ev.diag.mu if branch == "DUAL" else None,
-        clamped=ev.clamped or e_bar > em,
-    )
+    (out,) = _solve_targets(ctx, [e_bar], n_max)
+    if isinstance(out, SwiptError):
+        raise out
+    return out
 
 
 def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5):
     """Sweep the boundary over an energy grid (default: uniform on [0, emax]).
 
-    Failed points become gap entries instead of aborting the sweep; the
-    finished boundary is validated against its monotonicity invariants.
+    Every grid target runs the same power-backoff alternation as
+    `re_boundary_point`, all of them in lockstep: each round evaluates the
+    pending (e_bar, P1) pairs of every target as one stacked batch.  Failed
+    points become gap entries instead of aborting the sweep; a point whose
+    rate a higher target's point beats is replaced by a copy of it (flagged
+    `carried`), and the finished boundary is validated against its
+    monotonicity invariants.
     """
     if e_grid is None and n_points < 2:
         raise InvalidInputError("n_points must be >= 2")
@@ -775,15 +990,11 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5)
     grid = np.linspace(0.0, em, n_points) if e_grid is None else np.asarray(e_grid, float)
     points = []
     gaps = []
-    for k, e_bar in enumerate(grid):
-        try:
-            pt = re_boundary_point(
-                cs, strategy, float(e_bar), p, n_max=n_max, split=split, _ctx=ctx
-            )
-        except SwiptError as exc:
-            gaps.append((k, float(e_bar), str(exc)))
+    for k, (e_bar, out) in enumerate(zip(grid, _solve_targets(ctx, grid, n_max))):
+        if isinstance(out, SwiptError):
+            gaps.append((k, float(e_bar), str(out)))
             continue
-        points.append(pt)
+        points.append(out)
     # a solution for a higher target over-delivers every lower target, so
     # carry it backward wherever it beats the lower target's own solution
     # (adaptive beams can land adjacent targets on different fixed points)
@@ -816,15 +1027,14 @@ def time_sharing_curve(cs, strategy, p, weights=None, split=0.5):
         raise InvalidInputError(f"time sharing supports meb or mlb, got {strategy!r}")
     ctx = _StrategyContext(cs, strategy, p, split)
     p = ctx.p
-    w_unit, kappa = ctx.unit_cov(None, p)
-    r2 = np.eye(cs.m_r, dtype=np.complex128) + p * (cs.h21 @ w_unit @ cs.h21.conj().T)
+    r2 = np.eye(cs.m_r, dtype=np.complex128) + p * ctx._leak_fixed
     h22t = inv_sqrt_psd(hermitian_part(r2)) @ cs.h22
     _, _, v12 = svd(cs.h12)
     q2a = p * np.outer(v12[:, 0], v12[:, 0].conj())
-    rate_a = _rate_bits(h22t, q2a)
-    energy_a = p * kappa + p * ctx.sig12_max2
+    rate_a = float(_rate_bits(h22t, q2a))
+    energy_a = p * ctx._kappa_fixed + p * ctx.sig12_max2
     q2b = waterfill(cs.h22, None, p)
-    rate_b = _rate_bits(cs.h22, q2b.q)
+    rate_b = float(_rate_bits(cs.h22, q2b.q))
     energy_b = float(np.einsum("ij,jk,ik->", cs.h12, q2b.q, cs.h12.conj()).real)
     if weights is None:
         weights = np.linspace(0.0, 1.0, 33)

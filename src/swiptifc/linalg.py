@@ -4,7 +4,8 @@ Every factorization used by the library funnels through this module so the
 conventions are decided exactly once: spectra come back in descending order,
 QR carries a real nonnegative diagonal on R, and Hermitian inputs are
 symmetrized before factorization so downstream code never depends on where
-rounding noise landed.
+rounding noise landed.  `svd`, `qrd`, `inv_sqrt_psd` and `psd_mask` also take
+a stack of matrices (..., m, n) and factor each one as LAPACK would alone.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ __all__ = [
     "Tolerances",
     "TOL",
     "as_matrix",
+    "as_stack",
     "hermitian_part",
     "spectral_norm",
     "svd",
@@ -24,6 +26,7 @@ __all__ = [
     "qrd",
     "inv_sqrt_psd",
     "is_psd",
+    "psd_mask",
 ]
 
 
@@ -42,18 +45,36 @@ TOL = Tolerances()
 
 def as_matrix(a, name="matrix"):
     """Validate `a` as a finite 2-D array and return it as complex128."""
+    if np.ndim(a) != 2:
+        raise InvalidInputError(f"{name} must be 2-D, got shape {np.shape(a)}")
+    return as_stack(a, name)
+
+
+def as_stack(a, name="matrix"):
+    """Validate `a` as a finite array of matrices (..., m, n) and return it as
+    complex128."""
     arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim < 2:
+        raise InvalidInputError(f"{name} must be at least 2-D, got shape {arr.shape}")
     arr = arr.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
 
+def _frobenius(a):
+    return np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1)))
+
+
+def _ct(a):
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(a):
-    """(A + A^H)/2, the projection onto Hermitian matrices."""
-    return (a + a.conj().T) / 2.0
+    """(A + A^H)/2, the projection onto Hermitian matrices (per matrix of a
+    stack)."""
+    return (a + _ct(a)) / 2.0
 
 
 def spectral_norm(a):
@@ -68,9 +89,9 @@ def svd(a):
     transmit direction aimed at the k-th gain is ``V[:, k]`` and the least
     leaking direction into A is ``V[:, -1]``.
     """
-    a = as_matrix(a)
+    a = as_stack(a)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return u, s, vh.conj().T
+    return u, s, _ct(vh)
 
 
 def hermitian_eig(a):
@@ -94,26 +115,27 @@ def qrd(a):
     """Thin QR factorization A = Q R with real nonnegative diag(R).
 
     Requires rows >= cols and full column rank; rank deficiency raises
-    RankDeficiencyError carrying the achieved numerical rank.
+    RankDeficiencyError carrying the achieved numerical rank (the lowest
+    one over a stack).
     """
-    a = as_matrix(a)
-    m, n = a.shape
+    a = as_stack(a)
+    m, n = a.shape[-2:]
     if m < n:
         raise InvalidInputError(f"qrd needs rows >= cols, got {a.shape}")
     q, r = np.linalg.qr(a, mode="reduced")
-    d = np.diagonal(r)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
-    cutoff = TOL.rank * max(float(mags.max(initial=0.0)), 1e-300)
-    if n and mags.min() <= cutoff:
-        rank = int(np.count_nonzero(mags > cutoff))
+    cutoff = TOL.rank * np.maximum(mags.max(axis=-1, initial=0.0), 1e-300)
+    if n and np.any(mags.min(axis=-1) <= cutoff):
+        rank = int(np.min(np.count_nonzero(mags > cutoff[..., None], axis=-1)))
         raise RankDeficiencyError(
             f"matrix of shape {a.shape} has numerical rank {rank}", numerical_rank=rank
         )
     phase = d / mags
-    q = q * phase[None, :]
-    r = r * phase.conj()[:, None]
+    q = q * phase[..., None, :]
+    r = r * phase.conj()[..., :, None]
     # exact real diagonal, killing the rounding residue of the phase rotation
-    r[np.arange(n), np.arange(n)] = mags
+    r[..., np.arange(n), np.arange(n)] = mags
     return q, r
 
 
@@ -121,19 +143,20 @@ def inv_sqrt_psd(a, ridge=0.0):
     """Hermitian inverse square root B with B A B = I.
 
     `ridge` is added to every eigenvalue before inversion; if the smallest
-    eigenvalue plus ridge is still below 1e-12 the matrix is declared
-    singular.
+    eigenvalue plus ridge is still below 1e-12 the matrix (any matrix of a
+    stack) is declared singular.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    a = as_stack(a)
+    if a.shape[-2] != a.shape[-1]:
         raise InvalidInputError(f"inv_sqrt_psd needs a square matrix, got {a.shape}")
     w, v = np.linalg.eigh(hermitian_part(a))
     w = w + ridge
-    if w[0] < 1e-12:
+    low = float(w[..., 0].min())
+    if low < 1e-12:
         raise SingularMatrixError(
-            f"matrix is not positive definite (smallest eigenvalue {w[0]:.3e})"
+            f"matrix is not positive definite (smallest eigenvalue {low:.3e})"
         )
-    b = (v / np.sqrt(w)[None, :]) @ v.conj().T
+    b = (v / np.sqrt(w)[..., None, :]) @ _ct(v)
     return hermitian_part(b)
 
 
@@ -143,11 +166,15 @@ def is_psd(a, tol=TOL.psd):
     Both checks are relative to max(1, ||A||_F) so power-scaled covariances
     are judged at their own magnitude.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    return bool(psd_mask(as_matrix(a), tol))
+
+
+def psd_mask(a, tol=TOL.psd):
+    """`is_psd` of every matrix in a stack (..., m, m), as a boolean array."""
+    a = as_stack(a)
+    if a.shape[-2] != a.shape[-1]:
         raise InvalidInputError(f"is_psd needs a square matrix, got {a.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm(a - a.conj().T) > tol * scale:
-        return False
+    scale = np.maximum(1.0, _frobenius(a))
+    hermitian = _frobenius(a - _ct(a)) <= tol * scale
     w = np.linalg.eigvalsh(hermitian_part(a))
-    return bool(w[0] >= -tol * scale)
+    return hermitian & (w[..., 0] >= -tol * scale)

@@ -10,12 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .linalg import as_matrix, hermitian_part, inv_sqrt_psd, is_psd, spectral_norm
+from .linalg import as_matrix, hermitian_part, inv_sqrt_psd, psd_mask, spectral_norm
 
 __all__ = [
     "TxCovariance",
     "Beamformer",
     "canonical_beam",
+    "canonical_directions",
+    "check_covariances",
     "interference_cov",
     "achievable_rate",
     "harvested_energy",
@@ -56,11 +58,7 @@ class TxCovariance:
         if not np.isfinite(budget) or budget < 0:
             raise InvalidInputError(f"budget must be a finite nonnegative real, got {budget!r}")
         object.__setattr__(self, "budget", budget)
-        if not is_psd(q):
-            raise InvalidInputError("Q is not Hermitian PSD within tolerance")
-        tr = float(np.trace(q).real)
-        if tr > budget * (1.0 + _BUDGET_SLACK) + 1e-15:
-            raise InvalidInputError(f"tr(Q) = {tr!r} exceeds budget {budget!r}")
+        check_covariances(q, budget)
 
     @property
     def trace(self):
@@ -94,20 +92,53 @@ class Beamformer:
         return TxCovariance(self.power * np.outer(self.v, self.v.conj()), self.power)
 
 
+def check_covariances(qs, budget):
+    """Raise InvalidInputError unless every Q of a stack (..., m, m) is
+    Hermitian PSD within 1e-9 and has tr(Q) <= budget * (1 + 1e-9): the
+    invariants of `TxCovariance`."""
+    if not psd_mask(qs).all():
+        raise InvalidInputError("Q is not Hermitian PSD within tolerance")
+    worst = float(np.trace(qs, axis1=-2, axis2=-1).real.max())
+    if worst > budget * (1.0 + _BUDGET_SLACK) + 1e-15:
+        raise InvalidInputError(f"tr(Q) = {worst!r} exceeds budget {budget!r}")
+
+
 def canonical_beam(v, power):
     """Normalize a direction and fix its phase so the first entry above
     1e-12 * ||v|| is real positive; returns a Beamformer."""
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if nrm <= 0 or not np.isfinite(nrm):
+    v = np.asarray(v, dtype=np.complex128).reshape(1, -1)
+    return Beamformer(canonical_directions(v)[0], power)
+
+
+def canonical_directions(vs):
+    """`canonical_beam`'s direction for every row of a stack (n, m).
+
+    Raises InvalidInputError if a row is zero or non-finite, or does not
+    come out unit-norm within the Beamformer tolerance.
+    """
+    v = np.array(vs, dtype=np.complex128)
+    nrm = _row_norms(v)
+    if not np.all((nrm > 0) & np.isfinite(nrm)):
         raise InvalidInputError("cannot normalize a zero or non-finite direction")
-    v = v / nrm
-    idx = np.flatnonzero(np.abs(v) > 1e-12)
-    if idx.size:
-        pivot = v[idx[0]]
-        v = v * (pivot.conj() / abs(pivot))
-        v[idx[0]] = abs(pivot)  # exact, not just up to rounding
-    return Beamformer(v, power)
+    v /= nrm[:, None]
+    big = np.abs(v) > 1e-12
+    rows = np.flatnonzero(big.any(axis=1))
+    first = big[rows].argmax(axis=1)
+    pivot = v[rows, first]
+    # hypot rounds as abs() of one complex scalar does
+    size = np.hypot(pivot.real, pivot.imag)
+    v[rows] *= (pivot.conj() / size)[:, None]
+    v[rows, first] = size  # exact, not just up to rounding
+    if np.any(np.abs(_row_norms(v) - 1.0) > _UNIT_SLACK):
+        raise InvalidInputError("beamformer norm deviates from 1")
+    return v
+
+
+def _row_norms(v):
+    # the 1-D np.linalg.norm, row by row: re.re + im.im as dot products
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[:, 0, 0])
 
 
 def interference_cov(h_cross, q_other):

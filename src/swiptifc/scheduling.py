@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_beam
-from .boundary import REBoundary, _StrategyContext, re_boundary_point, re_sweep
+from .boundary import REBoundary, _solve_targets, _StrategyContext, re_sweep
 from .channel import channel_digest, swap_roles
-from .exceptions import InfeasibleTargetError, InvalidInputError
+from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
 from .metrics import sler
 
 __all__ = [
@@ -103,46 +103,62 @@ def scheduled_sweep(cs, p, n_points=64, strategy="sler", n_max=20):
 
     At each energy target the stronger orientation (by `select_mode`) is
     solved; if the chosen orientation cannot reach the target the other one
-    is used instead.  Returns the boundary and the per-point mode tags.
-    The curve is not validated for rate monotonicity: a mode switch along
-    the grid may move the rate in either direction.
+    is used instead.  Each orientation's first-choice targets are solved as
+    one lockstep batch, and the fallbacks as a second batch.  Returns the
+    boundary and the per-point mode tags.  The curve is not validated for
+    rate monotonicity: a mode switch along the grid may move the rate in
+    either direction.
     """
     if n_points < 2:
         raise InvalidInputError("n_points must be >= 2")
     swapped = swap_roles(cs)
-    ctx1 = _StrategyContext(cs, strategy, p)
-    ctx2 = _StrategyContext(swapped, strategy, p)
-    em1, em2 = ctx1.emax(), ctx2.emax()
+    ctxs = {
+        "eh1_id2": _StrategyContext(cs, strategy, p),
+        "id1_eh2": _StrategyContext(swapped, strategy, p),
+    }
+    em1, em2 = ctxs["eh1_id2"].emax(), ctxs["id1_eh2"].emax()
     em = max(em1, em2)
     grid = np.linspace(0.0, em, n_points)
     slack = 1.0 + 1e-9
-    points = []
-    tags = []
-    gaps = []
-    for k, e_bar in enumerate(grid):
+    orders = []
+    for e_bar in grid:
         tag = select_mode(cs, float(e_bar), p)
         if tag == "eh1_id2" and e_bar > em1 * slack:
             tag = "id1_eh2"
         elif tag == "id1_eh2" and e_bar > em2 * slack:
             tag = "eh1_id2"
         other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
-        order = [
-            t
-            for t in (tag, other)
-            if e_bar <= (em1 if t == "eh1_id2" else em2) * slack
-        ]
+        orders.append(
+            [t for t in (tag, other) if e_bar <= (em1 if t == "eh1_id2" else em2) * slack]
+        )
+    # outcome of (target, orientation): first choices, then the fallbacks of
+    # the first choices that could not reach their target
+    solved = {}
+    for choice in (0, 1):
+        for t, ctx in ctxs.items():
+            ks = [
+                k
+                for k, order in enumerate(orders)
+                if len(order) > choice
+                and order[choice] == t
+                and (choice == 0 or isinstance(solved[k, order[0]], InfeasibleTargetError))
+            ]
+            for k, out in zip(ks, _solve_targets(ctx, grid[ks], n_max)):
+                solved[k, t] = out
+    points = []
+    tags = []
+    gaps = []
+    for k, (e_bar, order) in enumerate(zip(grid, orders)):
         pt = None
         err = None
         for t in order:
-            side_cs, ctx = (cs, ctx1) if t == "eh1_id2" else (swapped, ctx2)
-            try:
-                pt = re_boundary_point(
-                    side_cs, strategy, float(e_bar), p, n_max=n_max, _ctx=ctx
-                )
-            except InfeasibleTargetError as exc:
-                err = exc
+            out = solved[k, t]
+            if isinstance(out, InfeasibleTargetError):
+                err = out
                 continue
-            tag = t
+            if isinstance(out, SwiptError):
+                raise out
+            pt, tag = out, t
             break
         if pt is None:
             gaps.append((k, float(e_bar), str(err)))

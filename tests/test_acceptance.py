@@ -48,7 +48,7 @@ PROFILE = [[1.0, 0.8], [0.8, 1.0]]
 STRATEGIES = ("meb", "mlb", "sler", "slnr")
 GRID_N = 64
 
-_trapz = getattr(np, "trapezoid", np.trapz)
+_trapz = np.trapezoid
 
 
 def _verdict(capsys, num, name, ok, detail=""):

@@ -135,6 +135,25 @@ class TestWaterLevel:
             assert len(found) == 1
             assert water_level(a, p, w) == pytest.approx(found[0], rel=1e-12)
 
+    def test_leading_axis_matches_rows(self):
+        # a stack of rows, some with +inf floors (modes that take no power),
+        # gets exactly the 1-D level of each row's finite floors
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            a = 1.0 / rng.uniform(0.01, 10.0, (rows, n))
+            w = rng.uniform(0.2, 5.0, (rows, n))
+            a[rng.random((rows, n)) < 0.3] = np.inf
+            a[:, 0] = np.minimum(a[:, 0], 5.0)
+            p = float(rng.uniform(0.05, 50.0))
+            got = water_level(a, p, w)
+            unit = water_level(a, p)
+            assert got.shape == unit.shape == (rows,)
+            for r in range(rows):
+                live = np.isfinite(a[r])
+                assert got[r] == water_level(a[r][live], p, w[r][live])
+                assert unit[r] == water_level(a[r][live], p)
+
     def test_tied_floors(self):
         assert water_level(np.array([1.0, 1.0, 3.0]), 2.0) == pytest.approx(2.0)
         assert water_level(np.array([0.5]), 1.0, np.array([4.0])) == pytest.approx(0.75)
@@ -333,6 +352,26 @@ class TestSlerBeam:
     def test_rejects_bad_power(self):
         with pytest.raises(InvalidInputError):
             sler_beam(np.eye(2), np.eye(2), 1.0, 0.0)
+
+
+class TestStackedBeams:
+    def test_stacked_directions_match_single_beams(self):
+        from swiptifc.beamformers import sler_directions, sler_floor, slnr_directions
+        from swiptifc.metrics import canonical_directions
+
+        rng = np.random.default_rng(64)
+        for m_r, m_t in ((2, 2), (2, 3), (4, 4)):
+            h11 = _cgauss(rng, m_r, m_t)
+            h21 = _cgauss(rng, m_r, m_t)
+            p1s = rng.uniform(0.1, 10.0, 12)
+            e_bars = rng.uniform(0.0, 3.0, 12) * p1s * np.linalg.norm(h11, 2) ** 2
+            floors = np.array([sler_floor(h11, e, q) for e, q in zip(e_bars, p1s)])
+            assert np.any(floors == 0.0) and np.any(floors > 0.0)
+            sl = canonical_directions(sler_directions(h11, h21, floors))
+            sn = canonical_directions(slnr_directions(h11, h21, p1s))
+            for i in range(12):
+                assert np.array_equal(sl[i], sler_beam(h11, h21, e_bars[i], p1s[i]).v)
+                assert np.array_equal(sn[i], slnr_beam(h11, h21, p1s[i]).v)
 
 
 class TestSlnrBeam:

@@ -60,6 +60,19 @@ def _scalar_cs():
     )
 
 
+def _primal(ht, h12, e_req, p, q):
+    return float(P3Problem(ht, h12, e_target=e_req, p=p).objective(q.q[None])[0])
+
+
+def _dual_value(ht, h12, e_req, p, diag):
+    """Lagrange dual value (nats) at the reported (lam, mu), through the
+    closed-form inner maximizer."""
+    a = diag.mu * np.eye(ht.shape[1]) - diag.lam * (h12.conj().T @ h12)
+    q_in = inner_max(a, ht)
+    inner_val = _primal(ht, h12, e_req, p, q_in) - float(np.trace(a @ q_in.q).real)
+    return inner_val + diag.mu * p - diag.lam * e_req
+
+
 class TestInnerMax:
     def test_balanced_price_gives_zero(self):
         # unit modes priced at exactly their inverse gain: nothing to fill
@@ -208,23 +221,6 @@ class TestSolveP3:
             primal = float(prob.objective(q.q[None])[0])
             assert primal <= dual + 1e-5
 
-    def test_subgradient_is_feasible_not_better(self):
-        h22t, h12 = self._links(42)
-        p = 5.0
-        cap = p * np.linalg.svd(h12, compute_uv=False)[0] ** 2
-        e_req = 0.6 * cap
-        qb, db = solve_p3(h22t, h12, e_req, p)
-        qs, ds = solve_p3(h22t, h12, e_req, p, method="subgradient")
-        assert ds.method == "subgradient"
-        prob = P3Problem(h22t, h12, e_target=e_req, p=p)
-        assert bool(prob.feasible(qs.q[None])[0])
-        assert ds.rate_bits <= db.rate_bits + 1e-3
-
-    def test_unknown_method(self):
-        h22t, h12 = self._links(43)
-        with pytest.raises(InvalidInputError):
-            solve_p3(h22t, h12, 0.1, 1.0, method="newton")
-
 
 class TestRatioRoot:
     """The DUAL branch: one root over rho = lam / mu on the price ray."""
@@ -249,16 +245,20 @@ class TestRatioRoot:
                 energy = float(np.trace(h12 @ q.q @ h12.conj().T).real)
                 assert abs(q.trace - p) <= 1e-12 * p
                 assert energy >= e_req * (1.0 - 1e-12)
-                _, ds = solve_p3(ht, h12, e_req, p, method="subgradient")
-                assert diag.rate_bits >= ds.rate_bits - 1e-9
                 assert diag.iterations <= 64
+                if diag.lam is not None:
+                    # duality-gap certificate: the dual value at the reported
+                    # pair closes on the primal rate
+                    assert _dual_value(ht, h12, e_req, p, diag) - _primal(
+                        ht, h12, e_req, p, q
+                    ) <= 1e-6
 
     def test_target_one_ulp_above_waterfilling(self):
         p = 4.0
         for seed in range(5):
             cs = draw_channel_set(3, 3, ALPHA, seed=450 + seed)
-            kern = boundary._P3Kernel(cs.h22, cs.h12)
-            e_wf = kern.cross_energy(waterfill(cs.h22, None, p).q)
+            c, w, _, _ = boundary._cross_factor(cs.h12.shape, cs.h12.tobytes())
+            e_wf = float(boundary._cross_energy(c, w, waterfill(cs.h22, None, p).q))
             e_req = float(np.nextafter(e_wf, np.inf))
             q, diag = solve_p3(cs.h22, cs.h12, e_req, p)
             assert diag.branch == "DUAL"
@@ -269,13 +269,16 @@ class TestRatioRoot:
         p = 4.0
         for seed in range(10):
             cs = draw_channel_set(3, 3, ALPHA, seed=400 + seed)
-            kern = boundary._P3Kernel(cs.h22, cs.h12)
-            top = (1.0 - boundary._RHO_MARGIN) / kern.cmax
-            rhos = np.concatenate(
-                (np.linspace(0.0, top, 120), top * (1.0 - np.logspace(-2, -11, 40)))
+            c, w, cmax, _ = boundary._cross_factor(cs.h12.shape, cs.h12.tobytes())
+            top = (1.0 - boundary._RHO_MARGIN) / cmax
+            rhos = np.sort(
+                np.concatenate(
+                    (np.linspace(0.0, top, 120), top * (1.0 - np.logspace(-2, -11, 40)))
+                )
             )
-            energies = np.array([kern.ray(float(r), p).energy for r in np.sort(rhos)])
-            assert np.all(np.diff(energies) >= -1e-12 * p * kern.cmax)
+            f = np.broadcast_to(cs.h22 @ w, (rhos.size, 3, 3))
+            energies = boundary._Rays(f, c, rhos, p).energy
+            assert np.all(np.diff(energies) >= -1e-12 * p * cmax)
 
     def test_no_gain_along_cross_beam(self):
         # the own link is blind to the cross-link beam e0, so the energy
@@ -312,6 +315,63 @@ class TestRatioRoot:
             primal = float(prob.objective(q.q[None])[0])
             assert abs(dual - primal) <= 1e-9
 
+    def test_lockstep_root_matches_brentq(self):
+        # the same rays, one target at a time through scipy's brentq
+        from scipy.optimize import brentq
+
+        p = 4.0
+        for seed in range(4):
+            cs = draw_channel_set(4, 3, ALPHA, seed=600 + seed)
+            c, w, cmax, _ = boundary._cross_factor(cs.h12.shape, cs.h12.tobytes())
+            e_wf = float(boundary._cross_energy(c, w, waterfill(cs.h22, None, p).q))
+            rho_hi = (1.0 - boundary._RHO_MARGIN) / cmax
+            targets = e_wf + (p * cmax - e_wf) * np.array([1e-6, 0.2, 0.5, 0.8, 0.99])
+            f = cs.h22 @ w
+
+            def rays(owners, rhos):
+                r = boundary._Rays(np.broadcast_to(f, (len(rhos),) + f.shape), c, np.array(rhos), p)
+                return [(e, r, i) for i, e in enumerate(r.energy.tolist())]
+
+            steps = [boundary._ratio_root(float(e), e_wf, rho_hi) for e in targets]
+            roots = boundary._run_lockstep(steps, rays)
+            for e_req, (rho, _, evals) in zip(targets, roots):
+
+                def shortfall(r):
+                    if r == 0.0:
+                        return e_wf - e_req
+                    return rays([0], [r])[0][0] - e_req
+
+                want = brentq(shortfall, 0.0, rho_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
+                assert abs(rho - want) <= 1e-18 + 8.9e-16 * abs(want)
+                assert 2 <= evals <= 64
+
+    def test_brentq_port_step_for_step(self):
+        from scipy.optimize import brentq
+
+        funcs = (
+            lambda x: x**3 - 2.0 * x - 5.0,
+            lambda x: np.exp(x) - 3.0,
+            lambda x: np.tanh(40.0 * (x - 0.3)),
+            lambda x: (x - 1.0) ** 5,
+        )
+        for fun in funcs:
+            calls = []
+
+            def counted(x, fun=fun):
+                calls.append(x)
+                return fun(x)
+
+            want = brentq(counted, 0.0, 3.0, xtol=1e-18, rtol=8.9e-16, maxiter=200)
+            steps = boundary._brentq_steps(0.0, 3.0)
+            seen = [next(steps)]
+            try:
+                while True:
+                    seen.append(steps.send(float(fun(seen[-1]))))
+            except StopIteration as stop:
+                got = stop.value
+            assert got == want
+            assert seen == calls
+
     def test_cross_link_factored_once(self, monkeypatch):
         calls = []
         real = boundary.hermitian_eig
@@ -329,6 +389,43 @@ class TestRatioRoot:
         assert len(calls) == 1
         c, w, _, v12 = boundary._cross_factor(cs.h12.shape, cs.h12.tobytes())
         assert not (c.flags.writeable or w.flags.writeable or v12.flags.writeable)
+
+
+class TestRepairFlags:
+    def _inputs(self, trace, energy):
+        q = np.eye(2, dtype=complex)[None] * (trace / 2.0)
+        return q, np.array([trace]), np.array([energy])
+
+    def test_rescale_is_not_a_repair(self):
+        # a trace one rounding step over P is scaled back, not repaired
+        p = 3.0
+        q, tr, en = self._inputs(p * (1.0 + 4e-16), 2.0)
+        v12 = np.array([1.0, 0.0], dtype=complex)
+        q2, e2, t2, rescaled, repaired = boundary._repair(q, tr, en, np.array([1.5]), p, 6.0, v12)
+        assert rescaled[0] and not repaired[0]
+        assert t2[0] == p
+        assert e2[0] < 2.0
+
+    def test_shortfall_is_a_repair(self):
+        p = 3.0
+        q, tr, en = self._inputs(p, 2.0)
+        v12 = np.array([1.0, 0.0], dtype=complex)
+        q2, e2, t2, rescaled, repaired = boundary._repair(q, tr, en, np.array([4.0]), p, 6.0, v12)
+        assert repaired[0] and not rescaled[0]
+        # mixing weight (4 - 2) / (6 - 2) toward the beam meets the floor
+        assert e2[0] == pytest.approx(4.0, rel=1e-15)
+        assert np.trace(q2[0]).real == pytest.approx(p, rel=1e-15)
+
+    def test_rounding_rescales_on_real_channels(self):
+        cs = draw_channel_set(3, 3, ALPHA, seed=1)
+        p = 5.0
+        cap = p * np.linalg.svd(cs.h12, compute_uv=False)[0] ** 2
+        flags = []
+        for frac in np.linspace(0.05, 0.99, 40):
+            _, diag = solve_p3(cs.h22, cs.h12, frac * cap, p)
+            flags.append((diag.rescaled, diag.repaired))
+        assert any(r for r, _ in flags)
+        assert not any(rep for _, rep in flags)
 
 
 class TestReBoundaryPoint:
@@ -397,6 +494,50 @@ class TestReSweep:
             bd = re_sweep(cs, strategy, 2.0, n_points=8)
             bd.validate()
             assert len(bd.points) == 8
+
+
+class TestLockstepSweep:
+    """re_sweep solves all targets in lockstep; each must land where the
+    same target solved alone lands."""
+
+    @pytest.mark.parametrize("m_t,m_r", [(2, 2), (3, 2), (4, 4)])
+    def test_points_match_per_target(self, m_t, m_r):
+        p = 5.0
+        for seed in (1, 2):
+            cs = draw_channel_set(m_t, m_r, ALPHA, seed=80 + seed)
+            for strategy in ("meb", "mlb", "sler", "slnr", "meb_rank2"):
+                ctx = boundary._StrategyContext(cs, strategy, p)
+                grid = np.linspace(0.0, ctx.emax(), 12)
+                grid = np.append(grid, 1.5 * grid[-1])  # one unreachable target
+                swept = boundary._solve_targets(ctx, grid, 20)
+                for e_bar, got in zip(grid, swept):
+                    try:
+                        want = re_boundary_point(cs, strategy, float(e_bar), p)
+                    except InfeasibleTargetError as exc:
+                        assert isinstance(got, InfeasibleTargetError)
+                        assert str(got) == str(exc)
+                        continue
+                    assert got.rate_bits == pytest.approx(want.rate_bits, abs=1e-12)
+                    assert got.branch == want.branch
+                    assert got.iterations == want.iterations
+                    assert got.p1 == want.p1
+                bd = re_sweep(cs, strategy, p, e_grid=grid)
+                assert [g[0] for g in bd.gaps] == [12]
+                own = [pt for pt in swept if isinstance(pt, REPoint)]
+                for pt, mine in zip(bd.points, own):
+                    if not pt.carried:
+                        assert pt == mine
+
+    def test_point_diagnostics_kept(self):
+        cs = draw_channel_set(3, 3, ALPHA, seed=90)
+        bd = re_sweep(cs, "slnr", 5.0, n_points=10)
+        for pt in bd.points:
+            assert pt.p3 is not None
+            assert pt.p3.rate_bits == pt.rate_bits
+            if pt.branch == "DUAL":
+                # only the cap target skips the root (and reports no pair)
+                assert pt.p3.lam == pt.lam
+                assert (pt.p3.iterations >= 1) == (pt.lam is not None)
 
 
 class TestCarriedPoints:

@@ -137,6 +137,52 @@ class TestScheduledSweep:
             picked = r1 if tag == "eh1_id2" else r2
             assert min(r1, r2) - 1e-9 <= picked <= max(r1, r2) + 1e-9
 
+    def test_matches_per_target_reference(self):
+        # the batched sweep lands every target where the per-target rule
+        # (select_mode, then re_boundary_point with a fallback) lands it
+        from swiptifc import InfeasibleTargetError, re_boundary_point
+
+        p = 5.0
+        for a, seed in ((0.7, 1), (1.0, 2), (1.0, 5)):
+            cs = draw_channel_set(2, 2, np.array([[1.0, a], [a, 1.0]]), seed=seed)
+            swapped = swap_roles(cs)
+            em1, em2 = emax(cs, "sler", p), emax(swapped, "sler", p)
+            grid = np.linspace(0.0, max(em1, em2), 24)
+            want_pts, want_tags, want_gaps = [], [], []
+            for k, e_bar in enumerate(grid):
+                tag = select_mode(cs, float(e_bar), p)
+                if tag == "eh1_id2" and e_bar > em1 * (1 + 1e-9):
+                    tag = "id1_eh2"
+                elif tag == "id1_eh2" and e_bar > em2 * (1 + 1e-9):
+                    tag = "eh1_id2"
+                other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
+                pt, err = None, None
+                for t in (tag, other):
+                    side, top = (cs, em1) if t == "eh1_id2" else (swapped, em2)
+                    if e_bar > top * (1 + 1e-9):
+                        continue
+                    try:
+                        pt = re_boundary_point(side, "sler", float(e_bar), p)
+                    except InfeasibleTargetError as exc:
+                        err = exc
+                        continue
+                    tag = t
+                    break
+                if pt is None:
+                    want_gaps.append((k, float(e_bar), str(err)))
+                    continue
+                want_pts.append(pt)
+                want_tags.append(tag)
+            bd, tags = scheduled_sweep(cs, p, n_points=24)
+            assert tags == want_tags
+            assert bd.gaps == want_gaps
+            assert len(bd.points) == len(want_pts)
+            for got, want in zip(bd.points, want_pts):
+                assert got.rate_bits == pytest.approx(want.rate_bits, abs=1e-12)
+                assert (got.branch, got.iterations, got.p1) == (
+                    want.branch, want.iterations, want.p1
+                )
+
     def test_rejects_tiny_grid(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=8)
         with pytest.raises(InvalidInputError):
