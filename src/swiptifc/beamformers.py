@@ -70,10 +70,14 @@ def water_level(floors, p, weights=None):
         w = np.asarray(weights, dtype=float)[pick]
     cw = w.cumsum(axis=-1)
     cwa = (w * a).cumsum(axis=-1)
-    # power spent once the level reaches each floor past the first; an
-    # infinite floor gives inf or nan here, and neither counts below P
-    with np.errstate(invalid="ignore"):
-        spent_at = a[..., 1:] * cw[..., :-1] - cwa[..., :-1]
+    # power spent once the level reaches each floor past the first
+    spent_at = a[..., 1:] * cw[..., :-1]
+    if (a[..., -1] == np.inf).any():
+        # past an infinite floor this is inf or nan, and neither counts below P
+        with np.errstate(invalid="ignore"):
+            spent_at -= cwa[..., :-1]
+    else:
+        spent_at -= cwa[..., :-1]
     m = (spent_at < p).sum(axis=-1)
     if floors.ndim == 1:
         return float((p + cwa[m]) / cw[m])
@@ -96,23 +100,26 @@ def waterfill(h, r_noise, p):
     if p == 0.0:
         return TxCovariance(np.zeros((m_t, m_t), dtype=np.complex128), 0.0)
     b = h if r_noise is None else inv_sqrt_psd(as_matrix(r_noise, "r_noise")) @ h
-    return TxCovariance(waterfill_stack(b[None], p)[0], p)
+    return TxCovariance(waterfill_stack(b, p), p)
 
 
 def waterfill_stack(b, p):
-    """`waterfill` for a stack of whitened channels B (n, M_r, M_t) at P > 0.
+    """`waterfill` for one whitened channel B (M_r, M_t) or a stack of them
+    (n, M_r, M_t), at P > 0.
 
-    Returns the (n, M_t, M_t) Hermitian covariances, unvalidated.
+    Returns the Hermitian covariances, unvalidated.
     """
     _, s, vh = np.linalg.svd(b)
-    d = np.zeros((len(b), b.shape[-1]))
-    d[:, : s.shape[-1]] = s**2
-    if (d[:, 0] <= 0.0).any():
+    d = s**2
+    if d.shape[-1] < b.shape[-1]:
+        # modes beyond the receive dimension carry no gain
+        d = np.concatenate((d, np.zeros(d.shape[:-1] + (b.shape[-1] - d.shape[-1],))), axis=-1)
+    if not d[..., 0].all():
         raise DegenerateChannelError("channel is numerically zero; no mode to fill")
-    inv = np.divide(1.0, d, out=np.full_like(d, np.inf), where=d > d[:, :1] * 1e-15)
-    powers = np.maximum(water_level(inv, p)[:, None] - inv, 0.0)
+    inv = np.divide(1.0, d, out=np.full_like(d, np.inf), where=d > d[..., :1] * 1e-15)
+    powers = np.maximum(np.asarray(water_level(inv, p))[..., None] - inv, 0.0)
     v = vh.conj().swapaxes(-1, -2)
-    return hermitian_part((v * powers[:, None, :]) @ vh)
+    return hermitian_part((v * powers[..., None, :]) @ vh)
 
 
 @dataclass

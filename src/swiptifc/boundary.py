@@ -60,7 +60,13 @@ from .exceptions import (
     SwiptError,
 )
 from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm, svd
-from .metrics import TxCovariance, canonical_beam, canonical_directions, check_covariances
+from .metrics import (
+    TxCovariance,
+    canonical_beam,
+    canonical_directions,
+    check_covariances,
+    check_unit_rows,
+)
 
 __all__ = [
     "P3Diagnostics",
@@ -676,6 +682,7 @@ class _StrategyContext:
             else:
                 dirs = slnr_directions(self.cs.h11, self.cs.h21, p1s[hi])
             v[hi] = canonical_directions(dirs)
+            check_unit_rows(v[hi])
         w = v[:, :, None] * v.conj()[:, None, :]
         return w, self._kappa_of(w)
 

@@ -18,6 +18,7 @@ __all__ = [
     "canonical_beam",
     "canonical_directions",
     "check_covariances",
+    "check_unit_rows",
     "interference_cov",
     "achievable_rate",
     "harvested_energy",
@@ -113,8 +114,7 @@ def canonical_beam(v, power):
 def canonical_directions(vs):
     """`canonical_beam`'s direction for every row of a stack (n, m).
 
-    Raises InvalidInputError if a row is zero or non-finite, or does not
-    come out unit-norm within the Beamformer tolerance.
+    Raises InvalidInputError if a row is zero or non-finite.
     """
     v = np.array(vs, dtype=np.complex128)
     nrm = _row_norms(v)
@@ -129,9 +129,14 @@ def canonical_directions(vs):
     size = np.hypot(pivot.real, pivot.imag)
     v[rows] *= (pivot.conj() / size)[:, None]
     v[rows, first] = size  # exact, not just up to rounding
+    return v
+
+
+def check_unit_rows(v):
+    """Raise InvalidInputError unless every row of a stack (n, m) has unit
+    norm within the Beamformer tolerance."""
     if np.any(np.abs(_row_norms(v) - 1.0) > _UNIT_SLACK):
         raise InvalidInputError("beamformer norm deviates from 1")
-    return v
 
 
 def _row_norms(v):
