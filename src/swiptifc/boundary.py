@@ -502,11 +502,9 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
     if idx.size:
         f = ht[rows[idx]] @ w
         rho_hi = (1.0 - _RHO_MARGIN) / cmax
-        stack = []
 
         def rays(owners, rhos):
             r = _Rays(f[owners], c, np.array(rhos), p)
-            stack.append(r)
             return [(e, r, i) for i, e in enumerate(r.energy.tolist())]
 
         roots = _run_lockstep(
