@@ -29,12 +29,20 @@ stacked pass (`_evaluate_batch`): transmitter 1's beams, the whitened links
 H22~, water-filling, and, for the targets on the DUAL branch, a lockstep
 root over rho whose every step is one stacked SVD.  `re_boundary_point`,
 `solve_p3` and the endpoint search run the same code with one target.
+
+A strategy context (`_context`) is shared per channel orientation,
+strategy, P and split: its e_max is found once, and it keeps every solved
+target's outcome, so `re_sweep`, `re_boundary_point`, `emax` and the
+scheduled sweep solve each (target, round limit) of an orientation once.
+Shared points and errors are never mutated.
 """
 
+import copy
 import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -623,7 +631,10 @@ def solve_p3(h22_tilde, h12, e_target, p):
 
 
 class _StrategyContext:
-    """Cached per-channel quantities plus the beam family of one strategy."""
+    """Cached per-channel quantities plus the beam family of one strategy.
+
+    `solved` maps (e_bar, n_max) to the outcome `_solve_targets` found.
+    """
 
     def __init__(self, cs, strategy, p, split=0.5):
         check_strategy(strategy)
@@ -655,6 +666,7 @@ class _StrategyContext:
             if strategy == "sler":
                 self._h11_norm2 = spectral_norm(cs.h11) ** 2
         self._emax = None
+        self.solved = {}
 
     def _kappa_of(self, w_unit):
         h = self.cs.h11
@@ -765,9 +777,27 @@ class _StrategyContext:
         return lo
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_context(shape, links, strategy, p, split):
+    """The context of the orientation whose links (h11, h12, h21, h22) are
+    stored in `links`, built on read-only copies of them."""
+    h11, h12, h21, h22 = (
+        np.frombuffer(data, dtype=np.complex128).reshape(shape) for data in links
+    )
+    cs = SimpleNamespace(h11=h11, h12=h12, h21=h21, h22=h22, m_r=shape[0], m_t=shape[1])
+    return _StrategyContext(cs, strategy, p, split)
+
+
+def _context(cs, strategy, p, split=0.5):
+    """The strategy context of a channel orientation, shared by every call
+    with the same links (by shape and bytes), strategy, P and split."""
+    links = tuple(h.tobytes() for h in (cs.h11, cs.h12, cs.h21, cs.h22))
+    return _shared_context(cs.h11.shape, links, strategy, float(p), split)
+
+
 def emax(cs, strategy, p, split=0.5):
     """Right boundary endpoint: the largest energy any sweep can target."""
-    return _StrategyContext(cs, strategy, p, split).emax()
+    return _context(cs, strategy, p, split).emax()
 
 
 @dataclass
@@ -950,30 +980,36 @@ def _point_steps(ctx, e_bar, n_max):
 def _solve_targets(ctx, e_bars, n_max):
     """Boundary points of one strategy context at every target, in lockstep.
 
-    Returns, per target, its REPoint or the SwiptError that stopped it.
+    Returns, per target, its REPoint or the SwiptError that stopped it.  The
+    context keeps each outcome, so only targets it has not met before at
+    this `n_max` are solved; the outcomes are shared, not copies.
     """
-    e_bars = [float(e) for e in e_bars]
-    em = ctx.emax()
-    e_eff = np.minimum(np.array(e_bars), em)
+    keys = [(float(e), n_max) for e in e_bars]
+    todo = [key for key in dict.fromkeys(keys) if key not in ctx.solved]
+    if todo:
+        em = ctx.emax()
+        e_eff = np.minimum(np.array([e for e, _ in todo]), em)
 
-    def evaluate(owners, p1s):
-        evs = _evaluate_batch(ctx, e_eff[owners], np.array(p1s))
-        return [evs.view(i) for i in range(len(p1s))]
+        def evaluate(owners, p1s):
+            evs = _evaluate_batch(ctx, e_eff[owners], np.array(p1s))
+            return [evs.view(i) for i in range(len(p1s))]
 
-    return _run_lockstep([_point_steps(ctx, e, n_max) for e in e_bars], evaluate)
+        outs = _run_lockstep([_point_steps(ctx, e, n_max) for e, _ in todo], evaluate)
+        ctx.solved.update(zip(todo, outs))
+    return [ctx.solved[key] for key in keys]
 
 
-def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5, _ctx=None):
+def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5):
     """One point of the rate-energy boundary at energy target `e_bar`.
 
     Alternates the decoding user's floored rate problem with the power
     backoff at transmitter 1 until P1 moves less than 1e-8 * P or `n_max`
     rounds pass, then reports the achieved (rate, energy) pair.
     """
-    ctx = _ctx if _ctx is not None else _StrategyContext(cs, strategy, p, split)
-    (out,) = _solve_targets(ctx, [e_bar], n_max)
+    (out,) = _solve_targets(_context(cs, strategy, p, split), [e_bar], n_max)
     if isinstance(out, SwiptError):
-        raise out
+        # the context keeps the error; raise a copy so its traceback is not grown
+        raise copy.copy(out)
     return out
 
 
@@ -982,7 +1018,8 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5)
 
     Every grid target runs the same power-backoff alternation as
     `re_boundary_point`, all of them in lockstep: each round evaluates the
-    pending (e_bar, P1) pairs of every target as one stacked batch.  Failed
+    pending (e_bar, P1) pairs of every target as one stacked batch; targets
+    the orientation's shared context has already solved are reused.  Failed
     points become gap entries instead of aborting the sweep; a point whose
     rate a higher target's point beats is replaced by a copy of it (flagged
     `carried`), and the finished boundary is validated against its
@@ -990,7 +1027,7 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5)
     """
     if e_grid is None and n_points < 2:
         raise InvalidInputError("n_points must be >= 2")
-    ctx = _StrategyContext(cs, strategy, p, split)
+    ctx = _context(cs, strategy, p, split)
     em = ctx.emax()
     grid = np.linspace(0.0, em, n_points) if e_grid is None else np.asarray(e_grid, float)
     points = []

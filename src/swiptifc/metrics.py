@@ -23,6 +23,7 @@ __all__ = [
     "achievable_rate",
     "harvested_energy",
     "sler",
+    "sler_ratios",
     "slnr",
 ]
 
@@ -139,6 +140,12 @@ def check_unit_rows(v):
         raise InvalidInputError("beamformer norm deviates from 1")
 
 
+def _squares(x):
+    # square each entry as a Python float, as `sler` always has: scalar ** 2
+    # is libm's pow, which can round differently from an array's x * x
+    return np.array([t**2 for t in x.tolist()])
+
+
 def _row_norms(v):
     # the 1-D np.linalg.norm, row by row: re.re + im.im as dot products
     re, im = v.real[:, None, :], v.imag[:, None, :]
@@ -194,19 +201,33 @@ def sler(v, h_own, h_cross, e_bar, with_floor=True):
     """
     if not isinstance(v, Beamformer):
         raise InvalidInputError("v must be a Beamformer")
-    h_own = as_matrix(h_own, "h_own")
-    h_cross = as_matrix(h_cross, "h_cross")
     e_bar = float(e_bar)
     if not np.isfinite(e_bar) or e_bar < 0:
         raise InvalidInputError(f"e_bar must be a finite nonnegative real, got {e_bar!r}")
-    p1 = v.power
-    num = p1 * float(np.linalg.norm(h_own @ v.v) ** 2)
-    den = p1 * float(np.linalg.norm(h_cross @ v.v) ** 2)
-    if with_floor:
-        den += max(e_bar - p1 * spectral_norm(h_own) ** 2, 0.0)
-    if den < 1e-15:
-        return float("inf")
-    return num / den
+    e_bars = np.array([e_bar if with_floor else 0.0])
+    return float(sler_ratios(v.v[None], v.power, h_own, h_cross, e_bars)[0])
+
+
+def sler_ratios(vs, p1, h_own, h_cross, e_bars):
+    """`sler` of every row of a stack of unit directions (n, M_t), each sent
+    at power P1 against its own energy target of `e_bars` (n,).
+
+    ||H_own||_2 is computed once; each ratio equals `sler` of its row.
+    """
+    h_own = as_matrix(h_own, "h_own")
+    h_cross = as_matrix(h_cross, "h_cross")
+    p1 = float(p1)
+    if not np.isfinite(p1) or p1 < 0:
+        raise InvalidInputError(f"power must be a finite nonnegative real, got {p1!r}")
+    e_bars = np.asarray(e_bars, dtype=float)
+    if not np.all(np.isfinite(e_bars) & (e_bars >= 0)):
+        raise InvalidInputError("e_bar must be a finite nonnegative real")
+    vs = np.asarray(vs, dtype=np.complex128)[:, :, None]
+    num = p1 * _squares(_row_norms((h_own @ vs)[..., 0]))
+    den = p1 * _squares(_row_norms((h_cross @ vs)[..., 0]))
+    den += np.maximum(e_bars - p1 * spectral_norm(h_own) ** 2, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den < 1e-15, np.inf, num / den)
 
 
 def slnr(v, h_own, h_cross, noise_floor):

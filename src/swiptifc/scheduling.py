@@ -5,19 +5,26 @@ energy), both harvesting (max-energy point, zero rate), and the two mixed
 orientations.  The mixed orientations are compared through the achievable
 signal-to-leakage-and-energy ratios of the two candidate harvesting links:
 the transmitter that can push more energy to its harvester while leaking
-less onto the decoding receiver wins the harvesting role.
+less onto the decoding receiver wins the harvesting role.  `select_modes`
+rates every target of a grid at once.
+
+A scheduled sweep solves each orientation through the strategy context
+`boundary` shares per channel orientation: e_max and every target already
+solved on that orientation (by `re_sweep`, `re_boundary_point` or an
+earlier scheduled sweep) are reused, not solved again.
 """
 
-import math
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_beam
-from .boundary import REBoundary, _solve_targets, _StrategyContext, re_sweep
+from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_directions
+from .boundary import REBoundary, _context, _solve_targets, re_sweep
 from .channel import channel_digest, swap_roles
 from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
-from .metrics import sler
+from .linalg import spectral_norm
+from .metrics import canonical_directions, check_unit_rows, sler_ratios
 
 __all__ = [
     "MODES",
@@ -25,6 +32,7 @@ __all__ = [
     "ModeTable",
     "sler_pair",
     "select_mode",
+    "select_modes",
     "scheduled_sweep",
     "evaluate_all_modes",
 ]
@@ -72,15 +80,8 @@ def sler_pair(cs, e_bar, p):
     leaking into receiver 2; the second entry rates the mirrored roles.
     Both beams are found at full transmit power with the same energy target.
     """
-    p = float(p)
-    if not np.isfinite(p) or p <= 0:
-        raise InvalidInputError(f"power must be positive, got {p!r}")
-    e_bar = float(e_bar)
-    v1 = sler_beam(cs.h11, cs.h21, e_bar, p)
-    v2 = sler_beam(cs.h22, cs.h12, e_bar, p)
-    s1 = sler(v1, cs.h11, cs.h21, e_bar)
-    s2 = sler(v2, cs.h22, cs.h12, e_bar)
-    return s1, s2
+    s1, s2 = _orientation_ratios(cs, [e_bar], p)
+    return float(s1[0]), float(s2[0])
 
 
 def select_mode(cs, e_bar, p):
@@ -89,40 +90,68 @@ def select_mode(cs, e_bar, p):
     Returns "eh1_id2" when the first orientation's ratio is at least the
     second's; ties within 1e-12 relative also go to the first.
     """
-    s1, s2 = sler_pair(cs, e_bar, p)
-    if s1 >= s2:
-        return "eh1_id2"
-    if math.isfinite(s1) and math.isfinite(s2):
-        if s2 - s1 <= _TIE_REL * max(abs(s1), abs(s2), 1.0):
-            return "eh1_id2"
-    return "id1_eh2"
+    return select_modes(cs, [e_bar], p)[0]
+
+
+def select_modes(cs, e_bars, p):
+    """`select_mode` at every energy target of `e_bars`, as a list of tags.
+
+    Each orientation's beams come from one stacked QR and SVD over all
+    targets, and each link's spectral norm is computed once.
+    """
+    s1, s2 = _orientation_ratios(cs, e_bars, p)
+    with np.errstate(invalid="ignore"):
+        tie = (
+            np.isfinite(s1)
+            & np.isfinite(s2)
+            & (s2 - s1 <= _TIE_REL * np.maximum(np.maximum(abs(s1), abs(s2)), 1.0))
+        )
+    return np.where((s1 >= s2) | tie, "eh1_id2", "id1_eh2").tolist()
+
+
+def _orientation_ratios(cs, e_bars, p):
+    """Arrays of `sler_pair`'s two ratios, one entry per energy target."""
+    p = float(p)
+    if not np.isfinite(p) or p <= 0:
+        raise InvalidInputError(f"power must be positive, got {p!r}")
+    e_bars = np.array(e_bars, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(e_bars) & (e_bars >= 0)):
+        raise InvalidInputError("e_bar must be finite nonnegative")
+    ratios = []
+    for own, cross in ((cs.h11, cs.h21), (cs.h22, cs.h12)):
+        floors = np.maximum(e_bars / p - spectral_norm(own) ** 2, 0.0)
+        v = canonical_directions(sler_directions(own, cross, floors))
+        check_unit_rows(v)
+        ratios.append(sler_ratios(v, p, own, cross, e_bars))
+    return ratios
 
 
 def scheduled_sweep(cs, p, n_points=64, strategy="sler", n_max=20):
     """Tradeoff sweep with per-target mode selection between orientations.
 
-    At each energy target the stronger orientation (by `select_mode`) is
-    solved; if the chosen orientation cannot reach the target the other one
-    is used instead.  Each orientation's first-choice targets are solved as
-    one lockstep batch, and the fallbacks as a second batch.  Returns the
-    boundary and the per-point mode tags.  The curve is not validated for
-    rate monotonicity: a mode switch along the grid may move the rate in
+    One `select_modes` call picks the stronger orientation at every target;
+    if the chosen orientation cannot reach a target the other one is used
+    instead.  Each orientation is solved through its shared strategy context
+    (`boundary._context`), which reuses its e_max and every target already
+    solved on it: `re_sweep` of the orientation with the larger e_max has
+    this very grid.  The remaining first choices of each orientation are
+    solved as one lockstep batch, and the fallbacks as a second.  Returns
+    the boundary and the per-point mode tags.  The curve is not validated
+    for rate monotonicity: a mode switch along the grid may move the rate in
     either direction.
     """
     if n_points < 2:
         raise InvalidInputError("n_points must be >= 2")
-    swapped = swap_roles(cs)
     ctxs = {
-        "eh1_id2": _StrategyContext(cs, strategy, p),
-        "id1_eh2": _StrategyContext(swapped, strategy, p),
+        "eh1_id2": _context(cs, strategy, p),
+        "id1_eh2": _context(swap_roles(cs), strategy, p),
     }
     em1, em2 = ctxs["eh1_id2"].emax(), ctxs["id1_eh2"].emax()
     em = max(em1, em2)
     grid = np.linspace(0.0, em, n_points)
     slack = 1.0 + 1e-9
     orders = []
-    for e_bar in grid:
-        tag = select_mode(cs, float(e_bar), p)
+    for e_bar, tag in zip(grid, select_modes(cs, grid, p)):
         if tag == "eh1_id2" and e_bar > em1 * slack:
             tag = "id1_eh2"
         elif tag == "id1_eh2" and e_bar > em2 * slack:
@@ -157,7 +186,7 @@ def scheduled_sweep(cs, p, n_points=64, strategy="sler", n_max=20):
                 err = out
                 continue
             if isinstance(out, SwiptError):
-                raise out
+                raise copy.copy(out)
             pt, tag = out, t
             break
         if pt is None:

@@ -22,6 +22,7 @@ from swiptifc import (
     re_boundary_point,
     re_sweep,
     solve_p3,
+    swap_roles,
     time_sharing_curve,
     waterfill,
 )
@@ -538,6 +539,97 @@ class TestLockstepSweep:
                 # only the cap target skips the root (and reports no pair)
                 assert pt.p3.lam == pt.lam
                 assert (pt.p3.iterations >= 1) == (pt.lam is not None)
+
+
+class TestSharedContext:
+    """One strategy context per (orientation, strategy, P, split), keyed on
+    the links' bytes; it keeps every solved target per (e_bar, n_max)."""
+
+    def test_one_context_per_key(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=20)
+        same_links = swap_roles(swap_roles(cs))
+        ctx = boundary._context(cs, "sler", 5.0)
+        assert boundary._context(same_links, "sler", 5) is ctx
+        others = [
+            boundary._context(cs, "sler", 6.0),
+            boundary._context(cs, "slnr", 5.0),
+            boundary._context(cs, "sler", 5.0, split=0.3),
+            boundary._context(swap_roles(cs), "sler", 5.0),
+        ]
+        assert len({id(c) for c in [ctx] + others}) == 5
+
+    def test_separate_outcomes_per_key(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=21)
+        p = 5.0
+        top = emax(cs, "meb_rank2", p)
+        a = re_sweep(cs, "meb_rank2", p, n_points=6)
+        b = re_sweep(cs, "meb_rank2", p, n_points=6, split=0.2)
+        assert b.e_max != a.e_max
+        assert a.e_max == top
+        assert [pt.rate_bits for pt in a.points] != [pt.rate_bits for pt in b.points]
+        assert re_sweep(cs, "meb_rank2", 2 * p, n_points=6).e_max != top
+        # a different round limit is solved again, and kept beside the first
+        ctx = boundary._context(cs, "sler", p)
+        e = 0.6 * ctx.emax()
+        full = re_boundary_point(cs, "sler", e, p)
+        assert full.iterations > 1
+        short = re_boundary_point(cs, "sler", e, p, n_max=1)
+        assert short.iterations == 1
+        assert ctx.solved[e, 20] is full and ctx.solved[e, 1] is short
+        assert re_boundary_point(cs, "sler", e, p) is full
+
+    def test_sweep_then_point_reuses_outcomes(self, monkeypatch):
+        cs = draw_channel_set(2, 2, ALPHA, seed=22)
+        p = 5.0
+        bd = re_sweep(cs, "slnr", p, n_points=9)
+        calls = []
+        real = boundary._point_steps
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(boundary, "_point_steps", counting)
+        for pt in bd.points:
+            if not pt.carried:
+                assert re_boundary_point(cs, "slnr", pt.e_bar, p) is pt
+        assert emax(cs, "slnr", p) == bd.e_max
+        assert calls == []
+
+    def test_errors_raised_as_copies(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=23)
+        p = 5.0
+        e = 2.0 * emax(cs, "meb", p)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(InfeasibleTargetError) as info:
+                re_boundary_point(cs, "meb", e, p)
+            raised.append(info.value)
+        kept = boundary._context(cs, "meb", p).solved[e, 20]
+        assert raised[0] is not raised[1] and kept not in raised
+        assert str(raised[0]) == str(raised[1]) == str(kept)
+        assert raised[0].max_attainable == kept.max_attainable
+
+    def test_edited_channel_gets_fresh_context(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=24)
+        p = 5.0
+        ctx = boundary._context(cs, "sler", p)
+        before = re_sweep(cs, "sler", p, n_points=8)
+        # reorder h11's columns in place: same norms and rank, new channel
+        cs.h11[:] = cs.h11[:, ::-1].copy()
+        assert not ctx.cs.h11.flags.writeable
+        assert not np.array_equal(ctx.cs.h11, cs.h11)
+        fresh = boundary._context(cs, "sler", p)
+        assert fresh is not ctx
+        after = re_sweep(cs, "sler", p, n_points=8)
+        assert [pt.rate_bits for pt in after.points] != [pt.rate_bits for pt in before.points]
+        edited = ChannelSet(
+            h11=cs.h11.copy(), h12=cs.h12, h21=cs.h21, h22=cs.h22,
+            alpha=cs.alpha, m_t=2, m_r=2, seed=cs.seed,
+        )
+        boundary._shared_context.cache_clear()
+        cold = re_sweep(edited, "sler", p, n_points=8)
+        assert cold.points == after.points and cold.e_max == after.e_max
 
 
 class TestCarriedPoints:

@@ -1,9 +1,13 @@
 """Tests for receiver-mode evaluation and orientation scheduling."""
 
+import math
+
 import numpy as np
 import pytest
 
+from swiptifc import boundary
 from swiptifc import (
+    ChannelSet,
     InvalidInputError,
     MODES,
     ModePair,
@@ -14,12 +18,45 @@ from swiptifc import (
     re_sweep,
     scheduled_sweep,
     select_mode,
+    sler_beam,
     sler_pair,
     swap_roles,
     evaluate_all_modes,
 )
+from swiptifc.scheduling import select_modes
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
+
+
+def _looped_ratio(v, h_own, h_cross, e_bar):
+    # the per-beam SLER arithmetic, as metrics.sler computed it one beam at a time
+    p1 = v.power
+    num = p1 * float(np.linalg.norm(h_own @ v.v) ** 2)
+    den = p1 * float(np.linalg.norm(h_cross @ v.v) ** 2)
+    den += max(e_bar - p1 * float(np.linalg.norm(h_own, 2)) ** 2, 0.0)
+    return float("inf") if den < 1e-15 else num / den
+
+
+def _looped_pair(cs, e_bar, p):
+    v1 = sler_beam(cs.h11, cs.h21, e_bar, p)
+    v2 = sler_beam(cs.h22, cs.h12, e_bar, p)
+    return _looped_ratio(v1, cs.h11, cs.h21, e_bar), _looped_ratio(v2, cs.h22, cs.h12, e_bar)
+
+
+def _looped_mode(cs, e_bar, p):
+    s1, s2 = _looped_pair(cs, e_bar, p)
+    if s1 >= s2:
+        return "eh1_id2"
+    if math.isfinite(s1) and math.isfinite(s2):
+        if s2 - s1 <= 1e-12 * max(abs(s1), abs(s2), 1.0):
+            return "eh1_id2"
+    return "id1_eh2"
+
+
+def _floor_grid(cs, p, n=17):
+    """Targets from 0 past both P ||H_ii||_2^2, where the SLER floors turn on."""
+    top = p * max(np.linalg.norm(cs.h11, 2), np.linalg.norm(cs.h22, 2)) ** 2
+    return np.linspace(0.0, 2.5 * top, n)
 
 
 class TestModePair:
@@ -64,6 +101,8 @@ class TestSelectMode:
         assert s1 == pytest.approx(s2, rel=1e-12)
         assert select_mode(mirrored, 1.0, 2.0) == "eh1_id2"
         assert sym.m_t == cs.m_t
+        grid = _floor_grid(mirrored, 2.0)
+        assert select_modes(mirrored, grid, 2.0) == ["eh1_id2"] * grid.size
 
     def test_selection_scale_invariant(self):
         c = 0.5
@@ -93,6 +132,88 @@ class TestSelectMode:
             if select_mode(cs, 0.0, 2.0) == "eh1_id2":
                 wins += 1
         assert wins >= 16
+
+
+class TestSelectModes:
+    """select_modes rates a whole grid at once; every element must equal the
+    one-target rule, and the ratios the per-beam arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("m_t,m_r", [(2, 2), (3, 2), (2, 3), (4, 4)])
+    def test_matches_per_target(self, m_t, m_r):
+        p = 2.0
+        ratios = []
+        for seed in range(6):
+            for a in (0.7, 1.0):
+                cs = draw_channel_set(m_t, m_r, np.array([[1.0, a], [a, 1.0]]), seed=seed)
+                grid = _floor_grid(cs, p)
+                got = select_modes(cs, grid, p)
+                assert got == [select_mode(cs, float(e), p) for e in grid]
+                assert got == [_looped_mode(cs, float(e), p) for e in grid]
+                for e in grid:
+                    pair = sler_pair(cs, float(e), p)
+                    assert pair == _looped_pair(cs, float(e), p)
+                    ratios.extend(pair)
+        ratios = np.array(ratios)
+        if m_t > m_r:
+            # a wide cross link has a null direction: at a zero floor the
+            # denominator vanishes and the ratio is infinite
+            assert np.isinf(ratios).any() and np.isfinite(ratios).any()
+        else:
+            assert np.isfinite(ratios).all()
+
+    def test_zero_floor_and_floors_above_own_gain(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=9)
+        p = 3.0
+        own = p * np.linalg.norm(cs.h11, 2) ** 2
+        grid = [0.0, 0.5 * own, own, 1.5 * own, 4.0 * own]
+        assert select_modes(cs, grid, p) == [_looped_mode(cs, e, p) for e in grid]
+        assert select_modes(cs, [], p) == []
+
+    def test_infinite_ratio_on_either_side(self):
+        # 3 transmit, 2 receive antennas: each orientation's ratio is infinite
+        # while its floor is zero, so between the two P ||H_ii||_2^2 one side
+        # is infinite and the other finite
+        p = 2.0
+        seen = set()
+        for seed in range(20):
+            cs = draw_channel_set(3, 2, ALPHA, seed=seed)
+            g1, g2 = (p * np.linalg.norm(h, 2) ** 2 for h in (cs.h11, cs.h22))
+            e = 0.5 * (g1 + g2)
+            s1, s2 = sler_pair(cs, e, p)
+            want = "eh1_id2" if math.isinf(s1) else "id1_eh2"
+            assert math.isinf(s1) != math.isinf(s2)
+            assert select_modes(cs, [0.0, e], p) == ["eh1_id2", want]
+            seen.add(want)
+        assert seen == {"eh1_id2", "id1_eh2"}
+
+    def test_rounding_tie_goes_to_first(self):
+        # orientation 2 is orientation 1 with rotated phases: equal ratios in
+        # exact arithmetic, so a second ratio above the first by rounding is
+        # a tie and goes to the first orientation
+        cs = draw_channel_set(2, 2, ALPHA, seed=5)
+        alpha = np.array([[cs.alpha[0, 0], cs.alpha[1, 0]], [cs.alpha[1, 0], cs.alpha[0, 0]]])
+        ties = 0
+        for k in range(1, 12):
+            ph = np.exp(0.1j * k)
+            rotated = ChannelSet(
+                h11=cs.h11.copy(), h12=ph * cs.h21, h21=cs.h21.copy(), h22=ph * cs.h11,
+                alpha=alpha, m_t=2, m_r=2,
+            )
+            grid = [0.0, 1.0, 3.0]
+            for e, tag in zip(grid, select_modes(rotated, grid, 2.0)):
+                s1, s2 = sler_pair(rotated, e, 2.0)
+                assert tag == "eh1_id2" == _looped_mode(rotated, e, 2.0)
+                ties += s2 > s1
+        assert ties
+
+    def test_rejects_bad_targets_and_power(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=1)
+        with pytest.raises(InvalidInputError):
+            select_modes(cs, [0.0, -1.0], 2.0)
+        with pytest.raises(InvalidInputError):
+            select_modes(cs, [np.nan], 2.0)
+        with pytest.raises(InvalidInputError):
+            select_modes(cs, [1.0], 0.0)
 
 
 class TestScheduledSweep:
@@ -173,6 +294,8 @@ class TestScheduledSweep:
                     continue
                 want_pts.append(pt)
                 want_tags.append(tag)
+            # solve cold: the references above filled the shared contexts
+            boundary._shared_context.cache_clear()
             bd, tags = scheduled_sweep(cs, p, n_points=24)
             assert tags == want_tags
             assert bd.gaps == want_gaps
@@ -182,6 +305,32 @@ class TestScheduledSweep:
                 assert (got.branch, got.iterations, got.p1) == (
                     want.branch, want.iterations, want.p1
                 )
+
+    def test_shared_contexts_match_cold_sweep(self):
+        # re_sweep on both orientations first (as an experiment run does):
+        # the scheduled sweep then reuses their e_max and solved targets and
+        # must land every point, tag and gap where a cold sweep lands them
+        p = 50.0
+        for a, seed in ((0.7, 1), (1.0, 2), (0.7, 5), (1.0, 8)):
+            cs = draw_channel_set(2, 2, np.array([[1.0, a], [a, 1.0]]), seed=seed)
+            boundary._shared_context.cache_clear()
+            cold, cold_tags = scheduled_sweep(cs, p, n_points=32)
+            boundary._shared_context.cache_clear()
+            own = re_sweep(cs, "sler", p, n_points=32)
+            mirrored = re_sweep(swap_roles(cs), "sler", p, n_points=32)
+            warm, warm_tags = scheduled_sweep(cs, p, n_points=32)
+            assert warm_tags == cold_tags
+            assert warm.points == cold.points
+            assert warm.gaps == cold.gaps
+            assert warm.e_max == cold.e_max == max(own.e_max, mirrored.e_max)
+            # the orientation with the larger e_max has the scheduled grid as
+            # its own grid: its scheduled points are its sweep's own solves
+            wider = own if own.e_max >= mirrored.e_max else mirrored
+            tag = "eh1_id2" if wider is own else "id1_eh2"
+            ctx = boundary._context(cs if wider is own else swap_roles(cs), "sler", p)
+            for pt, t in zip(warm.points, warm_tags):
+                if t == tag:
+                    assert pt is ctx.solved[pt.e_bar, 20]
 
     def test_rejects_tiny_grid(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=8)
