@@ -261,8 +261,9 @@ def sler_beam(h11, h21, e_bar, p1):
 
 def sler_directions(h11, h21, floors):
     """`sler_beam`'s unnormalized directions (n, M_t), one per floor of a
-    stack (n,), from one stacked QR and one stacked SVD."""
-    m_r, m_t = h11.shape
+    stack (n,), from one stacked QR and one stacked SVD.  The links are one
+    pair (M_r, M_t) for every floor or a stack of pairs (n, M_r, M_t)."""
+    m_r, m_t = h11.shape[-2:]
     floors = np.asarray(floors, dtype=float)
     eye = np.eye(m_t)
     k = np.empty((floors.size, 2 * m_r + m_t, m_t), dtype=np.complex128)
@@ -305,10 +306,13 @@ def slnr_beam(h11, h21, p1):
 def slnr_directions(h11, h21, p1s):
     """`slnr_beam`'s unnormalized directions (n, M_t) for a stack of powers
     (n,): whiten by the Cholesky factor L of the denominator, take the top
-    eigenvector y of L^-1 num L^-H, and map it back as L^-H y."""
-    num = hermitian_part(h11.conj().T @ h11)
-    eye = np.eye(h11.shape[1])
-    den = hermitian_part(h21.conj().T @ h21) + (h11.shape[0] / np.asarray(p1s))[:, None, None] * eye
+    eigenvector y of L^-1 num L^-H, and map it back as L^-H y.  The links
+    are one pair (M_r, M_t) for every power or a stack of pairs
+    (n, M_r, M_t)."""
+    m_r, m_t = h11.shape[-2:]
+    num = hermitian_part(h11.conj().swapaxes(-1, -2) @ h11)
+    eye = np.eye(m_t)
+    den = hermitian_part(h21.conj().swapaxes(-1, -2) @ h21) + (m_r / np.asarray(p1s))[:, None, None] * eye
     low = np.linalg.cholesky(den)
     half = np.linalg.solve(low, num)
     _, vecs = np.linalg.eigh(hermitian_part(np.linalg.solve(low, half.conj().swapaxes(-1, -2))))

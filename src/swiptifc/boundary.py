@@ -35,6 +35,12 @@ strategy, P and split: its e_max is found once, and it keeps every solved
 target's outcome, so `re_sweep`, `re_boundary_point`, `emax` and the
 scheduled sweep solve each (target, round limit) of an orientation once.
 Shared points and errors are never mutated.
+
+One lockstep may span several contexts that share strategy, P, split and
+link shape (`_solve_many`), such as both orientations of one channel: every
+row of a round carries its context's index and reads that context's links
+and constants, stacked once per lockstep (`_stack`).  Solving one context
+is the one-context case of the same code.
 """
 
 import copy
@@ -323,9 +329,15 @@ def _cross_factor(shape, data):
 
 
 def _cross_energy(c, w, q):
-    """tr(H12 Q H12^H) of each Q of a stack, through the cached factorization."""
-    wq = w.conj().T @ q @ w
+    """tr(H12 Q H12^H) of each Q of a stack, through the cached factorization
+    (one (c, W) for the stack, or one per Q)."""
+    wq = w.conj().swapaxes(-1, -2) @ q @ w
     return np.sum(c * np.diagonal(wq, axis1=-2, axis2=-1).real, axis=-1)
+
+
+def _outer(v):
+    """v v^H of a vector (m,), or of each row of a stack (n, m)."""
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def _rate_bits(ht, q):
@@ -339,7 +351,7 @@ def _rate_bits(ht, q):
 
 class _Rays:
     """Priced maximizers on the rays mu (I - rho G) at the level spending P,
-    one per row of a stack.
+    one per row of a stack (with one c for the stack, or one per row).
 
     For own link F = Ht W (in W's basis) and ratio rho, D = diag(d) =
     diag((1 - rho c)^{-1/2}); one SVD of F D gives gains sig_k and
@@ -369,15 +381,17 @@ class _Rays:
 
 
 def _ray_covariances(w, d, vh, powers):
-    """Transmit covariances of stacked ray points, in the antenna basis."""
+    """Transmit covariances of stacked ray points, in the antenna basis (each
+    row with its own W)."""
     core = (vh.conj().swapaxes(-1, -2) * powers[:, None, :]) @ vh
     mid = (d[:, :, None] * core) * d[:, None, :]
-    return hermitian_part(w @ mid @ w.conj().T)
+    return hermitian_part(w @ mid @ w.conj().swapaxes(-1, -2))
 
 
 def _repair(q, trace, energy, e_req, p, cap, v12):
     """Scale each covariance into the power ball, then mix it toward the
-    cross-link beam until its energy floor holds.
+    cross-link beam v12 (one for the stack, or one per row) until its energy
+    floor holds.
 
     Returns (q, energy, trace, rescaled, repaired): `rescaled` marks a trace
     above P scaled back to P, `repaired` an energy shortfall that was mixed.
@@ -394,7 +408,7 @@ def _repair(q, trace, energy, e_req, p, cap, v12):
         with np.errstate(divide="ignore", invalid="ignore"):
             wmix = np.where(denom <= 0.0, 1.0, np.minimum(shortfall / denom, 1.0))
         wmix = np.where(repaired, wmix, 0.0)
-        qb = p * np.outer(v12, v12.conj())
+        qb = p * _outer(v12)
         q = np.where(
             repaired[:, None, None], (1.0 - wmix)[:, None, None] * q + wmix[:, None, None] * qb, q
         )
@@ -472,12 +486,13 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
 
     `ht` holds distinct own links (u, M_r, M_t), `rows` maps each target to
     its link, `e_req` holds floors already clipped to [0, P cmax], and
-    `cross` is the cross link's `_cross_factor`.  Water-filling runs once per
+    `cross` holds each link's cross-link `_cross_factor`, stacked: c (u, M_t),
+    W (u, M_t, M_t), cmax (u,) and v12 (u, M_t).  Water-filling runs once per
     link; the DUAL targets share one lockstep ratio root.
     """
     c, w, cmax, v12 = cross
-    n, m_t = e_req.size, w.shape[0]
-    cap = p * cmax
+    n, m_t = e_req.size, w.shape[-1]
+    cap = p * cmax[rows]
     q = np.empty((n, m_t, m_t), dtype=np.complex128)
     energy = np.empty(n)
     trace = np.empty(n)
@@ -491,14 +506,14 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
     # at the cap the feasible set collapses onto the cross-link beam; the
     # dual pair diverges there, so return the beam directly
     at_cap = e_req >= cap * (1.0 - 1e-10)
-    q[at_cap] = p * np.outer(v12, v12.conj())
-    energy[at_cap] = cap
+    q[at_cap] = p * _outer(v12[rows[at_cap]])
+    energy[at_cap] = cap[at_cap]
     trace[at_cap] = p
 
     links = np.unique(rows[~at_cap])
     q_wf = waterfill_stack(ht[links], p) if links.size else q[:0]
     e_wf = np.full(ht.shape[0], np.nan)
-    e_wf[links] = _cross_energy(c, w, q_wf)
+    e_wf[links] = _cross_energy(c[links], w[links], q_wf)
     slot = np.zeros(ht.shape[0], dtype=int)
     slot[links] = np.arange(links.size)
     wf = ~at_cap & (e_req <= e_wf[rows])
@@ -508,17 +523,20 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
 
     idx = np.flatnonzero(~at_cap & ~wf)
     if idx.size:
-        f = ht[rows[idx]] @ w
-        rho_hi = (1.0 - _RHO_MARGIN) / cmax
+        link = rows[idx]
+        f = ht[link] @ w[link]
+        rho_hi = (1.0 - _RHO_MARGIN) / cmax[link]
 
         def rays(owners, rhos):
-            r = _Rays(f[owners], c, np.array(rhos), p)
+            r = _Rays(f[owners], c[link[owners]], np.array(rhos), p)
             return [(e, r, i) for i, e in enumerate(r.energy.tolist())]
 
         roots = _run_lockstep(
             [
-                _ratio_root(e, e0, rho_hi)
-                for e, e0 in zip(e_req[idx].tolist(), e_wf[rows[idx]].tolist())
+                _ratio_root(e, e0, hi)
+                for e, e0, hi in zip(
+                    e_req[idx].tolist(), e_wf[link].tolist(), rho_hi.tolist()
+                )
             ],
             rays,
         )
@@ -527,7 +545,7 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
         evals[idx] = [r[2] for r in roots]
         eta = np.array([r.eta[i] for _, r, i in picks])
         q_dual = _ray_covariances(
-            w,
+            w[link],
             np.stack([r.d[i] for _, r, i in picks]),
             np.stack([r.vh[i] for _, r, i in picks]),
             np.stack([r.powers[i] for _, r, i in picks]),
@@ -538,8 +556,8 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
             np.array([e for e, _, _ in picks]),
             e_req[idx],
             p,
-            cap,
-            v12,
+            cap[idx],
+            v12[link],
         )
         q[idx], energy[idx], trace[idx] = qd, ed, td
         gap[idx] = np.maximum(
@@ -622,7 +640,9 @@ def solve_p3(h22_tilde, h12, e_target, p):
             max_attainable=cap,
         )
     e_req = min(max(e_target, 0.0), cap)
-    res = _solve_p3_batch(ht[None], np.zeros(1, dtype=int), np.array([e_req]), p, cross)
+    res = _solve_p3_batch(
+        ht[None], np.zeros(1, dtype=int), np.array([e_req]), p, [np.array([a]) for a in cross]
+    )
     return TxCovariance(res.q[0], p), res.diagnostics(0)
 
 
@@ -633,7 +653,8 @@ def solve_p3(h22_tilde, h12, e_target, p):
 class _StrategyContext:
     """Cached per-channel quantities plus the beam family of one strategy.
 
-    `solved` maps (e_bar, n_max) to the outcome `_solve_targets` found.
+    `consts` holds what an evaluation reads per row (see `_stack`); `solved`
+    maps (e_bar, n_max) to the outcome `_solve_many` found.
     """
 
     def __init__(self, cs, strategy, p, split=0.5):
@@ -645,96 +666,45 @@ class _StrategyContext:
             raise InvalidInputError(f"power budget must be positive, got {p!r}")
         self.split = split
         _, s12, _ = svd(cs.h12)
-        self.sig12_max2 = float(s12[0] ** 2)
-        self.cross = _cross_factor(cs.h12.shape, cs.h12.tobytes())
-        self._w_fixed = None
+        c, w, cmax, v12 = _cross_factor(cs.h12.shape, cs.h12.tobytes())
+        self.consts = dict(
+            h11=cs.h11,
+            h21=cs.h21,
+            h22=cs.h22,
+            sig12_max2=float(s12[0] ** 2),
+            c=c,
+            w=w,
+            cmax=cmax,
+            v12=v12,
+        )
+        w_fixed = None
         if strategy == "meb":
             v = meb(cs.h11, 1.0).v
-            self._w_fixed = np.outer(v, v.conj())
+            w_fixed = np.outer(v, v.conj())
         elif strategy == "mlb":
             v = mlb(cs.h21, 1.0).v
-            self._w_fixed = np.outer(v, v.conj())
+            w_fixed = np.outer(v, v.conj())
         elif strategy == "meb_rank2":
-            self._w_fixed = meb_rank2(cs.h11, 1.0, split).q
-        if self._w_fixed is not None:
-            self._kappa_fixed = float(self._kappa_of(self._w_fixed[None])[0])
-            self._leak_fixed = cs.h21 @ self._w_fixed @ cs.h21.conj().T
+            w_fixed = meb_rank2(cs.h11, 1.0, split).q
+        self.fixed = w_fixed is not None
+        if self.fixed:
+            self.consts.update(
+                w_fixed=w_fixed,
+                kappa_fixed=float(_kappa(cs.h11[None], w_fixed[None])[0]),
+                leak_fixed=cs.h21 @ w_fixed @ cs.h21.conj().T,
+            )
         else:
             # vanishing power: both adaptive beams collapse to the pure
             # energy beam (their denominators are dominated by the floor)
-            self._meb_v = meb(cs.h11, 1.0).v
+            self.consts["meb_v"] = meb(cs.h11, 1.0).v
             if strategy == "sler":
-                self._h11_norm2 = spectral_norm(cs.h11) ** 2
+                self.consts["h11_norm2"] = spectral_norm(cs.h11) ** 2
         self._emax = None
         self.solved = {}
 
-    def _kappa_of(self, w_unit):
-        h = self.cs.h11
-        return np.einsum("ij,njk,ik->n", h, w_unit, h.conj()).real
-
-    def unit_covs(self, e_bars, p1s):
-        """Unit-trace covariance structures (n, M_t, M_t) of transmitter 1 at
-        each (e_bar, p1) pair and their direct-link energy gains kappa."""
-        n = p1s.size
-        if self._w_fixed is not None:
-            return (
-                np.broadcast_to(self._w_fixed, (n,) + self._w_fixed.shape),
-                np.full(n, self._kappa_fixed),
-            )
-        v = np.empty((n, self.cs.m_t), dtype=np.complex128)
-        low = p1s <= 1e-12 * self.p
-        v[low] = self._meb_v
-        hi = ~low
-        if hi.any():
-            if self.strategy == "sler":
-                floors = np.maximum(e_bars[hi] / p1s[hi] - self._h11_norm2, 0.0)
-                dirs = sler_directions(self.cs.h11, self.cs.h21, floors)
-            else:
-                dirs = slnr_directions(self.cs.h11, self.cs.h21, p1s[hi])
-            v[hi] = canonical_directions(dirs)
-            check_unit_rows(v[hi])
-        w = v[:, :, None] * v.conj()[:, None, :]
-        return w, self._kappa_of(w)
-
-    def whitened_links(self, w_unit, p1s):
-        """H22~ = (I + P1 H21 W H21^H)^{-1/2} H22 for each stacked pair."""
-        cs = self.cs
-        out = np.empty((p1s.size,) + cs.h22.shape, dtype=np.complex128)
-        on = p1s > 0.0
-        out[~on] = cs.h22
-        if on.any():
-            if self._w_fixed is not None:
-                leak = self._leak_fixed
-            else:
-                leak = cs.h21 @ w_unit[on] @ cs.h21.conj().T
-            r2 = np.eye(cs.m_r, dtype=np.complex128) + p1s[on, None, None] * leak
-            out[on] = inv_sqrt_psd(hermitian_part(r2)) @ cs.h22
-        return out
-
     def emax(self):
         """Largest reachable energy target for this strategy at full power."""
-        if self._emax is not None:
-            return self._emax
-        p = self.p
-        if self._w_fixed is not None:
-            e = p * (self._kappa_fixed + self.sig12_max2)
-        else:
-            # self-consistent target: the adaptive beam at e_max must itself
-            # deliver e_max; iterate from the energy-beam level
-            _, s11, _ = svd(self.cs.h11)
-            kappa = float(s11[0] ** 2)
-            hard = p * (kappa + self.sig12_max2)
-            e = hard
-            for _ in range(32):
-                _, kappa = self.unit_covs(np.array([e]), np.array([p]))
-                e_new = p * (float(kappa[0]) + self.sig12_max2)
-                if abs(e_new - e) <= 1e-12 * max(1.0, e):
-                    e = e_new
-                    break
-                e = e_new
-            e = self._pin_endpoint(min(e, hard), hard)
-        self._emax = e
-        return e
+        return _emax_many([self])[0]
 
     def _pin_endpoint(self, e, hard):
         # the map e -> p * (kappa(e, p) + sig12^2) can have slope > 1 at its
@@ -742,8 +712,12 @@ class _StrategyContext:
         # bisect delivered-minus-target to a value the sweep can actually hit
         tol = 1e-9 * max(1.0, e)
 
+        one = _stack([self])
+
         def surplus(target):
-            ev = _evaluate_batch(self, np.array([target]), np.array([self.p])).view(0)
+            ev = _evaluate_batch(
+                one, np.zeros(1, dtype=int), np.array([target]), np.array([self.p])
+            ).view(0)
             return ev.e11 + ev.e2 - target
 
         g = surplus(e)
@@ -775,6 +749,103 @@ class _StrategyContext:
             else:
                 hi = mid
         return lo
+
+
+def _stack(ctxs):
+    """The `consts` of the strategy contexts of one lockstep, each stacked
+    along a leading context axis; an evaluation row reads its own context's
+    entries by index.  The contexts share strategy, P, split and link shape.
+    """
+    first = ctxs[0]
+    return SimpleNamespace(
+        strategy=first.strategy,
+        p=first.p,
+        fixed=first.fixed,
+        **{k: np.stack([ctx.consts[k] for ctx in ctxs]) for k in first.consts},
+    )
+
+
+def _kappa(h11, w_unit):
+    """Direct-link energy gain tr(H11 W H11^H) of each stacked pair."""
+    return np.einsum("nij,njk,nik->n", h11, w_unit, h11.conj()).real
+
+
+def _unit_covs(st, ci, e_bars, p1s):
+    """Unit-trace covariance structures (n, M_t, M_t) of transmitter 1 at
+    each (e_bar, P1) pair, row i in context ci[i] of the stack `st`, and
+    their direct-link energy gains kappa."""
+    if st.fixed:
+        return st.w_fixed[ci], st.kappa_fixed[ci]
+    v = np.empty((p1s.size, st.h11.shape[-1]), dtype=np.complex128)
+    low = p1s <= 1e-12 * st.p
+    v[low] = st.meb_v[ci[low]]
+    hi = ~low
+    if hi.any():
+        h11, h21 = st.h11[ci[hi]], st.h21[ci[hi]]
+        if st.strategy == "sler":
+            floors = np.maximum(e_bars[hi] / p1s[hi] - st.h11_norm2[ci[hi]], 0.0)
+            dirs = sler_directions(h11, h21, floors)
+        else:
+            dirs = slnr_directions(h11, h21, p1s[hi])
+        v[hi] = canonical_directions(dirs)
+        check_unit_rows(v[hi])
+    w = _outer(v)
+    return w, _kappa(st.h11[ci], w)
+
+
+def _whitened_links(st, ci, w_unit, p1s):
+    """H22~ = (I + P1 H21 W H21^H)^{-1/2} H22 for each stacked pair, row i in
+    context ci[i] of the stack `st`."""
+    out = st.h22[ci]
+    on = p1s > 0.0
+    if on.any():
+        cj = ci[on]
+        if st.fixed:
+            leak = st.leak_fixed[cj]
+        else:
+            h21 = st.h21[cj]
+            leak = h21 @ w_unit[on] @ h21.conj().swapaxes(-1, -2)
+        r2 = np.eye(out.shape[-2], dtype=np.complex128) + p1s[on, None, None] * leak
+        out[on] = inv_sqrt_psd(hermitian_part(r2)) @ st.h22[cj]
+    return out
+
+
+def _emax_many(ctxs):
+    """`emax` of each strategy context; the contexts share strategy, P, split
+    and link shape.
+
+    The forward iterations of the adaptive contexts run side by side, one
+    stacked beam build per step, and each stops at its own 1e-12 test; each
+    endpoint is then pinned on its own.
+    """
+    todo = [ctx for ctx in dict.fromkeys(ctxs) if ctx._emax is None]
+    if todo:
+        st = _stack(todo)
+        p = st.p
+        if st.fixed:
+            found = (p * (st.kappa_fixed + st.sig12_max2)).tolist()
+        else:
+            # self-consistent target: the adaptive beam at e_max must itself
+            # deliver e_max; iterate from the energy-beam level
+            kappa = np.array([float(svd(ctx.cs.h11)[1][0] ** 2) for ctx in todo])
+            hard = p * (kappa + st.sig12_max2)
+            e = hard.copy()
+            live = np.arange(len(todo))
+            for _ in range(32):
+                _, kappa = _unit_covs(st, live, e[live], np.full(live.size, p))
+                e_new = p * (kappa + st.sig12_max2[live])
+                done = np.abs(e_new - e[live]) <= 1e-12 * np.maximum(1.0, e[live])
+                e[live] = e_new
+                live = live[~done]
+                if not live.size:
+                    break
+            found = [
+                ctx._pin_endpoint(min(ek, hk), hk)
+                for ctx, ek, hk in zip(todo, e.tolist(), hard.tolist())
+            ]
+        for ctx, ek in zip(todo, found):
+            ctx._emax = ek
+    return [ctx._emax for ctx in ctxs]
 
 
 @functools.lru_cache(maxsize=8)
@@ -839,27 +910,28 @@ class _Evaluations:
         )
 
 
-def _evaluate_batch(ctx, e_bars, p1s):
+def _evaluate_batch(st, ci, e_bars, p1s):
     """Evaluate every (e_bar, P1) pair in one stacked pass: transmitter 1's
     beam, the whitened link H22~ it leaves for receiver 2, and the floored
-    rate solve at the energy still missing."""
-    if ctx.strategy == "sler":
-        p1_u, rows, e_u = p1s, np.arange(p1s.size), e_bars
+    rate solve at the energy still missing.  Row i belongs to context ci[i]
+    of the stack `st` (see `_stack`) and reads that context's links."""
+    if st.strategy == "sler":
+        ci_u, p1_u, rows, e_u = ci, p1s, np.arange(p1s.size), e_bars
     else:
-        # the beam and H22~ depend on P1 alone: evaluate each distinct P1 once
-        p1_u, rows = np.unique(p1s, return_inverse=True)
-        e_u = None
-    w_unit, kappa_u = ctx.unit_covs(e_u, p1_u)
-    ht = ctx.whitened_links(w_unit, p1_u)
+        # the beam and H22~ depend on the context and P1 alone: evaluate each
+        # distinct pair once (complex keys P1 + i ctx sort by P1, then context)
+        keys, rows = np.unique(p1s + 1j * ci, return_inverse=True)
+        ci_u, p1_u, e_u = keys.imag.astype(int), keys.real, None
+    w_unit, kappa_u = _unit_covs(st, ci_u, e_u, p1_u)
+    ht = _whitened_links(st, ci_u, w_unit, p1_u)
     kappa = kappa_u[rows]
     e11 = kappa * p1s
-    cap = ctx.p * ctx.sig12_max2
+    cap = st.p * st.sig12_max2[ci]
     e_need = e_bars - e11
     clamped = e_need > cap * (1.0 + _FEAS_SLACK)
     e_need = np.minimum(np.maximum(e_need, 0.0), cap)
-    p3 = _solve_p3_batch(
-        ht, rows, np.minimum(e_need, ctx.p * ctx.cross[2]), ctx.p, ctx.cross
-    )
+    cross = [st.c[ci_u], st.w[ci_u], st.cmax[ci_u], st.v12[ci_u]]
+    p3 = _solve_p3_batch(ht, rows, np.minimum(e_need, st.p * st.cmax[ci]), st.p, cross)
     return _Evaluations(
         p1=p1s.tolist(),
         kappa=kappa.tolist(),
@@ -942,7 +1014,7 @@ def _point_steps(ctx, e_bar, n_max):
         (ev,) = yield [p1]
     achieved = ev.e11 + ev.e2
     tol_e = 1e-9 * max(1.0, e_eff)
-    if achieved < e_eff - tol_e and ctx._w_fixed is None:
+    if achieved < e_eff - tol_e and not ctx.fixed:
         p1_rescued, rescued = yield from _rescue_steps(ctx, e_eff, n_max)
         if p1_rescued is not None:
             p1, ev = p1_rescued, rescued
@@ -977,26 +1049,37 @@ def _point_steps(ctx, e_bar, n_max):
     )
 
 
-def _solve_targets(ctx, e_bars, n_max):
-    """Boundary points of one strategy context at every target, in lockstep.
+def _solve_many(jobs, n_max):
+    """Boundary points of several strategy contexts, all in one lockstep.
 
-    Returns, per target, its REPoint or the SwiptError that stopped it.  The
-    context keeps each outcome, so only targets it has not met before at
+    `jobs` lists (context, e_bars) pairs; the contexts share strategy, P,
+    split and link shape, and each round evaluates the pending (e_bar, P1)
+    pairs of every target of every context as one stacked batch.  Returns,
+    per job, each target's REPoint or the SwiptError that stopped it.  Each
+    context keeps its outcomes, so only targets it has not met before at
     this `n_max` are solved; the outcomes are shared, not copies.
     """
-    keys = [(float(e), n_max) for e in e_bars]
-    todo = [key for key in dict.fromkeys(keys) if key not in ctx.solved]
+    keyed = [(ctx, [(float(e), n_max) for e in e_bars]) for ctx, e_bars in jobs]
+    todo = list(
+        dict.fromkeys(
+            (ctx, key) for ctx, keys in keyed for key in keys if key not in ctx.solved
+        )
+    )
     if todo:
-        em = ctx.emax()
-        e_eff = np.minimum(np.array([e for e, _ in todo]), em)
+        ctxs = list(dict.fromkeys(ctx for ctx, _ in todo))
+        ems = np.array(_emax_many(ctxs))
+        ci = np.array([ctxs.index(ctx) for ctx, _ in todo])
+        e_eff = np.minimum(np.array([e for _, (e, _) in todo]), ems[ci])
+        st = _stack(ctxs)
 
         def evaluate(owners, p1s):
-            evs = _evaluate_batch(ctx, e_eff[owners], np.array(p1s))
+            evs = _evaluate_batch(st, ci[owners], e_eff[owners], np.array(p1s))
             return [evs.view(i) for i in range(len(p1s))]
 
-        outs = _run_lockstep([_point_steps(ctx, e, n_max) for e, _ in todo], evaluate)
-        ctx.solved.update(zip(todo, outs))
-    return [ctx.solved[key] for key in keys]
+        outs = _run_lockstep([_point_steps(ctx, e, n_max) for ctx, (e, _) in todo], evaluate)
+        for (ctx, key), out in zip(todo, outs):
+            ctx.solved[key] = out
+    return [[ctx.solved[key] for key in keys] for ctx, keys in keyed]
 
 
 def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5):
@@ -1006,7 +1089,7 @@ def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5):
     backoff at transmitter 1 until P1 moves less than 1e-8 * P or `n_max`
     rounds pass, then reports the achieved (rate, energy) pair.
     """
-    (out,) = _solve_targets(_context(cs, strategy, p, split), [e_bar], n_max)
+    ((out,),) = _solve_many([(_context(cs, strategy, p, split), [e_bar])], n_max)
     if isinstance(out, SwiptError):
         # the context keeps the error; raise a copy so its traceback is not grown
         raise copy.copy(out)
@@ -1019,7 +1102,9 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5)
     Every grid target runs the same power-backoff alternation as
     `re_boundary_point`, all of them in lockstep: each round evaluates the
     pending (e_bar, P1) pairs of every target as one stacked batch; targets
-    the orientation's shared context has already solved are reused.  Failed
+    the orientation's shared context has already solved, possibly in a
+    lockstep spanning both orientations (`scheduling.scheduled_run`), are
+    reused.  Failed
     points become gap entries instead of aborting the sweep; a point whose
     rate a higher target's point beats is replaced by a copy of it (flagged
     `carried`), and the finished boundary is validated against its
@@ -1032,7 +1117,8 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5)
     grid = np.linspace(0.0, em, n_points) if e_grid is None else np.asarray(e_grid, float)
     points = []
     gaps = []
-    for k, (e_bar, out) in enumerate(zip(grid, _solve_targets(ctx, grid, n_max))):
+    (outs,) = _solve_many([(ctx, grid)], n_max)
+    for k, (e_bar, out) in enumerate(zip(grid, outs)):
         if isinstance(out, SwiptError):
             gaps.append((k, float(e_bar), str(out)))
             continue
@@ -1069,12 +1155,13 @@ def time_sharing_curve(cs, strategy, p, weights=None, split=0.5):
         raise InvalidInputError(f"time sharing supports meb or mlb, got {strategy!r}")
     ctx = _StrategyContext(cs, strategy, p, split)
     p = ctx.p
-    r2 = np.eye(cs.m_r, dtype=np.complex128) + p * ctx._leak_fixed
+    fixed = ctx.consts
+    r2 = np.eye(cs.m_r, dtype=np.complex128) + p * fixed["leak_fixed"]
     h22t = inv_sqrt_psd(hermitian_part(r2)) @ cs.h22
     _, _, v12 = svd(cs.h12)
     q2a = p * np.outer(v12[:, 0], v12[:, 0].conj())
     rate_a = float(_rate_bits(h22t, q2a))
-    energy_a = p * ctx._kappa_fixed + p * ctx.sig12_max2
+    energy_a = p * fixed["kappa_fixed"] + p * fixed["sig12_max2"]
     q2b = waterfill(cs.h22, None, p)
     rate_b = float(_rate_bits(cs.h22, q2b.q))
     energy_b = float(np.einsum("ij,jk,ik->", cs.h12, q2b.q, cs.h12.conj()).real)

@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__
 from .beamformers import STRATEGIES, eh_eh_optimal, iterative_waterfilling
 from .boundary import re_sweep, time_sharing_curve
-from .channel import channel_digest, draw_channel_set, swap_roles
+from .channel import channel_digest, draw_channel_set
 from .exceptions import InvalidInputError
-from .scheduling import MODES, scheduled_sweep
+from .scheduling import MODES, scheduled_run
 
 __all__ = [
     "CSV_COLUMNS",
@@ -319,28 +319,35 @@ def _curve_slots(boundary, n_grid):
 
 
 def _seed_task(cfg_dict, seed):
+    """One seed's curves, gaps and mode rows.  With scheduling on, both
+    orientations' sler sweeps and the scheduled sweep come from one
+    `scheduled_run`, whose single lockstep spans both orientations."""
     cfg = ExperimentConfig.from_dict(cfg_dict)
     t0 = time.perf_counter()
     cs = draw_channel_set(cfg.m_t, cfg.m_r, np.asarray(cfg.alpha), seed)
     curves = {}
     gaps = {}
-    for strategy in cfg.strategies:
-        b = re_sweep(cs, strategy, cfg.p, n_points=cfg.e_grid_points)
-        curves[strategy] = _curve_slots(b, cfg.e_grid_points)
+
+    def add(label, b):
+        curves[label] = _curve_slots(b, cfg.e_grid_points)
         if b.gaps:
-            gaps[strategy] = [(k, e, msg) for k, e, msg in b.gaps]
+            gaps[label] = [(k, e, msg) for k, e, msg in b.gaps]
+
+    scheduled = {}
+    if cfg.scheduling:
+        own, swapped, sched, _tags = scheduled_run(cs, cfg.p, n_points=cfg.e_grid_points)
+        scheduled = {"sler": own, "sler_swap": swapped, "sler_sched": sched}
+    for strategy in cfg.strategies:
+        b = scheduled.get(strategy) or re_sweep(cs, strategy, cfg.p, n_points=cfg.e_grid_points)
+        add(strategy, b)
         if cfg.time_sharing and strategy in ("meb", "mlb"):
             ts = time_sharing_curve(
                 cs, strategy, cfg.p, weights=np.linspace(0.0, 1.0, cfg.ts_points)
             )
             curves[f"{strategy}_ts"] = list(ts.points)
     if cfg.scheduling:
-        swapped = re_sweep(swap_roles(cs), "sler", cfg.p, n_points=cfg.e_grid_points)
-        curves["sler_swap"] = _curve_slots(swapped, cfg.e_grid_points)
-        if swapped.gaps:
-            gaps["sler_swap"] = [(k, e, msg) for k, e, msg in swapped.gaps]
-        sched, _tags = scheduled_sweep(cs, cfg.p, n_points=cfg.e_grid_points)
-        curves["sler_sched"] = list(sched.points)
+        add("sler_swap", scheduled["sler_swap"])
+        add("sler_sched", scheduled["sler_sched"])
     mode_rows = []
     game = None
     if "id_id" in cfg.modes:
@@ -376,18 +383,17 @@ def _write_aggregate(path, labels, by_seed):
                 if not pts:
                     continue
                 e_norm = k / (n - 1) if n > 1 else 0.0
-                fh.write(
-                    ",".join(
-                        (
-                            label,
-                            str(k),
-                            _fmt(e_norm),
-                            str(len(pts)),
-                            _fmt(float(np.mean([p.e_bar for p in pts]))),
-                            _fmt(float(np.mean([p.rate_bits for p in pts]))),
-                            _fmt(float(np.mean([p.energy for p in pts]))),
-                        )
+                if len(pts) == 1:
+                    # the mean of one value is that value
+                    means = (pts[0].e_bar, pts[0].rate_bits, pts[0].energy)
+                else:
+                    means = (
+                        np.mean([p.e_bar for p in pts]),
+                        np.mean([p.rate_bits for p in pts]),
+                        np.mean([p.energy for p in pts]),
                     )
+                fh.write(
+                    ",".join((label, str(k), _fmt(e_norm), str(len(pts))) + tuple(map(_fmt, means)))
                     + "\n"
                 )
     return path

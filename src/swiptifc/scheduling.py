@@ -11,7 +11,11 @@ rates every target of a grid at once.
 A scheduled sweep solves each orientation through the strategy context
 `boundary` shares per channel orientation: e_max and every target already
 solved on that orientation (by `re_sweep`, `re_boundary_point` or an
-earlier scheduled sweep) are reused, not solved again.
+earlier scheduled sweep) are reused, not solved again.  One lockstep spans
+both orientations: `scheduled_run` solves every target that both fixed
+orientations' sweeps and the scheduled sweep need in a single lockstep (and
+any fallbacks in a second), and `evaluate_all_modes` sweeps both
+orientations in one.
 """
 
 import copy
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_directions
-from .boundary import REBoundary, _context, _solve_targets, re_sweep
+from .boundary import _N_MAX, REBoundary, _context, _emax_many, _solve_many, re_sweep
 from .channel import channel_digest, swap_roles
 from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
 from .linalg import spectral_norm
@@ -34,6 +38,7 @@ __all__ = [
     "select_mode",
     "select_modes",
     "scheduled_sweep",
+    "scheduled_run",
     "evaluate_all_modes",
 ]
 
@@ -126,27 +131,21 @@ def _orientation_ratios(cs, e_bars, p):
     return ratios
 
 
-def scheduled_sweep(cs, p, n_points=64, strategy="sler", n_max=20):
-    """Tradeoff sweep with per-target mode selection between orientations.
-
-    One `select_modes` call picks the stronger orientation at every target;
-    if the chosen orientation cannot reach a target the other one is used
-    instead.  Each orientation is solved through its shared strategy context
-    (`boundary._context`), which reuses its e_max and every target already
-    solved on it: `re_sweep` of the orientation with the larger e_max has
-    this very grid.  The remaining first choices of each orientation are
-    solved as one lockstep batch, and the fallbacks as a second.  Returns
-    the boundary and the per-point mode tags.  The curve is not validated
-    for rate monotonicity: a mode switch along the grid may move the rate in
-    either direction.
-    """
-    if n_points < 2:
-        raise InvalidInputError("n_points must be >= 2")
-    ctxs = {
+def _orientations(cs, strategy, p):
+    """The shared strategy contexts of both orientations, by mode tag."""
+    return {
         "eh1_id2": _context(cs, strategy, p),
         "id1_eh2": _context(swap_roles(cs), strategy, p),
     }
-    em1, em2 = ctxs["eh1_id2"].emax(), ctxs["id1_eh2"].emax()
+
+
+def _plan(cs, ctxs, p, n_points):
+    """The scheduled grid over [0, max e_max], its top, and per target the
+    orientations to try in order: `select_modes`' pick, then the other one,
+    each only where its e_max reaches the target."""
+    if n_points < 2:
+        raise InvalidInputError("n_points must be >= 2")
+    em1, em2 = _emax_many(list(ctxs.values()))
     em = max(em1, em2)
     grid = np.linspace(0.0, em, n_points)
     slack = 1.0 + 1e-9
@@ -160,20 +159,36 @@ def scheduled_sweep(cs, p, n_points=64, strategy="sler", n_max=20):
         orders.append(
             [t for t in (tag, other) if e_bar <= (em1 if t == "eh1_id2" else em2) * slack]
         )
-    # outcome of (target, orientation): first choices, then the fallbacks of
-    # the first choices that could not reach their target
+    return grid, em, orders
+
+
+def _solve_plan(ctxs, grid, orders, n_max, jobs=()):
+    """Outcome of each (target, orientation) the plan reaches: the first
+    choices of both orientations, together with `jobs`, in one lockstep, then
+    the fallbacks of first choices that could not reach their target in a
+    second."""
     solved = {}
     for choice in (0, 1):
-        for t, ctx in ctxs.items():
-            ks = [
+        picks = {
+            t: [
                 k
                 for k, order in enumerate(orders)
                 if len(order) > choice
                 and order[choice] == t
                 and (choice == 0 or isinstance(solved[k, order[0]], InfeasibleTargetError))
             ]
-            for k, out in zip(ks, _solve_targets(ctx, grid[ks], n_max)):
-                solved[k, t] = out
+            for t in ctxs
+        }
+        lead = list(jobs) if choice == 0 else []
+        outs = _solve_many(lead + [(ctxs[t], grid[ks]) for t, ks in picks.items()], n_max)
+        for (t, ks), got in zip(picks.items(), outs[len(lead):]):
+            solved.update(((k, t), out) for k, out in zip(ks, got))
+    return solved
+
+
+def _scheduled_boundary(cs, strategy, grid, em, orders, solved):
+    """The scheduled curve and its tags: per target, the first orientation
+    of its order that reached it."""
     points = []
     tags = []
     gaps = []
@@ -205,16 +220,62 @@ def scheduled_sweep(cs, p, n_points=64, strategy="sler", n_max=20):
     return boundary, tags
 
 
+def scheduled_sweep(cs, p, n_points=64, strategy="sler", n_max=20):
+    """Tradeoff sweep with per-target mode selection between orientations.
+
+    One `select_modes` call picks the stronger orientation at every target;
+    if the chosen orientation cannot reach a target the other one is used
+    instead.  Each orientation is solved through its shared strategy context
+    (`boundary._context`), which reuses its e_max and every target already
+    solved on it.  Both e_max searches run side by side; the first choices
+    of both orientations are solved in one lockstep, and the fallbacks in a
+    second.  Returns the boundary and the per-point mode tags.  The curve is
+    not validated for rate monotonicity: a mode switch along the grid may
+    move the rate in either direction.
+    """
+    ctxs = _orientations(cs, strategy, p)
+    grid, em, orders = _plan(cs, ctxs, p, n_points)
+    solved = _solve_plan(ctxs, grid, orders, n_max)
+    return _scheduled_boundary(cs, strategy, grid, em, orders, solved)
+
+
+def scheduled_run(cs, p, n_points=64, strategy="sler", n_max=20):
+    """Both fixed orientations' sweeps and the scheduled sweep of one channel.
+
+    Returns (eh1_id2, id1_eh2, scheduled, tags): `re_sweep` of `cs` and of
+    `swap_roles(cs)` on their own grids, and `scheduled_sweep`'s boundary and
+    tags.  Both e_max searches run side by side, and one lockstep solves
+    every target the three curves need (a second one any fallbacks), so the
+    curves are then assembled from the shared contexts.
+    """
+    ctxs = _orientations(cs, strategy, p)
+    grid, em, orders = _plan(cs, ctxs, p, n_points)
+    own = [(ctx, np.linspace(0.0, ctx.emax(), n_points)) for ctx in ctxs.values()]
+    solved = _solve_plan(ctxs, grid, orders, n_max, own)
+    sweeps = [
+        re_sweep(side, strategy, p, n_points=n_points, n_max=n_max)
+        for side in (cs, swap_roles(cs))
+    ]
+    return (*sweeps, *_scheduled_boundary(cs, strategy, grid, em, orders, solved))
+
+
 def evaluate_all_modes(cs, p, n_points=64, strategy="sler"):
     """Evaluate every receiver-mode assignment on one channel realization.
 
     Both-decode runs the water-filling game and reports the sum rate;
     both-harvest uses the closed-form rank-one optimum; the two mixed
     orientations are swept under the given transmitter-1 strategy (the
-    mirrored orientation swaps the transmitter/receiver roles).
+    mirrored orientation swaps the transmitter/receiver roles), both in one
+    lockstep.
     """
     iwf = iterative_waterfilling(cs, p)
     _, _, e_total = eh_eh_optimal(cs, p)
+    ctxs = list(_orientations(cs, strategy, p).values())
+    # both orientations' grids in one lockstep; the sweeps then reuse them
+    _solve_many(
+        [(ctx, np.linspace(0.0, em, n_points)) for ctx, em in zip(ctxs, _emax_many(ctxs))],
+        _N_MAX,
+    )
     return ModeTable(
         id_id=ModePair("id_id", float(sum(iwf.rates)), 0.0),
         eh_eh=ModePair("eh_eh", 0.0, float(e_total)),

@@ -373,6 +373,23 @@ class TestStackedBeams:
                 assert np.array_equal(sl[i], sler_beam(h11, h21, e_bars[i], p1s[i]).v)
                 assert np.array_equal(sn[i], slnr_beam(h11, h21, p1s[i]).v)
 
+    def test_stacked_links_match_single_links(self):
+        # a stack of link pairs, one per row, builds each row's beam as its
+        # own pair does
+        from swiptifc.beamformers import sler_directions, slnr_directions
+
+        rng = np.random.default_rng(65)
+        for m_r, m_t in ((2, 2), (2, 3), (3, 2), (4, 4)):
+            h11 = _cgauss(rng, 6, m_r, m_t)
+            h21 = _cgauss(rng, 6, m_r, m_t)
+            floors = np.array([0.0, 0.5, 0.0, 2.0, 7.0, 0.0])
+            p1s = rng.uniform(0.1, 10.0, 6)
+            sl = sler_directions(h11, h21, floors)
+            sn = slnr_directions(h11, h21, p1s)
+            for i in range(6):
+                assert np.array_equal(sl[i], sler_directions(h11[i], h21[i], floors[i : i + 1])[0])
+                assert np.array_equal(sn[i], slnr_directions(h11[i], h21[i], p1s[i : i + 1])[0])
+
 
 class TestSlnrBeam:
     def test_weak_leak_high_power_is_energy_beam(self):

@@ -510,7 +510,7 @@ class TestLockstepSweep:
                 ctx = boundary._StrategyContext(cs, strategy, p)
                 grid = np.linspace(0.0, ctx.emax(), 12)
                 grid = np.append(grid, 1.5 * grid[-1])  # one unreachable target
-                swept = boundary._solve_targets(ctx, grid, 20)
+                (swept,) = boundary._solve_many([(ctx, grid)], 20)
                 for e_bar, got in zip(grid, swept):
                     try:
                         want = re_boundary_point(cs, strategy, float(e_bar), p)
@@ -539,6 +539,70 @@ class TestLockstepSweep:
                 # only the cap target skips the root (and reports no pair)
                 assert pt.p3.lam == pt.lam
                 assert (pt.p3.iterations >= 1) == (pt.lam is not None)
+
+
+class TestStackedLockstep:
+    """One lockstep spans several strategy contexts: each row of a stacked
+    evaluation reads its own context's links and constants."""
+
+    STRATEGIES = ("meb", "mlb", "sler", "slnr", "meb_rank2")
+
+    @staticmethod
+    def _row(ev, i):
+        v = ev.view(i)
+        return (v.p1, v.kappa, v.e11, v.e2, v.rate_bits, v.clamped, v.diag, ev.p3.q[i].tobytes())
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rows_match_own_context(self, strategy):
+        p = 5.0
+        cs = draw_channel_set(3, 2, ALPHA, seed=31)
+        sides = (cs, swap_roles(cs), draw_channel_set(3, 2, ALPHA, seed=32))
+        ctxs = [boundary._StrategyContext(side, strategy, p) for side in sides]
+        rng = np.random.default_rng(33)
+        n = 30
+        ci = rng.integers(0, len(ctxs), n)
+        e_bars = rng.uniform(0.0, 1.0, n) * np.array([ctx.emax() for ctx in ctxs])[ci]
+        # repeated powers share one beam per (context, P1); tiny ones fall
+        # back to the energy beam, zero turns transmitter 1 off
+        p1s = np.where(rng.random(n) < 0.4, p, rng.uniform(0.0, p, n))
+        p1s[:4] = [0.0, 1e-13 * p, 0.0, 1e-13 * p]
+        ci[:4] = [0, 0, 1, 2]
+        both = boundary._evaluate_batch(boundary._stack(ctxs), ci, e_bars, p1s)
+        assert both.p3.dual.any() and not both.p3.dual.all()
+        for k, ctx in enumerate(ctxs):
+            mine = np.flatnonzero(ci == k)
+            own = boundary._evaluate_batch(
+                boundary._stack([ctx]), np.zeros(mine.size, dtype=int), e_bars[mine], p1s[mine]
+            )
+            for j, i in enumerate(mine):
+                assert self._row(both, i) == self._row(own, j)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_emax_many_matches_emax(self, strategy):
+        p = 5.0
+        sides = []
+        for seed in (34, 35, 36):
+            cs = draw_channel_set(2, 2, ALPHA, seed=seed)
+            sides += [cs, swap_roles(cs)]
+        together = boundary._emax_many(
+            [boundary._StrategyContext(side, strategy, p) for side in sides]
+        )
+        alone = [boundary._StrategyContext(side, strategy, p).emax() for side in sides]
+        assert together == alone
+
+    def test_solve_many_matches_one_context_each(self):
+        p = 5.0
+        cs = draw_channel_set(2, 2, ALPHA, seed=37)
+        sides = (cs, swap_roles(cs))
+        ctxs = [boundary._StrategyContext(side, "sler", p) for side in sides]
+        grids = [np.linspace(0.0, ctx.emax(), 10) for ctx in ctxs]
+        grids[0] = np.append(grids[0], 2.0 * grids[0][-1])  # one unreachable target
+        both = boundary._solve_many(list(zip(ctxs, grids)), 20)
+        for side, grid, got in zip(sides, grids, both):
+            (want,) = boundary._solve_many(
+                [(boundary._StrategyContext(side, "sler", p), grid)], 20
+            )
+            assert [repr(x) for x in got] == [repr(x) for x in want]
 
 
 class TestSharedContext:

@@ -1,10 +1,12 @@
 """Tests for experiment configs, presets, CSV artifacts and the runner."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from swiptifc import experiments
 from swiptifc import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -242,6 +244,47 @@ class TestRunExperiment:
         assert int(first[3]) == 1
         assert float(first[5]) == pytest.approx(rows[0]["rate_bits"], rel=1e-10)
 
+    def test_multi_seed_aggregate_bytes(self, tmp_path):
+        # rows averaging several seeds keep np.mean; these are the bytes the
+        # runner wrote before single-seed rows skipped it
+        cfg = _tiny_cfg(
+            tmp_path,
+            strategies=("meb", "sler"),
+            seeds=(1, 2, 3),
+            time_sharing=True,
+            ts_points=3,
+            scheduling=True,
+        )
+        run_experiment(cfg)
+        assert (tmp_path / "out" / "aggregate.csv").read_text() == _AGGREGATE_3_SEEDS
+
+    def test_scheduled_gap_reported(self, tmp_path, monkeypatch):
+        # a scheduled target neither orientation reaches is a gap: it sets
+        # the exit code and leaves its grid index empty in the aggregate
+        real = experiments.scheduled_run
+
+        def one_gap(*args, **kwargs):
+            own, swapped, sched, tags = real(*args, **kwargs)
+            pt = sched.points[2]
+            sched = dataclasses.replace(
+                sched,
+                points=sched.points[:2] + sched.points[3:],
+                gaps=[(2, pt.e_bar, "unreachable")],
+            )
+            return own, swapped, sched, tags[:2] + tags[3:]
+
+        monkeypatch.setattr(experiments, "scheduled_run", one_gap)
+        cfg = _tiny_cfg(tmp_path, strategies=("sler",), scheduling=True)
+        manifest = run_experiment(cfg)
+        assert manifest["exit_code"] == 2
+        ((k, _, msg),) = manifest["gaps"]["1"]["sler_sched"]
+        assert (k, msg) == (2, "unreachable")
+        out = tmp_path / "out"
+        assert len(read_plot_data(out / "curve_sler_sched_seed1.csv")) == 3
+        agg = [ln.split(",") for ln in (out / "aggregate.csv").read_text().splitlines()[1:]]
+        assert [int(r[1]) for r in agg if r[0] == "sler_sched"] == [0, 1, 3]
+        assert [int(r[1]) for r in agg if r[0] == "sler"] == [0, 1, 2, 3]
+
     def test_unconverged_games_in_summary(self, tmp_path):
         # at p = 2 the 2x2 game of seed 1 converges and that of seed 2 stops
         # at its round limit
@@ -268,3 +311,27 @@ class TestRunExperiment:
     def test_accepts_plain_dict(self, tmp_path):
         manifest = run_experiment(_tiny_cfg(tmp_path).to_dict())
         assert manifest["exit_code"] == 0
+
+
+_AGGREGATE_3_SEEDS = """\
+strategy,grid_index,e_norm,n_seeds,e_bar,rate_bits,energy
+meb,0,0,3,0,2.17390572359,1.51791147532
+meb,1,0.333333333333,3,2.08744277427,2.0390715374,2.08744277427
+meb,2,0.666666666667,3,4.17488554855,1.69182524647,4.17488554855
+meb,3,1,3,6.26232832282,1.18262659353,6.26232832282
+meb_ts,0,0,3,1.51791147532,2.17390572359,1.51791147532
+meb_ts,1,0.5,3,3.89011989907,1.67826615856,3.89011989907
+meb_ts,2,1,3,6.26232832282,1.18262659353,6.26232832282
+sler,0,0,3,0,2.17390572359,1.51791147532
+sler,1,0.333333333333,3,2.05421171447,2.11330998958,2.0586796855
+sler,2,0.666666666667,3,4.10842342895,1.87517144,4.10842342918
+sler,3,1,3,6.16263514342,1.21000718187,6.16263514342
+sler_swap,0,0,3,0,2.15465823554,1.61876811137
+sler_swap,1,0.333333333333,3,2.03212496102,2.10446194946,2.30293433811
+sler_swap,2,0.666666666667,3,4.06424992203,1.76906268397,4.06424992206
+sler_swap,3,1,3,6.09637488305,1.2948926478,6.09637488305
+sler_sched,0,0,3,0,2.17170500255,1.48067816535
+sler_sched,1,0.333333333333,3,2.12399819396,2.13311215452,2.39209097148
+sler_sched,2,0.666666666667,3,4.24799638791,1.78849464391,4.24799638794
+sler_sched,3,1,3,6.37199458187,1.2822704726,6.37199458187
+"""

@@ -8,6 +8,7 @@ import pytest
 from swiptifc import boundary
 from swiptifc import (
     ChannelSet,
+    InfeasibleTargetError,
     InvalidInputError,
     MODES,
     ModePair,
@@ -16,6 +17,7 @@ from swiptifc import (
     emax,
     iterative_waterfilling,
     re_sweep,
+    scheduled_run,
     scheduled_sweep,
     select_mode,
     sler_beam,
@@ -23,6 +25,7 @@ from swiptifc import (
     swap_roles,
     evaluate_all_modes,
 )
+from swiptifc import scheduling
 from swiptifc.scheduling import select_modes
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
@@ -338,6 +341,73 @@ class TestScheduledSweep:
             scheduled_sweep(cs, 1.0, n_points=1)
 
 
+def _refuse():
+    raise InfeasibleTargetError("forced shortfall", max_attainable=0.0)
+    yield
+
+
+class TestScheduledRun:
+    """scheduled_run solves both orientations' sweeps and the scheduled sweep
+    in one lockstep; each curve must equal the one its own call builds."""
+
+    @staticmethod
+    def _check(cs, p, n):
+        cold = []
+        for build in (
+            lambda: re_sweep(cs, "sler", p, n_points=n),
+            lambda: re_sweep(swap_roles(cs), "sler", p, n_points=n),
+            lambda: scheduled_sweep(cs, p, n_points=n),
+        ):
+            boundary._shared_context.cache_clear()
+            cold.append(build())
+        boundary._shared_context.cache_clear()
+        *got, tags = scheduled_run(cs, p, n_points=n)
+        own, mirrored, (sched, sched_tags) = cold
+        for g, w in zip(got, (own, mirrored, sched)):
+            assert g.points == w.points
+            assert g.gaps == w.gaps
+            assert (g.e_max, g.strategy, g.channel_digest) == (w.e_max, w.strategy, w.channel_digest)
+        assert tags == sched_tags
+        return got, tags
+
+    @pytest.mark.parametrize("m_t,m_r", [(2, 2), (3, 2), (2, 3), (4, 4)])
+    def test_matches_cold_calls(self, m_t, m_r):
+        for a, seed in ((0.7, 1), (1.0, 2)):
+            cs = draw_channel_set(m_t, m_r, np.array([[1.0, a], [a, 1.0]]), seed=seed)
+            self._check(cs, 50.0, 20)
+
+    def test_forced_fallback(self, monkeypatch):
+        # the first choice of one interior target cannot reach it, so the
+        # other orientation serves it in the second lockstep
+        p = 50.0
+        n = 16
+        cs = draw_channel_set(2, 2, np.array([[1.0, 0.7], [0.7, 1.0]]), seed=3)
+        ctxs = scheduling._orientations(cs, "sler", p)
+        grid, _, orders = scheduling._plan(cs, ctxs, p, n)
+        k = next(k for k in range(1, n) if len(orders[k]) == 2)
+        first, second = orders[k]
+        refused = (ctxs[first].cs.h11.copy(), float(grid[k]))
+        real = boundary._point_steps
+
+        def steps(ctx, e_bar, n_max):
+            if e_bar == refused[1] and np.array_equal(ctx.cs.h11, refused[0]):
+                return _refuse()
+            return real(ctx, e_bar, n_max)
+
+        monkeypatch.setattr(boundary, "_point_steps", steps)
+        (_, _, sched), tags = self._check(cs, p, n)
+        assert not sched.gaps
+        assert tags[k] == second
+        assert [t for i, t in enumerate(tags) if i != k] == [
+            order[0] for i, order in enumerate(orders) if i != k
+        ]
+
+    def test_rejects_tiny_grid(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=8)
+        with pytest.raises(InvalidInputError):
+            scheduled_run(cs, 1.0, n_points=1)
+
+
 class TestEvaluateAllModes:
     def test_table_contents(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=11)
@@ -357,3 +427,15 @@ class TestEvaluateAllModes:
         for a, b in zip(want.points, got.points):
             assert a.rate_bits == pytest.approx(b.rate_bits, rel=1e-12)
             assert a.energy == pytest.approx(b.energy, rel=1e-12)
+
+    def test_orientations_match_cold_sweeps(self):
+        # both orientations are swept in one lockstep; each equals its own sweep
+        cs = draw_channel_set(3, 2, ALPHA, seed=12)
+        p = 5.0
+        boundary._shared_context.cache_clear()
+        table = evaluate_all_modes(cs, p, n_points=9)
+        for side, got in ((cs, table.eh1_id2), (swap_roles(cs), table.id1_eh2)):
+            boundary._shared_context.cache_clear()
+            want = re_sweep(side, "sler", p, n_points=9)
+            assert got.points == want.points
+            assert (got.gaps, got.e_max) == (want.gaps, want.e_max)
