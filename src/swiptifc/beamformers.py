@@ -312,7 +312,8 @@ def slnr_directions(h11, h21, p1s):
     m_r, m_t = h11.shape[-2:]
     num = hermitian_part(h11.conj().swapaxes(-1, -2) @ h11)
     eye = np.eye(m_t)
-    den = hermitian_part(h21.conj().swapaxes(-1, -2) @ h21) + (m_r / np.asarray(p1s))[:, None, None] * eye
+    den = hermitian_part(h21.conj().swapaxes(-1, -2) @ h21)
+    den = den + (m_r / np.asarray(p1s))[:, None, None] * eye
     low = np.linalg.cholesky(den)
     half = np.linalg.solve(low, num)
     _, vecs = np.linalg.eigh(hermitian_part(np.linalg.solve(low, half.conj().swapaxes(-1, -2))))

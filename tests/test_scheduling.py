@@ -366,7 +366,8 @@ class TestScheduledRun:
         for g, w in zip(got, (own, mirrored, sched)):
             assert g.points == w.points
             assert g.gaps == w.gaps
-            assert (g.e_max, g.strategy, g.channel_digest) == (w.e_max, w.strategy, w.channel_digest)
+            assert (g.e_max, g.strategy, g.seed) == (w.e_max, w.strategy, w.seed)
+            assert g.channel_digest == w.channel_digest
         assert tags == sched_tags
         return got, tags
 
