@@ -12,7 +12,6 @@ import numpy as np
 
 from swiptifc import (
     draw_channel_set,
-    generalized_eig_max,
     meb,
     re_sweep,
     sler,
@@ -20,6 +19,7 @@ from swiptifc import (
     slnr_beam,
 )
 from swiptifc.linalg import spectral_norm
+from swiptifc.oracle import generalized_eig_max
 
 cs = draw_channel_set(4, 4, [[1.0, 0.8], [0.8, 1.0]], seed=5)
 h11, h21 = cs.h11, cs.h21

@@ -4,7 +4,8 @@ simultaneous information decoding and RF energy harvesting.
 Receivers either decode or harvest; the library evaluates all four mode
 assignments, traces the achievable rate-energy boundary of the mixed modes
 under several rank-one transmit strategies, and checks every closed form
-against independent brute-force oracles.
+against independent brute-force oracles.  The oracles and their censuses live
+in `swiptifc.oracle`, which the package does not import.
 """
 
 __version__ = "0.1.0"
@@ -55,13 +56,10 @@ from .beamformers import (
     waterfill,
 )
 from .boundary import (
-    Lemma1Result,
     P3Diagnostics,
     REBoundary,
     REPoint,
     emax,
-    inner_max,
-    lemma1_transform,
     re_boundary_point,
     re_sweep,
     solve_p3,
@@ -76,12 +74,6 @@ from .scheduling import (
     scheduled_sweep,
     select_mode,
     sler_pair,
-)
-from .oracle import (
-    P3Problem,
-    generalized_eig_max,
-    grid_kkt_check,
-    random_psd_search,
 )
 from .experiments import (
     CSV_COLUMNS,
@@ -137,14 +129,11 @@ __all__ = [
     "P3Diagnostics",
     "REPoint",
     "REBoundary",
-    "Lemma1Result",
     "emax",
-    "inner_max",
     "solve_p3",
     "re_boundary_point",
     "re_sweep",
     "time_sharing_curve",
-    "lemma1_transform",
     "MODES",
     "ModePair",
     "ModeTable",
@@ -153,10 +142,6 @@ __all__ = [
     "scheduled_sweep",
     "scheduled_run",
     "evaluate_all_modes",
-    "P3Problem",
-    "random_psd_search",
-    "generalized_eig_max",
-    "grid_kkt_check",
     "CSV_COLUMNS",
     "ExperimentConfig",
     "PRESETS",

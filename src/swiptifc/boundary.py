@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 
 from .beamformers import (
     check_strategy,
@@ -66,11 +65,9 @@ from .beamformers import (
 )
 from .channel import channel_digest
 from .exceptions import (
-    DualInfeasibleError,
     InfeasibleTargetError,
     InvalidInputError,
     InvariantViolationError,
-    SingularMatrixError,
     SwiptError,
 )
 from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm, svd
@@ -86,14 +83,11 @@ __all__ = [
     "P3Diagnostics",
     "REPoint",
     "REBoundary",
-    "Lemma1Result",
     "emax",
-    "inner_max",
     "solve_p3",
     "re_boundary_point",
     "re_sweep",
     "time_sharing_curve",
-    "lemma1_transform",
 ]
 
 _LN2 = float(np.log(2.0))
@@ -186,22 +180,6 @@ class REBoundary:
                     )
             prev = pt
         return self
-
-
-@dataclass
-class Lemma1Result:
-    """Invertible input transform T aligning the cross link with identity.
-
-    U_g^H H_own T = diag(sigma_g) and V_g^H H_cross T = I hold within 1e-8;
-    the achieved residuals are stored.
-    """
-
-    t: np.ndarray
-    u_g: np.ndarray
-    v_g: np.ndarray
-    sigma_g: np.ndarray
-    residual_own: float
-    residual_cross: float
 
 
 # ---------------------------------------------------------------------------
@@ -582,27 +560,6 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
         repaired=repaired,
         rescaled=rescaled,
     )
-
-
-def inner_max(a, h22_tilde):
-    """Maximizer of log det(I + Ht Q Ht^H) - tr(A Q) over PSD Q.
-
-    A must be Hermitian PD; with the SVD Ht A^{-1/2} = U Sigma V^H the
-    solution is A^{-1/2} V diag((1 - 1/sigma_i^2)^+) V^H A^{-1/2}.
-    """
-    a = as_matrix(a, "a")
-    try:
-        ai = inv_sqrt_psd(a)
-    except SingularMatrixError as exc:
-        raise DualInfeasibleError(f"price matrix is not PD: {exc}") from None
-    ht = as_matrix(h22_tilde, "h22_tilde")
-    b = ht @ ai
-    _, sig, v = svd(b)
-    ptil = np.zeros(b.shape[1])
-    ptil[: sig.size] = np.maximum(1.0 - 1.0 / np.maximum(sig**2, 1e-300), 0.0)
-    q = ai @ ((v * ptil[None, :]) @ v.conj().T) @ ai
-    q = hermitian_part(q)
-    return TxCovariance(q, float(np.trace(q).real) + 1e-12)
 
 
 def solve_p3(h22_tilde, h12, e_target, p):
@@ -1104,11 +1061,10 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5)
     pending (e_bar, P1) pairs of every target as one stacked batch; targets
     the orientation's shared context has already solved, possibly in a
     lockstep spanning both orientations (`scheduling.scheduled_run`), are
-    reused.  Failed
-    points become gap entries instead of aborting the sweep; a point whose
-    rate a higher target's point beats is replaced by a copy of it (flagged
-    `carried`), and the finished boundary is validated against its
-    monotonicity invariants.
+    reused.  Failed points become gap entries instead of aborting the sweep;
+    a point whose rate a higher target's point beats is replaced by a copy
+    of it (flagged `carried`), and the finished boundary is validated
+    against its monotonicity invariants.
     """
     if e_grid is None and n_points < 2:
         raise InvalidInputError("n_points must be >= 2")
@@ -1198,54 +1154,3 @@ def time_sharing_curve(cs, strategy, p, weights=None, split=0.5):
     )
     boundary.validate()
     return boundary
-
-
-def lemma1_transform(h_own, h_cross):
-    """Invertible T with U_g^H H_own T diagonal and V_g^H H_cross T = I.
-
-    Built from the thin QR of the stacked pair and one SVD: with
-    [H_own; H_cross] = [Qa; Qb] R and Qa = U_g S_a W^H, the columns of Qb W
-    are orthogonal with norms sqrt(1 - s_a_i^2), giving V_g by normalization
-    and T = R^{-1} W diag(1/s_b).  Requires H_cross of full column rank.
-    """
-    h_own = as_matrix(h_own, "h_own")
-    h_cross = as_matrix(h_cross, "h_cross")
-    if h_own.shape != h_cross.shape:
-        raise InvalidInputError("h_own and h_cross must share a shape")
-    m_r, m_t = h_own.shape
-    if m_r < m_t:
-        raise InvalidInputError("needs at least as many receive as transmit antennas")
-    qq, rr = np.linalg.qr(np.vstack((h_own, h_cross)))
-    qa, qb = qq[:m_r], qq[m_r:]
-    u_g, s_a, wh = np.linalg.svd(qa)
-    w = wh.conj().T
-    s_a = np.clip(s_a, 0.0, 1.0)
-    s_b = np.sqrt(np.maximum(1.0 - s_a**2, 0.0))
-    if s_b.min() <= 1e-12:
-        raise SingularMatrixError(
-            "cross link is rank deficient in a direction where the own link saturates"
-        )
-    cols = (qb @ w) / s_b[None, :]
-    if m_r == m_t:
-        v_g = cols
-    else:
-        # complete the orthonormal columns to a full unitary basis
-        proj = np.eye(m_r, dtype=np.complex128) - cols @ cols.conj().T
-        wp, vp = np.linalg.eigh(hermitian_part(proj))
-        v_g = np.hstack((cols, vp[:, wp > 0.5]))
-    t = scipy.linalg.solve(rr, w) / s_b[None, :]
-    sigma_g = s_a / s_b
-    target = np.zeros((m_r, m_t))
-    target[np.arange(m_t), np.arange(m_t)] = sigma_g
-    res_own = float(np.linalg.norm(u_g.conj().T @ h_own @ t - target))
-    res_cross = float(
-        np.linalg.norm(v_g.conj().T @ h_cross @ t - np.eye(m_r, m_t))
-    )
-    return Lemma1Result(
-        t=t,
-        u_g=u_g,
-        v_g=v_g,
-        sigma_g=sigma_g,
-        residual_own=res_own,
-        residual_cross=res_cross,
-    )

@@ -5,6 +5,8 @@ boundary solver, and the end-to-end experiment runner.  Each check prints
 one `[acceptance] C<n> <name>: PASS|FAIL` line (also to the unbuffered
 stream, so the verdicts survive pytest's capture) and then asserts.
 
+C1-C5 run the census functions of `swiptifc.oracle` (the same ones behind
+`swiptifc oracle-suite`) on their full draws and judge the figures here.
 The censuses run on fixed seeds and are sized to finish in minutes, not
 hours; the shared 100-draw sweep fixture is module-scoped so the boundary
 checks pay for it once.
@@ -21,26 +23,22 @@ from swiptifc import (
     draw_channel_set,
     eh_eh_optimal,
     emax,
-    generalized_eig_max,
     iterative_waterfilling,
-    lemma1_transform,
-    meb,
     preset_variants,
-    random_psd_search,
     re_boundary_point,
     re_sweep,
     run_experiment,
     scheduled_sweep,
-    sler,
-    sler_beam,
-    solve_p3,
-    stacked_channel,
-    achievable_rate,
     swap_roles,
     time_sharing_curve,
-    waterfill,
 )
-from swiptifc.linalg import inv_sqrt_psd, spectral_norm, svd
+from swiptifc.oracle import (
+    factorization_census,
+    harvest_census,
+    p3_endpoint_census,
+    ratio_beam_census,
+    waterfill_census,
+)
 
 P = 50.0
 ONES = [[1.0, 1.0], [1.0, 1.0]]
@@ -101,33 +99,7 @@ def test_c01_dual_harvest_closed_form_vs_search(capsys):
     stacked-channel Gram), so each transmitter is searched on its own against
     its P*sigma_max^2 share; 1e5 trials per transmitter split across ranks.
     """
-    worst_rel = 0.0
-    worst_excess = -np.inf
-    for k in range(100):
-        m = 2 + k % 3
-        cs = draw_channel_set(m, m, ONES, seed=1000 + k)
-        _, _, total = eh_eh_optimal(cs, P)
-        closed = 0.0
-        for tx in (1, 2):
-            hs = stacked_channel(cs, tx)
-            bound = P * spectral_norm(hs) ** 2
-            closed += bound
-            gram = hs.conj().T @ hs
-
-            def energy_of(qs, g=gram):
-                return np.einsum("ij,kji->k", g, qs).real
-
-            for rank in range(1, m + 1):
-                best, _ = random_psd_search(
-                    energy_of,
-                    m,
-                    P,
-                    rank,
-                    trials=100000 // m,
-                    seed=7000 + 8 * k + 4 * (tx - 1) + rank,
-                )
-                worst_excess = max(worst_excess, (best - bound) / bound)
-        worst_rel = max(worst_rel, abs(total - closed) / closed)
+    worst_rel, worst_excess, _ = harvest_census(100, 1000, 7000, P, 100000)
     ok = worst_rel <= 1e-9 and worst_excess <= 1e-9
     _verdict(
         capsys,
@@ -140,27 +112,7 @@ def test_c01_dual_harvest_closed_form_vs_search(capsys):
 
 def test_c02_waterfilling_kkt_suite(capsys):
     """1000 random (H, R, P) instances: common level, exact trace, PSD."""
-    worst_level = 0.0
-    worst_trace = 0.0
-    worst_neg = 0.0
-    for k in range(1000):
-        m = 1 + k % 6
-        rng = np.random.default_rng(11000 + k)
-        h = _cgauss(rng, m, m)
-        a = _cgauss(rng, m, m)
-        r = np.eye(m) + a @ a.conj().T
-        p = float(10 ** rng.uniform(np.log10(0.05), np.log10(20.0)))
-        q = waterfill(h, r, p).q
-        eigs = np.linalg.eigvalsh(q)
-        worst_neg = max(worst_neg, -float(eigs[0]) / p)
-        worst_trace = max(worst_trace, abs(float(np.trace(q).real) - p) / p)
-        # water level read off in the whitened right-singular basis
-        _, sv, v = svd(inv_sqrt_psd(r) @ h)
-        powers = np.einsum("ji,jk,ki->i", v.conj(), q, v).real
-        active = powers > 1e-6 * p
-        if np.any(active):
-            levels = powers[active] + 1.0 / sv[active] ** 2
-            worst_level = max(worst_level, float(levels.max() - levels.min()))
+    worst_level, worst_trace, worst_neg = waterfill_census(1000, 11000)
     ok = worst_level <= 1e-8 and worst_trace <= 1e-10 and worst_neg <= 1e-10
     _verdict(
         capsys,
@@ -174,23 +126,7 @@ def test_c02_waterfilling_kkt_suite(capsys):
 
 def test_c03_pair_factorization_residuals(capsys):
     """500 channel pairs: the joint factorization reproduces both links."""
-    worst_own = 0.0
-    worst_cross = 0.0
-    for k in range(500):
-        m = 2 + k % 5
-        cs = draw_channel_set(m, m, ONES, seed=2000 + k)
-        res = lemma1_transform(cs.h11, cs.h21)
-        sig = res.sigma_g
-        if sig.ndim == 1:
-            sig = np.diag(sig)
-        worst_own = max(
-            worst_own,
-            float(np.linalg.norm(res.u_g.conj().T @ cs.h11 @ res.t - sig)),
-        )
-        worst_cross = max(
-            worst_cross,
-            float(np.linalg.norm(res.v_g.conj().T @ cs.h21 @ res.t - np.eye(m))),
-        )
+    worst_own, worst_cross = factorization_census(500, 2000)
     ok = worst_own < 1e-8 and worst_cross < 1e-8
     _verdict(
         capsys,
@@ -209,25 +145,7 @@ def test_c04_leakage_ratio_beam_vs_generalized_eig(capsys):
     largest floor is deep in the energy-dominated regime, where the beam must
     align with the maximum-energy direction.
     """
-    p1 = 0.1
-    worst_rel = 0.0
-    worst_align = 1.0
-    for k in range(500):
-        m = 2 + k % 5
-        cs = draw_channel_set(m, m, ONES, seed=4000 + k)
-        h11, h21 = cs.h11, cs.h21
-        sig2 = spectral_norm(h11) ** 2
-        g11 = h11.conj().T @ h11
-        g21 = h21.conj().T @ h21
-        beam = None
-        for e_bar in (0.0, 0.5 * P * sig2, 2.0 * P * sig2):
-            beam = sler_beam(h11, h21, e_bar, p1)
-            achieved = sler(beam, h11, h21, e_bar)
-            floor = max(e_bar - p1 * sig2, 0.0)
-            target, _ = generalized_eig_max(p1 * g11, p1 * g21 + floor * np.eye(m))
-            worst_rel = max(worst_rel, abs(achieved - target) / abs(target))
-        # beam still holds the largest-floor solution here
-        worst_align = min(worst_align, abs(np.vdot(beam.v, meb(h11, p1).v)))
+    worst_rel, worst_align = ratio_beam_census(500, 4000, P, 0.1)
     ok = worst_rel <= 1e-6 and worst_align > 0.999
     _verdict(
         capsys,
@@ -240,27 +158,7 @@ def test_c04_leakage_ratio_beam_vs_generalized_eig(capsys):
 
 def test_c05_energy_constrained_rate_endpoints(capsys):
     """Inactive constraint returns pure water-filling; the cap returns the beam."""
-    worst_wf = 0.0
-    worst_cap_q = 0.0
-    worst_cap_rate = 0.0
-    for k in range(100):
-        cs = draw_channel_set(4, 4, ONES, seed=5000 + k)
-        eye = np.eye(4)
-        _, diag0 = solve_p3(cs.h22, cs.h12, 0.0, P)
-        ref = achievable_rate(cs.h22, eye, waterfill(cs.h22, eye, P).q)
-        worst_wf = max(worst_wf, abs(diag0.rate_bits - ref) / ref)
-        cap = P * spectral_norm(cs.h12) ** 2
-        qc, diagc = solve_p3(cs.h22, cs.h12, cap, P)
-        _, _, v12 = svd(cs.h12)
-        v1 = v12[:, 0]
-        worst_cap_q = max(
-            worst_cap_q,
-            float(np.linalg.norm(qc.q - P * np.outer(v1, v1.conj()))),
-        )
-        cap_rate = float(np.log2(1.0 + P * np.linalg.norm(cs.h22 @ v1) ** 2))
-        worst_cap_rate = max(
-            worst_cap_rate, abs(diagc.rate_bits - cap_rate) / cap_rate
-        )
+    worst_wf, worst_cap_q, worst_cap_rate = p3_endpoint_census(100, 5000, P)
     ok = worst_wf <= 1e-9 and worst_cap_q < 1e-4 * P and worst_cap_rate <= 1e-6
     _verdict(
         capsys,

@@ -14,7 +14,6 @@ from swiptifc import (
     meb,
     meb_rank2,
     mlb,
-    random_psd_search,
     sler,
     sler_beam,
     slnr_beam,
@@ -22,6 +21,7 @@ from swiptifc import (
     waterfill,
 )
 from swiptifc.beamformers import water_level
+from swiptifc.oracle import random_psd_search
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
 

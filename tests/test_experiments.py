@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swiptifc
 from swiptifc import experiments
 from swiptifc import (
     CSV_COLUMNS,
@@ -335,3 +340,19 @@ sler_sched,1,0.333333333333,3,2.12399819396,2.13311215452,2.39209097148
 sler_sched,2,0.666666666667,3,4.24799638791,1.78849464391,4.24799638794
 sler_sched,3,1,3,6.37199458187,1.2822704726,6.37199458187
 """
+
+
+def test_runtime_imports_numpy_only():
+    # a fresh interpreter: the production modules load neither scipy nor the oracles
+    src = str(Path(swiptifc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys, swiptifc, swiptifc.experiments; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m == 'swiptifc.oracle'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

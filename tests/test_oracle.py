@@ -1,16 +1,17 @@
-"""Tests for the brute-force search and local-optimality oracles."""
+"""Tests for the verification routes: brute-force search, local-optimality
+probes, the priced inner maximizer and the link-pair factorization."""
 
 import numpy as np
 import pytest
 
-from swiptifc import (
-    InvalidInputError,
+from swiptifc import DualInfeasibleError, InvalidInputError, solve_p3, waterfill
+from swiptifc.oracle import (
     P3Problem,
     generalized_eig_max,
     grid_kkt_check,
+    inner_max,
+    lemma1_transform,
     random_psd_search,
-    solve_p3,
-    waterfill,
 )
 
 
@@ -188,3 +189,67 @@ class TestGridKktCheck:
         e_q = float(np.trace(h12 @ q @ h12.conj().T).real)
         prob = P3Problem(h22t, h12, e_target=e_q / 4.0, p=p)
         assert not grid_kkt_check(prob, q, step=1e-2)
+
+
+class TestInnerMax:
+    def test_balanced_price_gives_zero(self):
+        # unit modes priced at exactly their inverse gain: nothing to fill
+        q = inner_max(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+        assert np.allclose(q.q, 0.0, atol=1e-12)
+
+    def test_cheap_price_fills_uniformly(self):
+        q = inner_max(0.25 * np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+        assert np.allclose(q.q, 3.0 * np.eye(2), atol=1e-9)
+
+    def test_scalar_formula(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            a = float(rng.uniform(0.05, 5.0))
+            h = float(rng.uniform(0.1, 3.0))
+            q = inner_max(np.array([[a]], dtype=complex), np.array([[h]], dtype=complex))
+            want = max(1.0 / a - 1.0 / h**2, 0.0)
+            assert q.q[0, 0].real == pytest.approx(want, abs=1e-9)
+
+    def test_non_pd_price_raises(self):
+        with pytest.raises(DualInfeasibleError):
+            inner_max(np.diag([1.0, -0.1]).astype(complex), np.eye(2, dtype=complex))
+
+
+class TestLemma1:
+    def test_identity_links(self):
+        res = lemma1_transform(np.eye(3, dtype=complex), np.eye(3, dtype=complex))
+        assert res.residual_own < 1e-10
+        assert res.residual_cross < 1e-10
+        assert np.allclose(res.sigma_g, 1.0)
+
+    def test_random_square(self):
+        rng = np.random.default_rng(81)
+        for _ in range(20):
+            h_own = _cgauss(rng, 3, 3)
+            h_cross = _cgauss(rng, 3, 3)
+            res = lemma1_transform(h_own, h_cross)
+            assert res.residual_own < 1e-8
+            assert res.residual_cross < 1e-8
+            assert np.all(np.diff(res.sigma_g) <= 1e-12)
+            # reconstruction through the reported factors
+            d_a = res.u_g.conj().T @ h_own @ res.t
+            d_b = res.v_g.conj().T @ h_cross @ res.t
+            assert np.linalg.norm(d_a - np.diag(np.diag(d_a))) < 1e-8
+            assert np.linalg.norm(d_b - np.diag(np.diag(d_b))) < 1e-8
+
+    def test_tall_links(self):
+        rng = np.random.default_rng(82)
+        res = lemma1_transform(_cgauss(rng, 4, 3), _cgauss(rng, 4, 3))
+        assert res.residual_own < 1e-8
+        assert res.residual_cross < 1e-8
+        # receive-side bases are completed to full unitaries
+        assert res.u_g.shape == (4, 4)
+        assert res.v_g.shape == (4, 4)
+        assert np.allclose(res.v_g.conj().T @ res.v_g, np.eye(4), atol=1e-10)
+        assert res.t.shape == (3, 3)
+        assert res.sigma_g.shape == (3,)
+
+    def test_wide_links_rejected(self):
+        rng = np.random.default_rng(83)
+        with pytest.raises(InvalidInputError):
+            lemma1_transform(_cgauss(rng, 2, 3), _cgauss(rng, 2, 3))
