@@ -14,18 +14,15 @@ from pathlib import Path
 from swiptifc import (
     ExperimentConfig,
     draw_channel_set,
-    re_sweep,
     run_experiment,
-    scheduled_sweep,
-    swap_roles,
+    scheduled_run,
 )
 
 p = 50.0
 cs = draw_channel_set(2, 2, [[1.0, 1.0], [1.0, 1.0]], seed=12)
 
-sched, tags = scheduled_sweep(cs, p, n_points=9)
-fixed_a = re_sweep(cs, "sler", p, n_points=9)
-fixed_b = re_sweep(swap_roles(cs), "sler", p, n_points=9)
+# both fixed orientations and the scheduled sweep, from one lockstep
+fixed_a, fixed_b, sched, tags = scheduled_run(cs, p, n_points=9)
 
 print("target (W) | scheduled rate | harvesting side")
 for pt, tag in zip(sched.points, tags):

@@ -30,11 +30,9 @@ H22~, water-filling, and, for the targets on the DUAL branch, a lockstep
 root over rho whose every step is one stacked SVD.  `re_boundary_point`,
 `solve_p3` and the endpoint search run the same code with one target.
 
-A strategy context (`_context`) is shared per channel orientation,
-strategy, P and split: its e_max is found once, and it keeps every solved
-target's outcome, so `re_sweep`, `re_boundary_point`, `emax` and the
-scheduled sweep solve each (target, round limit) of an orientation once.
-Shared points and errors are never mutated.
+Each public entry point builds the strategy context (`_StrategyContext`)
+of its channel orientation, strategy, P and split, and passes it down; a
+context finds its e_max once.  Nothing is kept between calls.
 
 One lockstep may span several contexts that share strategy, P, split and
 link shape (`_solve_many`), such as both orientations of one channel: every
@@ -43,9 +41,7 @@ and constants, stacked once per lockstep (`_stack`).  Solving one context
 is the one-context case of the same code.
 """
 
-import copy
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -290,24 +286,18 @@ def _brentq_steps(xpre, xcur):
 # floored rate problem: maximize log det(I + Ht Q Ht^H) s.t. the energy floor
 
 
-@functools.lru_cache(maxsize=8)
-def _cross_factor(shape, data):
-    """G = H12^H H12 = W diag(c) W^H for the cross link stored in `data`.
+def _cross_factor(h12):
+    """G = H12^H H12 = W diag(c) W^H of a cross link, with c descending.
 
-    Keyed on the link's shape and bytes, so each channel is factored once;
-    returns read-only (c, W, cmax, v12).
+    Returns (c, W, cmax, v12), v12 the unit beam along G's top eigenvector.
     """
-    h12 = np.frombuffer(data, dtype=np.complex128).reshape(shape)
     c, w = hermitian_eig(h12.conj().T @ h12)
     c = np.maximum(c, 0.0)
-    v12 = canonical_beam(w[:, 0], 1.0).v
-    for arr in (c, w, v12):
-        arr.setflags(write=False)
-    return c, w, float(c[0]), v12
+    return c, w, float(c[0]), canonical_beam(w[:, 0], 1.0).v
 
 
 def _cross_energy(c, w, q):
-    """tr(H12 Q H12^H) of each Q of a stack, through the cached factorization
+    """tr(H12 Q H12^H) of each Q of a stack, through the factorization of G
     (one (c, W) for the stack, or one per Q)."""
     wq = w.conj().swapaxes(-1, -2) @ q @ w
     return np.sum(c * np.diagonal(wq, axis1=-2, axis2=-1).real, axis=-1)
@@ -589,7 +579,7 @@ def solve_p3(h22_tilde, h12, e_target, p):
         raise InvalidInputError(
             f"transmit dims differ: h22_tilde {ht.shape}, h12 {h12.shape}"
         )
-    cross = _cross_factor(h12.shape, h12.tobytes())
+    cross = _cross_factor(h12)
     cap = p * cross[2]
     if e_target > cap * (1.0 + _FEAS_SLACK) + 1e-12:
         raise InfeasibleTargetError(
@@ -608,10 +598,10 @@ def solve_p3(h22_tilde, h12, e_target, p):
 
 
 class _StrategyContext:
-    """Cached per-channel quantities plus the beam family of one strategy.
+    """Per-channel quantities plus the beam family of one strategy.
 
-    `consts` holds what an evaluation reads per row (see `_stack`); `solved`
-    maps (e_bar, n_max) to the outcome `_solve_many` found.
+    `consts` holds what an evaluation reads per row (see `_stack`); e_max is
+    found once, on first use.
     """
 
     def __init__(self, cs, strategy, p, split=0.5):
@@ -623,7 +613,7 @@ class _StrategyContext:
             raise InvalidInputError(f"power budget must be positive, got {p!r}")
         self.split = split
         _, s12, _ = svd(cs.h12)
-        c, w, cmax, v12 = _cross_factor(cs.h12.shape, cs.h12.tobytes())
+        c, w, cmax, v12 = _cross_factor(cs.h12)
         self.consts = dict(
             h11=cs.h11,
             h21=cs.h21,
@@ -657,7 +647,6 @@ class _StrategyContext:
             if strategy == "sler":
                 self.consts["h11_norm2"] = spectral_norm(cs.h11) ** 2
         self._emax = None
-        self.solved = {}
 
     def emax(self):
         """Largest reachable energy target for this strategy at full power."""
@@ -805,27 +794,9 @@ def _emax_many(ctxs):
     return [ctx._emax for ctx in ctxs]
 
 
-@functools.lru_cache(maxsize=8)
-def _shared_context(shape, links, strategy, p, split):
-    """The context of the orientation whose links (h11, h12, h21, h22) are
-    stored in `links`, built on read-only copies of them."""
-    h11, h12, h21, h22 = (
-        np.frombuffer(data, dtype=np.complex128).reshape(shape) for data in links
-    )
-    cs = SimpleNamespace(h11=h11, h12=h12, h21=h21, h22=h22, m_r=shape[0], m_t=shape[1])
-    return _StrategyContext(cs, strategy, p, split)
-
-
-def _context(cs, strategy, p, split=0.5):
-    """The strategy context of a channel orientation, shared by every call
-    with the same links (by shape and bytes), strategy, P and split."""
-    links = tuple(h.tobytes() for h in (cs.h11, cs.h12, cs.h21, cs.h22))
-    return _shared_context(cs.h11.shape, links, strategy, float(p), split)
-
-
 def emax(cs, strategy, p, split=0.5):
     """Right boundary endpoint: the largest energy any sweep can target."""
-    return _context(cs, strategy, p, split).emax()
+    return _StrategyContext(cs, strategy, p, split).emax()
 
 
 @dataclass
@@ -898,7 +869,7 @@ def _evaluate_batch(st, ci, e_bars, p1s):
     )
 
 
-def _rescue_steps(ctx, e_eff, n_max):
+def _rescue_steps(ctx, e_eff):
     """Recover a boundary point when the power backoff stalls short.
 
     An adaptive beam stops tilting toward the energy subspace as soon as its
@@ -922,7 +893,7 @@ def _rescue_steps(ctx, e_eff, n_max):
     if best is None:
         return None, max_seen
     p1, ev = best
-    for _ in range(n_max):
+    for _ in range(_N_MAX):
         if not (ev.e11 + ev.e2 > e_eff and ev.kappa > 0.0):
             break
         p1_new = min(max((e_eff - ev.e2) / ev.kappa, 0.0), p)
@@ -935,13 +906,13 @@ def _rescue_steps(ctx, e_eff, n_max):
     return p1, ev
 
 
-def _point_steps(ctx, e_bar, n_max):
+def _point_steps(ctx, e_bar):
     """One target's boundary point, as a lockstep generator.
 
     Alternates the decoding user's floored rate problem with the power
-    backoff at transmitter 1 until P1 moves less than 1e-8 * P or `n_max`
-    rounds pass, then reports the achieved (rate, energy) pair.  Yields the
-    P1 values to evaluate at this target and is sent their evaluations.
+    backoff at transmitter 1 until P1 moves less than 1e-8 * P or 20 rounds
+    pass, then reports the achieved (rate, energy) pair.  Yields the P1
+    values to evaluate at this target and is sent their evaluations.
     """
     em = ctx.emax()
     e_bar = float(e_bar)
@@ -957,7 +928,7 @@ def _point_steps(ctx, e_bar, n_max):
     p1 = p
     ev = None
     iters = 0
-    for iters in range(1, n_max + 1):
+    for iters in range(1, _N_MAX + 1):
         (ev,) = yield [p1]
         if ev.e11 + ev.e2 > e_eff and ev.kappa > 0.0:
             p1_new = min(max((e_eff - ev.e2) / ev.kappa, 0.0), p)
@@ -972,7 +943,7 @@ def _point_steps(ctx, e_bar, n_max):
     achieved = ev.e11 + ev.e2
     tol_e = 1e-9 * max(1.0, e_eff)
     if achieved < e_eff - tol_e and not ctx.fixed:
-        p1_rescued, rescued = yield from _rescue_steps(ctx, e_eff, n_max)
+        p1_rescued, rescued = yield from _rescue_steps(ctx, e_eff)
         if p1_rescued is not None:
             p1, ev = p1_rescued, rescued
         else:
@@ -1006,79 +977,54 @@ def _point_steps(ctx, e_bar, n_max):
     )
 
 
-def _solve_many(jobs, n_max):
+def _solve_many(jobs):
     """Boundary points of several strategy contexts, all in one lockstep.
 
     `jobs` lists (context, e_bars) pairs; the contexts share strategy, P,
     split and link shape, and each round evaluates the pending (e_bar, P1)
-    pairs of every target of every context as one stacked batch.  Returns,
-    per job, each target's REPoint or the SwiptError that stopped it.  Each
-    context keeps its outcomes, so only targets it has not met before at
-    this `n_max` are solved; the outcomes are shared, not copies.
+    pairs of every target of every context as one stacked batch.  Each
+    distinct (context, e_bar) pair is solved once.  Returns a dict that maps
+    each pair to its REPoint or to the SwiptError that stopped it.
     """
-    keyed = [(ctx, [(float(e), n_max) for e in e_bars]) for ctx, e_bars in jobs]
-    todo = list(
-        dict.fromkeys(
-            (ctx, key) for ctx, keys in keyed for key in keys if key not in ctx.solved
-        )
-    )
-    if todo:
-        ctxs = list(dict.fromkeys(ctx for ctx, _ in todo))
-        ems = np.array(_emax_many(ctxs))
-        ci = np.array([ctxs.index(ctx) for ctx, _ in todo])
-        e_eff = np.minimum(np.array([e for _, (e, _) in todo]), ems[ci])
-        st = _stack(ctxs)
+    todo = list(dict.fromkeys((ctx, float(e)) for ctx, e_bars in jobs for e in e_bars))
+    if not todo:
+        return {}
+    ctxs = list(dict.fromkeys(ctx for ctx, _ in todo))
+    ems = np.array(_emax_many(ctxs))
+    ci = np.array([ctxs.index(ctx) for ctx, _ in todo])
+    e_eff = np.minimum(np.array([e for _, e in todo]), ems[ci])
+    st = _stack(ctxs)
 
-        def evaluate(owners, p1s):
-            evs = _evaluate_batch(st, ci[owners], e_eff[owners], np.array(p1s))
-            return [evs.view(i) for i in range(len(p1s))]
+    def evaluate(owners, p1s):
+        evs = _evaluate_batch(st, ci[owners], e_eff[owners], np.array(p1s))
+        return [evs.view(i) for i in range(len(p1s))]
 
-        outs = _run_lockstep([_point_steps(ctx, e, n_max) for ctx, (e, _) in todo], evaluate)
-        for (ctx, key), out in zip(todo, outs):
-            ctx.solved[key] = out
-    return [[ctx.solved[key] for key in keys] for ctx, keys in keyed]
+    outs = _run_lockstep([_point_steps(ctx, e) for ctx, e in todo], evaluate)
+    return dict(zip(todo, outs))
 
 
-def re_boundary_point(cs, strategy, e_bar, p, n_max=_N_MAX, split=0.5):
-    """One point of the rate-energy boundary at energy target `e_bar`.
-
-    Alternates the decoding user's floored rate problem with the power
-    backoff at transmitter 1 until P1 moves less than 1e-8 * P or `n_max`
-    rounds pass, then reports the achieved (rate, energy) pair.
-    """
-    ((out,),) = _solve_many([(_context(cs, strategy, p, split), [e_bar])], n_max)
-    if isinstance(out, SwiptError):
-        # the context keeps the error; raise a copy so its traceback is not grown
-        raise copy.copy(out)
-    return out
-
-
-def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5):
-    """Sweep the boundary over an energy grid (default: uniform on [0, emax]).
-
-    Every grid target runs the same power-backoff alternation as
-    `re_boundary_point`, all of them in lockstep: each round evaluates the
-    pending (e_bar, P1) pairs of every target as one stacked batch; targets
-    the orientation's shared context has already solved, possibly in a
-    lockstep spanning both orientations (`scheduling.scheduled_run`), are
-    reused.  Failed points become gap entries instead of aborting the sweep;
-    a point whose rate a higher target's point beats is replaced by a copy
-    of it (flagged `carried`), and the finished boundary is validated
-    against its monotonicity invariants.
-    """
-    if e_grid is None and n_points < 2:
+def _sweep_grid(ctx, n_points):
+    """The default sweep grid of a context: `n_points` uniform on [0, e_max]."""
+    if n_points < 2:
         raise InvalidInputError("n_points must be >= 2")
-    ctx = _context(cs, strategy, p, split)
-    em = ctx.emax()
-    grid = np.linspace(0.0, em, n_points) if e_grid is None else np.asarray(e_grid, float)
+    return np.linspace(0.0, ctx.emax(), n_points)
+
+
+def _sweep_boundary(ctx, grid, solved):
+    """The validated boundary of one context's sweep over `grid`, from the
+    outcomes `_solve_many` returned.
+
+    Failed points become gap entries; a point whose rate a higher target's
+    point beats is replaced by a copy of it (flagged `carried`).
+    """
     points = []
     gaps = []
-    (outs,) = _solve_many([(ctx, grid)], n_max)
-    for k, (e_bar, out) in enumerate(zip(grid, outs)):
+    for k, e_bar in enumerate(grid.tolist()):
+        out = solved[ctx, e_bar]
         if isinstance(out, SwiptError):
-            gaps.append((k, float(e_bar), str(out)))
-            continue
-        points.append(out)
+            gaps.append((k, e_bar, str(out)))
+        else:
+            points.append(out)
     # a solution for a higher target over-delivers every lower target, so
     # carry it backward wherever it beats the lower target's own solution
     # (adaptive beams can land adjacent targets on different fixed points)
@@ -1086,16 +1032,54 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, n_max=_N_MAX, split=0.5)
         nxt = points[k + 1]
         if nxt.rate_bits > points[k].rate_bits:
             points[k] = dataclasses.replace(nxt, e_bar=points[k].e_bar, carried=True)
-    boundary = REBoundary(
+    return REBoundary(
         points=points,
-        strategy=strategy,
-        channel_digest=channel_digest(cs),
-        e_max=em,
-        seed=cs.seed,
+        strategy=ctx.strategy,
+        channel_digest=channel_digest(ctx.cs),
+        e_max=ctx.emax(),
+        seed=ctx.cs.seed,
         gaps=gaps,
-    )
-    boundary.validate()
-    return boundary
+    ).validate()
+
+
+def re_boundary_point(cs, strategy, e_bar, p, split=0.5):
+    """One point of the rate-energy boundary at energy target `e_bar`.
+
+    Alternates the decoding user's floored rate problem with the power
+    backoff at transmitter 1 until P1 moves less than 1e-8 * P or 20 rounds
+    pass, then reports the achieved (rate, energy) pair.
+    """
+    (out,) = _solve_many([(_StrategyContext(cs, strategy, p, split), [e_bar])]).values()
+    if isinstance(out, SwiptError):
+        raise out
+    return out
+
+
+def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
+    """Sweep the boundary over an energy grid (default: uniform on [0, emax]).
+
+    `e_grid`, if given, must be 1-D, finite, nonnegative and strictly
+    increasing.  Every grid target runs the same power-backoff alternation
+    as `re_boundary_point`, all of them in lockstep: each round evaluates
+    the pending (e_bar, P1) pairs of every target as one stacked batch.
+    Failed points become gap entries instead of aborting the sweep; a point
+    whose rate a higher target's point beats is replaced by a copy of it
+    (flagged `carried`), and the finished boundary is validated against its
+    monotonicity invariants.
+    """
+    if e_grid is not None:
+        try:
+            grid = np.asarray(e_grid, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"e_grid must be numeric: {exc}") from exc
+        if grid.ndim != 1 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
+            raise InvalidInputError("e_grid must be 1-D, finite and nonnegative")
+        if np.any(np.diff(grid) <= 0.0):
+            raise InvalidInputError("e_grid must be strictly increasing")
+    ctx = _StrategyContext(cs, strategy, p, split)
+    if e_grid is None:
+        grid = _sweep_grid(ctx, n_points)
+    return _sweep_boundary(ctx, grid, _solve_many([(ctx, grid)]))
 
 
 def time_sharing_curve(cs, strategy, p, weights=None, split=0.5):

@@ -17,6 +17,7 @@ sweep points.
 
 import dataclasses
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -57,6 +58,11 @@ CSV_COLUMNS = (
 _AGG_COLUMNS = ("strategy", "grid_index", "e_norm", "n_seeds", "e_bar", "rate_bits", "energy")
 
 
+def _is_int(x):
+    """An integer, including numpy's, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _fmt(x):
     if x is None:
         return ""
@@ -84,10 +90,25 @@ class ExperimentConfig:
     figure_preset: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(tuple(float(a) for a in row) for row in self.alpha))
-        object.__setattr__(self, "strategies", tuple(self.strategies))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "modes", tuple(self.modes))
+        try:
+            alpha = tuple(tuple(float(a) for a in row) for row in self.alpha)
+            strategies, seeds, modes = (tuple(v) for v in (self.strategies, self.seeds, self.modes))
+        except (TypeError, ValueError) as exc:
+            msg = f"alpha, strategies, seeds and modes must be sequences ({exc})"
+            raise InvalidInputError(msg) from None
+        for name in ("m_t", "m_r", "e_grid_points", "ts_points"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not all(_is_int(s) for s in seeds) or len(set(seeds)) != len(seeds):
+            raise InvalidInputError(f"seeds must be distinct integers, got {list(seeds)!r}")
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+            raise InvalidInputError(f"power budget must be a real number, got {self.p!r}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "strategies", strategies)
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
+        object.__setattr__(self, "modes", modes)
         if self.m_t < 1 or self.m_r < 1:
             raise InvalidInputError("antenna counts must be positive")
         if len(self.alpha) != 2 or any(len(r) != 2 for r in self.alpha):

@@ -8,23 +8,27 @@ the transmitter that can push more energy to its harvester while leaking
 less onto the decoding receiver wins the harvesting role.  `select_modes`
 rates every target of a grid at once.
 
-A scheduled sweep solves each orientation through the strategy context
-`boundary` shares per channel orientation: e_max and every target already
-solved on that orientation (by `re_sweep`, `re_boundary_point` or an
-earlier scheduled sweep) are reused, not solved again.  One lockstep spans
-both orientations: `scheduled_run` solves every target that both fixed
+A scheduled sweep builds one strategy context per orientation and passes
+both to `boundary`'s lockstep solver, so one lockstep spans both
+orientations: `scheduled_run` solves every target that both fixed
 orientations' sweeps and the scheduled sweep need in a single lockstep (and
-any fallbacks in a second), and `evaluate_all_modes` sweeps both
-orientations in one.
+any fallbacks it has not already solved in a second), and
+`evaluate_all_modes` sweeps both orientations in one.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_directions
-from .boundary import _N_MAX, REBoundary, _context, _emax_many, _solve_many, re_sweep
+from .boundary import (
+    REBoundary,
+    _emax_many,
+    _solve_many,
+    _StrategyContext,
+    _sweep_boundary,
+    _sweep_grid,
+)
 from .channel import channel_digest, swap_roles
 from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
 from .linalg import spectral_norm
@@ -132,10 +136,10 @@ def _orientation_ratios(cs, e_bars, p):
 
 
 def _orientations(cs, strategy, p):
-    """The shared strategy contexts of both orientations, by mode tag."""
+    """The strategy contexts of both orientations, by mode tag."""
     return {
-        "eh1_id2": _context(cs, strategy, p),
-        "id1_eh2": _context(swap_roles(cs), strategy, p),
+        "eh1_id2": _StrategyContext(cs, strategy, p),
+        "id1_eh2": _StrategyContext(swap_roles(cs), strategy, p),
     }
 
 
@@ -162,50 +166,52 @@ def _plan(cs, ctxs, p, n_points):
     return grid, em, orders
 
 
-def _solve_plan(ctxs, grid, orders, n_max, jobs=()):
-    """Outcome of each (target, orientation) the plan reaches: the first
-    choices of both orientations, together with `jobs`, in one lockstep, then
-    the fallbacks of first choices that could not reach their target in a
-    second."""
-    solved = {}
-    for choice in (0, 1):
-        picks = {
-            t: [
-                k
-                for k, order in enumerate(orders)
-                if len(order) > choice
-                and order[choice] == t
-                and (choice == 0 or isinstance(solved[k, order[0]], InfeasibleTargetError))
-            ]
-            for t in ctxs
-        }
-        lead = list(jobs) if choice == 0 else []
-        outs = _solve_many(lead + [(ctxs[t], grid[ks]) for t, ks in picks.items()], n_max)
-        for (t, ks), got in zip(picks.items(), outs[len(lead):]):
-            solved.update(((k, t), out) for k, out in zip(ks, got))
-    return solved
+def _solve_plan(ctxs, grid, orders, jobs=()):
+    """Outcomes of the targets of `jobs` and of each (target, orientation)
+    the plan reaches, keyed as `boundary._solve_many` keys them.
+
+    The first choices of both orientations are solved together with `jobs`
+    in one lockstep.  The fallbacks of first choices that could not reach
+    their target are solved in a second, except those the first one solved.
+    """
+    e_bars = grid.tolist()
+    first = [
+        (ctx, [e for e, order in zip(e_bars, orders) if order[:1] == [t]])
+        for t, ctx in ctxs.items()
+    ]
+    solved = _solve_many(list(jobs) + first)
+    fallbacks = [
+        (ctx, [
+            e for e, order in zip(e_bars, orders)
+            if order[1:] == [t]
+            and isinstance(solved[ctxs[order[0]], e], InfeasibleTargetError)
+            and (ctx, e) not in solved
+        ])
+        for t, ctx in ctxs.items()
+    ]
+    return solved | _solve_many(fallbacks)
 
 
-def _scheduled_boundary(cs, strategy, grid, em, orders, solved):
+def _scheduled_boundary(cs, strategy, ctxs, grid, em, orders, solved):
     """The scheduled curve and its tags: per target, the first orientation
     of its order that reached it."""
     points = []
     tags = []
     gaps = []
-    for k, (e_bar, order) in enumerate(zip(grid, orders)):
+    for k, (e_bar, order) in enumerate(zip(grid.tolist(), orders)):
         pt = None
         err = None
         for t in order:
-            out = solved[k, t]
+            out = solved[ctxs[t], e_bar]
             if isinstance(out, InfeasibleTargetError):
                 err = out
                 continue
             if isinstance(out, SwiptError):
-                raise copy.copy(out)
+                raise out
             pt, tag = out, t
             break
         if pt is None:
-            gaps.append((k, float(e_bar), str(err)))
+            gaps.append((k, e_bar, str(err)))
             continue
         points.append(pt)
         tags.append(tag)
@@ -220,43 +226,38 @@ def _scheduled_boundary(cs, strategy, grid, em, orders, solved):
     return boundary, tags
 
 
-def scheduled_sweep(cs, p, n_points=64, strategy="sler", n_max=20):
+def scheduled_sweep(cs, p, n_points=64, strategy="sler"):
     """Tradeoff sweep with per-target mode selection between orientations.
 
     One `select_modes` call picks the stronger orientation at every target;
     if the chosen orientation cannot reach a target the other one is used
-    instead.  Each orientation is solved through its shared strategy context
-    (`boundary._context`), which reuses its e_max and every target already
-    solved on it.  Both e_max searches run side by side; the first choices
-    of both orientations are solved in one lockstep, and the fallbacks in a
-    second.  Returns the boundary and the per-point mode tags.  The curve is
-    not validated for rate monotonicity: a mode switch along the grid may
-    move the rate in either direction.
+    instead.  Both orientations' e_max searches run side by side; the first
+    choices of both orientations are solved in one lockstep, and the
+    fallbacks in a second.  Returns the boundary and the per-point mode
+    tags.  The curve is not validated for rate monotonicity: a mode switch
+    along the grid may move the rate in either direction.
     """
     ctxs = _orientations(cs, strategy, p)
     grid, em, orders = _plan(cs, ctxs, p, n_points)
-    solved = _solve_plan(ctxs, grid, orders, n_max)
-    return _scheduled_boundary(cs, strategy, grid, em, orders, solved)
+    solved = _solve_plan(ctxs, grid, orders)
+    return _scheduled_boundary(cs, strategy, ctxs, grid, em, orders, solved)
 
 
-def scheduled_run(cs, p, n_points=64, strategy="sler", n_max=20):
+def scheduled_run(cs, p, n_points=64, strategy="sler"):
     """Both fixed orientations' sweeps and the scheduled sweep of one channel.
 
-    Returns (eh1_id2, id1_eh2, scheduled, tags): `re_sweep` of `cs` and of
-    `swap_roles(cs)` on their own grids, and `scheduled_sweep`'s boundary and
-    tags.  Both e_max searches run side by side, and one lockstep solves
-    every target the three curves need (a second one any fallbacks), so the
-    curves are then assembled from the shared contexts.
+    Returns (eh1_id2, id1_eh2, scheduled, tags): the boundaries that
+    `re_sweep` builds for `cs` and for `swap_roles(cs)` on their own grids,
+    and `scheduled_sweep`'s boundary and tags.  Both e_max searches run side
+    by side, and one lockstep solves every target the three curves need; a
+    second one solves the fallbacks it has not already solved.
     """
     ctxs = _orientations(cs, strategy, p)
     grid, em, orders = _plan(cs, ctxs, p, n_points)
-    own = [(ctx, np.linspace(0.0, ctx.emax(), n_points)) for ctx in ctxs.values()]
-    solved = _solve_plan(ctxs, grid, orders, n_max, own)
-    sweeps = [
-        re_sweep(side, strategy, p, n_points=n_points, n_max=n_max)
-        for side in (cs, swap_roles(cs))
-    ]
-    return (*sweeps, *_scheduled_boundary(cs, strategy, grid, em, orders, solved))
+    own = [(ctx, _sweep_grid(ctx, n_points)) for ctx in ctxs.values()]
+    solved = _solve_plan(ctxs, grid, orders, own)
+    sweeps = [_sweep_boundary(ctx, g, solved) for ctx, g in own]
+    return (*sweeps, *_scheduled_boundary(cs, strategy, ctxs, grid, em, orders, solved))
 
 
 def evaluate_all_modes(cs, p, n_points=64, strategy="sler"):
@@ -265,20 +266,19 @@ def evaluate_all_modes(cs, p, n_points=64, strategy="sler"):
     Both-decode runs the water-filling game and reports the sum rate;
     both-harvest uses the closed-form rank-one optimum; the two mixed
     orientations are swept under the given transmitter-1 strategy (the
-    mirrored orientation swaps the transmitter/receiver roles), both in one
-    lockstep.
+    mirrored orientation swaps the transmitter/receiver roles), both on
+    their own grids in one lockstep, as `re_sweep` sweeps each.
     """
     iwf = iterative_waterfilling(cs, p)
     _, _, e_total = eh_eh_optimal(cs, p)
     ctxs = list(_orientations(cs, strategy, p).values())
-    # both orientations' grids in one lockstep; the sweeps then reuse them
-    _solve_many(
-        [(ctx, np.linspace(0.0, em, n_points)) for ctx, em in zip(ctxs, _emax_many(ctxs))],
-        _N_MAX,
-    )
+    _emax_many(ctxs)  # both e_max searches side by side
+    sweeps = [(ctx, _sweep_grid(ctx, n_points)) for ctx in ctxs]
+    solved = _solve_many(sweeps)
+    eh1_id2, id1_eh2 = (_sweep_boundary(ctx, g, solved) for ctx, g in sweeps)
     return ModeTable(
         id_id=ModePair("id_id", float(sum(iwf.rates)), 0.0),
         eh_eh=ModePair("eh_eh", 0.0, float(e_total)),
-        eh1_id2=re_sweep(cs, strategy, p, n_points=n_points),
-        id1_eh2=re_sweep(swap_roles(cs), strategy, p, n_points=n_points),
+        eh1_id2=eh1_id2,
+        id1_eh2=id1_eh2,
     )

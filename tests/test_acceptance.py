@@ -28,8 +28,7 @@ from swiptifc import (
     re_boundary_point,
     re_sweep,
     run_experiment,
-    scheduled_sweep,
-    swap_roles,
+    scheduled_run,
     time_sharing_curve,
 )
 from swiptifc.oracle import (
@@ -392,10 +391,10 @@ def test_c12_scheduled_vs_fixed_mode_averages(capsys):
         sched, fix1, fix2 = [], [], []
         for seed in range(100):
             cs = draw_channel_set(2, 2, profile, seed=seed)
-            bd, _ = scheduled_sweep(cs, P, strategy="sler")
+            own, swapped, bd, _ = scheduled_run(cs, P, strategy="sler")
             sched.append(_full_arrays(bd, GRID_N)[0])
-            fix1.append(_full_arrays(re_sweep(cs, "sler", P), GRID_N)[0])
-            fix2.append(_full_arrays(re_sweep(swap_roles(cs), "sler", P), GRID_N)[0])
+            fix1.append(_full_arrays(own, GRID_N)[0])
+            fix2.append(_full_arrays(swapped, GRID_N)[0])
         with np.errstate(invalid="ignore"):
             avg_s = np.nanmean(np.array(sched), axis=0)
             avg_1 = np.nanmean(np.array(fix1), axis=0)

@@ -17,6 +17,7 @@ from swiptifc import (
     channel_digest,
     re_boundary_point,
     re_sweep,
+    scheduled_run,
     solve_p3,
     swap_roles,
     time_sharing_curve,
@@ -231,7 +232,7 @@ class TestRatioRoot:
         p = 4.0
         for seed in range(5):
             cs = draw_channel_set(3, 3, ALPHA, seed=450 + seed)
-            c, w, _, _ = boundary._cross_factor(cs.h12.shape, cs.h12.tobytes())
+            c, w, _, _ = boundary._cross_factor(cs.h12)
             e_wf = float(boundary._cross_energy(c, w, waterfill(cs.h22, None, p).q))
             e_req = float(np.nextafter(e_wf, np.inf))
             q, diag = solve_p3(cs.h22, cs.h12, e_req, p)
@@ -243,7 +244,7 @@ class TestRatioRoot:
         p = 4.0
         for seed in range(10):
             cs = draw_channel_set(3, 3, ALPHA, seed=400 + seed)
-            c, w, cmax, _ = boundary._cross_factor(cs.h12.shape, cs.h12.tobytes())
+            c, w, cmax, _ = boundary._cross_factor(cs.h12)
             top = (1.0 - boundary._RHO_MARGIN) / cmax
             rhos = np.sort(
                 np.concatenate(
@@ -296,7 +297,7 @@ class TestRatioRoot:
         p = 4.0
         for seed in range(4):
             cs = draw_channel_set(4, 3, ALPHA, seed=600 + seed)
-            c, w, cmax, _ = boundary._cross_factor(cs.h12.shape, cs.h12.tobytes())
+            c, w, cmax, _ = boundary._cross_factor(cs.h12)
             e_wf = float(boundary._cross_energy(c, w, waterfill(cs.h22, None, p).q))
             rho_hi = (1.0 - boundary._RHO_MARGIN) / cmax
             targets = e_wf + (p * cmax - e_wf) * np.array([1e-6, 0.2, 0.5, 0.8, 0.99])
@@ -347,6 +348,8 @@ class TestRatioRoot:
             assert seen == calls
 
     def test_cross_link_factored_once(self, monkeypatch):
+        # one cross-link eigendecomposition per solve_p3 call and per strategy
+        # context, however many targets the context's sweep solves
         calls = []
         real = boundary.hermitian_eig
 
@@ -355,14 +358,24 @@ class TestRatioRoot:
             return real(a)
 
         monkeypatch.setattr(boundary, "hermitian_eig", counting)
-        boundary._cross_factor.cache_clear()
         cs = draw_channel_set(3, 3, ALPHA, seed=77)
         cap = 2.0 * np.linalg.svd(cs.h12, compute_uv=False)[0] ** 2
         for scale in (1.0, 0.5, 2.0):
             solve_p3(scale * cs.h22, cs.h12, 0.8 * cap, 2.0)
-        assert len(calls) == 1
-        c, w, _, v12 = boundary._cross_factor(cs.h12.shape, cs.h12.tobytes())
-        assert not (c.flags.writeable or w.flags.writeable or v12.flags.writeable)
+        assert len(calls) == 3
+        p = 5.0
+        calls.clear()
+        a = re_sweep(cs, "meb_rank2", p, n_points=6)
+        b = re_sweep(cs, "meb_rank2", p, n_points=6, split=0.2)
+        c = re_sweep(cs, "meb_rank2", 2 * p, n_points=6)
+        assert len(calls) == 3
+        calls.clear()
+        scheduled_run(cs, p, n_points=6)
+        assert len(calls) == 2
+        # the split and P reach the context: each gives its own curve
+        assert a.e_max == emax(cs, "meb_rank2", p)
+        assert b.e_max != a.e_max and c.e_max != a.e_max
+        assert [pt.rate_bits for pt in a.points] != [pt.rate_bits for pt in b.points]
 
 
 class TestRepairFlags:
@@ -450,6 +463,29 @@ class TestReSweep:
         for pt in bd.points:
             assert pt.energy >= pt.e_bar - 1e-6 * max(1.0, pt.e_bar)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [-1.0, 0.0, 1.0],
+            [0.0, np.nan, 1.0],
+            [0.0, np.inf],
+            [2.0, 1.0],
+            [0.0, 1.0, 1.0],
+            [[0.0, 1.0]],
+            1.0,
+            ["a", "b"],
+        ],
+    )
+    def test_rejects_malformed_grid_before_solving(self, grid, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a malformed grid reached the solver")
+
+        monkeypatch.setattr(boundary, "_emax_many", refuse)
+        monkeypatch.setattr(boundary, "_solve_many", refuse)
+        cs = draw_channel_set(2, 2, ALPHA, seed=63)
+        with pytest.raises(InvalidInputError):
+            re_sweep(cs, "meb", 2.0, e_grid=grid)
+
     def test_unreachable_grid_point_becomes_gap(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=63)
         p = 2.0
@@ -483,7 +519,8 @@ class TestLockstepSweep:
                 ctx = boundary._StrategyContext(cs, strategy, p)
                 grid = np.linspace(0.0, ctx.emax(), 12)
                 grid = np.append(grid, 1.5 * grid[-1])  # one unreachable target
-                (swept,) = boundary._solve_many([(ctx, grid)], 20)
+                solved = boundary._solve_many([(ctx, grid)])
+                swept = [solved[ctx, e] for e in grid.tolist()]
                 for e_bar, got in zip(grid, swept):
                     try:
                         want = re_boundary_point(cs, strategy, float(e_bar), p)
@@ -523,7 +560,8 @@ class TestStackedLockstep:
     @staticmethod
     def _row(ev, i):
         v = ev.view(i)
-        return (v.p1, v.kappa, v.e11, v.e2, v.rate_bits, v.clamped, v.diag, ev.p3.q[i].tobytes())
+        bits = ev.p3.q[i].view(np.uint64).tolist()
+        return (v.p1, v.kappa, v.e11, v.e2, v.rate_bits, v.clamped, v.diag, bits)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rows_match_own_context(self, strategy):
@@ -570,103 +608,12 @@ class TestStackedLockstep:
         ctxs = [boundary._StrategyContext(side, "sler", p) for side in sides]
         grids = [np.linspace(0.0, ctx.emax(), 10) for ctx in ctxs]
         grids[0] = np.append(grids[0], 2.0 * grids[0][-1])  # one unreachable target
-        both = boundary._solve_many(list(zip(ctxs, grids)), 20)
-        for side, grid, got in zip(sides, grids, both):
-            (want,) = boundary._solve_many(
-                [(boundary._StrategyContext(side, "sler", p), grid)], 20
-            )
-            assert [repr(x) for x in got] == [repr(x) for x in want]
-
-
-class TestSharedContext:
-    """One strategy context per (orientation, strategy, P, split), keyed on
-    the links' bytes; it keeps every solved target per (e_bar, n_max)."""
-
-    def test_one_context_per_key(self):
-        cs = draw_channel_set(2, 2, ALPHA, seed=20)
-        same_links = swap_roles(swap_roles(cs))
-        ctx = boundary._context(cs, "sler", 5.0)
-        assert boundary._context(same_links, "sler", 5) is ctx
-        others = [
-            boundary._context(cs, "sler", 6.0),
-            boundary._context(cs, "slnr", 5.0),
-            boundary._context(cs, "sler", 5.0, split=0.3),
-            boundary._context(swap_roles(cs), "sler", 5.0),
-        ]
-        assert len({id(c) for c in [ctx] + others}) == 5
-
-    def test_separate_outcomes_per_key(self):
-        cs = draw_channel_set(2, 2, ALPHA, seed=21)
-        p = 5.0
-        top = emax(cs, "meb_rank2", p)
-        a = re_sweep(cs, "meb_rank2", p, n_points=6)
-        b = re_sweep(cs, "meb_rank2", p, n_points=6, split=0.2)
-        assert b.e_max != a.e_max
-        assert a.e_max == top
-        assert [pt.rate_bits for pt in a.points] != [pt.rate_bits for pt in b.points]
-        assert re_sweep(cs, "meb_rank2", 2 * p, n_points=6).e_max != top
-        # a different round limit is solved again, and kept beside the first
-        ctx = boundary._context(cs, "sler", p)
-        e = 0.6 * ctx.emax()
-        full = re_boundary_point(cs, "sler", e, p)
-        assert full.iterations > 1
-        short = re_boundary_point(cs, "sler", e, p, n_max=1)
-        assert short.iterations == 1
-        assert ctx.solved[e, 20] is full and ctx.solved[e, 1] is short
-        assert re_boundary_point(cs, "sler", e, p) is full
-
-    def test_sweep_then_point_reuses_outcomes(self, monkeypatch):
-        cs = draw_channel_set(2, 2, ALPHA, seed=22)
-        p = 5.0
-        bd = re_sweep(cs, "slnr", p, n_points=9)
-        calls = []
-        real = boundary._point_steps
-
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
-
-        monkeypatch.setattr(boundary, "_point_steps", counting)
-        for pt in bd.points:
-            if not pt.carried:
-                assert re_boundary_point(cs, "slnr", pt.e_bar, p) is pt
-        assert emax(cs, "slnr", p) == bd.e_max
-        assert calls == []
-
-    def test_errors_raised_as_copies(self):
-        cs = draw_channel_set(2, 2, ALPHA, seed=23)
-        p = 5.0
-        e = 2.0 * emax(cs, "meb", p)
-        raised = []
-        for _ in range(2):
-            with pytest.raises(InfeasibleTargetError) as info:
-                re_boundary_point(cs, "meb", e, p)
-            raised.append(info.value)
-        kept = boundary._context(cs, "meb", p).solved[e, 20]
-        assert raised[0] is not raised[1] and kept not in raised
-        assert str(raised[0]) == str(raised[1]) == str(kept)
-        assert raised[0].max_attainable == kept.max_attainable
-
-    def test_edited_channel_gets_fresh_context(self):
-        cs = draw_channel_set(2, 2, ALPHA, seed=24)
-        p = 5.0
-        ctx = boundary._context(cs, "sler", p)
-        before = re_sweep(cs, "sler", p, n_points=8)
-        # reorder h11's columns in place: same norms and rank, new channel
-        cs.h11[:] = cs.h11[:, ::-1].copy()
-        assert not ctx.cs.h11.flags.writeable
-        assert not np.array_equal(ctx.cs.h11, cs.h11)
-        fresh = boundary._context(cs, "sler", p)
-        assert fresh is not ctx
-        after = re_sweep(cs, "sler", p, n_points=8)
-        assert [pt.rate_bits for pt in after.points] != [pt.rate_bits for pt in before.points]
-        edited = ChannelSet(
-            h11=cs.h11.copy(), h12=cs.h12, h21=cs.h21, h22=cs.h22,
-            alpha=cs.alpha, m_t=2, m_r=2, seed=cs.seed,
-        )
-        boundary._shared_context.cache_clear()
-        cold = re_sweep(edited, "sler", p, n_points=8)
-        assert cold.points == after.points and cold.e_max == after.e_max
+        both = boundary._solve_many(list(zip(ctxs, grids)))
+        for side, ctx, grid in zip(sides, ctxs, grids):
+            alone = boundary._StrategyContext(side, "sler", p)
+            want = boundary._solve_many([(alone, grid)])
+            got = [repr(both[ctx, e]) for e in grid.tolist()]
+            assert got == [repr(want[alone, e]) for e in grid.tolist()]
 
 
 class TestCarriedPoints:

@@ -116,6 +116,14 @@ def test_run_rejects_bad_override(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["m_t=2.5", 'seeds=["a"]', 'p="x"'])
+def test_run_rejects_mistyped_override(tmp_path, capsys, override):
+    rc = main(["run", "--preset", "fig2", "--output", str(tmp_path), "--set", override])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_validate_channels_ok(tmp_path, capsys):
     cs = draw_channel_set(2, 2, np.array([[1.0, 0.8], [0.8, 1.0]]), seed=7)
     path = tmp_path / "ch.json"

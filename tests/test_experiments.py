@@ -74,6 +74,34 @@ class TestExperimentConfig:
         with pytest.raises(InvalidInputError):
             _tiny_cfg(tmp_path, seeds=())
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"seeds": [1.7, True]},
+            {"seeds": [1, 1]},
+            {"seeds": ["a"]},
+            {"seeds": 3},
+            {"m_t": 2.5},
+            {"m_r": True},
+            {"e_grid_points": 2.5},
+            {"ts_points": 3.0},
+            {"p": "x"},
+            {"p": True},
+            {"alpha": "x"},
+            {"strategies": 3},
+            {"modes": 3},
+        ],
+    )
+    def test_rejects_mistyped_fields(self, tmp_path, field):
+        with pytest.raises(InvalidInputError):
+            _tiny_cfg(tmp_path, **field)
+
+    def test_numpy_integers_become_ints(self, tmp_path):
+        cfg = _tiny_cfg(tmp_path, m_t=np.int64(2), seeds=np.arange(1, 3))
+        assert cfg.m_t == 2 and cfg.seeds == (1, 2)
+        assert all(type(v) is int for v in (cfg.m_t, *cfg.seeds))
+        json.dumps(cfg.to_dict())
+
 
 class TestPresets:
     def test_all_variants_parse(self):

@@ -297,8 +297,6 @@ class TestScheduledSweep:
                     continue
                 want_pts.append(pt)
                 want_tags.append(tag)
-            # solve cold: the references above filled the shared contexts
-            boundary._shared_context.cache_clear()
             bd, tags = scheduled_sweep(cs, p, n_points=24)
             assert tags == want_tags
             assert bd.gaps == want_gaps
@@ -308,32 +306,6 @@ class TestScheduledSweep:
                 assert (got.branch, got.iterations, got.p1) == (
                     want.branch, want.iterations, want.p1
                 )
-
-    def test_shared_contexts_match_cold_sweep(self):
-        # re_sweep on both orientations first (as an experiment run does):
-        # the scheduled sweep then reuses their e_max and solved targets and
-        # must land every point, tag and gap where a cold sweep lands them
-        p = 50.0
-        for a, seed in ((0.7, 1), (1.0, 2), (0.7, 5), (1.0, 8)):
-            cs = draw_channel_set(2, 2, np.array([[1.0, a], [a, 1.0]]), seed=seed)
-            boundary._shared_context.cache_clear()
-            cold, cold_tags = scheduled_sweep(cs, p, n_points=32)
-            boundary._shared_context.cache_clear()
-            own = re_sweep(cs, "sler", p, n_points=32)
-            mirrored = re_sweep(swap_roles(cs), "sler", p, n_points=32)
-            warm, warm_tags = scheduled_sweep(cs, p, n_points=32)
-            assert warm_tags == cold_tags
-            assert warm.points == cold.points
-            assert warm.gaps == cold.gaps
-            assert warm.e_max == cold.e_max == max(own.e_max, mirrored.e_max)
-            # the orientation with the larger e_max has the scheduled grid as
-            # its own grid: its scheduled points are its sweep's own solves
-            wider = own if own.e_max >= mirrored.e_max else mirrored
-            tag = "eh1_id2" if wider is own else "id1_eh2"
-            ctx = boundary._context(cs if wider is own else swap_roles(cs), "sler", p)
-            for pt, t in zip(warm.points, warm_tags):
-                if t == tag:
-                    assert pt is ctx.solved[pt.e_bar, 20]
 
     def test_rejects_tiny_grid(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=8)
@@ -352,15 +324,11 @@ class TestScheduledRun:
 
     @staticmethod
     def _check(cs, p, n):
-        cold = []
-        for build in (
-            lambda: re_sweep(cs, "sler", p, n_points=n),
-            lambda: re_sweep(swap_roles(cs), "sler", p, n_points=n),
-            lambda: scheduled_sweep(cs, p, n_points=n),
-        ):
-            boundary._shared_context.cache_clear()
-            cold.append(build())
-        boundary._shared_context.cache_clear()
+        cold = [
+            re_sweep(cs, "sler", p, n_points=n),
+            re_sweep(swap_roles(cs), "sler", p, n_points=n),
+            scheduled_sweep(cs, p, n_points=n),
+        ]
         *got, tags = scheduled_run(cs, p, n_points=n)
         own, mirrored, (sched, sched_tags) = cold
         for g, w in zip(got, (own, mirrored, sched)):
@@ -390,10 +358,10 @@ class TestScheduledRun:
         refused = (ctxs[first].cs.h11.copy(), float(grid[k]))
         real = boundary._point_steps
 
-        def steps(ctx, e_bar, n_max):
+        def steps(ctx, e_bar):
             if e_bar == refused[1] and np.array_equal(ctx.cs.h11, refused[0]):
                 return _refuse()
-            return real(ctx, e_bar, n_max)
+            return real(ctx, e_bar)
 
         monkeypatch.setattr(boundary, "_point_steps", steps)
         (_, _, sched), tags = self._check(cs, p, n)
@@ -433,10 +401,8 @@ class TestEvaluateAllModes:
         # both orientations are swept in one lockstep; each equals its own sweep
         cs = draw_channel_set(3, 2, ALPHA, seed=12)
         p = 5.0
-        boundary._shared_context.cache_clear()
         table = evaluate_all_modes(cs, p, n_points=9)
         for side, got in ((cs, table.eh1_id2), (swap_roles(cs), table.id1_eh2)):
-            boundary._shared_context.cache_clear()
             want = re_sweep(side, "sler", p, n_points=9)
             assert got.points == want.points
             assert (got.gaps, got.e_max) == (want.gaps, want.e_max)
