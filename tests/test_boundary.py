@@ -616,6 +616,31 @@ class TestStackedLockstep:
             assert got == [repr(want[alone, e]) for e in grid.tolist()]
 
 
+class TestSharedContext:
+    """Each call builds its strategy context from (orientation, strategy, P,
+    split); no solved outcome is shared between calls."""
+
+    def test_separate_outcomes_per_key(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=21)
+        p = 5.0
+        top = emax(cs, "meb_rank2", p)
+        a = re_sweep(cs, "meb_rank2", p, n_points=6)
+        b = re_sweep(cs, "meb_rank2", p, n_points=6, split=0.2)
+        assert b.e_max != a.e_max
+        assert a.e_max == top
+        assert [pt.rate_bits for pt in a.points] != [pt.rate_bits for pt in b.points]
+        assert re_sweep(cs, "meb_rank2", 2 * p, n_points=6).e_max != top
+        # a repeated target is solved again: the same answer, a new object
+        e = 0.6 * emax(cs, "sler", p)
+        first = re_boundary_point(cs, "sler", e, p)
+        assert first.iterations > 1
+        again = re_boundary_point(cs, "sler", e, p)
+        assert again is not first and repr(again) == repr(first)
+        # a sweep in between leaves the point unchanged
+        re_sweep(cs, "sler", p, n_points=9, e_grid=np.array([0.0, e]))
+        assert repr(re_boundary_point(cs, "sler", e, p)) == repr(first)
+
+
 class TestCarriedPoints:
     def test_carried_rows_are_flagged(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=7)
