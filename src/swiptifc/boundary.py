@@ -21,14 +21,16 @@ SVD fixes the transmit directions, and the level 1/mu that spends the budget
 is an exact weighted water-filling level (`beamformers.water_level`), so the
 DUAL branch is a single scalar root: energy(rho) = E_floor.
 
-Every target of a sweep is solved in lockstep.  Each target keeps its own
-control flow, a generator that yields the (E_bar, P1) pairs it needs and
-makes its own P1 update, convergence test, stall rescue and no-TX check; a
-round collects the pending pairs of all targets and evaluates them in one
+Every target of a sweep is solved in lockstep (`_solve_many`), as array
+passes over per-target P1, iteration and evaluation arrays.  Each round of
+the power backoff, the stall rescue's P1 scan and backoff, and the no-TX
+step evaluates the (E_bar, P1) pairs of all targets that take it in one
 stacked pass (`_evaluate_batch`): transmitter 1's beams, the whitened links
-H22~, water-filling, and, for the targets on the DUAL branch, a lockstep
-root over rho whose every step is one stacked SVD.  `re_boundary_point`,
-`solve_p3` and the endpoint search run the same code with one target.
+H22~, water-filling, and, for the targets on the DUAL branch, the roots over
+rho (`_ratio_roots`).  Each root is a step-for-step port of scipy's brentq,
+and each of their rounds is one stacked SVD of the rays all rows ask for.
+`re_boundary_point`, `solve_p3` and the endpoint search run the same code
+with one target.
 
 Each public entry point builds the strategy context (`_StrategyContext`)
 of its channel orientation, strategy, P and split, and passes it down; a
@@ -179,58 +181,7 @@ class REBoundary:
 
 
 # ---------------------------------------------------------------------------
-# lockstep driver
-
-
-def _run_lockstep(steps, evaluate):
-    """Advance per-target step generators together.
-
-    Each generator yields a list of requests and is sent back the list of
-    their results; one round answers the pending requests of every target
-    with a single `evaluate(owners, requests)` call.  A target's outcome is
-    its generator's return value, or the SwiptError it raised.  If a round
-    fails with a SwiptError, its requests are answered one at a time, and
-    each target that asked for a failing one has the error raised into it.
-    """
-    out = [None] * len(steps)
-    pending = {}
-
-    def advance(k, results=None, error=None):
-        try:
-            if error is not None:
-                request = steps[k].throw(error)
-            else:
-                request = steps[k].send(results)
-        except StopIteration as stop:
-            out[k] = stop.value
-        except SwiptError as exc:
-            out[k] = exc
-        else:
-            pending[k] = request
-
-    for k in range(len(steps)):
-        advance(k)
-    while pending:
-        batch = list(pending.items())
-        pending.clear()
-        owners = [k for k, req in batch for _ in req]
-        flat = [r for _, req in batch for r in req]
-        try:
-            results = evaluate(owners, flat)
-        except SwiptError:
-            results = []
-            for k, r in zip(owners, flat):
-                try:
-                    results.extend(evaluate([k], [r]))
-                except SwiptError as exc:
-                    results.append(exc)
-        pos = 0
-        for k, req in batch:
-            mine = results[pos : pos + len(req)]
-            pos += len(req)
-            error = next((r for r in mine if isinstance(r, SwiptError)), None)
-            advance(k, mine, error)
-    return out
+# ratio root
 
 
 def _brentq_steps(xpre, xcur):
@@ -385,36 +336,65 @@ def _repair(q, trace, energy, e_req, p, cap, v12):
     return q, energy, trace, rescaled, repaired
 
 
-def _ratio_root(e_req, e_wf, rho_hi):
-    """One target's root of energy(rho) = e_req on the price ray.
+def _ratio_roots(f, c, e_req, e_wf, rho_hi, p):
+    """Roots of energy(rho) = e_req[i] on the price rays of a stack of targets.
 
-    At rho = 0 the ray point is water-filling, whose energy e_wf is short of
-    the target; energy grows toward P cmax as rho approaches 1/cmax.  Yields
-    [rho] for each ray it needs and returns (rho, ray, ray evaluations).
+    Row i has own link f[i] = Ht W, cross-link gains c[i] and top ratio
+    rho_hi[i].  At rho = 0 the ray point is water-filling, whose energy
+    e_wf[i] is short of the target; energy grows toward P cmax as rho
+    approaches 1/cmax.  Each row runs its own `_brentq_steps`; each round
+    evaluates the rays that every row asks for as one `_Rays` stack.
+    Returns the roots, each row's ray evaluations, and the fields of the ray
+    at each root (eta, d, vh, powers, trace, energy).
     """
-    rays = {}
-    (rays[rho_hi],) = yield [rho_hi]
-    if rays[rho_hi][0] - e_req < 0.0:
-        # no gain along the cross-link beam: repair closes the gap
-        rho = rho_hi
-    else:
-        root = _brentq_steps(0.0, rho_hi)
-        rho = next(root)
-        try:
-            while True:
-                if rho == 0.0:
-                    f = e_wf - e_req
+    e_req, e_wf = e_req.tolist(), e_wf.tolist()
+    n = len(e_req)
+    rays = []                       # the `_Rays` of every round
+    energy = []                     # their energies, flat
+    known = [{} for _ in range(n)]  # per row: rho -> flat index of its ray
+    steps = [None] * n              # per row: its brentq, once started
+    root = [None] * n
+    ask = rho_hi.tolist()           # per row: the rho of the ray it waits for
+
+    def short(i, x):
+        return (e_wf[i] if x == 0.0 else energy[known[i][x]]) - e_req[i]
+
+    todo = list(range(n))
+    while todo:
+        rays.append(_Rays(f[todo], c[todo], np.array([ask[i] for i in todo]), p))
+        for i, e in zip(todo, rays[-1].energy.tolist()):
+            known[i][ask[i]] = len(energy)
+            energy.append(e)
+        waiting = []
+        for i in todo:
+            if root[i] is not None:
+                continue
+            try:
+                if steps[i] is not None:
+                    x = steps[i].send(short(i, ask[i]))
+                elif short(i, ask[i]) < 0.0:
+                    # no gain along the cross-link beam: repair closes the gap
+                    root[i] = ask[i]
+                    continue
                 else:
-                    if rho not in rays:
-                        (rays[rho],) = yield [rho]
-                    f = rays[rho][0] - e_req
-                rho = root.send(f)
-        except StopIteration as stop:
-            rho = stop.value
-    # a target within rounding of e_wf can return the endpoint rho = 0
-    if rho not in rays:
-        (rays[rho],) = yield [rho]
-    return rho, rays[rho], len(rays)
+                    steps[i] = _brentq_steps(0.0, ask[i])
+                    x = next(steps[i])
+                while x == 0.0 or x in known[i]:
+                    x = steps[i].send(short(i, x))
+            except StopIteration as stop:
+                root[i] = x = stop.value
+                # a target within rounding of e_wf can return the endpoint 0
+                if x in known[i]:
+                    continue
+            ask[i] = x
+            waiting.append(i)
+        todo = waiting
+    at = [known[i][root[i]] for i in range(n)]
+    picked = {
+        name: np.concatenate([getattr(r, name) for r in rays])[at]
+        for name in ("eta", "d", "vh", "powers", "trace", "energy")
+    }
+    return np.array(root), np.array([len(k) for k in known]), SimpleNamespace(**picked)
 
 
 @dataclass
@@ -456,7 +436,7 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
     its link, `e_req` holds floors already clipped to [0, P cmax], and
     `cross` holds each link's cross-link `_cross_factor`, stacked: c (u, M_t),
     W (u, M_t, M_t), cmax (u,) and v12 (u, M_t).  Water-filling runs once per
-    link; the DUAL targets share one lockstep ratio root.
+    link; the DUAL targets share one `_ratio_roots` call.
     """
     c, w, cmax, v12 = cross
     n, m_t = e_req.size, w.shape[-1]
@@ -492,36 +472,18 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
     idx = np.flatnonzero(~at_cap & ~wf)
     if idx.size:
         link = rows[idx]
-        f = ht[link] @ w[link]
-        rho_hi = (1.0 - _RHO_MARGIN) / cmax[link]
-
-        def rays(owners, rhos):
-            r = _Rays(f[owners], c[link[owners]], np.array(rhos), p)
-            return [(e, r, i) for i, e in enumerate(r.energy.tolist())]
-
-        roots = _run_lockstep(
-            [
-                _ratio_root(e, e0, hi)
-                for e, e0, hi in zip(
-                    e_req[idx].tolist(), e_wf[link].tolist(), rho_hi.tolist()
-                )
-            ],
-            rays,
-        )
-        rho = np.array([r[0] for r in roots])
-        picks = [r[1] for r in roots]
-        evals[idx] = [r[2] for r in roots]
-        eta = np.array([r.eta[i] for _, r, i in picks])
-        q_dual = _ray_covariances(
-            w[link],
-            np.stack([r.d[i] for _, r, i in picks]),
-            np.stack([r.vh[i] for _, r, i in picks]),
-            np.stack([r.powers[i] for _, r, i in picks]),
+        rho, evals[idx], ray = _ratio_roots(
+            ht[link] @ w[link],
+            c[link],
+            e_req[idx],
+            e_wf[link],
+            (1.0 - _RHO_MARGIN) / cmax[link],
+            p,
         )
         qd, ed, td, rescaled[idx], repaired[idx] = _repair(
-            q_dual,
-            np.array([r.trace[i] for _, r, i in picks]),
-            np.array([e for e, _, _ in picks]),
+            _ray_covariances(w[link], ray.d, ray.vh, ray.powers),
+            ray.trace,
+            ray.energy,
             e_req[idx],
             p,
             cap[idx],
@@ -532,8 +494,8 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
             np.maximum(e_req[idx] - ed, 0.0) / np.maximum(1.0, e_req[idx]),
             np.maximum(td - p, 0.0) / p,
         )
-        lam[idx] = rho / eta
-        mu[idx] = 1.0 / eta
+        lam[idx] = rho / ray.eta
+        mu[idx] = 1.0 / ray.eta
     q = hermitian_part(q)
     # every covariance built here passes TxCovariance's checks
     check_covariances(np.concatenate((q, q_wf)), p)
@@ -663,8 +625,8 @@ class _StrategyContext:
         def surplus(target):
             ev = _evaluate_batch(
                 one, np.zeros(1, dtype=int), np.array([target]), np.array([self.p])
-            ).view(0)
-            return ev.e11 + ev.e2 - target
+            )
+            return float(ev.e11[0] + ev.p3.energy[0]) - target
 
         g = surplus(e)
         if abs(g) <= tol:
@@ -800,42 +762,15 @@ def emax(cs, strategy, p, split=0.5):
 
 
 @dataclass
-class _Evaluation:
-    """One (e_bar, P1) pair's outcome, read off an `_Evaluations` row."""
-
-    p1: float
-    kappa: float
-    e11: float
-    e2: float
-    rate_bits: float
-    clamped: bool
-    p3: _P3Batch
-    row: int
-
-    @property
-    def diag(self):
-        return self.p3.diagnostics(self.row)
-
-
-@dataclass
 class _Evaluations:
-    p1: list
-    kappa: list
-    e11: list
-    clamped: list
-    p3: _P3Batch
+    """(e_bar, P1) pairs evaluated in one stacked pass, one row each; the
+    energy and rate at receiver 2 are `p3.energy` and `p3.rate_bits`."""
 
-    def view(self, i):
-        return _Evaluation(
-            p1=self.p1[i],
-            kappa=self.kappa[i],
-            e11=self.e11[i],
-            e2=float(self.p3.energy[i]),
-            rate_bits=float(self.p3.rate_bits[i]),
-            clamped=self.clamped[i],
-            p3=self.p3,
-            row=i,
-        )
+    p1: np.ndarray
+    kappa: np.ndarray
+    e11: np.ndarray            # direct-link energy kappa * P1
+    clamped: np.ndarray        # the floor left for transmitter 2 was out of its reach
+    p3: _P3Batch
 
 
 def _evaluate_batch(st, ci, e_bars, p1s):
@@ -860,147 +795,178 @@ def _evaluate_batch(st, ci, e_bars, p1s):
     e_need = np.minimum(np.maximum(e_need, 0.0), cap)
     cross = [st.c[ci_u], st.w[ci_u], st.cmax[ci_u], st.v12[ci_u]]
     p3 = _solve_p3_batch(ht, rows, np.minimum(e_need, st.p * st.cmax[ci]), st.p, cross)
-    return _Evaluations(
-        p1=p1s.tolist(),
-        kappa=kappa.tolist(),
-        e11=e11.tolist(),
-        clamped=clamped.tolist(),
-        p3=p3,
-    )
+    return _Evaluations(p1=p1s, kappa=kappa, e11=e11, clamped=clamped, p3=p3)
 
 
-def _rescue_steps(ctx, e_eff):
-    """Recover a boundary point when the power backoff stalls short.
-
-    An adaptive beam stops tilting toward the energy subspace as soon as its
-    own power covers the harvesting floor, so delivered energy is not
-    monotone in P1: it can dip below the target at full power while an
-    interior P1 still reaches it.  Scan P1, keep the best-rate feasible
-    candidate, and re-run the backoff from there.  Returns (p1, evaluation)
-    or (None, max delivered) when no scanned P1 reaches the target.
-    """
-    p = ctx.p
-    tol = 1e-9 * max(1.0, e_eff)
-    best = None
-    max_seen = -np.inf
-    cands = np.linspace(0.0, p, _RESCUE_SCAN).tolist()
-    evs = yield cands
-    for cand, ev in zip(cands, evs):
-        max_seen = max(max_seen, ev.e11 + ev.e2)
-        if ev.e11 + ev.e2 >= e_eff - tol:
-            if best is None or ev.rate_bits > best[1].rate_bits:
-                best = (cand, ev)
-    if best is None:
-        return None, max_seen
-    p1, ev = best
-    for _ in range(_N_MAX):
-        if not (ev.e11 + ev.e2 > e_eff and ev.kappa > 0.0):
-            break
-        p1_new = min(max((e_eff - ev.e2) / ev.kappa, 0.0), p)
-        if abs(p1_new - p1) <= _P1_TOL * max(p, 1.0):
-            break
-        (ev_new,) = yield [p1_new]
-        if ev_new.e11 + ev_new.e2 < e_eff - tol:
-            break
-        p1, ev = p1_new, ev_new
-    return p1, ev
+# what a target keeps of its latest evaluation: the (e_bar, P1) pair's
+# outcome, and the batch and row of its floored rate solve
+_EVAL = np.dtype(
+    [(name, float) for name in ("p1", "kappa", "e11", "e2", "rate")]
+    + [("clamped", bool), ("batch", int), ("row", int)]
+)
 
 
-def _point_steps(ctx, e_bar):
-    """One target's boundary point, as a lockstep generator.
-
-    Alternates the decoding user's floored rate problem with the power
-    backoff at transmitter 1 until P1 moves less than 1e-8 * P or 20 rounds
-    pass, then reports the achieved (rate, energy) pair.  Yields the P1
-    values to evaluate at this target and is sent their evaluations.
-    """
-    em = ctx.emax()
-    e_bar = float(e_bar)
-    if not np.isfinite(e_bar) or e_bar < 0:
-        raise InvalidInputError(f"e_bar must be finite nonnegative, got {e_bar!r}")
-    if e_bar > em * (1.0 + _FEAS_SLACK) + 1e-12:
-        raise InfeasibleTargetError(
-            f"energy target {e_bar!r} exceeds e_max {em!r} for strategy {ctx.strategy!r}",
-            max_attainable=em,
-        )
-    e_eff = min(e_bar, em)
-    p = ctx.p
-    p1 = p
-    ev = None
-    iters = 0
-    for iters in range(1, _N_MAX + 1):
-        (ev,) = yield [p1]
-        if ev.e11 + ev.e2 > e_eff and ev.kappa > 0.0:
-            p1_new = min(max((e_eff - ev.e2) / ev.kappa, 0.0), p)
-        else:
-            p1_new = p1
-        if abs(p1_new - p1) <= _P1_TOL * max(p, 1.0):
-            p1 = p1_new
-            break
-        p1 = p1_new
-    if ev.p1 != p1:
-        (ev,) = yield [p1]
-    achieved = ev.e11 + ev.e2
-    tol_e = 1e-9 * max(1.0, e_eff)
-    if achieved < e_eff - tol_e and not ctx.fixed:
-        p1_rescued, rescued = yield from _rescue_steps(ctx, e_eff)
-        if p1_rescued is not None:
-            p1, ev = p1_rescued, rescued
-        else:
-            achieved = max(achieved, rescued)
-        achieved = max(achieved, ev.e11 + ev.e2)
-    if achieved < e_eff - tol_e:
-        # reachability is genuinely not an interval for per-target beams:
-        # some interior targets stay short at every P1
-        raise InfeasibleTargetError(
-            f"strategy {ctx.strategy!r} delivers {achieved!r} at target {e_bar!r}",
-            max_attainable=achieved,
-        )
-    no_tx = p1 <= 1e-12 * max(p, 1.0)
-    if no_tx:
-        p1 = 0.0
-        if ev.p1 != p1:
-            (ev,) = yield [p1]
-    diag = ev.diag
-    branch = "NO_TX" if no_tx else diag.branch
-    return REPoint(
-        e_bar=e_bar,
-        rate_bits=ev.rate_bits,
-        energy=ev.e11 + ev.e2,
-        p1=p1,
-        branch=branch,
-        iterations=iters,
-        lam=diag.lam if branch == "DUAL" else None,
-        mu=diag.mu if branch == "DUAL" else None,
-        clamped=ev.clamped or e_bar > em,
-        p3=diag,
-    )
+def _backoff(e_eff, ev, p):
+    """The next P1 of each target's power backoff from its evaluation `ev`:
+    (e_eff - e2) / kappa, clipped to [0, P] as min(max(., 0.0), P) clips a
+    float, where `ev` over-delivers with kappa > 0; elsewhere `ev`'s own P1."""
+    over = (ev["e11"] + ev["e2"] > e_eff) & (ev["kappa"] > 0.0)
+    p1 = (e_eff - ev["e2"]) / np.where(over, ev["kappa"], 1.0)
+    p1 = np.where(0.0 > p1, 0.0, p1)
+    return np.where(over, np.where(p < p1, p, p1), ev["p1"])
 
 
 def _solve_many(jobs):
-    """Boundary points of several strategy contexts, all in one lockstep.
+    """Boundary points of several strategy contexts, solved together.
 
     `jobs` lists (context, e_bars) pairs; the contexts share strategy, P,
-    split and link shape, and each round evaluates the pending (e_bar, P1)
-    pairs of every target of every context as one stacked batch.  Each
-    distinct (context, e_bar) pair is solved once.  Returns a dict that maps
-    each pair to its REPoint or to the SwiptError that stopped it.
+    split and link shape.  Each distinct (context, e_bar) pair is one target,
+    solved once.  Each step evaluates the (e_bar, P1) pairs of every target
+    that takes it as one stacked batch (`_evaluate_batch`):
+
+    * the power backoff: from P1 = P, alternate the floored rate solve with
+      P1 = (E_bar - cross energy) / kappa until P1 moves less than
+      1e-8 * max(P, 1) or 20 rounds pass; a target whose P1 settled away
+      from its last evaluation is evaluated there in one more round;
+    * the stall rescue, for adaptive beams only.  An adaptive beam stops
+      tilting toward the energy subspace once its own power covers the
+      harvesting floor, so delivered energy is not monotone in P1: it can
+      dip below the target at full power while an interior P1 still reaches
+      it.  Each target still short scans `_RESCUE_SCAN` P1 values in one
+      batch, keeps its first best-rate candidate that reaches the target,
+      and backs off from there while the target stays reached;
+    * the no-TX evaluation at P1 = 0 of the targets whose P1 ended within
+      1e-12 * max(P, 1) of it.
+
+    If a batch raises a SwiptError, its rows are evaluated one at a time,
+    and each target whose row raises takes the error.  Returns a dict that
+    maps each pair to its REPoint or to the SwiptError that stopped it.
     """
     todo = list(dict.fromkeys((ctx, float(e)) for ctx, e_bars in jobs for e in e_bars))
     if not todo:
         return {}
     ctxs = list(dict.fromkeys(ctx for ctx, _ in todo))
-    ems = np.array(_emax_many(ctxs))
+    ems = _emax_many(ctxs)
     ci = np.array([ctxs.index(ctx) for ctx, _ in todo])
-    e_eff = np.minimum(np.array([e for _, e in todo]), ems[ci])
+    out = [None] * len(todo)
+    for k, (ctx, e) in enumerate(todo):
+        em = ems[ci[k]]
+        if not np.isfinite(e) or e < 0:
+            out[k] = InvalidInputError(f"e_bar must be finite nonnegative, got {e!r}")
+        elif e > em * (1.0 + _FEAS_SLACK) + 1e-12:
+            out[k] = InfeasibleTargetError(
+                f"energy target {e!r} exceeds e_max {em!r} for strategy {ctx.strategy!r}",
+                max_attainable=em,
+            )
+    failed = np.array([o is not None for o in out])
+    e_eff = np.minimum(np.array([e for _, e in todo]), np.array(ems)[ci])
+    tol_e = 1e-9 * np.maximum(1.0, e_eff)
     st = _stack(ctxs)
+    p = st.p
+    tol_p1 = _P1_TOL * max(p, 1.0)
+    batches = []  # the floored rate solves of every evaluation, by number
 
-    def evaluate(owners, p1s):
-        evs = _evaluate_batch(st, ci[owners], e_eff[owners], np.array(p1s))
-        return [evs.view(i) for i in range(len(p1s))]
+    def evaluate(ks, p1s):
+        """Target ks[i] evaluated at P1 p1s[i]: returns the targets and their
+        `_EVAL` records, without the rows of targets that took an error."""
+        try:
+            parts = [(slice(None), _evaluate_batch(st, ci[ks], e_eff[ks], p1s))]
+        except SwiptError:
+            parts = []
+            for i, k in enumerate(ks.tolist()):
+                one = slice(k, k + 1)
+                try:
+                    ev = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1])
+                except SwiptError as exc:
+                    if not failed[k]:
+                        out[k], failed[k] = exc, True
+                else:
+                    parts.append((slice(i, i + 1), ev))
+        rec = np.zeros(ks.size, _EVAL)
+        for rows, ev in parts:
+            part = rec[rows]
+            part["p1"], part["kappa"], part["e11"] = ev.p1, ev.kappa, ev.e11
+            part["e2"], part["rate"], part["clamped"] = ev.p3.energy, ev.p3.rate_bits, ev.clamped
+            part["batch"], part["row"] = len(batches), np.arange(part.size)
+            batches.append(ev.p3)
+        ok = ~failed[ks]
+        return ks[ok], rec[ok]
 
-    outs = _run_lockstep([_point_steps(ctx, e) for ctx, e in todo], evaluate)
-    return dict(zip(todo, outs))
+    latest = np.zeros(len(todo), _EVAL)
+    iters = np.zeros(len(todo), dtype=int)
+    p1 = np.full(len(todo), p)
+    settled = np.zeros(len(todo), dtype=bool)
+    live = np.flatnonzero(~failed)
+    while live.size:
+        live, ev = evaluate(live, p1[live])
+        latest[live] = ev
+        # the targets evaluated at their settled P1 are done
+        back = ~settled[live]
+        live, ev = live[back], ev[back]
+        iters[live] += 1
+        p1[live] = _backoff(e_eff[live], ev, p)
+        settled[live] = (np.abs(p1[live] - ev["p1"]) <= tol_p1) | (iters[live] == _N_MAX)
+        live = live[p1[live] != ev["p1"]]
+
+    achieved = latest["e11"] + latest["e2"]
+    short = ~failed & (achieved < e_eff - tol_e)
+    if not st.fixed and short.any():
+        live = np.flatnonzero(short)
+        scan = np.linspace(0.0, p, _RESCUE_SCAN)
+        live, ev = evaluate(np.repeat(live, scan.size), np.tile(scan, live.size))
+        live, ev = live[:: scan.size], ev.reshape(-1, scan.size)
+        got = ev["e11"] + ev["e2"]
+        fit = got >= (e_eff[live] - tol_e[live])[:, None]
+        found = fit.any(axis=1)
+        seen = got.max(axis=1)
+        achieved[live] = np.where(seen > achieved[live], seen, achieved[live])
+        best = np.argmax(np.where(fit, ev["rate"], -np.inf), axis=1)
+        live, ev = live[found], ev[found, best[found]]
+        latest[live] = ev
+        short[live] = False
+        for _ in range(_N_MAX):
+            step = _backoff(e_eff[live], ev, p)
+            move = ~(np.abs(step - ev["p1"]) <= tol_p1)
+            live, step = live[move], step[move]
+            if not live.size:
+                break
+            live, ev = evaluate(live, step)
+            ok = ~(ev["e11"] + ev["e2"] < e_eff[live] - tol_e[live])
+            live, ev = live[ok], ev[ok]
+            latest[live] = ev
+    # reachability is genuinely not an interval for per-target beams: some
+    # interior targets stay short at every P1
+    for k in np.flatnonzero(short & ~failed).tolist():
+        ctx, e = todo[k]
+        got = float(achieved[k])
+        out[k] = InfeasibleTargetError(
+            f"strategy {ctx.strategy!r} delivers {got!r} at target {e!r}", max_attainable=got
+        )
+        failed[k] = True
+
+    no_tx = ~failed & (latest["p1"] <= 1e-12 * max(p, 1.0))
+    live = np.flatnonzero(no_tx & (latest["p1"] != 0.0))
+    if live.size:
+        live, ev = evaluate(live, np.zeros(live.size))
+        latest[live] = ev
+    for k in np.flatnonzero(~failed).tolist():
+        ctx, e = todo[k]
+        ev = latest[k]
+        diag = batches[ev["batch"]].diagnostics(ev["row"])
+        branch = "NO_TX" if no_tx[k] else diag.branch
+        out[k] = REPoint(
+            e_bar=e,
+            rate_bits=float(ev["rate"]),
+            energy=float(ev["e11"] + ev["e2"]),
+            p1=0.0 if no_tx[k] else float(ev["p1"]),
+            branch=branch,
+            iterations=int(iters[k]),
+            lam=diag.lam if branch == "DUAL" else None,
+            mu=diag.mu if branch == "DUAL" else None,
+            clamped=bool(ev["clamped"]) or e > ems[ci[k]],
+            p3=diag,
+        )
+    return dict(zip(todo, out))
 
 
 def _sweep_grid(ctx, n_points):
@@ -1046,8 +1012,9 @@ def re_boundary_point(cs, strategy, e_bar, p, split=0.5):
     """One point of the rate-energy boundary at energy target `e_bar`.
 
     Alternates the decoding user's floored rate problem with the power
-    backoff at transmitter 1 until P1 moves less than 1e-8 * P or 20 rounds
-    pass, then reports the achieved (rate, energy) pair.
+    backoff at transmitter 1 until P1 moves less than 1e-8 * max(P, 1) or 20
+    rounds pass, rescues an adaptive beam that stalls short, and reports the
+    achieved (rate, energy) pair: the one-target case of `_solve_many`.
     """
     (out,) = _solve_many([(_StrategyContext(cs, strategy, p, split), [e_bar])]).values()
     if isinstance(out, SwiptError):
@@ -1059,9 +1026,10 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
     """Sweep the boundary over an energy grid (default: uniform on [0, emax]).
 
     `e_grid`, if given, must be 1-D, finite, nonnegative and strictly
-    increasing.  Every grid target runs the same power-backoff alternation
-    as `re_boundary_point`, all of them in lockstep: each round evaluates
-    the pending (e_bar, P1) pairs of every target as one stacked batch.
+    increasing.  Every grid target is solved as `re_boundary_point` solves
+    one, all of them together (`_solve_many`): each round of the backoff, the
+    rescue and the no-TX step evaluates the (e_bar, P1) pairs of every target
+    that takes it as one stacked batch.
     Failed points become gap entries instead of aborting the sweep; a point
     whose rate a higher target's point beats is replaced by a copy of it
     (flagged `carried`), and the finished boundary is validated against its

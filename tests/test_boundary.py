@@ -302,19 +302,21 @@ class TestRatioRoot:
             rho_hi = (1.0 - boundary._RHO_MARGIN) / cmax
             targets = e_wf + (p * cmax - e_wf) * np.array([1e-6, 0.2, 0.5, 0.8, 0.99])
             f = cs.h22 @ w
-
-            def rays(owners, rhos):
-                r = boundary._Rays(np.broadcast_to(f, (len(rhos),) + f.shape), c, np.array(rhos), p)
-                return [(e, r, i) for i, e in enumerate(r.energy.tolist())]
-
-            steps = [boundary._ratio_root(float(e), e_wf, rho_hi) for e in targets]
-            roots = boundary._run_lockstep(steps, rays)
-            for e_req, (rho, _, evals) in zip(targets, roots):
+            n = targets.size
+            roots, counts, _ = boundary._ratio_roots(
+                np.broadcast_to(f, (n,) + f.shape),
+                np.broadcast_to(c, (n,) + c.shape),
+                targets,
+                np.full(n, e_wf),
+                np.full(n, rho_hi),
+                p,
+            )
+            for e_req, rho, evals in zip(targets, roots, counts):
 
                 def shortfall(r):
                     if r == 0.0:
                         return e_wf - e_req
-                    return rays([0], [r])[0][0] - e_req
+                    return float(boundary._Rays(f[None], c, np.array([r]), p).energy[0]) - e_req
 
                 want = brentq(shortfall, 0.0, rho_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
                 assert abs(rho - want) <= 1e-18 + 8.9e-16 * abs(want)
@@ -559,9 +561,9 @@ class TestStackedLockstep:
 
     @staticmethod
     def _row(ev, i):
-        v = ev.view(i)
         bits = ev.p3.q[i].view(np.uint64).tolist()
-        return (v.p1, v.kappa, v.e11, v.e2, v.rate_bits, v.clamped, v.diag, bits)
+        fields = (ev.p1, ev.kappa, ev.e11, ev.p3.energy, ev.p3.rate_bits, ev.clamped)
+        return tuple(a[i] for a in fields) + (ev.p3.diagnostics(i), bits)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rows_match_own_context(self, strategy):
@@ -614,6 +616,57 @@ class TestStackedLockstep:
             want = boundary._solve_many([(alone, grid)])
             got = [repr(both[ctx, e]) for e in grid.tolist()]
             assert got == [repr(want[alone, e]) for e in grid.tolist()]
+
+    @pytest.mark.parametrize("strategy", ["meb", "sler"])
+    def test_failing_rows_stop_only_their_targets(self, strategy, monkeypatch):
+        # a batch that raises is evaluated one row at a time, so the targets
+        # of the other context go on unchanged
+        p = 5.0
+        cs = draw_channel_set(2, 2, ALPHA, seed=37)
+        sides = (cs, swap_roles(cs))
+        grids = [
+            np.linspace(0.0, boundary._StrategyContext(side, strategy, p).emax(), 10)
+            for side in sides
+        ]
+        alone = boundary._StrategyContext(cs, strategy, p)
+        want = boundary._solve_many([(alone, grids[0])])
+        real = boundary._whitened_links
+
+        def refuse_second(st, ci, w_unit, p1s):
+            if np.any(ci == 1):
+                raise InvariantViolationError("refused")
+            return real(st, ci, w_unit, p1s)
+
+        monkeypatch.setattr(boundary, "_whitened_links", refuse_second)
+        ctxs = [boundary._StrategyContext(side, strategy, p) for side in sides]
+        both = boundary._solve_many(list(zip(ctxs, grids)))
+        for e in grids[1].tolist():
+            out = both[ctxs[1], e]
+            assert isinstance(out, InvariantViolationError) and str(out) == "refused"
+        got = [repr(both[ctxs[0], e]) for e in grids[0].tolist()]
+        assert got == [repr(want[alone, e]) for e in grids[0].tolist()]
+
+    @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
+    def test_one_batch_per_backoff_round(self, strategy, monkeypatch):
+        # the evaluation at a target's settled P1 shares the backoff's rounds:
+        # no separate pass, so the most evaluated target is in every batch
+        p = 5.0
+        real = boundary._evaluate_batch
+        for seed in range(1, 6):
+            ctx = boundary._StrategyContext(draw_channel_set(4, 4, ALPHA, seed=seed), strategy, p)
+            grid = np.linspace(0.0, ctx.emax(), 32)
+            calls = []
+
+            def counting(st, ci, e_bars, p1s):
+                calls.append(e_bars.tolist())
+                return real(st, ci, e_bars, p1s)
+
+            monkeypatch.setattr(boundary, "_evaluate_batch", counting)
+            solved = boundary._solve_many([(ctx, grid)])
+            monkeypatch.setattr(boundary, "_evaluate_batch", real)
+            iters = [pt.iterations for pt in solved.values() if isinstance(pt, REPoint)]
+            assert len(calls) <= max(iters) + 1
+            assert len(calls) == max(sum(e in call for call in calls) for e in grid.tolist())
 
 
 class TestSharedContext:

@@ -313,11 +313,6 @@ class TestScheduledSweep:
             scheduled_sweep(cs, 1.0, n_points=1)
 
 
-def _refuse():
-    raise InfeasibleTargetError("forced shortfall", max_attainable=0.0)
-    yield
-
-
 class TestScheduledRun:
     """scheduled_run solves both orientations' sweeps and the scheduled sweep
     in one lockstep; each curve must equal the one its own call builds."""
@@ -356,14 +351,18 @@ class TestScheduledRun:
         k = next(k for k in range(1, n) if len(orders[k]) == 2)
         first, second = orders[k]
         refused = (ctxs[first].cs.h11.copy(), float(grid[k]))
-        real = boundary._point_steps
+        real = boundary._solve_many
 
-        def steps(ctx, e_bar):
-            if e_bar == refused[1] and np.array_equal(ctx.cs.h11, refused[0]):
-                return _refuse()
-            return real(ctx, e_bar)
+        def solve_many(jobs):
+            solved = real(jobs)
+            for ctx, e_bar in solved:
+                if e_bar == refused[1] and np.array_equal(ctx.cs.h11, refused[0]):
+                    solved[ctx, e_bar] = InfeasibleTargetError("forced shortfall", max_attainable=0.0)
+            return solved
 
-        monkeypatch.setattr(boundary, "_point_steps", steps)
+        # every lockstep of the cold calls and of scheduled_run refuses it
+        monkeypatch.setattr(boundary, "_solve_many", solve_many)
+        monkeypatch.setattr(scheduling, "_solve_many", solve_many)
         (_, _, sched), tags = self._check(cs, p, n)
         assert not sched.gaps
         assert tags[k] == second
