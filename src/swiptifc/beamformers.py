@@ -9,6 +9,7 @@ Strategy identifiers used across the library:
 * ``meb_rank2`` two-stream energy beam with a fixed power split
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +18,14 @@ import numpy as np
 from .channel import stacked_channel
 from .exceptions import DegenerateChannelError, InvalidInputError, RankDeficiencyError
 from .linalg import as_matrix, hermitian_part, inv_sqrt_psd, qrd, spectral_norm, svd
-from .metrics import Beamformer, TxCovariance, achievable_rate, canonical_beam, interference_cov
+from .metrics import (
+    Beamformer,
+    TxCovariance,
+    achievable_rate,
+    canonical_beam,
+    check_covariances,
+    interference_cov,
+)
 
 __all__ = [
     "STRATEGIES",
@@ -142,40 +150,70 @@ def iterative_waterfilling(cs, p, n_max=20, update="simultaneous"):
     both react to the previous round ("simultaneous") or transmitter 2 sees
     transmitter 1's fresh answer ("sequential").  Runs until the covariance
     movement stalls or `n_max` rounds.
+
+    The pair (Q1, Q2) is held as one stack, so a simultaneous round is one
+    stacked pass of `_responses` over both transmitters; a sequential round
+    runs the same pass on transmitter 1's row, then on transmitter 2's.
+    Every stacked factorization and product treats each matrix as it would
+    alone, so the result is bit for bit that of two `waterfill` calls per
+    round (`swiptifc.oracle.iterative_waterfilling_per_user`).
     """
     if update not in ("simultaneous", "sequential"):
         raise InvalidInputError(f"update must be simultaneous or sequential, got {update!r}")
-    if n_max < 1:
-        raise InvalidInputError("n_max must be >= 1")
+    if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool) or n_max < 1:
+        raise InvalidInputError(f"n_max must be an integer >= 1, got {n_max!r}")
     p = float(p)
-    q1 = q2 = (p / cs.m_t) * np.eye(cs.m_t, dtype=np.complex128)
+    if not np.isfinite(p) or p < 0:
+        raise InvalidInputError(f"power budget must be finite nonnegative, got {p!r}")
+    own = np.stack((cs.h11, cs.h22))
+    cross = np.stack((cs.h12, cs.h21))
+    q = np.stack(2 * [(p / cs.m_t) * np.eye(cs.m_t, dtype=np.complex128)])
     deltas = []
     converged = False
     it = 0
     for it in range(1, n_max + 1):
-        q1_new = waterfill(cs.h11, interference_cov(cs.h12, q2), p).q
-        partner = q1_new if update == "sequential" else q1
-        q2_new = waterfill(cs.h22, interference_cov(cs.h21, partner), p).q
-        delta = max(
-            float(np.linalg.norm(q1_new - q1)), float(np.linalg.norm(q2_new - q2))
-        )
+        if update == "simultaneous":
+            q_new = _responses(own, cross, q[::-1], p)
+        else:
+            q1_new = _responses(own[:1], cross[:1], q[1:], p)
+            q_new = np.concatenate((q1_new, _responses(own[1:], cross[1:], q1_new, p)))
+        step = q_new - q
+        delta = max(float(np.linalg.norm(step[0])), float(np.linalg.norm(step[1])))
         deltas.append(delta)
-        q1, q2 = q1_new, q2_new
+        q = q_new
         if delta < 1e-10 * max(p, 1.0):
             converged = True
             break
     rates = (
-        achievable_rate(cs.h11, interference_cov(cs.h12, q2), q1),
-        achievable_rate(cs.h22, interference_cov(cs.h21, q1), q2),
+        achievable_rate(cs.h11, interference_cov(cs.h12, q[1]), q[0]),
+        achievable_rate(cs.h22, interference_cov(cs.h21, q[0]), q[1]),
     )
     return IwfResult(
-        q1=TxCovariance(q1, p),
-        q2=TxCovariance(q2, p),
+        q1=TxCovariance(q[0], p),
+        q2=TxCovariance(q[1], p),
         rates=rates,
         deltas=deltas,
         iterations=it,
         converged=converged,
     )
+
+
+def _responses(own, cross, q_other, p):
+    """`waterfill`'s answer of each transmitter of a stack to the other's
+    interference: direct links (n, M_r, M_t), cross links into the same
+    receivers, the others' covariances (n, M_t, M_t), budget P >= 0.
+
+    Checked as `TxCovariance` checks each covariance.
+    """
+    if p == 0.0:
+        return np.zeros_like(q_other)
+    # I + H Q H^H; `inv_sqrt_psd` takes its Hermitian part, as
+    # `interference_cov` would
+    leak = cross @ q_other @ cross.conj().swapaxes(-1, -2)
+    r = np.eye(own.shape[-2], dtype=np.complex128) + leak
+    q = waterfill_stack(inv_sqrt_psd(r) @ own, p)
+    check_covariances(q, p)
+    return q
 
 
 def eh_eh_optimal(cs, p):

@@ -6,8 +6,10 @@ under test:
 Cholesky), covariance search samples the feasible set blindly, the
 stationarity check probes the objective with random feasible perturbations,
 `inner_max` is the closed-form priced maximizer that the lockstep solver
-never builds, and `lemma1_transform` factors a link pair that no production
-route needs.
+never builds, `lemma1_transform` factors a link pair that no production
+route needs, and `iterative_waterfilling_per_user` plays the water-filling
+game with two `waterfill` calls per round (production stacks both
+transmitters into one pass).
 
 Each `*_census` function runs production code against these routes over
 seeded draws and returns its worst-case figures without judging them.  The
@@ -19,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import eh_eh_optimal, meb, sler_beam, waterfill
+from .beamformers import IwfResult, eh_eh_optimal, meb, sler_beam, waterfill
 from .boundary import solve_p3
 from .channel import draw_channel_set, stacked_channel
 from .exceptions import DualInfeasibleError, InvalidInputError, SingularMatrixError
 from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm, svd
-from .metrics import TxCovariance, achievable_rate, canonical_beam, sler
+from .metrics import TxCovariance, achievable_rate, canonical_beam, interference_cov, sler
 
 __all__ = [
     "random_psd_search",
@@ -34,6 +36,7 @@ __all__ = [
     "inner_max",
     "Lemma1Result",
     "lemma1_transform",
+    "iterative_waterfilling_per_user",
     "harvest_census",
     "waterfill_census",
     "factorization_census",
@@ -251,6 +254,47 @@ def lemma1_transform(h_own, h_cross):
         sigma_g=sigma_g,
         residual_own=res_own,
         residual_cross=res_cross,
+    )
+
+
+def iterative_waterfilling_per_user(cs, p, n_max=20, update="simultaneous"):
+    """`iterative_waterfilling` with one `waterfill` call per transmitter and
+    round, each against `interference_cov` of the other's covariance.
+
+    Returns the same `IwfResult`, bit for bit.
+    """
+    if update not in ("simultaneous", "sequential"):
+        raise InvalidInputError(f"update must be simultaneous or sequential, got {update!r}")
+    if n_max < 1:
+        raise InvalidInputError("n_max must be >= 1")
+    p = float(p)
+    q1 = q2 = (p / cs.m_t) * np.eye(cs.m_t, dtype=np.complex128)
+    deltas = []
+    converged = False
+    it = 0
+    for it in range(1, n_max + 1):
+        q1_new = waterfill(cs.h11, interference_cov(cs.h12, q2), p).q
+        partner = q1_new if update == "sequential" else q1
+        q2_new = waterfill(cs.h22, interference_cov(cs.h21, partner), p).q
+        delta = max(
+            float(np.linalg.norm(q1_new - q1)), float(np.linalg.norm(q2_new - q2))
+        )
+        deltas.append(delta)
+        q1, q2 = q1_new, q2_new
+        if delta < 1e-10 * max(p, 1.0):
+            converged = True
+            break
+    rates = (
+        achievable_rate(cs.h11, interference_cov(cs.h12, q2), q1),
+        achievable_rate(cs.h22, interference_cov(cs.h21, q1), q2),
+    )
+    return IwfResult(
+        q1=TxCovariance(q1, p),
+        q2=TxCovariance(q2, p),
+        rates=rates,
+        deltas=deltas,
+        iterations=it,
+        converged=converged,
     )
 
 

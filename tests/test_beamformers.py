@@ -1,5 +1,8 @@
 """Tests for water-filling and the rank-one beam families."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from swiptifc import (
     waterfill,
 )
 from swiptifc.beamformers import water_level
-from swiptifc.oracle import random_psd_search
+from swiptifc.oracle import iterative_waterfilling_per_user, random_psd_search
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
 
@@ -216,6 +219,52 @@ class TestIterativeWaterfilling:
         assert np.allclose(sim.q1.q, seq.q1.q, atol=1e-6)
         with pytest.raises(InvalidInputError):
             iterative_waterfilling(cs, 1.0, update="jacobi")
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 4), (4, 2)], ids=lambda s: "%dx%d" % s
+    )
+    def test_stacked_game_is_the_per_user_game_bit_for_bit(self, shape):
+        grid = itertools.product(
+            range(1, 6), (0.3, 1.0), (0.1, 50.0), (1, 20, 200), ("simultaneous", "sequential")
+        )
+        for seed, a, p, n_max, update in grid:
+            cs = draw_channel_set(*shape, np.array([[1.0, a], [a, 1.0]]), seed)
+            got = iterative_waterfilling(cs, p, n_max=n_max, update=update)
+            want = iterative_waterfilling_per_user(cs, p, n_max=n_max, update=update)
+            case = (seed, a, p, n_max, update)
+            assert got.rates == want.rates, case
+            assert got.deltas == want.deltas, case
+            assert (got.iterations, got.converged) == (want.iterations, want.converged), case
+            assert got.q1.q.tobytes() == want.q1.q.tobytes(), case
+            assert got.q2.q.tobytes() == want.q2.q.tobytes(), case
+
+    @pytest.mark.parametrize("n_max", [0, -3, 2.5, "3", True, None])
+    def test_round_limit_must_be_a_positive_int(self, n_max):
+        cs = draw_channel_set(2, 2, ALPHA, seed=4)
+        with pytest.raises(InvalidInputError, match="n_max must be an integer >= 1"):
+            iterative_waterfilling(cs, 1.0, n_max=n_max)
+
+    def test_numpy_round_limit_accepted(self):
+        cs = draw_channel_set(2, 2, ALPHA, seed=4)
+        res = iterative_waterfilling(cs, 1.0, n_max=np.int64(3))
+        assert res.deltas == iterative_waterfilling(cs, 1.0, n_max=3).deltas
+
+    @pytest.mark.parametrize("p", [np.inf, -np.inf, np.nan, -1.0])
+    def test_budget_checked_before_any_work(self, p):
+        cs = draw_channel_set(2, 2, ALPHA, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="power budget must be finite nonnegative"):
+                iterative_waterfilling(cs, p)
+
+    @pytest.mark.parametrize("update", ["simultaneous", "sequential"])
+    def test_zero_budget(self, update):
+        cs = draw_channel_set(3, 2, ALPHA, seed=4)
+        res = iterative_waterfilling(cs, 0.0, update=update)
+        assert res.converged and res.iterations == 1 and res.deltas == [0.0]
+        assert res.rates == (0.0, 0.0)
+        assert not res.q1.q.any() and not res.q2.q.any()
+        assert res.q1.q.shape == res.q2.q.shape == (3, 3)
 
 
 class TestEhEhOptimal:
