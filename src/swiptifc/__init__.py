@@ -73,7 +73,6 @@ from .scheduling import (
     scheduled_run,
     scheduled_sweep,
     select_mode,
-    sler_pair,
 )
 from .experiments import (
     CSV_COLUMNS,
@@ -137,7 +136,6 @@ __all__ = [
     "MODES",
     "ModePair",
     "ModeTable",
-    "sler_pair",
     "select_mode",
     "scheduled_sweep",
     "scheduled_run",

@@ -270,10 +270,11 @@ def meb_rank2(h11, p1, split=0.5):
     return TxCovariance(hermitian_part(q), p1)
 
 
-def sler_floor(h11, e_bar, p1):
-    """Energy-shortfall floor max(e_bar / P1 - ||H11||_2^2, 0) in the SLER
-    denominator (per unit transmit power)."""
-    return max(float(e_bar) / float(p1) - spectral_norm(h11) ** 2, 0.0)
+def sler_floor(h11_norm2, e_bars, p1s):
+    """Energy-shortfall floors max(e_bar / P1 - ||H11||_2^2, 0) in the SLER
+    denominator (per unit transmit power), elementwise over arrays of
+    ||H11||_2^2, e_bar and P1.  Every SLER beam takes its floor from here."""
+    return np.maximum(np.asarray(e_bars, dtype=float) / p1s - h11_norm2, 0.0)
 
 
 def sler_beam(h11, h21, e_bar, p1):
@@ -293,8 +294,8 @@ def sler_beam(h11, h21, e_bar, p1):
     e_bar = float(e_bar)
     if not np.isfinite(e_bar) or e_bar < 0:
         raise InvalidInputError(f"e_bar must be finite nonnegative, got {e_bar!r}")
-    floor = sler_floor(h11, e_bar, p1)
-    return canonical_beam(sler_directions(h11, h21, np.array([floor]))[0], p1)
+    floors = sler_floor(spectral_norm(h11) ** 2, np.array([e_bar]), p1)
+    return canonical_beam(sler_directions(h11, h21, floors)[0], p1)
 
 
 def sler_directions(h11, h21, floors):

@@ -32,6 +32,13 @@ and each of their rounds is one stacked SVD of the rays all rows ask for.
 `re_boundary_point`, `solve_p3` and the endpoint search run the same code
 with one target.
 
+One evaluation of an (E_bar, P1) pair is one `_EVAL` record:
+`_solve_p3_batch` fills the floored rate solve (branch, ray evaluations,
+multipliers, gap, energy, trace, rate, repair flags), and `_evaluate_batch`
+adds transmitter 1's P1, kappa, direct-link energy and clamp.  A target
+keeps the record of its latest evaluation; its published point and its
+`P3Diagnostics` (`_diagnostics`) are read from that record alone.
+
 Each public entry point builds the strategy context (`_StrategyContext`)
 of its channel orientation, strategy, P and split, and passes it down; a
 context finds its e_max once.  Nothing is kept between calls.
@@ -56,12 +63,13 @@ from .beamformers import (
     meb_rank2,
     mlb,
     sler_directions,
+    sler_floor,
     slnr_directions,
     water_level,
     waterfill,
     waterfill_stack,
 )
-from .channel import channel_digest
+from .channel import _is_int, channel_digest
 from .exceptions import (
     InfeasibleTargetError,
     InvalidInputError,
@@ -397,36 +405,32 @@ def _ratio_roots(f, c, e_req, e_wf, rho_hi, p):
     return np.array(root), np.array([len(k) for k in known]), SimpleNamespace(**picked)
 
 
-@dataclass
-class _P3Batch:
-    """Floored rate solves of a stack of targets, one row each."""
+# one evaluation of an (e_bar, P1) pair (see the module docstring): `dual`
+# marks the DUAL branch (else WF), lam and mu are nan where the branch
+# reports none, e2 is receiver 2's energy, e11 = kappa * P1 the direct-link
+# energy, and `clamped` marks a floor left for transmitter 2 out of its reach
+_EVAL = np.dtype(
+    [(name, float) for name in ("p1", "kappa", "e11", "lam", "mu", "gap", "e2", "trace", "rate")]
+    + [(name, bool) for name in ("clamped", "dual", "repaired", "rescaled")]
+    + [("evals", int)]
+)
 
-    q: np.ndarray              # (n, M_t, M_t) covariances, validated
-    dual: np.ndarray           # DUAL branch (else WF)
-    evals: np.ndarray          # ray evaluations
-    lam: np.ndarray            # nan where the branch reports none
-    mu: np.ndarray
-    gap: np.ndarray
-    energy: np.ndarray
-    trace: np.ndarray
-    rate_bits: np.ndarray
-    repaired: np.ndarray
-    rescaled: np.ndarray
 
-    def diagnostics(self, i):
-        lam, mu = float(self.lam[i]), float(self.mu[i])
-        return P3Diagnostics(
-            branch="DUAL" if self.dual[i] else "WF",
-            iterations=int(self.evals[i]),
-            lam=None if math.isnan(lam) else lam,
-            mu=None if math.isnan(mu) else mu,
-            gap=float(self.gap[i]),
-            energy=float(self.energy[i]),
-            trace=float(self.trace[i]),
-            rate_bits=float(self.rate_bits[i]),
-            repaired=bool(self.repaired[i]),
-            rescaled=bool(self.rescaled[i]),
-        )
+def _diagnostics(ev):
+    """The `P3Diagnostics` of one `_EVAL` record."""
+    lam, mu = float(ev["lam"]), float(ev["mu"])
+    return P3Diagnostics(
+        branch="DUAL" if ev["dual"] else "WF",
+        iterations=int(ev["evals"]),
+        lam=None if math.isnan(lam) else lam,
+        mu=None if math.isnan(mu) else mu,
+        gap=float(ev["gap"]),
+        energy=float(ev["e2"]),
+        trace=float(ev["trace"]),
+        rate_bits=float(ev["rate"]),
+        repaired=bool(ev["repaired"]),
+        rescaled=bool(ev["rescaled"]),
+    )
 
 
 def _solve_p3_batch(ht, rows, e_req, p, cross):
@@ -436,20 +440,17 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
     its link, `e_req` holds floors already clipped to [0, P cmax], and
     `cross` holds each link's cross-link `_cross_factor`, stacked: c (u, M_t),
     W (u, M_t, M_t), cmax (u,) and v12 (u, M_t).  Water-filling runs once per
-    link; the DUAL targets share one `_ratio_roots` call.
+    link; the DUAL targets share one `_ratio_roots` call.  Returns the
+    validated covariances (n, M_t, M_t) and each target's `_EVAL` record,
+    with the floored-solve fields filled.
     """
     c, w, cmax, v12 = cross
     n, m_t = e_req.size, w.shape[-1]
     cap = p * cmax[rows]
     q = np.empty((n, m_t, m_t), dtype=np.complex128)
-    energy = np.empty(n)
-    trace = np.empty(n)
-    evals = np.zeros(n, dtype=int)
-    lam = np.full(n, np.nan)
-    mu = np.full(n, np.nan)
-    gap = np.zeros(n)
-    rescaled = np.zeros(n, dtype=bool)
-    repaired = np.zeros(n, dtype=bool)
+    rec = np.zeros(n, _EVAL)
+    rec["lam"] = rec["mu"] = np.nan
+    energy, trace = rec["e2"], rec["trace"]  # views: writes land in rec
 
     # at the cap the feasible set collapses onto the cross-link beam; the
     # dual pair diverges there, so return the beam directly
@@ -472,7 +473,7 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
     idx = np.flatnonzero(~at_cap & ~wf)
     if idx.size:
         link = rows[idx]
-        rho, evals[idx], ray = _ratio_roots(
+        rho, rec["evals"][idx], ray = _ratio_roots(
             ht[link] @ w[link],
             c[link],
             e_req[idx],
@@ -480,7 +481,7 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
             (1.0 - _RHO_MARGIN) / cmax[link],
             p,
         )
-        qd, ed, td, rescaled[idx], repaired[idx] = _repair(
+        qd, ed, td, rec["rescaled"][idx], rec["repaired"][idx] = _repair(
             _ray_covariances(w[link], ray.d, ray.vh, ray.powers),
             ray.trace,
             ray.energy,
@@ -490,28 +491,18 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
             v12[link],
         )
         q[idx], energy[idx], trace[idx] = qd, ed, td
-        gap[idx] = np.maximum(
+        rec["gap"][idx] = np.maximum(
             np.maximum(e_req[idx] - ed, 0.0) / np.maximum(1.0, e_req[idx]),
             np.maximum(td - p, 0.0) / p,
         )
-        lam[idx] = rho / ray.eta
-        mu[idx] = 1.0 / ray.eta
+        rec["lam"][idx] = rho / ray.eta
+        rec["mu"][idx] = 1.0 / ray.eta
     q = hermitian_part(q)
     # every covariance built here passes TxCovariance's checks
     check_covariances(np.concatenate((q, q_wf)), p)
-    return _P3Batch(
-        q=q,
-        dual=~wf,
-        evals=evals,
-        lam=lam,
-        mu=mu,
-        gap=gap,
-        energy=energy,
-        trace=trace,
-        rate_bits=_rate_bits(ht[rows], q),
-        repaired=repaired,
-        rescaled=rescaled,
-    )
+    rec["dual"] = ~wf
+    rec["rate"] = _rate_bits(ht[rows], q)
+    return q, rec
 
 
 def solve_p3(h22_tilde, h12, e_target, p):
@@ -549,10 +540,10 @@ def solve_p3(h22_tilde, h12, e_target, p):
             max_attainable=cap,
         )
     e_req = min(max(e_target, 0.0), cap)
-    res = _solve_p3_batch(
+    q, rec = _solve_p3_batch(
         ht[None], np.zeros(1, dtype=int), np.array([e_req]), p, [np.array([a]) for a in cross]
     )
-    return TxCovariance(res.q[0], p), res.diagnostics(0)
+    return TxCovariance(q[0], p), _diagnostics(rec[0])
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +614,10 @@ class _StrategyContext:
         one = _stack([self])
 
         def surplus(target):
-            ev = _evaluate_batch(
+            _, ev = _evaluate_batch(
                 one, np.zeros(1, dtype=int), np.array([target]), np.array([self.p])
             )
-            return float(ev.e11[0] + ev.p3.energy[0]) - target
+            return float(ev["e11"][0] + ev["e2"][0]) - target
 
         g = surplus(e)
         if abs(g) <= tol:
@@ -691,7 +682,7 @@ def _unit_covs(st, ci, e_bars, p1s):
     if hi.any():
         h11, h21 = st.h11[ci[hi]], st.h21[ci[hi]]
         if st.strategy == "sler":
-            floors = np.maximum(e_bars[hi] / p1s[hi] - st.h11_norm2[ci[hi]], 0.0)
+            floors = sler_floor(st.h11_norm2[ci[hi]], e_bars[hi], p1s[hi])
             dirs = sler_directions(h11, h21, floors)
         else:
             dirs = slnr_directions(h11, h21, p1s[hi])
@@ -761,23 +752,12 @@ def emax(cs, strategy, p, split=0.5):
     return _StrategyContext(cs, strategy, p, split).emax()
 
 
-@dataclass
-class _Evaluations:
-    """(e_bar, P1) pairs evaluated in one stacked pass, one row each; the
-    energy and rate at receiver 2 are `p3.energy` and `p3.rate_bits`."""
-
-    p1: np.ndarray
-    kappa: np.ndarray
-    e11: np.ndarray            # direct-link energy kappa * P1
-    clamped: np.ndarray        # the floor left for transmitter 2 was out of its reach
-    p3: _P3Batch
-
-
 def _evaluate_batch(st, ci, e_bars, p1s):
     """Evaluate every (e_bar, P1) pair in one stacked pass: transmitter 1's
     beam, the whitened link H22~ it leaves for receiver 2, and the floored
     rate solve at the energy still missing.  Row i belongs to context ci[i]
-    of the stack `st` (see `_stack`) and reads that context's links."""
+    of the stack `st` (see `_stack`) and reads that context's links.
+    Returns receiver 2's covariances and the `_EVAL` record of each row."""
     if st.strategy == "sler":
         ci_u, p1_u, rows, e_u = ci, p1s, np.arange(p1s.size), e_bars
     else:
@@ -794,16 +774,9 @@ def _evaluate_batch(st, ci, e_bars, p1s):
     clamped = e_need > cap * (1.0 + _FEAS_SLACK)
     e_need = np.minimum(np.maximum(e_need, 0.0), cap)
     cross = [st.c[ci_u], st.w[ci_u], st.cmax[ci_u], st.v12[ci_u]]
-    p3 = _solve_p3_batch(ht, rows, np.minimum(e_need, st.p * st.cmax[ci]), st.p, cross)
-    return _Evaluations(p1=p1s, kappa=kappa, e11=e11, clamped=clamped, p3=p3)
-
-
-# what a target keeps of its latest evaluation: the (e_bar, P1) pair's
-# outcome, and the batch and row of its floored rate solve
-_EVAL = np.dtype(
-    [(name, float) for name in ("p1", "kappa", "e11", "e2", "rate")]
-    + [("clamped", bool), ("batch", int), ("row", int)]
-)
+    q, rec = _solve_p3_batch(ht, rows, np.minimum(e_need, st.p * st.cmax[ci]), st.p, cross)
+    rec["p1"], rec["kappa"], rec["e11"], rec["clamped"] = p1s, kappa, e11, clamped
+    return q, rec
 
 
 def _backoff(e_eff, ev, p):
@@ -864,31 +837,21 @@ def _solve_many(jobs):
     st = _stack(ctxs)
     p = st.p
     tol_p1 = _P1_TOL * max(p, 1.0)
-    batches = []  # the floored rate solves of every evaluation, by number
 
     def evaluate(ks, p1s):
         """Target ks[i] evaluated at P1 p1s[i]: returns the targets and their
         `_EVAL` records, without the rows of targets that took an error."""
         try:
-            parts = [(slice(None), _evaluate_batch(st, ci[ks], e_eff[ks], p1s))]
+            _, rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s)
         except SwiptError:
-            parts = []
+            rec = np.zeros(ks.size, _EVAL)
             for i, k in enumerate(ks.tolist()):
                 one = slice(k, k + 1)
                 try:
-                    ev = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1])
+                    rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1])[1][0]
                 except SwiptError as exc:
                     if not failed[k]:
                         out[k], failed[k] = exc, True
-                else:
-                    parts.append((slice(i, i + 1), ev))
-        rec = np.zeros(ks.size, _EVAL)
-        for rows, ev in parts:
-            part = rec[rows]
-            part["p1"], part["kappa"], part["e11"] = ev.p1, ev.kappa, ev.e11
-            part["e2"], part["rate"], part["clamped"] = ev.p3.energy, ev.p3.rate_bits, ev.clamped
-            part["batch"], part["row"] = len(batches), np.arange(part.size)
-            batches.append(ev.p3)
         ok = ~failed[ks]
         return ks[ok], rec[ok]
 
@@ -952,7 +915,7 @@ def _solve_many(jobs):
     for k in np.flatnonzero(~failed).tolist():
         ctx, e = todo[k]
         ev = latest[k]
-        diag = batches[ev["batch"]].diagnostics(ev["row"])
+        diag = _diagnostics(ev)
         branch = "NO_TX" if no_tx[k] else diag.branch
         out[k] = REPoint(
             e_bar=e,
@@ -969,11 +932,14 @@ def _solve_many(jobs):
     return dict(zip(todo, out))
 
 
-def _sweep_grid(ctx, n_points):
-    """The default sweep grid of a context: `n_points` uniform on [0, e_max]."""
-    if n_points < 2:
-        raise InvalidInputError("n_points must be >= 2")
-    return np.linspace(0.0, ctx.emax(), n_points)
+def _grid(ctxs, n_points):
+    """`n_points` energy targets uniform on [0, e_max], e_max the largest of
+    the contexts': one context's sweep grid, or the scheduled grid of both
+    orientations.  `n_points` must be an integer (not a bool) of at least 2;
+    it is checked before the e_max searches, which run side by side."""
+    if not (_is_int(n_points) and n_points >= 2):
+        raise InvalidInputError(f"n_points must be an integer >= 2, got {n_points!r}")
+    return np.linspace(0.0, max(_emax_many(ctxs)), n_points)
 
 
 def _sweep_boundary(ctx, grid, solved):
@@ -1016,6 +982,10 @@ def re_boundary_point(cs, strategy, e_bar, p, split=0.5):
     rounds pass, rescues an adaptive beam that stalls short, and reports the
     achieved (rate, energy) pair: the one-target case of `_solve_many`.
     """
+    try:
+        e_bar = float(e_bar)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"e_bar must be a real number, got {e_bar!r}") from None
     (out,) = _solve_many([(_StrategyContext(cs, strategy, p, split), [e_bar])]).values()
     if isinstance(out, SwiptError):
         raise out
@@ -1046,11 +1016,11 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
             raise InvalidInputError("e_grid must be strictly increasing")
     ctx = _StrategyContext(cs, strategy, p, split)
     if e_grid is None:
-        grid = _sweep_grid(ctx, n_points)
+        grid = _grid([ctx], n_points)
     return _sweep_boundary(ctx, grid, _solve_many([(ctx, grid)]))
 
 
-def time_sharing_curve(cs, strategy, p, weights=None, split=0.5):
+def time_sharing_curve(cs, strategy, p, weights=None):
     """Convex combinations of full-power beaming and transmitter-1 silence.
 
     Strategy picks transmitter 1's beam in the active slot (meb or mlb).
@@ -1061,7 +1031,7 @@ def time_sharing_curve(cs, strategy, p, weights=None, split=0.5):
     """
     if strategy not in ("meb", "mlb"):
         raise InvalidInputError(f"time sharing supports meb or mlb, got {strategy!r}")
-    ctx = _StrategyContext(cs, strategy, p, split)
+    ctx = _StrategyContext(cs, strategy, p)
     p = ctx.p
     fixed = ctx.consts
     r2 = np.eye(cs.m_r, dtype=np.complex128) + p * fixed["leak_fixed"]

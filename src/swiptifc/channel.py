@@ -11,6 +11,7 @@ redrawing one link can never shift another link's realization.
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,11 @@ def _draw_link(seed, i, j, m_r, m_t):
     )
 
 
+def _is_int(x):
+    """An integer, including numpy's, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def draw_channel_set(m_t, m_r, alpha, seed):
     """Draw a normalized ChannelSet for the given antenna counts and gains."""
     alpha = np.asarray(alpha, dtype=float)
@@ -111,8 +117,10 @@ def draw_channel_set(m_t, m_r, alpha, seed):
         raise InvalidInputError(f"alpha must be 2x2, got {alpha.shape}")
     if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0):
         raise InvalidInputError("alpha entries must be positive finite reals")
-    if m_t < 1 or m_r < 1:
-        raise InvalidInputError("antenna counts must be >= 1")
+    if not all(_is_int(m) and m >= 1 for m in (m_t, m_r)):
+        raise InvalidInputError(f"antenna counts must be integers >= 1, got {(m_t, m_r)!r}")
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise InvalidInputError(f"seed must be a nonnegative integer or None, got {seed!r}")
     m = max(m_t, m_r)
     links = {}
     for i in (1, 2):

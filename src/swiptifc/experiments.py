@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .beamformers import STRATEGIES, eh_eh_optimal, iterative_waterfilling
 from .boundary import re_sweep, time_sharing_curve
-from .channel import channel_digest, draw_channel_set
+from .channel import _is_int, channel_digest, draw_channel_set
 from .exceptions import InvalidInputError
 from .scheduling import MODES, scheduled_run
 
@@ -56,11 +56,6 @@ CSV_COLUMNS = (
 )
 
 _AGG_COLUMNS = ("strategy", "grid_index", "e_norm", "n_seeds", "e_bar", "rate_bits", "energy")
-
-
-def _is_int(x):
-    """An integer, including numpy's, but not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _fmt(x):
@@ -101,8 +96,9 @@ class ExperimentConfig:
             if not _is_int(value):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not all(_is_int(s) for s in seeds) or len(set(seeds)) != len(seeds):
-            raise InvalidInputError(f"seeds must be distinct integers, got {list(seeds)!r}")
+        if not all(_is_int(s) and s >= 0 for s in seeds) or len(set(seeds)) != len(seeds):
+            msg = f"seeds must be distinct nonnegative integers, got {list(seeds)!r}"
+            raise InvalidInputError(msg)
         if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
             raise InvalidInputError(f"power budget must be a real number, got {self.p!r}")
         object.__setattr__(self, "alpha", alpha)

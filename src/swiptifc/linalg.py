@@ -139,18 +139,16 @@ def qrd(a):
     return q, r
 
 
-def inv_sqrt_psd(a, ridge=0.0):
+def inv_sqrt_psd(a):
     """Hermitian inverse square root B with B A B = I.
 
-    `ridge` is added to every eigenvalue before inversion; if the smallest
-    eigenvalue plus ridge is still below 1e-12 the matrix (any matrix of a
+    If the smallest eigenvalue is below 1e-12 the matrix (any matrix of a
     stack) is declared singular.
     """
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise InvalidInputError(f"inv_sqrt_psd needs a square matrix, got {a.shape}")
     w, v = np.linalg.eigh(hermitian_part(a))
-    w = w + ridge
     low = float(w[..., 0].min())
     if low < 1e-12:
         raise SingularMatrixError(

@@ -192,20 +192,19 @@ def harvested_energy(cs, q1, q2, receiver):
     return max(total, 0.0)
 
 
-def sler(v, h_own, h_cross, e_bar, with_floor=True):
+def sler(v, h_own, h_cross, e_bar):
     """Signal-to-leakage-and-energy ratio of a beamformer.
 
     ratio = P1 ||H_own v||^2 / (P1 ||H_cross v||^2 + floor), with
-    floor = max(e_bar - P1 ||H_own||_2^2, 0) when `with_floor`, else 0.
-    A vanishing denominator returns +inf.
+    floor = max(e_bar - P1 ||H_own||_2^2, 0).  A vanishing denominator
+    returns +inf.
     """
     if not isinstance(v, Beamformer):
         raise InvalidInputError("v must be a Beamformer")
     e_bar = float(e_bar)
     if not np.isfinite(e_bar) or e_bar < 0:
         raise InvalidInputError(f"e_bar must be a finite nonnegative real, got {e_bar!r}")
-    e_bars = np.array([e_bar if with_floor else 0.0])
-    return float(sler_ratios(v.v[None], v.power, h_own, h_cross, e_bars)[0])
+    return float(sler_ratios(v.v[None], v.power, h_own, h_cross, np.array([e_bar]))[0])
 
 
 def sler_ratios(vs, p1, h_own, h_cross, e_bars):

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_directions
+from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_directions, sler_floor
 from .boundary import (
     REBoundary,
     _emax_many,
+    _grid,
     _solve_many,
     _StrategyContext,
     _sweep_boundary,
-    _sweep_grid,
 )
 from .channel import channel_digest, swap_roles
 from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
@@ -38,7 +38,6 @@ __all__ = [
     "MODES",
     "ModePair",
     "ModeTable",
-    "sler_pair",
     "select_mode",
     "select_modes",
     "scheduled_sweep",
@@ -82,17 +81,6 @@ class ModeTable:
     id1_eh2: REBoundary
 
 
-def sler_pair(cs, e_bar, p):
-    """Best achievable ratios of the two candidate harvesting orientations.
-
-    The first entry rates transmitter 1 harvesting at receiver 1 while
-    leaking into receiver 2; the second entry rates the mirrored roles.
-    Both beams are found at full transmit power with the same energy target.
-    """
-    s1, s2 = _orientation_ratios(cs, [e_bar], p)
-    return float(s1[0]), float(s2[0])
-
-
 def select_mode(cs, e_bar, p):
     """Pick the mixed mode with the stronger harvesting orientation.
 
@@ -119,7 +107,13 @@ def select_modes(cs, e_bars, p):
 
 
 def _orientation_ratios(cs, e_bars, p):
-    """Arrays of `sler_pair`'s two ratios, one entry per energy target."""
+    """Best achievable ratios of the two candidate harvesting orientations,
+    as two arrays with one entry per energy target.
+
+    The first rates transmitter 1 harvesting at receiver 1 while leaking into
+    receiver 2; the second rates the mirrored roles.  Both beams are found at
+    full transmit power with the same energy target.
+    """
     p = float(p)
     if not np.isfinite(p) or p <= 0:
         raise InvalidInputError(f"power must be positive, got {p!r}")
@@ -128,7 +122,7 @@ def _orientation_ratios(cs, e_bars, p):
         raise InvalidInputError("e_bar must be finite nonnegative")
     ratios = []
     for own, cross in ((cs.h11, cs.h21), (cs.h22, cs.h12)):
-        floors = np.maximum(e_bars / p - spectral_norm(own) ** 2, 0.0)
+        floors = sler_floor(spectral_norm(own) ** 2, e_bars, p)
         v = canonical_directions(sler_directions(own, cross, floors))
         check_unit_rows(v)
         ratios.append(sler_ratios(v, p, own, cross, e_bars))
@@ -147,18 +141,12 @@ def _plan(cs, ctxs, p, n_points):
     """The scheduled grid over [0, max e_max], its top, and per target the
     orientations to try in order: `select_modes`' pick, then the other one,
     each only where its e_max reaches the target."""
-    if n_points < 2:
-        raise InvalidInputError("n_points must be >= 2")
+    grid = _grid(list(ctxs.values()), n_points)
     em1, em2 = _emax_many(list(ctxs.values()))
     em = max(em1, em2)
-    grid = np.linspace(0.0, em, n_points)
     slack = 1.0 + 1e-9
     orders = []
     for e_bar, tag in zip(grid, select_modes(cs, grid, p)):
-        if tag == "eh1_id2" and e_bar > em1 * slack:
-            tag = "id1_eh2"
-        elif tag == "id1_eh2" and e_bar > em2 * slack:
-            tag = "eh1_id2"
         other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
         orders.append(
             [t for t in (tag, other) if e_bar <= (em1 if t == "eh1_id2" else em2) * slack]
@@ -254,7 +242,7 @@ def scheduled_run(cs, p, n_points=64, strategy="sler"):
     """
     ctxs = _orientations(cs, strategy, p)
     grid, em, orders = _plan(cs, ctxs, p, n_points)
-    own = [(ctx, _sweep_grid(ctx, n_points)) for ctx in ctxs.values()]
+    own = [(ctx, _grid([ctx], n_points)) for ctx in ctxs.values()]
     solved = _solve_plan(ctxs, grid, orders, own)
     sweeps = [_sweep_boundary(ctx, g, solved) for ctx, g in own]
     return (*sweeps, *_scheduled_boundary(cs, strategy, ctxs, grid, em, orders, solved))
@@ -269,11 +257,11 @@ def evaluate_all_modes(cs, p, n_points=64, strategy="sler"):
     mirrored orientation swaps the transmitter/receiver roles), both on
     their own grids in one lockstep, as `re_sweep` sweeps each.
     """
+    ctxs = list(_orientations(cs, strategy, p).values())
+    _grid(ctxs, n_points)  # checks n_points, then both e_max searches side by side
     iwf = iterative_waterfilling(cs, p)
     _, _, e_total = eh_eh_optimal(cs, p)
-    ctxs = list(_orientations(cs, strategy, p).values())
-    _emax_many(ctxs)  # both e_max searches side by side
-    sweeps = [(ctx, _sweep_grid(ctx, n_points)) for ctx in ctxs]
+    sweeps = [(ctx, _grid([ctx], n_points)) for ctx in ctxs]
     solved = _solve_many(sweeps)
     eh1_id2, id1_eh2 = (_sweep_boundary(ctx, g, solved) for ctx, g in sweeps)
     return ModeTable(

@@ -406,6 +406,7 @@ class TestSlerBeam:
 class TestStackedBeams:
     def test_stacked_directions_match_single_beams(self):
         from swiptifc.beamformers import sler_directions, sler_floor, slnr_directions
+        from swiptifc.linalg import spectral_norm
         from swiptifc.metrics import canonical_directions
 
         rng = np.random.default_rng(64)
@@ -414,7 +415,10 @@ class TestStackedBeams:
             h21 = _cgauss(rng, m_r, m_t)
             p1s = rng.uniform(0.1, 10.0, 12)
             e_bars = rng.uniform(0.0, 3.0, 12) * p1s * np.linalg.norm(h11, 2) ** 2
-            floors = np.array([sler_floor(h11, e, q) for e, q in zip(e_bars, p1s)])
+            norm2 = spectral_norm(h11) ** 2
+            floors = sler_floor(norm2, e_bars, p1s)
+            scalar = [max(e / q - norm2, 0.0) for e, q in zip(e_bars.tolist(), p1s.tolist())]
+            assert floors.view(np.uint64).tolist() == np.array(scalar).view(np.uint64).tolist()
             assert np.any(floors == 0.0) and np.any(floors > 0.0)
             sl = canonical_directions(sler_directions(h11, h21, floors))
             sn = canonical_directions(slnr_directions(h11, h21, p1s))

@@ -443,6 +443,12 @@ class TestReBoundaryPoint:
             pt = re_boundary_point(cs, "mlb", frac * top, p)
             assert pt.energy >= frac * top * (1.0 - 1e-8)
 
+    @pytest.mark.parametrize("e_bar", [None, "x", [1.0, 2.0]])
+    def test_rejects_non_numeric_target(self, e_bar):
+        cs = draw_channel_set(2, 2, ALPHA, seed=63)
+        with pytest.raises(InvalidInputError, match="e_bar"):
+            re_boundary_point(cs, "meb", e_bar, 2.0)
+
 
 class TestReSweep:
     def test_endpoint_grid(self):
@@ -561,9 +567,9 @@ class TestStackedLockstep:
 
     @staticmethod
     def _row(ev, i):
-        bits = ev.p3.q[i].view(np.uint64).tolist()
-        fields = (ev.p1, ev.kappa, ev.e11, ev.p3.energy, ev.p3.rate_bits, ev.clamped)
-        return tuple(a[i] for a in fields) + (ev.p3.diagnostics(i), bits)
+        # every `_EVAL` field and the covariance, bit for bit
+        q, rec = ev
+        return rec[i].tobytes(), q[i].view(np.uint64).tolist()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rows_match_own_context(self, strategy):
@@ -581,7 +587,7 @@ class TestStackedLockstep:
         p1s[:4] = [0.0, 1e-13 * p, 0.0, 1e-13 * p]
         ci[:4] = [0, 0, 1, 2]
         both = boundary._evaluate_batch(boundary._stack(ctxs), ci, e_bars, p1s)
-        assert both.p3.dual.any() and not both.p3.dual.all()
+        assert both[1]["dual"].any() and not both[1]["dual"].all()
         for k, ctx in enumerate(ctxs):
             mine = np.flatnonzero(ci == k)
             own = boundary._evaluate_batch(

@@ -70,6 +70,20 @@ def test_channelset_validates_alpha_and_shapes():
         ChannelSet(2.0 * cs.h11, cs.h12, cs.h21, cs.h22, ALPHA, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "m_t,m_r,seed", [(2.5, 2, 1), (2, True, 1), (2, 0, 1), (2, 2, -1), (2, 2, 1.5), (2, 2, "1")]
+)
+def test_draw_rejects_bad_counts_and_seeds(m_t, m_r, seed):
+    with pytest.raises(InvalidInputError):
+        draw_channel_set(m_t, m_r, ALPHA, seed=seed)
+
+
+def test_draw_accepts_numpy_integers():
+    a = draw_channel_set(np.int64(2), np.int32(2), ALPHA, seed=np.uint64(4))
+    b = draw_channel_set(2, 2, ALPHA, seed=4)
+    assert np.array_equal(a.h11, b.h11) and np.array_equal(a.h22, b.h22)
+
+
 def test_rank_deficient_matrix_is_rejected():
     cs = draw_channel_set(3, 3, ALPHA, seed=2)
     u = np.zeros((3, 3), dtype=complex)

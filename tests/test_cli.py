@@ -116,7 +116,7 @@ def test_run_rejects_bad_override(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["m_t=2.5", 'seeds=["a"]', 'p="x"'])
+@pytest.mark.parametrize("override", ["m_t=2.5", 'seeds=["a"]', 'p="x"', "seeds=[-1]"])
 def test_run_rejects_mistyped_override(tmp_path, capsys, override):
     rc = main(["run", "--preset", "fig2", "--output", str(tmp_path), "--set", override])
     assert rc == 1

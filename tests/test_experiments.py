@@ -81,6 +81,7 @@ class TestExperimentConfig:
             {"seeds": [1, 1]},
             {"seeds": ["a"]},
             {"seeds": 3},
+            {"seeds": [1, -1]},
             {"m_t": 2.5},
             {"m_r": True},
             {"e_grid_points": 2.5},

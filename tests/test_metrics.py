@@ -196,14 +196,13 @@ class TestSler:
         got = sler(v, np.array([[2.0]]), np.array([[1.0]]), 10.0)
         assert got == pytest.approx(2.0 * 4.0 / (2.0 * 1.0 + 2.0))
 
-    def test_inactive_floor_matches_with_floor_false(self):
+    def test_inactive_floor_matches_no_floor_ratio(self):
         rng = np.random.default_rng(41)
         h11 = _cgauss(rng, 3, 3)
         h21 = _cgauss(rng, 3, 3)
         v = canonical_beam(_cgauss(rng, 3), 4.0)
-        assert sler(v, h11, h21, 0.0) == pytest.approx(
-            sler(v, h11, h21, 0.0, with_floor=False)
-        )
+        no_floor = np.linalg.norm(h11 @ v.v) ** 2 / np.linalg.norm(h21 @ v.v) ** 2
+        assert sler(v, h11, h21, 0.0) == pytest.approx(no_floor)
 
     def test_zero_denominator_is_inf(self):
         v = Beamformer(np.array([1.0 + 0j, 0.0]), 1.0)

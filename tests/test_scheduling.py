@@ -21,7 +21,6 @@ from swiptifc import (
     scheduled_sweep,
     select_mode,
     sler_beam,
-    sler_pair,
     swap_roles,
     evaluate_all_modes,
 )
@@ -29,6 +28,12 @@ from swiptifc import scheduling
 from swiptifc.scheduling import select_modes
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
+
+
+def _ratio_pair(cs, e_bar, p):
+    # the two orientations' ratios at one target, as floats
+    s1, s2 = scheduling._orientation_ratios(cs, [e_bar], p)
+    return float(s1[0]), float(s2[0])
 
 
 def _looped_ratio(v, h_own, h_cross, e_bar):
@@ -100,7 +105,7 @@ class TestSelectMode:
             m_t=2,
             m_r=2,
         )
-        s1, s2 = sler_pair(mirrored, 1.0, 2.0)
+        s1, s2 = _ratio_pair(mirrored, 1.0, 2.0)
         assert s1 == pytest.approx(s2, rel=1e-12)
         assert select_mode(mirrored, 1.0, 2.0) == "eh1_id2"
         assert sym.m_t == cs.m_t
@@ -153,7 +158,7 @@ class TestSelectModes:
                 assert got == [select_mode(cs, float(e), p) for e in grid]
                 assert got == [_looped_mode(cs, float(e), p) for e in grid]
                 for e in grid:
-                    pair = sler_pair(cs, float(e), p)
+                    pair = _ratio_pair(cs, float(e), p)
                     assert pair == _looped_pair(cs, float(e), p)
                     ratios.extend(pair)
         ratios = np.array(ratios)
@@ -182,7 +187,7 @@ class TestSelectModes:
             cs = draw_channel_set(3, 2, ALPHA, seed=seed)
             g1, g2 = (p * np.linalg.norm(h, 2) ** 2 for h in (cs.h11, cs.h22))
             e = 0.5 * (g1 + g2)
-            s1, s2 = sler_pair(cs, e, p)
+            s1, s2 = _ratio_pair(cs, e, p)
             want = "eh1_id2" if math.isinf(s1) else "id1_eh2"
             assert math.isinf(s1) != math.isinf(s2)
             assert select_modes(cs, [0.0, e], p) == ["eh1_id2", want]
@@ -204,7 +209,7 @@ class TestSelectModes:
             )
             grid = [0.0, 1.0, 3.0]
             for e, tag in zip(grid, select_modes(rotated, grid, 2.0)):
-                s1, s2 = sler_pair(rotated, e, 2.0)
+                s1, s2 = _ratio_pair(rotated, e, 2.0)
                 assert tag == "eh1_id2" == _looped_mode(rotated, e, 2.0)
                 ties += s2 > s1
         assert ties
@@ -405,3 +410,40 @@ class TestEvaluateAllModes:
             want = re_sweep(side, "sler", p, n_points=9)
             assert got.points == want.points
             assert (got.gaps, got.e_max) == (want.gaps, want.e_max)
+
+
+class TestPointCount:
+    """Every entry point that builds an energy grid takes its size from one
+    check: an integer (numpy's too, not a bool) of at least 2, checked
+    before any e_max search, lockstep or water-filling game."""
+
+    # each call returns the boundary built on its grid
+    CALLS = {
+        "re_sweep": lambda cs, n: re_sweep(cs, "meb", 2.0, n_points=n),
+        "scheduled_sweep": lambda cs, n: scheduled_sweep(cs, 2.0, n_points=n)[0],
+        "scheduled_run": lambda cs, n: scheduled_run(cs, 2.0, n_points=n)[2],
+        "evaluate_all_modes": lambda cs, n: evaluate_all_modes(cs, 2.0, n_points=n).eh1_id2,
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, "8", True, 1])
+    def test_rejects_before_solving(self, call, n_points, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bad point count reached the solver")
+
+        for module, name in (
+            (boundary, "_emax_many"),
+            (boundary, "_solve_many"),
+            (scheduling, "_emax_many"),
+            (scheduling, "_solve_many"),
+            (scheduling, "iterative_waterfilling"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        cs = draw_channel_set(2, 2, ALPHA, seed=8)
+        with pytest.raises(InvalidInputError, match="n_points"):
+            self.CALLS[call](cs, n_points)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_accepts_numpy_integer(self, call):
+        bd = self.CALLS[call](draw_channel_set(2, 2, ALPHA, seed=8), np.int64(3))
+        assert len(bd.points) + len(bd.gaps) == 3
