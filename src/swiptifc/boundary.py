@@ -29,8 +29,11 @@ stacked pass (`_evaluate_batch`): transmitter 1's beams, the whitened links
 H22~, water-filling, and, for the targets on the DUAL branch, the roots over
 rho (`_ratio_roots`).  Each root is a step-for-step port of scipy's brentq,
 and each of their rounds is one stacked SVD of the rays all rows ask for.
-`re_boundary_point`, `solve_p3` and the endpoint search run the same code
-with one target.
+`re_boundary_point` and `solve_p3` run the same code with one target.
+
+The endpoint e_max is the largest target that the backoff's first round,
+at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
+`time_sharing_curve` takes its two ends from the points at 0 and e_max.
 
 One evaluation of an (E_bar, P1) pair is one `_EVAL` record:
 `_solve_p3_batch` fills the floored rate solve (branch, ray evaluations,
@@ -66,7 +69,6 @@ from .beamformers import (
     sler_floor,
     slnr_directions,
     water_level,
-    waterfill,
     waterfill_stack,
 )
 from .channel import _is_int, channel_digest
@@ -76,7 +78,7 @@ from .exceptions import (
     InvariantViolationError,
     SwiptError,
 )
-from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm, svd
+from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm
 from .metrics import (
     TxCovariance,
     canonical_beam,
@@ -102,6 +104,10 @@ _LN2 = float(np.log(2.0))
 _N_MAX = 20
 _P1_TOL = 1e-8
 _RESCUE_SCAN = 33
+
+# adaptive beams' e_max search: scan points, then at most this many steps
+_EMAX_SCAN = 17
+_EMAX_STEPS = 100
 
 # accepted relative overshoot of an energy target before declaring infeasibility
 _FEAS_SLACK = 1e-9
@@ -239,6 +245,12 @@ def _brentq_steps(xpre, xcur):
             xcur += delta if sbis > 0 else -delta
         fcur = yield xcur
     raise RuntimeError(f"ratio root failed to converge after {_MAXITER} iterations")
+
+
+def _reaches(e_bar, e_max):
+    """Whether energy target `e_bar` lies within the accepted overshoot of
+    the largest deliverable energy `e_max`: the one reach test."""
+    return e_bar <= e_max * (1.0 + _FEAS_SLACK) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +546,7 @@ def solve_p3(h22_tilde, h12, e_target, p):
         )
     cross = _cross_factor(h12)
     cap = p * cross[2]
-    if e_target > cap * (1.0 + _FEAS_SLACK) + 1e-12:
+    if not _reaches(e_target, cap):
         raise InfeasibleTargetError(
             f"energy target {e_target!r} exceeds the deliverable maximum {cap!r}",
             max_attainable=cap,
@@ -565,18 +577,8 @@ class _StrategyContext:
         if not np.isfinite(self.p) or self.p <= 0:
             raise InvalidInputError(f"power budget must be positive, got {p!r}")
         self.split = split
-        _, s12, _ = svd(cs.h12)
         c, w, cmax, v12 = _cross_factor(cs.h12)
-        self.consts = dict(
-            h11=cs.h11,
-            h21=cs.h21,
-            h22=cs.h22,
-            sig12_max2=float(s12[0] ** 2),
-            c=c,
-            w=w,
-            cmax=cmax,
-            v12=v12,
-        )
+        self.consts = dict(h11=cs.h11, h21=cs.h21, h22=cs.h22, c=c, w=w, cmax=cmax, v12=v12)
         w_fixed = None
         if strategy == "meb":
             v = meb(cs.h11, 1.0).v
@@ -597,57 +599,12 @@ class _StrategyContext:
             # vanishing power: both adaptive beams collapse to the pure
             # energy beam (their denominators are dominated by the floor)
             self.consts["meb_v"] = meb(cs.h11, 1.0).v
-            if strategy == "sler":
-                self.consts["h11_norm2"] = spectral_norm(cs.h11) ** 2
+            self.consts["h11_norm2"] = spectral_norm(cs.h11) ** 2
         self._emax = None
 
     def emax(self):
         """Largest reachable energy target for this strategy at full power."""
         return _emax_many([self])[0]
-
-    def _pin_endpoint(self, e, hard):
-        # the map e -> p * (kappa(e, p) + sig12^2) can have slope > 1 at its
-        # fixed point, so forward iteration may cycle instead of converging;
-        # bisect delivered-minus-target to a value the sweep can actually hit
-        tol = 1e-9 * max(1.0, e)
-
-        one = _stack([self])
-
-        def surplus(target):
-            _, ev = _evaluate_batch(
-                one, np.zeros(1, dtype=int), np.array([target]), np.array([self.p])
-            )
-            return float(ev["e11"][0] + ev["e2"][0]) - target
-
-        g = surplus(e)
-        if abs(g) <= tol:
-            return e
-        if g > 0.0:
-            lo, hi = e, hard
-            if surplus(hi) >= 0.0:
-                return hi
-        else:
-            lo, hi, step = None, e, max(1e-3 * e, 1e-6)
-            t = e
-            for _ in range(40):
-                t = max(t - step, 0.0)
-                if surplus(t) >= 0.0:
-                    lo, hi = t, t + step
-                    break
-                step *= 1.6
-                if t == 0.0:
-                    return 0.0
-            if lo is None:
-                return 0.0
-        for _ in range(80):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if surplus(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
 
 
 def _stack(ctxs):
@@ -709,42 +666,66 @@ def _whitened_links(st, ci, w_unit, p1s):
     return out
 
 
+def _surplus(st, ci, e_bars):
+    """g(E) = P kappa(E, P) + P cmax - E at each target (row i in context
+    ci[i] of `st`): >= 0 where the full-power round leaves a floor in reach."""
+    _, kappa = _unit_covs(st, ci, e_bars, np.full(e_bars.size, st.p))
+    return st.p * kappa + st.p * st.cmax[ci] - e_bars
+
+
 def _emax_many(ctxs):
     """`emax` of each strategy context; the contexts share strategy, P, split
     and link shape.
 
-    The forward iterations of the adaptive contexts run side by side, one
-    stacked beam build per step, and each stops at its own 1e-12 test; each
-    endpoint is then pinned on its own.
+    A fixed beam reaches P (kappa + cmax), cmax = sigma_max(H12)^2.  An
+    adaptive beam's e_max is the largest E with `_surplus` g(E) >= 0, where
+    the backoff's first round (P1 = P) meets the target.  As kappa <=
+    ||H11||^2, g >= 0 at P cmax and g <= 0 at P (||H11||^2 + cmax): one
+    stacked `_EMAX_SCAN`-point scan finds each context's last point with
+    g >= 0, and stacked Illinois steps close the bracket above it to 1e-12
+    relative and return its end with g >= 0.
     """
     todo = [ctx for ctx in dict.fromkeys(ctxs) if ctx._emax is None]
     if todo:
         st = _stack(todo)
-        p = st.p
-        if st.fixed:
-            found = (p * (st.kappa_fixed + st.sig12_max2)).tolist()
-        else:
-            # self-consistent target: the adaptive beam at e_max must itself
-            # deliver e_max; iterate from the energy-beam level
-            kappa = np.array([float(svd(ctx.cs.h11)[1][0] ** 2) for ctx in todo])
-            hard = p * (kappa + st.sig12_max2)
-            e = hard.copy()
-            live = np.arange(len(todo))
-            for _ in range(32):
-                _, kappa = _unit_covs(st, live, e[live], np.full(live.size, p))
-                e_new = p * (kappa + st.sig12_max2[live])
-                done = np.abs(e_new - e[live]) <= 1e-12 * np.maximum(1.0, e[live])
-                e[live] = e_new
-                live = live[~done]
-                if not live.size:
-                    break
-            found = [
-                ctx._pin_endpoint(min(ek, hk), hk)
-                for ctx, ek, hk in zip(todo, e.tolist(), hard.tolist())
-            ]
-        for ctx, ek in zip(todo, found):
+        found = st.p * (st.kappa_fixed + st.cmax) if st.fixed else _reach_top(st)
+        for ctx, ek in zip(todo, found.tolist()):
             ctx._emax = ek
     return [ctx._emax for ctx in ctxs]
+
+
+def _reach_top(st):
+    """The largest E with `_surplus` g(E) >= 0 of each context of the stack
+    `st` (see `_emax_many`)."""
+    n, top = st.cmax.size, _EMAX_SCAN - 1
+    lo, hi = st.p * st.cmax, st.p * (st.h11_norm2 + st.cmax)
+    scan = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _EMAX_SCAN)
+    g = _surplus(st, np.repeat(np.arange(n), _EMAX_SCAN), scan.ravel()).reshape(n, -1)
+    # g(lo) = P kappa >= 0, so every row has a last scan point with g >= 0
+    j = top - np.argmax(g[:, ::-1] >= 0.0, axis=1)
+    rows = np.arange(n)
+    a, ga = scan[rows, j], g[rows, j]
+    k = np.minimum(j + 1, top)
+    b, gb = scan[rows, k], g[rows, k]
+    kept = np.zeros(n, dtype=int)  # +1: a moved last, -1: b moved last
+    live = np.flatnonzero(j < top)
+    for _ in range(_EMAX_STEPS):
+        live = live[b[live] - a[live] > 1e-12 * b[live]]
+        if not live.size:
+            break
+        al, bl, gal, gbl = a[live], b[live], ga[live], gb[live]
+        # regula falsi, kept off each end by less than half the tolerance
+        edge = 0.4e-12 * bl
+        x = np.clip(bl - gbl * (bl - al) / (gbl - gal), al + edge, bl - edge)
+        gx = _surplus(st, live, x)
+        up = gx >= 0.0
+        # Illinois: an end kept twice in a row has its stored value halved
+        gb[live[up & (kept[live] == 1)]] *= 0.5
+        ga[live[~up & (kept[live] == -1)]] *= 0.5
+        a[live[up]], ga[live[up]] = x[up], gx[up]
+        b[live[~up]], gb[live[~up]] = x[~up], gx[~up]
+        kept[live] = np.where(up, 1, -1)
+    return a
 
 
 def emax(cs, strategy, p, split=0.5):
@@ -769,12 +750,12 @@ def _evaluate_batch(st, ci, e_bars, p1s):
     ht = _whitened_links(st, ci_u, w_unit, p1_u)
     kappa = kappa_u[rows]
     e11 = kappa * p1s
-    cap = st.p * st.sig12_max2[ci]
+    cap = st.p * st.cmax[ci]
     e_need = e_bars - e11
     clamped = e_need > cap * (1.0 + _FEAS_SLACK)
     e_need = np.minimum(np.maximum(e_need, 0.0), cap)
     cross = [st.c[ci_u], st.w[ci_u], st.cmax[ci_u], st.v12[ci_u]]
-    q, rec = _solve_p3_batch(ht, rows, np.minimum(e_need, st.p * st.cmax[ci]), st.p, cross)
+    q, rec = _solve_p3_batch(ht, rows, e_need, st.p, cross)
     rec["p1"], rec["kappa"], rec["e11"], rec["clamped"] = p1s, kappa, e11, clamped
     return q, rec
 
@@ -826,7 +807,7 @@ def _solve_many(jobs):
         em = ems[ci[k]]
         if not np.isfinite(e) or e < 0:
             out[k] = InvalidInputError(f"e_bar must be finite nonnegative, got {e!r}")
-        elif e > em * (1.0 + _FEAS_SLACK) + 1e-12:
+        elif not _reaches(e, em):
             out[k] = InfeasibleTargetError(
                 f"energy target {e!r} exceeds e_max {em!r} for strategy {ctx.strategy!r}",
                 max_attainable=em,
@@ -1024,55 +1005,46 @@ def time_sharing_curve(cs, strategy, p, weights=None):
     """Convex combinations of full-power beaming and transmitter-1 silence.
 
     Strategy picks transmitter 1's beam in the active slot (meb or mlb).
-    Endpoint A: transmitter 1 at full power on its beam, transmitter 2
-    beaming at the harvester.  Endpoint B: transmitter 1 off, transmitter 2
-    water-filling.  Each weight tau in [0, 1] spends a tau fraction of time
-    in slot A.
+    Endpoint A is the boundary point at e_max (transmitter 1 at full power
+    on its beam, transmitter 2 beaming at the harvester), endpoint B the one
+    at target 0 (transmitter 1 off, transmitter 2 water-filling): the ends
+    of `re_sweep`'s boundary, solved in one lockstep.  Each weight tau in
+    [0, 1] spends a tau fraction of time in slot A.
     """
     if strategy not in ("meb", "mlb"):
         raise InvalidInputError(f"time sharing supports meb or mlb, got {strategy!r}")
-    ctx = _StrategyContext(cs, strategy, p)
-    p = ctx.p
-    fixed = ctx.consts
-    r2 = np.eye(cs.m_r, dtype=np.complex128) + p * fixed["leak_fixed"]
-    h22t = inv_sqrt_psd(hermitian_part(r2)) @ cs.h22
-    _, _, v12 = svd(cs.h12)
-    q2a = p * np.outer(v12[:, 0], v12[:, 0].conj())
-    rate_a = float(_rate_bits(h22t, q2a))
-    energy_a = p * fixed["kappa_fixed"] + p * fixed["sig12_max2"]
-    q2b = waterfill(cs.h22, None, p)
-    rate_b = float(_rate_bits(cs.h22, q2b.q))
-    energy_b = float(np.einsum("ij,jk,ik->", cs.h12, q2b.q, cs.h12.conj()).real)
     if weights is None:
         weights = np.linspace(0.0, 1.0, 33)
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or np.any(~np.isfinite(weights)) or np.any(
-        (weights < 0) | (weights > 1)
-    ):
+    # nan fails both bounds, and +-inf one of them
+    if weights.ndim != 1 or not np.all((weights >= 0) & (weights <= 1)):
         raise InvalidInputError("weights must be finite values in [0, 1]")
+    ctx = _StrategyContext(cs, strategy, p)
+    ends = (0.0, ctx.emax())
+    solved = _solve_many([(ctx, ends)])
+    b, a = (solved[ctx, e] for e in ends)
+    for out in (b, a):
+        if isinstance(out, SwiptError):
+            raise out
     points = []
-    last_e = None
     for tau in np.sort(weights):
-        energy = (1.0 - tau) * energy_b + tau * energy_a
-        if last_e is not None and energy <= last_e:
+        energy = (1.0 - tau) * b.energy + tau * a.energy
+        if points and energy <= points[-1].energy:
             continue
-        last_e = energy
         points.append(
             REPoint(
                 e_bar=energy,
-                rate_bits=(1.0 - tau) * rate_b + tau * rate_a,
+                rate_bits=(1.0 - tau) * b.rate_bits + tau * a.rate_bits,
                 energy=energy,
-                p1=tau * p,
+                p1=tau * ctx.p,
                 branch="TS",
                 iterations=0,
             )
         )
-    boundary = REBoundary(
+    return REBoundary(
         points=points,
         strategy=strategy,
         channel_digest=channel_digest(cs),
-        e_max=energy_a,
+        e_max=a.energy,
         seed=cs.seed,
-    )
-    boundary.validate()
-    return boundary
+    ).validate()

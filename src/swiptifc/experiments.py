@@ -77,7 +77,7 @@ class ExperimentConfig:
     strategies: tuple = ("meb", "mlb")
     e_grid_points: int = 64
     seeds: tuple = (1,)
-    modes: tuple = ("eh1_id2",)
+    modes: tuple = ()
     time_sharing: bool = False
     scheduling: bool = False
     ts_points: int = 33
@@ -121,6 +121,8 @@ class ExperimentConfig:
             if s not in STRATEGIES:
                 raise InvalidInputError(f"unknown strategy {s!r}")
         for m in self.modes:
+            if m in ("eh1_id2", "id1_eh2"):
+                raise InvalidInputError(f"mode {m!r} is swept by `strategies` and `scheduling`")
             if m not in MODES:
                 raise InvalidInputError(f"unknown mode {m!r}")
         if self.ts_points < 2:

@@ -35,7 +35,6 @@ class Tolerances:
     """Global numeric tolerances; the shared instance is `TOL`."""
 
     factorization: float = 1e-10  # residual bound on decomposition identities
-    invariant: float = 1e-8       # looser bound for derived-property checks
     psd: float = 1e-9             # slack accepted when validating PSD matrices
     rank: float = 1e-12           # relative cutoff declaring numerical rank loss
 
@@ -158,21 +157,21 @@ def inv_sqrt_psd(a):
     return hermitian_part(b)
 
 
-def is_psd(a, tol=TOL.psd):
-    """True iff A is Hermitian within `tol` and has min eigenvalue >= -tol.
+def is_psd(a):
+    """True iff A is Hermitian within TOL.psd and has min eigenvalue >= -TOL.psd.
 
     Both checks are relative to max(1, ||A||_F) so power-scaled covariances
     are judged at their own magnitude.
     """
-    return bool(psd_mask(as_matrix(a), tol))
+    return bool(psd_mask(as_matrix(a)))
 
 
-def psd_mask(a, tol=TOL.psd):
+def psd_mask(a):
     """`is_psd` of every matrix in a stack (..., m, m), as a boolean array."""
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise InvalidInputError(f"is_psd needs a square matrix, got {a.shape}")
-    scale = np.maximum(1.0, _frobenius(a))
-    hermitian = _frobenius(a - _ct(a)) <= tol * scale
+    slack = TOL.psd * np.maximum(1.0, _frobenius(a))
+    hermitian = _frobenius(a - _ct(a)) <= slack
     w = np.linalg.eigvalsh(hermitian_part(a))
-    return hermitian & (w[..., 0] >= -tol * scale)
+    return hermitian & (w[..., 0] >= -slack)

@@ -25,6 +25,7 @@ from .boundary import (
     REBoundary,
     _emax_many,
     _grid,
+    _reaches,
     _solve_many,
     _StrategyContext,
     _sweep_boundary,
@@ -142,16 +143,12 @@ def _plan(cs, ctxs, p, n_points):
     orientations to try in order: `select_modes`' pick, then the other one,
     each only where its e_max reaches the target."""
     grid = _grid(list(ctxs.values()), n_points)
-    em1, em2 = _emax_many(list(ctxs.values()))
-    em = max(em1, em2)
-    slack = 1.0 + 1e-9
+    ems = dict(zip(ctxs, _emax_many(list(ctxs.values()))))
     orders = []
     for e_bar, tag in zip(grid, select_modes(cs, grid, p)):
         other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
-        orders.append(
-            [t for t in (tag, other) if e_bar <= (em1 if t == "eh1_id2" else em2) * slack]
-        )
-    return grid, em, orders
+        orders.append([t for t in (tag, other) if _reaches(e_bar, ems[t])])
+    return grid, max(ems.values()), orders
 
 
 def _solve_plan(ctxs, grid, orders, jobs=()):

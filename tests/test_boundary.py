@@ -18,6 +18,8 @@ from swiptifc import (
     re_boundary_point,
     re_sweep,
     scheduled_run,
+    sler_beam,
+    slnr_beam,
     solve_p3,
     swap_roles,
     time_sharing_curve,
@@ -91,6 +93,60 @@ class TestEmax:
     def test_unknown_strategy(self):
         with pytest.raises(InvalidInputError):
             emax(_toy_cs(), "mrt", 1.0)
+
+
+def _g(cs, strategy, e_bar, p):
+    """P kappa(E, P) + P sigma_max(H12)^2 - E, from the public beams: the
+    energy transmitter 2 can add beyond the floor that transmitter 1's
+    full-power beam leaves it."""
+    if strategy == "sler":
+        v = sler_beam(cs.h11, cs.h21, e_bar, p).v
+    else:
+        v = slnr_beam(cs.h11, cs.h21, p).v
+    sig12 = np.linalg.svd(cs.h12, compute_uv=False)[0]
+    return p * np.linalg.norm(cs.h11 @ v) ** 2 + p * sig12**2 - e_bar
+
+
+class TestEndpointReach:
+    """e_max is the largest target the first (full-power) backoff round
+    reaches, and the top target of every sweep is reachable."""
+
+    @pytest.mark.parametrize(
+        "m, a, seed, p, target",
+        [
+            (2, 0.8, 55, 0.1, 0.2246),
+            (4, 0.7, 32, 50.0, 171.55),
+        ],
+    )
+    def test_sler_reaches_above_settled_fixed_point(self, m, a, seed, p, target):
+        cs = draw_channel_set(m, m, [[1.0, a], [a, 1.0]], seed)
+        assert emax(cs, "sler", p) >= target
+        pt = re_boundary_point(cs, "sler", target, p)
+        # delivered to rounding: e11 + e2 may sit an ulp below the target
+        assert pt.energy >= target * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("strategy", ["sler", "slnr"])
+    @pytest.mark.parametrize("p", [50.0, 0.1])
+    def test_emax_reachable_and_last(self, strategy, p):
+        for seed in range(4):
+            cs = draw_channel_set(3, 3, ALPHA, seed)
+            top = emax(cs, strategy, p)
+            pt = re_boundary_point(cs, strategy, top, p)
+            assert pt.energy >= top * (1.0 - 1e-9)
+            hi = p * (
+                np.linalg.norm(cs.h11, 2) ** 2 + np.linalg.norm(cs.h12, 2) ** 2
+            )
+            scan = np.linspace(top * (1.0 + 1e-9), hi, 64)
+            assert all(_g(cs, strategy, e, p) < 0.0 for e in scan)
+
+    @pytest.mark.parametrize("strategy", ["meb", "mlb"])
+    def test_time_sharing_ends_are_sweep_ends(self, strategy):
+        cs = draw_channel_set(3, 3, ALPHA, seed=74)
+        ts = time_sharing_curve(cs, strategy, 4.0, weights=[0.0, 1.0])
+        sweep = re_sweep(cs, strategy, 4.0, n_points=8)
+        for end, pt in ((ts.points[0], sweep.points[0]), (ts.points[-1], sweep.points[-1])):
+            assert (end.rate_bits, end.energy) == (pt.rate_bits, pt.energy)
+        assert ts.e_max == sweep.points[-1].energy
 
 
 class TestSolveP3:

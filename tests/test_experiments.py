@@ -91,6 +91,8 @@ class TestExperimentConfig:
             {"alpha": "x"},
             {"strategies": 3},
             {"modes": 3},
+            {"modes": ["eh1_id2"]},
+            {"modes": ["id_id", "id1_eh2"]},
         ],
     )
     def test_rejects_mistyped_fields(self, tmp_path, field):
@@ -253,7 +255,7 @@ class TestRunExperiment:
             tmp_path,
             strategies=("sler",),
             scheduling=True,
-            modes=("id_id", "eh_eh", "eh1_id2", "id1_eh2"),
+            modes=("id_id", "eh_eh"),
         )
         run_experiment(cfg)
         out = tmp_path / "out"
