@@ -7,9 +7,11 @@ singular vector of the cross link) protects the decoder.  Between the
 extremes the solver backs off transmitter 1's power and re-solves the
 energy-constrained rate problem at every target.
 
-Also prints the time-sharing chord: mixing transmitter-1 silence with
-full-power beaming in time beats the always-on curve once the boundary
-bends far enough.
+Also prints the time-sharing chord between the two ends of the meb sweep:
+mixing transmitter-1 silence with full-power beaming in time beats the
+always-on curve once the boundary bends far enough.  The chord needs a
+sweep on its own grid, whose ends are at target 0 and at e_max; the
+shared-grid sweeps above stop at the leakage beam's reach.
 """
 
 import numpy as np
@@ -33,10 +35,12 @@ meb_full = re_sweep(cs, "meb", p, n_points=9)
 flat = [pt.e_bar for pt in meb_full.points if pt.p1 <= 1e-9]
 print(f"meb keeps transmitter 1 silent up to E={max(flat):.2f} W" if flat else "")
 
-ts = time_sharing_curve(cs, "meb", p, weights=np.linspace(0, 1, 5))
+ts = time_sharing_curve(meb_full, weights=np.linspace(0, 1, 5))
 print("\ntime sharing (fraction tau beaming at full power):")
 for pt in ts.points:
-    print(f"  tau={pt.p1 / p:4.2f}  E={pt.energy:7.2f} W  rate={pt.rate_bits:.4f} bits")
+    # p1 is transmitter 1's mean power, tau times the full-power end's
+    print(f"  tau={pt.p1 / meb_full.points[-1].p1:4.2f}  E={pt.energy:7.2f} W  "
+          f"rate={pt.rate_bits:.4f} bits")
 lo, hi = ts.points[0], ts.points[-1]
 for pt in meb_full.points:
     if lo.energy < pt.e_bar < hi.energy:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import stacked_channel
 from .exceptions import DegenerateChannelError, InvalidInputError, RankDeficiencyError
-from .linalg import as_matrix, hermitian_part, inv_sqrt_psd, qrd, spectral_norm, svd
+from .linalg import _as_real, as_matrix, hermitian_part, inv_sqrt_psd, qrd, spectral_norm, svd
 from .metrics import (
     Beamformer,
     TxCovariance,
@@ -101,9 +101,7 @@ def waterfill(h, r_noise, p):
     full budget is always spent.
     """
     h = as_matrix(h, "h")
-    p = float(p)
-    if not np.isfinite(p) or p < 0:
-        raise InvalidInputError(f"power budget must be finite nonnegative, got {p!r}")
+    p = _as_real(p, "power budget")
     m_t = h.shape[1]
     if p == 0.0:
         return TxCovariance(np.zeros((m_t, m_t), dtype=np.complex128), 0.0)
@@ -162,9 +160,7 @@ def iterative_waterfilling(cs, p, n_max=20, update="simultaneous"):
         raise InvalidInputError(f"update must be simultaneous or sequential, got {update!r}")
     if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool) or n_max < 1:
         raise InvalidInputError(f"n_max must be an integer >= 1, got {n_max!r}")
-    p = float(p)
-    if not np.isfinite(p) or p < 0:
-        raise InvalidInputError(f"power budget must be finite nonnegative, got {p!r}")
+    p = _as_real(p, "power budget")
     own = np.stack((cs.h11, cs.h22))
     cross = np.stack((cs.h12, cs.h21))
     q = np.stack(2 * [(p / cs.m_t) * np.eye(cs.m_t, dtype=np.complex128)])
@@ -224,9 +220,7 @@ def eh_eh_optimal(cs, p):
     P (sigma_1^2 + sigma_2^2) of those stacked gains is the maximum over all
     PSD covariance pairs.  Returns (Q1, Q2, total_energy).
     """
-    p = float(p)
-    if not np.isfinite(p) or p < 0:
-        raise InvalidInputError(f"power budget must be finite nonnegative, got {p!r}")
+    p = _as_real(p, "power budget")
     covs = []
     total = 0.0
     for tx in (1, 2):
@@ -257,12 +251,10 @@ def meb_rank2(h11, p1, split=0.5):
     h11 = as_matrix(h11, "h11")
     if h11.shape[1] < 2:
         raise InvalidInputError("meb_rank2 needs at least two transmit antennas")
-    split = float(split)
-    if not 0.0 <= split <= 1.0:
+    split = _as_real(split, "split")
+    if split > 1.0:
         raise InvalidInputError(f"split must lie in [0, 1], got {split!r}")
-    p1 = float(p1)
-    if not np.isfinite(p1) or p1 < 0:
-        raise InvalidInputError(f"power must be finite nonnegative, got {p1!r}")
+    p1 = _as_real(p1, "power")
     _, _, v = svd(h11)
     v1 = canonical_beam(v[:, 0], 1.0).v
     v2 = canonical_beam(v[:, 1], 1.0).v
@@ -288,12 +280,8 @@ def sler_beam(h11, h21, e_bar, p1):
     """
     h11 = as_matrix(h11, "h11")
     h21 = as_matrix(h21, "h21")
-    p1 = float(p1)
-    if not np.isfinite(p1) or p1 <= 0:
-        raise InvalidInputError(f"P1 must be positive, got {p1!r}")
-    e_bar = float(e_bar)
-    if not np.isfinite(e_bar) or e_bar < 0:
-        raise InvalidInputError(f"e_bar must be finite nonnegative, got {e_bar!r}")
+    p1 = _as_real(p1, "P1", positive=True)
+    e_bar = _as_real(e_bar, "e_bar")
     floors = sler_floor(spectral_norm(h11) ** 2, np.array([e_bar]), p1)
     return canonical_beam(sler_directions(h11, h21, floors)[0], p1)
 
@@ -336,9 +324,7 @@ def slnr_beam(h11, h21, p1):
     (H11^H H11, H21^H H21 + (M_r / P1) I)."""
     h11 = as_matrix(h11, "h11")
     h21 = as_matrix(h21, "h21")
-    p1 = float(p1)
-    if not np.isfinite(p1) or p1 <= 0:
-        raise InvalidInputError(f"P1 must be positive, got {p1!r}")
+    p1 = _as_real(p1, "P1", positive=True)
     return canonical_beam(slnr_directions(h11, h21, np.array([p1]))[0], p1)
 
 

@@ -33,7 +33,7 @@ and each of their rounds is one stacked SVD of the rays all rows ask for.
 
 The endpoint e_max is the largest target that the backoff's first round,
 at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
-`time_sharing_curve` takes its two ends from the points at 0 and e_max.
+`time_sharing_curve` joins the points of a meb or mlb sweep at 0 and e_max.
 
 One evaluation of an (E_bar, P1) pair is one `_EVAL` record:
 `_solve_p3_batch` fills the floored rate solve (branch, ray evaluations,
@@ -46,11 +46,12 @@ Each public entry point builds the strategy context (`_StrategyContext`)
 of its channel orientation, strategy, P and split, and passes it down; a
 context finds its e_max once.  Nothing is kept between calls.
 
-One lockstep may span several contexts that share strategy, P, split and
-link shape (`_solve_many`), such as both orientations of one channel: every
-row of a round carries its context's index and reads that context's links
-and constants, stacked once per lockstep (`_stack`).  Solving one context
-is the one-context case of the same code.
+One lockstep may span several contexts that share strategy, P and link
+shape (`_solve_many`), such as both orientations of one channel, or one
+channel's meb_rank2 contexts at different splits: every row of a round
+carries its context's index and reads that context's links and constants,
+the fixed beam included, stacked once per lockstep (`_stack`).  Solving one
+context is the one-context case of the same code.
 """
 
 import dataclasses
@@ -78,7 +79,7 @@ from .exceptions import (
     InvariantViolationError,
     SwiptError,
 )
-from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm
+from .linalg import _as_real, as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm
 from .metrics import (
     TxCovariance,
     canonical_beam,
@@ -171,21 +172,21 @@ class REBoundary:
     seed: int | None = None
     gaps: list = field(default_factory=list)
 
-    def validate(self, rate_tol=1e-6, energy_tol=1e-6):
+    def validate(self):
         prev = None
         for pt in self.points:
             if pt.rate_bits < -1e-12 or pt.energy < -1e-9:
                 raise InvariantViolationError(
                     f"negative rate or energy at e_bar={pt.e_bar!r}"
                 )
-            if pt.energy < pt.e_bar - energy_tol * max(1.0, pt.e_bar):
+            if pt.energy < pt.e_bar - 1e-6 * max(1.0, pt.e_bar):
                 raise InvariantViolationError(
                     f"energy {pt.energy!r} misses target {pt.e_bar!r}"
                 )
             if prev is not None:
                 if pt.e_bar <= prev.e_bar:
                     raise InvariantViolationError("e_bar grid is not strictly increasing")
-                if pt.rate_bits > prev.rate_bits + rate_tol:
+                if pt.rate_bits > prev.rate_bits + 1e-6:
                     raise InvariantViolationError(
                         f"rate increases along the curve at e_bar={pt.e_bar!r} "
                         f"({prev.rate_bits!r} -> {pt.rate_bits!r})"
@@ -532,9 +533,7 @@ def solve_p3(h22_tilde, h12, e_target, p):
 
     Returns (TxCovariance, P3Diagnostics).
     """
-    p = float(p)
-    if not np.isfinite(p) or p <= 0:
-        raise InvalidInputError(f"power budget must be positive, got {p!r}")
+    p = _as_real(p, "power budget", positive=True)
     e_target = float(e_target)
     if not np.isfinite(e_target):
         raise InvalidInputError("e_target must be finite")
@@ -573,10 +572,7 @@ class _StrategyContext:
         check_strategy(strategy)
         self.cs = cs
         self.strategy = strategy
-        self.p = float(p)
-        if not np.isfinite(self.p) or self.p <= 0:
-            raise InvalidInputError(f"power budget must be positive, got {p!r}")
-        self.split = split
+        self.p = _as_real(p, "power budget", positive=True)
         c, w, cmax, v12 = _cross_factor(cs.h12)
         self.consts = dict(h11=cs.h11, h21=cs.h21, h22=cs.h22, c=c, w=w, cmax=cmax, v12=v12)
         w_fixed = None
@@ -610,7 +606,9 @@ class _StrategyContext:
 def _stack(ctxs):
     """The `consts` of the strategy contexts of one lockstep, each stacked
     along a leading context axis; an evaluation row reads its own context's
-    entries by index.  The contexts share strategy, P, split and link shape.
+    entries by index.  The contexts share strategy, P and link shape; their
+    fixed beams (`w_fixed`, `kappa_fixed`, `leak_fixed`) are per-context
+    entries, so they may differ in split.
     """
     first = ctxs[0]
     return SimpleNamespace(
@@ -674,8 +672,8 @@ def _surplus(st, ci, e_bars):
 
 
 def _emax_many(ctxs):
-    """`emax` of each strategy context; the contexts share strategy, P, split
-    and link shape.
+    """`emax` of each strategy context; the contexts share strategy, P and
+    link shape (see `_stack`).
 
     A fixed beam reaches P (kappa + cmax), cmax = sigma_max(H12)^2.  An
     adaptive beam's e_max is the largest E with `_surplus` g(E) >= 0, where
@@ -773,8 +771,8 @@ def _backoff(e_eff, ev, p):
 def _solve_many(jobs):
     """Boundary points of several strategy contexts, solved together.
 
-    `jobs` lists (context, e_bars) pairs; the contexts share strategy, P,
-    split and link shape.  Each distinct (context, e_bar) pair is one target,
+    `jobs` lists (context, e_bars) pairs; the contexts share strategy, P and
+    link shape (see `_stack`).  Each distinct (context, e_bar) pair is one target,
     solved once.  Each step evaluates the (e_bar, P1) pairs of every target
     that takes it as one stacked batch (`_evaluate_batch`):
 
@@ -1001,31 +999,33 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
     return _sweep_boundary(ctx, grid, _solve_many([(ctx, grid)]))
 
 
-def time_sharing_curve(cs, strategy, p, weights=None):
-    """Convex combinations of full-power beaming and transmitter-1 silence.
+def time_sharing_curve(boundary, weights=None):
+    """Convex combinations of the two ends of a fixed-beam sweep.
 
-    Strategy picks transmitter 1's beam in the active slot (meb or mlb).
-    Endpoint A is the boundary point at e_max (transmitter 1 at full power
-    on its beam, transmitter 2 beaming at the harvester), endpoint B the one
-    at target 0 (transmitter 1 off, transmitter 2 water-filling): the ends
-    of `re_sweep`'s boundary, solved in one lockstep.  Each weight tau in
-    [0, 1] spends a tau fraction of time in slot A.
+    `boundary` is a meb or mlb sweep whose first point is at target 0 and
+    whose last is at its e_max, as `re_sweep` builds on its own grid.
+    Endpoint A, the last point, has transmitter 1 at full power on its beam
+    and transmitter 2 beaming at the harvester; endpoint B, the first, has
+    transmitter 1 off and transmitter 2 water-filling.  Each weight tau in
+    [0, 1] spends a tau fraction of time in slot A, so transmitter 1's mean
+    power, reported as p1, is tau times A's.
     """
-    if strategy not in ("meb", "mlb"):
-        raise InvalidInputError(f"time sharing supports meb or mlb, got {strategy!r}")
+    if boundary.strategy not in ("meb", "mlb"):
+        raise InvalidInputError(f"time sharing supports meb or mlb, got {boundary.strategy!r}")
+    pts = boundary.points
+    if not pts or pts[0].e_bar != 0.0 or pts[-1].e_bar != boundary.e_max:
+        raise InvalidInputError("time sharing needs a sweep with points at target 0 and at e_max")
+    b, a = pts[0], pts[-1]
     if weights is None:
         weights = np.linspace(0.0, 1.0, 33)
-    weights = np.asarray(weights, dtype=float)
+    bad = InvalidInputError("weights must be a 1-D list of values in [0, 1]")
+    try:
+        weights = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise bad from None
     # nan fails both bounds, and +-inf one of them
     if weights.ndim != 1 or not np.all((weights >= 0) & (weights <= 1)):
-        raise InvalidInputError("weights must be finite values in [0, 1]")
-    ctx = _StrategyContext(cs, strategy, p)
-    ends = (0.0, ctx.emax())
-    solved = _solve_many([(ctx, ends)])
-    b, a = (solved[ctx, e] for e in ends)
-    for out in (b, a):
-        if isinstance(out, SwiptError):
-            raise out
+        raise bad
     points = []
     for tau in np.sort(weights):
         energy = (1.0 - tau) * b.energy + tau * a.energy
@@ -1036,15 +1036,15 @@ def time_sharing_curve(cs, strategy, p, weights=None):
                 e_bar=energy,
                 rate_bits=(1.0 - tau) * b.rate_bits + tau * a.rate_bits,
                 energy=energy,
-                p1=tau * ctx.p,
+                p1=tau * a.p1,
                 branch="TS",
                 iterations=0,
             )
         )
     return REBoundary(
         points=points,
-        strategy=strategy,
-        channel_digest=channel_digest(cs),
+        strategy=boundary.strategy,
+        channel_digest=boundary.channel_digest,
         e_max=a.energy,
-        seed=cs.seed,
+        seed=boundary.seed,
     ).validate()

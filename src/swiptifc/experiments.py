@@ -340,7 +340,8 @@ def _curve_slots(boundary, n_grid):
 def _seed_task(cfg_dict, seed):
     """One seed's curves, gaps and mode rows.  With scheduling on, both
     orientations' sler sweeps and the scheduled sweep come from one
-    `scheduled_run`, whose single lockstep spans both orientations."""
+    `scheduled_run`, whose single lockstep spans both orientations.  A
+    time-sharing line joins the ends of the meb or mlb sweep it follows."""
     cfg = ExperimentConfig.from_dict(cfg_dict)
     t0 = time.perf_counter()
     cs = draw_channel_set(cfg.m_t, cfg.m_r, np.asarray(cfg.alpha), seed)
@@ -360,9 +361,7 @@ def _seed_task(cfg_dict, seed):
         b = scheduled.get(strategy) or re_sweep(cs, strategy, cfg.p, n_points=cfg.e_grid_points)
         add(strategy, b)
         if cfg.time_sharing and strategy in ("meb", "mlb"):
-            ts = time_sharing_curve(
-                cs, strategy, cfg.p, weights=np.linspace(0.0, 1.0, cfg.ts_points)
-            )
+            ts = time_sharing_curve(b, weights=np.linspace(0.0, 1.0, cfg.ts_points))
             curves[f"{strategy}_ts"] = list(ts.points)
     if cfg.scheduling:
         add("sler_swap", scheduled["sler_swap"])

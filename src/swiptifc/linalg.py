@@ -8,6 +8,7 @@ rounding noise landed.  `svd`, `qrd`, `inv_sqrt_psd` and `psd_mask` also take
 a stack of matrices (..., m, n) and factor each one as LAPACK would alone.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,21 @@ def as_stack(a, name="matrix"):
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
+
+
+def _as_real(x, name, positive=False):
+    """Validate `x` as a finite real number (not a bool or a string) that is
+    nonnegative, or positive with `positive`, and return it as a float."""
+    try:
+        if isinstance(x, (bool, np.bool_, str, bytes)):
+            raise TypeError
+        value = float(x)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        kind = "positive" if positive else "nonnegative"
+        raise InvalidInputError(f"{name} must be finite {kind}, got {x!r}")
+    return value
 
 
 def _frobenius(a):

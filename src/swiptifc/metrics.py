@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .linalg import as_matrix, hermitian_part, inv_sqrt_psd, psd_mask, spectral_norm
+from .linalg import _as_real, as_matrix, hermitian_part, inv_sqrt_psd, psd_mask, spectral_norm
 
 __all__ = [
     "TxCovariance",
@@ -56,9 +56,7 @@ class TxCovariance:
         if q.shape[0] != q.shape[1]:
             raise InvalidInputError(f"Q must be square, got {q.shape}")
         object.__setattr__(self, "q", q)
-        budget = float(self.budget)
-        if not np.isfinite(budget) or budget < 0:
-            raise InvalidInputError(f"budget must be a finite nonnegative real, got {budget!r}")
+        budget = _as_real(self.budget, "budget")
         object.__setattr__(self, "budget", budget)
         check_covariances(q, budget)
 
@@ -84,10 +82,7 @@ class Beamformer:
         if abs(nrm - 1.0) > _UNIT_SLACK:
             raise InvalidInputError(f"beamformer norm is {nrm!r}, expected 1")
         object.__setattr__(self, "v", v)
-        power = float(self.power)
-        if not np.isfinite(power) or power < 0:
-            raise InvalidInputError(f"power must be a finite nonnegative real, got {power!r}")
-        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "power", _as_real(self.power, "power"))
 
     def covariance(self):
         """Rank-one covariance power * v v^H."""
@@ -201,9 +196,7 @@ def sler(v, h_own, h_cross, e_bar):
     """
     if not isinstance(v, Beamformer):
         raise InvalidInputError("v must be a Beamformer")
-    e_bar = float(e_bar)
-    if not np.isfinite(e_bar) or e_bar < 0:
-        raise InvalidInputError(f"e_bar must be a finite nonnegative real, got {e_bar!r}")
+    e_bar = _as_real(e_bar, "e_bar")
     return float(sler_ratios(v.v[None], v.power, h_own, h_cross, np.array([e_bar]))[0])
 
 
@@ -215,9 +208,7 @@ def sler_ratios(vs, p1, h_own, h_cross, e_bars):
     """
     h_own = as_matrix(h_own, "h_own")
     h_cross = as_matrix(h_cross, "h_cross")
-    p1 = float(p1)
-    if not np.isfinite(p1) or p1 < 0:
-        raise InvalidInputError(f"power must be a finite nonnegative real, got {p1!r}")
+    p1 = _as_real(p1, "power")
     e_bars = np.asarray(e_bars, dtype=float)
     if not np.all(np.isfinite(e_bars) & (e_bars >= 0)):
         raise InvalidInputError("e_bar must be a finite nonnegative real")
@@ -233,9 +224,7 @@ def slnr(v, h_own, h_cross, noise_floor):
     """Signal-to-leakage-plus-noise ratio ||H_own v||^2 / (||H_cross v||^2 + noise_floor)."""
     if not isinstance(v, Beamformer):
         raise InvalidInputError("v must be a Beamformer")
-    noise_floor = float(noise_floor)
-    if not np.isfinite(noise_floor) or noise_floor <= 0:
-        raise InvalidInputError(f"noise_floor must be positive, got {noise_floor!r}")
+    noise_floor = _as_real(noise_floor, "noise_floor", positive=True)
     h_own = as_matrix(h_own, "h_own")
     h_cross = as_matrix(h_cross, "h_cross")
     num = float(np.linalg.norm(h_own @ v.v) ** 2)

@@ -8,12 +8,14 @@ the transmitter that can push more energy to its harvester while leaking
 less onto the decoding receiver wins the harvesting role.  `select_modes`
 rates every target of a grid at once.
 
-A scheduled sweep builds one strategy context per orientation and passes
-both to `boundary`'s lockstep solver, so one lockstep spans both
-orientations: `scheduled_run` solves every target that both fixed
-orientations' sweeps and the scheduled sweep need in a single lockstep (and
-any fallbacks it has not already solved in a second), and
-`evaluate_all_modes` sweeps both orientations in one.
+Scheduling is SLER only: both orientations are swept under the SLER beam,
+the beam behind the rule.  `scheduled_run` is the one scheduled path.  It
+builds one strategy context per orientation and passes both to `boundary`'s
+lockstep solver, so a single lockstep solves every target that both fixed
+orientations' sweeps and the scheduled sweep need (and a second one any
+fallbacks the first has not already solved); `scheduled_sweep` is its
+scheduled curve.  `evaluate_all_modes` sweeps both orientations in one
+lockstep.
 """
 
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ from .boundary import (
 )
 from .channel import channel_digest, swap_roles
 from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
-from .linalg import spectral_norm
+from .linalg import _as_real, spectral_norm
 from .metrics import canonical_directions, check_unit_rows, sler_ratios
 
 __all__ = [
@@ -115,9 +117,7 @@ def _orientation_ratios(cs, e_bars, p):
     receiver 2; the second rates the mirrored roles.  Both beams are found at
     full transmit power with the same energy target.
     """
-    p = float(p)
-    if not np.isfinite(p) or p <= 0:
-        raise InvalidInputError(f"power must be positive, got {p!r}")
+    p = _as_real(p, "power budget", positive=True)
     e_bars = np.array(e_bars, dtype=float).reshape(-1)
     if not np.all(np.isfinite(e_bars) & (e_bars >= 0)):
         raise InvalidInputError("e_bar must be finite nonnegative")
@@ -130,41 +130,44 @@ def _orientation_ratios(cs, e_bars, p):
     return ratios
 
 
-def _orientations(cs, strategy, p):
-    """The strategy contexts of both orientations, by mode tag."""
+def _orientations(cs, p):
+    """The SLER strategy contexts of both orientations, by mode tag."""
     return {
-        "eh1_id2": _StrategyContext(cs, strategy, p),
-        "id1_eh2": _StrategyContext(swap_roles(cs), strategy, p),
+        "eh1_id2": _StrategyContext(cs, "sler", p),
+        "id1_eh2": _StrategyContext(swap_roles(cs), "sler", p),
     }
 
 
-def _plan(cs, ctxs, p, n_points):
-    """The scheduled grid over [0, max e_max], its top, and per target the
-    orientations to try in order: `select_modes`' pick, then the other one,
-    each only where its e_max reaches the target."""
+def scheduled_run(cs, p, n_points=64):
+    """Both fixed orientations' sweeps and the scheduled sweep of one channel.
+
+    Returns (eh1_id2, id1_eh2, scheduled, tags): the boundaries that
+    `re_sweep` builds under the SLER beam for `cs` and for `swap_roles(cs)`
+    on their own grids, the scheduled boundary on the grid over [0, max
+    e_max], and its per-point mode tags.  One `select_modes` call picks the
+    stronger orientation at every scheduled target; where the pick cannot
+    reach a target, the other orientation serves it.  Both e_max searches
+    run side by side, and one lockstep solves both own grids and every
+    target's first choice; a second one solves the fallbacks it has not
+    already solved.  The scheduled curve is not validated for rate
+    monotonicity: a mode switch along the grid may move the rate in either
+    direction.
+    """
+    ctxs = _orientations(cs, p)
     grid = _grid(list(ctxs.values()), n_points)
     ems = dict(zip(ctxs, _emax_many(list(ctxs.values()))))
+    e_bars = grid.tolist()
+    # per target, the orientations to try in order: the pick, then the other
     orders = []
-    for e_bar, tag in zip(grid, select_modes(cs, grid, p)):
+    for e_bar, tag in zip(e_bars, select_modes(cs, grid, p)):
         other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
         orders.append([t for t in (tag, other) if _reaches(e_bar, ems[t])])
-    return grid, max(ems.values()), orders
-
-
-def _solve_plan(ctxs, grid, orders, jobs=()):
-    """Outcomes of the targets of `jobs` and of each (target, orientation)
-    the plan reaches, keyed as `boundary._solve_many` keys them.
-
-    The first choices of both orientations are solved together with `jobs`
-    in one lockstep.  The fallbacks of first choices that could not reach
-    their target are solved in a second, except those the first one solved.
-    """
-    e_bars = grid.tolist()
+    own = [(ctx, _grid([ctx], n_points)) for ctx in ctxs.values()]
     first = [
         (ctx, [e for e, order in zip(e_bars, orders) if order[:1] == [t]])
         for t, ctx in ctxs.items()
     ]
-    solved = _solve_many(list(jobs) + first)
+    solved = _solve_many(own + first)
     fallbacks = [
         (ctx, [
             e for e, order in zip(e_bars, orders)
@@ -174,87 +177,52 @@ def _solve_plan(ctxs, grid, orders, jobs=()):
         ])
         for t, ctx in ctxs.items()
     ]
-    return solved | _solve_many(fallbacks)
-
-
-def _scheduled_boundary(cs, strategy, ctxs, grid, em, orders, solved):
-    """The scheduled curve and its tags: per target, the first orientation
-    of its order that reached it."""
-    points = []
-    tags = []
-    gaps = []
-    for k, (e_bar, order) in enumerate(zip(grid.tolist(), orders)):
-        pt = None
+    solved |= _solve_many(fallbacks)
+    points, tags, gaps = [], [], []
+    for k, (e_bar, order) in enumerate(zip(e_bars, orders)):
         err = None
         for t in order:
             out = solved[ctxs[t], e_bar]
             if isinstance(out, InfeasibleTargetError):
                 err = out
-                continue
-            if isinstance(out, SwiptError):
+            elif isinstance(out, SwiptError):
                 raise out
-            pt, tag = out, t
-            break
-        if pt is None:
+            else:
+                points.append(out)
+                tags.append(t)
+                break
+        else:
             gaps.append((k, e_bar, str(err)))
-            continue
-        points.append(pt)
-        tags.append(tag)
-    boundary = REBoundary(
+    scheduled = REBoundary(
         points=points,
-        strategy=f"{strategy}_sched",
+        strategy="sler_sched",
         channel_digest=channel_digest(cs),
-        e_max=em,
+        e_max=max(ems.values()),
         seed=cs.seed,
         gaps=gaps,
     )
-    return boundary, tags
+    return (*(_sweep_boundary(ctx, g, solved) for ctx, g in own), scheduled, tags)
 
 
-def scheduled_sweep(cs, p, n_points=64, strategy="sler"):
-    """Tradeoff sweep with per-target mode selection between orientations.
+def scheduled_sweep(cs, p, n_points=64):
+    """`scheduled_run`'s scheduled boundary and its per-point mode tags.
 
-    One `select_modes` call picks the stronger orientation at every target;
-    if the chosen orientation cannot reach a target the other one is used
-    instead.  Both orientations' e_max searches run side by side; the first
-    choices of both orientations are solved in one lockstep, and the
-    fallbacks in a second.  Returns the boundary and the per-point mode
-    tags.  The curve is not validated for rate monotonicity: a mode switch
-    along the grid may move the rate in either direction.
+    It also solves both own-grid sweeps; it keeps its name because the
+    benchmark's traced run (`perfbench/spans.py`) wraps it by name.
     """
-    ctxs = _orientations(cs, strategy, p)
-    grid, em, orders = _plan(cs, ctxs, p, n_points)
-    solved = _solve_plan(ctxs, grid, orders)
-    return _scheduled_boundary(cs, strategy, ctxs, grid, em, orders, solved)
+    return scheduled_run(cs, p, n_points)[2:]
 
 
-def scheduled_run(cs, p, n_points=64, strategy="sler"):
-    """Both fixed orientations' sweeps and the scheduled sweep of one channel.
-
-    Returns (eh1_id2, id1_eh2, scheduled, tags): the boundaries that
-    `re_sweep` builds for `cs` and for `swap_roles(cs)` on their own grids,
-    and `scheduled_sweep`'s boundary and tags.  Both e_max searches run side
-    by side, and one lockstep solves every target the three curves need; a
-    second one solves the fallbacks it has not already solved.
-    """
-    ctxs = _orientations(cs, strategy, p)
-    grid, em, orders = _plan(cs, ctxs, p, n_points)
-    own = [(ctx, _grid([ctx], n_points)) for ctx in ctxs.values()]
-    solved = _solve_plan(ctxs, grid, orders, own)
-    sweeps = [_sweep_boundary(ctx, g, solved) for ctx, g in own]
-    return (*sweeps, *_scheduled_boundary(cs, strategy, ctxs, grid, em, orders, solved))
-
-
-def evaluate_all_modes(cs, p, n_points=64, strategy="sler"):
+def evaluate_all_modes(cs, p, n_points=64):
     """Evaluate every receiver-mode assignment on one channel realization.
 
     Both-decode runs the water-filling game and reports the sum rate;
     both-harvest uses the closed-form rank-one optimum; the two mixed
-    orientations are swept under the given transmitter-1 strategy (the
+    orientations are swept under the SLER beam at transmitter 1 (the
     mirrored orientation swaps the transmitter/receiver roles), both on
     their own grids in one lockstep, as `re_sweep` sweeps each.
     """
-    ctxs = list(_orientations(cs, strategy, p).values())
+    ctxs = list(_orientations(cs, p).values())
     _grid(ctxs, n_points)  # checks n_points, then both e_max searches side by side
     iwf = iterative_waterfilling(cs, p)
     _, _, e_total = eh_eh_optimal(cs, p)

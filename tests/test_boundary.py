@@ -142,11 +142,13 @@ class TestEndpointReach:
     @pytest.mark.parametrize("strategy", ["meb", "mlb"])
     def test_time_sharing_ends_are_sweep_ends(self, strategy):
         cs = draw_channel_set(3, 3, ALPHA, seed=74)
-        ts = time_sharing_curve(cs, strategy, 4.0, weights=[0.0, 1.0])
         sweep = re_sweep(cs, strategy, 4.0, n_points=8)
+        ts = time_sharing_curve(sweep, weights=[0.0, 1.0])
         for end, pt in ((ts.points[0], sweep.points[0]), (ts.points[-1], sweep.points[-1])):
-            assert (end.rate_bits, end.energy) == (pt.rate_bits, pt.energy)
+            assert (end.rate_bits, end.energy, end.p1) == (pt.rate_bits, pt.energy, pt.p1)
         assert ts.e_max == sweep.points[-1].energy
+        # the sweep's top point is transmitter 1 at full power, to rounding
+        assert sweep.points[-1].p1 == pytest.approx(4.0, rel=1e-12)
 
 
 class TestSolveP3:
@@ -668,16 +670,25 @@ class TestStackedLockstep:
     def test_solve_many_matches_one_context_each(self):
         p = 5.0
         cs = draw_channel_set(2, 2, ALPHA, seed=37)
-        sides = (cs, swap_roles(cs))
-        ctxs = [boundary._StrategyContext(side, "sler", p) for side in sides]
-        grids = [np.linspace(0.0, ctx.emax(), 10) for ctx in ctxs]
-        grids[0] = np.append(grids[0], 2.0 * grids[0][-1])  # one unreachable target
-        both = boundary._solve_many(list(zip(ctxs, grids)))
-        for side, ctx, grid in zip(sides, ctxs, grids):
-            alone = boundary._StrategyContext(side, "sler", p)
-            want = boundary._solve_many([(alone, grid)])
-            got = [repr(both[ctx, e]) for e in grid.tolist()]
-            assert got == [repr(want[alone, e]) for e in grid.tolist()]
+        cases = (
+            ("sler", [(cs, 0.5), (swap_roles(cs), 0.5)]),
+            # one channel's rank-two beams at several splits: the fixed beam
+            # is a per-context entry, so a lockstep's contexts need not share one
+            ("meb_rank2", [(cs, split) for split in (0.1, 0.37, 0.5, 0.9)]),
+        )
+        for strategy, keys in cases:
+            ctxs = [boundary._StrategyContext(side, strategy, p, split) for side, split in keys]
+            grids = [np.linspace(0.0, ctx.emax(), 10) for ctx in ctxs]
+            grids[0] = np.append(grids[0], 2.0 * grids[0][-1])  # one unreachable target
+            both = boundary._solve_many(list(zip(ctxs, grids)))
+            for (side, split), ctx, grid in zip(keys, ctxs, grids):
+                alone = boundary._StrategyContext(side, strategy, p, split)
+                want = boundary._solve_many([(alone, grid)])
+                got = [repr(both[ctx, e]) for e in grid.tolist()]
+                assert got == [repr(want[alone, e]) for e in grid.tolist()]
+            # distinct contexts give distinct points
+            tops = {both[ctx, grid[-2]].rate_bits for ctx, grid in zip(ctxs, grids)}
+            assert len(tops) == len(ctxs)
 
     @pytest.mark.parametrize("strategy", ["meb", "sler"])
     def test_failing_rows_stop_only_their_targets(self, strategy, monkeypatch):
@@ -813,7 +824,7 @@ class TestTimeSharing:
     def test_endpoints(self):
         cs = draw_channel_set(3, 3, ALPHA, seed=71)
         p = 4.0
-        bd = time_sharing_curve(cs, "meb", p, weights=[0.0, 0.5, 1.0])
+        bd = time_sharing_curve(re_sweep(cs, "meb", p, n_points=9), weights=[0.0, 0.5, 1.0])
         first, last = bd.points[0], bd.points[-1]
         # tau = 0: transmitter 1 silent, water-filling rate, leakage energy
         q_wf = waterfill(cs.h22, None, p)
@@ -825,18 +836,42 @@ class TestTimeSharing:
         assert last.p1 == pytest.approx(p)
         assert last.e_bar == pytest.approx(bd.e_max)
         assert all(pt.branch == "TS" for pt in bd.points)
+        assert (bd.strategy, bd.seed, bd.channel_digest) == ("meb", cs.seed, channel_digest(cs))
 
     def test_linear_interpolation(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=72)
-        bd = time_sharing_curve(cs, "mlb", 2.0, weights=np.linspace(0.0, 1.0, 5))
+        sweep = re_sweep(cs, "mlb", 2.0, n_points=9)
+        bd = time_sharing_curve(sweep, weights=np.linspace(0.0, 1.0, 5))
         r0, r1 = bd.points[0].rate_bits, bd.points[-1].rate_bits
         e0, e1 = bd.points[0].energy, bd.points[-1].energy
         for pt in bd.points:
-            tau = pt.p1 / 2.0
+            # p1 is transmitter 1's mean power: tau times the full-power end's
+            tau = pt.p1 / sweep.points[-1].p1
             assert pt.rate_bits == pytest.approx((1 - tau) * r0 + tau * r1, rel=1e-9)
             assert pt.energy == pytest.approx((1 - tau) * e0 + tau * e1, rel=1e-9)
 
     def test_rejects_adaptive_strategies(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=73)
-        with pytest.raises(InvalidInputError):
-            time_sharing_curve(cs, "sler", 1.0)
+        for strategy in ("sler", "slnr", "meb_rank2"):
+            with pytest.raises(InvalidInputError, match="meb or mlb"):
+                time_sharing_curve(re_sweep(cs, strategy, 1.0, n_points=4))
+
+    def test_rejects_ends_off_zero_and_emax(self):
+        # a sweep on a grid of its own choosing has no point at target 0 or
+        # none at its e_max, so it holds no time-sharing end there
+        cs = draw_channel_set(2, 2, ALPHA, seed=73)
+        p = 1.0
+        top = emax(cs, "meb", p)
+        shared = np.linspace(0.0, emax(cs, "mlb", p), 5)  # below meb's e_max
+        for grid in (shared, np.linspace(0.1 * top, top, 5)):
+            with pytest.raises(InvalidInputError, match="target 0 and at e_max"):
+                time_sharing_curve(re_sweep(cs, "meb", p, e_grid=grid))
+        empty = REBoundary(points=[], strategy="meb", channel_digest="d", e_max=top)
+        with pytest.raises(InvalidInputError, match="target 0 and at e_max"):
+            time_sharing_curve(empty)
+
+    @pytest.mark.parametrize("weights", [[0.0, 1.5], [-0.1], [np.nan], [np.inf], [[0.0, 1.0]]])
+    def test_rejects_bad_weights(self, weights):
+        cs = draw_channel_set(2, 2, ALPHA, seed=73)
+        with pytest.raises(InvalidInputError, match="weights"):
+            time_sharing_curve(re_sweep(cs, "meb", 1.0, n_points=4), weights=weights)

@@ -8,6 +8,7 @@ from swiptifc.exceptions import (
 )
 from swiptifc.linalg import (
     TOL,
+    _as_real,
     as_matrix,
     hermitian_eig,
     hermitian_part,
@@ -125,3 +126,61 @@ def test_is_psd():
 def test_tolerances_frozen():
     with pytest.raises(Exception):
         TOL.psd = 1.0
+
+
+class TestRealInput:
+    """Every power, split and weight taken from outside goes through one
+    conversion: a non-numeric or boolean value raises InvalidInputError, not
+    a ValueError or TypeError of `float`, and a bool is not read as 0 or 1."""
+
+    BAD = ["x", None, True, np.bool_(False), b"1", [1.0], 1j]
+
+    @pytest.mark.parametrize("x", BAD)
+    def test_helper_rejects_non_numbers(self, x):
+        with pytest.raises(InvalidInputError, match="power budget must be finite nonnegative"):
+            _as_real(x, "power budget")
+
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, -1.0])
+    def test_helper_rejects_out_of_range(self, x):
+        with pytest.raises(InvalidInputError, match="finite nonnegative"):
+            _as_real(x, "p")
+
+    def test_helper_converts(self):
+        assert _as_real(np.int64(3), "p") == 3.0 and type(_as_real(np.float32(2.5), "p")) is float
+        assert _as_real(0, "p") == 0.0
+        with pytest.raises(InvalidInputError, match="p must be finite positive"):
+            _as_real(0.0, "p", positive=True)
+
+    @staticmethod
+    def _calls():
+        import swiptifc as s
+
+        cs = s.draw_channel_set(2, 2, [[1.0, 0.8], [0.8, 1.0]], seed=3)
+        sweep = s.re_sweep(cs, "meb", 1.0, n_points=4)
+        return {
+            "re_sweep": lambda x: s.re_sweep(cs, "meb", x, n_points=4),
+            "re_boundary_point": lambda x: s.re_boundary_point(cs, "meb", 0.1, x),
+            "emax": lambda x: s.emax(cs, "meb", x),
+            "emax_split": lambda x: s.emax(cs, "meb_rank2", 1.0, split=x),
+            "solve_p3": lambda x: s.solve_p3(cs.h22, cs.h12, 0.1, x),
+            "scheduled_run": lambda x: s.scheduled_run(cs, x, n_points=4),
+            "select_mode": lambda x: s.select_mode(cs, 0.1, x),
+            "evaluate_all_modes": lambda x: s.evaluate_all_modes(cs, x, n_points=4),
+            "iterative_waterfilling": lambda x: s.iterative_waterfilling(cs, x),
+            "time_sharing_weights": lambda x: s.time_sharing_curve(sweep, weights=[0.0, x]),
+        }
+
+    SCALARS = (
+        "re_sweep", "re_boundary_point", "emax", "emax_split", "solve_p3", "scheduled_run",
+        "select_mode", "evaluate_all_modes", "iterative_waterfilling",
+    )
+
+    # a weight list is converted as a numpy array, which reads True as 1.0
+    @pytest.mark.parametrize(
+        "call, x",
+        [(c, x) for c in SCALARS for x in ("x", None, True)]
+        + [("time_sharing_weights", x) for x in ("x", None)],
+    )
+    def test_entry_points_reject_non_numbers(self, call, x):
+        with pytest.raises(InvalidInputError):
+            self._calls()[call](x)

@@ -16,6 +16,7 @@ from swiptifc import (
     eh_eh_optimal,
     emax,
     iterative_waterfilling,
+    re_boundary_point,
     re_sweep,
     scheduled_run,
     scheduled_sweep,
@@ -59,6 +60,42 @@ def _looped_mode(cs, e_bar, p):
         if s2 - s1 <= 1e-12 * max(abs(s1), abs(s2), 1.0):
             return "eh1_id2"
     return "id1_eh2"
+
+
+def _per_target_reference(cs, p, n):
+    """The scheduled curve target by target: `select_mode`, then
+    `re_boundary_point` in the picked orientation, falling back to the other
+    one where the pick cannot reach the target.  Returns (points, tags,
+    gaps) on the grid over [0, max e_max]."""
+    swapped = swap_roles(cs)
+    em1, em2 = emax(cs, "sler", p), emax(swapped, "sler", p)
+    grid = np.linspace(0.0, max(em1, em2), n)
+    want_pts, want_tags, want_gaps = [], [], []
+    for k, e_bar in enumerate(grid):
+        tag = select_mode(cs, float(e_bar), p)
+        if tag == "eh1_id2" and e_bar > em1 * (1 + 1e-9):
+            tag = "id1_eh2"
+        elif tag == "id1_eh2" and e_bar > em2 * (1 + 1e-9):
+            tag = "eh1_id2"
+        other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
+        pt, err = None, None
+        for t in (tag, other):
+            side, top = (cs, em1) if t == "eh1_id2" else (swapped, em2)
+            if e_bar > top * (1 + 1e-9):
+                continue
+            try:
+                pt = re_boundary_point(side, "sler", float(e_bar), p)
+            except InfeasibleTargetError as exc:
+                err = exc
+                continue
+            tag = t
+            break
+        if pt is None:
+            want_gaps.append((k, float(e_bar), str(err)))
+            continue
+        want_pts.append(pt)
+        want_tags.append(tag)
+    return want_pts, want_tags, want_gaps
 
 
 def _floor_grid(cs, p, n=17):
@@ -257,8 +294,6 @@ class TestScheduledSweep:
         grid = np.linspace(
             0.0, min(emax(cs, "sler", p), emax(swapped, "sler", p)), 7
         )
-        from swiptifc import re_boundary_point
-
         for e_bar in grid:
             tag = select_mode(cs, float(e_bar), p)
             r1 = re_boundary_point(cs, "sler", float(e_bar), p).rate_bits
@@ -269,39 +304,10 @@ class TestScheduledSweep:
     def test_matches_per_target_reference(self):
         # the batched sweep lands every target where the per-target rule
         # (select_mode, then re_boundary_point with a fallback) lands it
-        from swiptifc import InfeasibleTargetError, re_boundary_point
-
         p = 5.0
         for a, seed in ((0.7, 1), (1.0, 2), (1.0, 5)):
             cs = draw_channel_set(2, 2, np.array([[1.0, a], [a, 1.0]]), seed=seed)
-            swapped = swap_roles(cs)
-            em1, em2 = emax(cs, "sler", p), emax(swapped, "sler", p)
-            grid = np.linspace(0.0, max(em1, em2), 24)
-            want_pts, want_tags, want_gaps = [], [], []
-            for k, e_bar in enumerate(grid):
-                tag = select_mode(cs, float(e_bar), p)
-                if tag == "eh1_id2" and e_bar > em1 * (1 + 1e-9):
-                    tag = "id1_eh2"
-                elif tag == "id1_eh2" and e_bar > em2 * (1 + 1e-9):
-                    tag = "eh1_id2"
-                other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
-                pt, err = None, None
-                for t in (tag, other):
-                    side, top = (cs, em1) if t == "eh1_id2" else (swapped, em2)
-                    if e_bar > top * (1 + 1e-9):
-                        continue
-                    try:
-                        pt = re_boundary_point(side, "sler", float(e_bar), p)
-                    except InfeasibleTargetError as exc:
-                        err = exc
-                        continue
-                    tag = t
-                    break
-                if pt is None:
-                    want_gaps.append((k, float(e_bar), str(err)))
-                    continue
-                want_pts.append(pt)
-                want_tags.append(tag)
+            want_pts, want_tags, want_gaps = _per_target_reference(cs, p, 24)
             bd, tags = scheduled_sweep(cs, p, n_points=24)
             assert tags == want_tags
             assert bd.gaps == want_gaps
@@ -320,24 +326,25 @@ class TestScheduledSweep:
 
 class TestScheduledRun:
     """scheduled_run solves both orientations' sweeps and the scheduled sweep
-    in one lockstep; each curve must equal the one its own call builds."""
+    in one lockstep: each fixed curve must equal its own `re_sweep`, and the
+    scheduled curve the per-target reference."""
 
     @staticmethod
     def _check(cs, p, n):
-        cold = [
-            re_sweep(cs, "sler", p, n_points=n),
-            re_sweep(swap_roles(cs), "sler", p, n_points=n),
-            scheduled_sweep(cs, p, n_points=n),
-        ]
-        *got, tags = scheduled_run(cs, p, n_points=n)
-        own, mirrored, (sched, sched_tags) = cold
-        for g, w in zip(got, (own, mirrored, sched)):
+        *got, sched, tags = scheduled_run(cs, p, n_points=n)
+        cold = (re_sweep(cs, "sler", p, n_points=n), re_sweep(swap_roles(cs), "sler", p, n_points=n))
+        for g, w in zip(got, cold):
             assert g.points == w.points
             assert g.gaps == w.gaps
             assert (g.e_max, g.strategy, g.seed) == (w.e_max, w.strategy, w.seed)
             assert g.channel_digest == w.channel_digest
-        assert tags == sched_tags
-        return got, tags
+        want_pts, want_tags, want_gaps = _per_target_reference(cs, p, n)
+        assert sched.points == want_pts
+        assert (sched.gaps, tags) == (want_gaps, want_tags)
+        assert (sched.strategy, sched.seed) == ("sler_sched", cs.seed)
+        assert sched.e_max == max(w.e_max for w in cold)
+        assert sched.channel_digest == cold[0].channel_digest
+        return sched, tags
 
     @pytest.mark.parametrize("m_t,m_r", [(2, 2), (3, 2), (2, 3), (4, 4)])
     def test_matches_cold_calls(self, m_t, m_r):
@@ -351,11 +358,16 @@ class TestScheduledRun:
         p = 50.0
         n = 16
         cs = draw_channel_set(2, 2, np.array([[1.0, 0.7], [0.7, 1.0]]), seed=3)
-        ctxs = scheduling._orientations(cs, "sler", p)
-        grid, _, orders = scheduling._plan(cs, ctxs, p, n)
+        tops = {"eh1_id2": emax(cs, "sler", p), "id1_eh2": emax(swap_roles(cs), "sler", p)}
+        grid = np.linspace(0.0, max(tops.values()), n)
+        orders = []
+        for e_bar, tag in zip(grid, select_modes(cs, grid, p)):
+            other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
+            orders.append([t for t in (tag, other) if e_bar <= tops[t] * (1 + 1e-9)])
         k = next(k for k in range(1, n) if len(orders[k]) == 2)
         first, second = orders[k]
-        refused = (ctxs[first].cs.h11.copy(), float(grid[k]))
+        side = cs if first == "eh1_id2" else swap_roles(cs)
+        refused = (side.h11.copy(), float(grid[k]))
         real = boundary._solve_many
 
         def solve_many(jobs):
@@ -365,10 +377,10 @@ class TestScheduledRun:
                     solved[ctx, e_bar] = InfeasibleTargetError("forced shortfall", max_attainable=0.0)
             return solved
 
-        # every lockstep of the cold calls and of scheduled_run refuses it
+        # every lockstep of scheduled_run and of the reference refuses it
         monkeypatch.setattr(boundary, "_solve_many", solve_many)
         monkeypatch.setattr(scheduling, "_solve_many", solve_many)
-        (_, _, sched), tags = self._check(cs, p, n)
+        sched, tags = self._check(cs, p, n)
         assert not sched.gaps
         assert tags[k] == second
         assert [t for i, t in enumerate(tags) if i != k] == [
