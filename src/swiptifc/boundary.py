@@ -1018,14 +1018,13 @@ def time_sharing_curve(boundary, weights=None):
     b, a = pts[0], pts[-1]
     if weights is None:
         weights = np.linspace(0.0, 1.0, 33)
-    bad = InvalidInputError("weights must be a 1-D list of values in [0, 1]")
     try:
         weights = np.asarray(weights, dtype=float)
     except (TypeError, ValueError):
-        raise bad from None
+        weights = None
     # nan fails both bounds, and +-inf one of them
-    if weights.ndim != 1 or not np.all((weights >= 0) & (weights <= 1)):
-        raise bad
+    if weights is None or weights.ndim != 1 or not np.all((weights >= 0) & (weights <= 1)):
+        raise InvalidInputError("weights must be a 1-D list of values in [0, 1]")
     points = []
     for tau in np.sort(weights):
         energy = (1.0 - tau) * b.energy + tau * a.energy

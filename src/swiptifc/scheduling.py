@@ -155,7 +155,7 @@ def scheduled_run(cs, p, n_points=64):
     """
     ctxs = _orientations(cs, p)
     grid = _grid(list(ctxs.values()), n_points)
-    ems = dict(zip(ctxs, _emax_many(list(ctxs.values()))))
+    ems = dict(zip(ctxs, _emax_many(ctxs.values())))
     e_bars = grid.tolist()
     # per target, the orientations to try in order: the pick, then the other
     orders = []
