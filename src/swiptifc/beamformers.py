@@ -246,18 +246,23 @@ def mlb(h_cross, p1):
     return canonical_beam(v[:, -1], float(p1))
 
 
-def meb_rank2(h11, p1, split=0.5):
-    """Two-stream energy covariance P1 (split v1 v1^H + (1-split) v2 v2^H)."""
+def _energy_streams(h11, split):
+    """`meb_rank2`'s checked split and its two unit streams v1, v2, the top
+    two right singular vectors of the direct link."""
     h11 = as_matrix(h11, "h11")
     if h11.shape[1] < 2:
         raise InvalidInputError("meb_rank2 needs at least two transmit antennas")
     split = _as_real(split, "split")
     if split > 1.0:
         raise InvalidInputError(f"split must lie in [0, 1], got {split!r}")
-    p1 = _as_real(p1, "power")
     _, _, v = svd(h11)
-    v1 = canonical_beam(v[:, 0], 1.0).v
-    v2 = canonical_beam(v[:, 1], 1.0).v
+    return split, canonical_beam(v[:, 0], 1.0).v, canonical_beam(v[:, 1], 1.0).v
+
+
+def meb_rank2(h11, p1, split=0.5):
+    """Two-stream energy covariance P1 (split v1 v1^H + (1-split) v2 v2^H)."""
+    split, v1, v2 = _energy_streams(h11, split)
+    p1 = _as_real(p1, "power")
     q = p1 * (split * np.outer(v1, v1.conj()) + (1.0 - split) * np.outer(v2, v2.conj()))
     return TxCovariance(hermitian_part(q), p1)
 
@@ -315,7 +320,8 @@ def sler_directions(h11, h21, floors):
     out = np.empty((floors.size, m_t), dtype=np.complex128)
     on = floors > 0.0
     out[on] = (q[on, 2 * m_r :] @ u[on])[..., 0] / np.sqrt(floors[on])[:, None]
-    out[~on] = np.linalg.solve(rbar[~on], u[~on])[..., 0]
+    if not on.all():
+        out[~on] = np.linalg.solve(rbar[~on], u[~on])[..., 0]
     return out
 
 

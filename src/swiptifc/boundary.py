@@ -25,10 +25,13 @@ Every target of a sweep is solved in lockstep (`_solve_many`), as array
 passes over per-target P1, iteration and evaluation arrays.  Each round of
 the power backoff, the stall rescue's P1 scan and backoff, and the no-TX
 step evaluates the (E_bar, P1) pairs of all targets that take it in one
-stacked pass (`_evaluate_batch`): transmitter 1's beams, the whitened links
-H22~, water-filling, and, for the targets on the DUAL branch, the roots over
-rho (`_ratio_roots`).  Each root is a step-for-step port of scipy's brentq,
-and each of their rounds is one stacked SVD of the rays all rows ask for.
+stacked pass (`_evaluate_batch`): transmitter 1's beam as its factor F
+(W = F F^H, with one column, or two for meb_rank2), receiver 2's link H22~
+whitened against that beam's interference through a k x k
+eigendecomposition of (H21 F)^H H21 F, water-filling, and, for the targets
+on the DUAL branch, the roots over rho (`_ratio_roots`).  Each root is a
+step-for-step port of scipy's brentq, and each of their rounds is one
+stacked SVD of the rays all rows ask for.
 `re_boundary_point` and `solve_p3` run the same code with one target.
 
 The endpoint e_max is the largest target that the backoff's first round,
@@ -62,9 +65,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .beamformers import (
+    _energy_streams,
     check_strategy,
     meb,
-    meb_rank2,
     mlb,
     sler_directions,
     sler_floor,
@@ -79,14 +82,8 @@ from .exceptions import (
     InvariantViolationError,
     SwiptError,
 )
-from .linalg import _as_real, as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm
-from .metrics import (
-    TxCovariance,
-    canonical_beam,
-    canonical_directions,
-    check_covariances,
-    check_unit_rows,
-)
+from .linalg import _as_real, _as_reals, as_matrix, hermitian_eig, hermitian_part, spectral_norm
+from .metrics import TxCovariance, canonical_beam, check_covariances, check_unit_rows
 
 __all__ = [
     "P3Diagnostics",
@@ -429,21 +426,31 @@ _EVAL = np.dtype(
 )
 
 
-def _diagnostics(ev):
-    """The `P3Diagnostics` of one `_EVAL` record."""
-    lam, mu = float(ev["lam"]), float(ev["mu"])
+# the `_EVAL` fields of a `P3Diagnostics`, in `_diagnostics`' order
+_P3_FIELDS = ("dual", "evals", "lam", "mu", "gap", "e2", "trace", "rate", "repaired", "rescaled")
+
+
+def _diagnostics(dual, evals, lam, mu, gap, e2, trace, rate, repaired, rescaled):
+    """The `P3Diagnostics` of one `_EVAL` record, from its `_P3_FIELDS` as
+    Python values."""
     return P3Diagnostics(
-        branch="DUAL" if ev["dual"] else "WF",
-        iterations=int(ev["evals"]),
+        branch="DUAL" if dual else "WF",
+        iterations=evals,
         lam=None if math.isnan(lam) else lam,
         mu=None if math.isnan(mu) else mu,
-        gap=float(ev["gap"]),
-        energy=float(ev["e2"]),
-        trace=float(ev["trace"]),
-        rate_bits=float(ev["rate"]),
-        repaired=bool(ev["repaired"]),
-        rescaled=bool(ev["rescaled"]),
+        gap=gap,
+        energy=e2,
+        trace=trace,
+        rate_bits=rate,
+        repaired=repaired,
+        rescaled=rescaled,
     )
+
+
+def _columns(rec, names):
+    """The fields `names` of a stack of `_EVAL` records, as one tuple of
+    Python values per record."""
+    return zip(*(rec[name].tolist() for name in names))
 
 
 def _solve_p3_batch(ht, rows, e_req, p, cross):
@@ -468,20 +475,25 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
     # at the cap the feasible set collapses onto the cross-link beam; the
     # dual pair diverges there, so return the beam directly
     at_cap = e_req >= cap * (1.0 - 1e-10)
-    q[at_cap] = p * _outer(v12[rows[at_cap]])
-    energy[at_cap] = cap[at_cap]
-    trace[at_cap] = p
+    if at_cap.any():
+        q[at_cap] = p * _outer(v12[rows[at_cap]])
+        energy[at_cap] = cap[at_cap]
+        trace[at_cap] = p
 
     links = np.unique(rows[~at_cap])
-    q_wf = waterfill_stack(ht[links], p) if links.size else q[:0]
     e_wf = np.full(ht.shape[0], np.nan)
-    e_wf[links] = _cross_energy(c[links], w[links], q_wf)
+    if links.size:
+        q_wf = waterfill_stack(ht[links], p)
+        # every covariance built here passes TxCovariance's checks, each once
+        check_covariances(q_wf, p)
+        e_wf[links] = _cross_energy(c[links], w[links], q_wf)
     slot = np.zeros(ht.shape[0], dtype=int)
     slot[links] = np.arange(links.size)
     wf = ~at_cap & (e_req <= e_wf[rows])
-    q[wf] = q_wf[slot[rows[wf]]]
-    energy[wf] = e_wf[rows[wf]]
-    trace[wf] = np.trace(q[wf], axis1=-2, axis2=-1).real
+    if wf.any():
+        q[wf] = q_wf[slot[rows[wf]]]
+        energy[wf] = e_wf[rows[wf]]
+        trace[wf] = np.trace(q[wf], axis1=-2, axis2=-1).real
 
     idx = np.flatnonzero(~at_cap & ~wf)
     if idx.size:
@@ -510,10 +522,11 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
         )
         rec["lam"][idx] = rho / ray.eta
         rec["mu"][idx] = 1.0 / ray.eta
-    q = hermitian_part(q)
-    # every covariance built here passes TxCovariance's checks
-    check_covariances(np.concatenate((q, q_wf)), p)
     rec["dual"] = ~wf
+    if not wf.all():
+        built = hermitian_part(q[~wf])
+        check_covariances(built, p)
+        q[~wf] = built
     rec["rate"] = _rate_bits(ht[rows], q)
     return q, rec
 
@@ -534,9 +547,7 @@ def solve_p3(h22_tilde, h12, e_target, p):
     Returns (TxCovariance, P3Diagnostics).
     """
     p = _as_real(p, "power budget", positive=True)
-    e_target = float(e_target)
-    if not np.isfinite(e_target):
-        raise InvalidInputError("e_target must be finite")
+    e_target = _as_real(e_target, "e_target")
     ht = as_matrix(h22_tilde, "h22_tilde")
     h12 = as_matrix(h12, "h12")
     if h12.shape[1] != ht.shape[1]:
@@ -550,11 +561,12 @@ def solve_p3(h22_tilde, h12, e_target, p):
             f"energy target {e_target!r} exceeds the deliverable maximum {cap!r}",
             max_attainable=cap,
         )
-    e_req = min(max(e_target, 0.0), cap)
+    e_req = min(e_target, cap)
     q, rec = _solve_p3_batch(
         ht[None], np.zeros(1, dtype=int), np.array([e_req]), p, [np.array([a]) for a in cross]
     )
-    return TxCovariance(q[0], p), _diagnostics(rec[0])
+    (fields,) = _columns(rec, _P3_FIELDS)
+    return TxCovariance(q[0], p), _diagnostics(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -575,22 +587,17 @@ class _StrategyContext:
         self.p = _as_real(p, "power budget", positive=True)
         c, w, cmax, v12 = _cross_factor(cs.h12)
         self.consts = dict(h11=cs.h11, h21=cs.h21, h22=cs.h22, c=c, w=w, cmax=cmax, v12=v12)
-        w_fixed = None
+        f_fixed = None
         if strategy == "meb":
-            v = meb(cs.h11, 1.0).v
-            w_fixed = np.outer(v, v.conj())
+            f_fixed = meb(cs.h11, 1.0).v[:, None]
         elif strategy == "mlb":
-            v = mlb(cs.h21, 1.0).v
-            w_fixed = np.outer(v, v.conj())
+            f_fixed = mlb(cs.h21, 1.0).v[:, None]
         elif strategy == "meb_rank2":
-            w_fixed = meb_rank2(cs.h11, 1.0, split).q
-        self.fixed = w_fixed is not None
+            split, v1, v2 = _energy_streams(cs.h11, split)
+            f_fixed = np.stack((math.sqrt(split) * v1, math.sqrt(1.0 - split) * v2), axis=1)
+        self.fixed = f_fixed is not None
         if self.fixed:
-            self.consts.update(
-                w_fixed=w_fixed,
-                kappa_fixed=float(_kappa(cs.h11[None], w_fixed[None])[0]),
-                leak_fixed=cs.h21 @ w_fixed @ cs.h21.conj().T,
-            )
+            self.consts.update(f_fixed=f_fixed, kappa_fixed=float(_kappa(cs.h11, f_fixed)))
         else:
             # vanishing power: both adaptive beams collapse to the pure
             # energy beam (their denominators are dominated by the floor)
@@ -606,9 +613,10 @@ class _StrategyContext:
 def _stack(ctxs):
     """The `consts` of the strategy contexts of one lockstep, each stacked
     along a leading context axis; an evaluation row reads its own context's
-    entries by index.  The contexts share strategy, P and link shape; their
-    fixed beams (`w_fixed`, `kappa_fixed`, `leak_fixed`) are per-context
-    entries, so they may differ in split.
+    entries by index.  The contexts share strategy, P and link shape; a
+    fixed beam's factor F (`f_fixed`, M_t x k with k = 1, or 2 for
+    meb_rank2) and its gain `kappa_fixed` are per-context entries, so they
+    may differ in split.
     """
     first = ctxs[0]
     return SimpleNamespace(
@@ -619,20 +627,27 @@ def _stack(ctxs):
     )
 
 
-def _kappa(h11, w_unit):
-    """Direct-link energy gain tr(H11 W H11^H) of each stacked pair."""
-    return np.einsum("nij,njk,nik->n", h11, w_unit, h11.conj()).real
+def _kappa(h11, f):
+    """Direct-link energy gain ||H11 F||_F^2 = tr(H11 F F^H H11^H) of a
+    beam factor F, or of each pair of two stacks."""
+    hf = h11 @ f
+    return np.sum(hf.real**2 + hf.imag**2, axis=(-2, -1))
 
 
 def _unit_covs(st, ci, e_bars, p1s):
-    """Unit-trace covariance structures (n, M_t, M_t) of transmitter 1 at
-    each (e_bar, P1) pair, row i in context ci[i] of the stack `st`, and
-    their direct-link energy gains kappa."""
+    """Factors F (n, M_t, k) of transmitter 1's unit-trace covariances
+    W = F F^H at each (e_bar, P1) pair, row i in context ci[i] of the stack
+    `st`, and their direct-link energy gains kappa.
+
+    An adaptive beam is its direction normalized row by row, with no phase
+    fixed: W = v v^H does not depend on it.
+    """
     if st.fixed:
-        return st.w_fixed[ci], st.kappa_fixed[ci]
+        return st.f_fixed[ci], st.kappa_fixed[ci]
     v = np.empty((p1s.size, st.h11.shape[-1]), dtype=np.complex128)
     low = p1s <= 1e-12 * st.p
-    v[low] = st.meb_v[ci[low]]
+    if low.any():
+        v[low] = st.meb_v[ci[low]]
     hi = ~low
     if hi.any():
         h11, h21 = st.h11[ci[hi]], st.h21[ci[hi]]
@@ -641,27 +656,31 @@ def _unit_covs(st, ci, e_bars, p1s):
             dirs = sler_directions(h11, h21, floors)
         else:
             dirs = slnr_directions(h11, h21, p1s[hi])
-        v[hi] = canonical_directions(dirs)
+        nrm = np.linalg.norm(dirs, axis=1)
+        if not np.all((nrm > 0.0) & np.isfinite(nrm)):
+            raise InvalidInputError("cannot normalize a zero or non-finite direction")
+        v[hi] = dirs / nrm[:, None]
         check_unit_rows(v[hi])
-    w = _outer(v)
-    return w, _kappa(st.h11[ci], w)
+    f = v[:, :, None]
+    return f, _kappa(st.h11[ci], f)
 
 
-def _whitened_links(st, ci, w_unit, p1s):
-    """H22~ = (I + P1 H21 W H21^H)^{-1/2} H22 for each stacked pair, row i in
-    context ci[i] of the stack `st`."""
-    out = st.h22[ci]
-    on = p1s > 0.0
-    if on.any():
-        cj = ci[on]
-        if st.fixed:
-            leak = st.leak_fixed[cj]
-        else:
-            h21 = st.h21[cj]
-            leak = h21 @ w_unit[on] @ h21.conj().swapaxes(-1, -2)
-        r2 = np.eye(out.shape[-2], dtype=np.complex128) + p1s[on, None, None] * leak
-        out[on] = inv_sqrt_psd(hermitian_part(r2)) @ st.h22[cj]
-    return out
+def _whitened_links(st, ci, f, p1s):
+    """H22~ = (I + U U^H)^{-1/2} H22 for each stacked pair, row i in context
+    ci[i] of the stack `st`, with U = sqrt(P1) H21 F and F the beam factor.
+
+    With U^H U = E diag(mu) E^H (k x k) and s = sqrt(1 + mu), the inverse
+    square root is I - U E diag(g) E^H U^H, g = 1 / (s (1 + s)): no M_r x M_r
+    factorization.  At P1 = 0, U = 0 and H22 comes back as it is; as mu -> 0,
+    g -> 1/2, so a beam in H21's null space stays finite.
+    """
+    h22 = st.h22[ci]
+    u = np.sqrt(p1s)[:, None, None] * (st.h21[ci] @ f)
+    mu, e = np.linalg.eigh(u.conj().swapaxes(-1, -2) @ u)
+    s = np.sqrt(1.0 + mu)
+    ue = u @ e
+    g = 1.0 / (s * (1.0 + s))
+    return h22 - (ue * g[:, None, :]) @ (ue.conj().swapaxes(-1, -2) @ h22)
 
 
 def _surplus(st, ci, e_bars):
@@ -744,8 +763,8 @@ def _evaluate_batch(st, ci, e_bars, p1s):
         # distinct pair once (complex keys P1 + i ctx sort by P1, then context)
         keys, rows = np.unique(p1s + 1j * ci, return_inverse=True)
         ci_u, p1_u, e_u = keys.imag.astype(int), keys.real, None
-    w_unit, kappa_u = _unit_covs(st, ci_u, e_u, p1_u)
-    ht = _whitened_links(st, ci_u, w_unit, p1_u)
+    f, kappa_u = _unit_covs(st, ci_u, e_u, p1_u)
+    ht = _whitened_links(st, ci_u, f, p1_u)
     kappa = kappa_u[rows]
     e11 = kappa * p1s
     cap = st.p * st.cmax[ci]
@@ -811,7 +830,8 @@ def _solve_many(jobs):
                 max_attainable=em,
             )
     failed = np.array([o is not None for o in out])
-    e_eff = np.minimum(np.array([e for _, e in todo]), np.array(ems)[ci])
+    targets = np.array([e for _, e in todo])
+    e_eff = np.minimum(targets, np.array(ems)[ci])
     tol_e = 1e-9 * np.maximum(1.0, e_eff)
     st = _stack(ctxs)
     p = st.p
@@ -891,21 +911,32 @@ def _solve_many(jobs):
     if live.size:
         live, ev = evaluate(live, np.zeros(live.size))
         latest[live] = ev
-    for k in np.flatnonzero(~failed).tolist():
-        ctx, e = todo[k]
-        ev = latest[k]
-        diag = _diagnostics(ev)
-        branch = "NO_TX" if no_tx[k] else diag.branch
+    # the published points, built from Python values read column by column
+    done = np.flatnonzero(~failed)
+    fin = latest[done]
+    rows = zip(
+        done.tolist(),
+        _columns(fin, _P3_FIELDS),
+        (fin["e11"] + fin["e2"]).tolist(),
+        np.where(no_tx[done], 0.0, fin["p1"]).tolist(),
+        no_tx[done].tolist(),
+        iters[done].tolist(),
+        (fin["clamped"] | (targets[done] > e_eff[done])).tolist(),
+    )
+    for k, fields, energy, p1k, off, n_iter, clamped in rows:
+        diag = _diagnostics(*fields)
+        branch = "NO_TX" if off else diag.branch
+        dual = branch == "DUAL"
         out[k] = REPoint(
-            e_bar=e,
-            rate_bits=float(ev["rate"]),
-            energy=float(ev["e11"] + ev["e2"]),
-            p1=0.0 if no_tx[k] else float(ev["p1"]),
+            e_bar=todo[k][1],
+            rate_bits=diag.rate_bits,
+            energy=energy,
+            p1=p1k,
             branch=branch,
-            iterations=int(iters[k]),
-            lam=diag.lam if branch == "DUAL" else None,
-            mu=diag.mu if branch == "DUAL" else None,
-            clamped=bool(ev["clamped"]) or e > ems[ci[k]],
+            iterations=n_iter,
+            lam=diag.lam if dual else None,
+            mu=diag.mu if dual else None,
+            clamped=clamped,
             p3=diag,
         )
     return dict(zip(todo, out))
@@ -961,10 +992,7 @@ def re_boundary_point(cs, strategy, e_bar, p, split=0.5):
     rounds pass, rescues an adaptive beam that stalls short, and reports the
     achieved (rate, energy) pair: the one-target case of `_solve_many`.
     """
-    try:
-        e_bar = float(e_bar)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"e_bar must be a real number, got {e_bar!r}") from None
+    e_bar = _as_real(e_bar, "e_bar")
     (out,) = _solve_many([(_StrategyContext(cs, strategy, p, split), [e_bar])]).values()
     if isinstance(out, SwiptError):
         raise out
@@ -985,12 +1013,9 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
     monotonicity invariants.
     """
     if e_grid is not None:
-        try:
-            grid = np.asarray(e_grid, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"e_grid must be numeric: {exc}") from exc
-        if grid.ndim != 1 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
-            raise InvalidInputError("e_grid must be 1-D, finite and nonnegative")
+        grid = _as_reals(e_grid, "e_grid")
+        if grid.ndim != 1:
+            raise InvalidInputError("e_grid must be 1-D")
         if np.any(np.diff(grid) <= 0.0):
             raise InvalidInputError("e_grid must be strictly increasing")
     ctx = _StrategyContext(cs, strategy, p, split)
@@ -1016,14 +1041,8 @@ def time_sharing_curve(boundary, weights=None):
     if not pts or pts[0].e_bar != 0.0 or pts[-1].e_bar != boundary.e_max:
         raise InvalidInputError("time sharing needs a sweep with points at target 0 and at e_max")
     b, a = pts[0], pts[-1]
-    if weights is None:
-        weights = np.linspace(0.0, 1.0, 33)
-    try:
-        weights = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError):
-        weights = None
-    # nan fails both bounds, and +-inf one of them
-    if weights is None or weights.ndim != 1 or not np.all((weights >= 0) & (weights <= 1)):
+    weights = np.linspace(0.0, 1.0, 33) if weights is None else _as_reals(weights, "weights")
+    if weights.ndim != 1 or not np.all(weights <= 1):
         raise InvalidInputError("weights must be a 1-D list of values in [0, 1]")
     points = []
     for tau in np.sort(weights):

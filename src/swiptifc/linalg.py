@@ -77,6 +77,25 @@ def _as_real(x, name, positive=False):
     return value
 
 
+def _as_reals(x, name):
+    """`_as_real` for an array of values: return `x` as a float array whose
+    entries are finite nonnegative real numbers, none of them a bool or a
+    string."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu":
+        values = x.astype(float, copy=False)
+    else:
+        try:
+            items = np.asarray(x, dtype=object)
+            if any(isinstance(t, (bool, np.bool_, str, bytes)) for t in items.flat):
+                raise TypeError
+            values = items.astype(float)
+        except (TypeError, ValueError):
+            values = np.array(math.nan)
+    if not np.all(np.isfinite(values) & (values >= 0.0)):
+        raise InvalidInputError(f"{name} must be finite nonnegative, got {x!r}")
+    return values
+
+
 def _frobenius(a):
     return np.sqrt((np.abs(a) ** 2).sum(axis=(-2, -1)))
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .linalg import _as_real, as_matrix, hermitian_part, inv_sqrt_psd, psd_mask, spectral_norm
+from .linalg import _as_real, _as_reals, as_matrix, hermitian_part, inv_sqrt_psd, psd_mask, spectral_norm
 
 __all__ = [
     "TxCovariance",
@@ -209,9 +209,7 @@ def sler_ratios(vs, p1, h_own, h_cross, e_bars):
     h_own = as_matrix(h_own, "h_own")
     h_cross = as_matrix(h_cross, "h_cross")
     p1 = _as_real(p1, "power")
-    e_bars = np.asarray(e_bars, dtype=float)
-    if not np.all(np.isfinite(e_bars) & (e_bars >= 0)):
-        raise InvalidInputError("e_bar must be a finite nonnegative real")
+    e_bars = _as_reals(e_bars, "e_bar")
     vs = np.asarray(vs, dtype=np.complex128)[:, :, None]
     num = p1 * _squares(_row_norms((h_own @ vs)[..., 0]))
     den = p1 * _squares(_row_norms((h_cross @ vs)[..., 0]))

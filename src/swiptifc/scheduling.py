@@ -34,7 +34,7 @@ from .boundary import (
 )
 from .channel import channel_digest, swap_roles
 from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
-from .linalg import _as_real, spectral_norm
+from .linalg import _as_real, _as_reals, spectral_norm
 from .metrics import canonical_directions, check_unit_rows, sler_ratios
 
 __all__ = [
@@ -118,9 +118,7 @@ def _orientation_ratios(cs, e_bars, p):
     full transmit power with the same energy target.
     """
     p = _as_real(p, "power budget", positive=True)
-    e_bars = np.array(e_bars, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(e_bars) & (e_bars >= 0)):
-        raise InvalidInputError("e_bar must be finite nonnegative")
+    e_bars = _as_reals(e_bars, "e_bar").reshape(-1)
     ratios = []
     for own, cross in ((cs.h11, cs.h21), (cs.h22, cs.h12)):
         floors = sler_floor(spectral_norm(own) ** 2, e_bars, p)

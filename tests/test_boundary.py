@@ -25,6 +25,7 @@ from swiptifc import (
     time_sharing_curve,
     waterfill,
 )
+from swiptifc.linalg import inv_sqrt_psd
 from swiptifc.oracle import P3Problem, inner_max
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
@@ -705,10 +706,10 @@ class TestStackedLockstep:
         want = boundary._solve_many([(alone, grids[0])])
         real = boundary._whitened_links
 
-        def refuse_second(st, ci, w_unit, p1s):
+        def refuse_second(st, ci, f, p1s):
             if np.any(ci == 1):
                 raise InvariantViolationError("refused")
-            return real(st, ci, w_unit, p1s)
+            return real(st, ci, f, p1s)
 
         monkeypatch.setattr(boundary, "_whitened_links", refuse_second)
         ctxs = [boundary._StrategyContext(side, strategy, p) for side in sides]
@@ -740,6 +741,41 @@ class TestStackedLockstep:
             iters = [pt.iterations for pt in solved.values() if isinstance(pt, REPoint)]
             assert len(calls) <= max(iters) + 1
             assert len(calls) == max(sum(e in call for call in calls) for e in grid.tolist())
+
+
+class TestWhitenedLinks:
+    """Receiver 2's whitened link and kappa, computed from transmitter 1's
+    beam factor F, equal their definitions with W = F F^H:
+    H22~ = (I + P1 H21 W H21^H)^{-1/2} H22 and kappa = tr(H11 W H11^H)."""
+
+    P = 5.0
+    BEAMS = [(s, 0.5) for s in ("meb", "mlb", "slnr", "sler")] + [
+        ("meb_rank2", split) for split in (0.0, 0.3, 0.5, 1.0)
+    ]
+
+    @pytest.mark.parametrize("strategy, split", BEAMS)
+    @pytest.mark.parametrize("m_t, m_r", [(2, 2), (3, 2), (4, 4)])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_factor_form_matches_definitions(self, strategy, split, m_t, m_r, seed):
+        cs = draw_channel_set(m_t, m_r, ALPHA, seed=seed)
+        st = boundary._stack([boundary._StrategyContext(cs, strategy, self.P, split)])
+        p1s = np.array([0.0, 1e-9, 0.3, 1.0]) * self.P
+        ci = np.zeros(p1s.size, dtype=int)
+        e_bars = np.full(p1s.size, 0.5 * self.P * np.linalg.norm(cs.h11, 2) ** 2)
+        f, kappa = boundary._unit_covs(st, ci, e_bars, p1s)
+        ht = boundary._whitened_links(st, ci, f, p1s)
+        # no power at transmitter 1: receiver 2's link comes back as it is
+        assert np.array_equal(ht[0], cs.h22)
+        if strategy == "mlb" and m_t > m_r:
+            # the beam lies in H21's null space
+            assert np.linalg.norm(cs.h21 @ f[-1]) < 1e-12
+        for fk, kappa_k, ht_k, p1 in zip(f, kappa.tolist(), ht, p1s.tolist()):
+            w = fk @ fk.conj().T
+            r2 = np.eye(m_r) + p1 * cs.h21 @ w @ cs.h21.conj().T
+            want = inv_sqrt_psd(r2) @ cs.h22
+            assert np.linalg.norm(ht_k - want) <= 1e-12 * np.linalg.norm(want)
+            want_kappa = np.trace(cs.h11 @ w @ cs.h11.conj().T).real
+            assert abs(kappa_k - want_kappa) <= 1e-12 * want_kappa
 
 
 class TestSharedContext:

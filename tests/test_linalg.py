@@ -9,6 +9,7 @@ from swiptifc.exceptions import (
 from swiptifc.linalg import (
     TOL,
     _as_real,
+    _as_reals,
     as_matrix,
     hermitian_eig,
     hermitian_part,
@@ -129,9 +130,10 @@ def test_tolerances_frozen():
 
 
 class TestRealInput:
-    """Every power, split and weight taken from outside goes through one
-    conversion: a non-numeric or boolean value raises InvalidInputError, not
-    a ValueError or TypeError of `float`, and a bool is not read as 0 or 1."""
+    """Every power, split, energy target and weight taken from outside goes
+    through one conversion (`_as_real` for a value, `_as_reals` for a list):
+    a non-numeric or boolean value raises InvalidInputError, not a
+    ValueError or TypeError of `float`, and a bool is not read as 0 or 1."""
 
     BAD = ["x", None, True, np.bool_(False), b"1", [1.0], 1j]
 
@@ -145,6 +147,25 @@ class TestRealInput:
         with pytest.raises(InvalidInputError, match="finite nonnegative"):
             _as_real(x, "p")
 
+    @pytest.mark.parametrize(
+        "x", [["x"], [0.0, True], np.array([True]), [0.0, None], [b"1"], [1j], [[1.0], [1.0, 2.0]]]
+    )
+    def test_list_helper_rejects_non_numbers(self, x):
+        with pytest.raises(InvalidInputError, match="e_grid must be finite nonnegative"):
+            _as_reals(x, "e_grid")
+
+    @pytest.mark.parametrize("x", [[0.0, np.inf], [np.nan], [-1.0], np.array([0.0, -2.0])])
+    def test_list_helper_rejects_out_of_range(self, x):
+        with pytest.raises(InvalidInputError, match="finite nonnegative"):
+            _as_reals(x, "e_grid")
+
+    def test_list_helper_converts(self):
+        got = _as_reals([0, np.int64(2), np.float32(0.5)], "e")
+        assert got.dtype == float and got.tolist() == [0.0, 2.0, 0.5]
+        assert _as_reals(np.arange(3), "e").dtype == float
+        assert _as_reals([[0.0, 1.0]], "e").shape == (1, 2)
+        assert _as_reals([], "e").size == 0
+
     def test_helper_converts(self):
         assert _as_real(np.int64(3), "p") == 3.0 and type(_as_real(np.float32(2.5), "p")) is float
         assert _as_real(0, "p") == 0.0
@@ -154,6 +175,8 @@ class TestRealInput:
     @staticmethod
     def _calls():
         import swiptifc as s
+        from swiptifc.metrics import sler_ratios
+        from swiptifc.scheduling import select_modes
 
         cs = s.draw_channel_set(2, 2, [[1.0, 0.8], [0.8, 1.0]], seed=3)
         sweep = s.re_sweep(cs, "meb", 1.0, n_points=4)
@@ -168,19 +191,24 @@ class TestRealInput:
             "evaluate_all_modes": lambda x: s.evaluate_all_modes(cs, x, n_points=4),
             "iterative_waterfilling": lambda x: s.iterative_waterfilling(cs, x),
             "time_sharing_weights": lambda x: s.time_sharing_curve(sweep, weights=[0.0, x]),
+            "re_sweep_grid": lambda x: s.re_sweep(cs, "meb", 1.0, e_grid=[0.0, x]),
+            "re_boundary_point_target": lambda x: s.re_boundary_point(cs, "meb", x, 1.0),
+            "solve_p3_target": lambda x: s.solve_p3(cs.h22, cs.h12, x, 1.0),
+            "select_mode_target": lambda x: s.select_mode(cs, x, 1.0),
+            "select_modes_targets": lambda x: select_modes(cs, [0.0, x], 1.0),
+            "sler_ratios_targets": lambda x: sler_ratios(
+                np.eye(2, dtype=complex), 1.0, cs.h11, cs.h21, [0.0, x]
+            ),
         }
 
-    SCALARS = (
+    CALLS = (
         "re_sweep", "re_boundary_point", "emax", "emax_split", "solve_p3", "scheduled_run",
-        "select_mode", "evaluate_all_modes", "iterative_waterfilling",
+        "select_mode", "evaluate_all_modes", "iterative_waterfilling", "time_sharing_weights",
+        "re_sweep_grid", "re_boundary_point_target", "solve_p3_target", "select_mode_target",
+        "select_modes_targets", "sler_ratios_targets",
     )
 
-    # a weight list is converted as a numpy array, which reads True as 1.0
-    @pytest.mark.parametrize(
-        "call, x",
-        [(c, x) for c in SCALARS for x in ("x", None, True)]
-        + [("time_sharing_weights", x) for x in ("x", None)],
-    )
+    @pytest.mark.parametrize("call, x", [(c, x) for c in CALLS for x in ("x", None, True)])
     def test_entry_points_reject_non_numbers(self, call, x):
         with pytest.raises(InvalidInputError):
             self._calls()[call](x)
