@@ -25,6 +25,7 @@ from .metrics import (
     canonical_beam,
     check_covariances,
     interference_cov,
+    sler_floor,
 )
 
 __all__ = [
@@ -93,6 +94,13 @@ def water_level(floors, p, weights=None):
     return (p + cwa[rows, m]) / cw[rows, m]
 
 
+def _mode_floors(gain):
+    """Water-filling floors 1 / gain of mode gains (..., K) sorted descending;
+    modes below 1e-15 of the strongest gain carry no power (floor +inf)."""
+    keep = gain > gain[..., :1] * 1e-15
+    return np.divide(1.0, gain, out=np.full_like(gain, np.inf), where=keep)
+
+
 def waterfill(h, r_noise, p):
     """Water-filling covariance for log det(I + H^H R^{-1} H Q), tr(Q) <= P.
 
@@ -122,7 +130,7 @@ def waterfill_stack(b, p):
         d = np.concatenate((d, np.zeros(d.shape[:-1] + (b.shape[-1] - d.shape[-1],))), axis=-1)
     if not d[..., 0].all():
         raise DegenerateChannelError("channel is numerically zero; no mode to fill")
-    inv = np.divide(1.0, d, out=np.full_like(d, np.inf), where=d > d[..., :1] * 1e-15)
+    inv = _mode_floors(d)
     powers = np.maximum(np.asarray(water_level(inv, p))[..., None] - inv, 0.0)
     v = vh.conj().swapaxes(-1, -2)
     return hermitian_part((v * powers[..., None, :]) @ vh)
@@ -265,13 +273,6 @@ def meb_rank2(h11, p1, split=0.5):
     p1 = _as_real(p1, "power")
     q = p1 * (split * np.outer(v1, v1.conj()) + (1.0 - split) * np.outer(v2, v2.conj()))
     return TxCovariance(hermitian_part(q), p1)
-
-
-def sler_floor(h11_norm2, e_bars, p1s):
-    """Energy-shortfall floors max(e_bar / P1 - ||H11||_2^2, 0) in the SLER
-    denominator (per unit transmit power), elementwise over arrays of
-    ||H11||_2^2, e_bar and P1.  Every SLER beam takes its floor from here."""
-    return np.maximum(np.asarray(e_bars, dtype=float) / p1s - h11_norm2, 0.0)
 
 
 def sler_beam(h11, h21, e_bar, p1):

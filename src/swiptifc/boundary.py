@@ -19,13 +19,15 @@ factored once per cross link, the price matrix mu I - lam G = mu (I - rho G)
 is diagonal in W's basis.  Along the ray rho = lam / mu in [0, 1/cmax) one
 SVD fixes the transmit directions, and the level 1/mu that spends the budget
 is an exact weighted water-filling level (`beamformers.water_level`), so the
-DUAL branch is a single scalar root: energy(rho) = E_floor.
+DUAL branch is a single scalar root: energy(rho) = E_floor.  At the cap
+P sigma_max(H12)^2 the feasible set is the cross-link beam alone (branch
+CAP).  A point whose transmitter 1 settles at P1 = 0 is published as NO_TX.
 
 Every target of a sweep is solved in lockstep (`_solve_many`), as array
 passes over per-target P1, iteration and evaluation arrays.  Each round of
-the power backoff, the stall rescue's P1 scan and backoff, and the no-TX
-step evaluates the (E_bar, P1) pairs of all targets that take it in one
-stacked pass (`_evaluate_batch`): transmitter 1's beam as its factor F
+the power backoff and of the stall rescue's P1 scan and backoff evaluates
+the (E_bar, P1) pairs of all targets that take it in one stacked pass
+(`_evaluate_batch`): transmitter 1's beam as its factor F
 (W = F F^H, with one column, or two for meb_rank2), receiver 2's link H22~
 whitened against that beam's interference through a k x k
 eigendecomposition of (H21 F)^H H21 F, water-filling, and, for the targets
@@ -66,11 +68,11 @@ import numpy as np
 
 from .beamformers import (
     _energy_streams,
+    _mode_floors,
     check_strategy,
     meb,
     mlb,
     sler_directions,
-    sler_floor,
     slnr_directions,
     water_level,
     waterfill_stack,
@@ -83,7 +85,16 @@ from .exceptions import (
     SwiptError,
 )
 from .linalg import _as_real, _as_reals, as_matrix, hermitian_eig, hermitian_part, spectral_norm
-from .metrics import TxCovariance, canonical_beam, check_covariances, check_unit_rows
+from .metrics import (
+    TxCovariance,
+    _beam_gain,
+    _rates,
+    _unit_rows,
+    canonical_beam,
+    check_covariances,
+    check_unit_rows,
+    sler_floor,
+)
 
 __all__ = [
     "P3Diagnostics",
@@ -95,8 +106,6 @@ __all__ = [
     "re_sweep",
     "time_sharing_curve",
 ]
-
-_LN2 = float(np.log(2.0))
 
 # outer loop defaults
 _N_MAX = 20
@@ -124,7 +133,7 @@ _MAXITER = 200
 class P3Diagnostics:
     """How a single energy-floored rate maximization was resolved."""
 
-    branch: str                # "WF" or "DUAL"
+    branch: str                # "WF", "DUAL" or "CAP"
     iterations: int            # ray evaluations (one SVD each)
     lam: float | None
     mu: float | None
@@ -144,7 +153,7 @@ class REPoint:
     rate_bits: float
     energy: float
     p1: float
-    branch: str                # NO_TX | WF | DUAL | TS
+    branch: str                # NO_TX | WF | DUAL | CAP | TS
     iterations: int
     lam: float | None = None
     mu: float | None = None
@@ -277,15 +286,6 @@ def _outer(v):
     return v[..., :, None] * v.conj()[..., None, :]
 
 
-def _rate_bits(ht, q):
-    """log2 det(I + Ht Q Ht^H) of each (Ht, Q) pair of two stacks."""
-    s = ht @ q @ ht.conj().swapaxes(-1, -2)
-    _, logdet = np.linalg.slogdet(
-        np.eye(ht.shape[-2], dtype=np.complex128) + hermitian_part(s)
-    )
-    return np.maximum(logdet / _LN2, 0.0)
-
-
 class _Rays:
     """Priced maximizers on the rays mu (I - rho G) at the level spending P,
     one per row of a stack (with one c for the stack, or one per row).
@@ -303,11 +303,7 @@ class _Rays:
         d2 = 1.0 / (1.0 - rho[:, None] * c)
         self.d = np.sqrt(d2)
         _, sig, self.vh = np.linalg.svd(f * self.d[:, None, :], full_matrices=False)
-        gain = sig**2
-        # modes below the rounding floor of the strongest gain carry no power
-        keep = gain > gain[:, :1] * 1e-15
-        floors = np.full_like(gain, np.inf)
-        floors[keep] = 1.0 / gain[keep]
+        floors = _mode_floors(sig**2)
         mag = np.abs(self.vh) ** 2
         w = (mag @ d2[:, :, None])[..., 0]
         self.eta = water_level(floors, p, w)
@@ -415,26 +411,26 @@ def _ratio_roots(f, c, e_req, e_wf, rho_hi, p):
     return np.array(root), np.array([len(k) for k in known]), SimpleNamespace(**picked)
 
 
-# one evaluation of an (e_bar, P1) pair (see the module docstring): `dual`
-# marks the DUAL branch (else WF), lam and mu are nan where the branch
+# one evaluation of an (e_bar, P1) pair (see the module docstring): `branch`
+# is the floored solve's WF, DUAL or CAP, lam and mu are nan where the branch
 # reports none, e2 is receiver 2's energy, e11 = kappa * P1 the direct-link
 # energy, and `clamped` marks a floor left for transmitter 2 out of its reach
 _EVAL = np.dtype(
     [(name, float) for name in ("p1", "kappa", "e11", "lam", "mu", "gap", "e2", "trace", "rate")]
-    + [(name, bool) for name in ("clamped", "dual", "repaired", "rescaled")]
-    + [("evals", int)]
+    + [(name, bool) for name in ("clamped", "repaired", "rescaled")]
+    + [("branch", "U4"), ("evals", int)]
 )
 
 
 # the `_EVAL` fields of a `P3Diagnostics`, in `_diagnostics`' order
-_P3_FIELDS = ("dual", "evals", "lam", "mu", "gap", "e2", "trace", "rate", "repaired", "rescaled")
+_P3_FIELDS = ("branch", "evals", "lam", "mu", "gap", "e2", "trace", "rate", "repaired", "rescaled")
 
 
-def _diagnostics(dual, evals, lam, mu, gap, e2, trace, rate, repaired, rescaled):
+def _diagnostics(branch, evals, lam, mu, gap, e2, trace, rate, repaired, rescaled):
     """The `P3Diagnostics` of one `_EVAL` record, from its `_P3_FIELDS` as
     Python values."""
     return P3Diagnostics(
-        branch="DUAL" if dual else "WF",
+        branch=branch,
         iterations=evals,
         lam=None if math.isnan(lam) else lam,
         mu=None if math.isnan(mu) else mu,
@@ -473,7 +469,7 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
     energy, trace = rec["e2"], rec["trace"]  # views: writes land in rec
 
     # at the cap the feasible set collapses onto the cross-link beam; the
-    # dual pair diverges there, so return the beam directly
+    # dual pair diverges there, so return the beam directly (branch CAP)
     at_cap = e_req >= cap * (1.0 - 1e-10)
     if at_cap.any():
         q[at_cap] = p * _outer(v12[rows[at_cap]])
@@ -522,12 +518,12 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
         )
         rec["lam"][idx] = rho / ray.eta
         rec["mu"][idx] = 1.0 / ray.eta
-    rec["dual"] = ~wf
+    rec["branch"] = np.where(at_cap, "CAP", np.where(wf, "WF", "DUAL"))
     if not wf.all():
         built = hermitian_part(q[~wf])
         check_covariances(built, p)
         q[~wf] = built
-    rec["rate"] = _rate_bits(ht[rows], q)
+    rec["rate"] = _rates(ht[rows], q)
     return q, rec
 
 
@@ -536,9 +532,11 @@ def solve_p3(h22_tilde, h12, e_target, p):
 
     maximize log det(I + Ht Q Ht^H) s.t. tr(H12 Q H12^H) >= e_target,
     tr(Q) <= P, Q PSD.  If water-filling alone meets the floor it is
-    returned (branch WF); otherwise one root over the ratio rho = lam / mu,
-    with the water level 1/mu exact at each rho, resolves the two dual
-    multipliers (branch DUAL), reported as lam = rho / eta and mu = 1 / eta.
+    returned (branch WF); a target at the cap P sigma_max(H12)^2 gets the
+    cross-link beam at full power (branch CAP, no multipliers); otherwise one
+    root over the ratio rho = lam / mu, with the water level 1/mu exact at
+    each rho, resolves the two dual multipliers (branch DUAL), reported as
+    lam = rho / eta and mu = 1 / eta.
     A trace above P by rounding is scaled back (`rescaled`), and a residual
     energy shortfall is repaired by mixing toward the cross-link beam
     covariance (`repaired`).  `P3Diagnostics.iterations` counts the SVDs
@@ -597,7 +595,7 @@ class _StrategyContext:
             f_fixed = np.stack((math.sqrt(split) * v1, math.sqrt(1.0 - split) * v2), axis=1)
         self.fixed = f_fixed is not None
         if self.fixed:
-            self.consts.update(f_fixed=f_fixed, kappa_fixed=float(_kappa(cs.h11, f_fixed)))
+            self.consts.update(f_fixed=f_fixed, kappa_fixed=float(_beam_gain(cs.h11, f_fixed)))
         else:
             # vanishing power: both adaptive beams collapse to the pure
             # energy beam (their denominators are dominated by the floor)
@@ -627,17 +625,10 @@ def _stack(ctxs):
     )
 
 
-def _kappa(h11, f):
-    """Direct-link energy gain ||H11 F||_F^2 = tr(H11 F F^H H11^H) of a
-    beam factor F, or of each pair of two stacks."""
-    hf = h11 @ f
-    return np.sum(hf.real**2 + hf.imag**2, axis=(-2, -1))
-
-
 def _unit_covs(st, ci, e_bars, p1s):
     """Factors F (n, M_t, k) of transmitter 1's unit-trace covariances
     W = F F^H at each (e_bar, P1) pair, row i in context ci[i] of the stack
-    `st`, and their direct-link energy gains kappa.
+    `st`, and their direct-link energy gains kappa = ||H11 F||_F^2.
 
     An adaptive beam is its direction normalized row by row, with no phase
     fixed: W = v v^H does not depend on it.
@@ -656,13 +647,10 @@ def _unit_covs(st, ci, e_bars, p1s):
             dirs = sler_directions(h11, h21, floors)
         else:
             dirs = slnr_directions(h11, h21, p1s[hi])
-        nrm = np.linalg.norm(dirs, axis=1)
-        if not np.all((nrm > 0.0) & np.isfinite(nrm)):
-            raise InvalidInputError("cannot normalize a zero or non-finite direction")
-        v[hi] = dirs / nrm[:, None]
+        v[hi] = _unit_rows(dirs)
         check_unit_rows(v[hi])
     f = v[:, :, None]
-    return f, _kappa(st.h11[ci], f)
+    return f, _beam_gain(st.h11[ci], f)
 
 
 def _whitened_links(st, ci, f, p1s):
@@ -779,11 +767,12 @@ def _evaluate_batch(st, ci, e_bars, p1s):
 
 def _backoff(e_eff, ev, p):
     """The next P1 of each target's power backoff from its evaluation `ev`:
-    (e_eff - e2) / kappa, clipped to [0, P] as min(max(., 0.0), P) clips a
-    float, where `ev` over-delivers with kappa > 0; elsewhere `ev`'s own P1."""
+    (e_eff - e2) / kappa, clipped to [0, P] with every value at or below
+    zero set to exactly 0.0 (so never -0.0), where `ev` over-delivers with
+    kappa > 0; elsewhere `ev`'s own P1."""
     over = (ev["e11"] + ev["e2"] > e_eff) & (ev["kappa"] > 0.0)
     p1 = (e_eff - ev["e2"]) / np.where(over, ev["kappa"], 1.0)
-    p1 = np.where(0.0 > p1, 0.0, p1)
+    p1 = np.where(0.0 >= p1, 0.0, p1)
     return np.where(over, np.where(p < p1, p, p1), ev["p1"])
 
 
@@ -805,13 +794,13 @@ def _solve_many(jobs):
       dip below the target at full power while an interior P1 still reaches
       it.  Each target still short scans `_RESCUE_SCAN` P1 values in one
       batch, keeps its first best-rate candidate that reaches the target,
-      and backs off from there while the target stays reached;
-    * the no-TX evaluation at P1 = 0 of the targets whose P1 ended within
-      1e-12 * max(P, 1) of it.
+      and backs off from there while the target stays reached.
 
-    If a batch raises a SwiptError, its rows are evaluated one at a time,
-    and each target whose row raises takes the error.  Returns a dict that
-    maps each pair to its REPoint or to the SwiptError that stopped it.
+    A point whose settled P1 is exactly 0.0, which the backoff and the scan
+    both reach, is published as NO_TX.  If a batch raises a SwiptError, its
+    rows are evaluated one at a time, and each target whose row raises takes
+    the error.  Returns a dict that maps each pair to its REPoint or to the
+    SwiptError that stopped it.
     """
     todo = list(dict.fromkeys((ctx, float(e)) for ctx, e_bars in jobs for e in e_bars))
     if not todo:
@@ -822,9 +811,7 @@ def _solve_many(jobs):
     out = [None] * len(todo)
     for k, (ctx, e) in enumerate(todo):
         em = ems[ci[k]]
-        if not np.isfinite(e) or e < 0:
-            out[k] = InvalidInputError(f"e_bar must be finite nonnegative, got {e!r}")
-        elif not _reaches(e, em):
+        if not _reaches(e, em):
             out[k] = InfeasibleTargetError(
                 f"energy target {e!r} exceeds e_max {em!r} for strategy {ctx.strategy!r}",
                 max_attainable=em,
@@ -906,11 +893,6 @@ def _solve_many(jobs):
         )
         failed[k] = True
 
-    no_tx = ~failed & (latest["p1"] <= 1e-12 * max(p, 1.0))
-    live = np.flatnonzero(no_tx & (latest["p1"] != 0.0))
-    if live.size:
-        live, ev = evaluate(live, np.zeros(live.size))
-        latest[live] = ev
     # the published points, built from Python values read column by column
     done = np.flatnonzero(~failed)
     fin = latest[done]
@@ -918,14 +900,13 @@ def _solve_many(jobs):
         done.tolist(),
         _columns(fin, _P3_FIELDS),
         (fin["e11"] + fin["e2"]).tolist(),
-        np.where(no_tx[done], 0.0, fin["p1"]).tolist(),
-        no_tx[done].tolist(),
+        fin["p1"].tolist(),
         iters[done].tolist(),
         (fin["clamped"] | (targets[done] > e_eff[done])).tolist(),
     )
-    for k, fields, energy, p1k, off, n_iter, clamped in rows:
+    for k, fields, energy, p1k, n_iter, clamped in rows:
         diag = _diagnostics(*fields)
-        branch = "NO_TX" if off else diag.branch
+        branch = "NO_TX" if p1k == 0.0 else diag.branch
         dual = branch == "DUAL"
         out[k] = REPoint(
             e_bar=todo[k][1],
@@ -1004,9 +985,9 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
 
     `e_grid`, if given, must be 1-D, finite, nonnegative and strictly
     increasing.  Every grid target is solved as `re_boundary_point` solves
-    one, all of them together (`_solve_many`): each round of the backoff, the
-    rescue and the no-TX step evaluates the (e_bar, P1) pairs of every target
-    that takes it as one stacked batch.
+    one, all of them together (`_solve_many`): each round of the backoff and
+    of the rescue evaluates the (e_bar, P1) pairs of every target that takes
+    it as one stacked batch.
     Failed points become gap entries instead of aborting the sweep; a point
     whose rate a higher target's point beats is replaced by a copy of it
     (flagged `carried`), and the finished boundary is validated against its

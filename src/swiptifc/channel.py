@@ -84,10 +84,6 @@ class ChannelSet:
                         f"{name} is numerically rank deficient (sigma ratio {s[-1] / s[0]:.2e})"
                     )
 
-    def links(self):
-        """The four matrices in (i, j) order h11, h12, h21, h22."""
-        return self.h11, self.h12, self.h21, self.h22
-
 
 def _draw_link(seed, i, j, m_r, m_t):
     """Draw one raw link from its dedicated substream, redrawing on rank loss."""

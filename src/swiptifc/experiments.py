@@ -393,8 +393,6 @@ def _write_aggregate(path, labels, by_seed):
         for label in labels:
             slot_lists = [by_seed[s]["curves"][label] for s in sorted(by_seed)
                           if label in by_seed[s]["curves"]]
-            if not slot_lists:
-                continue
             n = max(len(sl) for sl in slot_lists)
             for k in range(n):
                 pts = [sl[k] for sl in slot_lists if k < len(sl) and sl[k] is not None]

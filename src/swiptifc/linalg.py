@@ -1,11 +1,13 @@
 """Dense complex linear algebra kernels with fixed conventions.
 
-Every factorization used by the library funnels through this module so the
-conventions are decided exactly once: spectra come back in descending order,
-QR carries a real nonnegative diagonal on R, and Hermitian inputs are
-symmetrized before factorization so downstream code never depends on where
-rounding noise landed.  `svd`, `qrd`, `inv_sqrt_psd` and `psd_mask` also take
-a stack of matrices (..., m, n) and factor each one as LAPACK would alone.
+The checked factorizations live here, with their conventions decided once:
+spectra come back in descending order, QR carries a real nonnegative
+diagonal on R, and Hermitian inputs are symmetrized before factorization so
+downstream code never depends on where rounding noise landed.  `svd`, `qrd`,
+`inv_sqrt_psd` and `psd_mask` also take a stack of matrices (..., m, n) and
+factor each one as LAPACK would alone.  The solver's stacked inner loops
+(`beamformers.waterfill_stack` and `slnr_directions`, `boundary._Rays` and
+`_whitened_links`) call numpy directly.
 """
 
 import math

@@ -107,16 +107,23 @@ def canonical_beam(v, power):
     return Beamformer(canonical_directions(v)[0], power)
 
 
-def canonical_directions(vs):
-    """`canonical_beam`'s direction for every row of a stack (n, m).
-
-    Raises InvalidInputError if a row is zero or non-finite.
-    """
+def _unit_rows(vs):
+    """Each row of a stack (n, m) divided by its norm, as a new complex
+    array.  Raises InvalidInputError if a row is zero or non-finite."""
     v = np.array(vs, dtype=np.complex128)
     nrm = _row_norms(v)
     if not np.all((nrm > 0) & np.isfinite(nrm)):
         raise InvalidInputError("cannot normalize a zero or non-finite direction")
     v /= nrm[:, None]
+    return v
+
+
+def canonical_directions(vs):
+    """`canonical_beam`'s direction for every row of a stack (n, m).
+
+    Raises InvalidInputError if a row is zero or non-finite.
+    """
+    v = _unit_rows(vs)
     big = np.abs(v) > 1e-12
     rows = np.flatnonzero(big.any(axis=1))
     first = big[rows].argmax(axis=1)
@@ -135,17 +142,40 @@ def check_unit_rows(v):
         raise InvalidInputError("beamformer norm deviates from 1")
 
 
-def _squares(x):
-    # square each entry as a Python float, as `sler` always has: scalar ** 2
-    # is libm's pow, which can round differently from an array's x * x
-    return np.array([t**2 for t in x.tolist()])
-
-
 def _row_norms(v):
     # the 1-D np.linalg.norm, row by row: re.re + im.im as dot products
     re, im = v.real[:, None, :], v.imag[:, None, :]
     sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
     return np.sqrt(sq[:, 0, 0])
+
+
+def _beam_gain(h, f):
+    """||H F||_F^2 = tr(H F F^H H^H) of a beam factor F (m, k), or of each
+    pair of two stacks."""
+    hf = h @ f
+    return np.sum(hf.real**2 + hf.imag**2, axis=(-2, -1))
+
+
+def sler_floor(h11_norm2, e_bars, p1s):
+    """Energy-shortfall floors max(e_bar / P1 - ||H11||_2^2, 0) in the SLER
+    denominator (per unit transmit power), elementwise over arrays of
+    ||H11||_2^2, e_bar and P1.  Every SLER beam and ratio takes its floor
+    from here."""
+    return np.maximum(np.asarray(e_bars, dtype=float) / p1s - h11_norm2, 0.0)
+
+
+def _rates(b, q):
+    """log2 det(I + B Q B^H) >= 0 in bits of each (B, Q) pair of two stacks.
+
+    Raises InvalidInputError if a determinant is not positive.
+    """
+    s = b @ q @ b.conj().swapaxes(-1, -2)
+    sign, logdet = np.linalg.slogdet(
+        np.eye(b.shape[-2], dtype=np.complex128) + hermitian_part(s)
+    )
+    if np.any(sign.real <= 0):
+        raise InvalidInputError("rate determinant is not positive; Q is not PSD")
+    return np.maximum(logdet / _LN2, 0.0)
 
 
 def interference_cov(h_cross, q_other):
@@ -163,15 +193,8 @@ def achievable_rate(h_own, r_minus, q):
     log2 det(I + R^{-1/2} H Q H^H R^{-1/2}) so the determinant argument is
     Hermitian PSD.  Raises SingularMatrixError if R is singular.
     """
-    h = as_matrix(h_own, "h_own")
-    b = inv_sqrt_psd(as_matrix(r_minus, "r_minus")) @ h
-    s = b @ _cov_array(q) @ b.conj().T
-    sign, logdet = np.linalg.slogdet(
-        np.eye(h.shape[0], dtype=np.complex128) + hermitian_part(s)
-    )
-    if sign.real <= 0:
-        raise InvalidInputError("rate determinant is not positive; Q is not PSD")
-    return max(float(logdet) / _LN2, 0.0)
+    b = inv_sqrt_psd(as_matrix(r_minus, "r_minus")) @ as_matrix(h_own, "h_own")
+    return float(_rates(b, _cov_array(q)))
 
 
 def harvested_energy(cs, q1, q2, receiver):
@@ -188,11 +211,11 @@ def harvested_energy(cs, q1, q2, receiver):
 
 
 def sler(v, h_own, h_cross, e_bar):
-    """Signal-to-leakage-and-energy ratio of a beamformer.
+    """Signal-to-leakage-and-energy ratio of a beamformer sent at P1 > 0.
 
-    ratio = P1 ||H_own v||^2 / (P1 ||H_cross v||^2 + floor), with
-    floor = max(e_bar - P1 ||H_own||_2^2, 0).  A vanishing denominator
-    returns +inf.
+    ratio = ||H_own v||^2 / (||H_cross v||^2 + floor), with the per-unit-power
+    floor `sler_floor` = max(e_bar / P1 - ||H_own||_2^2, 0).  A denominator
+    P1 (||H_cross v||^2 + floor) below 1e-15 returns +inf.
     """
     if not isinstance(v, Beamformer):
         raise InvalidInputError("v must be a Beamformer")
@@ -202,18 +225,17 @@ def sler(v, h_own, h_cross, e_bar):
 
 def sler_ratios(vs, p1, h_own, h_cross, e_bars):
     """`sler` of every row of a stack of unit directions (n, M_t), each sent
-    at power P1 against its own energy target of `e_bars` (n,).
+    at power P1 > 0 against its own energy target of `e_bars` (n,).
 
     ||H_own||_2 is computed once; each ratio equals `sler` of its row.
     """
     h_own = as_matrix(h_own, "h_own")
     h_cross = as_matrix(h_cross, "h_cross")
-    p1 = _as_real(p1, "power")
+    p1 = _as_real(p1, "power", positive=True)
     e_bars = _as_reals(e_bars, "e_bar")
-    vs = np.asarray(vs, dtype=np.complex128)[:, :, None]
-    num = p1 * _squares(_row_norms((h_own @ vs)[..., 0]))
-    den = p1 * _squares(_row_norms((h_cross @ vs)[..., 0]))
-    den += np.maximum(e_bars - p1 * spectral_norm(h_own) ** 2, 0.0)
+    f = np.asarray(vs, dtype=np.complex128)[:, :, None]
+    num = p1 * _beam_gain(h_own, f)
+    den = p1 * (_beam_gain(h_cross, f) + sler_floor(spectral_norm(h_own) ** 2, e_bars, p1))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den < 1e-15, np.inf, num / den)
 
@@ -223,8 +245,7 @@ def slnr(v, h_own, h_cross, noise_floor):
     if not isinstance(v, Beamformer):
         raise InvalidInputError("v must be a Beamformer")
     noise_floor = _as_real(noise_floor, "noise_floor", positive=True)
-    h_own = as_matrix(h_own, "h_own")
-    h_cross = as_matrix(h_cross, "h_cross")
-    num = float(np.linalg.norm(h_own @ v.v) ** 2)
-    den = float(np.linalg.norm(h_cross @ v.v) ** 2) + noise_floor
+    f = v.v[:, None]
+    num = float(_beam_gain(as_matrix(h_own, "h_own"), f))
+    den = float(_beam_gain(as_matrix(h_cross, "h_cross"), f)) + noise_floor
     return num / den

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_directions, sler_floor
+from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_directions
 from .boundary import (
     REBoundary,
     _emax_many,
@@ -35,7 +35,7 @@ from .boundary import (
 from .channel import channel_digest, swap_roles
 from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
 from .linalg import _as_real, _as_reals, spectral_norm
-from .metrics import canonical_directions, check_unit_rows, sler_ratios
+from .metrics import canonical_directions, check_unit_rows, sler_floor, sler_ratios
 
 __all__ = [
     "MODES",

@@ -405,9 +405,9 @@ class TestSlerBeam:
 
 class TestStackedBeams:
     def test_stacked_directions_match_single_beams(self):
-        from swiptifc.beamformers import sler_directions, sler_floor, slnr_directions
+        from swiptifc.beamformers import sler_directions, slnr_directions
         from swiptifc.linalg import spectral_norm
-        from swiptifc.metrics import canonical_directions
+        from swiptifc.metrics import canonical_directions, sler_floor
 
         rng = np.random.default_rng(64)
         for m_r, m_t in ((2, 2), (2, 3), (4, 4)):

@@ -172,7 +172,7 @@ class TestSolveP3:
         q, diag = solve_p3(h22t, h12, cap, p)
         beam = p * np.outer(v.conj().T[:, 0], v.conj().T[:, 0].conj())
         assert np.linalg.norm(q.q - beam) / p < 1e-4
-        assert diag.branch == "DUAL"
+        assert diag.branch == "CAP"
         assert diag.lam is None and diag.mu is None
 
     def test_above_cap_raises_with_bound(self):
@@ -509,6 +509,33 @@ class TestReBoundaryPoint:
             re_boundary_point(cs, "meb", e_bar, 2.0)
 
 
+class TestNoTransmit:
+    """A point is NO_TX exactly when transmitter 1's settled P1 is 0.0."""
+
+    @pytest.mark.parametrize("strategy", ("meb", "mlb", "sler", "slnr", "meb_rank2"))
+    def test_no_tx_iff_zero_power(self, strategy):
+        p = 5.0
+        covered = 0
+        for seed, m_t, m_r in ((5, 3, 3), (6, 2, 2), (5, 4, 2)):
+            cs = draw_channel_set(m_t, m_r, ALPHA, seed=seed)
+            top = emax(cs, strategy, p)
+            # low targets that transmitter 2's leakage covers alone
+            low = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 12) * top))
+            for bd in (re_sweep(cs, strategy, p, e_grid=low), re_sweep(cs, strategy, p, 16)):
+                for pt in bd.points:
+                    assert (pt.branch == "NO_TX") == (pt.p1 == 0.0)
+                    if pt.p1 == 0.0:
+                        assert np.copysign(1.0, pt.p1) == 1.0  # never -0.0
+                        covered += pt.e_bar > 0.0
+        assert covered > 0
+
+    def test_negative_zero_target_reports_positive_zero_power(self):
+        cs = draw_channel_set(3, 3, ALPHA, seed=51)
+        pt = re_boundary_point(cs, "meb", -0.0, 5.0)
+        assert pt.branch == "NO_TX"
+        assert pt.p1 == 0.0 and np.copysign(1.0, pt.p1) == 1.0
+
+
 class TestReSweep:
     def test_endpoint_grid(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=61)
@@ -646,7 +673,8 @@ class TestStackedLockstep:
         p1s[:4] = [0.0, 1e-13 * p, 0.0, 1e-13 * p]
         ci[:4] = [0, 0, 1, 2]
         both = boundary._evaluate_batch(boundary._stack(ctxs), ci, e_bars, p1s)
-        assert both[1]["dual"].any() and not both[1]["dual"].all()
+        dual = both[1]["branch"] == "DUAL"
+        assert dual.any() and not dual.all()
         for k, ctx in enumerate(ctxs):
             mine = np.flatnonzero(ci == k)
             own = boundary._evaluate_batch(

@@ -15,6 +15,7 @@ from swiptifc import (
     sler,
     slnr,
 )
+from swiptifc.metrics import sler_ratios
 
 
 def _cgauss(rng, *shape):
@@ -240,6 +241,15 @@ class TestSler:
         v = Beamformer(np.array([1.0 + 0j]), 1.0)
         with pytest.raises(InvalidInputError):
             sler(v, np.eye(1), np.eye(1), -1.0)
+
+    @pytest.mark.parametrize("e_bar", [0.0, 1.0])
+    def test_rejects_zero_power_beam(self, e_bar):
+        # the floor is per unit transmit power, so P1 = 0 has no ratio
+        v = Beamformer(np.array([1.0 + 0j, 0.0]), 0.0)
+        with pytest.raises(InvalidInputError, match="power"):
+            sler(v, np.eye(2), np.eye(2), e_bar)
+        with pytest.raises(InvalidInputError, match="power"):
+            sler_ratios(v.v[None], 0.0, np.eye(2), np.eye(2), [e_bar])
 
 
 class TestSlnr:

@@ -21,6 +21,7 @@ from swiptifc import (
     scheduled_run,
     scheduled_sweep,
     select_mode,
+    sler,
     sler_beam,
     swap_roles,
     evaluate_all_modes,
@@ -37,19 +38,11 @@ def _ratio_pair(cs, e_bar, p):
     return float(s1[0]), float(s2[0])
 
 
-def _looped_ratio(v, h_own, h_cross, e_bar):
-    # the per-beam SLER arithmetic, as metrics.sler computed it one beam at a time
-    p1 = v.power
-    num = p1 * float(np.linalg.norm(h_own @ v.v) ** 2)
-    den = p1 * float(np.linalg.norm(h_cross @ v.v) ** 2)
-    den += max(e_bar - p1 * float(np.linalg.norm(h_own, 2)) ** 2, 0.0)
-    return float("inf") if den < 1e-15 else num / den
-
-
 def _looped_pair(cs, e_bar, p):
+    # each orientation's SLER beam rated one target at a time by the public sler
     v1 = sler_beam(cs.h11, cs.h21, e_bar, p)
     v2 = sler_beam(cs.h22, cs.h12, e_bar, p)
-    return _looped_ratio(v1, cs.h11, cs.h21, e_bar), _looped_ratio(v2, cs.h22, cs.h12, e_bar)
+    return sler(v1, cs.h11, cs.h21, e_bar), sler(v2, cs.h22, cs.h12, e_bar)
 
 
 def _looped_mode(cs, e_bar, p):
@@ -181,7 +174,7 @@ class TestSelectMode:
 
 class TestSelectModes:
     """select_modes rates a whole grid at once; every element must equal the
-    one-target rule, and the ratios the per-beam arithmetic, bit for bit."""
+    one-target rule, and the ratios `sler` of each one-target beam, bit for bit."""
 
     @pytest.mark.parametrize("m_t,m_r", [(2, 2), (3, 2), (2, 3), (4, 4)])
     def test_matches_per_target(self, m_t, m_r):
