@@ -4,9 +4,11 @@ Strategy identifiers used across the library:
 
 * ``meb``       maximum-energy beam, top right singular vector of the direct link
 * ``mlb``       minimum-leakage beam, least right singular vector of the cross link
-* ``sler``      signal-to-leakage-and-energy-ratio beam (QR + SVD construction)
+* ``sler``      signal-to-leakage-and-energy-ratio beam
 * ``slnr``      signal-to-leakage-plus-noise-ratio beam
 * ``meb_rank2`` two-stream energy beam with a fixed power split
+
+Both ratio beams come from one routine (`_ratio_directions`).
 """
 
 import numbers
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import stacked_channel
-from .exceptions import DegenerateChannelError, InvalidInputError, RankDeficiencyError
-from .linalg import _as_real, as_matrix, hermitian_part, inv_sqrt_psd, qrd, spectral_norm, svd
+from .exceptions import DegenerateChannelError, InvalidInputError
+from .linalg import TOL, _as_real, as_matrix, hermitian_part, inv_sqrt_psd, spectral_norm, svd
 from .metrics import (
     Beamformer,
     TxCovariance,
@@ -41,9 +43,7 @@ __all__ = [
     "mlb",
     "meb_rank2",
     "sler_beam",
-    "sler_directions",
     "slnr_beam",
-    "slnr_directions",
 ]
 
 STRATEGIES = ("meb", "mlb", "sler", "slnr", "meb_rank2")
@@ -276,77 +276,67 @@ def meb_rank2(h11, p1, split=0.5):
 
 
 def sler_beam(h11, h21, e_bar, p1):
-    """Maximum-SLER beamformer via one QR and one small SVD.
-
-    Stack K = [H11; H21; sqrt(floor) I] and factor K = [P_a; P_b] Rbar.  The
-    top block of P_a carries the signal part, so the best direction in the
-    whitened coordinates is its top right singular vector u, and the beam is
-    Rbar^{-1} u renormalized.  When the floor is active, Rbar^{-1} u equals
-    P_b u / sqrt(floor), so no triangular solve is needed.
-    """
+    """Maximum-SLER beamformer: the maximizer of ||H11 v||^2 / (||H21 v||^2
+    + floor ||v||^2) at the `sler_floor` of (e_bar, P1), from one
+    eigendecomposition of H21^H H21 and one of the whitened signal Gram
+    (`_ratio_directions`)."""
     h11 = as_matrix(h11, "h11")
     h21 = as_matrix(h21, "h21")
     p1 = _as_real(p1, "P1", positive=True)
     e_bar = _as_real(e_bar, "e_bar")
     floors = sler_floor(spectral_norm(h11) ** 2, np.array([e_bar]), p1)
-    return canonical_beam(sler_directions(h11, h21, floors)[0], p1)
-
-
-def sler_directions(h11, h21, floors):
-    """`sler_beam`'s unnormalized directions (n, M_t), one per floor of a
-    stack (n,), from one stacked QR and one stacked SVD.  The links are one
-    pair (M_r, M_t) for every floor or a stack of pairs (n, M_r, M_t)."""
-    m_r, m_t = h11.shape[-2:]
-    floors = np.asarray(floors, dtype=float)
-    eye = np.eye(m_t)
-    k = np.empty((floors.size, 2 * m_r + m_t, m_t), dtype=np.complex128)
-    k[:, :m_r] = h11
-    k[:, m_r : 2 * m_r] = h21
-    k[:, 2 * m_r :] = np.sqrt(floors)[:, None, None] * eye
-    try:
-        q, rbar = qrd(k)
-    except RankDeficiencyError:
-        # floor = 0 with jointly rank-deficient links; a tiny ridge restores
-        # an invertible stack for each target that needs it
-        warnings.warn("sler_beam: links share a null direction, using 1e-12 ridge")
-        q, rbar = np.empty_like(k), np.empty_like(k[:, :m_t])
-        for i, ki in enumerate(k):
-            try:
-                q[i], rbar[i] = qrd(ki)
-            except RankDeficiencyError:
-                ki[2 * m_r :] = np.sqrt(1e-12) * eye
-                q[i], rbar[i] = qrd(ki)
-    _, _, v_alpha = svd(q[:, :m_r])
-    u = v_alpha[:, :, :1]
-    out = np.empty((floors.size, m_t), dtype=np.complex128)
-    on = floors > 0.0
-    out[on] = (q[on, 2 * m_r :] @ u[on])[..., 0] / np.sqrt(floors[on])[:, None]
-    if not on.all():
-        out[~on] = np.linalg.solve(rbar[~on], u[~on])[..., 0]
-    return out
+    return canonical_beam(_ratio_directions(*_ratio_factor(h11, h21), floors)[0], p1)
 
 
 def slnr_beam(h11, h21, p1):
     """Maximum-SLNR beamformer: top generalized eigenvector of
-    (H11^H H11, H21^H H21 + (M_r / P1) I)."""
+    (H11^H H11, H21^H H21 + (M_r / P1) I), the ratio beam at the floor
+    M_r / P1 (`_ratio_directions`)."""
     h11 = as_matrix(h11, "h11")
     h21 = as_matrix(h21, "h21")
     p1 = _as_real(p1, "P1", positive=True)
-    return canonical_beam(slnr_directions(h11, h21, np.array([p1]))[0], p1)
+    floors = np.array([h11.shape[0] / p1])
+    return canonical_beam(_ratio_directions(*_ratio_factor(h11, h21), floors)[0], p1)
 
 
-def slnr_directions(h11, h21, p1s):
-    """`slnr_beam`'s unnormalized directions (n, M_t) for a stack of powers
-    (n,): whiten by the Cholesky factor L of the denominator, take the top
-    eigenvector y of L^-1 num L^-H, and map it back as L^-H y.  The links
-    are one pair (M_r, M_t) for every power or a stack of pairs
-    (n, M_r, M_t)."""
-    m_r, m_t = h11.shape[-2:]
-    num = hermitian_part(h11.conj().swapaxes(-1, -2) @ h11)
-    eye = np.eye(m_t)
-    den = hermitian_part(h21.conj().swapaxes(-1, -2) @ h21)
-    den = den + (m_r / np.asarray(p1s))[:, None, None] * eye
-    low = np.linalg.cholesky(den)
-    half = np.linalg.solve(low, num)
-    _, vecs = np.linalg.eigh(hermitian_part(np.linalg.solve(low, half.conj().swapaxes(-1, -2))))
-    return np.linalg.solve(low.conj().swapaxes(-1, -2), vecs[:, :, -1:])[..., 0]
+def _ratio_factor(h11, h21):
+    """The factorization every ratio beam of a link pair reads:
+    H21^H H21 = U diag(lam) U^H (lam ascending, clipped at 0) and
+    G = U^H H11^H H11 U, for one pair (M_r, M_t) or a stack of pairs.
+
+    Returns (lam, U, G).
+    """
+    lam, u = np.linalg.eigh(hermitian_part(h21.conj().swapaxes(-1, -2) @ h21))
+    hu = h11 @ u
+    return np.maximum(lam, 0.0), u, hermitian_part(hu.conj().swapaxes(-1, -2) @ hu)
+
+
+def _ratio_directions(lam, u, g, floors):
+    """Unnormalized maximizers (n, M_t) of ||H11 v||^2 / (||H21 v||^2 +
+    f ||v||^2), one per floor f >= 0 of `floors` (n,), from the
+    `_ratio_factor` (lam, U, G) of one link pair or of one pair per floor.
+
+    SLER takes f = `sler_floor`, SLNR f = M_r / P1.  With
+    D = diag((lam + f)^-1/2) the maximizer is U D y, y the top eigenvector
+    of D G D: one stacked `eigh` for all floors.  A zero floor on a cross
+    link with a null space (lam <= 1e-12 lam_max) takes the limit
+    direction, the top eigenvector of G restricted to that null space; where
+    the direct link has no gain there either (a null direction both links
+    share) the floor becomes a 1e-12 ridge, with a warning.
+    """
+    floors = np.asarray(floors, dtype=float)
+    lam = np.broadcast_to(lam, floors.shape + lam.shape[-1:])
+    null = lam <= TOL.rank * lam[:, -1:]
+    limit = (floors == 0.0) & null.any(axis=1)
+    with np.errstate(divide="ignore"):
+        d = 1.0 / np.sqrt(lam + floors[:, None])
+    # the limit rows keep the null space's coordinates alone
+    d[limit] = null[limit]
+    w, y = np.linalg.eigh(d[:, :, None] * g * d[:, None, :])
+    shared = limit & (w[:, -1] <= TOL.rank * np.trace(g, axis1=-2, axis2=-1).real)
+    if shared.any():
+        warnings.warn("ratio beam: links share a null direction, using 1e-12 ridge")
+        d[shared] = 1.0 / np.sqrt(lam[shared] + 1e-12)
+        gs = np.broadcast_to(g, d.shape[:1] + g.shape[-2:])[shared]
+        y[shared] = np.linalg.eigh(d[shared, :, None] * gs * d[shared, None, :])[1]
+    return (u @ (d * y[:, :, -1])[:, :, None])[..., 0]

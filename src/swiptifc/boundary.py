@@ -24,17 +24,22 @@ P sigma_max(H12)^2 the feasible set is the cross-link beam alone (branch
 CAP).  A point whose transmitter 1 settles at P1 = 0 is published as NO_TX.
 
 Every target of a sweep is solved in lockstep (`_solve_many`), as array
-passes over per-target P1, iteration and evaluation arrays.  Each round of
-the power backoff and of the stall rescue's P1 scan and backoff evaluates
-the (E_bar, P1) pairs of all targets that take it in one stacked pass
-(`_evaluate_batch`): transmitter 1's beam as its factor F
-(W = F F^H, with one column, or two for meb_rank2), receiver 2's link H22~
-whitened against that beam's interference through a k x k
-eigendecomposition of (H21 F)^H H21 F, water-filling, and, for the targets
-on the DUAL branch, the roots over rho (`_ratio_roots`).  Each root is a
-step-for-step port of scipy's brentq, and each of their rounds is one
-stacked SVD of the rays all rows ask for.
-`re_boundary_point` and `solve_p3` run the same code with one target.
+passes over per-target P1, iteration and evaluation arrays.  The backoff's
+next P1 comes from `_Aitken`: the plain map, or, once two successive
+contraction ratios of the map agree, a guarded Aitken step to just short
+of the extrapolated fixed point, reverted to the plain step if its
+evaluation no longer over-delivers.  Each round of the power backoff and of
+the stall rescue's P1 scan and backoff evaluates the (E_bar, P1) pairs of
+all targets that take it in one stacked pass (`_evaluate_batch`):
+transmitter 1's beam as its factor F (W = F F^H, with one column, or two
+for meb_rank2; a sler or slnr beam is one small `eigh` per row against its
+context's factorization of H21^H H21), receiver 2's link H22~ whitened
+against that beam's interference through a k x k eigendecomposition of
+(H21 F)^H H21 F, water-filling, and, for the targets on the DUAL branch,
+the roots over rho (`_ratio_roots`).  Each root is a step-for-step port of
+scipy's brentq, and each of their rounds is one stacked SVD of the rays all
+rows ask for.  `re_boundary_point` and `solve_p3` run the same code with
+one target.
 
 The endpoint e_max is the largest target that the backoff's first round,
 at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
@@ -69,11 +74,11 @@ import numpy as np
 from .beamformers import (
     _energy_streams,
     _mode_floors,
+    _ratio_directions,
+    _ratio_factor,
     check_strategy,
     meb,
     mlb,
-    sler_directions,
-    slnr_directions,
     water_level,
     waterfill_stack,
 )
@@ -111,6 +116,12 @@ __all__ = [
 _N_MAX = 20
 _P1_TOL = 1e-8
 _RESCUE_SCAN = 33
+
+# the backoff's Aitken step: two successive contraction ratios within this
+# relative spread and below this ceiling, and the margin it stops short by
+_AITKEN_AGREE = 0.02
+_AITKEN_MAX_RATIO = 0.95
+_AITKEN_MARGIN = 0.03
 
 # adaptive beams' e_max search: scan points, then at most this many steps
 _EMAX_SCAN = 17
@@ -601,6 +612,9 @@ class _StrategyContext:
             # energy beam (their denominators are dominated by the floor)
             self.consts["meb_v"] = meb(cs.h11, 1.0).v
             self.consts["h11_norm2"] = spectral_norm(cs.h11) ** 2
+            # every sler or slnr beam of the context reads this one factorization
+            lam, u, g = _ratio_factor(cs.h11, cs.h21)
+            self.consts.update(lam=lam, u=u, g=g)
         self._emax = None
 
     def emax(self):
@@ -631,7 +645,10 @@ def _unit_covs(st, ci, e_bars, p1s):
     `st`, and their direct-link energy gains kappa = ||H11 F||_F^2.
 
     An adaptive beam is its direction normalized row by row, with no phase
-    fixed: W = v v^H does not depend on it.
+    fixed: W = v v^H does not depend on it.  Both ratio beams read their
+    context's factorization of H21^H H21 (`_ratio_factor`), so each row
+    costs one small `eigh`: SLER at the `sler_floor` of its pair, SLNR at
+    the floor M_r / P1.
     """
     if st.fixed:
         return st.f_fixed[ci], st.kappa_fixed[ci]
@@ -641,13 +658,12 @@ def _unit_covs(st, ci, e_bars, p1s):
         v[low] = st.meb_v[ci[low]]
     hi = ~low
     if hi.any():
-        h11, h21 = st.h11[ci[hi]], st.h21[ci[hi]]
+        c = ci[hi]
         if st.strategy == "sler":
-            floors = sler_floor(st.h11_norm2[ci[hi]], e_bars[hi], p1s[hi])
-            dirs = sler_directions(h11, h21, floors)
+            floors = sler_floor(st.h11_norm2[c], e_bars[hi], p1s[hi])
         else:
-            dirs = slnr_directions(h11, h21, p1s[hi])
-        v[hi] = _unit_rows(dirs)
+            floors = st.h11.shape[-2] / p1s[hi]
+        v[hi] = _unit_rows(_ratio_directions(st.lam[c], st.u[c], st.g[c], floors))
         check_unit_rows(v[hi])
     f = v[:, :, None]
     return f, _beam_gain(st.h11[ci], f)
@@ -765,15 +781,59 @@ def _evaluate_batch(st, ci, e_bars, p1s):
     return q, rec
 
 
-def _backoff(e_eff, ev, p):
-    """The next P1 of each target's power backoff from its evaluation `ev`:
-    (e_eff - e2) / kappa, clipped to [0, P] with every value at or below
-    zero set to exactly 0.0 (so never -0.0), where `ev` over-delivers with
-    kappa > 0; elsewhere `ev`'s own P1."""
-    over = (ev["e11"] + ev["e2"] > e_eff) & (ev["kappa"] > 0.0)
-    p1 = (e_eff - ev["e2"]) / np.where(over, ev["kappa"], 1.0)
-    p1 = np.where(0.0 >= p1, 0.0, p1)
-    return np.where(over, np.where(p < p1, p, p1), ev["p1"])
+class _Aitken:
+    """Each target's next P1 in the power backoff, with a guarded Aitken step.
+
+    The plain map x -> T(x) = (E_bar - e2) / kappa, clipped to [0, P] with
+    every value at or below zero set to exactly 0.0 (so never -0.0), moves
+    a target whose evaluation over-delivers with kappa > 0; any other target
+    stays at its P1.  It converges linearly, at a ratio that settles early.
+    Once two successive contraction ratios r = dT / dx of a target's plain
+    steps agree within 2%, with 0 < r < 0.95, its next evaluation goes to
+    x* + 0.03 (T - x*), where x* = T + r / (1 - r) (T - x) extrapolates the
+    fixed point: short of it, on the over-delivering side.  An accelerated
+    evaluation that does not over-deliver is reverted: the plain step T(x)
+    it replaced is evaluated next, and two more plain steps must agree
+    before the next Aitken step.  The rescue's backoff starts a new state.
+    """
+
+    def __init__(self, n):
+        self.x = np.full(n, np.nan)    # each target's last plain point x
+        self.t = np.full(n, np.nan)    # its plain step T(x)
+        self.r = np.full(n, np.nan)    # the contraction ratio that led there
+        self.fast = np.zeros(n, dtype=bool)  # the pending evaluation is an Aitken step
+
+    def next_p1(self, ks, e_eff, ev, p, tol, stop):
+        """Targets ks, evaluated in `ev`: their next P1 and whether each has
+        settled, that is, moved by at most `tol` on a plain step or reached
+        `stop`.  A settled target's next P1 is its plain step."""
+        x = ev["p1"]
+        over = (ev["e11"] + ev["e2"] > e_eff) & (ev["kappa"] > 0.0)
+        t = (e_eff - ev["e2"]) / np.where(over, ev["kappa"], 1.0)
+        t = np.where(0.0 >= t, 0.0, t)
+        t = np.where(over, np.where(p < t, p, t), x)
+        reverted = self.fast[ks] & ~over
+        plain = np.where(reverted, self.t[ks], t)
+        settled = (~reverted & (np.abs(t - x) <= tol)) | stop
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (t - self.t[ks]) / (x - self.x[ks])
+            star = t + r / (1.0 - r) * (t - x)
+        r_prev = self.r[ks]
+        step = star + _AITKEN_MARGIN * (t - star)
+        fast = (
+            ~reverted
+            & ~settled
+            & (np.abs(r - r_prev) <= _AITKEN_AGREE * np.abs(r_prev))
+            & (r > 0.0)
+            & (r < _AITKEN_MAX_RATIO)
+            & (step > 0.0)
+            & (step <= p)
+        )
+        kept = ks[~reverted]
+        self.x[kept], self.t[kept], self.r[kept] = x[~reverted], t[~reverted], r[~reverted]
+        self.r[ks[reverted]] = np.nan
+        self.fast[ks] = fast
+        return np.where(fast, step, plain), settled
 
 
 def _solve_many(jobs):
@@ -787,14 +847,17 @@ def _solve_many(jobs):
     * the power backoff: from P1 = P, alternate the floored rate solve with
       P1 = (E_bar - cross energy) / kappa until P1 moves less than
       1e-8 * max(P, 1) or 20 rounds pass; a target whose P1 settled away
-      from its last evaluation is evaluated there in one more round;
+      from its last evaluation is evaluated there in one more round.  The
+      next P1 may be a guarded Aitken step (`_Aitken`); a reverted step
+      counts as a round;
     * the stall rescue, for adaptive beams only.  An adaptive beam stops
       tilting toward the energy subspace once its own power covers the
       harvesting floor, so delivered energy is not monotone in P1: it can
       dip below the target at full power while an interior P1 still reaches
       it.  Each target still short scans `_RESCUE_SCAN` P1 values in one
       batch, keeps its first best-rate candidate that reaches the target,
-      and backs off from there while the target stays reached.
+      and backs off from there, with the same Aitken steps, while the
+      target stays reached.
 
     A point whose settled P1 is exactly 0.0, which the backoff and the scan
     both reach, is published as NO_TX.  If a batch raises a SwiptError, its
@@ -845,6 +908,7 @@ def _solve_many(jobs):
     iters = np.zeros(len(todo), dtype=int)
     p1 = np.full(len(todo), p)
     settled = np.zeros(len(todo), dtype=bool)
+    steps = _Aitken(len(todo))
     live = np.flatnonzero(~failed)
     while live.size:
         live, ev = evaluate(live, p1[live])
@@ -853,8 +917,9 @@ def _solve_many(jobs):
         back = ~settled[live]
         live, ev = live[back], ev[back]
         iters[live] += 1
-        p1[live] = _backoff(e_eff[live], ev, p)
-        settled[live] = (np.abs(p1[live] - ev["p1"]) <= tol_p1) | (iters[live] == _N_MAX)
+        p1[live], settled[live] = steps.next_p1(
+            live, e_eff[live], ev, p, tol_p1, iters[live] == _N_MAX
+        )
         live = live[p1[live] != ev["p1"]]
 
     achieved = latest["e11"] + latest["e2"]
@@ -873,16 +938,19 @@ def _solve_many(jobs):
         live, ev = live[found], ev[found, best[found]]
         latest[live] = ev
         short[live] = False
+        steps = _Aitken(len(todo))
         for _ in range(_N_MAX):
-            step = _backoff(e_eff[live], ev, p)
-            move = ~(np.abs(step - ev["p1"]) <= tol_p1)
-            live, step = live[move], step[move]
+            step, stop = steps.next_p1(live, e_eff[live], ev, p, tol_p1, False)
+            live, step = live[~stop], step[~stop]
             if not live.size:
                 break
             live, ev = evaluate(live, step)
+            # a target leaves once its plain step falls short; a reverted
+            # Aitken step goes on to the plain step it replaced
             ok = ~(ev["e11"] + ev["e2"] < e_eff[live] - tol_e[live])
-            live, ev = live[ok], ev[ok]
-            latest[live] = ev
+            latest[live[ok]] = ev[ok]
+            on = ok | steps.fast[live]
+            live, ev = live[on], ev[on]
     # reachability is genuinely not an interval for per-target beams: some
     # interior targets stay short at every P1
     for k in np.flatnonzero(short & ~failed).tolist():
@@ -969,9 +1037,11 @@ def re_boundary_point(cs, strategy, e_bar, p, split=0.5):
     """One point of the rate-energy boundary at energy target `e_bar`.
 
     Alternates the decoding user's floored rate problem with the power
-    backoff at transmitter 1 until P1 moves less than 1e-8 * max(P, 1) or 20
-    rounds pass, rescues an adaptive beam that stalls short, and reports the
-    achieved (rate, energy) pair: the one-target case of `_solve_many`.
+    backoff at transmitter 1, accelerated by guarded Aitken steps, until P1
+    moves less than 1e-8 * max(P, 1) or 20 rounds pass (`iterations`, which
+    counts a reverted Aitken step too), rescues an adaptive beam that stalls
+    short, and reports the achieved (rate, energy) pair: the one-target case
+    of `_solve_many`.
     """
     e_bar = _as_real(e_bar, "e_bar")
     (out,) = _solve_many([(_StrategyContext(cs, strategy, p, split), [e_bar])]).values()
@@ -985,9 +1055,9 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
 
     `e_grid`, if given, must be 1-D, finite, nonnegative and strictly
     increasing.  Every grid target is solved as `re_boundary_point` solves
-    one, all of them together (`_solve_many`): each round of the backoff and
-    of the rescue evaluates the (e_bar, P1) pairs of every target that takes
-    it as one stacked batch.
+    one, Aitken steps included, all of them together (`_solve_many`): each
+    round of the backoff and of the rescue evaluates the (e_bar, P1) pairs of
+    every target that takes it as one stacked batch.
     Failed points become gap entries instead of aborting the sweep; a point
     whose rate a higher target's point beats is replaced by a copy of it
     (flagged `carried`), and the finished boundary is validated against its

@@ -1,12 +1,12 @@
 """Dense complex linear algebra kernels with fixed conventions.
 
 The checked factorizations live here, with their conventions decided once:
-spectra come back in descending order, QR carries a real nonnegative
-diagonal on R, and Hermitian inputs are symmetrized before factorization so
-downstream code never depends on where rounding noise landed.  `svd`, `qrd`,
-`inv_sqrt_psd` and `psd_mask` also take a stack of matrices (..., m, n) and
-factor each one as LAPACK would alone.  The solver's stacked inner loops
-(`beamformers.waterfill_stack` and `slnr_directions`, `boundary._Rays` and
+spectra come back in descending order, and Hermitian inputs are symmetrized
+before factorization so downstream code never depends on where rounding
+noise landed.  `svd`, `inv_sqrt_psd` and `psd_mask` also take a stack of
+matrices (..., m, n) and factor each one as LAPACK would alone.  The
+solver's stacked inner loops (`beamformers.waterfill_stack`,
+`_ratio_factor` and `_ratio_directions`, `boundary._Rays` and
 `_whitened_links`) call numpy directly.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInputError, RankDeficiencyError, SingularMatrixError
+from .exceptions import InvalidInputError, SingularMatrixError
 
 __all__ = [
     "Tolerances",
@@ -26,7 +26,6 @@ __all__ = [
     "spectral_norm",
     "svd",
     "hermitian_eig",
-    "qrd",
     "inv_sqrt_psd",
     "is_psd",
     "psd_mask",
@@ -145,34 +144,6 @@ def hermitian_eig(a):
         raise InvalidInputError(f"matrix is not Hermitian (deviation {dev:.3e})")
     w, v = np.linalg.eigh(hermitian_part(a))
     return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def qrd(a):
-    """Thin QR factorization A = Q R with real nonnegative diag(R).
-
-    Requires rows >= cols and full column rank; rank deficiency raises
-    RankDeficiencyError carrying the achieved numerical rank (the lowest
-    one over a stack).
-    """
-    a = as_stack(a)
-    m, n = a.shape[-2:]
-    if m < n:
-        raise InvalidInputError(f"qrd needs rows >= cols, got {a.shape}")
-    q, r = np.linalg.qr(a, mode="reduced")
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mags = np.abs(d)
-    cutoff = TOL.rank * np.maximum(mags.max(axis=-1, initial=0.0), 1e-300)
-    if n and np.any(mags.min(axis=-1) <= cutoff):
-        rank = int(np.min(np.count_nonzero(mags > cutoff[..., None], axis=-1)))
-        raise RankDeficiencyError(
-            f"matrix of shape {a.shape} has numerical rank {rank}", numerical_rank=rank
-        )
-    phase = d / mags
-    q = q * phase[..., None, :]
-    r = r * phase.conj()[..., :, None]
-    # exact real diagonal, killing the rounding residue of the phase rotation
-    r[..., np.arange(n), np.arange(n)] = mags
-    return q, r
 
 
 def inv_sqrt_psd(a):

@@ -233,9 +233,16 @@ def sler_ratios(vs, p1, h_own, h_cross, e_bars):
     h_cross = as_matrix(h_cross, "h_cross")
     p1 = _as_real(p1, "power", positive=True)
     e_bars = _as_reals(e_bars, "e_bar")
+    floors = sler_floor(spectral_norm(h_own) ** 2, e_bars, p1)
+    return _floored_ratios(vs, p1, h_own, h_cross, floors)
+
+
+def _floored_ratios(vs, p1, h_own, h_cross, floors):
+    """`sler_ratios` at floors already taken from `sler_floor`, for callers
+    that hold them."""
     f = np.asarray(vs, dtype=np.complex128)[:, :, None]
     num = p1 * _beam_gain(h_own, f)
-    den = p1 * (_beam_gain(h_cross, f) + sler_floor(spectral_norm(h_own) ** 2, e_bars, p1))
+    den = p1 * (_beam_gain(h_cross, f) + floors)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den < 1e-15, np.inf, num / den)
 

@@ -2,14 +2,16 @@
 
 The oracles take deliberately different routes from the constructions
 under test:
-`generalized_eig_max` whitens by `eigh` (production `slnr_beam` whitens by
-Cholesky), covariance search samples the feasible set blindly, the
-stationarity check probes the objective with random feasible perturbations,
-`inner_max` is the closed-form priced maximizer that the lockstep solver
-never builds, `lemma1_transform` factors a link pair that no production
-route needs, and `iterative_waterfilling_per_user` plays the water-filling
-game with two `waterfill` calls per round (production stacks both
-transmitters into one pass).
+`generalized_eig_max` whitens by the inverse square root of the whole
+denominator (production `sler_beam` and `slnr_beam` diagonalize H21^H H21
+once and shift its spectrum by the floor), covariance search samples the
+feasible set blindly, the stationarity check probes the objective with
+random feasible perturbations, `inner_max` is the closed-form priced
+maximizer that the lockstep solver never builds, `lemma1_transform` factors
+a link pair that no production route needs, and
+`iterative_waterfilling_per_user` plays the water-filling game with two
+`waterfill` calls per round (production stacks both transmitters into one
+pass).
 
 Each `*_census` function runs production code against these routes over
 seeded draws and returns its worst-case figures without judging them.  The
@@ -51,10 +53,11 @@ _ONES = np.ones((2, 2))
 def random_psd_search(objective, m, p, rank, trials, seed, batch=16384):
     """Best objective value over random PSD covariances of a given rank.
 
-    Directions are Haar-random `rank`-frames (QR of complex Gaussians) and
-    powers are Dirichlet simplex splits scaled to trace exactly P.  The
-    `objective` must be vectorized: it receives a stacked (k, m, m) array and
-    returns k real values.  Returns (best value, best Q).
+    Directions are Haar-random `rank`-frames (orthonormalized complex
+    Gaussians, `_orthonormal_frames`) and powers are Dirichlet simplex
+    splits scaled to trace exactly P.  The `objective` must be vectorized:
+    it receives a stacked (k, m, m) array and returns k real values.
+    Returns (best value, best Q).
     """
     if rank < 1 or rank > m:
         raise InvalidInputError(f"rank must lie in [1, {m}], got {rank}")
@@ -68,7 +71,7 @@ def random_psd_search(objective, m, p, rank, trials, seed, batch=16384):
         k = min(left, batch)
         left -= k
         z = rng.standard_normal((k, m, rank, 2))
-        frames, _ = np.linalg.qr(z[..., 0] + 1j * z[..., 1])
+        frames = _orthonormal_frames(z[..., 0] + 1j * z[..., 1])
         splits = rng.dirichlet(np.ones(rank), size=k) * p
         qs = np.einsum("kmr,kr,knr->kmn", frames, splits, frames.conj())
         vals = np.asarray(objective(qs), dtype=float)
@@ -81,6 +84,23 @@ def random_psd_search(objective, m, p, rank, trials, seed, batch=16384):
             best_val = float(vals[i])
             best_q = hermitian_part(qs[i])
     return best_val, best_q
+
+
+def _orthonormal_frames(z):
+    """Orthonormal columns of each frame of a stack (k, m, r), by
+    Gram-Schmidt with a second pass ("twice is enough"), vectorized over k.
+
+    Each column equals QR's up to a unit phase, which no covariance
+    F diag(s) F^H sees; at rank 1 this is a plain normalization.
+    """
+    f = z.swapaxes(-1, -2).copy()  # (k, r, m): one frame column per row
+    for j in range(f.shape[1]):
+        col = f[:, j]
+        for _ in range(2 if j else 0):
+            for i in range(j):
+                col -= np.einsum("km,km->k", f[:, i].conj(), col)[:, None] * f[:, i]
+        col /= np.sqrt(np.einsum("km,km->k", col.conj(), col).real)[:, None]
+    return f.swapaxes(-1, -2)
 
 
 def generalized_eig_max(a_num, a_den):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import eh_eh_optimal, iterative_waterfilling, sler_directions
+from .beamformers import _ratio_directions, _ratio_factor, eh_eh_optimal, iterative_waterfilling
 from .boundary import (
     REBoundary,
     _emax_many,
@@ -35,7 +35,7 @@ from .boundary import (
 from .channel import channel_digest, swap_roles
 from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
 from .linalg import _as_real, _as_reals, spectral_norm
-from .metrics import canonical_directions, check_unit_rows, sler_floor, sler_ratios
+from .metrics import _floored_ratios, canonical_directions, check_unit_rows, sler_floor
 
 __all__ = [
     "MODES",
@@ -96,8 +96,9 @@ def select_mode(cs, e_bar, p):
 def select_modes(cs, e_bars, p):
     """`select_mode` at every energy target of `e_bars`, as a list of tags.
 
-    Each orientation's beams come from one stacked QR and SVD over all
-    targets, and each link's spectral norm is computed once.
+    Each orientation's beams come from one factorization of its cross link
+    and one stacked `eigh` over all targets, and each direct link's spectral
+    norm is computed once, for the beams' floors and the ratios alike.
     """
     s1, s2 = _orientation_ratios(cs, e_bars, p)
     with np.errstate(invalid="ignore"):
@@ -122,9 +123,9 @@ def _orientation_ratios(cs, e_bars, p):
     ratios = []
     for own, cross in ((cs.h11, cs.h21), (cs.h22, cs.h12)):
         floors = sler_floor(spectral_norm(own) ** 2, e_bars, p)
-        v = canonical_directions(sler_directions(own, cross, floors))
+        v = canonical_directions(_ratio_directions(*_ratio_factor(own, cross), floors))
         check_unit_rows(v)
-        ratios.append(sler_ratios(v, p, own, cross, e_bars))
+        ratios.append(_floored_ratios(v, p, own, cross, floors))
     return ratios
 
 

@@ -137,7 +137,8 @@ def test_c03_pair_factorization_residuals(capsys):
 
 
 def test_c04_leakage_ratio_beam_vs_generalized_eig(capsys):
-    """The QR-route beam attains the whitening oracle's ratio at every floor.
+    """The ratio beam (one eigendecomposition of the whitened signal Gram)
+    attains the whitening oracle's ratio at every floor.
 
     Floors span {0, 25, 100}x the direct link's squared spectral norm (the
     half and double of the 50 W budget); the beam itself carries 0.1 W so the

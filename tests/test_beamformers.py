@@ -404,8 +404,11 @@ class TestSlerBeam:
 
 
 class TestStackedBeams:
+    """Both ratio beams come from one routine, `_ratio_directions`, over one
+    `_ratio_factor` of the link pair."""
+
     def test_stacked_directions_match_single_beams(self):
-        from swiptifc.beamformers import sler_directions, slnr_directions
+        from swiptifc.beamformers import _ratio_directions, _ratio_factor
         from swiptifc.linalg import spectral_norm
         from swiptifc.metrics import canonical_directions, sler_floor
 
@@ -420,16 +423,21 @@ class TestStackedBeams:
             scalar = [max(e / q - norm2, 0.0) for e, q in zip(e_bars.tolist(), p1s.tolist())]
             assert floors.view(np.uint64).tolist() == np.array(scalar).view(np.uint64).tolist()
             assert np.any(floors == 0.0) and np.any(floors > 0.0)
-            sl = canonical_directions(sler_directions(h11, h21, floors))
-            sn = canonical_directions(slnr_directions(h11, h21, p1s))
+            fac = _ratio_factor(h11, h21)
+            sl = canonical_directions(_ratio_directions(*fac, floors))
+            sn = canonical_directions(_ratio_directions(*fac, m_r / p1s))
             for i in range(12):
                 assert np.array_equal(sl[i], sler_beam(h11, h21, e_bars[i], p1s[i]).v)
                 assert np.array_equal(sn[i], slnr_beam(h11, h21, p1s[i]).v)
+                # SLER at the floor M_r / P1 is SLNR
+                e_slnr = p1s[i] * norm2 + m_r
+                same = sler_beam(h11, h21, e_slnr, p1s[i]).v
+                assert 1.0 - abs(np.vdot(same, sn[i])) <= 1e-12
 
     def test_stacked_links_match_single_links(self):
         # a stack of link pairs, one per row, builds each row's beam as its
         # own pair does
-        from swiptifc.beamformers import sler_directions, slnr_directions
+        from swiptifc.beamformers import _ratio_directions, _ratio_factor
 
         rng = np.random.default_rng(65)
         for m_r, m_t in ((2, 2), (2, 3), (3, 2), (4, 4)):
@@ -437,11 +445,35 @@ class TestStackedBeams:
             h21 = _cgauss(rng, 6, m_r, m_t)
             floors = np.array([0.0, 0.5, 0.0, 2.0, 7.0, 0.0])
             p1s = rng.uniform(0.1, 10.0, 6)
-            sl = sler_directions(h11, h21, floors)
-            sn = slnr_directions(h11, h21, p1s)
+            fac = _ratio_factor(h11, h21)
+            sl = _ratio_directions(*fac, floors)
+            sn = _ratio_directions(*fac, m_r / p1s)
             for i in range(6):
-                assert np.array_equal(sl[i], sler_directions(h11[i], h21[i], floors[i : i + 1])[0])
-                assert np.array_equal(sn[i], slnr_directions(h11[i], h21[i], p1s[i : i + 1])[0])
+                one = _ratio_factor(h11[i], h21[i])
+                assert np.array_equal(sl[i], _ratio_directions(*one, floors[i : i + 1])[0])
+                assert np.array_equal(sn[i], _ratio_directions(*one, m_r / p1s[i : i + 1])[0])
+
+    @pytest.mark.parametrize("m_t", [3, 4])
+    def test_zero_floor_takes_null_space_limit(self, m_t):
+        # with M_t > M_r the cross link has a null space: at floor 0 the beam
+        # is the best direct-link direction inside it, the limit of small floors
+        from swiptifc.beamformers import _ratio_directions, _ratio_factor
+        from swiptifc.metrics import canonical_directions
+        from swiptifc.oracle import generalized_eig_max
+
+        rng = np.random.default_rng(66)
+        for _ in range(10):
+            h11 = _cgauss(rng, 2, m_t)
+            h21 = _cgauss(rng, 2, m_t)
+            v = canonical_directions(_ratio_directions(*_ratio_factor(h11, h21), [0.0]))[0]
+            assert np.linalg.norm(h21 @ v) <= 1e-13
+            null = np.linalg.svd(h21)[2].conj().T[:, 2:]
+            g = null.conj().T @ h11.conj().T @ h11 @ null
+            want = null @ np.linalg.eigh(g)[1][:, -1]
+            assert 1.0 - abs(np.vdot(want, v)) <= 1e-14
+            g11, g21 = h11.conj().T @ h11, h21.conj().T @ h21
+            _, near = generalized_eig_max(g11, g21 + 1e-9 * np.eye(m_t))
+            assert 1.0 - abs(np.vdot(near, v)) <= 1e-12
 
 
 class TestSlnrBeam:

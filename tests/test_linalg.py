@@ -3,7 +3,6 @@ import pytest
 
 from swiptifc.exceptions import (
     InvalidInputError,
-    RankDeficiencyError,
     SingularMatrixError,
 )
 from swiptifc.linalg import (
@@ -15,7 +14,6 @@ from swiptifc.linalg import (
     hermitian_part,
     inv_sqrt_psd,
     is_psd,
-    qrd,
     spectral_norm,
     svd,
 )
@@ -75,28 +73,6 @@ def test_hermitian_eig_rejects_non_hermitian():
     a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(InvalidInputError):
         hermitian_eig(a)
-
-
-def test_qrd_thin_with_real_positive_diagonal():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(n, 3 * n + 1))
-        a = _cgauss(rng, m, n)
-        q, r = qrd(a)
-        assert q.shape == (m, n) and r.shape == (n, n)
-        assert np.linalg.norm(q.conj().T @ q - np.eye(n)) < 1e-12
-        d = np.diag(r)
-        assert np.all(d.imag == 0.0) and np.all(d.real > 0.0)
-        assert np.linalg.norm(q @ r - a) < 1e-12 * max(1.0, np.linalg.norm(a))
-        # strictly upper triangular below the diagonal
-        assert np.allclose(np.tril(r, -1), 0.0)
-
-
-def test_qrd_flags_rank_deficiency():
-    a = np.ones((4, 2), dtype=complex)  # rank 1
-    with pytest.raises(RankDeficiencyError):
-        qrd(a)
 
 
 def test_inv_sqrt_psd_inverts_square_root():

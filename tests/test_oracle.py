@@ -20,6 +20,23 @@ def _cgauss(rng, *shape):
 
 
 class TestRandomPsdSearch:
+    @pytest.mark.parametrize("m, rank", [(1, 1), (3, 1), (4, 2), (4, 4)])
+    def test_frames_give_qr_covariances(self, m, rank):
+        # Gram-Schmidt frames differ from QR's by a unit phase per column,
+        # which no covariance F diag(s) F^H sees
+        from swiptifc.oracle import _orthonormal_frames
+
+        rng = np.random.default_rng(5)
+        z = _cgauss(rng, 500, m, rank)
+        f = _orthonormal_frames(z)
+        eye = np.eye(rank)
+        assert np.abs(f.conj().swapaxes(-1, -2) @ f - eye).max() <= 1e-14
+        qr, _ = np.linalg.qr(z)
+        s = rng.dirichlet(np.ones(rank), size=500)
+        mine = np.einsum("kmr,kr,knr->kmn", f, s, f.conj())
+        want = np.einsum("kmr,kr,knr->kmn", qr, s, qr.conj())
+        assert np.abs(mine - want).max() <= 1e-14
+
     def test_trace_objective_is_exact(self):
         # every draw has trace exactly p, so the best trace is p
         def obj(qs):
