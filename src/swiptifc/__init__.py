@@ -13,11 +13,9 @@ __version__ = "0.1.0"
 from .exceptions import (
     ChannelFormatError,
     DegenerateChannelError,
-    DualInfeasibleError,
     InfeasibleTargetError,
     InvalidInputError,
     InvariantViolationError,
-    RankDeficiencyError,
     SingularMatrixError,
     SwiptError,
 )
@@ -71,8 +69,6 @@ from .scheduling import (
     ModeTable,
     evaluate_all_modes,
     scheduled_run,
-    scheduled_sweep,
-    select_mode,
 )
 from .experiments import (
     CSV_COLUMNS,
@@ -90,11 +86,9 @@ __all__ = [
     "SwiptError",
     "InvalidInputError",
     "ChannelFormatError",
-    "RankDeficiencyError",
     "SingularMatrixError",
     "DegenerateChannelError",
     "InfeasibleTargetError",
-    "DualInfeasibleError",
     "InvariantViolationError",
     "Tolerances",
     "TOL",
@@ -136,8 +130,6 @@ __all__ = [
     "MODES",
     "ModePair",
     "ModeTable",
-    "select_mode",
-    "scheduled_sweep",
     "scheduled_run",
     "evaluate_all_modes",
     "CSV_COLUMNS",

@@ -1075,7 +1075,7 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
     return _sweep_boundary(ctx, grid, _solve_many([(ctx, grid)]))
 
 
-def time_sharing_curve(boundary, weights=None):
+def time_sharing_curve(boundary, weights):
     """Convex combinations of the two ends of a fixed-beam sweep.
 
     `boundary` is a meb or mlb sweep whose first point is at target 0 and
@@ -1092,7 +1092,7 @@ def time_sharing_curve(boundary, weights=None):
     if not pts or pts[0].e_bar != 0.0 or pts[-1].e_bar != boundary.e_max:
         raise InvalidInputError("time sharing needs a sweep with points at target 0 and at e_max")
     b, a = pts[0], pts[-1]
-    weights = np.linspace(0.0, 1.0, 33) if weights is None else _as_reals(weights, "weights")
+    weights = _as_reals(weights, "weights")
     if weights.ndim != 1 or not np.all(weights <= 1):
         raise InvalidInputError("weights must be a 1-D list of values in [0, 1]")
     points = []

@@ -40,7 +40,9 @@ _RANK_RATIO = 1e-9
 class ChannelSet:
     """One realization of the four links plus its gain profile.
 
-    Invariants (checked on construction): common shape (m_r, m_t), exact
+    Invariants (checked on construction): integer antenna counts of at least
+    1 and a nonnegative integer seed or None (numpy integers are accepted
+    and stored as int, bools are not), common shape (m_r, m_t), exact
     Frobenius normalization ||h_ij||_F^2 = alpha_ij * max(m_t, m_r) within
     1e-9 relative, and full numerical rank on every link.
     """
@@ -60,8 +62,10 @@ class ChannelSet:
             raise InvalidInputError(f"alpha must be 2x2, got {self.alpha.shape}")
         if not np.all(np.isfinite(self.alpha)) or np.any(self.alpha <= 0):
             raise InvalidInputError("alpha entries must be positive finite reals")
-        if self.m_t < 1 or self.m_r < 1:
-            raise InvalidInputError("antenna counts must be >= 1")
+        _check_counts_and_seed(self.m_t, self.m_r, self.seed)
+        for name in ("m_t", "m_r", "seed"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int(getattr(self, name)))
         m = max(self.m_t, self.m_r)
         for i in (1, 2):
             for j in (1, 2):
@@ -106,6 +110,15 @@ def _is_int(x):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _check_counts_and_seed(m_t, m_r, seed):
+    """Raise InvalidInputError unless both antenna counts are integers >= 1
+    and the seed is a nonnegative integer or None (see `_is_int`)."""
+    if not all(_is_int(m) and m >= 1 for m in (m_t, m_r)):
+        raise InvalidInputError(f"antenna counts must be integers >= 1, got {(m_t, m_r)!r}")
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise InvalidInputError(f"seed must be a nonnegative integer or None, got {seed!r}")
+
+
 def draw_channel_set(m_t, m_r, alpha, seed):
     """Draw a normalized ChannelSet for the given antenna counts and gains."""
     alpha = np.asarray(alpha, dtype=float)
@@ -113,10 +126,7 @@ def draw_channel_set(m_t, m_r, alpha, seed):
         raise InvalidInputError(f"alpha must be 2x2, got {alpha.shape}")
     if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0):
         raise InvalidInputError("alpha entries must be positive finite reals")
-    if not all(_is_int(m) and m >= 1 for m in (m_t, m_r)):
-        raise InvalidInputError(f"antenna counts must be integers >= 1, got {(m_t, m_r)!r}")
-    if seed is not None and not (_is_int(seed) and seed >= 0):
-        raise InvalidInputError(f"seed must be a nonnegative integer or None, got {seed!r}")
+    _check_counts_and_seed(m_t, m_r, seed)
     m = max(m_t, m_r)
     links = {}
     for i in (1, 2):
@@ -256,15 +266,12 @@ def load_channels(path):
         links[key] = _parse_matrix(
             _want(mats, key, list, "matrices."), m_r, m_t, f"matrices.{key}"
         )
-    seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise ChannelFormatError("field seed must be an integer when present")
     try:
         return ChannelSet(
             alpha=np.asarray(alpha_rows, dtype=float),
             m_t=m_t,
             m_r=m_r,
-            seed=seed,
+            seed=doc.get("seed"),
             **links,
         )
     except (InvalidInputError, DegenerateChannelError) as exc:

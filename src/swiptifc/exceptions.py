@@ -13,14 +13,6 @@ class ChannelFormatError(InvalidInputError):
     """Channel document failed schema validation; message names the field path."""
 
 
-class RankDeficiencyError(SwiptError):
-    """Matrix is numerically rank deficient where full rank is required."""
-
-    def __init__(self, message, numerical_rank=None):
-        super().__init__(message)
-        self.numerical_rank = numerical_rank
-
-
 class SingularMatrixError(SwiptError):
     """Matrix is numerically singular where an inverse factor is required."""
 
@@ -35,10 +27,6 @@ class InfeasibleTargetError(SwiptError):
     def __init__(self, message, max_attainable=None):
         super().__init__(message)
         self.max_attainable = max_attainable
-
-
-class DualInfeasibleError(SwiptError):
-    """Dual iterate left the region where the inner subproblem is bounded."""
 
 
 class InvariantViolationError(SwiptError):

@@ -21,13 +21,11 @@ __all__ = [
     "Tolerances",
     "TOL",
     "as_matrix",
-    "as_stack",
     "hermitian_part",
     "spectral_norm",
     "svd",
     "hermitian_eig",
     "inv_sqrt_psd",
-    "is_psd",
     "psd_mask",
 ]
 
@@ -48,10 +46,10 @@ def as_matrix(a, name="matrix"):
     """Validate `a` as a finite 2-D array and return it as complex128."""
     if np.ndim(a) != 2:
         raise InvalidInputError(f"{name} must be 2-D, got shape {np.shape(a)}")
-    return as_stack(a, name)
+    return _as_stack(a, name)
 
 
-def as_stack(a, name="matrix"):
+def _as_stack(a, name="matrix"):
     """Validate `a` as a finite array of matrices (..., m, n) and return it as
     complex128."""
     arr = np.asarray(a)
@@ -124,7 +122,7 @@ def svd(a):
     transmit direction aimed at the k-th gain is ``V[:, k]`` and the least
     leaking direction into A is ``V[:, -1]``.
     """
-    a = as_stack(a)
+    a = _as_stack(a)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
     return u, s, _ct(vh)
 
@@ -152,7 +150,7 @@ def inv_sqrt_psd(a):
     If the smallest eigenvalue is below 1e-12 the matrix (any matrix of a
     stack) is declared singular.
     """
-    a = as_stack(a)
+    a = _as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise InvalidInputError(f"inv_sqrt_psd needs a square matrix, got {a.shape}")
     w, v = np.linalg.eigh(hermitian_part(a))
@@ -165,20 +163,16 @@ def inv_sqrt_psd(a):
     return hermitian_part(b)
 
 
-def is_psd(a):
-    """True iff A is Hermitian within TOL.psd and has min eigenvalue >= -TOL.psd.
+def psd_mask(a):
+    """Per matrix of a stack (..., m, m), as a boolean array: True iff it is
+    Hermitian within TOL.psd and has min eigenvalue >= -TOL.psd.
 
     Both checks are relative to max(1, ||A||_F) so power-scaled covariances
     are judged at their own magnitude.
     """
-    return bool(psd_mask(as_matrix(a)))
-
-
-def psd_mask(a):
-    """`is_psd` of every matrix in a stack (..., m, m), as a boolean array."""
-    a = as_stack(a)
+    a = _as_stack(a)
     if a.shape[-2] != a.shape[-1]:
-        raise InvalidInputError(f"is_psd needs a square matrix, got {a.shape}")
+        raise InvalidInputError(f"psd_mask needs a square matrix, got {a.shape}")
     slack = TOL.psd * np.maximum(1.0, _frobenius(a))
     hermitian = _frobenius(a - _ct(a)) <= slack
     w = np.linalg.eigvalsh(hermitian_part(a))

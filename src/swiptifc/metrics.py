@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
-from .linalg import _as_real, _as_reals, as_matrix, hermitian_part, inv_sqrt_psd, psd_mask, spectral_norm
+from .linalg import _as_real, as_matrix, hermitian_part, inv_sqrt_psd, psd_mask, spectral_norm
 
 __all__ = [
     "TxCovariance",
@@ -23,7 +23,6 @@ __all__ = [
     "achievable_rate",
     "harvested_energy",
     "sler",
-    "sler_ratios",
     "slnr",
 ]
 
@@ -220,26 +219,17 @@ def sler(v, h_own, h_cross, e_bar):
     if not isinstance(v, Beamformer):
         raise InvalidInputError("v must be a Beamformer")
     e_bar = _as_real(e_bar, "e_bar")
-    return float(sler_ratios(v.v[None], v.power, h_own, h_cross, np.array([e_bar]))[0])
-
-
-def sler_ratios(vs, p1, h_own, h_cross, e_bars):
-    """`sler` of every row of a stack of unit directions (n, M_t), each sent
-    at power P1 > 0 against its own energy target of `e_bars` (n,).
-
-    ||H_own||_2 is computed once; each ratio equals `sler` of its row.
-    """
     h_own = as_matrix(h_own, "h_own")
     h_cross = as_matrix(h_cross, "h_cross")
-    p1 = _as_real(p1, "power", positive=True)
-    e_bars = _as_reals(e_bars, "e_bar")
-    floors = sler_floor(spectral_norm(h_own) ** 2, e_bars, p1)
-    return _floored_ratios(vs, p1, h_own, h_cross, floors)
+    p1 = _as_real(v.power, "power", positive=True)
+    floor = sler_floor(spectral_norm(h_own) ** 2, e_bar, p1)
+    return float(_floored_ratios(v.v[None], p1, h_own, h_cross, floor)[0])
 
 
 def _floored_ratios(vs, p1, h_own, h_cross, floors):
-    """`sler_ratios` at floors already taken from `sler_floor`, for callers
-    that hold them."""
+    """`sler` of every row of a stack of unit directions (n, M_t), each sent
+    at power P1 > 0, at floors already taken from `sler_floor` (one per row,
+    or one for all)."""
     f = np.asarray(vs, dtype=np.complex128)[:, :, None]
     num = p1 * _beam_gain(h_own, f)
     den = p1 * (_beam_gain(h_cross, f) + floors)

@@ -26,7 +26,7 @@ import numpy as np
 from .beamformers import IwfResult, eh_eh_optimal, meb, sler_beam, waterfill
 from .boundary import solve_p3
 from .channel import draw_channel_set, stacked_channel
-from .exceptions import DualInfeasibleError, InvalidInputError, SingularMatrixError
+from .exceptions import InvalidInputError, SingularMatrixError
 from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm, svd
 from .metrics import TxCovariance, achievable_rate, canonical_beam, interference_cov, sler
 
@@ -192,14 +192,11 @@ def grid_kkt_check(problem, q_candidate, perturbations=64, step=1e-4, seed=0, ma
 def inner_max(a, h22_tilde):
     """Maximizer of log det(I + Ht Q Ht^H) - tr(A Q) over PSD Q.
 
-    A must be Hermitian PD; with the SVD Ht A^{-1/2} = U Sigma V^H the
-    solution is A^{-1/2} V diag((1 - 1/sigma_i^2)^+) V^H A^{-1/2}.
+    A must be Hermitian PD (SingularMatrixError otherwise); with the SVD
+    Ht A^{-1/2} = U Sigma V^H the solution is
+    A^{-1/2} V diag((1 - 1/sigma_i^2)^+) V^H A^{-1/2}.
     """
-    a = as_matrix(a, "a")
-    try:
-        ai = inv_sqrt_psd(a)
-    except SingularMatrixError as exc:
-        raise DualInfeasibleError(f"price matrix is not PD: {exc}") from None
+    ai = inv_sqrt_psd(as_matrix(a, "a"))
     ht = as_matrix(h22_tilde, "h22_tilde")
     b = ht @ ai
     _, sig, v = svd(b)

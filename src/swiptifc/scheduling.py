@@ -13,9 +13,9 @@ the beam behind the rule.  `scheduled_run` is the one scheduled path.  It
 builds one strategy context per orientation and passes both to `boundary`'s
 lockstep solver, so a single lockstep solves every target that both fixed
 orientations' sweeps and the scheduled sweep need (and a second one any
-fallbacks the first has not already solved); `scheduled_sweep` is its
-scheduled curve.  `evaluate_all_modes` sweeps both orientations in one
-lockstep.
+fallbacks the first has not already solved).  `evaluate_all_modes` sweeps
+both orientations in one lockstep.  `select_mode` and `scheduled_sweep` are
+kept for the benchmark only and are not in `__all__`.
 """
 
 from dataclasses import dataclass
@@ -41,9 +41,7 @@ __all__ = [
     "MODES",
     "ModePair",
     "ModeTable",
-    "select_mode",
     "select_modes",
-    "scheduled_sweep",
     "scheduled_run",
     "evaluate_all_modes",
 ]
@@ -85,18 +83,18 @@ class ModeTable:
 
 
 def select_mode(cs, e_bar, p):
-    """Pick the mixed mode with the stronger harvesting orientation.
-
-    Returns "eh1_id2" when the first orientation's ratio is at least the
-    second's; ties within 1e-12 relative also go to the first.
-    """
+    """`select_modes` at one target.  Not part of the API: kept only because
+    the benchmark's traced run (`perfbench/spans.py`) wraps it by name."""
     return select_modes(cs, [e_bar], p)[0]
 
 
 def select_modes(cs, e_bars, p):
-    """`select_mode` at every energy target of `e_bars`, as a list of tags.
+    """Pick, at every energy target of `e_bars`, the mixed mode with the
+    stronger harvesting orientation, as a list of tags.
 
-    Each orientation's beams come from one factorization of its cross link
+    A tag is "eh1_id2" when the first orientation's ratio is at least the
+    second's; ties within 1e-12 relative also go to the first.  Each
+    orientation's beams come from one factorization of its cross link
     and one stacked `eigh` over all targets, and each direct link's spectral
     norm is computed once, for the beams' floors and the ratios alike.
     """
@@ -206,8 +204,9 @@ def scheduled_run(cs, p, n_points=64):
 def scheduled_sweep(cs, p, n_points=64):
     """`scheduled_run`'s scheduled boundary and its per-point mode tags.
 
-    It also solves both own-grid sweeps; it keeps its name because the
-    benchmark's traced run (`perfbench/spans.py`) wraps it by name.
+    It also solves both own-grid sweeps.  Not part of the API: kept only
+    because the benchmark's traced run (`perfbench/spans.py`) wraps it by
+    name.
     """
     return scheduled_run(cs, p, n_points)[2:]
 

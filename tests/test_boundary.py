@@ -999,7 +999,7 @@ class TestTimeSharing:
         cs = draw_channel_set(2, 2, ALPHA, seed=73)
         for strategy in ("sler", "slnr", "meb_rank2"):
             with pytest.raises(InvalidInputError, match="meb or mlb"):
-                time_sharing_curve(re_sweep(cs, strategy, 1.0, n_points=4))
+                time_sharing_curve(re_sweep(cs, strategy, 1.0, n_points=4), weights=[0.0, 1.0])
 
     def test_rejects_ends_off_zero_and_emax(self):
         # a sweep on a grid of its own choosing has no point at target 0 or
@@ -1010,10 +1010,10 @@ class TestTimeSharing:
         shared = np.linspace(0.0, emax(cs, "mlb", p), 5)  # below meb's e_max
         for grid in (shared, np.linspace(0.1 * top, top, 5)):
             with pytest.raises(InvalidInputError, match="target 0 and at e_max"):
-                time_sharing_curve(re_sweep(cs, "meb", p, e_grid=grid))
+                time_sharing_curve(re_sweep(cs, "meb", p, e_grid=grid), weights=[0.0, 1.0])
         empty = REBoundary(points=[], strategy="meb", channel_digest="d", e_max=top)
         with pytest.raises(InvalidInputError, match="target 0 and at e_max"):
-            time_sharing_curve(empty)
+            time_sharing_curve(empty, weights=[0.0, 1.0])
 
     @pytest.mark.parametrize("weights", [[0.0, 1.5], [-0.1], [np.nan], [np.inf], [[0.0, 1.0]]])
     def test_rejects_bad_weights(self, weights):

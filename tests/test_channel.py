@@ -84,6 +84,28 @@ def test_draw_accepts_numpy_integers():
     assert np.array_equal(a.h11, b.h11) and np.array_equal(a.h22, b.h22)
 
 
+@pytest.mark.parametrize(
+    "m_t,m_r,seed",
+    [(2.0, 2, 1), (2, np.float64(2.0), 1), (True, 2, 1), (2, 2, -7), (2, 2, True), (2, 2, 1.0)],
+)
+def test_channelset_rejects_bad_counts_and_seeds(m_t, m_r, seed):
+    # a float count would be saved as "m_t":2.0, which load_channels refuses
+    cs = draw_channel_set(2, 2, ALPHA, seed=1)
+    with pytest.raises(InvalidInputError, match="antenna counts|seed"):
+        ChannelSet(cs.h11, cs.h12, cs.h21, cs.h22, ALPHA, m_t, m_r, seed=seed)
+
+
+def test_channelset_stores_numpy_integers_as_int(tmp_path):
+    cs = draw_channel_set(2, 2, ALPHA, seed=4)
+    got = ChannelSet(
+        cs.h11, cs.h12, cs.h21, cs.h22, ALPHA, np.int64(2), np.int32(2), seed=np.uint64(4)
+    )
+    assert all(type(x) is int for x in (got.m_t, got.m_r, got.seed))
+    save_channels(got, tmp_path / "ch.json")
+    back = load_channels(tmp_path / "ch.json")
+    assert channel_document(back) == channel_document(got) == channel_document(cs)
+
+
 def test_rank_deficient_matrix_is_rejected():
     cs = draw_channel_set(3, 3, ALPHA, seed=2)
     u = np.zeros((3, 3), dtype=complex)
@@ -165,6 +187,13 @@ def test_load_rejects_malformed_documents(tmp_path):
     doc["alpha"] = [[1.0, 0.8]]
     with pytest.raises(ChannelFormatError):
         load_channels(dump(doc))
+
+    # the seed is checked by ChannelSet, as draw_channel_set checks it
+    for seed in (-7, True, 1.5, "1"):
+        doc = json.loads(channel_document(cs))
+        doc["seed"] = seed
+        with pytest.raises(ChannelFormatError, match="seed"):
+            load_channels(dump(doc))
 
     p = tmp_path / "not.json"
     p.write_text("{nope")

@@ -145,6 +145,18 @@ def test_validate_channels_corrupt(tmp_path, capsys):
     assert "ERROR" in capsys.readouterr().err
 
 
+def test_validate_channels_negative_seed(tmp_path, capsys):
+    # draw_channel_set and ExperimentConfig refuse this seed; so does the file check
+    cs = draw_channel_set(2, 2, np.array([[1.0, 0.8], [0.8, 1.0]]), seed=7)
+    path = tmp_path / "ch.json"
+    save_channels(cs, path)
+    doc = json.loads(path.read_text())
+    doc["seed"] = -7
+    path.write_text(json.dumps(doc))
+    assert main(["validate-channels", str(path)]) == 1
+    assert "seed" in capsys.readouterr().err
+
+
 def test_validate_channels_missing_file(tmp_path, capsys):
     assert main(["validate-channels", str(tmp_path / "nope.json")]) == 1
     assert capsys.readouterr().err

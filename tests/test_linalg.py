@@ -13,7 +13,7 @@ from swiptifc.linalg import (
     hermitian_eig,
     hermitian_part,
     inv_sqrt_psd,
-    is_psd,
+    psd_mask,
     spectral_norm,
     svd,
 )
@@ -91,13 +91,18 @@ def test_inv_sqrt_psd_rejects_singular():
         inv_sqrt_psd(np.diag([1.0, 0.0]).astype(complex))
 
 
-def test_is_psd():
-    assert is_psd(np.eye(3))
-    assert is_psd(np.zeros((2, 2)))
-    assert not is_psd(np.diag([1.0, -1.0]))
-    assert not is_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))  # not Hermitian
-    # tiny negative eigenvalues inside tolerance still count
-    assert is_psd(np.diag([1.0, -1e-12]))
+def test_psd_mask():
+    mats = [
+        np.eye(2),
+        np.zeros((2, 2)),
+        np.diag([1.0, -1.0]),
+        np.array([[1.0, 2.0], [0.0, 1.0]]),  # not Hermitian
+        np.diag([1.0, -1e-12]),  # tiny negative eigenvalues inside tolerance still count
+    ]
+    want = [True, True, False, False, True]
+    assert psd_mask(np.array(mats)).tolist() == want
+    assert [bool(psd_mask(a)) for a in mats] == want
+    assert psd_mask(np.eye(3))
 
 
 def test_tolerances_frozen():
@@ -151,7 +156,6 @@ class TestRealInput:
     @staticmethod
     def _calls():
         import swiptifc as s
-        from swiptifc.metrics import sler_ratios
         from swiptifc.scheduling import select_modes
 
         cs = s.draw_channel_set(2, 2, [[1.0, 0.8], [0.8, 1.0]], seed=3)
@@ -163,25 +167,24 @@ class TestRealInput:
             "emax_split": lambda x: s.emax(cs, "meb_rank2", 1.0, split=x),
             "solve_p3": lambda x: s.solve_p3(cs.h22, cs.h12, 0.1, x),
             "scheduled_run": lambda x: s.scheduled_run(cs, x, n_points=4),
-            "select_mode": lambda x: s.select_mode(cs, 0.1, x),
+            # the select_mode cases are the rule at one target
+            "select_mode": lambda x: select_modes(cs, [0.1], x),
             "evaluate_all_modes": lambda x: s.evaluate_all_modes(cs, x, n_points=4),
             "iterative_waterfilling": lambda x: s.iterative_waterfilling(cs, x),
             "time_sharing_weights": lambda x: s.time_sharing_curve(sweep, weights=[0.0, x]),
             "re_sweep_grid": lambda x: s.re_sweep(cs, "meb", 1.0, e_grid=[0.0, x]),
             "re_boundary_point_target": lambda x: s.re_boundary_point(cs, "meb", x, 1.0),
             "solve_p3_target": lambda x: s.solve_p3(cs.h22, cs.h12, x, 1.0),
-            "select_mode_target": lambda x: s.select_mode(cs, x, 1.0),
+            "select_mode_target": lambda x: select_modes(cs, [x], 1.0),
             "select_modes_targets": lambda x: select_modes(cs, [0.0, x], 1.0),
-            "sler_ratios_targets": lambda x: sler_ratios(
-                np.eye(2, dtype=complex), 1.0, cs.h11, cs.h21, [0.0, x]
-            ),
+            "sler_target": lambda x: s.sler(s.canonical_beam([1.0, 0.0], 1.0), cs.h11, cs.h21, x),
         }
 
     CALLS = (
         "re_sweep", "re_boundary_point", "emax", "emax_split", "solve_p3", "scheduled_run",
         "select_mode", "evaluate_all_modes", "iterative_waterfilling", "time_sharing_weights",
         "re_sweep_grid", "re_boundary_point_target", "solve_p3_target", "select_mode_target",
-        "select_modes_targets", "sler_ratios_targets",
+        "select_modes_targets", "sler_target",
     )
 
     @pytest.mark.parametrize("call, x", [(c, x) for c in CALLS for x in ("x", None, True)])

@@ -15,7 +15,6 @@ from swiptifc import (
     sler,
     slnr,
 )
-from swiptifc.metrics import sler_ratios
 
 
 def _cgauss(rng, *shape):
@@ -248,8 +247,6 @@ class TestSler:
         v = Beamformer(np.array([1.0 + 0j, 0.0]), 0.0)
         with pytest.raises(InvalidInputError, match="power"):
             sler(v, np.eye(2), np.eye(2), e_bar)
-        with pytest.raises(InvalidInputError, match="power"):
-            sler_ratios(v.v[None], 0.0, np.eye(2), np.eye(2), [e_bar])
 
 
 class TestSlnr:

@@ -4,7 +4,7 @@ probes, the priced inner maximizer and the link-pair factorization."""
 import numpy as np
 import pytest
 
-from swiptifc import DualInfeasibleError, InvalidInputError, solve_p3, waterfill
+from swiptifc import InvalidInputError, SingularMatrixError, solve_p3, waterfill
 from swiptifc.oracle import (
     P3Problem,
     generalized_eig_max,
@@ -228,7 +228,7 @@ class TestInnerMax:
             assert q.q[0, 0].real == pytest.approx(want, abs=1e-9)
 
     def test_non_pd_price_raises(self):
-        with pytest.raises(DualInfeasibleError):
+        with pytest.raises(SingularMatrixError):
             inner_max(np.diag([1.0, -0.1]).astype(complex), np.eye(2, dtype=complex))
 
 
