@@ -10,10 +10,11 @@ import numpy as np
 from swiptifc import (
     draw_channel_set,
     eh_eh_optimal,
-    evaluate_all_modes,
     harvested_energy,
     iterative_waterfilling,
+    re_sweep,
     stacked_channel,
+    swap_roles,
 )
 from swiptifc.linalg import spectral_norm
 
@@ -31,9 +32,10 @@ print(f"  receiver shares: {harvested_energy(cs, q1, q2, 1):.3f} W "
 game = iterative_waterfilling(cs, p)
 print(f"ID/ID sum rate {sum(game.rates):.3f} bits (converged={game.converged})")
 
-# the mixed modes sweep a full tradeoff curve each; show their endpoints
-table = evaluate_all_modes(cs, p, n_points=17)
-for label, bd in (("EH1/ID2", table.eh1_id2), ("ID1/EH2", table.id1_eh2)):
+# the mixed modes sweep a full tradeoff curve each under the SLER beam (the
+# mirrored one swaps the transmitter/receiver roles); show their endpoints
+for label, side in (("EH1/ID2", cs), ("ID1/EH2", swap_roles(cs))):
+    bd = re_sweep(side, "sler", p, n_points=17)
     first, last = bd.points[0], bd.points[-1]
     print(f"{label}: rate {first.rate_bits:.3f} bits at E={first.e_bar:.1f} W "
           f"down to {last.rate_bits:.3f} bits at E={last.e_bar:.1f} W")

@@ -63,13 +63,7 @@ from .boundary import (
     solve_p3,
     time_sharing_curve,
 )
-from .scheduling import (
-    MODES,
-    ModePair,
-    ModeTable,
-    evaluate_all_modes,
-    scheduled_run,
-)
+from .scheduling import MODES, scheduled_run
 from .experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -128,10 +122,7 @@ __all__ = [
     "re_sweep",
     "time_sharing_curve",
     "MODES",
-    "ModePair",
-    "ModeTable",
     "scheduled_run",
-    "evaluate_all_modes",
     "CSV_COLUMNS",
     "ExperimentConfig",
     "PRESETS",

@@ -18,6 +18,7 @@ sweep points.
 import dataclasses
 import json
 import numbers
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -101,6 +102,19 @@ class ExperimentConfig:
             raise InvalidInputError(msg)
         if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
             raise InvalidInputError(f"power budget must be a real number, got {self.p!r}")
+        # the summary writes the config as JSON: plain numbers, bools and strings only
+        object.__setattr__(self, "p", float(self.p))
+        for name in ("time_sharing", "scheduling"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise InvalidInputError(f"{name} must be true or false, got {value!r}")
+            object.__setattr__(self, name, bool(value))
+        if isinstance(self.output_dir, os.PathLike):
+            object.__setattr__(self, "output_dir", os.fspath(self.output_dir))
+        for name in ("output_dir", "figure_preset"):
+            value = getattr(self, name)
+            if not isinstance(value, (str, type(None))):
+                raise InvalidInputError(f"{name} must be a string, got {value!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))

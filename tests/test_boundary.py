@@ -771,6 +771,45 @@ class TestStackedLockstep:
             assert len(calls) == max(sum(e in call for call in calls) for e in grid.tolist())
 
 
+class TestRescueShortfall:
+    """A target that the backoff and the rescue's scan both leave short is a
+    gap: the error names the best energy seen, and the other targets of the
+    sweep are solved as before."""
+
+    def test_target_short_at_every_p1(self, monkeypatch):
+        p = 5.0
+        n = 9
+        k = 4
+        cs = draw_channel_set(2, 2, ALPHA, seed=37)
+        want = re_sweep(cs, "sler", p, n_points=n)
+        target = want.points[k].e_bar
+        real = boundary._evaluate_batch
+        short = []
+
+        def falls_short(st, ci, e_bars, p1s):
+            # the target gets half of itself at full power, less below
+            q, rec = real(st, ci, e_bars, p1s)
+            hit = e_bars == target
+            rec["e11"][hit] = 0.0
+            rec["e2"][hit] = 0.5 * target * (p1s[hit] / p)
+            short.extend(p1s[hit].tolist())
+            return q, rec
+
+        monkeypatch.setattr(boundary, "_evaluate_batch", falls_short)
+        got = re_sweep(cs, "sler", p, n_points=n)
+        text = f"strategy 'sler' delivers {0.5 * target!r} at target {target!r}"
+        assert got.gaps == [(k, target, text)]
+        # the rescue scanned the target's P1 range before giving up
+        assert set(np.linspace(0.0, p, boundary._RESCUE_SCAN).tolist()) <= set(short)
+        assert [pt.e_bar for pt in got.points] == [
+            pt.e_bar for i, pt in enumerate(want.points) if i != k
+        ]
+        assert got.points[k:] == want.points[k + 1 :]
+        with pytest.raises(InfeasibleTargetError, match="delivers") as info:
+            re_boundary_point(cs, "sler", target, p)
+        assert info.value.max_attainable == 0.5 * target
+
+
 class TestBackoffSettles:
     """The power backoff reaches its fixed point: a published point that
     settles on WF with 0 < P1 < P over-delivers by at most kappa times the

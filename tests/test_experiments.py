@@ -93,6 +93,11 @@ class TestExperimentConfig:
             {"modes": 3},
             {"modes": ["eh1_id2"]},
             {"modes": ["id_id", "id1_eh2"]},
+            {"scheduling": "no"},
+            {"time_sharing": 1},
+            {"figure_preset": 2},
+            {"output_dir": b"out"},
+            {"output_dir": ["out"]},
         ],
     )
     def test_rejects_mistyped_fields(self, tmp_path, field):
@@ -104,6 +109,20 @@ class TestExperimentConfig:
         assert cfg.m_t == 2 and cfg.seeds == (1, 2)
         assert all(type(v) is int for v in (cfg.m_t, *cfg.seeds))
         json.dumps(cfg.to_dict())
+
+    @pytest.mark.parametrize("p", [np.float32(2.0), np.int64(2), 2])
+    def test_numpy_power_and_path_dir_run_to_a_readable_summary(self, tmp_path, p):
+        # every field is stored as a value JSON can write, so the summary,
+        # written after all the work, is complete
+        cfg = _tiny_cfg(tmp_path, p=p, output_dir=tmp_path / "out", time_sharing=np.bool_(True))
+        manifest = run_experiment(cfg)
+        assert type(cfg.p) is float and type(cfg.output_dir) is str
+        assert cfg.time_sharing is True
+        with open(tmp_path / "out" / "summary.json") as fh:
+            on_disk = json.load(fh)
+        assert on_disk["config"]["p"] == 2.0
+        assert on_disk["config"]["output_dir"] == str(tmp_path / "out")
+        assert manifest["exit_code"] == 0
 
 
 class TestPresets:

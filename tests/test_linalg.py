@@ -169,7 +169,6 @@ class TestRealInput:
             "scheduled_run": lambda x: s.scheduled_run(cs, x, n_points=4),
             # the select_mode cases are the rule at one target
             "select_mode": lambda x: select_modes(cs, [0.1], x),
-            "evaluate_all_modes": lambda x: s.evaluate_all_modes(cs, x, n_points=4),
             "iterative_waterfilling": lambda x: s.iterative_waterfilling(cs, x),
             "time_sharing_weights": lambda x: s.time_sharing_curve(sweep, weights=[0.0, x]),
             "re_sweep_grid": lambda x: s.re_sweep(cs, "meb", 1.0, e_grid=[0.0, x]),
@@ -182,7 +181,7 @@ class TestRealInput:
 
     CALLS = (
         "re_sweep", "re_boundary_point", "emax", "emax_split", "solve_p3", "scheduled_run",
-        "select_mode", "evaluate_all_modes", "iterative_waterfilling", "time_sharing_weights",
+        "select_mode", "iterative_waterfilling", "time_sharing_weights",
         "re_sweep_grid", "re_boundary_point_target", "solve_p3_target", "select_mode_target",
         "select_modes_targets", "sler_target",
     )

@@ -1,28 +1,31 @@
-"""Tests for receiver-mode evaluation and orientation scheduling."""
+"""Tests for the SLER mode rule and orientation scheduling."""
 
 import math
 
 import numpy as np
 import pytest
 
-from swiptifc import boundary
+from swiptifc import beamformers, boundary
 from swiptifc import (
     ChannelSet,
+    ExperimentConfig,
     InfeasibleTargetError,
     InvalidInputError,
     MODES,
-    ModePair,
+    SingularMatrixError,
     draw_channel_set,
     eh_eh_optimal,
     emax,
+    emit_plot_data,
     iterative_waterfilling,
     re_boundary_point,
     re_sweep,
+    read_plot_data,
+    run_experiment,
     scheduled_run,
     sler,
     sler_beam,
     swap_roles,
-    evaluate_all_modes,
 )
 from swiptifc import scheduling
 from swiptifc.scheduling import select_modes
@@ -32,7 +35,7 @@ ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
 
 def _ratio_pair(cs, e_bar, p):
     # the two orientations' ratios at one target, as floats
-    s1, s2 = scheduling._orientation_ratios(cs, [e_bar], p)
+    s1, s2 = scheduling._orientation_ratios(scheduling._orientations(cs, p), [e_bar])
     return float(s1[0]), float(s2[0])
 
 
@@ -94,21 +97,42 @@ def _floor_grid(cs, p, n=17):
     return np.linspace(0.0, 2.5 * top, n)
 
 
+def _run_modes(tmp_path, m_t, m_r, seed, p, n):
+    """The runner's table of all four mode pairs on one channel: the
+    modes.csv rows by tag as (rate_bits, energy) strings, and the output
+    directory, which also holds the two mixed orientations' sler sweeps."""
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig(
+        m_t, m_r, ALPHA, p=p, strategies=("sler",), e_grid_points=n, seeds=(seed,),
+        modes=("id_id", "eh_eh"), scheduling=True, output_dir=str(out),
+    ))
+    lines = (out / "modes.csv").read_text().splitlines()
+    assert lines[0] == "mode,seed,m_t,m_r,rate_bits,energy"
+    rows = [line.split(",") for line in lines[1:]]
+    return {tag: (rate, energy) for tag, _, _, _, rate, energy in rows}, out
+
+
 class TestModePair:
+    """Each receiver-mode pair's corner as the runner writes it (modes.csv):
+    both-decode harvests nothing, both-harvest decodes nothing, and only the
+    tags of `MODES` exist."""
+
     def test_tags(self):
         assert set(MODES) == {"id_id", "eh_eh", "eh1_id2", "id1_eh2"}
 
-    def test_decode_pair_cannot_harvest(self):
-        with pytest.raises(InvalidInputError):
-            ModePair("id_id", 3.0, 1.0)
+    def test_decode_pair_cannot_harvest(self, tmp_path):
+        rows, _ = _run_modes(tmp_path, 2, 2, 11, 2.0, 3)
+        rate, energy = rows["id_id"]
+        assert energy == "0" and float(rate) > 0.0
 
-    def test_harvest_pair_cannot_decode(self):
-        with pytest.raises(InvalidInputError):
-            ModePair("eh_eh", 0.5, 10.0)
+    def test_harvest_pair_cannot_decode(self, tmp_path):
+        rows, _ = _run_modes(tmp_path, 2, 2, 11, 2.0, 3)
+        rate, energy = rows["eh_eh"]
+        assert rate == "0" and float(energy) > 0.0
 
     def test_unknown_tag(self):
-        with pytest.raises(InvalidInputError):
-            ModePair("eh2_id1", 1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="unknown mode"):
+            ExperimentConfig(2, 2, ALPHA, modes=("eh2_id1",))
 
 
 class TestSelectMode:
@@ -167,6 +191,25 @@ class TestSelectMode:
             if select_modes(cs, [0.0], 2.0) == ["eh1_id2"]:
                 wins += 1
         assert wins >= 16
+
+    def test_tags_pinned(self):
+        # the tags of the grids above, pinned: one digit per target (1 for
+        # eh1_id2, 2 for id1_eh2)
+        def digits(tags):
+            return "".join("1" if t == "eh1_id2" else "2" for t in tags)
+
+        grid = [0.0, 1.0, 4.0]
+        got = "".join(
+            digits(select_modes(draw_channel_set(2, 2, ALPHA, seed=seed), grid, 4.0))
+            for seed in range(10)
+        )
+        assert got == "111222111222111222222111111222"
+        alpha = np.array([[4.0, 0.5], [0.5, 1.0]])
+        got = "".join(
+            digits(select_modes(draw_channel_set(2, 2, alpha, seed=seed), [0.0], 2.0))
+            for seed in range(20)
+        )
+        assert got == "11111111111121121111"
 
 
 class TestSelectModes:
@@ -340,9 +383,13 @@ class TestScheduledRun:
             cs = draw_channel_set(m_t, m_r, np.array([[1.0, a], [a, 1.0]]), seed=seed)
             self._check(cs, 50.0, 20)
 
-    def test_forced_fallback(self, monkeypatch):
-        # the first choice of one interior target cannot reach it, so the
-        # other orientation serves it in the second lockstep
+    @staticmethod
+    def _forced(monkeypatch, refusals):
+        """A 16-point 2x2 channel on which every lockstep, scheduled_run's and
+        the per-target reference's alike, answers one interior target that
+        both orientations reach with an error: the first refusal for the
+        picked orientation, the second for the other one (None solves it).
+        Returns (cs, p, n, k, orders), orders[k] the target's two tags."""
         p = 50.0
         n = 16
         cs = draw_channel_set(2, 2, np.array([[1.0, 0.7], [0.7, 1.0]]), seed=3)
@@ -353,27 +400,71 @@ class TestScheduledRun:
             other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
             orders.append([t for t in (tag, other) if e_bar <= tops[t] * (1 + 1e-9)])
         k = next(k for k in range(1, n) if len(orders[k]) == 2)
-        first, second = orders[k]
-        side = cs if first == "eh1_id2" else swap_roles(cs)
-        refused = (side.h11.copy(), float(grid[k]))
+        sides = {"eh1_id2": cs.h11.copy(), "id1_eh2": swap_roles(cs).h11.copy()}
+        answers = [(sides[t], err) for t, err in zip(orders[k], refusals) if err is not None]
         real = boundary._solve_many
 
         def solve_many(jobs):
             solved = real(jobs)
             for ctx, e_bar in solved:
-                if e_bar == refused[1] and np.array_equal(ctx.cs.h11, refused[0]):
-                    solved[ctx, e_bar] = InfeasibleTargetError("forced shortfall", max_attainable=0.0)
+                for h11, err in answers:
+                    if e_bar == float(grid[k]) and np.array_equal(ctx.cs.h11, h11):
+                        solved[ctx, e_bar] = err
             return solved
 
-        # every lockstep of scheduled_run and of the reference refuses it
         monkeypatch.setattr(boundary, "_solve_many", solve_many)
         monkeypatch.setattr(scheduling, "_solve_many", solve_many)
+        return cs, p, n, k, orders
+
+    def test_forced_fallback(self, monkeypatch):
+        # the first choice of one interior target cannot reach it, so the
+        # other orientation serves it in the second lockstep
+        refused = InfeasibleTargetError("forced shortfall", max_attainable=0.0)
+        cs, p, n, k, orders = self._forced(monkeypatch, [refused, None])
         sched, tags = self._check(cs, p, n)
         assert not sched.gaps
-        assert tags[k] == second
+        assert tags[k] == orders[k][1]
         assert [t for i, t in enumerate(tags) if i != k] == [
             order[0] for i, order in enumerate(orders) if i != k
         ]
+
+    def test_forced_gap(self, monkeypatch):
+        # both orientations refuse one target: it becomes a gap carrying the
+        # last refusal's text, and every other target keeps its pick
+        refusals = [
+            InfeasibleTargetError("first refusal", max_attainable=0.0),
+            InfeasibleTargetError("last refusal", max_attainable=0.0),
+        ]
+        cs, p, n, k, orders = self._forced(monkeypatch, refusals)
+        sched, tags = self._check(cs, p, n)
+        assert [(i, msg) for i, _, msg in sched.gaps] == [(k, "last refusal")]
+        assert len(sched.points) == len(tags) == n - 1
+        assert tags == [order[0] for i, order in enumerate(orders) if i != k]
+
+    def test_solver_error_at_a_pick_propagates(self, monkeypatch):
+        # only a shortfall hands the target to the other orientation; any
+        # other solver error at a picked target stops the run
+        broken = SingularMatrixError("forced singular factor")
+        cs, p, n, _, _ = self._forced(monkeypatch, [broken, None])
+        with pytest.raises(SingularMatrixError, match="forced singular factor"):
+            scheduled_run(cs, p, n_points=n)
+
+    def test_one_factorization_per_orientation(self, monkeypatch):
+        # the rule reads the SLER contexts' factorization of each cross link:
+        # one `_ratio_factor` per orientation, wherever it is looked up
+        calls = []
+        real = beamformers._ratio_factor
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (boundary, scheduling):
+            if getattr(module, "_ratio_factor", None) is real:
+                monkeypatch.setattr(module, "_ratio_factor", counted)
+        cs = draw_channel_set(2, 2, np.array([[1.0, 0.7], [0.7, 1.0]]), seed=3)
+        scheduled_run(cs, 50.0, n_points=16)
+        assert len(calls) == 2
 
     def test_rejects_tiny_grid(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=8)
@@ -408,47 +499,41 @@ class TestBenchmarkHooks:
 
 
 class TestEvaluateAllModes:
-    def test_table_contents(self):
-        cs = draw_channel_set(2, 2, ALPHA, seed=11)
-        p = 2.0
-        table = evaluate_all_modes(cs, p, n_points=5)
-        iwf = iterative_waterfilling(cs, p)
-        assert table.id_id.rate_bits == pytest.approx(sum(iwf.rates), rel=1e-12)
-        assert table.id_id.energy == 0.0
-        _, _, e_total = eh_eh_optimal(cs, p)
-        assert table.eh_eh.energy == pytest.approx(e_total, rel=1e-12)
-        assert table.eh_eh.rate_bits == 0.0
-        assert len(table.eh1_id2.points) == 5
-        assert len(table.id1_eh2.points) == 5
-        # the mirrored sweep really is the swapped problem
-        want = re_sweep(swap_roles(cs), "sler", p, n_points=5)
-        got = table.id1_eh2
-        for a, b in zip(want.points, got.points):
-            assert a.rate_bits == pytest.approx(b.rate_bits, rel=1e-12)
-            assert a.energy == pytest.approx(b.energy, rel=1e-12)
+    """The runner is the one path that evaluates all four mode pairs: the
+    two corners in modes.csv, the two mixed orientations as the sler and
+    sler_swap sweeps of `scheduled_run`."""
 
-    def test_orientations_match_cold_sweeps(self):
-        # both orientations are swept in one lockstep; each equals its own sweep
+    def test_table_contents(self, tmp_path):
+        p = 2.0
+        rows, out = _run_modes(tmp_path, 2, 2, 11, p, 5)
+        cs = draw_channel_set(2, 2, ALPHA, seed=11)
+        _, _, e_total = eh_eh_optimal(cs, p)
+        assert float(rows["id_id"][0]) == pytest.approx(
+            sum(iterative_waterfilling(cs, p).rates), rel=1e-11
+        )
+        assert float(rows["eh_eh"][1]) == pytest.approx(e_total, rel=1e-11)
+        for label in ("sler", "sler_swap"):
+            assert len(read_plot_data(out / f"curve_{label}_seed11.csv")) == 5
+
+    def test_orientations_match_cold_sweeps(self, tmp_path):
+        # each mixed orientation's curve is its own re_sweep's, byte for byte
+        _, out = _run_modes(tmp_path, 3, 2, 12, 5.0, 9)
         cs = draw_channel_set(3, 2, ALPHA, seed=12)
-        p = 5.0
-        table = evaluate_all_modes(cs, p, n_points=9)
-        for side, got in ((cs, table.eh1_id2), (swap_roles(cs), table.id1_eh2)):
-            want = re_sweep(side, "sler", p, n_points=9)
-            assert got.points == want.points
-            assert (got.gaps, got.e_max) == (want.gaps, want.e_max)
+        for label, side in (("sler", cs), ("sler_swap", swap_roles(cs))):
+            want = emit_plot_data(re_sweep(side, "sler", 5.0, n_points=9), tmp_path / "w.csv", label)
+            assert (out / f"curve_{label}_seed12.csv").read_bytes() == want.read_bytes()
 
 
 class TestPointCount:
     """Every entry point that builds an energy grid takes its size from one
     check: an integer (numpy's too, not a bool) of at least 2, checked
-    before any e_max search, lockstep or water-filling game."""
+    before any e_max search or lockstep."""
 
     # each call returns the boundary built on its grid
     CALLS = {
         "re_sweep": lambda cs, n: re_sweep(cs, "meb", 2.0, n_points=n),
         "scheduled_sweep": lambda cs, n: scheduling.scheduled_sweep(cs, 2.0, n_points=n)[0],
         "scheduled_run": lambda cs, n: scheduled_run(cs, 2.0, n_points=n)[2],
-        "evaluate_all_modes": lambda cs, n: evaluate_all_modes(cs, 2.0, n_points=n).eh1_id2,
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -462,7 +547,6 @@ class TestPointCount:
             (boundary, "_solve_many"),
             (scheduling, "_emax_many"),
             (scheduling, "_solve_many"),
-            (scheduling, "iterative_waterfilling"),
         ):
             monkeypatch.setattr(module, name, refuse)
         cs = draw_channel_set(2, 2, ALPHA, seed=8)
