@@ -19,7 +19,6 @@ from .exceptions import (
     SingularMatrixError,
     SwiptError,
 )
-from .linalg import Tolerances, TOL
 from .channel import (
     ChannelSet,
     channel_digest,
@@ -84,8 +83,6 @@ __all__ = [
     "DegenerateChannelError",
     "InfeasibleTargetError",
     "InvariantViolationError",
-    "Tolerances",
-    "TOL",
     "ChannelSet",
     "draw_channel_set",
     "stacked_channel",

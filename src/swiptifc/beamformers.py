@@ -11,7 +11,6 @@ Strategy identifiers used across the library:
 Both ratio beams come from one routine (`_ratio_directions`).
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -19,9 +18,8 @@ import numpy as np
 
 from .channel import stacked_channel
 from .exceptions import DegenerateChannelError, InvalidInputError
-from .linalg import TOL, _as_real, as_matrix, hermitian_part, inv_sqrt_psd, spectral_norm, svd
+from .linalg import _RANK_TOL, _as_real, as_matrix, hermitian_part, inv_sqrt_psd, spectral_norm, svd
 from .metrics import (
-    Beamformer,
     TxCovariance,
     achievable_rate,
     canonical_beam,
@@ -47,6 +45,9 @@ __all__ = [
 ]
 
 STRATEGIES = ("meb", "mlb", "sler", "slnr", "meb_rank2")
+
+# rounds of the (decode, decode) water-filling game
+_IWF_ROUNDS = 20
 
 
 def check_strategy(strategy):
@@ -148,39 +149,28 @@ class IwfResult:
     converged: bool
 
 
-def iterative_waterfilling(cs, p, n_max=20, update="simultaneous"):
+def iterative_waterfilling(cs, p):
     """Iterative water-filling for the (decode, decode) operating mode.
 
-    Starting from uniform covariances (P/M_t) I, each transmitter repeatedly
-    water-fills against the other's interference.  `update` chooses whether
-    both react to the previous round ("simultaneous") or transmitter 2 sees
-    transmitter 1's fresh answer ("sequential").  Runs until the covariance
-    movement stalls or `n_max` rounds.
+    Starting from uniform covariances (P/M_t) I, both transmitters
+    simultaneously water-fill against the other's interference of the
+    previous round, until the covariance movement stalls or 20 rounds
+    (`_IWF_ROUNDS`) pass.
 
-    The pair (Q1, Q2) is held as one stack, so a simultaneous round is one
-    stacked pass of `_responses` over both transmitters; a sequential round
-    runs the same pass on transmitter 1's row, then on transmitter 2's.
-    Every stacked factorization and product treats each matrix as it would
-    alone, so the result is bit for bit that of two `waterfill` calls per
-    round (`swiptifc.oracle.iterative_waterfilling_per_user`).
+    The pair (Q1, Q2) is held as one stack, so a round is one stacked pass
+    of `_responses` over both transmitters.  Every stacked factorization and
+    product treats each matrix as it would alone, so the result is bit for
+    bit that of two `waterfill` calls per round
+    (`swiptifc.oracle.iterative_waterfilling_per_user`).
     """
-    if update not in ("simultaneous", "sequential"):
-        raise InvalidInputError(f"update must be simultaneous or sequential, got {update!r}")
-    if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool) or n_max < 1:
-        raise InvalidInputError(f"n_max must be an integer >= 1, got {n_max!r}")
     p = _as_real(p, "power budget")
     own = np.stack((cs.h11, cs.h22))
     cross = np.stack((cs.h12, cs.h21))
     q = np.stack(2 * [(p / cs.m_t) * np.eye(cs.m_t, dtype=np.complex128)])
     deltas = []
     converged = False
-    it = 0
-    for it in range(1, n_max + 1):
-        if update == "simultaneous":
-            q_new = _responses(own, cross, q[::-1], p)
-        else:
-            q1_new = _responses(own[:1], cross[:1], q[1:], p)
-            q_new = np.concatenate((q1_new, _responses(own[1:], cross[1:], q1_new, p)))
+    for it in range(1, _IWF_ROUNDS + 1):
+        q_new = _responses(own, cross, q[::-1], p)
         step = q_new - q
         delta = max(float(np.linalg.norm(step[0])), float(np.linalg.norm(step[1])))
         deltas.append(delta)
@@ -326,14 +316,14 @@ def _ratio_directions(lam, u, g, floors):
     """
     floors = np.asarray(floors, dtype=float)
     lam = np.broadcast_to(lam, floors.shape + lam.shape[-1:])
-    null = lam <= TOL.rank * lam[:, -1:]
+    null = lam <= _RANK_TOL * lam[:, -1:]
     limit = (floors == 0.0) & null.any(axis=1)
     with np.errstate(divide="ignore"):
         d = 1.0 / np.sqrt(lam + floors[:, None])
     # the limit rows keep the null space's coordinates alone
     d[limit] = null[limit]
     w, y = np.linalg.eigh(d[:, :, None] * g * d[:, None, :])
-    shared = limit & (w[:, -1] <= TOL.rank * np.trace(g, axis1=-2, axis2=-1).real)
+    shared = limit & (w[:, -1] <= _RANK_TOL * np.trace(g, axis1=-2, axis2=-1).real)
     if shared.any():
         warnings.warn("ratio beam: links share a null direction, using 1e-12 ridge")
         d[shared] = 1.0 / np.sqrt(lam[shared] + 1e-12)

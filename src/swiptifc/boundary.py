@@ -53,8 +53,9 @@ keeps the record of its latest evaluation; its published point and its
 `P3Diagnostics` (`_diagnostics`) are read from that record alone.
 
 Each public entry point builds the strategy context (`_StrategyContext`)
-of its channel orientation, strategy, P and split, and passes it down; a
-context finds its e_max once.  Nothing is kept between calls.
+of its channel orientation, strategy and P (meb_rank2 at its even split),
+and passes it down; a context finds its e_max once.  Nothing is kept
+between calls.
 
 One lockstep may span several contexts that share strategy, P and link
 shape (`_solve_many`), such as both orientations of one channel, or one
@@ -586,7 +587,7 @@ class _StrategyContext:
     """Per-channel quantities plus the beam family of one strategy.
 
     `consts` holds what an evaluation reads per row (see `_stack`); e_max is
-    found once, on first use.
+    found once, on first use.  Only C7's census sets meb_rank2's `split`.
     """
 
     def __init__(self, cs, strategy, p, split=0.5):
@@ -611,15 +612,19 @@ class _StrategyContext:
             # vanishing power: both adaptive beams collapse to the pure
             # energy beam (their denominators are dominated by the floor)
             self.consts["meb_v"] = meb(cs.h11, 1.0).v
-            self.consts["h11_norm2"] = spectral_norm(cs.h11) ** 2
-            # every sler or slnr beam of the context reads this one factorization
-            lam, u, g = _ratio_factor(cs.h11, cs.h21)
-            self.consts.update(lam=lam, u=u, g=g)
+            self.consts.update(_ratio_consts(cs.h11, cs.h21))
         self._emax = None
 
     def emax(self):
         """Largest reachable energy target for this strategy at full power."""
         return _emax_many([self])[0]
+
+
+def _ratio_consts(h11, h21):
+    """What every sler or slnr beam of the link pair (H11, H21) reads: both
+    links, `h11_norm2` = ||H11||^2 and the `_ratio_factor` (lam, u, g)."""
+    lam, u, g = _ratio_factor(h11, h21)
+    return dict(h11=h11, h21=h21, h11_norm2=spectral_norm(h11) ** 2, lam=lam, u=u, g=g)
 
 
 def _stack(ctxs):
@@ -749,9 +754,9 @@ def _reach_top(st):
     return a
 
 
-def emax(cs, strategy, p, split=0.5):
+def emax(cs, strategy, p):
     """Right boundary endpoint: the largest energy any sweep can target."""
-    return _StrategyContext(cs, strategy, p, split).emax()
+    return _StrategyContext(cs, strategy, p).emax()
 
 
 def _evaluate_batch(st, ci, e_bars, p1s):
@@ -1033,7 +1038,7 @@ def _sweep_boundary(ctx, grid, solved):
     ).validate()
 
 
-def re_boundary_point(cs, strategy, e_bar, p, split=0.5):
+def re_boundary_point(cs, strategy, e_bar, p):
     """One point of the rate-energy boundary at energy target `e_bar`.
 
     Alternates the decoding user's floored rate problem with the power
@@ -1044,13 +1049,13 @@ def re_boundary_point(cs, strategy, e_bar, p, split=0.5):
     of `_solve_many`.
     """
     e_bar = _as_real(e_bar, "e_bar")
-    (out,) = _solve_many([(_StrategyContext(cs, strategy, p, split), [e_bar])]).values()
+    (out,) = _solve_many([(_StrategyContext(cs, strategy, p), [e_bar])]).values()
     if isinstance(out, SwiptError):
         raise out
     return out
 
 
-def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
+def re_sweep(cs, strategy, p, n_points=64, e_grid=None):
     """Sweep the boundary over an energy grid (default: uniform on [0, emax]).
 
     `e_grid`, if given, must be 1-D, finite, nonnegative and strictly
@@ -1069,7 +1074,7 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None, split=0.5):
             raise InvalidInputError("e_grid must be 1-D")
         if np.any(np.diff(grid) <= 0.0):
             raise InvalidInputError("e_grid must be strictly increasing")
-    ctx = _StrategyContext(cs, strategy, p, split)
+    ctx = _StrategyContext(cs, strategy, p)
     if e_grid is None:
         grid = _grid([ctx], n_points)
     return _sweep_boundary(ctx, grid, _solve_many([(ctx, grid)]))

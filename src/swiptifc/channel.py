@@ -225,6 +225,11 @@ def _want(doc, key, kind, path):
     return val
 
 
+def _is_number(x):
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_matrix(rows, m_r, m_t, path):
     if not isinstance(rows, list) or len(rows) != m_r:
         raise ChannelFormatError(f"field {path} must be an array of {m_r} rows")
@@ -236,7 +241,7 @@ def _parse_matrix(rows, m_r, m_t, path):
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
+                or not all(_is_number(x) for x in cell)
             ):
                 raise ChannelFormatError(f"field {path}[{r}][{c}] must be a [re, im] pair")
             out[r, c] = complex(cell[0], cell[1])
@@ -245,11 +250,10 @@ def _parse_matrix(rows, m_r, m_t, path):
 
 def load_channels(path):
     """Load and fully validate a channel document; inverse of save_channels."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise ChannelFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ChannelFormatError("top-level document must be an object")
@@ -257,9 +261,10 @@ def load_channels(path):
     m_r = _want(doc, "m_r", int, "")
     alpha_rows = _want(doc, "alpha", list, "")
     if len(alpha_rows) != 2 or any(
-        not isinstance(row, list) or len(row) != 2 for row in alpha_rows
+        not isinstance(row, list) or len(row) != 2 or not all(_is_number(a) for a in row)
+        for row in alpha_rows
     ):
-        raise ChannelFormatError("field alpha must be a 2x2 array")
+        raise ChannelFormatError("field alpha must be a 2x2 array of numbers")
     mats = _want(doc, "matrices", dict, "")
     links = {}
     for key in _LINKS:

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .channel import channel_digest, load_channels
-from .exceptions import SwiptError
+from .exceptions import InvalidInputError, SwiptError
 from .experiments import PRESETS, apply_overrides, preset_variants, run_experiment
 from .oracle import (
     factorization_census,
@@ -25,7 +25,13 @@ def _cmd_run(args):
         default_out = Path(args.output or f"runs/{args.preset}")
     else:
         with open(args.config) as fh:
-            variants = [("main", json.load(fh))]
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+                raise InvalidInputError(f"config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise InvalidInputError(f"config {args.config} must hold a JSON object")
+        variants = [("main", doc)]
         default_out = Path(args.output or "runs/custom")
     rc = 0
     for label, d in variants:

@@ -432,9 +432,12 @@ def _write_aggregate(path, labels, by_seed):
 def run_experiment(cfg, workers=1):
     """Run one experiment config end to end; returns the artifact manifest.
 
-    Fans seeds out to a process pool when `workers` > 1 (results are
-    collected in seed order either way, so the artifacts are identical).
+    Fans seeds out to a pool of min(`workers`, seed count) processes when
+    that exceeds 1 (results are collected in seed order either way, so the
+    artifacts are identical).  `workers` must be an integer >= 1.
     """
+    if not (_is_int(workers) and workers >= 1):
+        raise InvalidInputError(f"workers must be an integer >= 1, got {workers!r}")
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_dict(cfg)
     if cfg.output_dir is None:
@@ -452,7 +455,7 @@ def run_experiment(cfg, workers=1):
     cfg_dict = cfg.to_dict()
     seeds = list(cfg.seeds)
     if workers > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(int(workers), len(seeds))) as pool:
             results = list(pool.map(_seed_task, [cfg_dict] * len(seeds), seeds))
     else:
         results = [_seed_task(cfg_dict, s) for s in seeds]

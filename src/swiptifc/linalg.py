@@ -11,15 +11,12 @@ solver's stacked inner loops (`beamformers.waterfill_stack`,
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError, SingularMatrixError
 
 __all__ = [
-    "Tolerances",
-    "TOL",
     "as_matrix",
     "hermitian_part",
     "spectral_norm",
@@ -30,16 +27,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Global numeric tolerances; the shared instance is `TOL`."""
-
-    factorization: float = 1e-10  # residual bound on decomposition identities
-    psd: float = 1e-9             # slack accepted when validating PSD matrices
-    rank: float = 1e-12           # relative cutoff declaring numerical rank loss
-
-
-TOL = Tolerances()
+_FACTORIZATION_TOL = 1e-10  # residual bound on decomposition identities
+_PSD_TOL = 1e-9             # slack accepted when validating PSD matrices
+_RANK_TOL = 1e-12           # relative cutoff declaring numerical rank loss
 
 
 def as_matrix(a, name="matrix"):
@@ -131,14 +121,14 @@ def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input is symmetrized before factorization.  Deviation from Hermitian
-    beyond TOL.factorization (relative to ||A||_F, floored at 1) is treated
+    beyond _FACTORIZATION_TOL (relative to ||A||_F, floored at 1) is treated
     as a caller bug rather than silently averaged away.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"hermitian_eig needs a square matrix, got {a.shape}")
     dev = np.linalg.norm(a - a.conj().T)
-    if dev > TOL.factorization * max(1.0, np.linalg.norm(a)):
+    if dev > _FACTORIZATION_TOL * max(1.0, np.linalg.norm(a)):
         raise InvalidInputError(f"matrix is not Hermitian (deviation {dev:.3e})")
     w, v = np.linalg.eigh(hermitian_part(a))
     return w[::-1].copy(), v[:, ::-1].copy()
@@ -165,7 +155,7 @@ def inv_sqrt_psd(a):
 
 def psd_mask(a):
     """Per matrix of a stack (..., m, m), as a boolean array: True iff it is
-    Hermitian within TOL.psd and has min eigenvalue >= -TOL.psd.
+    Hermitian within _PSD_TOL and has min eigenvalue >= -_PSD_TOL.
 
     Both checks are relative to max(1, ||A||_F) so power-scaled covariances
     are judged at their own magnitude.
@@ -173,7 +163,7 @@ def psd_mask(a):
     a = _as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise InvalidInputError(f"psd_mask needs a square matrix, got {a.shape}")
-    slack = TOL.psd * np.maximum(1.0, _frobenius(a))
+    slack = _PSD_TOL * np.maximum(1.0, _frobenius(a))
     hermitian = _frobenius(a - _ct(a)) <= slack
     w = np.linalg.eigvalsh(hermitian_part(a))
     return hermitian & (w[..., 0] >= -slack)

@@ -11,7 +11,7 @@ maximizer that the lockstep solver never builds, `lemma1_transform` factors
 a link pair that no production route needs, and
 `iterative_waterfilling_per_user` plays the water-filling game with two
 `waterfill` calls per round (production stacks both transmitters into one
-pass).
+pass), under production's or another update rule and round limit.
 
 Each `*_census` function runs production code against these routes over
 seeded draws and returns its worst-case figures without judging them.  The
@@ -25,7 +25,7 @@ import numpy as np
 
 from .beamformers import IwfResult, eh_eh_optimal, meb, sler_beam, waterfill
 from .boundary import solve_p3
-from .channel import draw_channel_set, stacked_channel
+from .channel import _is_int, draw_channel_set, stacked_channel
 from .exceptions import InvalidInputError, SingularMatrixError
 from .linalg import as_matrix, hermitian_eig, hermitian_part, inv_sqrt_psd, spectral_norm, svd
 from .metrics import TxCovariance, achievable_rate, canonical_beam, interference_cov, sler
@@ -278,12 +278,14 @@ def iterative_waterfilling_per_user(cs, p, n_max=20, update="simultaneous"):
     """`iterative_waterfilling` with one `waterfill` call per transmitter and
     round, each against `interference_cov` of the other's covariance.
 
-    Returns the same `IwfResult`, bit for bit.
+    At production's rule (simultaneous updates, 20 rounds) it returns the
+    same `IwfResult`, bit for bit; "sequential" lets transmitter 2 answer
+    transmitter 1's fresh covariance, to compare game rules.
     """
     if update not in ("simultaneous", "sequential"):
         raise InvalidInputError(f"update must be simultaneous or sequential, got {update!r}")
-    if n_max < 1:
-        raise InvalidInputError("n_max must be >= 1")
+    if not (_is_int(n_max) and n_max >= 1):
+        raise InvalidInputError(f"n_max must be an integer >= 1, got {n_max!r}")
     p = float(p)
     q1 = q2 = (p / cs.m_t) * np.eye(cs.m_t, dtype=np.complex128)
     deltas = []

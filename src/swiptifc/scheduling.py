@@ -24,6 +24,7 @@ from .boundary import (
     REBoundary,
     _emax_many,
     _grid,
+    _ratio_consts,
     _reaches,
     _solve_many,
     _StrategyContext,
@@ -31,7 +32,7 @@ from .boundary import (
 )
 from .channel import channel_digest, swap_roles
 from .exceptions import InfeasibleTargetError, SwiptError
-from .linalg import _as_reals
+from .linalg import _as_real, _as_reals
 from .metrics import _floored_ratios, canonical_directions, check_unit_rows, sler_floor
 
 __all__ = ["MODES", "select_modes", "scheduled_run"]
@@ -53,15 +54,16 @@ def select_modes(cs, e_bars, p):
 
     A tag is "eh1_id2" when the first orientation's ratio is at least the
     second's; ties within 1e-12 relative also go to the first.  Each
-    orientation's beams come from its SLER context's factorization of the
-    cross link and one stacked `eigh` over all targets.
+    orientation's beams come from one factorization of its cross link
+    (`_ratio_consts`) and one stacked `eigh` over all targets.
     """
-    return _select(_orientations(cs, p), e_bars)
+    p = _as_real(p, "power budget", positive=True)
+    return _select([_ratio_consts(cs.h11, cs.h21), _ratio_consts(cs.h22, cs.h12)], p, e_bars)
 
 
-def _select(ctxs, e_bars):
-    """`select_modes` on the SLER contexts of both orientations."""
-    s1, s2 = _orientation_ratios(ctxs, e_bars)
+def _select(links, p, e_bars):
+    """`select_modes` on the `_ratio_consts` of both orientations."""
+    s1, s2 = _orientation_ratios(links, p, e_bars)
     with np.errstate(invalid="ignore"):
         tie = (
             np.isfinite(s1)
@@ -71,33 +73,24 @@ def _select(ctxs, e_bars):
     return np.where((s1 >= s2) | tie, "eh1_id2", "id1_eh2").tolist()
 
 
-def _orientation_ratios(ctxs, e_bars):
+def _orientation_ratios(links, p, e_bars):
     """Best achievable ratios of the two candidate harvesting orientations,
-    as two arrays with one entry per energy target, from their SLER contexts
-    (`_orientations`).
+    as two arrays with one entry per energy target, from their
+    `_ratio_consts` (a SLER context's `consts` holds them too).
 
     The first rates transmitter 1 harvesting at receiver 1 while leaking into
-    receiver 2; the second rates the mirrored roles.  Both beams are found at
-    full transmit power with the same energy target, from the context's
-    `_ratio_factor` output and direct-link gain.
+    receiver 2, through the link pair (H11, H21); the second rates the
+    mirrored roles, through (H22, H12).  Both beams are found at full
+    transmit power P with the same energy target.
     """
     e_bars = _as_reals(e_bars, "e_bar").reshape(-1)
     ratios = []
-    for ctx in ctxs.values():
-        c = ctx.consts
-        floors = sler_floor(c["h11_norm2"], e_bars, ctx.p)
+    for c in links:
+        floors = sler_floor(c["h11_norm2"], e_bars, p)
         v = canonical_directions(_ratio_directions(c["lam"], c["u"], c["g"], floors))
         check_unit_rows(v)
-        ratios.append(_floored_ratios(v, ctx.p, ctx.cs.h11, ctx.cs.h21, floors))
+        ratios.append(_floored_ratios(v, p, c["h11"], c["h21"], floors))
     return ratios
-
-
-def _orientations(cs, p):
-    """The SLER strategy contexts of both orientations, by mode tag."""
-    return {
-        "eh1_id2": _StrategyContext(cs, "sler", p),
-        "id1_eh2": _StrategyContext(swap_roles(cs), "sler", p),
-    }
 
 
 def scheduled_run(cs, p, n_points=64):
@@ -115,13 +108,18 @@ def scheduled_run(cs, p, n_points=64):
     is not validated for rate monotonicity: a mode switch along the grid may
     move the rate in either direction.
     """
-    ctxs = _orientations(cs, p)
+    # the SLER strategy contexts of both orientations, by mode tag
+    ctxs = {
+        "eh1_id2": _StrategyContext(cs, "sler", p),
+        "id1_eh2": _StrategyContext(swap_roles(cs), "sler", p),
+    }
     grid = _grid(list(ctxs.values()), n_points)
     ems = dict(zip(ctxs, _emax_many(ctxs.values())))
     e_bars = grid.tolist()
     # per target, the orientations to try in order: the pick, then the other
     orders = []
-    for e_bar, tag in zip(e_bars, _select(ctxs, grid)):
+    picks = _select([ctx.consts for ctx in ctxs.values()], ctxs["eh1_id2"].p, grid)
+    for e_bar, tag in zip(e_bars, picks):
         other = "id1_eh2" if tag == "eh1_id2" else "eh1_id2"
         orders.append([t for t in (tag, other) if _reaches(e_bar, ems[t])])
     own = [(ctx, _grid([ctx], n_points)) for ctx in ctxs.values()]

@@ -194,7 +194,7 @@ class TestIterativeWaterfilling:
         hits = 0
         for seed in range(500):
             cs = draw_channel_set(2, 2, alpha, seed=seed)
-            if iterative_waterfilling(cs, 10.0, n_max=20).converged:
+            if iterative_waterfilling(cs, 10.0).converged:
                 hits += 1
         assert hits >= 475
 
@@ -203,7 +203,7 @@ class TestIterativeWaterfilling:
         found = False
         for seed in range(20):
             cs = draw_channel_set(2, 2, ALPHA, seed=seed)
-            res = iterative_waterfilling(cs, 10.0, n_max=20)
+            res = iterative_waterfilling(cs, 10.0)
             if not res.converged:
                 assert len(res.deltas) == 20
                 assert res.iterations == 20
@@ -212,26 +212,27 @@ class TestIterativeWaterfilling:
         assert found
 
     def test_update_modes(self):
+        # production plays simultaneous updates; the oracle also plays the
+        # sequential rule, and both rules settle on the same point here
         cs = draw_channel_set(2, 2, ALPHA, seed=33)
-        sim = iterative_waterfilling(cs, 1.0, update="simultaneous")
-        seq = iterative_waterfilling(cs, 1.0, update="sequential")
+        sim = iterative_waterfilling(cs, 1.0)
+        seq = iterative_waterfilling_per_user(cs, 1.0, update="sequential")
         assert sim.converged and seq.converged
         assert np.allclose(sim.q1.q, seq.q1.q, atol=1e-6)
         with pytest.raises(InvalidInputError):
-            iterative_waterfilling(cs, 1.0, update="jacobi")
+            iterative_waterfilling_per_user(cs, 1.0, update="jacobi")
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 4), (4, 2)], ids=lambda s: "%dx%d" % s
     )
     def test_stacked_game_is_the_per_user_game_bit_for_bit(self, shape):
-        grid = itertools.product(
-            range(1, 6), (0.3, 1.0), (0.1, 50.0), (1, 20, 200), ("simultaneous", "sequential")
-        )
-        for seed, a, p, n_max, update in grid:
+        # the oracle at production's rule: simultaneous updates, 20 rounds
+        grid = itertools.product(range(1, 31), (0.3, 1.0), (0.1, 50.0))
+        for seed, a, p in grid:
             cs = draw_channel_set(*shape, np.array([[1.0, a], [a, 1.0]]), seed)
-            got = iterative_waterfilling(cs, p, n_max=n_max, update=update)
-            want = iterative_waterfilling_per_user(cs, p, n_max=n_max, update=update)
-            case = (seed, a, p, n_max, update)
+            got = iterative_waterfilling(cs, p)
+            want = iterative_waterfilling_per_user(cs, p, n_max=20, update="simultaneous")
+            case = (seed, a, p)
             assert got.rates == want.rates, case
             assert got.deltas == want.deltas, case
             assert (got.iterations, got.converged) == (want.iterations, want.converged), case
@@ -240,14 +241,16 @@ class TestIterativeWaterfilling:
 
     @pytest.mark.parametrize("n_max", [0, -3, 2.5, "3", True, None])
     def test_round_limit_must_be_a_positive_int(self, n_max):
+        # the round limit is a setting of the oracle's game only
         cs = draw_channel_set(2, 2, ALPHA, seed=4)
         with pytest.raises(InvalidInputError, match="n_max must be an integer >= 1"):
-            iterative_waterfilling(cs, 1.0, n_max=n_max)
+            iterative_waterfilling_per_user(cs, 1.0, n_max=n_max)
 
     def test_numpy_round_limit_accepted(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=4)
-        res = iterative_waterfilling(cs, 1.0, n_max=np.int64(3))
-        assert res.deltas == iterative_waterfilling(cs, 1.0, n_max=3).deltas
+        res = iterative_waterfilling_per_user(cs, 1.0, n_max=np.int64(3))
+        assert res.deltas == iterative_waterfilling_per_user(cs, 1.0, n_max=3).deltas
+        assert res.deltas == iterative_waterfilling(cs, 1.0).deltas[:3]
 
     @pytest.mark.parametrize("p", [np.inf, -np.inf, np.nan, -1.0])
     def test_budget_checked_before_any_work(self, p):
@@ -259,12 +262,16 @@ class TestIterativeWaterfilling:
 
     @pytest.mark.parametrize("update", ["simultaneous", "sequential"])
     def test_zero_budget(self, update):
+        # production's game, and the oracle's under either update rule
         cs = draw_channel_set(3, 2, ALPHA, seed=4)
-        res = iterative_waterfilling(cs, 0.0, update=update)
-        assert res.converged and res.iterations == 1 and res.deltas == [0.0]
-        assert res.rates == (0.0, 0.0)
-        assert not res.q1.q.any() and not res.q2.q.any()
-        assert res.q1.q.shape == res.q2.q.shape == (3, 3)
+        for res in (
+            iterative_waterfilling(cs, 0.0),
+            iterative_waterfilling_per_user(cs, 0.0, update=update),
+        ):
+            assert res.converged and res.iterations == 1 and res.deltas == [0.0]
+            assert res.rates == (0.0, 0.0)
+            assert not res.q1.q.any() and not res.q2.q.any()
+            assert res.q1.q.shape == res.q2.q.shape == (3, 3)
 
 
 class TestEhEhOptimal:

@@ -96,6 +96,14 @@ class TestEmax:
             emax(_toy_cs(), "mrt", 1.0)
 
 
+def _split_sweep(cs, p, split, n_points):
+    """A meb_rank2 sweep at another power split: the public entry points
+    sweep the even split only, so this builds the private context."""
+    ctx = boundary._StrategyContext(cs, "meb_rank2", p, split)
+    grid = boundary._grid([ctx], n_points)
+    return boundary._sweep_boundary(ctx, grid, boundary._solve_many([(ctx, grid)]))
+
+
 def _g(cs, strategy, e_bar, p):
     """P kappa(E, P) + P sigma_max(H12)^2 - E, from the public beams: the
     energy transmitter 2 can add beyond the floor that transmitter 1's
@@ -182,6 +190,11 @@ class TestSolveP3:
         with pytest.raises(InfeasibleTargetError) as exc:
             solve_p3(h22t, h12, 1.5 * cap, p)
         assert exc.value.max_attainable == pytest.approx(cap, rel=1e-9)
+
+    def test_rejects_mismatched_transmit_dims(self):
+        h22t, h12 = self._links(33)
+        with pytest.raises(InvalidInputError, match="transmit dims differ"):
+            solve_p3(h22t[:, :1], h12, 0.1, 2.0)
 
     def test_energy_met_and_budget_respected(self):
         for seed in range(20):
@@ -427,7 +440,7 @@ class TestRatioRoot:
         p = 5.0
         calls.clear()
         a = re_sweep(cs, "meb_rank2", p, n_points=6)
-        b = re_sweep(cs, "meb_rank2", p, n_points=6, split=0.2)
+        b = _split_sweep(cs, p, 0.2, 6)
         c = re_sweep(cs, "meb_rank2", 2 * p, n_points=6)
         assert len(calls) == 3
         calls.clear()
@@ -927,15 +940,16 @@ class TestWhitenedLinks:
 
 
 class TestSharedContext:
-    """Each call builds its strategy context from (orientation, strategy, P,
-    split); no solved outcome is shared between calls."""
+    """Each call builds its strategy context from (orientation, strategy, P),
+    and a context from those and meb_rank2's split; no solved outcome is
+    shared between calls."""
 
     def test_separate_outcomes_per_key(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=21)
         p = 5.0
         top = emax(cs, "meb_rank2", p)
         a = re_sweep(cs, "meb_rank2", p, n_points=6)
-        b = re_sweep(cs, "meb_rank2", p, n_points=6, split=0.2)
+        b = _split_sweep(cs, p, 0.2, 6)
         assert b.e_max != a.e_max
         assert a.e_max == top
         assert [pt.rate_bits for pt in a.points] != [pt.rate_bits for pt in b.points]

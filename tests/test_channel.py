@@ -196,9 +196,36 @@ def test_load_rejects_malformed_documents(tmp_path):
             load_channels(dump(doc))
 
     p = tmp_path / "not.json"
-    p.write_text("{nope")
-    with pytest.raises(ChannelFormatError):
-        load_channels(p)
+    for text in (b"{nope", b"\xff{"):
+        p.write_bytes(text)
+        with pytest.raises(ChannelFormatError, match="not valid JSON"):
+            load_channels(p)
+
+    # an alpha entry is checked as a matrix cell is: a number, not a bool
+    for entry in ("x", [1], True, None):
+        doc = json.loads(channel_document(cs))
+        doc["alpha"][1][0] = entry
+        with pytest.raises(ChannelFormatError, match="alpha"):
+            load_channels(dump(doc))
+
+    # the document's structure, field by field
+    def broken(edit):
+        doc = json.loads(channel_document(cs))
+        edit(doc)
+        return doc
+
+    cases = [
+        (broken(lambda d: d.update(m_t="2")), "m_t must be an integer"),
+        (broken(lambda d: d.update(m_t=2.0)), "m_t must be an integer"),
+        (broken(lambda d: d.update(alpha="x")), "alpha must be an array"),
+        (broken(lambda d: d.update(matrices=[])), "matrices must be an object"),
+        (broken(lambda d: d["matrices"]["h12"].pop()), r"matrices.h12 must be an array of 2 rows"),
+        (broken(lambda d: d["matrices"]["h21"][1].pop()), r"matrices.h21\[1\] must be"),
+        ([1, 2], "top-level document must be an object"),
+    ]
+    for doc, msg in cases:
+        with pytest.raises(ChannelFormatError, match=msg):
+            load_channels(dump(doc))
 
 
 def test_document_seventeen_digit_floats():

@@ -100,6 +100,24 @@ def test_run_config_file(tmp_path):
     assert (tmp_path / "out" / "curve_meb_seed1.csv").exists()
 
 
+@pytest.mark.parametrize("text", [b"{nope", b"[1, 2]", b"null", b"\xff{"])
+def test_run_rejects_malformed_config_file(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert main(["run", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_rejects_worker_count_below_one(tmp_path, capsys, workers):
+    rc = main(["run", "--preset", "fig2", "--output", str(tmp_path), "--workers", workers])
+    assert rc == 1
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_rejects_bad_override(tmp_path, capsys):
     rc = main(
         [

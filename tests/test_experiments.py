@@ -98,6 +98,13 @@ class TestExperimentConfig:
             {"figure_preset": 2},
             {"output_dir": b"out"},
             {"output_dir": ["out"]},
+            {"m_t": 0},
+            {"m_r": -1},
+            {"alpha": ((1.0, 0.8),)},
+            {"alpha": ((1.0, 0.8, 0.1), (0.8, 1.0, 0.1))},
+            {"alpha": ((1.0, 0.0), (0.8, 1.0))},
+            {"alpha": ((1.0, 0.8), (np.inf, 1.0))},
+            {"ts_points": 1},
         ],
     )
     def test_rejects_mistyped_fields(self, tmp_path, field):
@@ -162,6 +169,11 @@ class TestPresets:
         # unknown keys surface when the config is built
         with pytest.raises(InvalidInputError):
             ExperimentConfig.from_dict(apply_overrides(d, ["snr=3"]))
+        # a value that is not JSON is kept as the bare string
+        out = apply_overrides(d, ["figure_preset=mine", " output_dir =runs/a=b"])
+        assert out["figure_preset"] == "mine" and out["output_dir"] == "runs/a=b"
+        with pytest.raises(InvalidInputError, match="not of the form key=value"):
+            apply_overrides(d, ["seeds"])
 
 
 class TestPlotData:
@@ -355,6 +367,46 @@ class TestRunExperiment:
             assert json.load(fh)["unconverged_games"] == want
         lines = (out / "modes.csv").read_text().splitlines()
         assert lines[0] == "mode,seed,m_t,m_r,rate_bits,energy"
+
+    def test_output_dir_under_a_regular_file(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        cfg = _tiny_cfg(tmp_path, output_dir=str(tmp_path / "file" / "out"))
+        with pytest.raises(InvalidInputError, match="is not writable"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("workers", [0, -3, "2", 2.0, True, None])
+    def test_rejects_bad_worker_counts(self, tmp_path, workers):
+        # checked before the output directory is made
+        with pytest.raises(InvalidInputError, match="workers must be an integer >= 1"):
+            run_experiment(_tiny_cfg(tmp_path), workers=workers)
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_never_exceeds_the_seed_count(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and maps in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        cases = [(8, (1, 2), 2), (2, (1, 2, 3), 2), (np.int64(3), (1, 2, 3), 3), (8, (1,), None)]
+        for k, (workers, seeds, want) in enumerate(cases):
+            sizes.clear()
+            out = tmp_path / f"run{k}"
+            run_experiment(_tiny_cfg(tmp_path, seeds=seeds, output_dir=str(out)), workers=workers)
+            assert sizes == ([] if want is None else [want])
+            assert all(type(n) is int for n in sizes)
+            assert len(list(out.glob("curve_meb_seed*.csv"))) == len(seeds)
 
     def test_requires_output_dir(self, tmp_path):
         cfg = _tiny_cfg(tmp_path)

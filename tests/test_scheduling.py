@@ -35,7 +35,8 @@ ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
 
 def _ratio_pair(cs, e_bar, p):
     # the two orientations' ratios at one target, as floats
-    s1, s2 = scheduling._orientation_ratios(scheduling._orientations(cs, p), [e_bar])
+    links = [boundary._ratio_consts(cs.h11, cs.h21), boundary._ratio_consts(cs.h22, cs.h12)]
+    s1, s2 = scheduling._orientation_ratios(links, p, [e_bar])
     return float(s1[0]), float(s2[0])
 
 
@@ -210,6 +211,29 @@ class TestSelectMode:
             for seed in range(20)
         )
         assert got == "11111111111121121111"
+
+    def test_reads_only_the_ratio_factorizations(self, monkeypatch):
+        # select_modes builds no strategy context: no cross-link factor and
+        # no energy beam; its tags are those the contexts' entries give
+        calls = []
+
+        def counted(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            return call
+
+        for name in ("_cross_factor", "meb"):
+            monkeypatch.setattr(boundary, name, counted(name, getattr(boundary, name)))
+        grid = np.linspace(0.0, 6.0, 64)
+        for seed in range(4):
+            cs = draw_channel_set(2, 2, ALPHA, seed=seed)
+            calls.clear()
+            got = select_modes(cs, grid, 4.0)
+            assert calls == []
+            ctxs = [boundary._StrategyContext(c, "sler", 4.0) for c in (cs, swap_roles(cs))]
+            assert got == scheduling._select([c.consts for c in ctxs], 4.0, grid)
 
 
 class TestSelectModes:
