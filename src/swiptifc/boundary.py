@@ -36,10 +36,14 @@ for meb_rank2; a sler or slnr beam is one small `eigh` per row against its
 context's factorization of H21^H H21), receiver 2's link H22~ whitened
 against that beam's interference through a k x k eigendecomposition of
 (H21 F)^H H21 F, water-filling, and, for the targets on the DUAL branch,
-the roots over rho (`_ratio_roots`).  Each root is a step-for-step port of
-scipy's brentq, and each of their rounds is one stacked SVD of the rays all
-rows ask for.  `re_boundary_point` and `solve_p3` run the same code with
-one target.
+the roots over rho (`_ratio_roots`).  The backoffs read only energies, and
+a DUAL row delivers its floor by construction, so their rounds defer the
+roots: only the rescue's scan, which ranks its candidates by rate, and one
+finishing pass over the targets that end on DUAL solve them.  Each root is
+a step-for-step port of scipy's brentq that also stops once its ray
+over-delivers by at most 1e-13 max(1, floor), and each of their rounds is
+one stacked SVD of the rays all rows ask for.  `re_boundary_point` and
+`solve_p3` run the same code with one target.
 
 The endpoint e_max is the largest target that the backoff's first round,
 at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
@@ -135,10 +139,12 @@ _FEAS_SLACK = 1e-9
 # resolved in floating point
 _RHO_MARGIN = 1e-12
 
-# the ratio root stops as scipy.optimize.brentq does at these settings
+# the ratio root stops as scipy.optimize.brentq does at these settings, or
+# once a ray over-delivers by at most this much relative to max(1, e_req)
 _XTOL = 1e-18
 _RTOL = 8.9e-16
 _MAXITER = 200
+_ROOT_RESIDUAL = 1e-13
 
 
 @dataclass
@@ -368,8 +374,10 @@ def _ratio_roots(f, c, e_req, e_wf, rho_hi, p):
     Row i has own link f[i] = Ht W, cross-link gains c[i] and top ratio
     rho_hi[i].  At rho = 0 the ray point is water-filling, whose energy
     e_wf[i] is short of the target; energy grows toward P cmax as rho
-    approaches 1/cmax.  Each row runs its own `_brentq_steps`; each round
-    evaluates the rays that every row asks for as one `_Rays` stack.
+    approaches 1/cmax.  Each row runs its own `_brentq_steps` and ends at
+    the first ray whose energy lies in [e_req, e_req + 1e-13 max(1, e_req)],
+    or where brentq ends; each round evaluates the rays that every row asks
+    for as one `_Rays` stack.
     Returns the roots, each row's ray evaluations, and the fields of the ray
     at each root (eta, d, vh, powers, trace, energy).
     """
@@ -385,6 +393,7 @@ def _ratio_roots(f, c, e_req, e_wf, rho_hi, p):
     def short(i, x):
         return (e_wf[i] if x == 0.0 else energy[known[i][x]]) - e_req[i]
 
+    tol = [_ROOT_RESIDUAL * max(1.0, e) for e in e_req]
     todo = list(range(n))
     while todo:
         rays.append(_Rays(f[todo], c[todo], np.array([ask[i] for i in todo]), p))
@@ -395,10 +404,15 @@ def _ratio_roots(f, c, e_req, e_wf, rho_hi, p):
         for i in todo:
             if root[i] is not None:
                 continue
+            gap = short(i, ask[i])
+            if 0.0 <= gap <= tol[i]:
+                # the ray over-delivers within the residual tolerance
+                root[i] = ask[i]
+                continue
             try:
                 if steps[i] is not None:
-                    x = steps[i].send(short(i, ask[i]))
-                elif short(i, ask[i]) < 0.0:
+                    x = steps[i].send(gap)
+                elif gap < 0.0:
                     # no gain along the cross-link beam: repair closes the gap
                     root[i] = ask[i]
                     continue
@@ -461,16 +475,17 @@ def _columns(rec, names):
     return zip(*(rec[name].tolist() for name in names))
 
 
-def _solve_p3_batch(ht, rows, e_req, p, cross):
+def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
     """`solve_p3` for a stack of targets.
 
     `ht` holds distinct own links (u, M_r, M_t), `rows` maps each target to
     its link, `e_req` holds floors already clipped to [0, P cmax], and
     `cross` holds each link's cross-link `_cross_factor`, stacked: c (u, M_t),
     W (u, M_t, M_t), cmax (u,) and v12 (u, M_t).  Water-filling runs once per
-    link; the DUAL targets share one `_ratio_roots` call.  Returns the
-    validated covariances (n, M_t, M_t) and each target's `_EVAL` record,
-    with the floored-solve fields filled.
+    link; the DUAL targets share one `_ratio_roots` call, or, without
+    `roots`, are deferred: e2 = e_req, rate nan, and no covariance.  Returns
+    the covariances (n, M_t, M_t), validated where built, and each target's
+    `_EVAL` record, with the floored-solve fields filled.
     """
     c, w, cmax, v12 = cross
     n, m_t = e_req.size, w.shape[-1]
@@ -504,7 +519,13 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
         trace[wf] = np.trace(q[wf], axis1=-2, axis2=-1).real
 
     idx = np.flatnonzero(~at_cap & ~wf)
-    if idx.size:
+    if not roots:
+        # the root meets the floor by construction, so a deferred DUAL row
+        # reports e2 = e_req and leaves its rate nan, multipliers and
+        # covariance unset
+        energy[idx] = e_req[idx]
+        rec["rate"][idx] = np.nan
+    elif idx.size:
         link = rows[idx]
         rho, rec["evals"][idx], ray = _ratio_roots(
             ht[link] @ w[link],
@@ -531,11 +552,13 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
         rec["lam"][idx] = rho / ray.eta
         rec["mu"][idx] = 1.0 / ray.eta
     rec["branch"] = np.where(at_cap, "CAP", np.where(wf, "WF", "DUAL"))
-    if not wf.all():
-        built = hermitian_part(q[~wf])
+    built_here = ~wf if roots else at_cap
+    if built_here.any():
+        built = hermitian_part(q[built_here])
         check_covariances(built, p)
-        q[~wf] = built
-    rec["rate"] = _rates(ht[rows], q)
+        q[built_here] = built
+    done = slice(None) if roots else at_cap | wf
+    rec["rate"][done] = _rates(ht[rows[done]], q[done])
     return q, rec
 
 
@@ -759,12 +782,13 @@ def emax(cs, strategy, p):
     return _StrategyContext(cs, strategy, p).emax()
 
 
-def _evaluate_batch(st, ci, e_bars, p1s):
+def _evaluate_batch(st, ci, e_bars, p1s, roots=True):
     """Evaluate every (e_bar, P1) pair in one stacked pass: transmitter 1's
     beam, the whitened link H22~ it leaves for receiver 2, and the floored
     rate solve at the energy still missing.  Row i belongs to context ci[i]
-    of the stack `st` (see `_stack`) and reads that context's links.
-    Returns receiver 2's covariances and the `_EVAL` record of each row."""
+    of the stack `st` (see `_stack`) and reads that context's links; without
+    `roots`, DUAL rows are deferred (`_solve_p3_batch`).  Returns receiver
+    2's covariances and the `_EVAL` record of each row."""
     if st.strategy == "sler":
         ci_u, p1_u, rows, e_u = ci, p1s, np.arange(p1s.size), e_bars
     else:
@@ -781,7 +805,7 @@ def _evaluate_batch(st, ci, e_bars, p1s):
     clamped = e_need > cap * (1.0 + _FEAS_SLACK)
     e_need = np.minimum(np.maximum(e_need, 0.0), cap)
     cross = [st.c[ci_u], st.w[ci_u], st.cmax[ci_u], st.v12[ci_u]]
-    q, rec = _solve_p3_batch(ht, rows, e_need, st.p, cross)
+    q, rec = _solve_p3_batch(ht, rows, e_need, st.p, cross, roots)
     rec["p1"], rec["kappa"], rec["e11"], rec["clamped"] = p1s, kappa, e11, clamped
     return q, rec
 
@@ -792,14 +816,17 @@ class _Aitken:
     The plain map x -> T(x) = (E_bar - e2) / kappa, clipped to [0, P] with
     every value at or below zero set to exactly 0.0 (so never -0.0), moves
     a target whose evaluation over-delivers with kappa > 0; any other target
-    stays at its P1.  It converges linearly, at a ratio that settles early.
+    stays at its P1; a DUAL evaluation meets its floor, so it never counts
+    as over-delivering.  The map converges linearly, at a ratio that
+    settles early.
     Once two successive contraction ratios r = dT / dx of a target's plain
     steps agree within 2%, with 0 < r < 0.95, its next evaluation goes to
     x* + 0.03 (T - x*), where x* = T + r / (1 - r) (T - x) extrapolates the
     fixed point: short of it, on the over-delivering side.  An accelerated
-    evaluation that does not over-deliver is reverted: the plain step T(x)
-    it replaced is evaluated next, and two more plain steps must agree
-    before the next Aitken step.  The rescue's backoff starts a new state.
+    evaluation that does not over-deliver, one that lands on DUAL included,
+    is reverted: the plain step T(x) it replaced is evaluated next, and two
+    more plain steps must agree before the next Aitken step.  The rescue's
+    backoff starts a new state.
     """
 
     def __init__(self, n):
@@ -813,7 +840,7 @@ class _Aitken:
         settled, that is, moved by at most `tol` on a plain step or reached
         `stop`.  A settled target's next P1 is its plain step."""
         x = ev["p1"]
-        over = (ev["e11"] + ev["e2"] > e_eff) & (ev["kappa"] > 0.0)
+        over = (ev["e11"] + ev["e2"] > e_eff) & (ev["kappa"] > 0.0) & (ev["branch"] != "DUAL")
         t = (e_eff - ev["e2"]) / np.where(over, ev["kappa"], 1.0)
         t = np.where(0.0 >= t, 0.0, t)
         t = np.where(over, np.where(p < t, p, t), x)
@@ -862,7 +889,12 @@ def _solve_many(jobs):
       it.  Each target still short scans `_RESCUE_SCAN` P1 values in one
       batch, keeps its first best-rate candidate that reaches the target,
       and backs off from there, with the same Aitken steps, while the
-      target stays reached.
+      target stays reached;
+    * one finishing batch.  Both backoffs defer the DUAL roots (their next
+      P1 reads energies only, and a DUAL row meets its floor), so each
+      target whose latest record is a deferred DUAL row is evaluated once
+      more at its P1, with its root.  The scan, which ranks by rate, roots
+      its rows.
 
     A point whose settled P1 is exactly 0.0, which the backoff and the scan
     both reach, is published as NO_TX.  If a batch raises a SwiptError, its
@@ -892,17 +924,18 @@ def _solve_many(jobs):
     p = st.p
     tol_p1 = _P1_TOL * max(p, 1.0)
 
-    def evaluate(ks, p1s):
-        """Target ks[i] evaluated at P1 p1s[i]: returns the targets and their
-        `_EVAL` records, without the rows of targets that took an error."""
+    def evaluate(ks, p1s, roots=False):
+        """Target ks[i] evaluated at P1 p1s[i], DUAL rows deferred unless
+        `roots`: returns the targets and their `_EVAL` records, without the
+        rows of targets that took an error."""
         try:
-            _, rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s)
+            _, rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s, roots)
         except SwiptError:
             rec = np.zeros(ks.size, _EVAL)
             for i, k in enumerate(ks.tolist()):
                 one = slice(k, k + 1)
                 try:
-                    rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1])[1][0]
+                    rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1], roots)[1][0]
                 except SwiptError as exc:
                     if not failed[k]:
                         out[k], failed[k] = exc, True
@@ -932,7 +965,7 @@ def _solve_many(jobs):
     if not st.fixed and short.any():
         live = np.flatnonzero(short)
         scan = np.linspace(0.0, p, _RESCUE_SCAN)
-        live, ev = evaluate(np.repeat(live, scan.size), np.tile(scan, live.size))
+        live, ev = evaluate(np.repeat(live, scan.size), np.tile(scan, live.size), roots=True)
         live, ev = live[:: scan.size], ev.reshape(-1, scan.size)
         got = ev["e11"] + ev["e2"]
         fit = got >= (e_eff[live] - tol_e[live])[:, None]
@@ -965,6 +998,11 @@ def _solve_many(jobs):
             f"strategy {ctx.strategy!r} delivers {got!r} at target {e!r}", max_attainable=got
         )
         failed[k] = True
+    # the targets that end on a deferred DUAL row get their roots in one batch
+    due = np.flatnonzero(~failed & np.isnan(latest["rate"]))
+    if due.size:
+        due, ev = evaluate(due, latest["p1"][due], roots=True)
+        latest[due] = ev
 
     # the published points, built from Python values read column by column
     done = np.flatnonzero(~failed)

@@ -226,8 +226,15 @@ def _want(doc, key, kind, path):
 
 
 def _is_number(x):
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number that a float holds: an int or a float, not a bool, and
+    not an integer too large for a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def _parse_matrix(rows, m_r, m_t, path):

@@ -30,6 +30,7 @@ from .beamformers import STRATEGIES, eh_eh_optimal, iterative_waterfilling
 from .boundary import re_sweep, time_sharing_curve
 from .channel import _is_int, channel_digest, draw_channel_set
 from .exceptions import InvalidInputError
+from .linalg import _as_real
 from .scheduling import MODES, scheduled_run
 
 __all__ = [
@@ -89,6 +90,8 @@ class ExperimentConfig:
         try:
             alpha = tuple(tuple(float(a) for a in row) for row in self.alpha)
             strategies, seeds, modes = (tuple(v) for v in (self.strategies, self.seeds, self.modes))
+        except OverflowError:  # an integer too large for a float
+            raise InvalidInputError("alpha entries must be positive finite") from None
         except (TypeError, ValueError) as exc:
             msg = f"alpha, strategies, seeds and modes must be sequences ({exc})"
             raise InvalidInputError(msg) from None
@@ -103,7 +106,7 @@ class ExperimentConfig:
         if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
             raise InvalidInputError(f"power budget must be a real number, got {self.p!r}")
         # the summary writes the config as JSON: plain numbers, bools and strings only
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", _as_real(self.p, "power budget", positive=True))
         for name in ("time_sharing", "scheduling"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
@@ -125,8 +128,6 @@ class ExperimentConfig:
             raise InvalidInputError("alpha must be a 2x2 gain table")
         if any(a <= 0 or not np.isfinite(a) for r in self.alpha for a in r):
             raise InvalidInputError("alpha entries must be positive finite")
-        if not np.isfinite(self.p) or self.p <= 0:
-            raise InvalidInputError(f"power budget must be positive, got {self.p!r}")
         if self.e_grid_points < 2:
             raise InvalidInputError("e_grid_points must be >= 2")
         if not self.seeds:

@@ -58,7 +58,7 @@ def _as_real(x, name, positive=False):
         if isinstance(x, (bool, np.bool_, str, bytes)):
             raise TypeError
         value = float(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
         kind = "positive" if positive else "nonnegative"
@@ -78,7 +78,7 @@ def _as_reals(x, name):
             if any(isinstance(t, (bool, np.bool_, str, bytes)) for t in items.flat):
                 raise TypeError
             values = items.astype(float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             values = np.array(math.nan)
     if not np.all(np.isfinite(values) & (values >= 0.0)):
         raise InvalidInputError(f"{name} must be finite nonnegative, got {x!r}")

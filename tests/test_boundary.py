@@ -26,6 +26,7 @@ from swiptifc import (
     waterfill,
 )
 from swiptifc.linalg import inv_sqrt_psd
+from swiptifc.metrics import _rates
 from swiptifc.oracle import P3Problem, inner_max
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
@@ -363,7 +364,9 @@ class TestRatioRoot:
             assert abs(dual - primal) <= 1e-9
 
     def test_lockstep_root_matches_brentq(self):
-        # the same rays, one target at a time through scipy's brentq
+        # the same rays, one target at a time through scipy's brentq: a root
+        # ends where its ray over-delivers within the residual tolerance, or
+        # where brentq's x-tolerance ends it, and its rate is brentq's
         from scipy.optimize import brentq
 
         p = 4.0
@@ -375,7 +378,7 @@ class TestRatioRoot:
             targets = e_wf + (p * cmax - e_wf) * np.array([1e-6, 0.2, 0.5, 0.8, 0.99])
             f = cs.h22 @ w
             n = targets.size
-            roots, counts, _ = boundary._ratio_roots(
+            roots, counts, ray = boundary._ratio_roots(
                 np.broadcast_to(f, (n,) + f.shape),
                 np.broadcast_to(c, (n,) + c.shape),
                 targets,
@@ -383,7 +386,10 @@ class TestRatioRoot:
                 np.full(n, rho_hi),
                 p,
             )
-            for e_req, rho, evals in zip(targets, roots, counts):
+            ws = np.broadcast_to(w, (n,) + w.shape)
+            q = boundary._ray_covariances(ws, ray.d, ray.vh, ray.powers)
+            rates = _rates(np.broadcast_to(cs.h22, (n,) + cs.h22.shape), q)
+            for e_req, rho, evals, energy, rate in zip(targets, roots, counts, ray.energy, rates):
 
                 def shortfall(r):
                     if r == 0.0:
@@ -391,8 +397,53 @@ class TestRatioRoot:
                     return float(boundary._Rays(f[None], c, np.array([r]), p).energy[0]) - e_req
 
                 want = brentq(shortfall, 0.0, rho_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
-                assert abs(rho - want) <= 1e-18 + 8.9e-16 * abs(want)
+                at = boundary._Rays(f[None], c, np.array([want]), p)
+                q_want = boundary._ray_covariances(w[None], at.d, at.vh, at.powers)
+                rate_want = _rates(cs.h22[None], q_want)[0]
+                assert 0.0 <= energy - e_req <= 1e-13 * max(1.0, e_req) or abs(
+                    rho - want
+                ) <= 1e-18 + 8.9e-16 * abs(want)
+                assert abs(rate - rate_want) <= 1e-12 * rate_want
                 assert 2 <= evals <= 64
+
+    def test_residual_stop_saves_rays(self):
+        # a root ends once its ray over-delivers within 1e-13 max(1, e_req):
+        # never more rays than brentq's evaluations past rho = 0, and fewer
+        # on most targets
+        from scipy.optimize import brentq
+
+        p = 4.0
+        cs = draw_channel_set(4, 3, ALPHA, seed=610)
+        c, w, cmax, _ = boundary._cross_factor(cs.h12)
+        e_wf = float(boundary._cross_energy(c, w, waterfill(cs.h22, None, p).q))
+        rho_hi = (1.0 - boundary._RHO_MARGIN) / cmax
+        targets = e_wf + (p * cmax - e_wf) * np.linspace(0.05, 0.95, 10)
+        f = cs.h22 @ w
+        n = targets.size
+        _, counts, ray = boundary._ratio_roots(
+            np.broadcast_to(f, (n,) + f.shape),
+            np.broadcast_to(c, (n,) + c.shape),
+            targets,
+            np.full(n, e_wf),
+            np.full(n, rho_hi),
+            p,
+        )
+        saved = 0
+        for e_req, evals, energy in zip(targets, counts, ray.energy):
+            rays = []
+
+            def shortfall(r, e_req=e_req):
+                if r == 0.0:
+                    return e_wf - e_req
+                rays.append(r)
+                return float(boundary._Rays(f[None], c, np.array([r]), p).energy[0]) - e_req
+
+            brentq(shortfall, 0.0, rho_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
+            assert evals <= len(rays)
+            if evals < len(rays):
+                assert 0.0 <= energy - e_req <= 1e-13 * max(1.0, e_req)
+                saved += 1
+        assert saved >= n // 2
 
     def test_brentq_port_step_for_step(self):
         from scipy.optimize import brentq
@@ -764,24 +815,97 @@ class TestStackedLockstep:
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
     def test_one_batch_per_backoff_round(self, strategy, monkeypatch):
         # the evaluation at a target's settled P1 shares the backoff's rounds:
-        # no separate pass, so the most evaluated target is in every batch
+        # no separate pass, so the most evaluated target is in every batch;
+        # one finishing batch roots exactly the targets that end on DUAL
         p = 5.0
         real = boundary._evaluate_batch
         for seed in range(1, 6):
             ctx = boundary._StrategyContext(draw_channel_set(4, 4, ALPHA, seed=seed), strategy, p)
             grid = np.linspace(0.0, ctx.emax(), 32)
             calls = []
+            rooted = []
 
-            def counting(st, ci, e_bars, p1s):
-                calls.append(e_bars.tolist())
-                return real(st, ci, e_bars, p1s)
+            def counting(st, ci, e_bars, p1s, roots=True):
+                (rooted if roots else calls).append(e_bars.tolist())
+                return real(st, ci, e_bars, p1s, roots)
 
             monkeypatch.setattr(boundary, "_evaluate_batch", counting)
             solved = boundary._solve_many([(ctx, grid)])
             monkeypatch.setattr(boundary, "_evaluate_batch", real)
-            iters = [pt.iterations for pt in solved.values() if isinstance(pt, REPoint)]
+            points = [(e, pt) for (_, e), pt in solved.items() if isinstance(pt, REPoint)]
+            iters = [pt.iterations for _, pt in points]
             assert len(calls) <= max(iters) + 1
             assert len(calls) == max(sum(e in call for call in calls) for e in grid.tolist())
+            dual = [e for e, pt in points if pt.p3.branch == "DUAL"]
+            assert rooted == ([dual] if dual else [])
+
+
+class TestDeferredRoots:
+    """The power backoff runs without ratio roots: a DUAL row it evaluates
+    reports its floor as its energy, and every target that ends on DUAL is
+    rooted once, in one finishing batch."""
+
+    P = 5.0
+
+    @staticmethod
+    def _lockstep(cs, strategy, p):
+        # both orientations of one channel, each on its own grid
+        ctxs = [boundary._StrategyContext(side, strategy, p) for side in (cs, swap_roles(cs))]
+        return ctxs, [(ctx, boundary._grid([ctx], 24)) for ctx in ctxs]
+
+    @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_backoff_makes_no_root(self, strategy, m, monkeypatch):
+        real_eval, real_roots = boundary._evaluate_batch, boundary._ratio_roots
+        batches = []  # per batch: whether it roots, and its `_ratio_roots` calls
+
+        def evaluating(st, ci, e_bars, p1s, roots=True):
+            batches.append([roots, 0])
+            return real_eval(st, ci, e_bars, p1s, roots)
+
+        def rooting(*args):
+            batches[-1][1] += 1
+            return real_roots(*args)
+
+        monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
+        monkeypatch.setattr(boundary, "_ratio_roots", rooting)
+        unrescued = 0
+        for seed in (1, 2, 3):
+            batches.clear()
+            _, jobs = self._lockstep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P)
+            solved = boundary._solve_many(jobs)
+            assert any(isinstance(pt, REPoint) and pt.p3.branch == "DUAL" for pt in solved.values())
+            assert all(calls == 0 for roots, calls in batches if not roots)
+            rooted = [calls for roots, calls in batches if roots]
+            if len(rooted) == 1:
+                # no rescue scan: the finishing batch is the one rooted batch
+                assert batches[-1] == [True, 1]
+                unrescued += 1
+        assert unrescued >= 2
+
+    @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler", "meb_rank2"])
+    def test_dual_points_match_direct_evaluation(self, strategy):
+        checked = 0
+        for seed in (4, 5):
+            ctxs, jobs = self._lockstep(draw_channel_set(3, 2, ALPHA, seed=seed), strategy, self.P)
+            solved = boundary._solve_many(jobs)
+            for ctx, grid in jobs:
+                e_max = ctx.emax()
+                for e_bar in grid.tolist():
+                    pt = solved[ctx, e_bar]
+                    if not (isinstance(pt, REPoint) and pt.p3.branch == "DUAL"):
+                        continue
+                    _, rec = boundary._evaluate_batch(
+                        boundary._stack([ctx]),
+                        np.zeros(1, dtype=int),
+                        np.array([min(e_bar, e_max)]),
+                        np.array([pt.p1]),
+                    )
+                    (fields,) = boundary._columns(rec, boundary._P3_FIELDS)
+                    assert repr(pt.p3) == repr(boundary._diagnostics(*fields))
+                    assert pt.energy == float(rec["e11"][0] + rec["e2"][0])
+                    checked += 1
+        assert checked >= 4
 
 
 class TestRescueShortfall:
@@ -799,9 +923,9 @@ class TestRescueShortfall:
         real = boundary._evaluate_batch
         short = []
 
-        def falls_short(st, ci, e_bars, p1s):
+        def falls_short(st, ci, e_bars, p1s, roots=True):
             # the target gets half of itself at full power, less below
-            q, rec = real(st, ci, e_bars, p1s)
+            q, rec = real(st, ci, e_bars, p1s, roots)
             hit = e_bars == target
             rec["e11"][hit] = 0.0
             rec["e2"][hit] = 0.5 * target * (p1s[hit] / p)
@@ -880,6 +1004,25 @@ class TestAitkenStep:
             np.array([0]), np.array([self.E]), ev, self.P, 1e-12, np.array([False])
         )
         return float(nxt[0]), bool(settled[0])
+
+    def test_dual_record_meets_its_floor(self):
+        # a DUAL row delivers its floor whatever its last bits read: a plain
+        # step settles at its own P1, and a pending Aitken step is reverted
+        steps = boundary._Aitken(1)
+        x = 7.0
+        ev = self._ev(x, e2=self.E - self.KAPPA * x + 1e-6)
+        ev["branch"] = "DUAL"
+        assert self._next(steps, ev) == (x, True)
+        steps = boundary._Aitken(1)
+        x = self.P
+        for _ in range(3):
+            x, _ = self._next(steps, self._ev(x))
+        assert steps.fast[0]
+        t = steps.t[0]
+        ev = self._ev(x, e2=self.E - self.KAPPA * x + 1e-6)
+        ev["branch"] = "DUAL"
+        assert self._next(steps, ev) == (t, False)
+        assert not steps.fast[0]
 
     def test_steps_short_of_the_fixed_point_and_reverts(self):
         fixed = (self.E - self.E0) / (self.KAPPA - self.C)

@@ -142,6 +142,41 @@ def test_run_rejects_mistyped_override(tmp_path, capsys, override):
     assert not any(tmp_path.iterdir())
 
 
+# an integer that JSON reads but a float cannot hold
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "override", [f"p={HUGE}", f"alpha=[[1.0, {HUGE}], [0.8, 1.0]]"], ids=["p", "alpha"]
+)
+def test_run_rejects_integer_too_large_for_a_float(tmp_path, capsys, override):
+    rc = main(["run", "--preset", "fig2", "--output", str(tmp_path), "--set", override])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_validate_channels_integer_too_large_for_a_float(tmp_path, capsys):
+    # each file is reported on its own line, and the files after it are checked
+    cs = draw_channel_set(2, 2, np.array([[1.0, 0.8], [0.8, 1.0]]), seed=7)
+    good = tmp_path / "good.json"
+    save_channels(cs, good)
+    cell, alpha = tmp_path / "cell.json", tmp_path / "alpha.json"
+    doc = json.loads(good.read_text())
+    doc["matrices"]["h21"][1][0][1] = HUGE
+    cell.write_text(json.dumps(doc))
+    doc = json.loads(good.read_text())
+    doc["alpha"][0][1] = HUGE
+    alpha.write_text(json.dumps(doc))
+    assert main(["validate-channels", str(cell), str(alpha), str(good)]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"ERROR {cell}: field matrices.h21[1][0] must be a [re, im] pair",
+        f"ERROR {alpha}: field alpha must be a 2x2 array of numbers",
+    ]
+    assert out == f"OK {channel_digest(cs)} {good}\n"
+
+
 def test_validate_channels_ok(tmp_path, capsys):
     cs = draw_channel_set(2, 2, np.array([[1.0, 0.8], [0.8, 1.0]]), seed=7)
     path = tmp_path / "ch.json"

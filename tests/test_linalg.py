@@ -117,7 +117,9 @@ class TestRealInput:
         with pytest.raises(InvalidInputError, match="power budget must be finite nonnegative"):
             _as_real(x, "power budget")
 
-    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize(
+        "x", [np.inf, -np.inf, np.nan, -1.0, pytest.param(10**400, id="int_past_float")]
+    )
     def test_helper_rejects_out_of_range(self, x):
         with pytest.raises(InvalidInputError, match="finite nonnegative"):
             _as_real(x, "p")
@@ -129,7 +131,16 @@ class TestRealInput:
         with pytest.raises(InvalidInputError, match="e_grid must be finite nonnegative"):
             _as_reals(x, "e_grid")
 
-    @pytest.mark.parametrize("x", [[0.0, np.inf], [np.nan], [-1.0], np.array([0.0, -2.0])])
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0.0, np.inf],
+            [np.nan],
+            [-1.0],
+            np.array([0.0, -2.0]),
+            pytest.param([1.0, 10**400], id="int_past_float"),
+        ],
+    )
     def test_list_helper_rejects_out_of_range(self, x):
         with pytest.raises(InvalidInputError, match="finite nonnegative"):
             _as_reals(x, "e_grid")
