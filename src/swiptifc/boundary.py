@@ -17,9 +17,13 @@ IEEE TWC 2013, define the region).
 energy floor and the power budget.  With G = H12^H H12 = W diag(c) W^H
 factored once per cross link, the price matrix mu I - lam G = mu (I - rho G)
 is diagonal in W's basis.  Along the ray rho = lam / mu in [0, 1/cmax) one
-SVD fixes the transmit directions, and the level 1/mu that spends the budget
-is an exact weighted water-filling level (`beamformers.water_level`), so the
-DUAL branch is a single scalar root: energy(rho) = E_floor.  At the cap
+`eigh` of the own link's Gram, scaled by the ray, fixes the transmit
+directions and gains (`_Rays`), and the level 1/mu that spends the budget
+is an exact weighted water-filling level (`beamformers.water_level`).
+Water-filling is the ray's point at rho = 0, and the DUAL branch is a single
+scalar root: energy(rho) = E_floor.  A ray point's rate, energy and trace
+follow from its gains and powers, log det(I + Ht Q Ht^H) = sum_k log(1 +
+g_k p_k), so a covariance is assembled only where one is read.  At the cap
 P sigma_max(H12)^2 the feasible set is the cross-link beam alone (branch
 CAP).  A point whose transmitter 1 settles at P1 = 0 is published as NO_TX.
 
@@ -35,15 +39,17 @@ transmitter 1's beam as its factor F (W = F F^H, with one column, or two
 for meb_rank2; a sler or slnr beam is one small `eigh` per row against its
 context's factorization of H21^H H21), receiver 2's link H22~ whitened
 against that beam's interference through a k x k eigendecomposition of
-(H21 F)^H H21 F, water-filling, and, for the targets on the DUAL branch,
-the roots over rho (`_ratio_roots`).  The backoffs read only energies, and
-a DUAL row delivers its floor by construction, so their rounds defer the
-roots: only the rescue's scan, which ranks its candidates by rate, and one
-finishing pass over the targets that end on DUAL solve them.  Each root is
-a step-for-step port of scipy's brentq that also stops once its ray
-over-delivers by at most 1e-13 max(1, floor), and each of their rounds is
-one stacked SVD of the rays all rows ask for.  `re_boundary_point` and
-`solve_p3` run the same code with one target.
+(H21 F)^H H21 F, water-filling (the ray at rho = 0 of the Gram of each
+distinct whitened link, formed once per batch), and, for the targets on
+the DUAL branch, the roots over rho (`_ratio_roots`).  The backoffs read
+only energies, and a DUAL row delivers its floor by construction, so their
+rounds defer the roots: only the rescue's scan, which ranks its candidates
+by rate, and one finishing pass over the targets that end on DUAL solve
+them.  Each root is a step-for-step port of scipy's brentq that also stops
+once its ray over-delivers by at most 1e-13 max(1, floor), and each of
+their rounds is one stacked `eigh` of the Grams of the rays all rows ask
+for.  `re_boundary_point` and `solve_p3` run the same code with one
+target.
 
 The endpoint e_max is the largest target that the backoff's first round,
 at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
@@ -51,10 +57,12 @@ at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
 
 One evaluation of an (E_bar, P1) pair is one `_EVAL` record:
 `_solve_p3_batch` fills the floored rate solve (branch, ray evaluations,
-multipliers, gap, energy, trace, rate, repair flags), and `_evaluate_batch`
-adds transmitter 1's P1, kappa, direct-link energy and clamp.  A target
-keeps the record of its latest evaluation; its published point and its
-`P3Diagnostics` (`_diagnostics`) are read from that record alone.
+multipliers, gap, energy, trace, rate, repair flags), read off the ray's
+spectrum except at the cap and where a covariance is rescaled or repaired,
+and `_evaluate_batch` adds transmitter 1's P1, kappa, direct-link energy
+and clamp.  A target keeps the record of its latest evaluation; its
+published point and its `P3Diagnostics` (`_diagnostics`) are read from that
+record alone.
 
 Each public entry point builds the strategy context (`_StrategyContext`)
 of its channel orientation, strategy and P (meb_rank2 at its even split),
@@ -85,10 +93,10 @@ from .beamformers import (
     meb,
     mlb,
     water_level,
-    waterfill_stack,
 )
 from .channel import _is_int, channel_digest
 from .exceptions import (
+    DegenerateChannelError,
     InfeasibleTargetError,
     InvalidInputError,
     InvariantViolationError,
@@ -96,8 +104,10 @@ from .exceptions import (
 )
 from .linalg import _as_real, _as_reals, as_matrix, hermitian_eig, hermitian_part, spectral_norm
 from .metrics import (
+    _LN2,
     TxCovariance,
     _beam_gain,
+    _check_spectra,
     _rates,
     _unit_rows,
     canonical_beam,
@@ -135,6 +145,10 @@ _EMAX_STEPS = 100
 # accepted relative overshoot of an energy target before declaring infeasibility
 _FEAS_SLACK = 1e-9
 
+# an energy short of its floor by more than this, relative to max(1, floor),
+# is mixed toward the cross-link beam (`_repair`)
+_SHORT_TOL = 1e-12
+
 # top of the price-ray interval: rho <= (1 - margin) / cmax keeps 1 - rho c
 # resolved in floating point
 _RHO_MARGIN = 1e-12
@@ -152,7 +166,7 @@ class P3Diagnostics:
     """How a single energy-floored rate maximization was resolved."""
 
     branch: str                # "WF", "DUAL" or "CAP"
-    iterations: int            # ray evaluations (one SVD each)
+    iterations: int            # ray evaluations (one eigh of the Gram each)
     lam: float | None
     mu: float | None
     gap: float                 # worst relative residual after repair
@@ -292,13 +306,6 @@ def _cross_factor(h12):
     return c, w, float(c[0]), canonical_beam(w[:, 0], 1.0).v
 
 
-def _cross_energy(c, w, q):
-    """tr(H12 Q H12^H) of each Q of a stack, through the factorization of G
-    (one (c, W) for the stack, or one per Q)."""
-    wq = w.conj().swapaxes(-1, -2) @ q @ w
-    return np.sum(c * np.diagonal(wq, axis1=-2, axis2=-1).real, axis=-1)
-
-
 def _outer(v):
     """v v^H of a vector (m,), or of each row of a stack (n, m)."""
     return v[..., :, None] * v.conj()[..., None, :]
@@ -308,33 +315,44 @@ class _Rays:
     """Priced maximizers on the rays mu (I - rho G) at the level spending P,
     one per row of a stack (with one c for the stack, or one per row).
 
-    For own link F = Ht W (in W's basis) and ratio rho, D = diag(d) =
-    diag((1 - rho c)^{-1/2}); one SVD of F D gives gains sig_k and
-    directions V, neither depending on mu.  With a_k = 1/sig_k^2 the trace is
-    sum_k w_k (eta - a_k)^+ and the energy sum_k e_k (eta - a_k)^+, where
-    w_k = sum_i |V_ik|^2 d_i^2 and e_k = sum_i |V_ik|^2 c_i d_i^2, so the
-    level eta = 1/mu is exact.  The covariance, in W's basis, is
-    D V diag(powers) V^H D.
+    For own link F = Ht W (in W's basis), its Gram A = F^H F and ratio rho,
+    D = diag(d) = diag((1 - rho c)^{-1/2}); one `eigh` of D A D = V diag(g)
+    V^H gives gains g_k (descending) and directions V, neither depending on
+    mu.  With a_k = 1/g_k the trace is sum_k w_k (eta - a_k)^+ and the energy
+    sum_k e_k (eta - a_k)^+, where w_k = sum_i |V_ik|^2 d_i^2 and e_k =
+    sum_i |V_ik|^2 c_i d_i^2, so the level eta = 1/mu is exact.  The
+    covariance, in W's basis, is D V diag(powers) V^H D, and its rate
+    log2 det(I + Ht Q Ht^H) is sum_k log2(1 + g_k powers_k) (`_ray_rates`).
+    At rho = 0, d = 1 and the ray point is water-filling.
     """
 
-    def __init__(self, f, c, rho, p):
+    def __init__(self, a, c, rho, p):
         d2 = 1.0 / (1.0 - rho[:, None] * c)
         self.d = np.sqrt(d2)
-        _, sig, self.vh = np.linalg.svd(f * self.d[:, None, :], full_matrices=False)
-        floors = _mode_floors(sig**2)
-        mag = np.abs(self.vh) ** 2
-        w = (mag @ d2[:, :, None])[..., 0]
+        g, v = np.linalg.eigh(self.d[:, :, None] * a * self.d[:, None, :])
+        # descending, as `_mode_floors` reads them; rounding below 0 is no gain
+        self.gain = np.maximum(g[:, ::-1], 0.0)
+        self.v = v[:, :, ::-1]
+        floors = _mode_floors(self.gain)
+        mag = np.abs(self.v) ** 2
+        w = (d2[:, None, :] @ mag)[:, 0, :]
         self.eta = water_level(floors, p, w)
         self.powers = np.maximum(self.eta[:, None] - floors, 0.0)
-        row = self.powers[:, None, :]
-        self.energy = (row @ (mag @ (c * d2)[:, :, None]))[:, 0, 0]
-        self.trace = (row @ w[:, :, None])[:, 0, 0]
+        col = self.powers[:, :, None]
+        self.energy = ((c * d2)[:, None, :] @ mag @ col)[:, 0, 0]
+        self.trace = (w[:, None, :] @ col)[:, 0, 0]
 
 
-def _ray_covariances(w, d, vh, powers):
+def _ray_rates(gain, powers):
+    """log2 det(I + Ht Q Ht^H) in bits of stacked ray points, from their
+    `_Rays` gains and powers."""
+    return np.log1p(gain * powers).sum(axis=-1) / _LN2
+
+
+def _ray_covariances(w, d, v, powers):
     """Transmit covariances of stacked ray points, in the antenna basis (each
     row with its own W)."""
-    core = (vh.conj().swapaxes(-1, -2) * powers[:, None, :]) @ vh
+    core = (v * powers[:, None, :]) @ v.conj().swapaxes(-1, -2)
     mid = (d[:, :, None] * core) * d[:, None, :]
     return hermitian_part(w @ mid @ w.conj().swapaxes(-1, -2))
 
@@ -353,7 +371,7 @@ def _repair(q, trace, energy, e_req, p, cap, v12):
     energy = energy * scale
     trace = np.where(rescaled, p, trace)
     shortfall = e_req - energy
-    repaired = shortfall > 1e-12 * np.maximum(1.0, e_req)
+    repaired = shortfall > _SHORT_TOL * np.maximum(1.0, e_req)
     if repaired.any():
         denom = cap - energy
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -368,18 +386,18 @@ def _repair(q, trace, energy, e_req, p, cap, v12):
     return q, energy, trace, rescaled, repaired
 
 
-def _ratio_roots(f, c, e_req, e_wf, rho_hi, p):
+def _ratio_roots(a, c, e_req, e_wf, rho_hi, p):
     """Roots of energy(rho) = e_req[i] on the price rays of a stack of targets.
 
-    Row i has own link f[i] = Ht W, cross-link gains c[i] and top ratio
-    rho_hi[i].  At rho = 0 the ray point is water-filling, whose energy
-    e_wf[i] is short of the target; energy grows toward P cmax as rho
+    Row i has own-link Gram a[i] = (Ht W)^H Ht W, cross-link gains c[i] and
+    top ratio rho_hi[i].  At rho = 0 the ray point is water-filling, whose
+    energy e_wf[i] is short of the target; energy grows toward P cmax as rho
     approaches 1/cmax.  Each row runs its own `_brentq_steps` and ends at
     the first ray whose energy lies in [e_req, e_req + 1e-13 max(1, e_req)],
     or where brentq ends; each round evaluates the rays that every row asks
     for as one `_Rays` stack.
     Returns the roots, each row's ray evaluations, and the fields of the ray
-    at each root (eta, d, vh, powers, trace, energy).
+    at each root (eta, d, v, gain, powers, trace, energy).
     """
     e_req, e_wf = e_req.tolist(), e_wf.tolist()
     n = len(e_req)
@@ -396,7 +414,7 @@ def _ratio_roots(f, c, e_req, e_wf, rho_hi, p):
     tol = [_ROOT_RESIDUAL * max(1.0, e) for e in e_req]
     todo = list(range(n))
     while todo:
-        rays.append(_Rays(f[todo], c[todo], np.array([ask[i] for i in todo]), p))
+        rays.append(_Rays(a[todo], c[todo], np.array([ask[i] for i in todo]), p))
         for i, e in zip(todo, rays[-1].energy.tolist()):
             known[i][ask[i]] = len(energy)
             energy.append(e)
@@ -432,7 +450,7 @@ def _ratio_roots(f, c, e_req, e_wf, rho_hi, p):
     at = [known[i][root[i]] for i in range(n)]
     picked = {
         name: np.concatenate([getattr(r, name) for r in rays])[at]
-        for name in ("eta", "d", "vh", "powers", "trace", "energy")
+        for name in ("eta", "d", "v", "gain", "powers", "trace", "energy")
     }
     return np.array(root), np.array([len(k) for k in known]), SimpleNamespace(**picked)
 
@@ -481,85 +499,116 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
     `ht` holds distinct own links (u, M_r, M_t), `rows` maps each target to
     its link, `e_req` holds floors already clipped to [0, P cmax], and
     `cross` holds each link's cross-link `_cross_factor`, stacked: c (u, M_t),
-    W (u, M_t, M_t), cmax (u,) and v12 (u, M_t).  Water-filling runs once per
-    link; the DUAL targets share one `_ratio_roots` call, or, without
-    `roots`, are deferred: e2 = e_req, rate nan, and no covariance.  Returns
-    the covariances (n, M_t, M_t), validated where built, and each target's
-    `_EVAL` record, with the floored-solve fields filled.
+    W (u, M_t, M_t), cmax (u,) and v12 (u, M_t).  Each link's Gram
+    (Ht W)^H Ht W is formed once; water-filling is its ray at rho = 0, and
+    the DUAL targets share one `_ratio_roots` call, or, without `roots`, are
+    deferred: e2 = e_req and rate nan.  A row's rate, energy and trace are
+    read off its ray; a covariance is assembled only at the cap and where
+    `_repair` rescales or mixes a ray's, and only those pass
+    `check_covariances` and `_rates` (every other ray `_check_spectra`).
+    Returns each target's `_EVAL` record, with the floored-solve fields
+    filled, and a function giving row i's covariance (not for a deferred
+    row).
     """
     c, w, cmax, v12 = cross
-    n, m_t = e_req.size, w.shape[-1]
+    n = e_req.size
     cap = p * cmax[rows]
-    q = np.empty((n, m_t, m_t), dtype=np.complex128)
     rec = np.zeros(n, _EVAL)
     rec["lam"] = rec["mu"] = np.nan
-    energy, trace = rec["e2"], rec["trace"]  # views: writes land in rec
+    energy, trace, rate = rec["e2"], rec["trace"], rec["rate"]  # views: writes land in rec
+    built = {}  # row -> its assembled covariance
+
+    def assemble(k, q):
+        # every covariance assembled here passes TxCovariance's checks, once
+        q = hermitian_part(q)
+        check_covariances(q, p)
+        rate[k] = _rates(ht[rows[k]], q)
+        built.update(zip(k.tolist(), q))
 
     # at the cap the feasible set collapses onto the cross-link beam; the
     # dual pair diverges there, so return the beam directly (branch CAP)
     at_cap = e_req >= cap * (1.0 - 1e-10)
-    if at_cap.any():
-        q[at_cap] = p * _outer(v12[rows[at_cap]])
-        energy[at_cap] = cap[at_cap]
-        trace[at_cap] = p
+    k = np.flatnonzero(at_cap)
+    if k.size:
+        energy[k], trace[k] = cap[k], p
+        assemble(k, p * _outer(v12[rows[k]]))
 
     links = np.unique(rows[~at_cap])
-    e_wf = np.full(ht.shape[0], np.nan)
-    if links.size:
-        q_wf = waterfill_stack(ht[links], p)
-        # every covariance built here passes TxCovariance's checks, each once
-        check_covariances(q_wf, p)
-        e_wf[links] = _cross_energy(c[links], w[links], q_wf)
     slot = np.zeros(ht.shape[0], dtype=int)
     slot[links] = np.arange(links.size)
-    wf = ~at_cap & (e_req <= e_wf[rows])
-    if wf.any():
-        q[wf] = q_wf[slot[rows[wf]]]
-        energy[wf] = e_wf[rows[wf]]
-        trace[wf] = np.trace(q[wf], axis1=-2, axis2=-1).real
+    e_wf = np.full(n, np.nan)
+    if links.size:
+        f = ht[links] @ w[links]
+        gram = f.conj().swapaxes(-1, -2) @ f
+        wf_ray = _Rays(gram, c[links], np.zeros(links.size), p)
+        if not wf_ray.gain[:, 0].all():
+            raise DegenerateChannelError("channel is numerically zero; no mode to fill")
+        _check_spectra(wf_ray.powers, wf_ray.trace, p)
+        e_wf[~at_cap] = wf_ray.energy[slot[rows[~at_cap]]]
+    wf = e_req <= e_wf
+    k = np.flatnonzero(wf)
+    if k.size:
+        s = slot[rows[k]]
+        energy[k], trace[k] = wf_ray.energy[s], wf_ray.trace[s]
+        rate[k] = _ray_rates(wf_ray.gain[s], wf_ray.powers[s])
 
     idx = np.flatnonzero(~at_cap & ~wf)
     if not roots:
         # the root meets the floor by construction, so a deferred DUAL row
-        # reports e2 = e_req and leaves its rate nan, multipliers and
-        # covariance unset
+        # reports e2 = e_req and leaves its rate nan and multipliers unset
         energy[idx] = e_req[idx]
-        rec["rate"][idx] = np.nan
+        rate[idx] = np.nan
     elif idx.size:
         link = rows[idx]
         rho, rec["evals"][idx], ray = _ratio_roots(
-            ht[link] @ w[link],
+            gram[slot[link]],
             c[link],
             e_req[idx],
-            e_wf[link],
+            e_wf[idx],
             (1.0 - _RHO_MARGIN) / cmax[link],
             p,
         )
-        qd, ed, td, rec["rescaled"][idx], rec["repaired"][idx] = _repair(
-            _ray_covariances(w[link], ray.d, ray.vh, ray.powers),
-            ray.trace,
-            ray.energy,
-            e_req[idx],
-            p,
-            cap[idx],
-            v12[link],
-        )
-        q[idx], energy[idx], trace[idx] = qd, ed, td
+        energy[idx], trace[idx] = ray.energy, ray.trace
+        # the rays whose covariance `_repair` changes: a trace above P by
+        # rounding, or an energy short of the floor (no gain along the
+        # cross-link beam)
+        short = e_req[idx] - ray.energy > _SHORT_TOL * np.maximum(1.0, e_req[idx])
+        fix = (ray.trace > p) | short
+        k = idx[fix]
+        if k.size:
+            q, energy[k], trace[k], rec["rescaled"][k], rec["repaired"][k] = _repair(
+                _ray_covariances(w[rows[k]], ray.d[fix], ray.v[fix], ray.powers[fix]),
+                ray.trace[fix],
+                ray.energy[fix],
+                e_req[k],
+                p,
+                cap[k],
+                v12[rows[k]],
+            )
+            assemble(k, q)
+        if not fix.all():
+            _check_spectra(ray.powers[~fix], ray.trace[~fix], p)
+            rate[idx[~fix]] = _ray_rates(ray.gain[~fix], ray.powers[~fix])
         rec["gap"][idx] = np.maximum(
-            np.maximum(e_req[idx] - ed, 0.0) / np.maximum(1.0, e_req[idx]),
-            np.maximum(td - p, 0.0) / p,
+            np.maximum(e_req[idx] - energy[idx], 0.0) / np.maximum(1.0, e_req[idx]),
+            np.maximum(trace[idx] - p, 0.0) / p,
         )
         rec["lam"][idx] = rho / ray.eta
         rec["mu"][idx] = 1.0 / ray.eta
     rec["branch"] = np.where(at_cap, "CAP", np.where(wf, "WF", "DUAL"))
-    built_here = ~wf if roots else at_cap
-    if built_here.any():
-        built = hermitian_part(q[built_here])
-        check_covariances(built, p)
-        q[built_here] = built
-    done = slice(None) if roots else at_cap | wf
-    rec["rate"][done] = _rates(ht[rows[done]], q[done])
-    return q, rec
+
+    def covariance(i):
+        """Row i's covariance: the one assembled here, or its ray's."""
+        if i in built:
+            return built[i]
+        if wf[i]:
+            r, j = wf_ray, slot[rows[i]]
+        else:
+            r, j = ray, np.searchsorted(idx, i)
+        one = slice(j, j + 1)
+        return _ray_covariances(w[rows[i]][None], r.d[one], r.v[one], r.powers[one])[0]
+
+    return rec, covariance
 
 
 def solve_p3(h22_tilde, h12, e_target, p):
@@ -572,10 +621,12 @@ def solve_p3(h22_tilde, h12, e_target, p):
     root over the ratio rho = lam / mu, with the water level 1/mu exact at
     each rho, resolves the two dual multipliers (branch DUAL), reported as
     lam = rho / eta and mu = 1 / eta.
-    A trace above P by rounding is scaled back (`rescaled`), and a residual
-    energy shortfall is repaired by mixing toward the cross-link beam
-    covariance (`repaired`).  `P3Diagnostics.iterations` counts the SVDs
-    spent.
+    Water-filling is the price ray's point at rho = 0, and each ray costs
+    one `eigh` of the own link's Gram (`_Rays`).  A trace above P by
+    rounding is scaled back (`rescaled`), and a residual energy shortfall is
+    repaired by mixing toward the cross-link beam covariance (`repaired`).
+    `P3Diagnostics.iterations` counts the root's ray evaluations, one
+    `eigh` each (none on WF and CAP).
 
     Returns (TxCovariance, P3Diagnostics).
     """
@@ -595,11 +646,11 @@ def solve_p3(h22_tilde, h12, e_target, p):
             max_attainable=cap,
         )
     e_req = min(e_target, cap)
-    q, rec = _solve_p3_batch(
+    rec, covariance = _solve_p3_batch(
         ht[None], np.zeros(1, dtype=int), np.array([e_req]), p, [np.array([a]) for a in cross]
     )
     (fields,) = _columns(rec, _P3_FIELDS)
-    return TxCovariance(q[0], p), _diagnostics(*fields)
+    return TxCovariance(covariance(0), p), _diagnostics(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +838,8 @@ def _evaluate_batch(st, ci, e_bars, p1s, roots=True):
     beam, the whitened link H22~ it leaves for receiver 2, and the floored
     rate solve at the energy still missing.  Row i belongs to context ci[i]
     of the stack `st` (see `_stack`) and reads that context's links; without
-    `roots`, DUAL rows are deferred (`_solve_p3_batch`).  Returns receiver
-    2's covariances and the `_EVAL` record of each row."""
+    `roots`, DUAL rows are deferred (`_solve_p3_batch`).  Returns the
+    `_EVAL` record of each row."""
     if st.strategy == "sler":
         ci_u, p1_u, rows, e_u = ci, p1s, np.arange(p1s.size), e_bars
     else:
@@ -805,9 +856,9 @@ def _evaluate_batch(st, ci, e_bars, p1s, roots=True):
     clamped = e_need > cap * (1.0 + _FEAS_SLACK)
     e_need = np.minimum(np.maximum(e_need, 0.0), cap)
     cross = [st.c[ci_u], st.w[ci_u], st.cmax[ci_u], st.v12[ci_u]]
-    q, rec = _solve_p3_batch(ht, rows, e_need, st.p, cross, roots)
+    rec, _ = _solve_p3_batch(ht, rows, e_need, st.p, cross, roots)
     rec["p1"], rec["kappa"], rec["e11"], rec["clamped"] = p1s, kappa, e11, clamped
-    return q, rec
+    return rec
 
 
 class _Aitken:
@@ -929,13 +980,13 @@ def _solve_many(jobs):
         `roots`: returns the targets and their `_EVAL` records, without the
         rows of targets that took an error."""
         try:
-            _, rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s, roots)
+            rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s, roots)
         except SwiptError:
             rec = np.zeros(ks.size, _EVAL)
             for i, k in enumerate(ks.tolist()):
                 one = slice(k, k + 1)
                 try:
-                    rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1], roots)[1][0]
+                    rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1], roots)[0]
                 except SwiptError as exc:
                     if not failed[k]:
                         out[k], failed[k] = exc, True

@@ -17,6 +17,7 @@ sweep points.
 
 import dataclasses
 import json
+import math
 import numbers
 import os
 import time
@@ -59,6 +60,17 @@ CSV_COLUMNS = (
 
 _AGG_COLUMNS = ("strategy", "grid_index", "e_norm", "n_seeds", "e_bar", "rate_bits", "energy")
 
+# the size fields and their largest values: a run's complex arrays of m_t^2,
+# m_r^2, e_grid_points or ts_points entries must stay within the byte count
+# numpy's index type can address
+_MAX_ENTRIES = int(np.iinfo(np.intp).max) // np.dtype(np.complex128).itemsize
+_SIZES = (
+    ("m_t", math.isqrt(_MAX_ENTRIES)),
+    ("m_r", math.isqrt(_MAX_ENTRIES)),
+    ("e_grid_points", _MAX_ENTRIES),
+    ("ts_points", _MAX_ENTRIES),
+)
+
 
 def _fmt(x):
     if x is None:
@@ -95,10 +107,12 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             msg = f"alpha, strategies, seeds and modes must be sequences ({exc})"
             raise InvalidInputError(msg) from None
-        for name in ("m_t", "m_r", "e_grid_points", "ts_points"):
+        for name, limit in _SIZES:
             value = getattr(self, name)
             if not _is_int(value):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            if value > limit:
+                raise InvalidInputError(f"{name} is too large: numpy cannot index its arrays")
             object.__setattr__(self, name, int(value))
         if not all(_is_int(s) and s >= 0 for s in seeds) or len(set(seeds)) != len(seeds):
             msg = f"seeds must be distinct nonnegative integers, got {list(seeds)!r}"

@@ -99,6 +99,17 @@ def check_covariances(qs, budget):
         raise InvalidInputError(f"tr(Q) = {worst!r} exceeds budget {budget!r}")
 
 
+def _check_spectra(powers, traces, budget):
+    """`check_covariances` for covariances held in spectral form, powers
+    (..., K) on orthonormal directions and traces (...): raise
+    InvalidInputError unless every power is finite and >= 0 and every trace
+    is at most budget * (1 + 1e-9)."""
+    if not np.all(np.isfinite(powers) & (powers >= 0.0)):
+        raise InvalidInputError("Q has a negative or non-finite power")
+    if not np.all(traces <= budget * (1.0 + _BUDGET_SLACK) + 1e-15):
+        raise InvalidInputError(f"tr(Q) = {float(np.max(traces))!r} exceeds budget {budget!r}")
+
+
 def canonical_beam(v, power):
     """Normalize a direction and fix its phase so the first entry above
     1e-12 * ||v|| is real positive; returns a Beamformer."""

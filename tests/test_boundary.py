@@ -25,8 +25,9 @@ from swiptifc import (
     time_sharing_curve,
     waterfill,
 )
+from swiptifc.beamformers import _mode_floors, water_level
 from swiptifc.linalg import inv_sqrt_psd
-from swiptifc.metrics import _rates
+from swiptifc.metrics import _rates, check_covariances
 from swiptifc.oracle import P3Problem, inner_max
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
@@ -270,6 +271,24 @@ class TestSolveP3:
             assert primal <= dual + 1e-5
 
 
+def _cross_energy(c, w, q):
+    """tr(H12 Q H12^H) of each Q of a stack, through the factorization of G
+    (one (c, W) for the stack, or one per Q)."""
+    wq = w.conj().swapaxes(-1, -2) @ q @ w
+    return np.sum(c * np.diagonal(wq, axis1=-2, axis2=-1).real, axis=-1)
+
+
+def _gram(ht, w):
+    """The own-link Gram (Ht W)^H Ht W that `_Rays` factors."""
+    f = ht @ w
+    return f.conj().T @ f
+
+
+def _ray(ht, c, w, rho, p):
+    """The `_Rays` point of one own link at ratio rho (0: water-filling)."""
+    return boundary._Rays(_gram(ht, w)[None], c, np.array([rho]), p)
+
+
 class TestRatioRoot:
     """The DUAL branch: one root over rho = lam / mu on the price ray."""
 
@@ -306,7 +325,7 @@ class TestRatioRoot:
         for seed in range(5):
             cs = draw_channel_set(3, 3, ALPHA, seed=450 + seed)
             c, w, _, _ = boundary._cross_factor(cs.h12)
-            e_wf = float(boundary._cross_energy(c, w, waterfill(cs.h22, None, p).q))
+            e_wf = float(_ray(cs.h22, c, w, 0.0, p).energy[0])
             e_req = float(np.nextafter(e_wf, np.inf))
             q, diag = solve_p3(cs.h22, cs.h12, e_req, p)
             assert diag.branch == "DUAL"
@@ -324,8 +343,8 @@ class TestRatioRoot:
                     (np.linspace(0.0, top, 120), top * (1.0 - np.logspace(-2, -11, 40)))
                 )
             )
-            f = np.broadcast_to(cs.h22 @ w, (rhos.size, 3, 3))
-            energies = boundary._Rays(f, c, rhos, p).energy
+            a = np.broadcast_to(_gram(cs.h22, w), (rhos.size, 3, 3))
+            energies = boundary._Rays(a, c, rhos, p).energy
             assert np.all(np.diff(energies) >= -1e-12 * p * cmax)
 
     def test_no_gain_along_cross_beam(self):
@@ -373,13 +392,13 @@ class TestRatioRoot:
         for seed in range(4):
             cs = draw_channel_set(4, 3, ALPHA, seed=600 + seed)
             c, w, cmax, _ = boundary._cross_factor(cs.h12)
-            e_wf = float(boundary._cross_energy(c, w, waterfill(cs.h22, None, p).q))
+            e_wf = float(_ray(cs.h22, c, w, 0.0, p).energy[0])
             rho_hi = (1.0 - boundary._RHO_MARGIN) / cmax
             targets = e_wf + (p * cmax - e_wf) * np.array([1e-6, 0.2, 0.5, 0.8, 0.99])
-            f = cs.h22 @ w
+            a = _gram(cs.h22, w)
             n = targets.size
             roots, counts, ray = boundary._ratio_roots(
-                np.broadcast_to(f, (n,) + f.shape),
+                np.broadcast_to(a, (n,) + a.shape),
                 np.broadcast_to(c, (n,) + c.shape),
                 targets,
                 np.full(n, e_wf),
@@ -387,18 +406,18 @@ class TestRatioRoot:
                 p,
             )
             ws = np.broadcast_to(w, (n,) + w.shape)
-            q = boundary._ray_covariances(ws, ray.d, ray.vh, ray.powers)
+            q = boundary._ray_covariances(ws, ray.d, ray.v, ray.powers)
             rates = _rates(np.broadcast_to(cs.h22, (n,) + cs.h22.shape), q)
             for e_req, rho, evals, energy, rate in zip(targets, roots, counts, ray.energy, rates):
 
                 def shortfall(r):
                     if r == 0.0:
                         return e_wf - e_req
-                    return float(boundary._Rays(f[None], c, np.array([r]), p).energy[0]) - e_req
+                    return float(_ray(cs.h22, c, w, r, p).energy[0]) - e_req
 
                 want = brentq(shortfall, 0.0, rho_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
-                at = boundary._Rays(f[None], c, np.array([want]), p)
-                q_want = boundary._ray_covariances(w[None], at.d, at.vh, at.powers)
+                at = _ray(cs.h22, c, w, want, p)
+                q_want = boundary._ray_covariances(w[None], at.d, at.v, at.powers)
                 rate_want = _rates(cs.h22[None], q_want)[0]
                 assert 0.0 <= energy - e_req <= 1e-13 * max(1.0, e_req) or abs(
                     rho - want
@@ -415,13 +434,13 @@ class TestRatioRoot:
         p = 4.0
         cs = draw_channel_set(4, 3, ALPHA, seed=610)
         c, w, cmax, _ = boundary._cross_factor(cs.h12)
-        e_wf = float(boundary._cross_energy(c, w, waterfill(cs.h22, None, p).q))
+        e_wf = float(_ray(cs.h22, c, w, 0.0, p).energy[0])
         rho_hi = (1.0 - boundary._RHO_MARGIN) / cmax
         targets = e_wf + (p * cmax - e_wf) * np.linspace(0.05, 0.95, 10)
-        f = cs.h22 @ w
+        a = _gram(cs.h22, w)
         n = targets.size
         _, counts, ray = boundary._ratio_roots(
-            np.broadcast_to(f, (n,) + f.shape),
+            np.broadcast_to(a, (n,) + a.shape),
             np.broadcast_to(c, (n,) + c.shape),
             targets,
             np.full(n, e_wf),
@@ -436,7 +455,7 @@ class TestRatioRoot:
                 if r == 0.0:
                     return e_wf - e_req
                 rays.append(r)
-                return float(boundary._Rays(f[None], c, np.array([r]), p).energy[0]) - e_req
+                return float(_ray(cs.h22, c, w, r, p).energy[0]) - e_req
 
             brentq(shortfall, 0.0, rho_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
             assert evals <= len(rays)
@@ -538,6 +557,187 @@ class TestRepairFlags:
             flags.append((diag.rescaled, diag.repaired))
         assert any(r for r, _ in flags)
         assert not any(rep for _, rep in flags)
+
+
+class TestSpectralRecords:
+    """A ray point's rate, energy and trace are read off the spectrum of its
+    Gram: they equal what its assembled covariance gives."""
+
+    @staticmethod
+    def _close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p", [0.1, 50.0])
+    @pytest.mark.parametrize("m_r,m_t", [(2, 2), (4, 4), (3, 4), (4, 3)])
+    def test_records_match_assembled_covariances(self, m_r, m_t, p):
+        rng = np.random.default_rng(10 * m_r + m_t)
+        n = 16
+        ht = _cgauss(rng, n, m_r, m_t)
+        factors = (boundary._cross_factor(h12) for h12 in _cgauss(rng, n, m_r, m_t))
+        cross = [np.stack(x) for x in zip(*factors)]
+        c, w, cmax, _ = cross
+        # water-filling (rho = 0) and rays across the DUAL interval
+        a = np.stack([_gram(h, wk) for h, wk in zip(ht, w)])
+        top = (1.0 - boundary._RHO_MARGIN) / cmax
+        for rho in (np.zeros(n), rng.uniform(0.05, 0.999, n) * top):
+            ray = boundary._Rays(a, c, rho, p)
+            q = boundary._ray_covariances(w, ray.d, ray.v, ray.powers)
+            self._close(boundary._ray_rates(ray.gain, ray.powers), _rates(ht, q))
+            self._close(ray.energy, _cross_energy(c, w, q))
+            self._close(ray.trace, np.trace(q, axis1=-2, axis2=-1).real)
+        # the records of a batch, WF and rooted DUAL rows
+        e_req = rng.uniform(0.0, 0.99, n) * p * cmax
+        rec, covariance = boundary._solve_p3_batch(ht, np.arange(n), e_req, p, cross)
+        assert {"WF", "DUAL"} <= set(rec["branch"].tolist())
+        q = np.stack([covariance(i) for i in range(n)])
+        self._close(rec["rate"], _rates(ht, q))
+        self._close(rec["e2"], _cross_energy(c, w, q))
+        self._close(rec["trace"], np.trace(q, axis1=-2, axis2=-1).real)
+
+    def test_spectral_check(self):
+        powers = np.array([[1.0, 0.5, 0.0], [1.5, 0.0, 0.0]])
+        traces = np.array([1.5, 1.5])
+        check_spectra = boundary._check_spectra
+        check_spectra(powers, traces * (1.0 + 1e-10), 1.5)
+        for bad in (np.nan, -1e-300):
+            broken = powers.copy()
+            broken[1, 1] = bad
+            with pytest.raises(InvalidInputError, match="negative or non-finite power"):
+                check_spectra(broken, traces, 1.5)
+        with pytest.raises(InvalidInputError, match="exceeds budget"):
+            check_spectra(powers, traces * np.array([1.0, 1.0 + 2e-9]), 1.5)
+
+    @pytest.mark.parametrize("branch,frac", [("WF", 0.0), ("DUAL", 0.7)])
+    def test_broken_ray_raises(self, branch, frac, monkeypatch):
+        # a ray with a negative power never becomes a record: water-filling
+        # (rho = 0), or a root ray that `_repair` leaves alone
+        real = boundary._Rays
+
+        class Broken(real):
+            def __init__(self, a, c, rho, p):
+                super().__init__(a, c, rho, p)
+                self.powers[(rho > 0.0) == (branch == "DUAL"), -1] = -1e-3
+
+        cs = draw_channel_set(3, 3, ALPHA, seed=5)
+        cap = 5.0 * np.linalg.svd(cs.h12, compute_uv=False)[0] ** 2
+        _, diag = solve_p3(cs.h22, cs.h12, frac * cap, 5.0)
+        assert diag.branch == branch and not (diag.rescaled or diag.repaired)
+        monkeypatch.setattr(boundary, "_Rays", Broken)
+        with pytest.raises(InvalidInputError, match="negative or non-finite power"):
+            solve_p3(cs.h22, cs.h12, frac * cap, 5.0)
+
+
+def _svd_ray(ht, h12, rho, p):
+    """The price-ray point of one own link through one SVD of (Ht W) D, the
+    route that reads no Gram: (covariance, trace, energy)."""
+    c, w, _, _ = boundary._cross_factor(h12)
+    d2 = 1.0 / (1.0 - rho * c)
+    d = np.sqrt(d2)
+    _, sig, vh = np.linalg.svd((ht @ w) * d, full_matrices=False)
+    floors = _mode_floors(sig**2)
+    mag = np.abs(vh) ** 2
+    eta = water_level(floors, p, mag @ d2)
+    powers = np.maximum(eta - floors, 0.0)
+    q = boundary._ray_covariances(w[None], d[None], vh.conj().T[None], powers[None])
+    return q, np.array([powers @ (mag @ d2)]), np.array([powers @ (mag @ (c * d2))])
+
+
+class TestAssembledRows:
+    """A covariance is assembled only where one is read: at the cap, where
+    `_repair` rescales or mixes a ray's, and the one `solve_p3` returns."""
+
+    P = 50.0
+
+    @staticmethod
+    def _count(monkeypatch):
+        # rows that reach check_covariances and _rates, and the CAP, rescaled
+        # and repaired rows of every evaluated record
+        seen = dict(checked=0, rated=0, cap=0, fixed=0, rooted=0)
+        real_eval, real_check, real_rates = (
+            boundary._evaluate_batch,
+            boundary.check_covariances,
+            boundary._rates,
+        )
+
+        def evaluating(st, ci, e_bars, p1s, roots=True):
+            rec = real_eval(st, ci, e_bars, p1s, roots)
+            dual = rec["branch"] == "DUAL"
+            seen["cap"] += int(np.sum(rec["branch"] == "CAP"))
+            seen["fixed"] += int(np.sum(rec["rescaled"] | rec["repaired"]))
+            seen["rooted"] += int(np.sum(dual & ~np.isnan(rec["rate"])))
+            return rec
+
+        def checking(q, budget):
+            seen["checked"] += q.shape[0]
+            return real_check(q, budget)
+
+        def rating(b, q):
+            seen["rated"] += q.shape[0]
+            return real_rates(b, q)
+
+        monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
+        monkeypatch.setattr(boundary, "check_covariances", checking)
+        monkeypatch.setattr(boundary, "_rates", rating)
+        return seen
+
+    @staticmethod
+    def _only_read(seen):
+        due = seen["cap"] + seen["fixed"]
+        assert seen["checked"] == seen["rated"] == due
+        # the other rooted DUAL rows stay in spectral form
+        assert 0 < seen["fixed"] < seen["rooted"]
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
+    def test_sweep(self, strategy, m, monkeypatch):
+        seen = self._count(monkeypatch)
+        for seed in (1, 2, 3):
+            re_sweep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P, n_points=24)
+        assert seen["cap"] > 0
+        self._only_read(seen)
+
+    def test_scheduled_run(self, monkeypatch):
+        seen = self._count(monkeypatch)
+        scheduled_run(draw_channel_set(2, 2, ALPHA, seed=3), self.P, n_points=32)
+        self._only_read(seen)
+
+    def test_solve_p3_covariance(self, monkeypatch):
+        # the covariance solve_p3 returns is valid, and it is water-filling,
+        # the cap beam, or the SVD route's ray point at the same root,
+        # repaired alike
+        real = boundary._ratio_roots
+        roots = []
+
+        def rooting(*args):
+            out = real(*args)
+            roots.append(float(out[0][0]))
+            return out
+
+        monkeypatch.setattr(boundary, "_ratio_roots", rooting)
+        solve_cases = TestSolveP3()
+        cases = [(*solve_cases._links(100 + s), 5.0, (0.2, 0.5, 0.8, 0.99)) for s in range(20)]
+        cases += [(*solve_cases._links(200 + s), 3.0, (0.6,)) for s in range(10)]
+        cases += [(*solve_cases._links(s), 4.0, (0.0, 1.0)) for s in (31, 32)]
+        fracs = (0.3, 0.7, 0.95, 1.0 - 1e-9)
+        cases += [(ht, h12, 3.0, fracs) for ht, h12 in TestRatioRoot()._cases()]
+        branches = set()
+        for ht, h12, p, fracs in cases:
+            _, _, cmax, v12 = boundary._cross_factor(h12)
+            cap = p * cmax
+            for frac in fracs:
+                roots.clear()
+                q, diag = solve_p3(ht, h12, frac * cap, p)
+                check_covariances(q.q, p)
+                branches.add(diag.branch)
+                if diag.branch == "WF":
+                    want = waterfill(ht, None, p).q
+                elif diag.branch == "CAP":
+                    want = p * np.outer(v12, v12.conj())
+                else:
+                    args = (np.array([frac * cap]), p, cap, v12)
+                    want = boundary._repair(*_svd_ray(ht, h12, roots[0], p), *args)[0][0]
+                assert np.abs(q.q - want).max() <= 1e-12 * p
+        assert branches == {"WF", "DUAL", "CAP"}
 
 
 class TestReBoundaryPoint:
@@ -715,12 +915,6 @@ class TestStackedLockstep:
 
     STRATEGIES = ("meb", "mlb", "sler", "slnr", "meb_rank2")
 
-    @staticmethod
-    def _row(ev, i):
-        # every `_EVAL` field and the covariance, bit for bit
-        q, rec = ev
-        return rec[i].tobytes(), q[i].view(np.uint64).tolist()
-
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_rows_match_own_context(self, strategy):
         p = 5.0
@@ -737,15 +931,16 @@ class TestStackedLockstep:
         p1s[:4] = [0.0, 1e-13 * p, 0.0, 1e-13 * p]
         ci[:4] = [0, 0, 1, 2]
         both = boundary._evaluate_batch(boundary._stack(ctxs), ci, e_bars, p1s)
-        dual = both[1]["branch"] == "DUAL"
+        dual = both["branch"] == "DUAL"
         assert dual.any() and not dual.all()
         for k, ctx in enumerate(ctxs):
             mine = np.flatnonzero(ci == k)
             own = boundary._evaluate_batch(
                 boundary._stack([ctx]), np.zeros(mine.size, dtype=int), e_bars[mine], p1s[mine]
             )
+            # every `_EVAL` field, bit for bit
             for j, i in enumerate(mine):
-                assert self._row(both, i) == self._row(own, j)
+                assert both[i].tobytes() == own[j].tobytes()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_emax_many_matches_emax(self, strategy):
@@ -895,7 +1090,7 @@ class TestDeferredRoots:
                     pt = solved[ctx, e_bar]
                     if not (isinstance(pt, REPoint) and pt.p3.branch == "DUAL"):
                         continue
-                    _, rec = boundary._evaluate_batch(
+                    rec = boundary._evaluate_batch(
                         boundary._stack([ctx]),
                         np.zeros(1, dtype=int),
                         np.array([min(e_bar, e_max)]),
@@ -925,12 +1120,12 @@ class TestRescueShortfall:
 
         def falls_short(st, ci, e_bars, p1s, roots=True):
             # the target gets half of itself at full power, less below
-            q, rec = real(st, ci, e_bars, p1s, roots)
+            rec = real(st, ci, e_bars, p1s, roots)
             hit = e_bars == target
             rec["e11"][hit] = 0.0
             rec["e2"][hit] = 0.5 * target * (p1s[hit] / p)
             short.extend(p1s[hit].tolist())
-            return q, rec
+            return rec
 
         monkeypatch.setattr(boundary, "_evaluate_batch", falls_short)
         got = re_sweep(cs, "sler", p, n_points=n)

@@ -156,6 +156,17 @@ def test_run_rejects_integer_too_large_for_a_float(tmp_path, capsys, override):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("size", [2**63, HUGE], ids=["2**63", "huge"])
+@pytest.mark.parametrize("field", ["m_t", "m_r", "e_grid_points", "ts_points"])
+def test_run_rejects_size_numpy_cannot_index(tmp_path, capsys, field, size):
+    # sizes past numpy's index type only, so nothing is ever allocated
+    rc = main(["run", "--preset", "fig2", "--output", str(tmp_path), "--set", f"{field}={size}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {field} is too large: numpy cannot index its arrays\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_validate_channels_integer_too_large_for_a_float(tmp_path, capsys):
     # each file is reported on its own line, and the files after it are checked
     cs = draw_channel_set(2, 2, np.array([[1.0, 0.8], [0.8, 1.0]]), seed=7)
