@@ -9,6 +9,11 @@ Strategy identifiers used across the library:
 * ``meb_rank2`` two-stream energy beam with a fixed power split
 
 Both ratio beams come from one routine (`_ratio_directions`).
+
+`waterfill` fills the modes of the SVD of the whitened channel
+R^{-1/2} H; `iterative_waterfilling` plays the (decode, decode) game in
+spectral form, filling the eigenmodes of the whitened Gram H^H R^{-1} H.
+Both take their powers from one fill (`_fill`).
 """
 
 import warnings
@@ -21,9 +26,9 @@ from .exceptions import DegenerateChannelError, InvalidInputError
 from .linalg import _RANK_TOL, _as_real, as_matrix, hermitian_part, inv_sqrt_psd, spectral_norm, svd
 from .metrics import (
     TxCovariance,
+    _check_spectra,
     achievable_rate,
     canonical_beam,
-    check_covariances,
     interference_cov,
     sler_floor,
 )
@@ -33,7 +38,6 @@ __all__ = [
     "check_strategy",
     "water_level",
     "waterfill",
-    "waterfill_stack",
     "IwfResult",
     "iterative_waterfilling",
     "eh_eh_optimal",
@@ -102,12 +106,25 @@ def _mode_floors(gain):
     return np.divide(1.0, gain, out=np.full_like(gain, np.inf), where=keep)
 
 
+def _fill(gain, p):
+    """Water-filling powers (eta - 1/g_k)^+ on mode gains (..., K) sorted
+    descending, at P > 0, with the level eta of each row from the exact
+    `water_level`; the full budget is spent.
+
+    Raises DegenerateChannelError where a row has no gain at all.
+    """
+    if not gain[..., 0].all():
+        raise DegenerateChannelError("channel is numerically zero; no mode to fill")
+    floors = _mode_floors(gain)
+    return np.maximum(np.asarray(water_level(floors, p))[..., None] - floors, 0.0)
+
+
 def waterfill(h, r_noise, p):
     """Water-filling covariance for log det(I + H^H R^{-1} H Q), tr(Q) <= P.
 
-    Eigenmodes come from H^H R^{-1} H = U D U^H; powers are (eta - 1/d_i)^+
-    with the water level eta from the exact sort-based `water_level`.  The
-    full budget is always spent.
+    Eigenmodes come from the SVD of the whitened channel R^{-1/2} H = U S V^H;
+    powers are (eta - 1/s_i^2)^+ with the water level eta from the exact
+    sort-based `water_level`.  The full budget is always spent.
     """
     h = as_matrix(h, "h")
     p = _as_real(p, "power budget")
@@ -115,26 +132,12 @@ def waterfill(h, r_noise, p):
     if p == 0.0:
         return TxCovariance(np.zeros((m_t, m_t), dtype=np.complex128), 0.0)
     b = h if r_noise is None else inv_sqrt_psd(as_matrix(r_noise, "r_noise")) @ h
-    return TxCovariance(waterfill_stack(b, p), p)
-
-
-def waterfill_stack(b, p):
-    """`waterfill` for one whitened channel B (M_r, M_t) or a stack of them
-    (n, M_r, M_t), at P > 0.
-
-    Returns the Hermitian covariances, unvalidated.
-    """
     _, s, vh = np.linalg.svd(b)
-    d = s**2
-    if d.shape[-1] < b.shape[-1]:
-        # modes beyond the receive dimension carry no gain
-        d = np.concatenate((d, np.zeros(d.shape[:-1] + (b.shape[-1] - d.shape[-1],))), axis=-1)
-    if not d[..., 0].all():
-        raise DegenerateChannelError("channel is numerically zero; no mode to fill")
-    inv = _mode_floors(d)
-    powers = np.maximum(np.asarray(water_level(inv, p))[..., None] - inv, 0.0)
-    v = vh.conj().swapaxes(-1, -2)
-    return hermitian_part((v * powers[..., None, :]) @ vh)
+    # modes beyond the receive dimension carry no gain
+    d = np.zeros(m_t)
+    d[: s.size] = s**2
+    powers = _fill(d, p)
+    return TxCovariance(hermitian_part((vh.conj().T * powers) @ vh), p)
 
 
 @dataclass
@@ -154,23 +157,44 @@ def iterative_waterfilling(cs, p):
 
     Starting from uniform covariances (P/M_t) I, both transmitters
     simultaneously water-fill against the other's interference of the
-    previous round, until the covariance movement stalls or 20 rounds
-    (`_IWF_ROUNDS`) pass.
+    previous round, until the covariance movement ||Q_new - Q||_F of both
+    falls below 1e-10 max(P, 1) or 20 rounds (`_IWF_ROUNDS`) pass.
 
-    The pair (Q1, Q2) is held as one stack, so a round is one stacked pass
-    of `_responses` over both transmitters.  Every stacked factorization and
-    product treats each matrix as it would alone, so the result is bit for
-    bit that of two `waterfill` calls per round
-    (`swiptifc.oracle.iterative_waterfilling_per_user`).
+    The game is played in spectral form, both transmitters as one stack.
+    Each covariance is held as its factor F = U diag(sqrt(p)); a round
+    whitens each direct link H against R = I + (H_cross F)(H_cross F)^H, F
+    the other transmitter's factor, by one stacked `solve`, fills the
+    eigenmodes of one stacked `eigh` of the whitened Gram H^H R^{-1} H
+    (`_fill`), checks the powers (`_check_spectra`) and builds Q = F F^H
+    only for the step.  The returned covariances pass `TxCovariance`'s full
+    checks.  The oracle `swiptifc.oracle.iterative_waterfilling_per_user`
+    plays the same game through `waterfill`'s inverse square root and SVD.
     """
     p = _as_real(p, "power budget")
+    if p == 0.0:
+        # nothing to fill: the game settles in one round without a step
+        shape = (cs.m_t, cs.m_t)
+        q1, q2 = (TxCovariance(np.zeros(shape, dtype=np.complex128), 0.0) for _ in range(2))
+        return IwfResult(q1, q2, rates=(0.0, 0.0), deltas=[0.0], iterations=1, converged=True)
     own = np.stack((cs.h11, cs.h22))
+    own_h = own.conj().swapaxes(-1, -2)
     cross = np.stack((cs.h12, cs.h21))
+    eye = np.eye(cs.m_r, dtype=np.complex128)
     q = np.stack(2 * [(p / cs.m_t) * np.eye(cs.m_t, dtype=np.complex128)])
+    factor = np.stack(2 * [np.sqrt(p / cs.m_t) * np.eye(cs.m_t)])
     deltas = []
     converged = False
     for it in range(1, _IWF_ROUNDS + 1):
-        q_new = _responses(own, cross, q[::-1], p)
+        # each receiver hears the other transmitter's factor of the last round
+        f = cross @ factor[::-1]
+        r = eye + f @ f.conj().swapaxes(-1, -2)
+        gain, u = np.linalg.eigh(own_h @ np.linalg.solve(r, own))
+        # descending, as `_mode_floors` reads them; rounding below 0 is no gain
+        gain, u = np.maximum(gain[:, ::-1], 0.0), u[:, :, ::-1]
+        powers = _fill(gain, p)
+        _check_spectra(powers, powers.sum(axis=-1), p)
+        factor = u * np.sqrt(powers)[:, None, :]
+        q_new = factor @ factor.conj().swapaxes(-1, -2)
         step = q_new - q
         delta = max(float(np.linalg.norm(step[0])), float(np.linalg.norm(step[1])))
         deltas.append(delta)
@@ -190,24 +214,6 @@ def iterative_waterfilling(cs, p):
         iterations=it,
         converged=converged,
     )
-
-
-def _responses(own, cross, q_other, p):
-    """`waterfill`'s answer of each transmitter of a stack to the other's
-    interference: direct links (n, M_r, M_t), cross links into the same
-    receivers, the others' covariances (n, M_t, M_t), budget P >= 0.
-
-    Checked as `TxCovariance` checks each covariance.
-    """
-    if p == 0.0:
-        return np.zeros_like(q_other)
-    # I + H Q H^H; `inv_sqrt_psd` takes its Hermitian part, as
-    # `interference_cov` would
-    leak = cross @ q_other @ cross.conj().swapaxes(-1, -2)
-    r = np.eye(own.shape[-2], dtype=np.complex128) + leak
-    q = waterfill_stack(inv_sqrt_psd(r) @ own, p)
-    check_covariances(q, p)
-    return q
 
 
 def eh_eh_optimal(cs, p):

@@ -58,7 +58,7 @@ at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
 One evaluation of an (E_bar, P1) pair is one `_EVAL` record:
 `_solve_p3_batch` fills the floored rate solve (branch, ray evaluations,
 multipliers, gap, energy, trace, rate, repair flags), read off the ray's
-spectrum except at the cap and where a covariance is rescaled or repaired,
+spectrum except at the cap and where an energy shortfall is repaired,
 and `_evaluate_batch` adds transmitter 1's P1, kappa, direct-link energy
 and clamp.  A target keeps the record of its latest evaluation; its
 published point and its `P3Diagnostics` (`_diagnostics`) are read from that
@@ -358,32 +358,20 @@ def _ray_covariances(w, d, v, powers):
 
 
 def _repair(q, trace, energy, e_req, p, cap, v12):
-    """Scale each covariance into the power ball, then mix it toward the
-    cross-link beam v12 (one for the stack, or one per row) until its energy
-    floor holds.
+    """Mix each covariance, within the power ball and short of its energy
+    floor, toward the cross-link beam v12 (one for the stack, or one per
+    row) until the floor holds.
 
-    Returns (q, energy, trace, rescaled, repaired): `rescaled` marks a trace
-    above P scaled back to P, `repaired` an energy shortfall that was mixed.
+    Returns the mixed (q, energy, trace).
     """
-    rescaled = trace > p
-    scale = np.where(rescaled, p / trace, 1.0)
-    q = q * scale[:, None, None]
-    energy = energy * scale
-    trace = np.where(rescaled, p, trace)
     shortfall = e_req - energy
-    repaired = shortfall > _SHORT_TOL * np.maximum(1.0, e_req)
-    if repaired.any():
-        denom = cap - energy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wmix = np.where(denom <= 0.0, 1.0, np.minimum(shortfall / denom, 1.0))
-        wmix = np.where(repaired, wmix, 0.0)
-        qb = p * _outer(v12)
-        q = np.where(
-            repaired[:, None, None], (1.0 - wmix)[:, None, None] * q + wmix[:, None, None] * qb, q
-        )
-        trace = np.where(repaired, (1.0 - wmix) * trace + wmix * p, trace)
-        energy = np.where(repaired, (1.0 - wmix) * energy + wmix * cap, energy)
-    return q, energy, trace, rescaled, repaired
+    denom = cap - energy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wmix = np.where(denom <= 0.0, 1.0, np.minimum(shortfall / denom, 1.0))
+    q = (1.0 - wmix)[:, None, None] * q + wmix[:, None, None] * (p * _outer(v12))
+    trace = (1.0 - wmix) * trace + wmix * p
+    energy = (1.0 - wmix) * energy + wmix * cap
+    return q, energy, trace
 
 
 def _ratio_roots(a, c, e_req, e_wf, rho_hi, p):
@@ -503,8 +491,9 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
     (Ht W)^H Ht W is formed once; water-filling is its ray at rho = 0, and
     the DUAL targets share one `_ratio_roots` call, or, without `roots`, are
     deferred: e2 = e_req and rate nan.  A row's rate, energy and trace are
-    read off its ray; a covariance is assembled only at the cap and where
-    `_repair` rescales or mixes a ray's, and only those pass
+    read off its ray, whose powers, energy and trace are scaled back where
+    its trace lands above P by rounding; a covariance is assembled only at
+    the cap and where `_repair` mixes a ray's, and only those pass
     `check_covariances` and `_rates` (every other ray `_check_spectra`).
     Returns each target's `_EVAL` record, with the floored-solve fields
     filled, and a function giving row i's covariance (not for a deferred
@@ -568,27 +557,31 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
             (1.0 - _RHO_MARGIN) / cmax[link],
             p,
         )
-        energy[idx], trace[idx] = ray.energy, ray.trace
-        # the rays whose covariance `_repair` changes: a trace above P by
-        # rounding, or an energy short of the floor (no gain along the
-        # cross-link beam)
-        short = e_req[idx] - ray.energy > _SHORT_TOL * np.maximum(1.0, e_req[idx])
-        fix = (ray.trace > p) | short
-        k = idx[fix]
+        # a trace above P by rounding is scaled back on the spectrum
+        over = ray.trace > p
+        scale = np.where(over, p / ray.trace, 1.0)
+        ray.powers *= scale[:, None]
+        energy[idx], trace[idx] = ray.energy * scale, np.where(over, p, ray.trace)
+        rec["rescaled"][idx] = over
+        # an energy short of the floor (no gain along the cross-link beam) is
+        # mixed toward the beam by `_repair`, the one DUAL covariance built
+        short = e_req[idx] - energy[idx] > _SHORT_TOL * np.maximum(1.0, e_req[idx])
+        k = idx[short]
         if k.size:
-            q, energy[k], trace[k], rec["rescaled"][k], rec["repaired"][k] = _repair(
-                _ray_covariances(w[rows[k]], ray.d[fix], ray.v[fix], ray.powers[fix]),
-                ray.trace[fix],
-                ray.energy[fix],
+            rec["repaired"][k] = True
+            q, energy[k], trace[k] = _repair(
+                _ray_covariances(w[rows[k]], ray.d[short], ray.v[short], ray.powers[short]),
+                trace[k],
+                energy[k],
                 e_req[k],
                 p,
                 cap[k],
                 v12[rows[k]],
             )
             assemble(k, q)
-        if not fix.all():
-            _check_spectra(ray.powers[~fix], ray.trace[~fix], p)
-            rate[idx[~fix]] = _ray_rates(ray.gain[~fix], ray.powers[~fix])
+        if not short.all():
+            _check_spectra(ray.powers[~short], trace[idx[~short]], p)
+            rate[idx[~short]] = _ray_rates(ray.gain[~short], ray.powers[~short])
         rec["gap"][idx] = np.maximum(
             np.maximum(e_req[idx] - energy[idx], 0.0) / np.maximum(1.0, e_req[idx]),
             np.maximum(trace[idx] - p, 0.0) / p,
@@ -623,8 +616,9 @@ def solve_p3(h22_tilde, h12, e_target, p):
     lam = rho / eta and mu = 1 / eta.
     Water-filling is the price ray's point at rho = 0, and each ray costs
     one `eigh` of the own link's Gram (`_Rays`).  A trace above P by
-    rounding is scaled back (`rescaled`), and a residual energy shortfall is
-    repaired by mixing toward the cross-link beam covariance (`repaired`).
+    rounding is scaled back on the ray's spectrum (`rescaled`), and a
+    residual energy shortfall is repaired by mixing toward the cross-link
+    beam covariance (`repaired`).
     `P3Diagnostics.iterations` counts the root's ray evaluations, one
     `eigh` each (none on WF and CAP).
 

@@ -11,6 +11,7 @@ from .exceptions import InvalidInputError, SwiptError
 from .experiments import PRESETS, apply_overrides, preset_variants, run_experiment
 from .oracle import (
     factorization_census,
+    game_census,
     harvest_census,
     p3_endpoint_census,
     p3_local_census,
@@ -83,6 +84,7 @@ def _cmd_oracle_suite(args):
     beam_rel, align = ratio_beam_census(100, 4000 + s, p, 0.1)
     wf, cap_q, cap_rate = p3_endpoint_census(20, 5000 + s, p)
     bad = p3_local_census(10, 1000 + s, p)
+    g_rate, g_q, parted = game_census(120, 12000 + s, p)
     checks = [
         ("rank-one harvest optimum upper-bounds random search (4)",
          rel <= 1e-9 and excess <= 1e-9, f"rel err {rel:.2e}, max excess {excess:.2e}"),
@@ -97,6 +99,9 @@ def _cmd_oracle_suite(args):
         ("energy cap returns the cross-link beam (20)", cap_q < 1e-4 * p and cap_rate <= 1e-6,
          f"|dQ| {cap_q:.2e}, rate rel {cap_rate:.2e}"),
         ("floored solver local optimality (10)", bad == 0, f"{bad} failures"),
+        ("water-filling game matches the per-user game (120)",
+         g_rate <= 1e-12 and g_q <= 1e-12 and all(d <= 1e-6 for d in parted),
+         f"rate rel {g_rate:.2e}, |dQ| {g_q:.2e}P, {len(parted)} games part at the threshold"),
     ]
     for name, ok, detail in checks:
         print(f"[oracle] {name}: {'PASS' if ok else 'FAIL'} ({detail})")

@@ -5,8 +5,8 @@ spectra come back in descending order, and Hermitian inputs are symmetrized
 before factorization so downstream code never depends on where rounding
 noise landed.  `svd`, `inv_sqrt_psd` and `psd_mask` also take a stack of
 matrices (..., m, n) and factor each one as LAPACK would alone.  The
-solver's stacked inner loops (`beamformers.waterfill_stack`,
-`_ratio_factor` and `_ratio_directions`, `boundary._Rays` and
+stacked inner loops (the rounds of `beamformers.iterative_waterfilling`,
+`beamformers._ratio_factor` and `_ratio_directions`, `boundary._Rays` and
 `_whitened_links`) call numpy directly.
 """
 

@@ -10,8 +10,11 @@ random feasible perturbations, `inner_max` is the closed-form priced
 maximizer that the lockstep solver never builds, `lemma1_transform` factors
 a link pair that no production route needs, and
 `iterative_waterfilling_per_user` plays the water-filling game with two
-`waterfill` calls per round (production stacks both transmitters into one
-pass), under production's or another update rule and round limit.
+`waterfill` calls per round, each through the inverse square root of the
+interference covariance and the SVD of the whitened channel (production
+plays both transmitters as one stack in spectral form: a `solve` and one
+`eigh` of the whitened Gram), under production's or another update rule
+and round limit.
 
 Each `*_census` function runs production code against these routes over
 seeded draws and returns its worst-case figures without judging them.  The
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamformers import IwfResult, eh_eh_optimal, meb, sler_beam, waterfill
+from .beamformers import IwfResult, eh_eh_optimal, iterative_waterfilling, meb, sler_beam, waterfill
 from .boundary import solve_p3
 from .channel import _is_int, draw_channel_set, stacked_channel
 from .exceptions import InvalidInputError, SingularMatrixError
@@ -45,9 +48,14 @@ __all__ = [
     "ratio_beam_census",
     "p3_endpoint_census",
     "p3_local_census",
+    "game_census",
 ]
 
 _ONES = np.ones((2, 2))
+
+# the game census cycles these (M_t, M_r) shapes, then the two cross gains
+_GAME_SHAPES = ((1, 1), (2, 2), (2, 3), (3, 2), (4, 4), (4, 2))
+_GAME_GAINS = (0.3, 1.0)
 
 
 def random_psd_search(objective, m, p, rank, trials, seed, batch=16384):
@@ -278,9 +286,10 @@ def iterative_waterfilling_per_user(cs, p, n_max=20, update="simultaneous"):
     """`iterative_waterfilling` with one `waterfill` call per transmitter and
     round, each against `interference_cov` of the other's covariance.
 
-    At production's rule (simultaneous updates, 20 rounds) it returns the
-    same `IwfResult`, bit for bit; "sequential" lets transmitter 2 answer
-    transmitter 1's fresh covariance, to compare game rules.
+    At production's rule (simultaneous updates, 20 rounds) it plays the same
+    game by another arithmetic route, so its `IwfResult` agrees with
+    production's to rounding (`game_census`); "sequential" lets transmitter
+    2 answer transmitter 1's fresh covariance, to compare game rules.
     """
     if update not in ("simultaneous", "sequential"):
         raise InvalidInputError(f"update must be simultaneous or sequential, got {update!r}")
@@ -464,3 +473,33 @@ def p3_local_census(draws, seed, p):
         prob = P3Problem(cs.h22, cs.h12, target, p)
         bad += not grid_kkt_check(prob, q, perturbations=64, step=1e-4, seed=seed + k)
     return bad
+
+
+def game_census(draws, seed, p):
+    """`iterative_waterfilling` against `iterative_waterfilling_per_user` at
+    production's rule.  Draw k plays shape `_GAME_SHAPES[k % 6]` at cross
+    gain `_GAME_GAINS[k // 6 % 2]`.  Returns (worst relative rate
+    difference and worst max |Q - Q_oracle| / P over the games that play the
+    same rounds, and, for each game whose round count or `converged` flag
+    differs, the oracle's step at the first round where the two games part,
+    as |step - threshold| / threshold).
+    """
+    worst_rate = worst_q = 0.0
+    parted = []
+    threshold = 1e-10 * max(p, 1.0)
+    for k in range(draws):
+        gain = _GAME_GAINS[k // len(_GAME_SHAPES) % len(_GAME_GAINS)]
+        alpha = np.array([[1.0, gain], [gain, 1.0]])
+        cs = draw_channel_set(*_GAME_SHAPES[k % len(_GAME_SHAPES)], alpha, seed=seed + k)
+        got = iterative_waterfilling(cs, p)
+        want = iterative_waterfilling_per_user(cs, p)
+        if (got.iterations, got.converged) != (want.iterations, want.converged):
+            step = want.deltas[min(got.iterations, want.iterations) - 1]
+            parted.append(abs(step - threshold) / threshold)
+            continue
+        for g, w in zip(got.rates, want.rates):
+            worst_rate = max(worst_rate, abs(g - w) / w if w else abs(g))
+        if p:
+            for g, w in ((got.q1, want.q1), (got.q2, want.q2)):
+                worst_q = max(worst_q, float(np.abs(g.q - w.q).max()) / p)
+    return worst_rate, worst_q, parted

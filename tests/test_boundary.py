@@ -527,22 +527,39 @@ class TestRepairFlags:
         q = np.eye(2, dtype=complex)[None] * (trace / 2.0)
         return q, np.array([trace]), np.array([energy])
 
-    def test_rescale_is_not_a_repair(self):
-        # a trace one rounding step over P is scaled back, not repaired
-        p = 3.0
-        q, tr, en = self._inputs(p * (1.0 + 4e-16), 2.0)
-        v12 = np.array([1.0, 0.0], dtype=complex)
-        q2, e2, t2, rescaled, repaired = boundary._repair(q, tr, en, np.array([1.5]), p, 6.0, v12)
-        assert rescaled[0] and not repaired[0]
-        assert t2[0] == p
-        assert e2[0] < 2.0
+    def test_rescale_is_not_a_repair(self, monkeypatch):
+        # a root ray whose trace lands one rounding step over P is scaled
+        # back on its spectrum, not repaired
+        real = boundary._ratio_roots
+        p = 5.0
+
+        def over(*args):
+            rho, evals, ray = real(*args)
+            f = (1.0 + 1e-15) * p / ray.trace
+            ray.powers *= f[:, None]
+            ray.energy *= f
+            ray.trace *= f
+            return rho, evals, ray
+
+        cs = draw_channel_set(3, 3, ALPHA, seed=5)
+        target = 0.7 * p * np.linalg.svd(cs.h12, compute_uv=False)[0] ** 2
+        q_plain, plain = solve_p3(cs.h22, cs.h12, target, p)
+        assert plain.branch == "DUAL" and not (plain.rescaled or plain.repaired)
+        monkeypatch.setattr(boundary, "_ratio_roots", over)
+        q, diag = solve_p3(cs.h22, cs.h12, target, p)
+        assert diag.rescaled and not diag.repaired
+        assert diag.trace == p
+        assert np.trace(q.q).real == pytest.approx(p, rel=1e-14)
+        assert diag.energy == pytest.approx(plain.energy, rel=1e-14)
+        assert diag.rate_bits == pytest.approx(plain.rate_bits, rel=1e-14)
+        # the returned covariance is the scaled ray's
+        assert np.abs(q.q - q_plain.q).max() <= 1e-14 * p
 
     def test_shortfall_is_a_repair(self):
         p = 3.0
         q, tr, en = self._inputs(p, 2.0)
         v12 = np.array([1.0, 0.0], dtype=complex)
-        q2, e2, t2, rescaled, repaired = boundary._repair(q, tr, en, np.array([4.0]), p, 6.0, v12)
-        assert repaired[0] and not rescaled[0]
+        q2, e2, t2 = boundary._repair(q, tr, en, np.array([4.0]), p, 6.0, v12)
         # mixing weight (4 - 2) / (6 - 2) toward the beam meets the floor
         assert e2[0] == pytest.approx(4.0, rel=1e-15)
         assert np.trace(q2[0]).real == pytest.approx(p, rel=1e-15)
@@ -644,7 +661,8 @@ def _svd_ray(ht, h12, rho, p):
 
 class TestAssembledRows:
     """A covariance is assembled only where one is read: at the cap, where
-    `_repair` rescales or mixes a ray's, and the one `solve_p3` returns."""
+    `_repair` mixes a ray's, and the one `solve_p3` returns.  A ray rescaled
+    into the power ball stays in spectral form."""
 
     P = 50.0
 
@@ -652,7 +670,7 @@ class TestAssembledRows:
     def _count(monkeypatch):
         # rows that reach check_covariances and _rates, and the CAP, rescaled
         # and repaired rows of every evaluated record
-        seen = dict(checked=0, rated=0, cap=0, fixed=0, rooted=0)
+        seen = dict(checked=0, rated=0, cap=0, rescaled=0, repaired=0, rooted=0)
         real_eval, real_check, real_rates = (
             boundary._evaluate_batch,
             boundary.check_covariances,
@@ -663,7 +681,8 @@ class TestAssembledRows:
             rec = real_eval(st, ci, e_bars, p1s, roots)
             dual = rec["branch"] == "DUAL"
             seen["cap"] += int(np.sum(rec["branch"] == "CAP"))
-            seen["fixed"] += int(np.sum(rec["rescaled"] | rec["repaired"]))
+            seen["rescaled"] += int(np.sum(rec["rescaled"]))
+            seen["repaired"] += int(np.sum(rec["repaired"]))
             seen["rooted"] += int(np.sum(dual & ~np.isnan(rec["rate"])))
             return rec
 
@@ -682,10 +701,10 @@ class TestAssembledRows:
 
     @staticmethod
     def _only_read(seen):
-        due = seen["cap"] + seen["fixed"]
+        due = seen["cap"] + seen["repaired"]
         assert seen["checked"] == seen["rated"] == due
-        # the other rooted DUAL rows stay in spectral form
-        assert 0 < seen["fixed"] < seen["rooted"]
+        # rescaled rooted DUAL rows stay in spectral form
+        assert 0 < seen["rescaled"] < seen["rooted"]
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
@@ -734,8 +753,13 @@ class TestAssembledRows:
                 elif diag.branch == "CAP":
                     want = p * np.outer(v12, v12.conj())
                 else:
-                    args = (np.array([frac * cap]), p, cap, v12)
-                    want = boundary._repair(*_svd_ray(ht, h12, roots[0], p), *args)[0][0]
+                    want, trace, energy = _svd_ray(ht, h12, roots[0], p)
+                    scale = min(1.0, p / trace[0])
+                    want, trace, energy = want * scale, trace * scale, energy * scale
+                    e_req = np.array([frac * cap])
+                    if e_req[0] - energy[0] > boundary._SHORT_TOL * max(1.0, e_req[0]):
+                        want = boundary._repair(want, trace, energy, e_req, p, cap, v12)[0]
+                    want = want[0]
                 assert np.abs(q.q - want).max() <= 1e-12 * p
         assert branches == {"WF", "DUAL", "CAP"}
 

@@ -233,6 +233,7 @@ def test_oracle_suite(capsys):
     assert rc == 0
     assert len(lines) >= 6
     assert all(": PASS" in ln for ln in lines)
+    assert any("water-filling game matches the per-user game" in ln for ln in lines)
 
 
 def test_unknown_command_exits_two():

@@ -4,12 +4,21 @@ probes, the priced inner maximizer and the link-pair factorization."""
 import numpy as np
 import pytest
 
-from swiptifc import InvalidInputError, SingularMatrixError, solve_p3, waterfill
+from swiptifc import (
+    InvalidInputError,
+    SingularMatrixError,
+    draw_channel_set,
+    oracle,
+    solve_p3,
+    waterfill,
+)
 from swiptifc.oracle import (
     P3Problem,
+    game_census,
     generalized_eig_max,
     grid_kkt_check,
     inner_max,
+    iterative_waterfilling_per_user,
     lemma1_transform,
     random_psd_search,
 )
@@ -270,3 +279,27 @@ class TestLemma1:
         rng = np.random.default_rng(83)
         with pytest.raises(InvalidInputError):
             lemma1_transform(_cgauss(rng, 2, 3), _cgauss(rng, 2, 3))
+
+
+class TestGameCensus:
+    def test_oracle_against_itself(self, monkeypatch):
+        monkeypatch.setattr(oracle, "iterative_waterfilling", iterative_waterfilling_per_user)
+        assert game_census(12, 0, 2.0) == (0.0, 0.0, [])
+
+    def test_parted_games_report_the_oracles_step(self, monkeypatch):
+        # a game cut after two rounds parts from every game that runs on, at
+        # the oracle's second step
+        def cut(cs, p):
+            return iterative_waterfilling_per_user(cs, p, n_max=2)
+
+        monkeypatch.setattr(oracle, "iterative_waterfilling", cut)
+        rate, q, parted = game_census(12, 0, 2.0)
+        want = []
+        for k in range(12):
+            gain = oracle._GAME_GAINS[k // 6]
+            cs = draw_channel_set(*oracle._GAME_SHAPES[k % 6], np.array([[1.0, gain], [gain, 1.0]]), k)
+            full = iterative_waterfilling_per_user(cs, 2.0)
+            if full.iterations > 2:
+                want.append(abs(full.deltas[1] - 2e-10) / 2e-10)
+        assert want and parted == want
+        assert rate == q == 0.0
