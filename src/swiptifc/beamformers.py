@@ -13,7 +13,11 @@ Both ratio beams come from one routine (`_ratio_directions`).
 `waterfill` fills the modes of the SVD of the whitened channel
 R^{-1/2} H; `iterative_waterfilling` plays the (decode, decode) game in
 spectral form, filling the eigenmodes of the whitened Gram H^H R^{-1} H.
-Both take their powers from one fill (`_fill`).
+Both take their powers from one fill (`_fill`), whose level comes from one
+sort-free kernel (`_water_level`): the mode floors arrive sorted, and the
+level is the smallest of their prefix levels.  `boundary`'s price rays call
+the same kernel with weights, and the public `water_level` checks and sorts
+its input and then calls it too.
 """
 
 import warnings
@@ -23,15 +27,17 @@ import numpy as np
 
 from .channel import stacked_channel
 from .exceptions import DegenerateChannelError, InvalidInputError
-from .linalg import _RANK_TOL, _as_real, as_matrix, hermitian_part, inv_sqrt_psd, spectral_norm, svd
-from .metrics import (
-    TxCovariance,
-    _check_spectra,
-    achievable_rate,
-    canonical_beam,
-    interference_cov,
-    sler_floor,
+from .linalg import (
+    _RANK_TOL,
+    _as_real,
+    _float_array,
+    as_matrix,
+    hermitian_part,
+    inv_sqrt_psd,
+    spectral_norm,
+    svd,
 )
+from .metrics import TxCovariance, _check_spectra, _rates, canonical_beam, sler_floor
 
 __all__ = [
     "STRATEGIES",
@@ -64,67 +70,85 @@ def check_strategy(strategy):
 
 
 def water_level(floors, p, weights=None):
-    """Exact level eta with sum_k w_k (eta - a_k)^+ = P, by sorting the floors.
+    """Exact level eta with sum_k w_k (eta - a_k)^+ = P.
 
-    `floors` a_k are finite or +inf (a mode that takes no power), `weights`
-    w_k positive (default all ones) and P positive.  The spent power is
-    piecewise linear in eta with breakpoints at the sorted floors; with the m
-    lowest floors active the level is (P + sum_{k<m} w_k a_k) / sum_{k<m} w_k,
-    and m is the number of floors below that level (Palomar & Fonollosa,
-    IEEE TSP 2005).  Floors of shape (n, K) give one level per row.
+    `floors` a_k are finite or +inf (a mode that takes no power), at least
+    one of them finite, `weights` w_k positive (default all ones) and P
+    positive; floors of shape (n, K) give one level per row.  The floors are
+    sorted, and the level is `_water_level`'s smallest prefix level.
+
+    Raises InvalidInputError on any other input.
     """
-    floors = np.asarray(floors, dtype=float)
+    p = _as_real(p, "power budget", positive=True)
+    a = _float_array(floors)
+    if a.ndim not in (1, 2) or a.size == 0:
+        raise InvalidInputError(f"floors must be a nonempty 1-D or 2-D array, got {floors!r}")
+    if np.isnan(a).any() or (a == -np.inf).any():
+        raise InvalidInputError(f"floors must be real or +inf, got {floors!r}")
+    if not np.isfinite(a).any(axis=-1).all():
+        raise InvalidInputError("every row of floors needs a finite floor")
     if weights is None:
-        a = np.sort(floors, axis=-1)
-        w = np.ones_like(a)
+        eta = _water_level(np.sort(a, axis=-1), p)
     else:
-        order = floors.argsort(axis=-1)
-        pick = order if floors.ndim == 1 else (np.arange(len(floors))[:, None], order)
-        a = floors[pick]
-        w = np.asarray(weights, dtype=float)[pick]
-    cw = w.cumsum(axis=-1)
-    cwa = (w * a).cumsum(axis=-1)
-    # power spent once the level reaches each floor past the first
-    spent_at = a[..., 1:] * cw[..., :-1]
-    if (a[..., -1] == np.inf).any():
-        # past an infinite floor this is inf or nan, and neither counts below P
-        with np.errstate(invalid="ignore"):
-            spent_at -= cwa[..., :-1]
+        w = _float_array(weights)
+        if w.shape != a.shape or not np.all(np.isfinite(w) & (w > 0.0)):
+            msg = f"weights must be finite positive, one per floor, got {weights!r}"
+            raise InvalidInputError(msg)
+        order = a.argsort(axis=-1)
+        sorted_a, sorted_w = (np.take_along_axis(x, order, axis=-1) for x in (a, w))
+        eta = _water_level(sorted_a, p, sorted_w)
+    return float(eta[0]) if a.ndim == 1 else eta[:, 0]
+
+
+def _water_level(floors, p, weights=None):
+    """`water_level` on floors (..., K) already sorted ascending (+inf last),
+    unchecked; the levels come back with shape (..., 1).
+
+    The level is the smallest prefix level,
+    eta = min_m eta_m, eta_m = (P + sum_{k<=m} w_k a_k) / sum_{k<=m} w_k:
+    sum_{k<=m} w_k (eta_m - a_k) = P >= sum_{k<=m} w_k (eta - a_k), so every
+    eta_m >= eta, with equality at the active set (Palomar & Fonollosa,
+    IEEE TSP 2005).  A prefix through a +inf floor has level +inf.
+    """
+    if weights is None:
+        cw = np.arange(1.0, floors.shape[-1] + 1.0)
+        cwa = floors.cumsum(axis=-1)
     else:
-        spent_at -= cwa[..., :-1]
-    m = (spent_at < p).sum(axis=-1)
-    if floors.ndim == 1:
-        return float((p + cwa[m]) / cw[m])
-    rows = np.arange(len(a))
-    return (p + cwa[rows, m]) / cw[rows, m]
+        cw = weights.cumsum(axis=-1)
+        cwa = (weights * floors).cumsum(axis=-1)
+    return ((p + cwa) / cw).min(axis=-1, keepdims=True)
 
 
 def _mode_floors(gain):
-    """Water-filling floors 1 / gain of mode gains (..., K) sorted descending;
-    modes below 1e-15 of the strongest gain carry no power (floor +inf)."""
-    keep = gain > gain[..., :1] * 1e-15
-    return np.divide(1.0, gain, out=np.full_like(gain, np.inf), where=keep)
+    """Water-filling floors 1 / gain of mode gains (..., K) sorted
+    descending, so ascending; modes below 1e-15 of the strongest gain carry
+    no power (floor +inf).
+
+    Raises DegenerateChannelError where a row has no gain at all.
+    """
+    top = gain[..., :1]
+    if not top.all():
+        raise DegenerateChannelError("channel is numerically zero; no mode to fill")
+    return np.divide(1.0, gain, out=np.full_like(gain, np.inf), where=gain > top * 1e-15)
 
 
 def _fill(gain, p):
     """Water-filling powers (eta - 1/g_k)^+ on mode gains (..., K) sorted
-    descending, at P > 0, with the level eta of each row from the exact
-    `water_level`; the full budget is spent.
+    descending, at P > 0, with the level eta of each row from `_water_level`
+    on the `_mode_floors`, which come sorted; the full budget is spent.
 
     Raises DegenerateChannelError where a row has no gain at all.
     """
-    if not gain[..., 0].all():
-        raise DegenerateChannelError("channel is numerically zero; no mode to fill")
     floors = _mode_floors(gain)
-    return np.maximum(np.asarray(water_level(floors, p))[..., None] - floors, 0.0)
+    return np.maximum(_water_level(floors, p) - floors, 0.0)
 
 
 def waterfill(h, r_noise, p):
     """Water-filling covariance for log det(I + H^H R^{-1} H Q), tr(Q) <= P.
 
     Eigenmodes come from the SVD of the whitened channel R^{-1/2} H = U S V^H;
-    powers are (eta - 1/s_i^2)^+ with the water level eta from the exact
-    sort-based `water_level`.  The full budget is always spent.
+    powers are (eta - 1/s_i^2)^+ with the exact water level eta of `_fill`.
+    The full budget is always spent.
     """
     h = as_matrix(h, "h")
     p = _as_real(p, "power budget")
@@ -166,9 +190,11 @@ def iterative_waterfilling(cs, p):
     the other transmitter's factor, by one stacked `solve`, fills the
     eigenmodes of one stacked `eigh` of the whitened Gram H^H R^{-1} H
     (`_fill`), checks the powers (`_check_spectra`) and builds Q = F F^H
-    only for the step.  The returned covariances pass `TxCovariance`'s full
-    checks.  The oracle `swiptifc.oracle.iterative_waterfilling_per_user`
-    plays the same game through `waterfill`'s inverse square root and SVD.
+    only for the step.  Both final rates come from one stacked pass (the
+    interference covariances, one `inv_sqrt_psd` and `_rates`), and the
+    returned covariances pass `TxCovariance`'s full checks.  The oracle
+    `swiptifc.oracle.iterative_waterfilling_per_user` plays the same game
+    through `waterfill`'s inverse square root and SVD.
     """
     p = _as_real(p, "power budget")
     if p == 0.0:
@@ -202,10 +228,10 @@ def iterative_waterfilling(cs, p):
         if delta < 1e-10 * max(p, 1.0):
             converged = True
             break
-    rates = (
-        achievable_rate(cs.h11, interference_cov(cs.h12, q[1]), q[0]),
-        achievable_rate(cs.h22, interference_cov(cs.h21, q[0]), q[1]),
-    )
+    # both final rates as one stack: each user's `achievable_rate` against
+    # its `interference_cov`, bit for bit
+    r = hermitian_part(eye + cross @ q[[1, 0]] @ cross.conj().swapaxes(-1, -2))
+    rates = tuple(_rates(inv_sqrt_psd(r) @ own, q).tolist())
     return IwfResult(
         q1=TxCovariance(q[0], p),
         q2=TxCovariance(q[1], p),
@@ -221,18 +247,27 @@ def eh_eh_optimal(cs, p):
 
     Each transmitter beams all power along the top right singular vector of
     its stacked two-receiver channel; the summed harvested energy
-    P (sigma_1^2 + sigma_2^2) of those stacked gains is the maximum over all
-    PSD covariance pairs.  Returns (Q1, Q2, total_energy).
+    P (sigma_1^2 + sigma_2^2) of those stacked gains (`_eh_eh_energy`) is
+    the maximum over all PSD covariance pairs.  Returns (Q1, Q2,
+    total_energy).
     """
     p = _as_real(p, "power budget")
-    covs = []
+    total, tops = _eh_eh_energy(cs, p)
+    q1, q2 = (canonical_beam(v, p).covariance() for v in tops)
+    return q1, q2, total
+
+
+def _eh_eh_energy(cs, p):
+    """The (harvest, harvest) optimum's energy P (sigma_1^2 + sigma_2^2) at
+    a checked P, from one SVD of each transmitter's stacked channel, and the
+    two top right singular vectors.  Returns (total_energy, (v1, v2))."""
     total = 0.0
+    tops = []
     for tx in (1, 2):
-        hbar = stacked_channel(cs, tx)
-        _, s, v = svd(hbar)
-        covs.append(canonical_beam(v[:, 0], p).covariance())
+        _, s, v = svd(stacked_channel(cs, tx))
+        tops.append(v[:, 0])
         total += p * float(s[0] ** 2)
-    return covs[0], covs[1], total
+    return total, tuple(tops)
 
 
 def meb(h11, p1):

@@ -19,7 +19,9 @@ factored once per cross link, the price matrix mu I - lam G = mu (I - rho G)
 is diagonal in W's basis.  Along the ray rho = lam / mu in [0, 1/cmax) one
 `eigh` of the own link's Gram, scaled by the ray, fixes the transmit
 directions and gains (`_Rays`), and the level 1/mu that spends the budget
-is an exact weighted water-filling level (`beamformers.water_level`).
+is an exact weighted water-filling level, the smallest prefix level of the
+ray's floors, which its descending gains give already sorted
+(`beamformers._water_level`, the kernel the water-filling game shares).
 Water-filling is the ray's point at rho = 0, and the DUAL branch is a single
 scalar root: energy(rho) = E_floor.  A ray point's rate, energy and trace
 follow from its gains and powers, log det(I + Ht Q Ht^H) = sum_k log(1 +
@@ -89,14 +91,13 @@ from .beamformers import (
     _mode_floors,
     _ratio_directions,
     _ratio_factor,
+    _water_level,
     check_strategy,
     meb,
     mlb,
-    water_level,
 )
 from .channel import _is_int, channel_digest
 from .exceptions import (
-    DegenerateChannelError,
     InfeasibleTargetError,
     InvalidInputError,
     InvariantViolationError,
@@ -320,7 +321,10 @@ class _Rays:
     V^H gives gains g_k (descending) and directions V, neither depending on
     mu.  With a_k = 1/g_k the trace is sum_k w_k (eta - a_k)^+ and the energy
     sum_k e_k (eta - a_k)^+, where w_k = sum_i |V_ik|^2 d_i^2 and e_k =
-    sum_i |V_ik|^2 c_i d_i^2, so the level eta = 1/mu is exact.  The
+    sum_i |V_ik|^2 c_i d_i^2, so the level eta = 1/mu is exact: the floors
+    ascend with the descending gains, and `_water_level` takes the smallest
+    of their prefix levels with no sort.  A row with no gain raises
+    DegenerateChannelError (`_mode_floors`), the game's check.  The
     covariance, in W's basis, is D V diag(powers) V^H D, and its rate
     log2 det(I + Ht Q Ht^H) is sum_k log2(1 + g_k powers_k) (`_ray_rates`).
     At rho = 0, d = 1 and the ray point is water-filling.
@@ -336,8 +340,9 @@ class _Rays:
         floors = _mode_floors(self.gain)
         mag = np.abs(self.v) ** 2
         w = (d2[:, None, :] @ mag)[:, 0, :]
-        self.eta = water_level(floors, p, w)
-        self.powers = np.maximum(self.eta[:, None] - floors, 0.0)
+        eta = _water_level(floors, p, w)
+        self.eta = eta[:, 0]
+        self.powers = np.maximum(eta - floors, 0.0)
         col = self.powers[:, :, None]
         self.energy = ((c * d2)[:, None, :] @ mag @ col)[:, 0, 0]
         self.trace = (w[:, None, :] @ col)[:, 0, 0]
@@ -530,8 +535,6 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
         f = ht[links] @ w[links]
         gram = f.conj().swapaxes(-1, -2) @ f
         wf_ray = _Rays(gram, c[links], np.zeros(links.size), p)
-        if not wf_ray.gain[:, 0].all():
-            raise DegenerateChannelError("channel is numerically zero; no mode to fill")
         _check_spectra(wf_ray.powers, wf_ray.trace, p)
         e_wf[~at_cap] = wf_ray.energy[slot[rows[~at_cap]]]
     wf = e_req <= e_wf

@@ -170,13 +170,9 @@ def _f17(x):
 
 
 def _matrix_json(h):
-    rows = []
-    for r in range(h.shape[0]):
-        cells = ",".join(
-            f"[{_f17(h[r, c].real)},{_f17(h[r, c].imag)}]" for c in range(h.shape[1])
-        )
-        rows.append(f"[{cells}]")
-    return "[" + ",".join(rows) + "]"
+    """Rows of [re, im] pairs, each part as `_f17` writes it."""
+    rows = (",".join("[%.17g,%.17g]" % (z.real, z.imag) for z in row) for row in h.tolist())
+    return "[" + ",".join(f"[{cells}]" for cells in rows) + "]"
 
 
 def channel_document(cs, include_seed=True):

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beamformers import STRATEGIES, eh_eh_optimal, iterative_waterfilling
+from .beamformers import STRATEGIES, _eh_eh_energy, iterative_waterfilling
 from .boundary import re_sweep, time_sharing_curve
 from .channel import _is_int, channel_digest, draw_channel_set
 from .exceptions import InvalidInputError
@@ -366,12 +366,13 @@ def _curve_slots(boundary, n_grid):
     return slots
 
 
-def _seed_task(cfg_dict, seed):
-    """One seed's curves, gaps and mode rows.  With scheduling on, both
-    orientations' sler sweeps and the scheduled sweep come from one
-    `scheduled_run`, whose single lockstep spans both orientations.  A
-    time-sharing line joins the ends of the meb or mlb sweep it follows."""
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+def _seed_task(cfg, seed):
+    """One seed's curves, gaps and mode rows under a checked
+    `ExperimentConfig`.  With scheduling on, both orientations' sler sweeps
+    and the scheduled sweep come from one `scheduled_run`, whose single
+    lockstep spans both orientations.  A time-sharing line joins the ends of
+    the meb or mlb sweep it follows.  The (harvest, harvest) row reads the
+    optimum's energy alone (`_eh_eh_energy`), with no covariance built."""
     t0 = time.perf_counter()
     cs = draw_channel_set(cfg.m_t, cfg.m_r, np.asarray(cfg.alpha), seed)
     curves = {}
@@ -403,8 +404,8 @@ def _seed_task(cfg_dict, seed):
         if not iwf.converged:
             game = {"rounds": iwf.iterations, "last_step": iwf.deltas[-1]}
     if "eh_eh" in cfg.modes:
-        _, _, e_total = eh_eh_optimal(cs, cfg.p)
-        mode_rows.append(("eh_eh", 0.0, float(e_total)))
+        e_total, _ = _eh_eh_energy(cs, cfg.p)
+        mode_rows.append(("eh_eh", 0.0, e_total))
     return {
         "seed": seed,
         "digest": channel_digest(cs),
@@ -471,9 +472,9 @@ def run_experiment(cfg, workers=1):
     seeds = list(cfg.seeds)
     if workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=min(int(workers), len(seeds))) as pool:
-            results = list(pool.map(_seed_task, [cfg_dict] * len(seeds), seeds))
+            results = list(pool.map(_seed_task, [cfg] * len(seeds), seeds))
     else:
-        results = [_seed_task(cfg_dict, s) for s in seeds]
+        results = [_seed_task(cfg, s) for s in seeds]
     by_seed = {r["seed"]: r for r in results}
 
     artifacts = []

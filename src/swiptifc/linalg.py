@@ -4,10 +4,14 @@ The checked factorizations live here, with their conventions decided once:
 spectra come back in descending order, and Hermitian inputs are symmetrized
 before factorization so downstream code never depends on where rounding
 noise landed.  `svd`, `inv_sqrt_psd` and `psd_mask` also take a stack of
-matrices (..., m, n) and factor each one as LAPACK would alone.  The
-stacked inner loops (the rounds of `beamformers.iterative_waterfilling`,
+matrices (..., m, n) and factor each one as LAPACK would alone, so the
+water-filling game scores both users' final rates with one stacked
+`inv_sqrt_psd`, bit for bit as two single calls would.  The stacked inner
+loops (the rounds of `beamformers.iterative_waterfilling`,
 `beamformers._ratio_factor` and `_ratio_directions`, `boundary._Rays` and
-`_whitened_links`) call numpy directly.
+`_whitened_links`) call numpy directly.  `_float_array` reads an array of
+real numbers, none a bool or a string, for the checks of `_as_reals` and
+`beamformers.water_level`.
 """
 
 import math
@@ -66,20 +70,25 @@ def _as_real(x, name, positive=False):
     return value
 
 
+def _float_array(x):
+    """`x` as a float array, or a nan scalar where an entry is a bool, a
+    string or not a real number."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu":
+        return x.astype(float, copy=False)
+    try:
+        items = np.asarray(x, dtype=object)
+        if any(isinstance(t, (bool, np.bool_, str, bytes)) for t in items.flat):
+            raise TypeError
+        return items.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        return np.array(math.nan)
+
+
 def _as_reals(x, name):
     """`_as_real` for an array of values: return `x` as a float array whose
     entries are finite nonnegative real numbers, none of them a bool or a
     string."""
-    if isinstance(x, np.ndarray) and x.dtype.kind in "fiu":
-        values = x.astype(float, copy=False)
-    else:
-        try:
-            items = np.asarray(x, dtype=object)
-            if any(isinstance(t, (bool, np.bool_, str, bytes)) for t in items.flat):
-                raise TypeError
-            values = items.astype(float)
-        except (TypeError, ValueError, OverflowError):
-            values = np.array(math.nan)
+    values = _float_array(x)
     if not np.all(np.isfinite(values) & (values >= 0.0)):
         raise InvalidInputError(f"{name} must be finite nonnegative, got {x!r}")
     return values

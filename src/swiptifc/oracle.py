@@ -8,7 +8,9 @@ once and shift its spectrum by the floor), covariance search samples the
 feasible set blindly, the stationarity check probes the objective with
 random feasible perturbations, `inner_max` is the closed-form priced
 maximizer that the lockstep solver never builds, `lemma1_transform` factors
-a link pair that no production route needs, and
+a link pair that no production route needs, `counted_water_level` finds
+the water level by sorting the floors and counting the active ones
+(production takes the smallest prefix level of floors it holds sorted), and
 `iterative_waterfilling_per_user` plays the water-filling game with two
 `waterfill` calls per round, each through the inverse square root of the
 interference covariance and the SVD of the whitened channel (production
@@ -41,6 +43,7 @@ __all__ = [
     "inner_max",
     "Lemma1Result",
     "lemma1_transform",
+    "counted_water_level",
     "iterative_waterfilling_per_user",
     "harvest_census",
     "waterfill_census",
@@ -280,6 +283,40 @@ def lemma1_transform(h_own, h_cross):
         residual_own=res_own,
         residual_cross=res_cross,
     )
+
+
+def counted_water_level(floors, p, weights=None):
+    """The water level sum_k w_k (eta - a_k)^+ = P by sorting and counting:
+    the spent power is piecewise linear in eta with breakpoints at the
+    sorted floors; with the m lowest floors active the level is (P +
+    sum_{k<m} w_k a_k) / sum_{k<m} w_k, and m is the number of floors below
+    that level (Palomar & Fonollosa, IEEE TSP 2005).
+
+    Floors a_k are finite or +inf, weights positive (default all ones) and
+    P positive, unchecked; floors of shape (n, K) give one level per row.
+    Production's `beamformers.water_level` takes the smallest prefix level
+    instead.
+    """
+    floors = np.asarray(floors, dtype=float)
+    if weights is None:
+        a = np.sort(floors, axis=-1)
+        w = np.ones_like(a)
+    else:
+        order = floors.argsort(axis=-1)
+        pick = order if floors.ndim == 1 else (np.arange(len(floors))[:, None], order)
+        a = floors[pick]
+        w = np.asarray(weights, dtype=float)[pick]
+    cw = w.cumsum(axis=-1)
+    cwa = (w * a).cumsum(axis=-1)
+    # power spent once the level reaches each floor past the first; past an
+    # infinite floor this is inf or nan, and neither counts below P
+    with np.errstate(invalid="ignore"):
+        spent_at = a[..., 1:] * cw[..., :-1] - cwa[..., :-1]
+    m = (spent_at < p).sum(axis=-1)
+    if floors.ndim == 1:
+        return float((p + cwa[m]) / cw[m])
+    rows = np.arange(len(a))
+    return (p + cwa[rows, m]) / cw[rows, m]
 
 
 def iterative_waterfilling_per_user(cs, p, n_max=20, update="simultaneous"):

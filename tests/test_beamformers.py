@@ -11,9 +11,11 @@ from swiptifc import (
     DegenerateChannelError,
     InvalidInputError,
     STRATEGIES,
+    achievable_rate,
     check_strategy,
     draw_channel_set,
     eh_eh_optimal,
+    interference_cov,
     iterative_waterfilling,
     meb,
     meb_rank2,
@@ -26,9 +28,17 @@ from swiptifc import (
 )
 from swiptifc import beamformers, linalg, metrics
 from swiptifc.beamformers import water_level
-from swiptifc.oracle import game_census, iterative_waterfilling_per_user, random_psd_search
+from swiptifc.oracle import (
+    counted_water_level,
+    game_census,
+    iterative_waterfilling_per_user,
+    random_psd_search,
+)
 
 ALPHA = np.array([[1.0, 0.8], [0.8, 1.0]])
+
+# the (M_t, M_r) shapes the game tests cycle
+GAME_SHAPES = ((1, 1), (2, 2), (2, 3), (3, 2), (4, 4), (4, 2))
 
 
 def _cgauss(rng, *shape):
@@ -162,6 +172,62 @@ class TestWaterLevel:
     def test_tied_floors(self):
         assert water_level(np.array([1.0, 1.0, 3.0]), 2.0) == pytest.approx(2.0)
         assert water_level(np.array([0.5]), 1.0, np.array([4.0])) == pytest.approx(0.75)
+        # lists pass the input checks, unsorted and with +inf floors
+        assert water_level([3.0, np.inf, 1.0, 1.0], 2.0) == 2.0
+        stacked = water_level([[2.0, 0.5], [0.5, 2.0]], 1.0, [[1.0, 4.0], [4.0, 1.0]])
+        assert stacked.tolist() == [0.75, 0.75]
+
+    def test_kernel_is_the_counted_level_bit_for_bit(self):
+        # the smallest prefix level of sorted floors against the oracle's
+        # sort-and-count, weighted and unweighted, with +inf tails, per row
+        # of a stack and row by row
+        rng = np.random.default_rng(22)
+        for _ in range(400):
+            rows, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            a = np.sort(1.0 / rng.uniform(0.01, 10.0, (rows, n)), axis=-1)
+            for r, live in enumerate(rng.integers(1, n + 1, rows)):
+                a[r, live:] = np.inf
+            w = rng.uniform(0.2, 5.0, (rows, n))
+            p = float(rng.uniform(0.05, 50.0))
+            for weights in (None, w):
+                got = beamformers._water_level(a, p, weights)
+                assert got.shape == (rows, 1)
+                assert got[:, 0].tobytes() == counted_water_level(a, p, weights).tobytes()
+                for r in range(rows):
+                    wr = None if weights is None else weights[r]
+                    one = beamformers._water_level(a[r], p, wr)
+                    assert one.shape == (1,)
+                    assert one[0] == counted_water_level(a[r], p, wr) == got[r, 0]
+
+    @pytest.mark.parametrize(
+        "floors, p, weights",
+        [
+            ([1.0, 2.0], -1.0, None),
+            ([1.0, 2.0], 0.0, None),
+            ([1.0, 2.0], np.nan, None),
+            ([1.0, np.nan], 1.0, None),
+            ([1.0, -np.inf], 1.0, None),
+            ([1.0, 2.0], 1.0, [1.0, -1.0]),
+            ([1.0, 2.0], 1.0, [1.0, 0.0]),
+            ([1.0, 2.0], 1.0, [1.0]),
+            ([np.inf, np.inf], 1.0, None),
+            ([[1.0, 2.0], [np.inf, np.inf]], 1.0, None),
+            ([], 1.0, None),
+            ([[]], 1.0, None),
+            (1.0, 1.0, None),
+            ("x", 1.0, None),
+            (["1.0", "2.0"], 1.0, None),
+            ([True, 2.0], 1.0, None),
+            ([1.0, 2.0], 1.0, "x"),
+            (np.ones((2, 2, 2)), 1.0, None),
+        ],
+    )
+    def test_rejects_bad_input(self, floors, p, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                water_level(floors, p, weights)
+
 
 
 class TestIterativeWaterfilling:
@@ -184,8 +250,6 @@ class TestIterativeWaterfilling:
         alpha = np.array([[1.0, 1e-8], [1e-8, 1.0]])
         cs = draw_channel_set(3, 3, alpha, seed=2)
         res = iterative_waterfilling(cs, 5.0)
-        from swiptifc import achievable_rate
-
         solo1 = achievable_rate(cs.h11, np.eye(3), waterfill(cs.h11, None, 5.0))
         solo2 = achievable_rate(cs.h22, np.eye(3), waterfill(cs.h22, None, 5.0))
         assert res.rates[0] == pytest.approx(solo1, abs=1e-4)
@@ -224,9 +288,7 @@ class TestIterativeWaterfilling:
         with pytest.raises(InvalidInputError):
             iterative_waterfilling_per_user(cs, 1.0, update="jacobi")
 
-    @pytest.mark.parametrize(
-        "shape", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 4), (4, 2)], ids=lambda s: "%dx%d" % s
-    )
+    @pytest.mark.parametrize("shape", GAME_SHAPES, ids=lambda s: "%dx%d" % s)
     def test_spectral_game_matches_the_per_user_game(self, shape):
         # the oracle at production's rule (simultaneous updates, 20 rounds)
         # through an inverse square root and an SVD per transmitter and round:
@@ -242,6 +304,20 @@ class TestIterativeWaterfilling:
             assert got.deltas == pytest.approx(want.deltas, rel=1e-9, abs=1e-12 * p), case
             assert np.abs(got.q1.q - want.q1.q).max() <= 1e-12 * p, case
             assert np.abs(got.q2.q - want.q2.q).max() <= 1e-12 * p, case
+
+    @pytest.mark.parametrize("shape", GAME_SHAPES, ids=lambda s: "%dx%d" % s)
+    def test_stacked_final_rates_are_two_achievable_rates(self, shape):
+        # one stacked pass scores both users exactly as two separate
+        # `achievable_rate` calls on their `interference_cov`s
+        for seed, a, p in itertools.product(range(1, 31), (0.3, 1.0), (0.1, 50.0)):
+            cs = draw_channel_set(*shape, np.array([[1.0, a], [a, 1.0]]), seed)
+            res = iterative_waterfilling(cs, p)
+            q1, q2 = res.q1.q, res.q2.q
+            want = (
+                achievable_rate(cs.h11, interference_cov(cs.h12, q2), q1),
+                achievable_rate(cs.h22, interference_cov(cs.h21, q1), q2),
+            )
+            assert res.rates == want, (seed, a, p)
 
     def test_rounds_part_from_the_oracle_only_at_the_threshold(self):
         # draw 9 is the 3x2 channel of seed 39 at cross gain 1.0, whose
@@ -259,7 +335,7 @@ class TestIterativeWaterfilling:
     def test_checks_only_the_returned_covariances(self, monkeypatch):
         # a round checks its powers in spectral form and whitens by `solve`:
         # `check_covariances` runs once per returned TxCovariance, and
-        # `inv_sqrt_psd` only for the two final rates
+        # `inv_sqrt_psd` once, on the stack of both final rates' whitenings
         calls = {"check_covariances": 0, "inv_sqrt_psd": 0}
 
         def counted(name, real):
@@ -276,7 +352,7 @@ class TestIterativeWaterfilling:
             monkeypatch.setattr(module, "inv_sqrt_psd", whitening)
         res = iterative_waterfilling(draw_channel_set(4, 4, ALPHA, seed=2), 50.0)
         assert res.iterations > 2
-        assert calls == {"check_covariances": 2, "inv_sqrt_psd": 2}
+        assert calls == {"check_covariances": 2, "inv_sqrt_psd": 1}
 
     def test_zero_direct_link(self):
         # no ChannelSet holds a zero link, but the game reads only the links
@@ -339,6 +415,17 @@ class TestIterativeWaterfilling:
 
 
 class TestEhEhOptimal:
+    @pytest.mark.parametrize("shape", GAME_SHAPES, ids=lambda s: "%dx%d" % s)
+    def test_energy_helper_is_the_optimum_total(self, shape):
+        # the runner's (harvest, harvest) row reads the helper alone
+        for seed, p in itertools.product(range(1, 31), (0.1, 50.0)):
+            cs = draw_channel_set(*shape, ALPHA, seed)
+            total, tops = beamformers._eh_eh_energy(cs, p)
+            q1, q2, want = eh_eh_optimal(cs, p)
+            assert total == want
+            for v, q in zip(tops, (q1, q2)):
+                assert np.allclose(p * np.outer(v, v.conj()), q.q, rtol=0.0, atol=1e-12 * p)
+
     def test_total_matches_stacked_gain(self):
         cs = draw_channel_set(3, 3, ALPHA, seed=8)
         p = 4.0

@@ -1,11 +1,14 @@
 """Tests for the rate-energy boundary solver and its supporting pieces."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from swiptifc import boundary
 from swiptifc import (
     ChannelSet,
+    DegenerateChannelError,
     InfeasibleTargetError,
     InvalidInputError,
     InvariantViolationError,
@@ -197,6 +200,17 @@ class TestSolveP3:
         h22t, h12 = self._links(33)
         with pytest.raises(InvalidInputError, match="transmit dims differ"):
             solve_p3(h22t[:, :1], h12, 0.1, 2.0)
+
+    @pytest.mark.parametrize("frac", [0.0, 0.5])
+    def test_zero_own_link_raises_without_warning(self, frac):
+        # the rays check for gain before filling, as the game does, so no
+        # inf - inf is formed on the way to the error
+        _, h12 = self._links(34)
+        cap = 2.0 * np.linalg.svd(h12, compute_uv=False)[0] ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateChannelError, match="no mode to fill"):
+                solve_p3(np.zeros_like(h12), h12, frac * cap, 2.0)
 
     def test_energy_met_and_budget_respected(self):
         for seed in range(20):

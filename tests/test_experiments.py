@@ -262,18 +262,23 @@ class TestRunExperiment:
         assert agg_a == agg_b
 
     def test_worker_count_does_not_change_output(self, tmp_path):
-        cfg_a = _tiny_cfg(tmp_path, seeds=(1, 2), output_dir=str(tmp_path / "w1"))
-        cfg_b = _tiny_cfg(tmp_path, seeds=(1, 2), output_dir=str(tmp_path / "w2"))
-        run_experiment(cfg_a, workers=1)
-        run_experiment(cfg_b, workers=2)
+        # the pool ships the checked config itself to each worker
+        modes = ("id_id", "eh_eh")
+        cfg_a = _tiny_cfg(tmp_path, seeds=(1, 2), modes=modes, output_dir=str(tmp_path / "w1"))
+        cfg_b = _tiny_cfg(tmp_path, seeds=(1, 2), modes=modes, output_dir=str(tmp_path / "w2"))
+        one = run_experiment(cfg_a, workers=1)
+        two = run_experiment(cfg_b, workers=2)
         for name in (
             "curve_meb_seed1.csv",
             "curve_meb_seed2.csv",
             "aggregate.csv",
+            "modes.csv",
         ):
             assert (tmp_path / "w1" / name).read_bytes() == (
                 tmp_path / "w2" / name
             ).read_bytes()
+        for key in ("channels", "gaps", "unconverged_games", "exit_code"):
+            assert one[key] == two[key]
 
     def test_time_sharing_curves(self, tmp_path):
         cfg = _tiny_cfg(tmp_path, time_sharing=True, ts_points=5)
