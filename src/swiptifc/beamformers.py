@@ -349,13 +349,25 @@ def _ratio_directions(lam, u, g, floors):
 
     SLER takes f = `sler_floor`, SLNR f = M_r / P1.  With
     D = diag((lam + f)^-1/2) the maximizer is U D y, y the top eigenvector
-    of D G D: one stacked `eigh` for all floors.  A zero floor on a cross
-    link with a null space (lam <= 1e-12 lam_max) takes the limit
-    direction, the top eigenvector of G restricted to that null space; where
-    the direct link has no gain there either (a null direction both links
-    share) the floor becomes a 1e-12 ridge, with a warning.
+    of D G D: one stacked `eigh` for all floors.  Where no cross link has a
+    null direction (lam <= 1e-12 lam_max), every D is finite; otherwise
+    `_null_limit` gives D and y, with the limit direction at a zero floor.
     """
     floors = np.asarray(floors, dtype=float)
+    if np.any(lam[..., 0] <= _RANK_TOL * lam[..., -1]):
+        d, y = _null_limit(lam, g, floors)
+    else:
+        d = 1.0 / np.sqrt(lam + floors[:, None])
+        y = np.linalg.eigh(d[:, :, None] * g * d[:, None, :])[1]
+    return (u @ (d * y[:, :, -1])[:, :, None])[..., 0]
+
+
+def _null_limit(lam, g, floors):
+    """`_ratio_directions`' D and eigenvectors y where a cross link has a
+    null space.  A zero floor there takes the limit direction, the top
+    eigenvector of G restricted to that null space; where the direct link
+    has no gain there either (a null direction both links share) the floor
+    becomes a 1e-12 ridge, with a warning."""
     lam = np.broadcast_to(lam, floors.shape + lam.shape[-1:])
     null = lam <= _RANK_TOL * lam[:, -1:]
     limit = (floors == 0.0) & null.any(axis=1)
@@ -370,4 +382,4 @@ def _ratio_directions(lam, u, g, floors):
         d[shared] = 1.0 / np.sqrt(lam[shared] + 1e-12)
         gs = np.broadcast_to(g, d.shape[:1] + g.shape[-2:])[shared]
         y[shared] = np.linalg.eigh(d[shared, :, None] * gs * d[shared, None, :])[1]
-    return (u @ (d * y[:, :, -1])[:, :, None])[..., 0]
+    return d, y

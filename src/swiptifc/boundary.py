@@ -40,18 +40,21 @@ all targets that take it in one stacked pass (`_evaluate_batch`):
 transmitter 1's beam as its factor F (W = F F^H, with one column, or two
 for meb_rank2; a sler or slnr beam is one small `eigh` per row against its
 context's factorization of H21^H H21), receiver 2's link H22~ whitened
-against that beam's interference through a k x k eigendecomposition of
-(H21 F)^H H21 F, water-filling (the ray at rho = 0 of the Gram of each
-distinct whitened link, formed once per batch), and, for the targets on
-the DUAL branch, the roots over rho (`_ratio_roots`).  The backoffs read
-only energies, and a DUAL row delivers its floor by construction, so their
-rounds defer the roots: only the rescue's scan, which ranks its candidates
-by rate, and one finishing pass over the targets that end on DUAL solve
-them.  Each root is a step-for-step port of scipy's brentq that also stops
-once its ray over-delivers by at most 1e-13 max(1, floor), and each of
-their rounds is one stacked `eigh` of the Grams of the rays all rows ask
-for.  `re_boundary_point` and `solve_p3` run the same code with one
-target.
+against that beam's interference through the k x k eigendecomposition of
+(H21 F)^H H21 F (in closed form for one column), water-filling (the ray at
+rho = 0 of the Gram of each distinct whitened link, formed once per batch),
+and, for the targets on the DUAL branch, the roots over rho
+(`_root_dual`, `_ratio_roots`).  The backoffs read only energies, and a
+DUAL row delivers its floor by construction, so their rounds defer the
+roots: only the rescue's scan, which ranks its candidates by rate, solves
+them in its batch.  A deferred row's record keeps its whitened link and
+Gram, so once the backoffs end, the targets whose latest record is a
+deferred DUAL row are rooted in one `_root_dual` call, with nothing
+evaluated again.  Each root is a step-for-step port of scipy's brentq that
+also stops once its ray over-delivers by at most 1e-13 max(1, floor), and
+each of their rounds is one stacked `eigh` of the Grams of the rays all
+rows ask for.  `re_boundary_point` and `solve_p3` run the same code with
+one target.
 
 The endpoint e_max is the largest target that the backoff's first round,
 at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
@@ -59,12 +62,13 @@ at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
 
 One evaluation of an (E_bar, P1) pair is one `_EVAL` record:
 `_solve_p3_batch` fills the floored rate solve (branch, ray evaluations,
-multipliers, gap, energy, trace, rate, repair flags), read off the ray's
-spectrum except at the cap and where an energy shortfall is repaired,
-and `_evaluate_batch` adds transmitter 1's P1, kappa, direct-link energy
-and clamp.  A target keeps the record of its latest evaluation; its
-published point and its `P3Diagnostics` (`_diagnostics`) are read from that
-record alone.
+multipliers, gap, energy, trace, rate, repair flags, water-filling's
+energy), read off the ray's spectrum except at the cap and where an energy
+shortfall is repaired, and `_evaluate_batch` adds transmitter 1's P1,
+kappa, direct-link energy and clamp.  The records of a lockstep also hold
+a deferred DUAL row's whitened link and Gram (`_held`).  A target keeps the
+record of its latest evaluation; its published point and its
+`P3Diagnostics` (`_diagnostics`) are read from that record alone.
 
 Each public entry point builds the strategy context (`_StrategyContext`)
 of its channel orientation, strategy and P (meb_rank2 at its even split),
@@ -80,6 +84,7 @@ context is the one-context case of the same code.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -451,12 +456,21 @@ def _ratio_roots(a, c, e_req, e_wf, rho_hi, p):
 # one evaluation of an (e_bar, P1) pair (see the module docstring): `branch`
 # is the floored solve's WF, DUAL or CAP, lam and mu are nan where the branch
 # reports none, e2 is receiver 2's energy, e11 = kappa * P1 the direct-link
-# energy, and `clamped` marks a floor left for transmitter 2 out of its reach
+# energy, `clamped` marks a floor left for transmitter 2 out of its reach,
+# and e_wf is water-filling's energy (nan at the cap)
 _EVAL = np.dtype(
     [(name, float) for name in ("p1", "kappa", "e11", "lam", "mu", "gap", "e2", "trace", "rate")]
     + [(name, bool) for name in ("clamped", "repaired", "rescaled")]
-    + [("branch", "U4"), ("evals", int)]
+    + [("branch", "U4"), ("evals", int), ("e_wf", float)]
 )
+
+
+@functools.cache
+def _held(m_r, m_t):
+    """`_EVAL` for whitened links of shape (M_r, M_t), with what a deferred
+    DUAL row's root reads besides its floor and e_wf: the link `ht` and its
+    Gram in W's basis, `gram` (zero on every other row)."""
+    return np.dtype(_EVAL.descr + [("ht", complex, (m_r, m_t)), ("gram", complex, (m_t, m_t))])
 
 
 # the `_EVAL` fields of a `P3Diagnostics`, in `_diagnostics`' order
@@ -486,6 +500,65 @@ def _columns(rec, names):
     return zip(*(rec[name].tolist() for name in names))
 
 
+def _assembled(q, ht, p):
+    """Covariances built from their parts, checked once as `TxCovariance`
+    checks them, and their rates over the links ht: returns (q, rates)."""
+    q = hermitian_part(q)
+    check_covariances(q, p)
+    return q, _rates(ht, q)
+
+
+def _root_dual(rec, k, ht, gram, cross, p):
+    """Solve the DUAL rows k of the `_held` records `rec` in place: one
+    `_ratio_roots` call over all of them.
+
+    Row k[i] reads its floor from e2, where a DUAL row not yet rooted
+    reports it, and water-filling's energy from e_wf; ht[i] is its whitened
+    link, gram[i] that link's Gram (Ht W)^H Ht W, and `cross` holds the
+    row's `_cross_factor` (c, W, cmax, v12), one per row.  A root whose
+    trace lands above P by rounding is scaled back on its spectrum; an
+    energy short of the floor (no gain along the cross-link beam) is mixed
+    toward the beam by `_repair`, the one DUAL covariance assembled.
+    Returns the rays at the roots, the repaired rows (a mask over k) and
+    their covariances.
+    """
+    c, w, cmax, v12 = cross
+    e_req = rec["e2"][k]
+    rho, rec["evals"][k], ray = _ratio_roots(
+        gram, c, e_req, rec["e_wf"][k], (1.0 - _RHO_MARGIN) / cmax, p
+    )
+    over = ray.trace > p
+    scale = np.where(over, p / ray.trace, 1.0)
+    ray.powers *= scale[:, None]
+    energy, trace = ray.energy * scale, np.where(over, p, ray.trace)
+    rate = np.empty(k.size)
+    short = e_req - energy > _SHORT_TOL * np.maximum(1.0, e_req)
+    q = None
+    if short.any():
+        q, energy[short], trace[short] = _repair(
+            _ray_covariances(w[short], ray.d[short], ray.v[short], ray.powers[short]),
+            trace[short],
+            energy[short],
+            e_req[short],
+            p,
+            p * cmax[short],
+            v12[short],
+        )
+        q, rate[short] = _assembled(q, ht[short], p)
+    if not short.all():
+        _check_spectra(ray.powers[~short], trace[~short], p)
+        rate[~short] = _ray_rates(ray.gain[~short], ray.powers[~short])
+    rec["e2"][k], rec["trace"][k], rec["rate"][k] = energy, trace, rate
+    rec["rescaled"][k], rec["repaired"][k] = over, short
+    rec["gap"][k] = np.maximum(
+        np.maximum(e_req - energy, 0.0) / np.maximum(1.0, e_req),
+        np.maximum(trace - p, 0.0) / p,
+    )
+    rec["lam"][k] = rho / ray.eta
+    rec["mu"][k] = 1.0 / ray.eta
+    return ray, short, q
+
+
 def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
     """`solve_p3` for a stack of targets.
 
@@ -494,30 +567,23 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
     `cross` holds each link's cross-link `_cross_factor`, stacked: c (u, M_t),
     W (u, M_t, M_t), cmax (u,) and v12 (u, M_t).  Each link's Gram
     (Ht W)^H Ht W is formed once; water-filling is its ray at rho = 0, and
-    the DUAL targets share one `_ratio_roots` call, or, without `roots`, are
-    deferred: e2 = e_req and rate nan.  A row's rate, energy and trace are
-    read off its ray, whose powers, energy and trace are scaled back where
-    its trace lands above P by rounding; a covariance is assembled only at
-    the cap and where `_repair` mixes a ray's, and only those pass
-    `check_covariances` and `_rates` (every other ray `_check_spectra`).
-    Returns each target's `_EVAL` record, with the floored-solve fields
+    the DUAL targets share one `_root_dual` call, or, without `roots`, are
+    deferred: e2 = e_req, rate nan, and the record keeps the row's link and
+    Gram for a later `_root_dual`.  A row's rate, energy and trace are read
+    off its ray; a covariance is assembled only at the cap and where
+    `_repair` mixes a ray's, and only those pass `check_covariances` and
+    `_rates` (every other ray `_check_spectra`).
+    Returns each target's `_held` record, with the floored-solve fields
     filled, and a function giving row i's covariance (not for a deferred
     row).
     """
     c, w, cmax, v12 = cross
     n = e_req.size
     cap = p * cmax[rows]
-    rec = np.zeros(n, _EVAL)
+    rec = np.zeros(n, _held(*ht.shape[1:]))
     rec["lam"] = rec["mu"] = np.nan
     energy, trace, rate = rec["e2"], rec["trace"], rec["rate"]  # views: writes land in rec
     built = {}  # row -> its assembled covariance
-
-    def assemble(k, q):
-        # every covariance assembled here passes TxCovariance's checks, once
-        q = hermitian_part(q)
-        check_covariances(q, p)
-        rate[k] = _rates(ht[rows[k]], q)
-        built.update(zip(k.tolist(), q))
 
     # at the cap the feasible set collapses onto the cross-link beam; the
     # dual pair diverges there, so return the beam directly (branch CAP)
@@ -525,12 +591,16 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
     k = np.flatnonzero(at_cap)
     if k.size:
         energy[k], trace[k] = cap[k], p
-        assemble(k, p * _outer(v12[rows[k]]))
+        q, rate[k] = _assembled(p * _outer(v12[rows[k]]), ht[rows[k]], p)
+        built.update(zip(k.tolist(), q))
 
-    links = np.unique(rows[~at_cap])
+    links = rows[~at_cap]
+    if np.any(links[1:] <= links[:-1]):
+        links = np.unique(links)
     slot = np.zeros(ht.shape[0], dtype=int)
     slot[links] = np.arange(links.size)
-    e_wf = np.full(n, np.nan)
+    e_wf = rec["e_wf"]
+    e_wf[at_cap] = np.nan
     if links.size:
         f = ht[links] @ w[links]
         gram = f.conj().swapaxes(-1, -2) @ f
@@ -545,52 +615,21 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
         rate[k] = _ray_rates(wf_ray.gain[s], wf_ray.powers[s])
 
     idx = np.flatnonzero(~at_cap & ~wf)
-    if not roots:
-        # the root meets the floor by construction, so a deferred DUAL row
-        # reports e2 = e_req and leaves its rate nan and multipliers unset
-        energy[idx] = e_req[idx]
-        rate[idx] = np.nan
-    elif idx.size:
+    if idx.size:
         link = rows[idx]
-        rho, rec["evals"][idx], ray = _ratio_roots(
-            gram[slot[link]],
-            c[link],
-            e_req[idx],
-            e_wf[idx],
-            (1.0 - _RHO_MARGIN) / cmax[link],
-            p,
-        )
-        # a trace above P by rounding is scaled back on the spectrum
-        over = ray.trace > p
-        scale = np.where(over, p / ray.trace, 1.0)
-        ray.powers *= scale[:, None]
-        energy[idx], trace[idx] = ray.energy * scale, np.where(over, p, ray.trace)
-        rec["rescaled"][idx] = over
-        # an energy short of the floor (no gain along the cross-link beam) is
-        # mixed toward the beam by `_repair`, the one DUAL covariance built
-        short = e_req[idx] - energy[idx] > _SHORT_TOL * np.maximum(1.0, e_req[idx])
-        k = idx[short]
-        if k.size:
-            rec["repaired"][k] = True
-            q, energy[k], trace[k] = _repair(
-                _ray_covariances(w[rows[k]], ray.d[short], ray.v[short], ray.powers[short]),
-                trace[k],
-                energy[k],
-                e_req[k],
-                p,
-                cap[k],
-                v12[rows[k]],
+        # a DUAL row meets its floor: the root reads it from e2, and a
+        # deferred row reports it there, with its rate nan and its
+        # multipliers unset
+        energy[idx] = e_req[idx]
+        if roots:
+            ray, short, q = _root_dual(
+                rec, idx, ht[link], gram[slot[link]], [a[link] for a in cross], p
             )
-            assemble(k, q)
-        if not short.all():
-            _check_spectra(ray.powers[~short], trace[idx[~short]], p)
-            rate[idx[~short]] = _ray_rates(ray.gain[~short], ray.powers[~short])
-        rec["gap"][idx] = np.maximum(
-            np.maximum(e_req[idx] - energy[idx], 0.0) / np.maximum(1.0, e_req[idx]),
-            np.maximum(trace[idx] - p, 0.0) / p,
-        )
-        rec["lam"][idx] = rho / ray.eta
-        rec["mu"][idx] = 1.0 / ray.eta
+            if q is not None:
+                built.update(zip(idx[short].tolist(), q))
+        else:
+            rate[idx] = np.nan
+            rec["ht"][idx], rec["gram"][idx] = ht[link], gram[slot[link]]
     rec["branch"] = np.where(at_cap, "CAP", np.where(wf, "WF", "DUAL"))
 
     def covariance(i):
@@ -728,21 +767,28 @@ def _unit_covs(st, ci, e_bars, p1s):
     """
     if st.fixed:
         return st.f_fixed[ci], st.kappa_fixed[ci]
-    v = np.empty((p1s.size, st.h11.shape[-1]), dtype=np.complex128)
     low = p1s <= 1e-12 * st.p
     if low.any():
+        v = np.empty((p1s.size, st.h11.shape[-1]), dtype=np.complex128)
         v[low] = st.meb_v[ci[low]]
-    hi = ~low
-    if hi.any():
-        c = ci[hi]
-        if st.strategy == "sler":
-            floors = sler_floor(st.h11_norm2[c], e_bars[hi], p1s[hi])
-        else:
-            floors = st.h11.shape[-2] / p1s[hi]
-        v[hi] = _unit_rows(_ratio_directions(st.lam[c], st.u[c], st.g[c], floors))
-        check_unit_rows(v[hi])
+        hi = ~low
+        if hi.any():
+            v[hi] = _ratio_beams(st, ci[hi], None if e_bars is None else e_bars[hi], p1s[hi])
+    else:
+        v = _ratio_beams(st, ci, e_bars, p1s)
     f = v[:, :, None]
     return f, _beam_gain(st.h11[ci], f)
+
+
+def _ratio_beams(st, ci, e_bars, p1s):
+    """The checked unit directions of `_unit_covs` at P1 > 0."""
+    if st.strategy == "sler":
+        floors = sler_floor(st.h11_norm2[ci], e_bars, p1s)
+    else:
+        floors = st.h11.shape[-2] / p1s
+    v = _unit_rows(_ratio_directions(st.lam[ci], st.u[ci], st.g[ci], floors))
+    check_unit_rows(v)
+    return v
 
 
 def _whitened_links(st, ci, f, p1s):
@@ -751,14 +797,22 @@ def _whitened_links(st, ci, f, p1s):
 
     With U^H U = E diag(mu) E^H (k x k) and s = sqrt(1 + mu), the inverse
     square root is I - U E diag(g) E^H U^H, g = 1 / (s (1 + s)): no M_r x M_r
-    factorization.  At P1 = 0, U = 0 and H22 comes back as it is; as mu -> 0,
-    g -> 1/2, so a beam in H21's null space stays finite.
+    factorization, and for a one-column F (every beam but meb_rank2's) no
+    factorization at all: mu = U^H U and E = 1.  At P1 = 0, U = 0 and H22
+    comes back as it is; as mu -> 0, g -> 1/2, so a beam in H21's null space
+    stays finite.
     """
     h22 = st.h22[ci]
     u = np.sqrt(p1s)[:, None, None] * (st.h21[ci] @ f)
-    mu, e = np.linalg.eigh(u.conj().swapaxes(-1, -2) @ u)
+    gram = u.conj().swapaxes(-1, -2) @ u
+    if f.shape[-1] == 1:
+        # the 1 x 1 eigendecomposition in closed form, as LAPACK returns it:
+        # mu = U^H U and E = 1
+        mu, ue = gram.real[:, 0], u
+    else:
+        mu, e = np.linalg.eigh(gram)
+        ue = u @ e
     s = np.sqrt(1.0 + mu)
-    ue = u @ e
     g = 1.0 / (s * (1.0 + s))
     return h22 - (ue * g[:, None, :]) @ (ue.conj().swapaxes(-1, -2) @ h22)
 
@@ -938,15 +992,17 @@ def _solve_many(jobs):
       batch, keeps its first best-rate candidate that reaches the target,
       and backs off from there, with the same Aitken steps, while the
       target stays reached;
-    * one finishing batch.  Both backoffs defer the DUAL roots (their next
-      P1 reads energies only, and a DUAL row meets its floor), so each
-      target whose latest record is a deferred DUAL row is evaluated once
-      more at its P1, with its root.  The scan, which ranks by rate, roots
-      its rows.
+    * one finishing root call.  Both backoffs defer the DUAL roots (their
+      next P1 reads energies only, and a DUAL row meets its floor), so the
+      targets whose latest record is a deferred DUAL row are rooted
+      together, by one `_root_dual` call on the whitened links and Grams
+      those records keep: no beam, whitening or water-filling is evaluated
+      again.  The scan, which ranks by rate, roots its rows.
 
     A point whose settled P1 is exactly 0.0, which the backoff and the scan
-    both reach, is published as NO_TX.  If a batch raises a SwiptError, its
-    rows are evaluated one at a time, and each target whose row raises takes
+    both reach, is published as NO_TX.  If a batch or the finishing root call
+    raises a SwiptError, its rows are evaluated one at a time (with their
+    roots, for the finishing call), and each target whose row raises takes
     the error.  Returns a dict that maps each pair to its REPoint or to the
     SwiptError that stopped it.
     """
@@ -972,25 +1028,33 @@ def _solve_many(jobs):
     p = st.p
     tol_p1 = _P1_TOL * max(p, 1.0)
 
-    def evaluate(ks, p1s, roots=False):
-        """Target ks[i] evaluated at P1 p1s[i], DUAL rows deferred unless
-        `roots`: returns the targets and their `_EVAL` records, without the
-        rows of targets that took an error."""
-        try:
-            rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s, roots)
-        except SwiptError:
-            rec = np.zeros(ks.size, _EVAL)
-            for i, k in enumerate(ks.tolist()):
-                one = slice(k, k + 1)
-                try:
-                    rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1], roots)[0]
-                except SwiptError as exc:
-                    if not failed[k]:
-                        out[k], failed[k] = exc, True
+    latest = np.zeros(len(todo), _held(*st.h22.shape[1:]))
+
+    def one_by_one(ks, p1s, roots):
+        """Target ks[i] evaluated alone at P1 p1s[i]: returns the targets and
+        their records, without the targets whose row raised, which take the
+        error."""
+        rec = np.zeros(ks.size, latest.dtype)
+        for i, k in enumerate(ks.tolist()):
+            one = slice(k, k + 1)
+            try:
+                rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1], roots)[0]
+            except SwiptError as exc:
+                if not failed[k]:
+                    out[k], failed[k] = exc, True
         ok = ~failed[ks]
         return ks[ok], rec[ok]
 
-    latest = np.zeros(len(todo), _EVAL)
+    def evaluate(ks, p1s, roots=False):
+        """Target ks[i] evaluated at P1 p1s[i], DUAL rows deferred unless
+        `roots`, in one batch, or `one_by_one` if the batch raises."""
+        try:
+            rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s, roots)
+        except SwiptError:
+            return one_by_one(ks, p1s, roots)
+        ok = ~failed[ks]
+        return ks[ok], rec[ok]
+
     iters = np.zeros(len(todo), dtype=int)
     p1 = np.full(len(todo), p)
     settled = np.zeros(len(todo), dtype=bool)
@@ -1046,11 +1110,24 @@ def _solve_many(jobs):
             f"strategy {ctx.strategy!r} delivers {got!r} at target {e!r}", max_attainable=got
         )
         failed[k] = True
-    # the targets that end on a deferred DUAL row get their roots in one batch
+    # the targets that end on a deferred DUAL row are rooted together, from
+    # the links and Grams their records keep
     due = np.flatnonzero(~failed & np.isnan(latest["rate"]))
     if due.size:
-        due, ev = evaluate(due, latest["p1"][due], roots=True)
-        latest[due] = ev
+        deferred = latest[due]
+        cd = ci[due]
+        try:
+            _root_dual(
+                latest,
+                due,
+                deferred["ht"],
+                deferred["gram"],
+                [st.c[cd], st.w[cd], st.cmax[cd], st.v12[cd]],
+                p,
+            )
+        except SwiptError:
+            due, ev = one_by_one(due, deferred["p1"], True)
+            latest[due] = ev
 
     # the published points, built from Python values read column by column
     done = np.flatnonzero(~failed)

@@ -21,7 +21,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +59,13 @@ CSV_COLUMNS = (
 
 _AGG_COLUMNS = ("strategy", "grid_index", "e_norm", "n_seeds", "e_bar", "rate_bits", "energy")
 
+# one row of each CSV: floats carry 12 significant digits ("%.12g" % x is
+# format(float(x), ".12g")), counts print as integers, and a multiplier is
+# formatted apart (`_multiplier`) because None leaves its column empty
+_ROW = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s,%d,%s,%s\n"
+_AGG_ROW = "%s,%d,%.12g,%d,%.12g,%.12g,%.12g\n"
+_MODE_ROW = "%s,%d,%d,%d,%.12g,%.12g\n"
+
 # the size fields and their largest values: a run's complex arrays of m_t^2,
 # m_r^2, e_grid_points or ts_points entries must stay within the byte count
 # numpy's index type can address
@@ -72,12 +78,8 @@ _SIZES = (
 )
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".12g")
+def _multiplier(x):
+    return "" if x is None else "%.12g" % x
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,27 +294,27 @@ def apply_overrides(cfg_dict, overrides):
 
 
 def _write_rows(path, label, seed, points):
+    seed = "" if seed is None else str(int(seed))
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for pt in sorted(points, key=lambda q: q.e_bar):
+        lines.append(
+            _ROW
+            % (
+                label,
+                seed,
+                pt.e_bar,
+                pt.rate_bits,
+                pt.energy,
+                pt.p1,
+                pt.branch,
+                pt.iterations,
+                _multiplier(pt.lam),
+                _multiplier(pt.mu),
+            )
+        )
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for pt in sorted(points, key=lambda q: q.e_bar):
-                fh.write(
-                    ",".join(
-                        (
-                            str(label),
-                            "" if seed is None else str(int(seed)),
-                            _fmt(pt.e_bar),
-                            _fmt(pt.rate_bits),
-                            _fmt(pt.energy),
-                            _fmt(pt.p1),
-                            pt.branch,
-                            str(int(pt.iterations)),
-                            _fmt(pt.lam),
-                            _fmt(pt.mu),
-                        )
-                    )
-                    + "\n"
-                )
+            fh.write("".join(lines))
     except OSError as exc:
         raise InvalidInputError(f"cannot write curve file {path}: {exc}") from exc
     return Path(path)
@@ -418,30 +420,28 @@ def _seed_task(cfg, seed):
 
 
 def _write_aggregate(path, labels, by_seed):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_AGG_COLUMNS) + "\n")
-        for label in labels:
-            slot_lists = [by_seed[s]["curves"][label] for s in sorted(by_seed)
-                          if label in by_seed[s]["curves"]]
-            n = max(len(sl) for sl in slot_lists)
-            for k in range(n):
-                pts = [sl[k] for sl in slot_lists if k < len(sl) and sl[k] is not None]
-                if not pts:
-                    continue
-                e_norm = k / (n - 1) if n > 1 else 0.0
-                if len(pts) == 1:
-                    # the mean of one value is that value
-                    means = (pts[0].e_bar, pts[0].rate_bits, pts[0].energy)
-                else:
-                    means = (
-                        np.mean([p.e_bar for p in pts]),
-                        np.mean([p.rate_bits for p in pts]),
-                        np.mean([p.energy for p in pts]),
-                    )
-                fh.write(
-                    ",".join((label, str(k), _fmt(e_norm), str(len(pts))) + tuple(map(_fmt, means)))
-                    + "\n"
+    lines = [",".join(_AGG_COLUMNS) + "\n"]
+    for label in labels:
+        slot_lists = [by_seed[s]["curves"][label] for s in sorted(by_seed)
+                      if label in by_seed[s]["curves"]]
+        n = max(len(sl) for sl in slot_lists)
+        for k in range(n):
+            pts = [sl[k] for sl in slot_lists if k < len(sl) and sl[k] is not None]
+            if not pts:
+                continue
+            e_norm = k / (n - 1) if n > 1 else 0.0
+            if len(pts) == 1:
+                # the mean of one value is that value
+                means = (pts[0].e_bar, pts[0].rate_bits, pts[0].energy)
+            else:
+                means = (
+                    np.mean([p.e_bar for p in pts]),
+                    np.mean([p.rate_bits for p in pts]),
+                    np.mean([p.energy for p in pts]),
                 )
+            lines.append(_AGG_ROW % ((label, k, e_norm, len(pts)) + means))
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(lines))
     return path
 
 
@@ -471,6 +471,10 @@ def run_experiment(cfg, workers=1):
     cfg_dict = cfg.to_dict()
     seeds = list(cfg.seeds)
     if workers > 1 and len(seeds) > 1:
+        # imported here, so a run in one process never loads the pool's
+        # modules (about 8 ms per interpreter)
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(int(workers), len(seeds))) as pool:
             results = list(pool.map(_seed_task, [cfg] * len(seeds), seeds))
     else:
@@ -500,9 +504,7 @@ def run_experiment(cfg, workers=1):
             fh.write("mode,seed,m_t,m_r,rate_bits,energy\n")
             for seed in seeds:
                 for tag, rate, energy in by_seed[seed]["modes"]:
-                    fh.write(
-                        f"{tag},{seed},{cfg.m_t},{cfg.m_r},{_fmt(rate)},{_fmt(energy)}\n"
-                    )
+                    fh.write(_MODE_ROW % (tag, seed, cfg.m_t, cfg.m_r, rate, energy))
         artifacts.append(str(path))
 
     gap_total = sum(len(g) for r in results for g in r["gaps"].values())
@@ -522,6 +524,5 @@ def run_experiment(cfg, workers=1):
         "exit_code": 2 if gap_total else 0,
     }
     with open(outdir / "summary.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

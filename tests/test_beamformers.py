@@ -634,6 +634,60 @@ class TestStackedBeams:
             assert 1.0 - abs(np.vdot(near, v)) <= 1e-12
 
 
+    @staticmethod
+    def _spy(monkeypatch):
+        # the rows handed to the null-space route, per call
+        real, calls = beamformers._null_limit, []
+
+        def spying(lam, g, floors):
+            calls.append(len(floors))
+            return real(lam, g, floors)
+
+        monkeypatch.setattr(beamformers, "_null_limit", spying)
+        return calls
+
+    @staticmethod
+    def _general(lam, u, g, floors):
+        # every floor through the null-space route, which leaves a row
+        # without a null direction as the plain route does
+        d, y = beamformers._null_limit(lam, g, np.asarray(floors, dtype=float))
+        return (u @ (d * y[:, :, -1])[:, :, None])[..., 0]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_square_links_skip_the_null_space_route(self, m, monkeypatch):
+        from swiptifc.beamformers import _ratio_directions, _ratio_factor
+
+        calls = self._spy(monkeypatch)
+        rng = np.random.default_rng(67 + m)
+        for _ in range(10):
+            h11, h21 = _cgauss(rng, 4, m, m), _cgauss(rng, 4, m, m)
+            floors = np.array([0.0, 1e-9, 0.7, 30.0])
+            for fac in (_ratio_factor(h11, h21), _ratio_factor(h11[0], h21[0])):
+                got = _ratio_directions(*fac, floors)
+                assert calls == []
+                assert got.tobytes() == self._general(*fac, floors).tobytes()
+                calls.clear()
+
+    @pytest.mark.parametrize("m_t", [3, 4])
+    def test_wide_links_take_the_null_space_route(self, m_t, monkeypatch):
+        # M_t > M_r: the cross link has a null direction, so every row takes
+        # the limit route, and a null direction both links share warns
+        from swiptifc.beamformers import _ratio_directions, _ratio_factor
+
+        calls = self._spy(monkeypatch)
+        rng = np.random.default_rng(68)
+        h11, h21 = _cgauss(rng, 2, m_t), _cgauss(rng, 2, m_t)
+        floors = np.array([0.0, 0.5, 0.0, 3.0])
+        got = _ratio_directions(*_ratio_factor(h11, h21), floors)
+        assert calls == [floors.size]
+        assert np.linalg.norm(h21 @ got[0]) <= 1e-13 * np.linalg.norm(got[0])
+        shared = np.zeros((2, m_t), dtype=complex)
+        shared[:, :2] = h21[:, :2]
+        with pytest.warns(UserWarning, match="share a null direction"):
+            v = _ratio_directions(*_ratio_factor(shared, h21[:, :2] @ np.eye(2, m_t)), [0.0])
+        assert calls == [floors.size, 1] and np.all(np.isfinite(v))
+
+
 class TestSlnrBeam:
     def test_weak_leak_high_power_is_energy_beam(self):
         rng = np.random.default_rng(71)

@@ -682,23 +682,28 @@ class TestAssembledRows:
 
     @staticmethod
     def _count(monkeypatch):
-        # rows that reach check_covariances and _rates, and the CAP, rescaled
-        # and repaired rows of every evaluated record
+        # rows that reach check_covariances and _rates, the CAP rows of every
+        # evaluated record, and the rooted DUAL rows, rescaled and repaired
+        # ones among them, of every root call: in a batch or after the backoff
         seen = dict(checked=0, rated=0, cap=0, rescaled=0, repaired=0, rooted=0)
-        real_eval, real_check, real_rates = (
+        real_eval, real_dual, real_check, real_rates = (
             boundary._evaluate_batch,
+            boundary._root_dual,
             boundary.check_covariances,
             boundary._rates,
         )
 
         def evaluating(st, ci, e_bars, p1s, roots=True):
             rec = real_eval(st, ci, e_bars, p1s, roots)
-            dual = rec["branch"] == "DUAL"
             seen["cap"] += int(np.sum(rec["branch"] == "CAP"))
-            seen["rescaled"] += int(np.sum(rec["rescaled"]))
-            seen["repaired"] += int(np.sum(rec["repaired"]))
-            seen["rooted"] += int(np.sum(dual & ~np.isnan(rec["rate"])))
             return rec
+
+        def rooting(rec, k, *args):
+            out = real_dual(rec, k, *args)
+            seen["rescaled"] += int(np.sum(rec["rescaled"][k]))
+            seen["repaired"] += int(np.sum(rec["repaired"][k]))
+            seen["rooted"] += int(np.sum(~np.isnan(rec["rate"][k])))
+            return out
 
         def checking(q, budget):
             seen["checked"] += q.shape[0]
@@ -709,6 +714,7 @@ class TestAssembledRows:
             return real_rates(b, q)
 
         monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
+        monkeypatch.setattr(boundary, "_root_dual", rooting)
         monkeypatch.setattr(boundary, "check_covariances", checking)
         monkeypatch.setattr(boundary, "_rates", rating)
         return seen
@@ -1049,28 +1055,59 @@ class TestStackedLockstep:
     def test_one_batch_per_backoff_round(self, strategy, monkeypatch):
         # the evaluation at a target's settled P1 shares the backoff's rounds:
         # no separate pass, so the most evaluated target is in every batch;
-        # one finishing batch roots exactly the targets that end on DUAL
+        # after the last of them, one root call over exactly the targets that
+        # end on DUAL, and no further evaluation
         p = 5.0
-        real = boundary._evaluate_batch
+        events = _record_lockstep(monkeypatch)
         for seed in range(1, 6):
             ctx = boundary._StrategyContext(draw_channel_set(4, 4, ALPHA, seed=seed), strategy, p)
             grid = np.linspace(0.0, ctx.emax(), 32)
-            calls = []
-            rooted = []
-
-            def counting(st, ci, e_bars, p1s, roots=True):
-                (rooted if roots else calls).append(e_bars.tolist())
-                return real(st, ci, e_bars, p1s, roots)
-
-            monkeypatch.setattr(boundary, "_evaluate_batch", counting)
+            events.clear()
             solved = boundary._solve_many([(ctx, grid)])
-            monkeypatch.setattr(boundary, "_evaluate_batch", real)
+            calls = [e_bars for kind, roots, e_bars in events if kind == "eval"]
+            # no rescue: every batch is a backoff round, and none roots
+            assert all(roots is False for kind, roots, _ in events if kind == "eval")
             points = [(e, pt) for (_, e), pt in solved.items() if isinstance(pt, REPoint)]
             iters = [pt.iterations for _, pt in points]
             assert len(calls) <= max(iters) + 1
             assert len(calls) == max(sum(e in call for call in calls) for e in grid.tolist())
             dual = [e for e, pt in points if pt.p3.branch == "DUAL"]
-            assert rooted == ([dual] if dual else [])
+            last = max(i for i, (kind, _, _) in enumerate(events) if kind == "eval")
+            after = events[last + 1 :]
+            if dual:
+                assert [kind for kind, _, _ in after] == ["dual", "root"]
+                assert grid[after[0][2]].tolist() == dual and after[1][2] == len(dual)
+            else:
+                assert after == []
+
+
+def _record_lockstep(monkeypatch):
+    """Log, in order, each `_evaluate_batch` call ("eval", roots, e_bars),
+    each `_root_dual` call ("dual", None, rows) and each `_ratio_roots` call
+    ("root", None, row count) that a lockstep makes."""
+    events = []
+    real_eval, real_dual, real_roots = (
+        boundary._evaluate_batch,
+        boundary._root_dual,
+        boundary._ratio_roots,
+    )
+
+    def evaluating(st, ci, e_bars, p1s, roots=True):
+        events.append(("eval", roots, e_bars.tolist()))
+        return real_eval(st, ci, e_bars, p1s, roots)
+
+    def finishing(rec, k, *args):
+        events.append(("dual", None, k.tolist()))
+        return real_dual(rec, k, *args)
+
+    def rooting(*args):
+        events.append(("root", None, len(args[2])))
+        return real_roots(*args)
+
+    monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
+    monkeypatch.setattr(boundary, "_root_dual", finishing)
+    monkeypatch.setattr(boundary, "_ratio_roots", rooting)
+    return events
 
 
 class TestDeferredRoots:
@@ -1089,32 +1126,52 @@ class TestDeferredRoots:
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
     @pytest.mark.parametrize("m", [2, 4])
     def test_backoff_makes_no_root(self, strategy, m, monkeypatch):
-        real_eval, real_roots = boundary._evaluate_batch, boundary._ratio_roots
-        batches = []  # per batch: whether it roots, and its `_ratio_roots` calls
-
-        def evaluating(st, ci, e_bars, p1s, roots=True):
-            batches.append([roots, 0])
-            return real_eval(st, ci, e_bars, p1s, roots)
-
-        def rooting(*args):
-            batches[-1][1] += 1
-            return real_roots(*args)
-
-        monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
-        monkeypatch.setattr(boundary, "_ratio_roots", rooting)
+        events = _record_lockstep(monkeypatch)
         unrescued = 0
         for seed in (1, 2, 3):
-            batches.clear()
+            events.clear()
             _, jobs = self._lockstep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P)
+            todo = [(ctx, e) for ctx, grid in jobs for e in grid.tolist()]
             solved = boundary._solve_many(jobs)
-            assert any(isinstance(pt, REPoint) and pt.p3.branch == "DUAL" for pt in solved.values())
-            assert all(calls == 0 for roots, calls in batches if not roots)
-            rooted = [calls for roots, calls in batches if roots]
-            if len(rooted) == 1:
-                # no rescue scan: the finishing batch is the one rooted batch
-                assert batches[-1] == [True, 1]
+            dual = [key for key in todo if isinstance(solved[key], REPoint)]
+            dual = [key for key in dual if solved[key].p3.branch == "DUAL"]
+            assert dual
+            # a root call only inside a rooting batch (the rescue's scan) or
+            # after the last evaluation
+            evals = [i for i, (kind, _, _) in enumerate(events) if kind == "eval"]
+            for i, (kind, _, _) in enumerate(events):
+                if kind == "root" and i < evals[-1]:
+                    assert events[max(j for j in evals if j < i)][1] is True
+            after = events[evals[-1] + 1 :]
+            if not any(events[j][1] for j in evals):
+                # no rescue scan: after the backoff, one root call over
+                # exactly the targets that end on DUAL
+                assert [kind for kind, _, _ in after] == ["dual", "root"]
+                assert [todo[k] for k in after[0][2]] == dual and after[1][2] == len(dual)
                 unrescued += 1
         assert unrescued >= 2
+
+    @pytest.mark.parametrize("strategy", ["meb", "mlb", "meb_rank2"])
+    def test_finishing_root_that_raises_goes_row_by_row(self, strategy, monkeypatch):
+        # a fixed beam takes no rescue, so the first root call is the
+        # finishing one; when it raises, each of its targets is evaluated
+        # alone with its root, to the same points
+        cs = draw_channel_set(3, 2, ALPHA, seed=4)
+        want = boundary._solve_many(self._lockstep(cs, strategy, self.P)[1])
+        real = boundary._root_dual
+        refused = []
+
+        def refuse_first(rec, k, *args):
+            if not refused:
+                refused.append(k.size)
+                raise InvariantViolationError("refused")
+            return real(rec, k, *args)
+
+        monkeypatch.setattr(boundary, "_root_dual", refuse_first)
+        got = boundary._solve_many(self._lockstep(cs, strategy, self.P)[1])
+        dual = [pt for pt in want.values() if isinstance(pt, REPoint) and pt.p3.branch == "DUAL"]
+        assert refused == [len(dual)] and len(dual) >= 2
+        assert [repr(pt) for pt in got.values()] == [repr(pt) for pt in want.values()]
 
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler", "meb_rank2"])
     def test_dual_points_match_direct_evaluation(self, strategy):
@@ -1313,6 +1370,35 @@ class TestWhitenedLinks:
             assert np.linalg.norm(ht_k - want) <= 1e-12 * np.linalg.norm(want)
             want_kappa = np.trace(cs.h11 @ w @ cs.h11.conj().T).real
             assert abs(kappa_k - want_kappa) <= 1e-12 * want_kappa
+
+
+    @staticmethod
+    def _eigh_route(st, ci, f, p1s):
+        # the k x k eigendecomposition for every factor, rank one included
+        h22 = st.h22[ci]
+        u = np.sqrt(p1s)[:, None, None] * (st.h21[ci] @ f)
+        mu, e = np.linalg.eigh(u.conj().swapaxes(-1, -2) @ u)
+        s = np.sqrt(1.0 + mu)
+        ue = u @ e
+        g = 1.0 / (s * (1.0 + s))
+        return h22 - (ue * g[:, None, :]) @ (ue.conj().swapaxes(-1, -2) @ h22)
+
+    @pytest.mark.parametrize("strategy, split", BEAMS)
+    @pytest.mark.parametrize("m_t, m_r", [(2, 2), (3, 2), (4, 4)])
+    def test_closed_form_is_the_eigh_route_bit_for_bit(self, strategy, split, m_t, m_r):
+        # a one-column factor takes mu = U^H U and E = 1, which is what the
+        # 1 x 1 eigh returns; meb_rank2's two columns keep the eigh
+        rng = np.random.default_rng(m_t * 10 + m_r)
+        for seed in range(13, 19):
+            cs = draw_channel_set(m_t, m_r, ALPHA, seed=seed)
+            st = boundary._stack([boundary._StrategyContext(cs, strategy, self.P, split)])
+            p1s = np.concatenate(([0.0, 1e-13 * self.P, self.P], rng.uniform(0.0, self.P, 20)))
+            ci = np.zeros(p1s.size, dtype=int)
+            top = self.P * np.linalg.norm(cs.h11, 2) ** 2
+            f, _ = boundary._unit_covs(st, ci, rng.uniform(0.0, top, p1s.size), p1s)
+            assert f.shape[-1] == (2 if strategy == "meb_rank2" else 1)
+            got = boundary._whitened_links(st, ci, f, p1s)
+            assert got.tobytes() == self._eigh_route(st, ci, f, p1s).tobytes()
 
 
 class TestSharedContext:

@@ -1,5 +1,6 @@
 """Tests for experiment configs, presets, CSV artifacts and the runner."""
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -27,6 +28,7 @@ from swiptifc import (
     re_sweep,
     read_plot_data,
     run_experiment,
+    time_sharing_curve,
 )
 
 
@@ -225,6 +227,71 @@ class TestPlotData:
         assert rows[1]["mu"] == pytest.approx(1.5)
         assert rows[0]["iterations"] == 2
 
+    @staticmethod
+    def _fmt(x):
+        # one field as the writers once formatted it, field by field
+        if x is None:
+            return ""
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return format(float(x), ".12g")
+
+    def _reference(self, label, seed, points):
+        lines = [",".join(CSV_COLUMNS)]
+        for pt in sorted(points, key=lambda q: q.e_bar):
+            fields = (pt.e_bar, pt.rate_bits, pt.energy, pt.p1)
+            lines.append(
+                ",".join(
+                    (label, self._fmt(seed), *map(self._fmt, fields), pt.branch)
+                    + (str(int(pt.iterations)), self._fmt(pt.lam), self._fmt(pt.mu))
+                )
+            )
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_rows_match_the_field_by_field_reference(self, tmp_path):
+        # byte for byte: None multipliers, numpy ints and floats, signed
+        # zeros, nan, and a time-sharing curve
+        pts = [
+            REPoint(e_bar=-0.0, rate_bits=1.0 / 3.0, energy=0.0, p1=0.0, branch="NO_TX",
+                    iterations=np.int64(2)),
+            REPoint(e_bar=np.float64(0.1), rate_bits=float("nan"), energy=np.float32(0.3),
+                    p1=np.int64(2), branch="DUAL", iterations=7, lam=np.float64(2.5e-17),
+                    mu=-0.0),
+            REPoint(e_bar=1e13 / 7.0, rate_bits=123456789.123456789, energy=1e-300,
+                    p1=2.0, branch="WF", iterations=0, lam=None, mu=1.0),
+            REPoint(e_bar=2e15 / 3.0, rate_bits=-0.0, energy=float("inf"), p1=1e-320,
+                    branch="CAP", iterations=np.int32(3), lam=0.25),
+        ]
+        bd = REBoundary(points=pts, strategy="sler", channel_digest="d", e_max=1.0)
+        for seed in (None, 4, np.int64(5)):
+            path = emit_plot_data(bd, tmp_path / "c.csv", seed=seed)
+            assert path.read_bytes() == self._reference("sler", seed, pts)
+        meb = self._boundary()
+        ts = time_sharing_curve(meb, np.linspace(0.0, 1.0, 7))
+        for bd in (meb, ts):
+            path = emit_plot_data(bd, tmp_path / "ts.csv", label="meb_ts", seed=1)
+            assert path.read_bytes() == self._reference("meb_ts", 1, bd.points)
+
+    def test_aggregate_matches_the_field_by_field_reference(self, tmp_path):
+        one = REPoint(e_bar=0.5, rate_bits=2.0 / 3.0, energy=np.float64(0.7), p1=1.0,
+                      branch="WF", iterations=1)
+        two = REPoint(e_bar=1.5, rate_bits=-0.0, energy=float("nan"), p1=1.0,
+                      branch="WF", iterations=1)
+        by_seed = {
+            2: {"curves": {"a": [one, None, two], "b": [two]}},
+            1: {"curves": {"a": [two, None, one, one]}},
+        }
+        path = experiments._write_aggregate(tmp_path / "agg.csv", ["a", "b"], by_seed)
+        f = self._fmt
+        want = [
+            "strategy,grid_index,e_norm,n_seeds,e_bar,rate_bits,energy",
+            ",".join(("a", "0", f(0.0), "2", f(1.0), f(np.mean([-0.0, 2.0 / 3.0])), f(float("nan")))),
+            ",".join(("a", "2", f(2.0 / 3.0), "2", f(1.0), f(np.mean([2.0 / 3.0, -0.0])), "nan")),
+            ",".join(("a", "3", f(1.0), "1", f(0.5), f(2.0 / 3.0), f(0.7))),
+            ",".join(("b", "0", f(0.0), "1", f(1.5), f(-0.0), f(float("nan")))),
+        ]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -403,7 +470,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cases = [(8, (1, 2), 2), (2, (1, 2, 3), 2), (np.int64(3), (1, 2, 3), 3), (8, (1,), None)]
         for k, (workers, seeds, want) in enumerate(cases):
             sizes.clear()
@@ -463,3 +530,15 @@ def test_runtime_imports_numpy_only():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_experiments_import_no_process_pool():
+    # the process pool's modules load only when a run fans seeds out
+    src = str(Path(swiptifc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, swiptifc.experiments; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
