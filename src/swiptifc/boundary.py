@@ -71,16 +71,17 @@ record of its latest evaluation; its published point and its
 `P3Diagnostics` (`_diagnostics`) are read from that record alone.
 
 Each public entry point builds the strategy context (`_StrategyContext`)
-of its channel orientation, strategy and P (meb_rank2 at its even split),
-and passes it down; a context finds its e_max once.  Nothing is kept
-between calls.
+of its channel orientation, strategy and P, and passes it down; a context
+finds its e_max once.  Nothing is kept between calls.  Transmitter 1's beam
+is a rule among the context's constants, which one table (`_BEAMS`) gives
+each strategy: a fixed factor F or a ratio floor rule.
 
-One lockstep may span several contexts that share strategy, P and link
-shape (`_solve_many`), such as both orientations of one channel, or one
-channel's meb_rank2 contexts at different splits: every row of a round
-carries its context's index and reads that context's links and constants,
-the fixed beam included, stacked once per lockstep (`_stack`).  Solving one
-context is the one-context case of the same code.
+One lockstep may span several contexts that share rule kind, factor width,
+P and link shape (`_solve_many`), such as both orientations of one channel,
+or one channel's meb and mlb: every row of a round carries its context's
+index and reads that context's constants, its rule's included, stacked once
+per lockstep (`_stack`).  `_sweeps` sweeps one channel's strategies in one
+lockstep per rule kind and factor width; one context is the one-context case.
 """
 
 import dataclasses
@@ -694,35 +695,19 @@ def solve_p3(h22_tilde, h12, e_target, p):
 
 
 class _StrategyContext:
-    """Per-channel quantities plus the beam family of one strategy.
+    """A channel orientation, P and the beam rule `_BEAMS` gives the strategy.
 
-    `consts` holds what an evaluation reads per row (see `_stack`); e_max is
-    found once, on first use.  Only C7's census sets meb_rank2's `split`.
+    `consts` holds what an evaluation reads per row, the rule's included (see
+    `_stack`); the name is a label.  e_max is found once, on first use.
     """
 
-    def __init__(self, cs, strategy, p, split=0.5):
-        check_strategy(strategy)
+    def __init__(self, cs, strategy, p):
         self.cs = cs
-        self.strategy = strategy
+        self.strategy = check_strategy(strategy)
         self.p = _as_real(p, "power budget", positive=True)
         c, w, cmax, v12 = _cross_factor(cs.h12)
         self.consts = dict(h11=cs.h11, h21=cs.h21, h22=cs.h22, c=c, w=w, cmax=cmax, v12=v12)
-        f_fixed = None
-        if strategy == "meb":
-            f_fixed = meb(cs.h11, 1.0).v[:, None]
-        elif strategy == "mlb":
-            f_fixed = mlb(cs.h21, 1.0).v[:, None]
-        elif strategy == "meb_rank2":
-            split, v1, v2 = _energy_streams(cs.h11, split)
-            f_fixed = np.stack((math.sqrt(split) * v1, math.sqrt(1.0 - split) * v2), axis=1)
-        self.fixed = f_fixed is not None
-        if self.fixed:
-            self.consts.update(f_fixed=f_fixed, kappa_fixed=float(_beam_gain(cs.h11, f_fixed)))
-        else:
-            # vanishing power: both adaptive beams collapse to the pure
-            # energy beam (their denominators are dominated by the floor)
-            self.consts["meb_v"] = meb(cs.h11, 1.0).v
-            self.consts.update(_ratio_consts(cs.h11, cs.h21))
+        self.consts.update(_BEAMS[strategy](cs))
         self._emax = None
 
     def emax(self):
@@ -740,17 +725,13 @@ def _ratio_consts(h11, h21):
 def _stack(ctxs):
     """The `consts` of the strategy contexts of one lockstep, each stacked
     along a leading context axis; an evaluation row reads its own context's
-    entries by index.  The contexts share strategy, P and link shape; a
-    fixed beam's factor F (`f_fixed`, M_t x k with k = 1, or 2 for
-    meb_rank2) and its gain `kappa_fixed` are per-context entries, so they
-    may differ in split.
+    entries by index.  The contexts share P and the names and shapes of
+    their constants, so the rule's kind and a fixed factor's width; a fixed
+    factor F or a ratio rule's (a, b, off) is a per-context entry.
     """
     first = ctxs[0]
     return SimpleNamespace(
-        strategy=first.strategy,
-        p=first.p,
-        fixed=first.fixed,
-        **{k: np.stack([ctx.consts[k] for ctx in ctxs]) for k in first.consts},
+        p=first.p, **{k: np.stack([ctx.consts[k] for ctx in ctxs]) for k in first.consts}
     )
 
 
@@ -759,36 +740,25 @@ def _unit_covs(st, ci, e_bars, p1s):
     W = F F^H at each (e_bar, P1) pair, row i in context ci[i] of the stack
     `st`, and their direct-link energy gains kappa = ||H11 F||_F^2.
 
-    An adaptive beam is its direction normalized row by row, with no phase
-    fixed: W = v v^H does not depend on it.  Both ratio beams read their
-    context's factorization of H21^H H21 (`_ratio_factor`), so each row
-    costs one small `eigh`: SLER at the `sler_floor` of its pair, SLNR at
-    the floor M_r / P1.
+    A ratio beam is the unit v that maximizes ||H11 v||^2 / (||H21 v||^2 +
+    f ||v||^2) at its rule's floor f, with no phase fixed (W = v v^H does not
+    depend on it): one small `eigh` per row against the context's
+    factorization of H21^H H21 (`_ratio_factor`), and the energy beam as P1
+    vanishes.
     """
-    if st.fixed:
+    if hasattr(st, "f_fixed"):
         return st.f_fixed[ci], st.kappa_fixed[ci]
-    low = p1s <= 1e-12 * st.p
-    if low.any():
-        v = np.empty((p1s.size, st.h11.shape[-1]), dtype=np.complex128)
-        v[low] = st.meb_v[ci[low]]
-        hi = ~low
-        if hi.any():
-            v[hi] = _ratio_beams(st, ci[hi], None if e_bars is None else e_bars[hi], p1s[hi])
-    else:
-        v = _ratio_beams(st, ci, e_bars, p1s)
+    v = st.meb_v[ci]
+    hi = p1s > 1e-12 * st.p
+    if hi.any():
+        c = ci[hi]
+        a, b, off = st.floor_rule[c].T
+        floors = sler_floor(off, a * e_bars[hi] + b, p1s[hi])
+        u = _unit_rows(_ratio_directions(st.lam[c], st.u[c], st.g[c], floors))
+        check_unit_rows(u)
+        v[hi] = u
     f = v[:, :, None]
     return f, _beam_gain(st.h11[ci], f)
-
-
-def _ratio_beams(st, ci, e_bars, p1s):
-    """The checked unit directions of `_unit_covs` at P1 > 0."""
-    if st.strategy == "sler":
-        floors = sler_floor(st.h11_norm2[ci], e_bars, p1s)
-    else:
-        floors = st.h11.shape[-2] / p1s
-    v = _unit_rows(_ratio_directions(st.lam[ci], st.u[ci], st.g[ci], floors))
-    check_unit_rows(v)
-    return v
 
 
 def _whitened_links(st, ci, f, p1s):
@@ -825,11 +795,11 @@ def _surplus(st, ci, e_bars):
 
 
 def _emax_many(ctxs):
-    """`emax` of each strategy context; the contexts share strategy, P and
-    link shape (see `_stack`).
+    """`emax` of each strategy context; the contexts share P and their
+    constants' names and shapes (see `_stack`).
 
-    A fixed beam reaches P (kappa + cmax), cmax = sigma_max(H12)^2.  An
-    adaptive beam's e_max is the largest E with `_surplus` g(E) >= 0, where
+    A fixed beam reaches P (kappa + cmax), cmax = sigma_max(H12)^2.  A
+    ratio beam's e_max is the largest E with `_surplus` g(E) >= 0, where
     the backoff's first round (P1 = P) meets the target.  As kappa <=
     ||H11||^2, g >= 0 at P cmax and g <= 0 at P (||H11||^2 + cmax): one
     stacked `_EMAX_SCAN`-point scan finds each context's last point with
@@ -839,7 +809,7 @@ def _emax_many(ctxs):
     todo = [ctx for ctx in dict.fromkeys(ctxs) if ctx._emax is None]
     if todo:
         st = _stack(todo)
-        found = st.p * (st.kappa_fixed + st.cmax) if st.fixed else _reach_top(st)
+        found = st.p * (st.kappa_fixed + st.cmax) if hasattr(st, "f_fixed") else _reach_top(st)
         for ctx, ek in zip(todo, found.tolist()):
             ctx._emax = ek
     return [ctx._emax for ctx in ctxs]
@@ -879,6 +849,46 @@ def _reach_top(st):
     return a
 
 
+def _mlb_factor(h11, h21):
+    """mlb's factor: the least right singular vector of H21 (`mlb`), except
+    where H21's null space has dimension 2 or more (M_t >= M_r + 2, every
+    link having full rank).  There `mlb` returns whichever null direction
+    LAPACK finds, so the beam takes the one with the most direct-link gain
+    ||H11 v||^2, the ratio beams' zero-floor limit, which does not depend on
+    the channel's basis."""
+    if h21.shape[1] < h21.shape[0] + 2:
+        return mlb(h21, 1.0).v[:, None]
+    return _unit_rows(_ratio_directions(*_ratio_factor(h11, h21), [0.0])).T
+
+
+def _fixed_beam(h11, f):
+    """A fixed factor F (M_t x k) at every (e_bar, P1): kappa = ||H11 F||_F^2."""
+    return dict(f_fixed=f, kappa_fixed=float(_beam_gain(h11, f)))
+
+
+def _ratio_rule(cs, a, b, leak):
+    """The ratio beam (`_unit_covs`) at sler_floor(leak ||H11||^2, a e_bar + b, P1)."""
+    consts = _ratio_consts(cs.h11, cs.h21)
+    return dict(consts, meb_v=meb(cs.h11, 1.0).v, floor_rule=(a, b, leak * consts["h11_norm2"]))
+
+
+def _energy_factor(h11, split):
+    """meb_rank2's factor: H11's top two right singular vectors, split in power."""
+    split, v1, v2 = _energy_streams(h11, split)
+    return np.stack((math.sqrt(split) * v1, math.sqrt(1.0 - split) * v2), axis=1)
+
+
+# each strategy's beam rule for a channel orientation cs; a ratio rule
+# (a, b, leak) gives sler its `sler_floor` and slnr the floor M_r / P1
+_BEAMS = {
+    "meb": lambda cs: _fixed_beam(cs.h11, meb(cs.h11, 1.0).v[:, None]),
+    "mlb": lambda cs: _fixed_beam(cs.h11, _mlb_factor(cs.h11, cs.h21)),
+    "meb_rank2": lambda cs: _fixed_beam(cs.h11, _energy_factor(cs.h11, 0.5)),
+    "sler": lambda cs: _ratio_rule(cs, 1.0, 0.0, 1.0),
+    "slnr": lambda cs: _ratio_rule(cs, 0.0, float(cs.h11.shape[0]), 0.0),
+}
+
+
 def emax(cs, strategy, p):
     """Right boundary endpoint: the largest energy any sweep can target."""
     return _StrategyContext(cs, strategy, p).emax()
@@ -889,15 +899,15 @@ def _evaluate_batch(st, ci, e_bars, p1s, roots=True):
     beam, the whitened link H22~ it leaves for receiver 2, and the floored
     rate solve at the energy still missing.  Row i belongs to context ci[i]
     of the stack `st` (see `_stack`) and reads that context's links; without
-    `roots`, DUAL rows are deferred (`_solve_p3_batch`).  Returns the
-    `_EVAL` record of each row."""
-    if st.strategy == "sler":
+    `roots`, DUAL rows are deferred (`_solve_p3_batch`).  Unless a rule
+    reads e_bar (a ratio rule with a != 0), each distinct (context, P1)
+    pair's beam and H22~ are evaluated once.  Returns each row's `_EVAL`."""
+    if hasattr(st, "floor_rule") and st.floor_rule[:, 0].any():
         ci_u, p1_u, rows, e_u = ci, p1s, np.arange(p1s.size), e_bars
     else:
-        # the beam and H22~ depend on the context and P1 alone: evaluate each
-        # distinct pair once (complex keys P1 + i ctx sort by P1, then context)
-        keys, rows = np.unique(p1s + 1j * ci, return_inverse=True)
-        ci_u, p1_u, e_u = keys.imag.astype(int), keys.real, None
+        # complex keys P1 + i ctx sort by P1, then context
+        keys, first, rows = np.unique(p1s + 1j * ci, return_index=True, return_inverse=True)
+        ci_u, p1_u, e_u = keys.imag.astype(int), keys.real, e_bars[first]
     f, kappa_u = _unit_covs(st, ci_u, e_u, p1_u)
     ht = _whitened_links(st, ci_u, f, p1_u)
     kappa = kappa_u[rows]
@@ -973,9 +983,9 @@ class _Aitken:
 def _solve_many(jobs):
     """Boundary points of several strategy contexts, solved together.
 
-    `jobs` lists (context, e_bars) pairs; the contexts share strategy, P and
-    link shape (see `_stack`).  Each distinct (context, e_bar) pair is one target,
-    solved once.  Each step evaluates the (e_bar, P1) pairs of every target
+    `jobs` lists (context, e_bars) pairs; the contexts share rule kind, factor
+    width, P and link shape (see `_stack`).  Each distinct (context, e_bar)
+    pair is one target, solved once.  Each step evaluates the (e_bar, P1) pairs of every target
     that takes it as one stacked batch (`_evaluate_batch`):
 
     * the power backoff: from P1 = P, alternate the floored rate solve with
@@ -984,14 +994,14 @@ def _solve_many(jobs):
       from its last evaluation is evaluated there in one more round.  The
       next P1 may be a guarded Aitken step (`_Aitken`); a reverted step
       counts as a round;
-    * the stall rescue, for adaptive beams only.  An adaptive beam stops
-      tilting toward the energy subspace once its own power covers the
-      harvesting floor, so delivered energy is not monotone in P1: it can
-      dip below the target at full power while an interior P1 still reaches
-      it.  Each target still short scans `_RESCUE_SCAN` P1 values in one
-      batch, keeps its first best-rate candidate that reaches the target,
-      and backs off from there, with the same Aitken steps, while the
-      target stays reached;
+    * the stall rescue.  A ratio beam stops tilting toward the energy
+      subspace once its own power covers the harvesting floor, so delivered
+      energy is not monotone in P1: it can dip below the target at full power
+      while an interior P1 still reaches it (a fixed beam's energy grows
+      with P1).  Each target still short scans `_RESCUE_SCAN` P1 values in
+      one batch, keeps its first best-rate candidate that reaches the
+      target, and backs off from there, with the same Aitken steps, while
+      the target stays reached;
     * one finishing root call.  Both backoffs defer the DUAL roots (their
       next P1 reads energies only, and a DUAL row meets its floor), so the
       targets whose latest record is a deferred DUAL row are rooted
@@ -1074,7 +1084,7 @@ def _solve_many(jobs):
 
     achieved = latest["e11"] + latest["e2"]
     short = ~failed & (achieved < e_eff - tol_e)
-    if not st.fixed and short.any():
+    if short.any():
         live = np.flatnonzero(short)
         scan = np.linspace(0.0, p, _RESCUE_SCAN)
         live, ev = evaluate(np.repeat(live, scan.size), np.tile(scan, live.size), roots=True)
@@ -1232,15 +1242,26 @@ def re_sweep(cs, strategy, p, n_points=64, e_grid=None):
     monotonicity invariants.
     """
     if e_grid is not None:
-        grid = _as_reals(e_grid, "e_grid")
-        if grid.ndim != 1:
+        e_grid = _as_reals(e_grid, "e_grid")
+        if e_grid.ndim != 1:
             raise InvalidInputError("e_grid must be 1-D")
-        if np.any(np.diff(grid) <= 0.0):
+        if np.any(np.diff(e_grid) <= 0.0):
             raise InvalidInputError("e_grid must be strictly increasing")
-    ctx = _StrategyContext(cs, strategy, p)
-    if e_grid is None:
-        grid = _grid([ctx], n_points)
-    return _sweep_boundary(ctx, grid, _solve_many([(ctx, grid)]))
+    return _sweeps(cs, [strategy], p, n_points, e_grid)[0]
+
+
+def _sweeps(cs, strategies, p, n_points, e_grid=None):
+    """`re_sweep` of each strategy of one channel orientation, on its own
+    grid or on the checked `e_grid`: one `_solve_many` lockstep per rule kind
+    and factor width (see `_stack`), such as meb with mlb and slnr with sler."""
+    jobs, locksteps = [], {}
+    for strategy in strategies:
+        ctx = _StrategyContext(cs, strategy, p)
+        jobs.append((ctx, _grid([ctx], n_points) if e_grid is None else e_grid))
+        shapes = tuple((k, getattr(v, "shape", ())) for k, v in ctx.consts.items())
+        locksteps.setdefault(shapes, []).append(jobs[-1])
+    solved = {k: v for group in locksteps.values() for k, v in _solve_many(group).items()}
+    return [_sweep_boundary(ctx, grid, solved) for ctx, grid in jobs]
 
 
 def time_sharing_curve(boundary, weights):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .beamformers import STRATEGIES, _eh_eh_energy, iterative_waterfilling
-from .boundary import re_sweep, time_sharing_curve
+from .boundary import _sweeps, time_sharing_curve
 from .channel import _is_int, channel_digest, draw_channel_set
 from .exceptions import InvalidInputError
 from .linalg import _as_real
@@ -372,9 +372,10 @@ def _seed_task(cfg, seed):
     """One seed's curves, gaps and mode rows under a checked
     `ExperimentConfig`.  With scheduling on, both orientations' sler sweeps
     and the scheduled sweep come from one `scheduled_run`, whose single
-    lockstep spans both orientations.  A time-sharing line joins the ends of
-    the meb or mlb sweep it follows.  The (harvest, harvest) row reads the
-    optimum's energy alone (`_eh_eh_energy`), with no covariance built."""
+    lockstep spans both orientations; the others share `re_sweep`'s path
+    (`_sweeps`).  A time-sharing line joins the ends of the meb or mlb sweep
+    it follows.  The (harvest, harvest) row reads the optimum's energy alone
+    (`_eh_eh_energy`), with no covariance built."""
     t0 = time.perf_counter()
     cs = draw_channel_set(cfg.m_t, cfg.m_r, np.asarray(cfg.alpha), seed)
     curves = {}
@@ -389,8 +390,10 @@ def _seed_task(cfg, seed):
     if cfg.scheduling:
         own, swapped, sched, _tags = scheduled_run(cs, cfg.p, n_points=cfg.e_grid_points)
         scheduled = {"sler": own, "sler_swap": swapped, "sler_sched": sched}
+    swept = [s for s in cfg.strategies if s not in scheduled]
+    sweeps = dict(zip(swept, _sweeps(cs, swept, cfg.p, cfg.e_grid_points))) | scheduled
     for strategy in cfg.strategies:
-        b = scheduled.get(strategy) or re_sweep(cs, strategy, cfg.p, n_points=cfg.e_grid_points)
+        b = sweeps[strategy]
         add(strategy, b)
         if cfg.time_sharing and strategy in ("meb", "mlb"):
             ts = time_sharing_curve(b, weights=np.linspace(0.0, 1.0, cfg.ts_points))

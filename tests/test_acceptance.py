@@ -14,6 +14,8 @@ checks pay for it once.
 
 
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from swiptifc import (
     scheduled_run,
     time_sharing_curve,
 )
-from swiptifc.boundary import _solve_many, _StrategyContext
+from swiptifc.boundary import _energy_factor, _fixed_beam, _solve_many, _StrategyContext
 from swiptifc.oracle import (
     factorization_census,
     harvest_census,
@@ -196,6 +198,16 @@ def test_c06_boundary_monotone_and_feasible(census, capsys):
     )
 
 
+def _at_split(base, split):
+    """The meb_rank2 context `base` at power split `split`: the beam table
+    builds the even split only, so a copy of `base` (never solved, so its
+    e_max is still unfound) takes the rule of meb_rank2's factor at `split`."""
+    ctx = copy.copy(base)
+    h11 = base.cs.h11
+    ctx.consts = base.consts | _fixed_beam(h11, _energy_factor(h11, split))
+    return ctx
+
+
 def test_c07_endpoints_flat_segment_timesharing_rank2(census, capsys):
     """Boundary shape: endpoint order, silent segment, chord crossover, rank-2.
 
@@ -237,6 +249,7 @@ def test_c07_endpoints_flat_segment_timesharing_rank2(census, capsys):
     dominated = 0
     for d, (cs, sweeps) in enumerate(census[:25]):
         rates, _, ebars, _ = _full_arrays(sweeps["meb"], GRID_N)
+        base = _StrategyContext(cs, "meb_rank2", P)
         for idx in idxs:
             if np.isnan(rates[idx]):
                 continue
@@ -245,8 +258,7 @@ def test_c07_endpoints_flat_segment_timesharing_rank2(census, capsys):
             rng = np.random.default_rng(6000 + GRID_N * d + int(idx))
             # the pair's 200 splits, one context each, solved in one lockstep
             solved = _solve_many([
-                (_StrategyContext(cs, "meb_rank2", P, float(split)), [e_bar])
-                for split in rng.uniform(0.1, 0.9, 200)
+                (_at_split(base, float(split)), [e_bar]) for split in rng.uniform(0.1, 0.9, 200)
             ])
             beaten = any(
                 not isinstance(pt, SwiptError)

@@ -18,6 +18,7 @@ from swiptifc import (
     draw_channel_set,
     emax,
     channel_digest,
+    mlb,
     re_boundary_point,
     re_sweep,
     scheduled_run,
@@ -101,10 +102,20 @@ class TestEmax:
             emax(_toy_cs(), "mrt", 1.0)
 
 
+def _context(cs, strategy, p, split=0.5):
+    """A strategy context; meb_rank2's at power split `split`.  The beam
+    table builds the even split only, so another split's beam is rebuilt
+    from meb_rank2's factor constructor."""
+    ctx = boundary._StrategyContext(cs, strategy, p)
+    if strategy == "meb_rank2":
+        ctx.consts.update(boundary._fixed_beam(cs.h11, boundary._energy_factor(cs.h11, split)))
+    return ctx
+
+
 def _split_sweep(cs, p, split, n_points):
     """A meb_rank2 sweep at another power split: the public entry points
     sweep the even split only, so this builds the private context."""
-    ctx = boundary._StrategyContext(cs, "meb_rank2", p, split)
+    ctx = _context(cs, "meb_rank2", p, split)
     grid = boundary._grid([ctx], n_points)
     return boundary._sweep_boundary(ctx, grid, boundary._solve_many([(ctx, grid)]))
 
@@ -1003,18 +1014,21 @@ class TestStackedLockstep:
         p = 5.0
         cs = draw_channel_set(2, 2, ALPHA, seed=37)
         cases = (
-            ("sler", [(cs, 0.5), (swap_roles(cs), 0.5)]),
+            [(cs, "sler", 0.5), (swap_roles(cs), "sler", 0.5)],
             # one channel's rank-two beams at several splits: the fixed beam
             # is a per-context entry, so a lockstep's contexts need not share one
-            ("meb_rank2", [(cs, split) for split in (0.1, 0.37, 0.5, 0.9)]),
+            [(cs, "meb_rank2", split) for split in (0.1, 0.37, 0.5, 0.9)],
+            # one channel's strategies of one rule kind and factor width
+            [(cs, "meb", 0.5), (cs, "mlb", 0.5)],
+            [(cs, "slnr", 0.5), (cs, "sler", 0.5)],
         )
-        for strategy, keys in cases:
-            ctxs = [boundary._StrategyContext(side, strategy, p, split) for side, split in keys]
+        for keys in cases:
+            ctxs = [_context(side, strategy, p, split) for side, strategy, split in keys]
             grids = [np.linspace(0.0, ctx.emax(), 10) for ctx in ctxs]
             grids[0] = np.append(grids[0], 2.0 * grids[0][-1])  # one unreachable target
             both = boundary._solve_many(list(zip(ctxs, grids)))
-            for (side, split), ctx, grid in zip(keys, ctxs, grids):
-                alone = boundary._StrategyContext(side, strategy, p, split)
+            for (side, strategy, split), ctx, grid in zip(keys, ctxs, grids):
+                alone = _context(side, strategy, p, split)
                 want = boundary._solve_many([(alone, grid)])
                 got = [repr(both[ctx, e]) for e in grid.tolist()]
                 assert got == [repr(want[alone, e]) for e in grid.tolist()]
@@ -1352,7 +1366,7 @@ class TestWhitenedLinks:
     @pytest.mark.parametrize("seed", [11, 12])
     def test_factor_form_matches_definitions(self, strategy, split, m_t, m_r, seed):
         cs = draw_channel_set(m_t, m_r, ALPHA, seed=seed)
-        st = boundary._stack([boundary._StrategyContext(cs, strategy, self.P, split)])
+        st = boundary._stack([_context(cs, strategy, self.P, split)])
         p1s = np.array([0.0, 1e-9, 0.3, 1.0]) * self.P
         ci = np.zeros(p1s.size, dtype=int)
         e_bars = np.full(p1s.size, 0.5 * self.P * np.linalg.norm(cs.h11, 2) ** 2)
@@ -1391,7 +1405,7 @@ class TestWhitenedLinks:
         rng = np.random.default_rng(m_t * 10 + m_r)
         for seed in range(13, 19):
             cs = draw_channel_set(m_t, m_r, ALPHA, seed=seed)
-            st = boundary._stack([boundary._StrategyContext(cs, strategy, self.P, split)])
+            st = boundary._stack([_context(cs, strategy, self.P, split)])
             p1s = np.concatenate(([0.0, 1e-13 * self.P, self.P], rng.uniform(0.0, self.P, 20)))
             ci = np.zeros(p1s.size, dtype=int)
             top = self.P * np.linalg.norm(cs.h11, 2) ** 2
@@ -1403,8 +1417,8 @@ class TestWhitenedLinks:
 
 class TestSharedContext:
     """Each call builds its strategy context from (orientation, strategy, P),
-    and a context from those and meb_rank2's split; no solved outcome is
-    shared between calls."""
+    and a meb_rank2 context at another split takes that split's factor; no
+    solved outcome is shared between calls."""
 
     def test_separate_outcomes_per_key(self):
         cs = draw_channel_set(2, 2, ALPHA, seed=21)
@@ -1425,6 +1439,64 @@ class TestSharedContext:
         # a sweep in between leaves the point unchanged
         re_sweep(cs, "sler", p, n_points=9, e_grid=np.array([0.0, e]))
         assert repr(re_boundary_point(cs, "sler", e, p)) == repr(first)
+
+
+def _haar(rng, n):
+    """A Haar-distributed n x n unitary: the QR factor of a complex Gaussian
+    matrix, with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(_cgauss(rng, n, n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _rotated(cs, rng):
+    """cs with every link H_ij turned into U_i H_ij V_j^H, for Haar unitaries
+    U_1, U_2 (M_r x M_r) and V_1, V_2 (M_t x M_t): the same channel in
+    other bases, so every link keeps its norm and its singular values."""
+    u = [_haar(rng, cs.m_r) for _ in range(2)]
+    v = [_haar(rng, cs.m_t) for _ in range(2)]
+    links = {
+        f"h{i}{j}": u[i - 1] @ getattr(cs, f"h{i}{j}") @ v[j - 1].conj().T
+        for i in (1, 2)
+        for j in (1, 2)
+    }
+    return ChannelSet(alpha=cs.alpha, m_t=cs.m_t, m_r=cs.m_r, seed=cs.seed, **links)
+
+
+class TestMlbNullSpace:
+    """Where H21 (M_r x M_t, M_t >= M_r + 2) has a null space of dimension 2
+    or more, mlb takes the null direction with the most direct-link gain
+    ||H11 v||^2, so its boundary does not depend on the channel's basis."""
+
+    P = 50.0
+
+    def test_rates_do_not_depend_on_the_basis(self):
+        rng = np.random.default_rng(19)
+        for seed in range(1, 21):
+            cs = draw_channel_set(4, 2, ALPHA, seed=seed)
+            want = re_sweep(cs, "mlb", self.P, n_points=33)
+            got = re_sweep(_rotated(cs, rng), "mlb", self.P, n_points=33)
+            assert abs(got.e_max - want.e_max) <= 1e-12 * want.e_max
+            assert got.gaps == want.gaps == []
+            for a, b in zip(got.points, want.points, strict=True):
+                assert abs(a.rate_bits - b.rate_bits) <= 1e-12 * max(1.0, b.rate_bits)
+
+    def test_beam_is_the_best_null_direction(self):
+        for seed in range(1, 6):
+            cs = draw_channel_set(4, 2, ALPHA, seed=seed)
+            (f,) = boundary._StrategyContext(cs, "mlb", self.P).consts["f_fixed"].T
+            # in H21's null space, with the top gain of H11 restricted to it
+            null = np.linalg.svd(cs.h21)[2].conj().T[:, 2:]
+            top = np.linalg.norm(cs.h11 @ null, 2) ** 2
+            assert np.linalg.norm(cs.h21 @ f) <= 1e-12
+            assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(cs.h11 @ f) ** 2 - top) <= 1e-12 * top
+
+    @pytest.mark.parametrize("m_t, m_r", [(2, 2), (3, 2), (4, 3), (2, 4)])
+    def test_at_most_one_null_direction_keeps_the_least_singular_vector(self, m_t, m_r):
+        cs = draw_channel_set(m_t, m_r, ALPHA, seed=3)
+        f = boundary._StrategyContext(cs, "mlb", self.P).consts["f_fixed"]
+        assert f.tobytes() == mlb(cs.h21, 1.0).v[:, None].tobytes()
 
 
 class TestCarriedPoints:

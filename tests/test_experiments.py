@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import swiptifc
-from swiptifc import experiments
+from swiptifc import boundary, experiments
 from swiptifc import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -297,6 +297,44 @@ class TestPlotData:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidInputError):
             read_plot_data(path)
+
+
+class TestSeedLocksteps:
+    """A seed's strategies are swept in one `_solve_many` lockstep per beam
+    rule kind and factor width, to the curves each strategy's own
+    `re_sweep` gives."""
+
+    @pytest.mark.parametrize(
+        "preset, strategies, locksteps",
+        [
+            ("fig6", None, [["meb", "mlb"], ["slnr", "sler"]]),
+            ("fig3", None, [["meb", "mlb"], ["meb_rank2"]]),
+            ("fig6", ["sler"], [["sler"]]),
+        ],
+    )
+    def test_curves_match_own_sweeps(self, tmp_path, monkeypatch, preset, strategies, locksteps):
+        [(_, d)] = preset_variants(preset)
+        d.update(seeds=[1, 2], output_dir=str(tmp_path))
+        if strategies is not None:
+            d["strategies"] = strategies
+        cfg = ExperimentConfig.from_dict(d)
+        real = boundary._solve_many
+        calls = []
+
+        def solve_many(jobs):
+            calls.append([ctx.strategy for ctx, _ in jobs])
+            return real(jobs)
+
+        monkeypatch.setattr(boundary, "_solve_many", solve_many)
+        for seed in cfg.seeds:
+            calls.clear()
+            got = experiments._seed_task(cfg, seed)
+            assert calls == locksteps
+            cs = draw_channel_set(cfg.m_t, cfg.m_r, np.asarray(cfg.alpha), seed)
+            for strategy in cfg.strategies:
+                own = re_sweep(cs, strategy, cfg.p, n_points=cfg.e_grid_points)
+                want = experiments._curve_slots(own, cfg.e_grid_points)
+                assert [repr(pt) for pt in got["curves"][strategy]] == [repr(pt) for pt in want]
 
 
 class TestRunExperiment:
