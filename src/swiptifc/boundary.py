@@ -42,19 +42,19 @@ for meb_rank2; a sler or slnr beam is one small `eigh` per row against its
 context's factorization of H21^H H21), receiver 2's link H22~ whitened
 against that beam's interference through the k x k eigendecomposition of
 (H21 F)^H H21 F (in closed form for one column), water-filling (the ray at
-rho = 0 of the Gram of each distinct whitened link, formed once per batch),
-and, for the targets on the DUAL branch, the roots over rho
-(`_root_dual`, `_ratio_roots`).  The backoffs read only energies, and a
-DUAL row delivers its floor by construction, so their rounds defer the
-roots: only the rescue's scan, which ranks its candidates by rate, solves
-them in its batch.  A deferred row's record keeps its whitened link and
-Gram, so once the backoffs end, the targets whose latest record is a
-deferred DUAL row are rooted in one `_root_dual` call, with nothing
-evaluated again.  Each root is a step-for-step port of scipy's brentq that
-also stops once its ray over-delivers by at most 1e-13 max(1, floor), and
-each of their rounds is one stacked `eigh` of the Grams of the rays all
-rows ask for.  `re_boundary_point` and `solve_p3` run the same code with
-one target.
+rho = 0 of the Gram of each distinct whitened link, formed once per batch).
+A batch never roots: a DUAL row delivers its floor by construction, so the
+batch defers it, and its record keeps its whitened link and Gram.  The
+backoffs read only energies; the roots over rho (`_root_dual`,
+`_ratio_roots`) run on the records alone, with nothing evaluated again, in
+at most two root steps per lockstep: one over the rescue's scan, which
+ranks its candidates by rate, and one over the targets whose latest record
+is a deferred DUAL row once the backoffs end.  Each root is a step-for-step
+port of scipy's brentq that also stops once its ray over-delivers by at
+most 1e-13 max(1, floor), and each of their rounds is one stacked `eigh` of
+the Grams of the rays all rows ask for.  `re_boundary_point` and
+`solve_p3` run the same code with one target; `solve_p3` roots its row by
+`_root_dual` too.
 
 The endpoint e_max is the largest target that the backoff's first round,
 at P1 = P, reaches (`_emax_many`), so every sweep's top target is reachable;
@@ -65,10 +65,11 @@ One evaluation of an (E_bar, P1) pair is one `_EVAL` record:
 multipliers, gap, energy, trace, rate, repair flags, water-filling's
 energy), read off the ray's spectrum except at the cap and where an energy
 shortfall is repaired, and `_evaluate_batch` adds transmitter 1's P1,
-kappa, direct-link energy and clamp.  The records of a lockstep also hold
-a deferred DUAL row's whitened link and Gram (`_held`).  A target keeps the
-record of its latest evaluation; its published point and its
-`P3Diagnostics` (`_diagnostics`) are read from that record alone.
+kappa, direct-link energy and clamp.  The records also hold a deferred DUAL
+row's whitened link and Gram (`_held`), which `_root_dual` fills the row
+from.  A target keeps the record of its latest evaluation; its published
+point and its `P3Diagnostics` (`_diagnostics`) are read from that record
+alone.
 
 Each public entry point builds the strategy context (`_StrategyContext`)
 of its channel orientation, strategy and P, and passes it down; a context
@@ -509,24 +510,24 @@ def _assembled(q, ht, p):
     return q, _rates(ht, q)
 
 
-def _root_dual(rec, k, ht, gram, cross, p):
-    """Solve the DUAL rows k of the `_held` records `rec` in place: one
-    `_ratio_roots` call over all of them.
+def _root_dual(rec, k, cross, p):
+    """Solve the deferred DUAL rows k of the `_held` records `rec` in place:
+    one `_ratio_roots` call over all of them.
 
-    Row k[i] reads its floor from e2, where a DUAL row not yet rooted
-    reports it, and water-filling's energy from e_wf; ht[i] is its whitened
-    link, gram[i] that link's Gram (Ht W)^H Ht W, and `cross` holds the
-    row's `_cross_factor` (c, W, cmax, v12), one per row.  A root whose
-    trace lands above P by rounding is scaled back on its spectrum; an
-    energy short of the floor (no gain along the cross-link beam) is mixed
-    toward the beam by `_repair`, the one DUAL covariance assembled.
+    Row k[i] reads its floor from e2, where a deferred DUAL row reports it,
+    water-filling's energy from e_wf, and its whitened link and that link's
+    Gram (Ht W)^H Ht W from ht and gram; `cross` holds the row's
+    `_cross_factor` (c, W, cmax, v12), one per row.  A root whose trace
+    lands above P by rounding is scaled back on its spectrum; an energy
+    short of the floor (no gain along the cross-link beam) is mixed toward
+    the beam by `_repair`, the one DUAL covariance assembled.
     Returns the rays at the roots, the repaired rows (a mask over k) and
     their covariances.
     """
     c, w, cmax, v12 = cross
     e_req = rec["e2"][k]
     rho, rec["evals"][k], ray = _ratio_roots(
-        gram, c, e_req, rec["e_wf"][k], (1.0 - _RHO_MARGIN) / cmax, p
+        rec["gram"][k], c, e_req, rec["e_wf"][k], (1.0 - _RHO_MARGIN) / cmax, p
     )
     over = ray.trace > p
     scale = np.where(over, p / ray.trace, 1.0)
@@ -545,7 +546,7 @@ def _root_dual(rec, k, ht, gram, cross, p):
             p * cmax[short],
             v12[short],
         )
-        q, rate[short] = _assembled(q, ht[short], p)
+        q, rate[short] = _assembled(q, rec["ht"][k[short]], p)
     if not short.all():
         _check_spectra(ray.powers[~short], trace[~short], p)
         rate[~short] = _ray_rates(ray.gain[~short], ray.powers[~short])
@@ -560,23 +561,21 @@ def _root_dual(rec, k, ht, gram, cross, p):
     return ray, short, q
 
 
-def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
-    """`solve_p3` for a stack of targets.
+def _solve_p3_batch(ht, rows, e_req, p, cross):
+    """`solve_p3` for a stack of targets, with its DUAL rows deferred.
 
     `ht` holds distinct own links (u, M_r, M_t), `rows` maps each target to
     its link, `e_req` holds floors already clipped to [0, P cmax], and
     `cross` holds each link's cross-link `_cross_factor`, stacked: c (u, M_t),
     W (u, M_t, M_t), cmax (u,) and v12 (u, M_t).  Each link's Gram
-    (Ht W)^H Ht W is formed once; water-filling is its ray at rho = 0, and
-    the DUAL targets share one `_root_dual` call, or, without `roots`, are
-    deferred: e2 = e_req, rate nan, and the record keeps the row's link and
-    Gram for a later `_root_dual`.  A row's rate, energy and trace are read
-    off its ray; a covariance is assembled only at the cap and where
-    `_repair` mixes a ray's, and only those pass `check_covariances` and
-    `_rates` (every other ray `_check_spectra`).
-    Returns each target's `_held` record, with the floored-solve fields
-    filled, and a function giving row i's covariance (not for a deferred
-    row).
+    (Ht W)^H Ht W is formed once; water-filling is its ray at rho = 0.  A
+    WF or CAP row is solved here; a DUAL row is deferred: it reports its
+    floor as e2, its rate nan and its multipliers unset, and its record
+    keeps the link and Gram that `_root_dual` roots it from.  A row's rate,
+    energy and trace are read off its ray; a covariance is assembled only at
+    the cap, and only those pass `check_covariances` and `_rates` (every
+    water-filling ray `_check_spectra`).
+    Returns each target's `_held` record.
     """
     c, w, cmax, v12 = cross
     n = e_req.size
@@ -584,7 +583,6 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
     rec = np.zeros(n, _held(*ht.shape[1:]))
     rec["lam"] = rec["mu"] = np.nan
     energy, trace, rate = rec["e2"], rec["trace"], rec["rate"]  # views: writes land in rec
-    built = {}  # row -> its assembled covariance
 
     # at the cap the feasible set collapses onto the cross-link beam; the
     # dual pair diverges there, so return the beam directly (branch CAP)
@@ -592,8 +590,7 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
     k = np.flatnonzero(at_cap)
     if k.size:
         energy[k], trace[k] = cap[k], p
-        q, rate[k] = _assembled(p * _outer(v12[rows[k]]), ht[rows[k]], p)
-        built.update(zip(k.tolist(), q))
+        rate[k] = _assembled(p * _outer(v12[rows[k]]), ht[rows[k]], p)[1]
 
     links = rows[~at_cap]
     if np.any(links[1:] <= links[:-1]):
@@ -615,36 +612,13 @@ def _solve_p3_batch(ht, rows, e_req, p, cross, roots=True):
         energy[k], trace[k] = wf_ray.energy[s], wf_ray.trace[s]
         rate[k] = _ray_rates(wf_ray.gain[s], wf_ray.powers[s])
 
-    idx = np.flatnonzero(~at_cap & ~wf)
-    if idx.size:
-        link = rows[idx]
-        # a DUAL row meets its floor: the root reads it from e2, and a
-        # deferred row reports it there, with its rate nan and its
-        # multipliers unset
-        energy[idx] = e_req[idx]
-        if roots:
-            ray, short, q = _root_dual(
-                rec, idx, ht[link], gram[slot[link]], [a[link] for a in cross], p
-            )
-            if q is not None:
-                built.update(zip(idx[short].tolist(), q))
-        else:
-            rate[idx] = np.nan
-            rec["ht"][idx], rec["gram"][idx] = ht[link], gram[slot[link]]
+    k = np.flatnonzero(~at_cap & ~wf)
+    if k.size:
+        link = rows[k]
+        energy[k], rate[k] = e_req[k], np.nan
+        rec["ht"][k], rec["gram"][k] = ht[link], gram[slot[link]]
     rec["branch"] = np.where(at_cap, "CAP", np.where(wf, "WF", "DUAL"))
-
-    def covariance(i):
-        """Row i's covariance: the one assembled here, or its ray's."""
-        if i in built:
-            return built[i]
-        if wf[i]:
-            r, j = wf_ray, slot[rows[i]]
-        else:
-            r, j = ray, np.searchsorted(idx, i)
-        one = slice(j, j + 1)
-        return _ray_covariances(w[rows[i]][None], r.d[one], r.v[one], r.powers[one])[0]
-
-    return rec, covariance
+    return rec
 
 
 def solve_p3(h22_tilde, h12, e_target, p):
@@ -675,19 +649,30 @@ def solve_p3(h22_tilde, h12, e_target, p):
         raise InvalidInputError(
             f"transmit dims differ: h22_tilde {ht.shape}, h12 {h12.shape}"
         )
-    cross = _cross_factor(h12)
-    cap = p * cross[2]
+    cross = c, w, cmax, v12 = [np.array([a]) for a in _cross_factor(h12)]
+    cap = p * float(cmax[0])
     if not _reaches(e_target, cap):
         raise InfeasibleTargetError(
             f"energy target {e_target!r} exceeds the deliverable maximum {cap!r}",
             max_attainable=cap,
         )
-    e_req = min(e_target, cap)
-    rec, covariance = _solve_p3_batch(
-        ht[None], np.zeros(1, dtype=int), np.array([e_req]), p, [np.array([a]) for a in cross]
-    )
+    one = np.zeros(1, dtype=int)
+    rec = _solve_p3_batch(ht[None], one, np.array([min(e_target, cap)]), p, cross)
+    branch = rec["branch"][0]
+    # the returned covariance: the cap beam, water-filling (the ray at rho = 0
+    # of the batch's Gram, formed alike) or the root's ray or repaired mix
+    if branch == "CAP":
+        q = hermitian_part(p * _outer(v12))
+    elif branch == "WF":
+        f = ht[None] @ w
+        ray = _Rays(f.conj().swapaxes(-1, -2) @ f, c, np.zeros(1), p)
+        q = _ray_covariances(w, ray.d, ray.v, ray.powers)
+    else:
+        ray, short, q = _root_dual(rec, one, cross, p)
+        if not short[0]:
+            q = _ray_covariances(w, ray.d, ray.v, ray.powers)
     (fields,) = _columns(rec, _P3_FIELDS)
-    return TxCovariance(covariance(0), p), _diagnostics(*fields)
+    return TxCovariance(q[0], p), _diagnostics(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -894,14 +879,14 @@ def emax(cs, strategy, p):
     return _StrategyContext(cs, strategy, p).emax()
 
 
-def _evaluate_batch(st, ci, e_bars, p1s, roots=True):
+def _evaluate_batch(st, ci, e_bars, p1s):
     """Evaluate every (e_bar, P1) pair in one stacked pass: transmitter 1's
     beam, the whitened link H22~ it leaves for receiver 2, and the floored
-    rate solve at the energy still missing.  Row i belongs to context ci[i]
-    of the stack `st` (see `_stack`) and reads that context's links; without
-    `roots`, DUAL rows are deferred (`_solve_p3_batch`).  Unless a rule
-    reads e_bar (a ratio rule with a != 0), each distinct (context, P1)
-    pair's beam and H22~ are evaluated once.  Returns each row's `_EVAL`."""
+    rate solve at the energy still missing, its DUAL rows deferred
+    (`_solve_p3_batch`).  Row i belongs to context ci[i] of the stack `st`
+    (see `_stack`) and reads that context's links.  Unless a rule reads
+    e_bar (a ratio rule with a != 0), each distinct (context, P1) pair's
+    beam and H22~ are evaluated once.  Returns each row's `_held` record."""
     if hasattr(st, "floor_rule") and st.floor_rule[:, 0].any():
         ci_u, p1_u, rows, e_u = ci, p1s, np.arange(p1s.size), e_bars
     else:
@@ -917,7 +902,7 @@ def _evaluate_batch(st, ci, e_bars, p1s, roots=True):
     clamped = e_need > cap * (1.0 + _FEAS_SLACK)
     e_need = np.minimum(np.maximum(e_need, 0.0), cap)
     cross = [st.c[ci_u], st.w[ci_u], st.cmax[ci_u], st.v12[ci_u]]
-    rec, _ = _solve_p3_batch(ht, rows, e_need, st.p, cross, roots)
+    rec = _solve_p3_batch(ht, rows, e_need, st.p, cross)
     rec["p1"], rec["kappa"], rec["e11"], rec["clamped"] = p1s, kappa, e11, clamped
     return rec
 
@@ -985,8 +970,10 @@ def _solve_many(jobs):
 
     `jobs` lists (context, e_bars) pairs; the contexts share rule kind, factor
     width, P and link shape (see `_stack`).  Each distinct (context, e_bar)
-    pair is one target, solved once.  Each step evaluates the (e_bar, P1) pairs of every target
-    that takes it as one stacked batch (`_evaluate_batch`):
+    pair is one target, solved once.  Each step evaluates the (e_bar, P1)
+    pairs of every target that takes it as one stacked batch
+    (`_evaluate_batch`), which defers its DUAL rows: a batch never roots.
+    The steps are
 
     * the power backoff: from P1 = P, alternate the floored rate solve with
       P1 = (E_bar - cross energy) / kappa until P1 moves less than
@@ -999,22 +986,22 @@ def _solve_many(jobs):
       energy is not monotone in P1: it can dip below the target at full power
       while an interior P1 still reaches it (a fixed beam's energy grows
       with P1).  Each target still short scans `_RESCUE_SCAN` P1 values in
-      one batch, keeps its first best-rate candidate that reaches the
-      target, and backs off from there, with the same Aitken steps, while
-      the target stays reached;
-    * one finishing root call.  Both backoffs defer the DUAL roots (their
-      next P1 reads energies only, and a DUAL row meets its floor), so the
-      targets whose latest record is a deferred DUAL row are rooted
-      together, by one `_root_dual` call on the whitened links and Grams
-      those records keep: no beam, whitening or water-filling is evaluated
-      again.  The scan, which ranks by rate, roots its rows.
+      one batch, roots the scan's DUAL rows (it ranks its candidates by
+      rate), keeps its first best-rate candidate that reaches the target,
+      and backs off from there, with the same Aitken steps, while the target
+      stays reached;
+    * one finishing root step.  The backoffs read energies only, and a
+      DUAL row meets its floor, so the targets whose latest record is a
+      deferred DUAL row are rooted together: no beam, whitening or
+      water-filling is evaluated again.
 
-    A point whose settled P1 is exactly 0.0, which the backoff and the scan
-    both reach, is published as NO_TX.  If a batch or the finishing root call
-    raises a SwiptError, its rows are evaluated one at a time (with their
-    roots, for the finishing call), and each target whose row raises takes
-    the error.  Returns a dict that maps each pair to its REPoint or to the
-    SwiptError that stopped it.
+    Both root steps are one `_root_dual` call on the whitened links and
+    Grams that the records keep.  A point whose settled P1 is exactly 0.0,
+    which the backoff and the scan both reach, is published as NO_TX.  If a
+    batch or a root call raises a SwiptError, its rows are evaluated, or
+    rooted from their records, one at a time, and each target whose row
+    raises takes the error.  Returns a dict that maps each pair to its
+    REPoint or to the SwiptError that stopped it.
     """
     todo = list(dict.fromkeys((ctx, float(e)) for ctx, e_bars in jobs for e in e_bars))
     if not todo:
@@ -1040,28 +1027,48 @@ def _solve_many(jobs):
 
     latest = np.zeros(len(todo), _held(*st.h22.shape[1:]))
 
-    def one_by_one(ks, p1s, roots):
-        """Target ks[i] evaluated alone at P1 p1s[i]: returns the targets and
-        their records, without the targets whose row raised, which take the
-        error."""
-        rec = np.zeros(ks.size, latest.dtype)
-        for i, k in enumerate(ks.tolist()):
-            one = slice(k, k + 1)
-            try:
-                rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1], roots)[0]
-            except SwiptError as exc:
-                if not failed[k]:
-                    out[k], failed[k] = exc, True
+    def fail(k, exc):
+        """Target k takes the error, unless an earlier one stopped it."""
+        if not failed[k]:
+            out[k], failed[k] = exc, True
+
+    def evaluate(ks, p1s):
+        """Target ks[i] evaluated at P1 p1s[i], in one batch or, if it
+        raises, one row at a time: returns the targets and their records,
+        without the targets whose row raised, which take the error."""
+        try:
+            rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s)
+        except SwiptError:
+            rec = np.zeros(ks.size, latest.dtype)
+            for i, k in enumerate(ks.tolist()):
+                one = slice(k, k + 1)
+                try:
+                    rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1])[0]
+                except SwiptError as exc:
+                    fail(k, exc)
         ok = ~failed[ks]
         return ks[ok], rec[ok]
 
-    def evaluate(ks, p1s, roots=False):
-        """Target ks[i] evaluated at P1 p1s[i], DUAL rows deferred unless
-        `roots`, in one batch, or `one_by_one` if the batch raises."""
-        try:
-            rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s, roots)
-        except SwiptError:
-            return one_by_one(ks, p1s, roots)
+    def root(ks, rec):
+        """Root in place the deferred DUAL rows of the records `rec`, rec[i]
+        target ks[i]'s, whose targets have not failed: one `_root_dual` call
+        or, if it raises, one per row, and each target whose row raises takes
+        the error.  Returns the targets and records that have not failed."""
+        due = np.flatnonzero(~failed[ks] & np.isnan(rec["rate"]))
+
+        def call(rows):
+            cd = ci[ks[rows]]
+            _root_dual(rec, rows, [st.c[cd], st.w[cd], st.cmax[cd], st.v12[cd]], p)
+
+        if due.size:
+            try:
+                call(due)
+            except SwiptError:
+                for i in due.tolist():
+                    try:
+                        call(np.array([i]))
+                    except SwiptError as exc:
+                        fail(ks[i], exc)
         ok = ~failed[ks]
         return ks[ok], rec[ok]
 
@@ -1087,7 +1094,7 @@ def _solve_many(jobs):
     if short.any():
         live = np.flatnonzero(short)
         scan = np.linspace(0.0, p, _RESCUE_SCAN)
-        live, ev = evaluate(np.repeat(live, scan.size), np.tile(scan, live.size), roots=True)
+        live, ev = root(*evaluate(np.repeat(live, scan.size), np.tile(scan, live.size)))
         live, ev = live[:: scan.size], ev.reshape(-1, scan.size)
         got = ev["e11"] + ev["e2"]
         fit = got >= (e_eff[live] - tol_e[live])[:, None]
@@ -1122,22 +1129,7 @@ def _solve_many(jobs):
         failed[k] = True
     # the targets that end on a deferred DUAL row are rooted together, from
     # the links and Grams their records keep
-    due = np.flatnonzero(~failed & np.isnan(latest["rate"]))
-    if due.size:
-        deferred = latest[due]
-        cd = ci[due]
-        try:
-            _root_dual(
-                latest,
-                due,
-                deferred["ht"],
-                deferred["gram"],
-                [st.c[cd], st.w[cd], st.cmax[cd], st.v12[cd]],
-                p,
-            )
-        except SwiptError:
-            due, ev = one_by_one(due, deferred["p1"], True)
-            latest[due] = ev
+    root(np.arange(len(todo)), latest)
 
     # the published points, built from Python values read column by column
     done = np.flatnonzero(~failed)

@@ -156,6 +156,10 @@ class ExperimentConfig:
                 raise InvalidInputError(f"mode {m!r} is swept by `strategies` and `scheduling`")
             if m not in MODES:
                 raise InvalidInputError(f"unknown mode {m!r}")
+        for name in ("strategies", "modes"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise InvalidInputError(f"{name} must be distinct, got {list(values)!r}")
         if self.ts_points < 2:
             raise InvalidInputError("ts_points must be >= 2")
 
@@ -372,7 +376,8 @@ def _seed_task(cfg, seed):
     """One seed's curves, gaps and mode rows under a checked
     `ExperimentConfig`.  With scheduling on, both orientations' sler sweeps
     and the scheduled sweep come from one `scheduled_run`, whose single
-    lockstep spans both orientations; the others share `re_sweep`'s path
+    lockstep spans both orientations, and all three are written whatever
+    `strategies` lists; the others share `re_sweep`'s path
     (`_sweeps`).  A time-sharing line joins the ends of the meb or mlb sweep
     it follows.  The (harvest, harvest) row reads the optimum's energy alone
     (`_eh_eh_energy`), with no covariance built."""
@@ -398,9 +403,11 @@ def _seed_task(cfg, seed):
         if cfg.time_sharing and strategy in ("meb", "mlb"):
             ts = time_sharing_curve(b, weights=np.linspace(0.0, 1.0, cfg.ts_points))
             curves[f"{strategy}_ts"] = list(ts.points)
-    if cfg.scheduling:
-        add("sler_swap", scheduled["sler_swap"])
-        add("sler_sched", scheduled["sler_sched"])
+    # scheduling writes all three of its curves, sler's too where
+    # `strategies` does not list it
+    for label, b in scheduled.items():
+        if label not in curves:
+            add(label, b)
     mode_rows = []
     game = None
     if "id_id" in cfg.modes:

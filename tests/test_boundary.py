@@ -1,5 +1,6 @@
 """Tests for the rate-energy boundary solver and its supporting pieces."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -627,11 +628,22 @@ class TestSpectralRecords:
             self._close(boundary._ray_rates(ray.gain, ray.powers), _rates(ht, q))
             self._close(ray.energy, _cross_energy(c, w, q))
             self._close(ray.trace, np.trace(q, axis1=-2, axis2=-1).real)
-        # the records of a batch, WF and rooted DUAL rows
+        # the records of a batch, WF rows and DUAL rows, deferred there and
+        # rooted from their records; each row's covariance is its ray's, or
+        # the repaired mix the root returns
         e_req = rng.uniform(0.0, 0.99, n) * p * cmax
-        rec, covariance = boundary._solve_p3_batch(ht, np.arange(n), e_req, p, cross)
-        assert {"WF", "DUAL"} <= set(rec["branch"].tolist())
-        q = np.stack([covariance(i) for i in range(n)])
+        rec = boundary._solve_p3_batch(ht, np.arange(n), e_req, p, cross)
+        assert set(rec["branch"].tolist()) == {"WF", "DUAL"}
+        q = np.empty((n, m_t, m_t), dtype=complex)
+        wf = np.flatnonzero(rec["branch"] == "WF")
+        ray = boundary._Rays(a[wf], c[wf], np.zeros(wf.size), p)
+        q[wf] = boundary._ray_covariances(w[wf], ray.d, ray.v, ray.powers)
+        dual = np.flatnonzero(rec["branch"] == "DUAL")
+        assert np.isnan(rec["rate"][dual]).all() and np.array_equal(rec["e2"][dual], e_req[dual])
+        ray, short, mixed = boundary._root_dual(rec, dual, [x[dual] for x in cross], p)
+        q[dual] = boundary._ray_covariances(w[dual], ray.d, ray.v, ray.powers)
+        if short.any():
+            q[dual[short]] = mixed
         self._close(rec["rate"], _rates(ht, q))
         self._close(rec["e2"], _cross_energy(c, w, q))
         self._close(rec["trace"], np.trace(q, axis1=-2, axis2=-1).real)
@@ -695,7 +707,7 @@ class TestAssembledRows:
     def _count(monkeypatch):
         # rows that reach check_covariances and _rates, the CAP rows of every
         # evaluated record, and the rooted DUAL rows, rescaled and repaired
-        # ones among them, of every root call: in a batch or after the backoff
+        # ones among them, of every root call: the scan's or the finishing one
         seen = dict(checked=0, rated=0, cap=0, rescaled=0, repaired=0, rooted=0)
         real_eval, real_dual, real_check, real_rates = (
             boundary._evaluate_batch,
@@ -704,8 +716,8 @@ class TestAssembledRows:
             boundary._rates,
         )
 
-        def evaluating(st, ci, e_bars, p1s, roots=True):
-            rec = real_eval(st, ci, e_bars, p1s, roots)
+        def evaluating(*args):
+            rec = real_eval(*args)
             seen["cap"] += int(np.sum(rec["branch"] == "CAP"))
             return rec
 
@@ -1078,9 +1090,10 @@ class TestStackedLockstep:
             grid = np.linspace(0.0, ctx.emax(), 32)
             events.clear()
             solved = boundary._solve_many([(ctx, grid)])
-            calls = [e_bars for kind, roots, e_bars in events if kind == "eval"]
-            # no rescue: every batch is a backoff round, and none roots
-            assert all(roots is False for kind, roots, _ in events if kind == "eval")
+            calls = [e_bars for kind, scan, e_bars in events if kind == "eval"]
+            # no rescue: every batch is a backoff round, none is the scan,
+            # and no root call comes before the last of them
+            assert all(scan is False for kind, scan, _ in events if kind == "eval")
             points = [(e, pt) for (_, e), pt in solved.items() if isinstance(pt, REPoint)]
             iters = [pt.iterations for _, pt in points]
             assert len(calls) <= max(iters) + 1
@@ -1088,6 +1101,7 @@ class TestStackedLockstep:
             dual = [e for e, pt in points if pt.p3.branch == "DUAL"]
             last = max(i for i, (kind, _, _) in enumerate(events) if kind == "eval")
             after = events[last + 1 :]
+            assert all(kind == "eval" for kind, _, _ in events[:last])
             if dual:
                 assert [kind for kind, _, _ in after] == ["dual", "root"]
                 assert grid[after[0][2]].tolist() == dual and after[1][2] == len(dual)
@@ -1095,10 +1109,18 @@ class TestStackedLockstep:
                 assert after == []
 
 
+def _is_scan(p1s, p):
+    """Whether a batch's P1 column is the rescue's scan: `_RESCUE_SCAN`
+    powers from 0 to P for each of its targets."""
+    scan = np.linspace(0.0, p, boundary._RESCUE_SCAN)
+    return p1s.size % scan.size == 0 and bool(np.all(p1s.reshape(-1, scan.size) == scan))
+
+
 def _record_lockstep(monkeypatch):
-    """Log, in order, each `_evaluate_batch` call ("eval", roots, e_bars),
-    each `_root_dual` call ("dual", None, rows) and each `_ratio_roots` call
-    ("root", None, row count) that a lockstep makes."""
+    """Log, in order, each `_evaluate_batch` call ("eval", whether it is the
+    rescue's scan, e_bars), each `_root_dual` call ("dual", None, rows) and
+    each `_ratio_roots` call ("root", the name of its caller, row count)
+    that a lockstep makes."""
     events = []
     real_eval, real_dual, real_roots = (
         boundary._evaluate_batch,
@@ -1106,16 +1128,16 @@ def _record_lockstep(monkeypatch):
         boundary._ratio_roots,
     )
 
-    def evaluating(st, ci, e_bars, p1s, roots=True):
-        events.append(("eval", roots, e_bars.tolist()))
-        return real_eval(st, ci, e_bars, p1s, roots)
+    def evaluating(st, ci, e_bars, p1s):
+        events.append(("eval", _is_scan(p1s, st.p), e_bars.tolist()))
+        return real_eval(st, ci, e_bars, p1s)
 
     def finishing(rec, k, *args):
         events.append(("dual", None, k.tolist()))
         return real_dual(rec, k, *args)
 
     def rooting(*args):
-        events.append(("root", None, len(args[2])))
+        events.append(("root", sys._getframe(1).f_code.co_name, len(args[2])))
         return real_roots(*args)
 
     monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
@@ -1125,9 +1147,9 @@ def _record_lockstep(monkeypatch):
 
 
 class TestDeferredRoots:
-    """The power backoff runs without ratio roots: a DUAL row it evaluates
-    reports its floor as its energy, and every target that ends on DUAL is
-    rooted once, in one finishing batch."""
+    """A batch only evaluates: a DUAL row reports its floor as its energy,
+    and `_root_dual` roots it from its record, once for the rescue's scan
+    and once for every target that ends on DUAL after the backoffs."""
 
     P = 5.0
 
@@ -1150,8 +1172,8 @@ class TestDeferredRoots:
             dual = [key for key in todo if isinstance(solved[key], REPoint)]
             dual = [key for key in dual if solved[key].p3.branch == "DUAL"]
             assert dual
-            # a root call only inside a rooting batch (the rescue's scan) or
-            # after the last evaluation
+            # a root call only right after the rescue's scan or after the
+            # last evaluation
             evals = [i for i, (kind, _, _) in enumerate(events) if kind == "eval"]
             for i, (kind, _, _) in enumerate(events):
                 if kind == "root" and i < evals[-1]:
@@ -1168,24 +1190,108 @@ class TestDeferredRoots:
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "meb_rank2"])
     def test_finishing_root_that_raises_goes_row_by_row(self, strategy, monkeypatch):
         # a fixed beam takes no rescue, so the first root call is the
-        # finishing one; when it raises, each of its targets is evaluated
-        # alone with its root, to the same points
+        # finishing one; when it raises, each of its rows is rooted alone
+        # from its record, with nothing evaluated again, to the same points
         cs = draw_channel_set(3, 2, ALPHA, seed=4)
         want = boundary._solve_many(self._lockstep(cs, strategy, self.P)[1])
-        real = boundary._root_dual
+        real_dual, real_eval = boundary._root_dual, boundary._evaluate_batch
         refused = []
+        late = []
 
         def refuse_first(rec, k, *args):
             if not refused:
                 refused.append(k.size)
                 raise InvariantViolationError("refused")
-            return real(rec, k, *args)
+            late.append(k.tolist())
+            return real_dual(rec, k, *args)
+
+        def evaluating(*args):
+            assert not refused
+            return real_eval(*args)
 
         monkeypatch.setattr(boundary, "_root_dual", refuse_first)
+        monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
         got = boundary._solve_many(self._lockstep(cs, strategy, self.P)[1])
         dual = [pt for pt in want.values() if isinstance(pt, REPoint) and pt.p3.branch == "DUAL"]
         assert refused == [len(dual)] and len(dual) >= 2
+        assert len(late) == len(dual) and all(len(rows) == 1 for rows in late)
         assert [repr(pt) for pt in got.values()] == [repr(pt) for pt in want.values()]
+
+    def test_row_that_raises_takes_the_error(self, monkeypatch):
+        # when the row-by-row retry raises on one row, only that row's
+        # target takes the error; every other target keeps its point
+        cs = draw_channel_set(3, 2, ALPHA, seed=4)
+        want = boundary._solve_many(self._lockstep(cs, "meb", self.P)[1])
+        dual = [i for i, pt in enumerate(want.values()) if pt.p3.branch == "DUAL"]
+        bad = dual[len(dual) // 2]
+        real = boundary._root_dual
+
+        def refuse_bad(rec, k, *args):
+            if bad in k.tolist():
+                raise InvariantViolationError("refused")
+            return real(rec, k, *args)
+
+        monkeypatch.setattr(boundary, "_root_dual", refuse_bad)
+        got = list(boundary._solve_many(self._lockstep(cs, "meb", self.P)[1]).values())
+        assert len(got) == len(want)
+        for i, pt in enumerate(want.values()):
+            if i == bad:
+                assert isinstance(got[i], InvariantViolationError) and str(got[i]) == "refused"
+            else:
+                assert repr(got[i]) == repr(pt)
+
+    @pytest.mark.parametrize("strategy", ["meb", "slnr", "sler"])
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_ratio_roots_called_only_from_root_dual(self, strategy, m, monkeypatch):
+        # `_ratio_roots` is called by `_root_dual` alone: once right after
+        # the rescue's scan, over exactly its deferred rows, and once after
+        # the last evaluation, over targets that end on DUAL, every such
+        # target the scan did not see among them; nowhere else
+        events = _record_lockstep(monkeypatch)
+        logged = boundary._evaluate_batch
+        deferred = []
+
+        def counting(*args):
+            rec = logged(*args)
+            deferred.append(np.flatnonzero(np.isnan(rec["rate"])).tolist())
+            return rec
+
+        monkeypatch.setattr(boundary, "_evaluate_batch", counting)
+        scans = 0
+        for seed in (1, 2, 3):
+            events.clear()
+            deferred.clear()
+            _, jobs = self._lockstep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P)
+            todo = [(ctx, e) for ctx, grid in jobs for e in grid.tolist()]
+            solved = boundary._solve_many(jobs)
+            kinds = [kind for kind, _, _ in events]
+            roots = [i for i, kind in enumerate(kinds) if kind == "root"]
+            assert all(events[i][1] == "_root_dual" for i in roots)
+            evals = [i for i, kind in enumerate(kinds) if kind == "eval"]
+            scan = [j for j, i in enumerate(evals) if events[i][1]]
+            assert len(scan) <= 1
+            seen = set()
+            if scan:
+                scans += 1
+                i = evals[scan[0]]
+                seen = set(events[i][2])
+                if deferred[scan[0]]:
+                    assert kinds[i + 1 : i + 3] == ["dual", "root"]
+                    assert events[i + 1][2] == deferred[scan[0]]
+                    del kinds[i + 1 : i + 3]
+            # what is left: evaluations, then at most one finishing root
+            last = max(i for i, kind in enumerate(kinds) if kind == "eval")
+            assert all(kind == "eval" for kind in kinds[:last])
+            assert kinds[last + 1 :] in ([], ["dual", "root"])
+            finish = set(events[-2][2]) if kinds[last + 1 :] else set()
+            dual = {
+                k
+                for k, key in enumerate(todo)
+                if isinstance(solved[key], REPoint) and solved[key].p3.branch == "DUAL"
+            }
+            assert finish <= dual
+            assert {k for k in dual if todo[k][1] not in seen} <= finish
+        assert scans >= (strategy == "sler" and m == 2)
 
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler", "meb_rank2"])
     def test_dual_points_match_direct_evaluation(self, strategy):
@@ -1199,12 +1305,15 @@ class TestDeferredRoots:
                     pt = solved[ctx, e_bar]
                     if not (isinstance(pt, REPoint) and pt.p3.branch == "DUAL"):
                         continue
+                    st = boundary._stack([ctx])
+                    one = np.zeros(1, dtype=int)
                     rec = boundary._evaluate_batch(
-                        boundary._stack([ctx]),
-                        np.zeros(1, dtype=int),
-                        np.array([min(e_bar, e_max)]),
-                        np.array([pt.p1]),
+                        st, one, np.array([min(e_bar, e_max)]), np.array([pt.p1])
                     )
+                    # the evaluation defers the row; its record roots it
+                    assert rec["branch"][0] == "DUAL" and np.isnan(rec["rate"][0])
+                    cross = [st.c[one], st.w[one], st.cmax[one], st.v12[one]]
+                    boundary._root_dual(rec, one, cross, self.P)
                     (fields,) = boundary._columns(rec, boundary._P3_FIELDS)
                     assert repr(pt.p3) == repr(boundary._diagnostics(*fields))
                     assert pt.energy == float(rec["e11"][0] + rec["e2"][0])
@@ -1227,12 +1336,15 @@ class TestRescueShortfall:
         real = boundary._evaluate_batch
         short = []
 
-        def falls_short(st, ci, e_bars, p1s, roots=True):
-            # the target gets half of itself at full power, less below
-            rec = real(st, ci, e_bars, p1s, roots)
+        def falls_short(st, ci, e_bars, p1s):
+            # the target gets half of itself at full power, less below; a
+            # patched row is not a deferred DUAL row, whose root would read
+            # the patched energy as its floor
+            rec = real(st, ci, e_bars, p1s)
             hit = e_bars == target
             rec["e11"][hit] = 0.0
             rec["e2"][hit] = 0.5 * target * (p1s[hit] / p)
+            rec["rate"][hit & np.isnan(rec["rate"])] = 0.0
             short.extend(p1s[hit].tolist())
             return rec
 

@@ -95,6 +95,9 @@ class TestExperimentConfig:
             {"modes": 3},
             {"modes": ["eh1_id2"]},
             {"modes": ["id_id", "id1_eh2"]},
+            {"strategies": ["sler", "sler"]},
+            {"strategies": ["meb", "mlb", "meb"]},
+            {"modes": ["id_id", "id_id"]},
             {"scheduling": "no"},
             {"time_sharing": 1},
             {"figure_preset": 2},
@@ -406,6 +409,24 @@ class TestRunExperiment:
         assert lines[0] == "mode,seed,m_t,m_r,rate_bits,energy"
         tags = {ln.split(",")[0] for ln in lines[1:]}
         assert {"id_id", "eh_eh"} <= tags
+
+    @pytest.mark.parametrize("strategies", [(), ("meb",)])
+    def test_scheduling_writes_all_three_curves(self, tmp_path, strategies):
+        # the scheduled run's own-orientation sler sweep is written even
+        # where `strategies` does not list sler, as with sler listed
+        cfg = _tiny_cfg(tmp_path, strategies=strategies, scheduling=True, seeds=(1, 2))
+        listed = _tiny_cfg(tmp_path, strategies=("sler",), scheduling=True, seeds=(1, 2))
+        artifacts = run_experiment(cfg)["artifacts"]
+        out = tmp_path / "out"
+        labels = [f"{s}_seed{seed}" for s in strategies for seed in (1, 2)]
+        labels += [f"{s}_seed{seed}" for s in ("sler", "sler_swap", "sler_sched") for seed in (1, 2)]
+        want = {str(out / f"curve_{label}.csv") for label in labels}
+        assert set(artifacts) == want | {str(out / "aggregate.csv")}
+        got = {label: (out / f"curve_{label}.csv").read_text() for label in labels}
+        run_experiment(listed)
+        for label in labels:
+            if not label.startswith("meb"):
+                assert got[label] == (out / f"curve_{label}.csv").read_text()
 
     def test_aggregate_matches_on_common_grid(self, tmp_path):
         # single seed: aggregate rows are just that seed's curve again
