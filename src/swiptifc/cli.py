@@ -9,15 +9,6 @@ from pathlib import Path
 from .channel import channel_digest, load_channels
 from .exceptions import InvalidInputError, SwiptError
 from .experiments import PRESETS, apply_overrides, preset_variants, run_experiment
-from .oracle import (
-    factorization_census,
-    game_census,
-    harvest_census,
-    p3_endpoint_census,
-    p3_local_census,
-    ratio_beam_census,
-    waterfill_census,
-)
 
 
 def _cmd_run(args):
@@ -76,6 +67,17 @@ def _cmd_validate_channels(args):
 
 
 def _cmd_oracle_suite(args):
+    # imported here, so the other commands never load the verification module
+    from .oracle import (
+        factorization_census,
+        game_census,
+        harvest_census,
+        p3_endpoint_census,
+        p3_local_census,
+        ratio_beam_census,
+        waterfill_census,
+    )
+
     # the first draws of acceptance C1-C5 (at seed 0), with fewer search trials
     s, p = args.seed, 50.0
     rel, excess, frac = harvest_census(4, 1000 + s, 7000 + s, p, args.trials)

@@ -297,10 +297,17 @@ def apply_overrides(cfg_dict, overrides):
 # CSV plumbing
 
 
-def _write_rows(path, label, seed, points):
+def emit_plot_data(boundary, path, label=None, seed=None):
+    """Write one tradeoff curve as CSV with the fixed column schema.
+
+    Floats carry 12 significant digits; rows are sorted by energy target;
+    multiplier columns stay empty where no dual pair was resolved.
+    """
+    label = boundary.strategy if label is None else label
+    seed = boundary.seed if seed is None else seed
     seed = "" if seed is None else str(int(seed))
     lines = [",".join(CSV_COLUMNS) + "\n"]
-    for pt in sorted(points, key=lambda q: q.e_bar):
+    for pt in sorted(boundary.points, key=lambda q: q.e_bar):
         lines.append(
             _ROW
             % (
@@ -322,17 +329,6 @@ def _write_rows(path, label, seed, points):
     except OSError as exc:
         raise InvalidInputError(f"cannot write curve file {path}: {exc}") from exc
     return Path(path)
-
-
-def emit_plot_data(boundary, path, label=None, seed=None):
-    """Write one tradeoff curve as CSV with the fixed column schema.
-
-    Floats carry 12 significant digits; rows are sorted by energy target;
-    multiplier columns stay empty where no dual pair was resolved.
-    """
-    label = boundary.strategy if label is None else label
-    seed = boundary.seed if seed is None else seed
-    return _write_rows(path, label, seed, boundary.points)
 
 
 def read_plot_data(path):
@@ -357,40 +353,31 @@ def read_plot_data(path):
 # per-seed work unit (top level so a process pool can ship it)
 
 
-def _curve_slots(boundary, n_grid):
-    """Grid-aligned point list with None at gap indices."""
-    gap_idx = {g[0] for g in boundary.gaps}
-    slots = [None] * n_grid
-    it = iter(boundary.points)
-    for k in range(n_grid):
-        if k in gap_idx:
-            continue
-        try:
-            slots[k] = next(it)
-        except StopIteration:
-            break
+def _curve_slots(boundary):
+    """The boundary's points on its grid of points and gaps together, with
+    None at each gap's index (the solver lists gaps in grid order)."""
+    slots = list(boundary.points)
+    for k, _, _ in boundary.gaps:
+        slots.insert(k, None)
     return slots
 
 
 def _seed_task(cfg, seed):
-    """One seed's curves, gaps and mode rows under a checked
-    `ExperimentConfig`.  With scheduling on, both orientations' sler sweeps
-    and the scheduled sweep come from one `scheduled_run`, whose single
-    lockstep spans both orientations, and all three are written whatever
-    `strategies` lists; the others share `re_sweep`'s path
-    (`_sweeps`).  A time-sharing line joins the ends of the meb or mlb sweep
-    it follows.  The (harvest, harvest) row reads the optimum's energy alone
-    (`_eh_eh_energy`), with no covariance built."""
+    """One seed's curves and mode rows under a checked `ExperimentConfig`.
+
+    `curves` maps each label to its `REBoundary`, in the order that the
+    aggregate's rows follow: each strategy of `strategies`, then its
+    time-sharing line `<strategy>_ts` where one is asked for (it joins the
+    ends of the meb or mlb sweep it follows), and last any scheduled curve
+    that `strategies` does not list.  With scheduling on, both orientations'
+    sler sweeps and the scheduled sweep come from one `scheduled_run`, whose
+    single lockstep spans both orientations, and all three are written
+    whatever `strategies` lists; the others share `re_sweep`'s path
+    (`_sweeps`).  The (harvest, harvest) row reads the optimum's energy
+    alone (`_eh_eh_energy`), with no covariance built."""
     t0 = time.perf_counter()
     cs = draw_channel_set(cfg.m_t, cfg.m_r, np.asarray(cfg.alpha), seed)
     curves = {}
-    gaps = {}
-
-    def add(label, b):
-        curves[label] = _curve_slots(b, cfg.e_grid_points)
-        if b.gaps:
-            gaps[label] = [(k, e, msg) for k, e, msg in b.gaps]
-
     scheduled = {}
     if cfg.scheduling:
         own, swapped, sched, _tags = scheduled_run(cs, cfg.p, n_points=cfg.e_grid_points)
@@ -398,16 +385,13 @@ def _seed_task(cfg, seed):
     swept = [s for s in cfg.strategies if s not in scheduled]
     sweeps = dict(zip(swept, _sweeps(cs, swept, cfg.p, cfg.e_grid_points))) | scheduled
     for strategy in cfg.strategies:
-        b = sweeps[strategy]
-        add(strategy, b)
+        b = curves[strategy] = sweeps[strategy]
         if cfg.time_sharing and strategy in ("meb", "mlb"):
-            ts = time_sharing_curve(b, weights=np.linspace(0.0, 1.0, cfg.ts_points))
-            curves[f"{strategy}_ts"] = list(ts.points)
+            curves[f"{strategy}_ts"] = time_sharing_curve(b, np.linspace(0.0, 1.0, cfg.ts_points))
     # scheduling writes all three of its curves, sler's too where
     # `strategies` does not list it
     for label, b in scheduled.items():
-        if label not in curves:
-            add(label, b)
+        curves.setdefault(label, b)
     mode_rows = []
     game = None
     if "id_id" in cfg.modes:
@@ -422,7 +406,6 @@ def _seed_task(cfg, seed):
         "seed": seed,
         "digest": channel_digest(cs),
         "curves": curves,
-        "gaps": gaps,
         "modes": mode_rows,
         "unconverged_game": game,
         "elapsed": time.perf_counter() - t0,
@@ -430,9 +413,14 @@ def _seed_task(cfg, seed):
 
 
 def _write_aggregate(path, labels, by_seed):
+    """Per-grid-index means of each label's curves across seeds.
+
+    Each seed's `REBoundary` lies on its own grid (`_curve_slots`): a
+    sweep's or scheduled curve's targets, or a time-sharing line's points.
+    Index k of a label averages the seeds with a point at k."""
     lines = [",".join(_AGG_COLUMNS) + "\n"]
     for label in labels:
-        slot_lists = [by_seed[s]["curves"][label] for s in sorted(by_seed)
+        slot_lists = [_curve_slots(by_seed[s]["curves"][label]) for s in sorted(by_seed)
                       if label in by_seed[s]["curves"]]
         n = max(len(sl) for sl in slot_lists)
         for k in range(n):
@@ -499,12 +487,10 @@ def run_experiment(cfg, workers=1):
                 labels.append(label)
     for label in labels:
         for seed in seeds:
-            r = by_seed[seed]
-            if label not in r["curves"]:
-                continue
-            pts = [p for p in r["curves"][label] if p is not None]
-            path = _write_rows(outdir / f"curve_{label}_seed{seed}.csv", label, seed, pts)
-            artifacts.append(str(path))
+            b = by_seed[seed]["curves"].get(label)
+            if b is not None:
+                path = emit_plot_data(b, outdir / f"curve_{label}_seed{seed}.csv", label, seed)
+                artifacts.append(str(path))
     if labels:
         artifacts.append(str(_write_aggregate(outdir / "aggregate.csv", labels, by_seed)))
 
@@ -517,21 +503,23 @@ def run_experiment(cfg, workers=1):
                     fh.write(_MODE_ROW % (tag, seed, cfg.m_t, cfg.m_r, rate, energy))
         artifacts.append(str(path))
 
-    gap_total = sum(len(g) for r in results for g in r["gaps"].values())
+    gaps = {}
+    for r in results:
+        seed_gaps = {label: b.gaps for label, b in r["curves"].items() if b.gaps}
+        if seed_gaps:
+            gaps[str(r["seed"])] = seed_gaps
     manifest = {
         "config": cfg_dict,
         "version": __version__,
         "channels": {str(r["seed"]): r["digest"] for r in results},
         "artifacts": sorted(artifacts),
-        "gaps": {
-            str(r["seed"]): r["gaps"] for r in results if r["gaps"]
-        },
+        "gaps": gaps,
         "unconverged_games": {
             str(r["seed"]): r["unconverged_game"] for r in results if r["unconverged_game"]
         },
         "seconds_per_seed": {str(r["seed"]): round(r["elapsed"], 3) for r in results},
         "seconds_total": round(time.perf_counter() - t0, 3),
-        "exit_code": 2 if gap_total else 0,
+        "exit_code": 2 if gaps else 0,
     }
     with open(outdir / "summary.json", "w") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

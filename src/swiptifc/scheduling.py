@@ -31,7 +31,7 @@ from .boundary import (
     _sweep_boundary,
 )
 from .channel import channel_digest, swap_roles
-from .exceptions import InfeasibleTargetError, SwiptError
+from .exceptions import InfeasibleTargetError, InvalidInputError, SwiptError
 from .linalg import _as_real, _as_reals
 from .metrics import _floored_ratios, canonical_directions, check_unit_rows, sler_floor
 
@@ -83,7 +83,10 @@ def _orientation_ratios(links, p, e_bars):
     mirrored roles, through (H22, H12).  Both beams are found at full
     transmit power P with the same energy target.
     """
-    e_bars = _as_reals(e_bars, "e_bar").reshape(-1)
+    e_bars = _as_reals(e_bars, "e_bar")
+    if e_bars.ndim > 1:
+        raise InvalidInputError("e_bars must be 1-D")
+    e_bars = e_bars.reshape(-1)
     ratios = []
     for c in links:
         floors = sler_floor(c["h11_norm2"], e_bars, p)

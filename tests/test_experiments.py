@@ -28,6 +28,8 @@ from swiptifc import (
     re_sweep,
     read_plot_data,
     run_experiment,
+    scheduled_run,
+    swap_roles,
     time_sharing_curve,
 )
 
@@ -280,9 +282,17 @@ class TestPlotData:
                       branch="WF", iterations=1)
         two = REPoint(e_bar=1.5, rate_bits=-0.0, energy=float("nan"), p1=1.0,
                       branch="WF", iterations=1)
+
+        def curve(points, gaps=()):
+            # each gap leaves a hole at its grid index: seed 2's "a" lies on
+            # the grid as [one, None, two], seed 1's as [two, None, one, one]
+            gaps = [(k, 1.0, "unreachable") for k in gaps]
+            return REBoundary(points=points, strategy="a", channel_digest="d", e_max=1.5,
+                              gaps=gaps)
+
         by_seed = {
-            2: {"curves": {"a": [one, None, two], "b": [two]}},
-            1: {"curves": {"a": [two, None, one, one]}},
+            2: {"curves": {"a": curve([one, two], gaps=[1]), "b": curve([two])}},
+            1: {"curves": {"a": curve([two, one, one], gaps=[1])}},
         }
         path = experiments._write_aggregate(tmp_path / "agg.csv", ["a", "b"], by_seed)
         f = self._fmt
@@ -304,8 +314,9 @@ class TestPlotData:
 
 class TestSeedLocksteps:
     """A seed's strategies are swept in one `_solve_many` lockstep per beam
-    rule kind and factor width, to the curves each strategy's own
-    `re_sweep` gives."""
+    rule kind and factor width, to the boundaries each strategy's own
+    `re_sweep` gives; its time-sharing lines and scheduled curves are the
+    ones `time_sharing_curve` and `scheduled_run` give."""
 
     @pytest.mark.parametrize(
         "preset, strategies, locksteps",
@@ -313,10 +324,13 @@ class TestSeedLocksteps:
             ("fig6", None, [["meb", "mlb"], ["slnr", "sler"]]),
             ("fig3", None, [["meb", "mlb"], ["meb_rank2"]]),
             ("fig6", ["sler"], [["sler"]]),
+            ("fig2", None, [["meb", "mlb"]]),
+            # scheduling solves its curves in its own locksteps
+            ("fig8", ["meb"], [["meb"]]),
         ],
     )
     def test_curves_match_own_sweeps(self, tmp_path, monkeypatch, preset, strategies, locksteps):
-        [(_, d)] = preset_variants(preset)
+        (_, d), *_ = preset_variants(preset)
         d.update(seeds=[1, 2], output_dir=str(tmp_path))
         if strategies is not None:
             d["strategies"] = strategies
@@ -334,10 +348,22 @@ class TestSeedLocksteps:
             got = experiments._seed_task(cfg, seed)
             assert calls == locksteps
             cs = draw_channel_set(cfg.m_t, cfg.m_r, np.asarray(cfg.alpha), seed)
+            want = {}
             for strategy in cfg.strategies:
-                own = re_sweep(cs, strategy, cfg.p, n_points=cfg.e_grid_points)
-                want = experiments._curve_slots(own, cfg.e_grid_points)
-                assert [repr(pt) for pt in got["curves"][strategy]] == [repr(pt) for pt in want]
+                own = want[strategy] = re_sweep(cs, strategy, cfg.p, n_points=cfg.e_grid_points)
+                if cfg.time_sharing and strategy in ("meb", "mlb"):
+                    weights = np.linspace(0.0, 1.0, cfg.ts_points)
+                    want[f"{strategy}_ts"] = time_sharing_curve(own, weights)
+            if cfg.scheduling:
+                n = cfg.e_grid_points
+                want["sler"] = re_sweep(cs, "sler", cfg.p, n_points=n)
+                want["sler_swap"] = re_sweep(swap_roles(cs), "sler", cfg.p, n_points=n)
+                want["sler_sched"] = scheduled_run(cs, cfg.p, n_points=n)[2]
+            # repr holds every point, the gaps, e_max and the channel digest
+            assert {k: repr(b) for k, b in got["curves"].items()} == {
+                k: repr(b) for k, b in want.items()
+            }
+            assert list(got["curves"]) == list(want)
 
 
 class TestRunExperiment:
@@ -576,12 +602,13 @@ sler_sched,3,1,3,6.37199458187,1.2822704726,6.37199458187
 
 
 def test_runtime_imports_numpy_only():
-    # a fresh interpreter: the production modules load neither scipy nor the oracles
+    # a fresh interpreter: the production modules, the command line's
+    # included, load neither scipy nor the oracles
     src = str(Path(swiptifc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = (
-        "import sys, swiptifc, swiptifc.experiments; "
+        "import sys, swiptifc, swiptifc.experiments, swiptifc.cli; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy' or m == 'swiptifc.oracle'))"
     )

@@ -317,6 +317,10 @@ class TestSelectModes:
             select_modes(cs, [np.nan], 2.0)
         with pytest.raises(InvalidInputError):
             select_modes(cs, [1.0], 0.0)
+        # a 2-D target array is rejected, not flattened; a scalar is one target
+        with pytest.raises(InvalidInputError, match="1-D"):
+            select_modes(cs, [[1.0, 2.0]], 2.0)
+        assert select_modes(cs, 1.0, 2.0) == select_modes(cs, [1.0], 2.0)
 
 
 class TestScheduledSweep:
