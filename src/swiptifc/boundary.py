@@ -42,7 +42,8 @@ for meb_rank2; a sler or slnr beam is one small `eigh` per row against its
 context's factorization of H21^H H21), receiver 2's link H22~ whitened
 against that beam's interference through the k x k eigendecomposition of
 (H21 F)^H H21 F (in closed form for one column), water-filling (the ray at
-rho = 0 of the Gram of each distinct whitened link, formed once per batch).
+rho = 0 of each whitened link's Gram), all shared by the rows of one context
+and P1 unless the rule reads E_bar (sler).
 A batch never roots: a DUAL row delivers its floor by construction, so the
 batch defers it, and its record keeps its whitened link and Gram.  The
 backoffs read only energies; the roots over rho (`_root_dual`,
@@ -564,12 +565,12 @@ def _root_dual(rec, k, cross, p):
 def _solve_p3_batch(ht, rows, e_req, p, cross):
     """`solve_p3` for a stack of targets, with its DUAL rows deferred.
 
-    `ht` holds distinct own links (u, M_r, M_t), `rows` maps each target to
-    its link, `e_req` holds floors already clipped to [0, P cmax], and
-    `cross` holds each link's cross-link `_cross_factor`, stacked: c (u, M_t),
-    W (u, M_t, M_t), cmax (u,) and v12 (u, M_t).  Each link's Gram
-    (Ht W)^H Ht W is formed once; water-filling is its ray at rho = 0.  A
-    WF or CAP row is solved here; a DUAL row is deferred: it reports its
+    `ht` holds own links (u, M_r, M_t), `rows` maps each target to its link,
+    `e_req` holds floors already clipped to [0, P cmax], and `cross` holds
+    each link's cross-link `_cross_factor`, stacked: c (u, M_t), W (u, M_t,
+    M_t), cmax (u,) and v12 (u, M_t).  Every link's Gram (Ht W)^H Ht W and
+    water-filling ray (rho = 0) are formed once, even where the cap serves.
+    A WF or CAP row is solved here; a DUAL row is deferred: it reports its
     floor as e2, its rate nan and its multipliers unset, and its record
     keeps the link and Gram that `_root_dual` roots it from.  A row's rate,
     energy and trace are read off its ray; a covariance is assembled only at
@@ -578,9 +579,8 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
     Returns each target's `_held` record.
     """
     c, w, cmax, v12 = cross
-    n = e_req.size
     cap = p * cmax[rows]
-    rec = np.zeros(n, _held(*ht.shape[1:]))
+    rec = np.zeros(e_req.size, _held(*ht.shape[1:]))
     rec["lam"] = rec["mu"] = np.nan
     energy, trace, rate = rec["e2"], rec["trace"], rec["rate"]  # views: writes land in rec
 
@@ -592,31 +592,23 @@ def _solve_p3_batch(ht, rows, e_req, p, cross):
         energy[k], trace[k] = cap[k], p
         rate[k] = _assembled(p * _outer(v12[rows[k]]), ht[rows[k]], p)[1]
 
-    links = rows[~at_cap]
-    if np.any(links[1:] <= links[:-1]):
-        links = np.unique(links)
-    slot = np.zeros(ht.shape[0], dtype=int)
-    slot[links] = np.arange(links.size)
-    e_wf = rec["e_wf"]
-    e_wf[at_cap] = np.nan
-    if links.size:
-        f = ht[links] @ w[links]
-        gram = f.conj().swapaxes(-1, -2) @ f
-        wf_ray = _Rays(gram, c[links], np.zeros(links.size), p)
-        _check_spectra(wf_ray.powers, wf_ray.trace, p)
-        e_wf[~at_cap] = wf_ray.energy[slot[rows[~at_cap]]]
-    wf = e_req <= e_wf
+    f = ht @ w
+    gram = f.conj().swapaxes(-1, -2) @ f
+    wf_ray = _Rays(gram, c, np.zeros(ht.shape[0]), p)
+    _check_spectra(wf_ray.powers, wf_ray.trace, p)
+    rec["e_wf"] = np.where(at_cap, np.nan, wf_ray.energy[rows])
+    wf = e_req <= rec["e_wf"]
     k = np.flatnonzero(wf)
     if k.size:
-        s = slot[rows[k]]
-        energy[k], trace[k] = wf_ray.energy[s], wf_ray.trace[s]
-        rate[k] = _ray_rates(wf_ray.gain[s], wf_ray.powers[s])
+        link = rows[k]
+        energy[k], trace[k] = wf_ray.energy[link], wf_ray.trace[link]
+        rate[k] = _ray_rates(wf_ray.gain[link], wf_ray.powers[link])
 
     k = np.flatnonzero(~at_cap & ~wf)
     if k.size:
         link = rows[k]
         energy[k], rate[k] = e_req[k], np.nan
-        rec["ht"][k], rec["gram"][k] = ht[link], gram[slot[link]]
+        rec["ht"][k], rec["gram"][k] = ht[link], gram[link]
     rec["branch"] = np.where(at_cap, "CAP", np.where(wf, "WF", "DUAL"))
     return rec
 
@@ -637,7 +629,9 @@ def solve_p3(h22_tilde, h12, e_target, p):
     residual energy shortfall is repaired by mixing toward the cross-link
     beam covariance (`repaired`).
     `P3Diagnostics.iterations` counts the root's ray evaluations, one
-    `eigh` each (none on WF and CAP).
+    `eigh` each (none on WF and CAP).  The water-filling ray is formed at
+    every target, so an own link with no gain raises DegenerateChannelError
+    at the cap too.
 
     Returns (TxCovariance, P3Diagnostics).
     """
@@ -884,15 +878,16 @@ def _evaluate_batch(st, ci, e_bars, p1s):
     beam, the whitened link H22~ it leaves for receiver 2, and the floored
     rate solve at the energy still missing, its DUAL rows deferred
     (`_solve_p3_batch`).  Row i belongs to context ci[i] of the stack `st`
-    (see `_stack`) and reads that context's links.  Unless a rule reads
-    e_bar (a ratio rule with a != 0), each distinct (context, P1) pair's
-    beam and H22~ are evaluated once.  Returns each row's `_held` record."""
-    if hasattr(st, "floor_rule") and st.floor_rule[:, 0].any():
-        ci_u, p1_u, rows, e_u = ci, p1s, np.arange(p1s.size), e_bars
-    else:
-        # complex keys P1 + i ctx sort by P1, then context
-        keys, first, rows = np.unique(p1s + 1j * ci, return_index=True, return_inverse=True)
-        ci_u, p1_u, e_u = keys.imag.astype(int), keys.real, e_bars[first]
+    (see `_stack`) and reads that context's links.  One key decides which
+    rows share a beam, H22~ and water-filling ray: (context, P1), or the row
+    alone where its rule reads e_bar (a ratio rule with a != 0).  Returns
+    each row's `_held` record."""
+    # keys P1 + i tag, tagged by context or, where e_bar is read, by a
+    # negative tag of the row's own, which no context index takes
+    reads = hasattr(st, "floor_rule") and st.floor_rule[ci, 0] != 0.0
+    tag = np.where(reads, -1 - np.arange(ci.size), ci)
+    _, first, rows = np.unique(p1s + 1j * tag, return_index=True, return_inverse=True)
+    ci_u, p1_u, e_u = ci[first], p1s[first], e_bars[first]
     f, kappa_u = _unit_covs(st, ci_u, e_u, p1_u)
     ht = _whitened_links(st, ci_u, f, p1_u)
     kappa = kappa_u[rows]

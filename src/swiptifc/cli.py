@@ -58,7 +58,7 @@ def _cmd_validate_channels(args):
     for path in args.files:
         try:
             cs = load_channels(path)
-        except SwiptError as exc:
+        except (SwiptError, OSError) as exc:  # OSError: a missing file, a directory
             print(f"ERROR {path}: {exc}", file=sys.stderr)
             rc = 1
             continue

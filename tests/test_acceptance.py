@@ -15,6 +15,7 @@ checks pay for it once.
 
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from swiptifc import (
     scheduled_run,
     time_sharing_curve,
 )
+from swiptifc.beamformers import _energy_streams
 from swiptifc.boundary import _energy_factor, _fixed_beam, _solve_many, _StrategyContext
 from swiptifc.oracle import (
     factorization_census,
@@ -198,13 +200,20 @@ def test_c06_boundary_monotone_and_feasible(census, capsys):
     )
 
 
-def _at_split(base, split):
+def _split_factor(streams, split):
+    """meb_rank2's factor at power split `split`, built as `_energy_factor`
+    builds it from the direct link's two unit streams (v1, v2), which do not
+    depend on the split."""
+    v1, v2 = streams
+    return np.stack((math.sqrt(split) * v1, math.sqrt(1.0 - split) * v2), axis=1)
+
+
+def _at_split(base, streams, split):
     """The meb_rank2 context `base` at power split `split`: the beam table
     builds the even split only, so a copy of `base` (never solved, so its
     e_max is still unfound) takes the rule of meb_rank2's factor at `split`."""
     ctx = copy.copy(base)
-    h11 = base.cs.h11
-    ctx.consts = base.consts | _fixed_beam(h11, _energy_factor(h11, split))
+    ctx.consts = base.consts | _fixed_beam(base.cs.h11, _split_factor(streams, split))
     return ctx
 
 
@@ -250,6 +259,10 @@ def test_c07_endpoints_flat_segment_timesharing_rank2(census, capsys):
     for d, (cs, sweeps) in enumerate(census[:25]):
         rates, _, ebars, _ = _full_arrays(sweeps["meb"], GRID_N)
         base = _StrategyContext(cs, "meb_rank2", P)
+        # the direct link is factored once per draw, not once per split; the
+        # factors built from its streams are meb_rank2's own, bit for bit
+        streams = _energy_streams(cs.h11, 0.5)[1:]
+        assert _split_factor(streams, 0.37).tobytes() == _energy_factor(cs.h11, 0.37).tobytes()
         for idx in idxs:
             if np.isnan(rates[idx]):
                 continue
@@ -258,7 +271,8 @@ def test_c07_endpoints_flat_segment_timesharing_rank2(census, capsys):
             rng = np.random.default_rng(6000 + GRID_N * d + int(idx))
             # the pair's 200 splits, one context each, solved in one lockstep
             solved = _solve_many([
-                (_at_split(base, float(split)), [e_bar]) for split in rng.uniform(0.1, 0.9, 200)
+                (_at_split(base, streams, float(split)), [e_bar])
+                for split in rng.uniform(0.1, 0.9, 200)
             ])
             beaten = any(
                 not isinstance(pt, SwiptError)

@@ -213,10 +213,11 @@ class TestSolveP3:
         with pytest.raises(InvalidInputError, match="transmit dims differ"):
             solve_p3(h22t[:, :1], h12, 0.1, 2.0)
 
-    @pytest.mark.parametrize("frac", [0.0, 0.5])
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 1.0])
     def test_zero_own_link_raises_without_warning(self, frac):
         # the rays check for gain before filling, as the game does, so no
-        # inf - inf is formed on the way to the error
+        # inf - inf is formed on the way to the error; the water-filling ray
+        # is formed at every target, the cap's included
         _, h12 = self._links(34)
         cap = 2.0 * np.linalg.svd(h12, compute_uv=False)[0] ** 2
         with warnings.catch_warnings():
@@ -1000,14 +1001,41 @@ class TestStackedLockstep:
         both = boundary._evaluate_batch(boundary._stack(ctxs), ci, e_bars, p1s)
         dual = both["branch"] == "DUAL"
         assert dual.any() and not dual.all()
+        self._assert_rows_are_own(both, ctxs, ci, e_bars, p1s)
+
+    @staticmethod
+    def _assert_rows_are_own(both, ctxs, ci, e_bars, p1s):
+        """Each row of the stacked batch `both` equals the row of its own
+        context's one-context batch: every `_EVAL` field, bit for bit."""
         for k, ctx in enumerate(ctxs):
             mine = np.flatnonzero(ci == k)
             own = boundary._evaluate_batch(
                 boundary._stack([ctx]), np.zeros(mine.size, dtype=int), e_bars[mine], p1s[mine]
             )
-            # every `_EVAL` field, bit for bit
             for j, i in enumerate(mine):
                 assert both[i].tobytes() == own[j].tobytes()
+
+    def test_mixed_stack_evaluates_each_slnr_pair_once(self, monkeypatch):
+        # slnr's rule reads no e_bar, so its rows of one (context, P1) pair
+        # share one beam and whitened link even beside a sler row, whose
+        # rule reads e_bar and shares with none
+        p = 5.0
+        cs = draw_channel_set(3, 3, ALPHA, seed=38)
+        ctxs = [boundary._StrategyContext(cs, strategy, p) for strategy in ("slnr", "sler")]
+        ci = np.array([0, 0, 1])
+        e_bars = np.array([0.2, 0.6, 0.4]) * min(ctx.emax() for ctx in ctxs)
+        p1s = np.full(3, 0.5 * p)
+        real = boundary._whitened_links
+        whitened = []
+
+        def counting(st, ci, f, p1s):
+            whitened.append(ci.size)
+            return real(st, ci, f, p1s)
+
+        monkeypatch.setattr(boundary, "_whitened_links", counting)
+        both = boundary._evaluate_batch(boundary._stack(ctxs), ci, e_bars, p1s)
+        assert whitened == [2]
+        self._assert_rows_are_own(both, ctxs, ci, e_bars, p1s)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_emax_many_matches_emax(self, strategy):

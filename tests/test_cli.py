@@ -226,6 +226,24 @@ def test_validate_channels_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_validate_channels_goes_on_past_unreadable_files(tmp_path, capsys):
+    # a missing file and a directory are reported on their own lines, and
+    # the files after them are checked
+    cs = draw_channel_set(2, 2, np.array([[1.0, 0.8], [0.8, 1.0]]), seed=7)
+    good = tmp_path / "good.json"
+    save_channels(cs, good)
+    missing, folder = tmp_path / "nope.json", tmp_path / "dir"
+    folder.mkdir()
+    files = [good, missing, folder, good]
+    assert main(["validate-channels", *map(str, files)]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        f"ERROR {missing}",
+        f"ERROR {folder}",
+    ]
+    assert out == 2 * f"OK {channel_digest(cs)} {good}\n"
+
+
 def test_oracle_suite(capsys):
     rc = main(["oracle-suite", "--trials", "2000", "--seed", "0"])
     out = capsys.readouterr().out
