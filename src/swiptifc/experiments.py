@@ -297,14 +297,30 @@ def apply_overrides(cfg_dict, overrides):
 # CSV plumbing
 
 
+def _write_text(path, text):
+    """Write one file of a run; an OSError becomes InvalidInputError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+    return Path(path)
+
+
 def emit_plot_data(boundary, path, label=None, seed=None):
     """Write one tradeoff curve as CSV with the fixed column schema.
 
     Floats carry 12 significant digits; rows are sorted by energy target;
-    multiplier columns stay empty where no dual pair was resolved.
+    multiplier columns stay empty where no dual pair was resolved.  The
+    label may hold no comma or line break, and the seed must be None or a
+    nonnegative integer, so `read_plot_data` reads every file written.
     """
-    label = boundary.strategy if label is None else label
+    label = str(boundary.strategy if label is None else label)
     seed = boundary.seed if seed is None else seed
+    if any(c in label for c in ",\r\n"):
+        raise InvalidInputError(f"curve label {label!r} holds a comma or line break")
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise InvalidInputError(f"curve seed must be a nonnegative integer or None, got {seed!r}")
     seed = "" if seed is None else str(int(seed))
     lines = [",".join(CSV_COLUMNS) + "\n"]
     for pt in sorted(boundary.points, key=lambda q: q.e_bar):
@@ -323,28 +339,35 @@ def emit_plot_data(boundary, path, label=None, seed=None):
                 _multiplier(pt.mu),
             )
         )
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("".join(lines))
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write curve file {path}: {exc}") from exc
-    return Path(path)
+    return _write_text(path, "".join(lines))
 
 
 def read_plot_data(path):
-    """Parse an emitted curve CSV back into a list of row dicts."""
+    """Parse an emitted curve CSV back into a list of row dicts.
+
+    The inverse of `emit_plot_data`: a row with the wrong field count, or a
+    number, count or seed that does not parse, raises InvalidInputError
+    naming the file and line."""
     rows = []
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise InvalidInputError(f"unexpected CSV header in {path}: {header}")
-        for line in fh:
+        for n, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
+            if len(parts) != len(CSV_COLUMNS):
+                msg = f"{path} line {n}: {len(parts)} fields, want {len(CSV_COLUMNS)}"
+                raise InvalidInputError(msg)
             row = dict(zip(CSV_COLUMNS, parts))
-            for key in ("e_bar", "rate_bits", "energy", "p1", "lambda", "mu"):
-                row[key] = float(row[key]) if row[key] != "" else None
-            row["seed"] = int(row["seed"]) if row["seed"] != "" else None
-            row["iterations"] = int(row["iterations"])
+            try:
+                for key in ("e_bar", "rate_bits", "energy", "p1"):
+                    row[key] = float(row[key])
+                for key in ("lambda", "mu"):
+                    row[key] = float(row[key]) if row[key] != "" else None
+                row["seed"] = int(row["seed"]) if row["seed"] != "" else None
+                row["iterations"] = int(row["iterations"])
+            except ValueError as exc:
+                raise InvalidInputError(f"{path} line {n}: {exc}") from None
             rows.append(row)
     return rows
 
@@ -412,16 +435,17 @@ def _seed_task(cfg, seed):
     }
 
 
-def _write_aggregate(path, labels, by_seed):
-    """Per-grid-index means of each label's curves across seeds.
+def _write_aggregate(path, labels, results):
+    """Per-grid-index means of each label's curves across the seeds'
+    records, averaged in ascending seed order.
 
     Each seed's `REBoundary` lies on its own grid (`_curve_slots`): a
     sweep's or scheduled curve's targets, or a time-sharing line's points.
     Index k of a label averages the seeds with a point at k."""
+    results = sorted(results, key=lambda r: r["seed"])
     lines = [",".join(_AGG_COLUMNS) + "\n"]
     for label in labels:
-        slot_lists = [_curve_slots(by_seed[s]["curves"][label]) for s in sorted(by_seed)
-                      if label in by_seed[s]["curves"]]
+        slot_lists = [_curve_slots(r["curves"][label]) for r in results]
         n = max(len(sl) for sl in slot_lists)
         for k in range(n):
             pts = [sl[k] for sl in slot_lists if k < len(sl) and sl[k] is not None]
@@ -438,9 +462,7 @@ def _write_aggregate(path, labels, by_seed):
                     np.mean([p.energy for p in pts]),
                 )
             lines.append(_AGG_ROW % ((label, k, e_norm, len(pts)) + means))
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
-    return path
+    return _write_text(path, "".join(lines))
 
 
 def run_experiment(cfg, workers=1):
@@ -448,7 +470,8 @@ def run_experiment(cfg, workers=1):
 
     Fans seeds out to a pool of min(`workers`, seed count) processes when
     that exceeds 1 (results are collected in seed order either way, so the
-    artifacts are identical).  `workers` must be an integer >= 1.
+    artifacts are identical).  `workers` must be an integer >= 1.  A file
+    that cannot be written raises InvalidInputError (`_write_text`).
     """
     if not (_is_int(workers) and workers >= 1):
         raise InvalidInputError(f"workers must be an integer >= 1, got {workers!r}")
@@ -477,31 +500,22 @@ def run_experiment(cfg, workers=1):
             results = list(pool.map(_seed_task, [cfg] * len(seeds), seeds))
     else:
         results = [_seed_task(cfg, s) for s in seeds]
-    by_seed = {r["seed"]: r for r in results}
 
+    # every seed holds the same labels, in one order (`_seed_task`)
+    labels = list(results[0]["curves"])
     artifacts = []
-    labels = []
-    for r in results:
-        for label in r["curves"]:
-            if label not in labels:
-                labels.append(label)
     for label in labels:
-        for seed in seeds:
-            b = by_seed[seed]["curves"].get(label)
-            if b is not None:
-                path = emit_plot_data(b, outdir / f"curve_{label}_seed{seed}.csv", label, seed)
-                artifacts.append(str(path))
+        for r in results:
+            path = outdir / f"curve_{label}_seed{r['seed']}.csv"
+            artifacts.append(str(emit_plot_data(r["curves"][label], path, label, r["seed"])))
     if labels:
-        artifacts.append(str(_write_aggregate(outdir / "aggregate.csv", labels, by_seed)))
-
-    if any(r["modes"] for r in results):
-        path = outdir / "modes.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("mode,seed,m_t,m_r,rate_bits,energy\n")
-            for seed in seeds:
-                for tag, rate, energy in by_seed[seed]["modes"]:
-                    fh.write(_MODE_ROW % (tag, seed, cfg.m_t, cfg.m_r, rate, energy))
-        artifacts.append(str(path))
+        artifacts.append(str(_write_aggregate(outdir / "aggregate.csv", labels, results)))
+    if cfg.modes:
+        lines = ["mode,seed,m_t,m_r,rate_bits,energy\n"]
+        for r in results:
+            for tag, rate, energy in r["modes"]:
+                lines.append(_MODE_ROW % (tag, r["seed"], cfg.m_t, cfg.m_r, rate, energy))
+        artifacts.append(str(_write_text(outdir / "modes.csv", "".join(lines))))
 
     gaps = {}
     for r in results:
@@ -521,6 +535,5 @@ def run_experiment(cfg, workers=1):
         "seconds_total": round(time.perf_counter() - t0, 3),
         "exit_code": 2 if gaps else 0,
     }
-    with open(outdir / "summary.json", "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(outdir / "summary.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -100,6 +100,15 @@ def test_run_config_file(tmp_path):
     assert (tmp_path / "out" / "curve_meb_seed1.csv").exists()
 
 
+def test_run_reports_a_file_it_cannot_write(tmp_path, capsys):
+    (tmp_path / "summary.json").mkdir()
+    rc = main(["run", "--preset", "fig4", "--output", str(tmp_path), "--set", "e_grid_points=4",
+               "--set", "m_t=2", "--set", "m_r=2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "summary.json" in err
+
+
 @pytest.mark.parametrize("text", [b"{nope", b"[1, 2]", b"null", b"\xff{"])
 def test_run_rejects_malformed_config_file(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,11 +291,13 @@ class TestPlotData:
             return REBoundary(points=points, strategy="a", channel_digest="d", e_max=1.5,
                               gaps=gaps)
 
-        by_seed = {
-            2: {"curves": {"a": curve([one, two], gaps=[1]), "b": curve([two])}},
-            1: {"curves": {"a": curve([two, one, one], gaps=[1])}},
-        }
-        path = experiments._write_aggregate(tmp_path / "agg.csv", ["a", "b"], by_seed)
+        # records come in run order and are averaged in ascending seed
+        # order; seed 1's "b" is all gap
+        results = [
+            {"seed": 2, "curves": {"a": curve([one, two], gaps=[1]), "b": curve([two])}},
+            {"seed": 1, "curves": {"a": curve([two, one, one], gaps=[1]), "b": curve([], [0])}},
+        ]
+        path = experiments._write_aggregate(tmp_path / "agg.csv", ["a", "b"], results)
         f = self._fmt
         want = [
             "strategy,grid_index,e_norm,n_seeds,e_bar,rate_bits,energy",
@@ -310,6 +313,59 @@ class TestPlotData:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidInputError):
             read_plot_data(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda f: f[:-1],  # a short row
+            lambda f: f + ["1"],  # a long row
+            lambda f: f[:4] + ["lots"] + f[5:],  # a float
+            lambda f: f[:7] + ["2.5"] + f[8:],  # a count
+            lambda f: f[:1] + ["x"] + f[2:],  # a seed
+            lambda f: f[:2] + [""] + f[3:],  # a float left empty
+        ],
+        ids=["short", "long", "float", "count", "seed", "empty-float"],
+    )
+    def test_read_rejects_malformed_rows(self, tmp_path, edit):
+        path = emit_plot_data(self._boundary(), tmp_path / "c.csv", label="meb", seed=1)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=r"c\.csv line 3"):
+            read_plot_data(path)
+
+    @pytest.mark.parametrize("label", ["a,b", "x\ny", "x\ry"])
+    def test_emit_rejects_labels_that_do_not_read_back(self, tmp_path, label):
+        with pytest.raises(InvalidInputError, match="comma or line break"):
+            emit_plot_data(self._boundary(), tmp_path / "c.csv", label=label, seed=1)
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7", -3, np.float64(2.0)])
+    def test_emit_rejects_seeds_that_are_not_nonnegative_integers(self, tmp_path, seed):
+        with pytest.raises(InvalidInputError, match="nonnegative integer or None"):
+            emit_plot_data(self._boundary(), tmp_path / "c.csv", label="meb", seed=seed)
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_curve_with_a_gap_and_empty_multipliers_reads_back_exactly(self, tmp_path):
+        # every value prints exactly at 12 significant digits
+        pts = [
+            REPoint(e_bar=0.0, rate_bits=2.5, energy=0.75, p1=0.0, branch="NO_TX",
+                    iterations=0),
+            REPoint(e_bar=3.0, rate_bits=1.125, energy=3.0, p1=2.0, branch="DUAL",
+                    iterations=6, lam=0.5, mu=None),
+            REPoint(e_bar=1.0, rate_bits=2.0, energy=1.25, p1=1.5, branch="WF",
+                    iterations=3),
+        ]
+        bd = REBoundary(points=pts, strategy="sler", channel_digest="d", e_max=4.0,
+                        gaps=[(2, 2.0, "unreachable")], seed=9)
+        rows = read_plot_data(emit_plot_data(bd, tmp_path / "c.csv"))
+        want = [
+            {"strategy": "sler", "seed": 9, "e_bar": p.e_bar, "rate_bits": p.rate_bits,
+             "energy": p.energy, "p1": p.p1, "branch": p.branch, "iterations": p.iterations,
+             "lambda": p.lam, "mu": p.mu}
+            for p in sorted(pts, key=lambda q: q.e_bar)
+        ]
+        assert rows == want
 
 
 class TestSeedLocksteps:
@@ -529,6 +585,16 @@ class TestRunExperiment:
         (tmp_path / "file").write_text("")
         cfg = _tiny_cfg(tmp_path, output_dir=str(tmp_path / "file" / "out"))
         with pytest.raises(InvalidInputError, match="is not writable"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "name", ["curve_meb_seed1.csv", "aggregate.csv", "modes.csv", "summary.json"]
+    )
+    def test_every_write_failure_names_the_file(self, tmp_path, name):
+        # a directory in place of the file
+        (tmp_path / "out" / name).mkdir(parents=True)
+        cfg = _tiny_cfg(tmp_path, modes=("id_id", "eh_eh"))
+        with pytest.raises(InvalidInputError, match=f"cannot write .*{re.escape(name)}"):
             run_experiment(cfg)
 
     @pytest.mark.parametrize("workers", [0, -3, "2", 2.0, True, None])
