@@ -72,6 +72,18 @@ from.  A target keeps the record of its latest evaluation; its published
 point and its `P3Diagnostics` (`_diagnostics`) are read from that record
 alone.
 
+The lockstep counts its own work as it goes, in array operations beside
+the records.  Per target, each `REPoint` carries its backoff rounds, the
+Aitken steps taken and reverted, whether the backoff behind it stopped at
+the 20-round cap without settling, and whether the stall rescue served it.
+Per lockstep, one `Lockstep` record, which each of its contexts keeps and
+each of their boundaries lists, holds the batches and rows of the backoff,
+the rescue's scan and the rescue's backoff; the rows that formed a beam and
+whitened link (one per sharing key), those run again one at a time after a
+batch raised, and those evaluated at the cap; the root calls, rows and ray
+evaluations of the scan's and the finishing root step; and the rooted rows
+rescaled into the power ball and repaired toward the cross-link beam.
+
 Each public entry point builds the strategy context (`_StrategyContext`)
 of its channel orientation, strategy and P, and passes it down; a context
 finds its e_max once.  Nothing is kept between calls.  Transmitter 1's beam
@@ -200,7 +212,32 @@ class REPoint:
     mu: float | None = None
     clamped: bool = False
     carried: bool = False      # copied from a higher target by re_sweep
+    aitken_steps: int = 0      # guarded Aitken steps its backoffs took
+    aitken_reverted: int = 0   # of those, the ones reverted to the plain step
+    capped: bool = False       # its backoff stopped at the 20-round cap unsettled
+    rescued: bool = False      # the stall rescue served it
     p3: P3Diagnostics | None = None  # the floored rate solve behind the point
+
+
+# the per-target counts of an `REPoint`
+_POINT_COUNTS = ("iterations", "aitken_steps", "aitken_reverted", "capped", "rescued")
+
+# the names of a `Lockstep`'s counts, in the module docstring's order
+_LOCKSTEP_COUNTS = (
+    "backoff_batches", "backoff_rows", "scan_batches", "scan_rows", "rescue_batches",
+    "rescue_rows", "formed_rows", "rerun_rows", "cap_rows", "scan_root_calls", "scan_root_rows",
+    "scan_rays", "finish_root_calls", "finish_root_rows", "finish_rays", "rescaled_rows",
+    "repaired_rows",
+)
+
+
+@dataclass(eq=False)
+class Lockstep:
+    """One lockstep's work (see the module docstring), which the boundaries of
+    its contexts share: their strategies, and each `_LOCKSTEP_COUNTS` total."""
+
+    labels: tuple
+    counts: dict
 
 
 @dataclass
@@ -210,6 +247,8 @@ class REBoundary:
     Invariants (validate): e_bar strictly increasing, rate non-increasing
     within 1e-6, achieved energy at least e_bar - 1e-6 * max(1, e_bar).
     Failed grid points are listed in `gaps` as (index, e_bar, reason).
+    `locksteps` holds the `Lockstep` of each lockstep that solved targets of
+    its context; it is the work, not the curve, so eq and repr skip it.
     """
 
     points: list
@@ -218,6 +257,7 @@ class REBoundary:
     e_max: float
     seed: int | None = None
     gaps: list = field(default_factory=list)
+    locksteps: tuple = field(default=(), compare=False, repr=False)
 
     def validate(self):
         prev = None
@@ -460,10 +500,11 @@ def _ratio_roots(a, c, e_req, e_wf, rho_hi, p):
 # is the floored solve's WF, DUAL or CAP, lam and mu are nan where the branch
 # reports none, e2 is receiver 2's energy, e11 = kappa * P1 the direct-link
 # energy, `clamped` marks a floor left for transmitter 2 out of its reach,
-# and e_wf is water-filling's energy (nan at the cap)
+# `formed` the row that formed its sharing key's beam and whitened link, and
+# e_wf is water-filling's energy (nan at the cap)
 _EVAL = np.dtype(
     [(name, float) for name in ("p1", "kappa", "e11", "lam", "mu", "gap", "e2", "trace", "rate")]
-    + [(name, bool) for name in ("clamped", "repaired", "rescaled")]
+    + [(name, bool) for name in ("clamped", "repaired", "rescaled", "formed")]
     + [("branch", "U4"), ("evals", int), ("e_wf", float)]
 )
 
@@ -678,6 +719,7 @@ class _StrategyContext:
 
     `consts` holds what an evaluation reads per row, the rule's included (see
     `_stack`); the name is a label.  e_max is found once, on first use.
+    `locksteps` gathers the `Lockstep` of each lockstep that solves its targets.
     """
 
     def __init__(self, cs, strategy, p):
@@ -688,6 +730,7 @@ class _StrategyContext:
         self.consts = dict(h11=cs.h11, h21=cs.h21, h22=cs.h22, c=c, w=w, cmax=cmax, v12=v12)
         self.consts.update(_BEAMS[strategy](cs))
         self._emax = None
+        self.locksteps = ()
 
     def emax(self):
         """Largest reachable energy target for this strategy at full power."""
@@ -880,8 +923,8 @@ def _evaluate_batch(st, ci, e_bars, p1s):
     (`_solve_p3_batch`).  Row i belongs to context ci[i] of the stack `st`
     (see `_stack`) and reads that context's links.  One key decides which
     rows share a beam, H22~ and water-filling ray: (context, P1), or the row
-    alone where its rule reads e_bar (a ratio rule with a != 0).  Returns
-    each row's `_held` record."""
+    alone where its rule reads e_bar (a ratio rule with a != 0); the first
+    row of each key is marked `formed`.  Returns each row's `_held` record."""
     # keys P1 + i tag, tagged by context or, where e_bar is read, by a
     # negative tag of the row's own, which no context index takes
     reads = hasattr(st, "floor_rule") and st.floor_rule[ci, 0] != 0.0
@@ -899,6 +942,7 @@ def _evaluate_batch(st, ci, e_bars, p1s):
     cross = [st.c[ci_u], st.w[ci_u], st.cmax[ci_u], st.v12[ci_u]]
     rec = _solve_p3_batch(ht, rows, e_need, st.p, cross)
     rec["p1"], rec["kappa"], rec["e11"], rec["clamped"] = p1s, kappa, e11, clamped
+    rec["formed"][first] = True
     return rec
 
 
@@ -918,7 +962,8 @@ class _Aitken:
     evaluation that does not over-deliver, one that lands on DUAL included,
     is reverted: the plain step T(x) it replaced is evaluated next, and two
     more plain steps must agree before the next Aitken step.  The rescue's
-    backoff starts a new state.
+    backoff starts its targets afresh.  It counts each target's Aitken steps
+    taken and reverted, and marks it `capped` where `stop` ends it unsettled.
     """
 
     def __init__(self, n):
@@ -926,6 +971,9 @@ class _Aitken:
         self.t = np.full(n, np.nan)    # its plain step T(x)
         self.r = np.full(n, np.nan)    # the contraction ratio that led there
         self.fast = np.zeros(n, dtype=bool)  # the pending evaluation is an Aitken step
+        self.taken = np.zeros(n, dtype=int)
+        self.reverted = np.zeros(n, dtype=int)
+        self.capped = np.zeros(n, dtype=bool)
 
     def next_p1(self, ks, e_eff, ev, p, tol, stop):
         """Targets ks, evaluated in `ev`: their next P1 and whether each has
@@ -938,7 +986,8 @@ class _Aitken:
         t = np.where(over, np.where(p < t, p, t), x)
         reverted = self.fast[ks] & ~over
         plain = np.where(reverted, self.t[ks], t)
-        settled = (~reverted & (np.abs(t - x) <= tol)) | stop
+        near = ~reverted & (np.abs(t - x) <= tol)
+        settled = near | stop
         with np.errstate(divide="ignore", invalid="ignore"):
             r = (t - self.t[ks]) / (x - self.x[ks])
             star = t + r / (1.0 - r) * (t - x)
@@ -957,6 +1006,9 @@ class _Aitken:
         self.x[kept], self.t[kept], self.r[kept] = x[~reverted], t[~reverted], r[~reverted]
         self.r[ks[reverted]] = np.nan
         self.fast[ks] = fast
+        self.taken[ks] += fast
+        self.reverted[ks] += reverted
+        self.capped[ks] = stop & ~near
         return np.where(fast, step, plain), settled
 
 
@@ -995,8 +1047,9 @@ def _solve_many(jobs):
     which the backoff and the scan both reach, is published as NO_TX.  If a
     batch or a root call raises a SwiptError, its rows are evaluated, or
     rooted from their records, one at a time, and each target whose row
-    raises takes the error.  Returns a dict that maps each pair to its
-    REPoint or to the SwiptError that stopped it.
+    raises takes the error.  Each context's `locksteps` gains the lockstep's
+    `Lockstep`.  Returns a dict that maps each pair to its REPoint or to the
+    SwiptError that stopped it.
     """
     todo = list(dict.fromkeys((ctx, float(e)) for ctx, e_bars in jobs for e in e_bars))
     if not todo:
@@ -1021,19 +1074,23 @@ def _solve_many(jobs):
     tol_p1 = _P1_TOL * max(p, 1.0)
 
     latest = np.zeros(len(todo), _held(*st.h22.shape[1:]))
+    counts = dict.fromkeys(_LOCKSTEP_COUNTS, 0)
 
     def fail(k, exc):
         """Target k takes the error, unless an earlier one stopped it."""
         if not failed[k]:
             out[k], failed[k] = exc, True
 
-    def evaluate(ks, p1s):
-        """Target ks[i] evaluated at P1 p1s[i], in one batch or, if it
-        raises, one row at a time: returns the targets and their records,
+    def evaluate(ks, p1s, phase):
+        """Target ks[i] evaluated at P1 p1s[i] in `phase`, in one batch or, if
+        it raises, one row at a time: returns the targets and their records,
         without the targets whose row raised, which take the error."""
+        counts[phase + "_batches"] += 1
+        counts[phase + "_rows"] += ks.size
         try:
             rec = _evaluate_batch(st, ci[ks], e_eff[ks], p1s)
         except SwiptError:
+            counts["rerun_rows"] += ks.size
             rec = np.zeros(ks.size, latest.dtype)
             for i, k in enumerate(ks.tolist()):
                 one = slice(k, k + 1)
@@ -1041,14 +1098,16 @@ def _solve_many(jobs):
                     rec[i] = _evaluate_batch(st, ci[one], e_eff[one], p1s[i : i + 1])[0]
                 except SwiptError as exc:
                     fail(k, exc)
+        counts["formed_rows"] += int(np.count_nonzero(rec["formed"]))
+        counts["cap_rows"] += int(np.count_nonzero(rec["branch"] == "CAP"))
         ok = ~failed[ks]
         return ks[ok], rec[ok]
 
-    def root(ks, rec):
-        """Root in place the deferred DUAL rows of the records `rec`, rec[i]
-        target ks[i]'s, whose targets have not failed: one `_root_dual` call
-        or, if it raises, one per row, and each target whose row raises takes
-        the error.  Returns the targets and records that have not failed."""
+    def root(ks, rec, step):
+        """Root step `step`: root in place the deferred DUAL rows of `rec`,
+        rec[i] target ks[i]'s, whose targets have not failed, in one call or,
+        if it raises, one per row; a target whose row raises takes the error.
+        Returns the targets and records that have not failed."""
         due = np.flatnonzero(~failed[ks] & np.isnan(rec["rate"]))
 
         def call(rows):
@@ -1056,24 +1115,31 @@ def _solve_many(jobs):
             _root_dual(rec, rows, [st.c[cd], st.w[cd], st.cmax[cd], st.v12[cd]], p)
 
         if due.size:
+            counts[step + "_root_calls"] += 1
+            counts[step + "_root_rows"] += due.size
             try:
                 call(due)
             except SwiptError:
+                counts[step + "_root_calls"] += due.size
                 for i in due.tolist():
                     try:
                         call(np.array([i]))
                     except SwiptError as exc:
                         fail(ks[i], exc)
+            counts[step + "_rays"] += int(rec["evals"][due].sum())
+            counts["rescaled_rows"] += int(np.count_nonzero(rec["rescaled"][due]))
+            counts["repaired_rows"] += int(np.count_nonzero(rec["repaired"][due]))
         ok = ~failed[ks]
         return ks[ok], rec[ok]
 
     iters = np.zeros(len(todo), dtype=int)
+    rescued = np.zeros(len(todo), dtype=bool)
     p1 = np.full(len(todo), p)
     settled = np.zeros(len(todo), dtype=bool)
     steps = _Aitken(len(todo))
     live = np.flatnonzero(~failed)
     while live.size:
-        live, ev = evaluate(live, p1[live])
+        live, ev = evaluate(live, p1[live], "backoff")
         latest[live] = ev
         # the targets evaluated at their settled P1 are done
         back = ~settled[live]
@@ -1089,7 +1155,8 @@ def _solve_many(jobs):
     if short.any():
         live = np.flatnonzero(short)
         scan = np.linspace(0.0, p, _RESCUE_SCAN)
-        live, ev = root(*evaluate(np.repeat(live, scan.size), np.tile(scan, live.size)))
+        ks = np.repeat(live, scan.size)
+        live, ev = root(*evaluate(ks, np.tile(scan, live.size), "scan"), "scan")
         live, ev = live[:: scan.size], ev.reshape(-1, scan.size)
         got = ev["e11"] + ev["e2"]
         fit = got >= (e_eff[live] - tol_e[live])[:, None]
@@ -1100,19 +1167,22 @@ def _solve_many(jobs):
         live, ev = live[found], ev[found, best[found]]
         latest[live] = ev
         short[live] = False
-        steps = _Aitken(len(todo))
+        rescued[live] = True
+        # a new backoff from each candidate; the counts go on
+        steps.x[live] = steps.t[live] = steps.r[live] = np.nan
         for _ in range(_N_MAX):
             step, stop = steps.next_p1(live, e_eff[live], ev, p, tol_p1, False)
             live, step = live[~stop], step[~stop]
             if not live.size:
                 break
-            live, ev = evaluate(live, step)
+            live, ev = evaluate(live, step, "rescue")
             # a target leaves once its plain step falls short; a reverted
             # Aitken step goes on to the plain step it replaced
             ok = ~(ev["e11"] + ev["e2"] < e_eff[live] - tol_e[live])
             latest[live[ok]] = ev[ok]
             on = ok | steps.fast[live]
             live, ev = live[on], ev[on]
+        steps.capped[live] = True
     # reachability is genuinely not an interval for per-target beams: some
     # interior targets stay short at every P1
     for k in np.flatnonzero(short & ~failed).tolist():
@@ -1124,20 +1194,24 @@ def _solve_many(jobs):
         failed[k] = True
     # the targets that end on a deferred DUAL row are rooted together, from
     # the links and Grams their records keep
-    root(np.arange(len(todo)), latest)
+    root(np.arange(len(todo)), latest, "finish")
+    lockstep = Lockstep(tuple(dict.fromkeys(ctx.strategy for ctx in ctxs)), counts)
+    for ctx in ctxs:
+        ctx.locksteps += (lockstep,)
 
     # the published points, built from Python values read column by column
     done = np.flatnonzero(~failed)
     fin = latest[done]
+    counted = (iters, steps.taken, steps.reverted, steps.capped, rescued)  # `_POINT_COUNTS`
     rows = zip(
         done.tolist(),
         _columns(fin, _P3_FIELDS),
         (fin["e11"] + fin["e2"]).tolist(),
         fin["p1"].tolist(),
-        iters[done].tolist(),
         (fin["clamped"] | (targets[done] > e_eff[done])).tolist(),
+        zip(*(a[done].tolist() for a in counted)),
     )
-    for k, fields, energy, p1k, n_iter, clamped in rows:
+    for k, fields, energy, p1k, clamped, n in rows:
         diag = _diagnostics(*fields)
         branch = "NO_TX" if p1k == 0.0 else diag.branch
         dual = branch == "DUAL"
@@ -1147,11 +1221,11 @@ def _solve_many(jobs):
             energy=energy,
             p1=p1k,
             branch=branch,
-            iterations=n_iter,
             lam=diag.lam if dual else None,
             mu=diag.mu if dual else None,
             clamped=clamped,
             p3=diag,
+            **dict(zip(_POINT_COUNTS, n)),
         )
     return dict(zip(todo, out))
 
@@ -1195,6 +1269,7 @@ def _sweep_boundary(ctx, grid, solved):
         e_max=ctx.emax(),
         seed=ctx.cs.seed,
         gaps=gaps,
+        locksteps=ctx.locksteps,
     ).validate()
 
 

@@ -7,9 +7,9 @@ tradeoff curves, and writes one CSV per curve plus one aggregate CSV of
 per-grid-index means across seeds (curves are averaged at matched indices
 of their own normalized energy grids, since the reachable energy range
 varies per realization).  A JSON summary records the config, channel
-digests, artifact list, timing, and the seeds whose (decode, decode)
-water-filling game stopped at its round limit without converging, with the
-rounds run and the last covariance step.
+digests, artifact list, timing, each curve label's solver `work` (`_work`),
+and the seeds whose (decode, decode) water-filling game stopped at its round
+limit without converging, with the rounds run and the last covariance step.
 
 Exit codes: 0 full success, 1 hard error, 2 completed with gap-marked
 sweep points.
@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import numbers
+import operator
 import os
 import time
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .beamformers import STRATEGIES, _eh_eh_energy, iterative_waterfilling
-from .boundary import _sweeps, time_sharing_curve
+from .boundary import _LOCKSTEP_COUNTS, _POINT_COUNTS, _sweeps, time_sharing_curve
 from .channel import _is_int, channel_digest, draw_channel_set
 from .exceptions import InvalidInputError
 from .linalg import _as_real
@@ -65,6 +66,9 @@ _AGG_COLUMNS = ("strategy", "grid_index", "e_norm", "n_seeds", "e_bar", "rate_bi
 _ROW = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s,%d,%s,%s\n"
 _AGG_ROW = "%s,%d,%.12g,%d,%.12g,%.12g,%.12g\n"
 _MODE_ROW = "%s,%d,%d,%d,%.12g,%.12g\n"
+
+_BRANCHES = ("NO_TX", "WF", "DUAL", "CAP", "TS")  # a curve point's, as `REPoint` lists them
+_counted = operator.attrgetter(*_POINT_COUNTS)  # a point's counts, as one tuple
 
 # the size fields and their largest values: a run's complex arrays of m_t^2,
 # m_r^2, e_grid_points or ts_points entries must stay within the byte count
@@ -312,8 +316,10 @@ def emit_plot_data(boundary, path, label=None, seed=None):
 
     Floats carry 12 significant digits; rows are sorted by energy target;
     multiplier columns stay empty where no dual pair was resolved.  The
-    label may hold no comma or line break, and the seed must be None or a
-    nonnegative integer, so `read_plot_data` reads every file written.
+    label may hold no comma or line break, the seed must be None or a
+    nonnegative integer, and each point's branch one of NO_TX, WF, DUAL, CAP
+    and TS with a nonnegative integer `iterations`, so `read_plot_data`
+    reads every file written; nothing is written otherwise.
     """
     label = str(boundary.strategy if label is None else label)
     seed = boundary.seed if seed is None else seed
@@ -324,6 +330,9 @@ def emit_plot_data(boundary, path, label=None, seed=None):
     seed = "" if seed is None else str(int(seed))
     lines = [",".join(CSV_COLUMNS) + "\n"]
     for pt in sorted(boundary.points, key=lambda q: q.e_bar):
+        if pt.branch not in _BRANCHES or not (_is_int(pt.iterations) and pt.iterations >= 0):
+            got = f"point at e_bar {pt.e_bar!r}: branch {pt.branch!r}, iterations {pt.iterations!r}"
+            raise InvalidInputError(f"{got}; want one of {', '.join(_BRANCHES)}, iterations >= 0")
         lines.append(
             _ROW
             % (
@@ -465,6 +474,16 @@ def _write_aggregate(path, labels, results):
     return _write_text(path, "".join(lines))
 
 
+def _work(boundaries):
+    """One label's `work` over its boundaries, one per seed: the sums of its
+    points' counts (a carried point repeats those of the point it copies, as
+    its `iterations` column does) and of its boundaries' lockstep counts."""
+    rows = [_counted(pt) for b in boundaries for pt in b.points] or [(0,) * len(_POINT_COUNTS)]
+    work = {name: int(sum(column)) for name, column in zip(_POINT_COUNTS, zip(*rows))}
+    counts = [w.counts for b in boundaries for w in b.locksteps]
+    return work | {name: sum(c[name] for c in counts) for name in _LOCKSTEP_COUNTS}
+
+
 def run_experiment(cfg, workers=1):
     """Run one experiment config end to end; returns the artifact manifest.
 
@@ -531,6 +550,7 @@ def run_experiment(cfg, workers=1):
         "unconverged_games": {
             str(r["seed"]): r["unconverged_game"] for r in results if r["unconverged_game"]
         },
+        "work": {label: _work([r["curves"][label] for r in results]) for label in labels},
         "seconds_per_seed": {str(r["seed"]): round(r["elapsed"], 3) for r in results},
         "seconds_total": round(time.perf_counter() - t0, 3),
         "exit_code": 2 if gaps else 0,

@@ -163,6 +163,7 @@ def scheduled_run(cs, p, n_points=64):
         e_max=max(ems.values()),
         seed=cs.seed,
         gaps=gaps,
+        locksteps=tuple(dict.fromkeys(w for ctx in ctxs.values() for w in ctx.locksteps)),
     )
     return (*(_sweep_boundary(ctx, g, solved) for ctx, g in own), scheduled, tags)
 

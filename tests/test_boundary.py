@@ -1,12 +1,11 @@
 """Tests for the rate-energy boundary solver and its supporting pieces."""
 
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from swiptifc import boundary
+from swiptifc import boundary, experiments
 from swiptifc import (
     ChannelSet,
     DegenerateChannelError,
@@ -706,28 +705,9 @@ class TestAssembledRows:
 
     @staticmethod
     def _count(monkeypatch):
-        # rows that reach check_covariances and _rates, the CAP rows of every
-        # evaluated record, and the rooted DUAL rows, rescaled and repaired
-        # ones among them, of every root call: the scan's or the finishing one
-        seen = dict(checked=0, rated=0, cap=0, rescaled=0, repaired=0, rooted=0)
-        real_eval, real_dual, real_check, real_rates = (
-            boundary._evaluate_batch,
-            boundary._root_dual,
-            boundary.check_covariances,
-            boundary._rates,
-        )
-
-        def evaluating(*args):
-            rec = real_eval(*args)
-            seen["cap"] += int(np.sum(rec["branch"] == "CAP"))
-            return rec
-
-        def rooting(rec, k, *args):
-            out = real_dual(rec, k, *args)
-            seen["rescaled"] += int(np.sum(rec["rescaled"][k]))
-            seen["repaired"] += int(np.sum(rec["repaired"][k]))
-            seen["rooted"] += int(np.sum(~np.isnan(rec["rate"][k])))
-            return out
+        # rows that reach check_covariances and _rates
+        seen = dict(checked=0, rated=0)
+        real_check, real_rates = boundary.check_covariances, boundary._rates
 
         def checking(q, budget):
             seen["checked"] += q.shape[0]
@@ -737,46 +717,41 @@ class TestAssembledRows:
             seen["rated"] += q.shape[0]
             return real_rates(b, q)
 
-        monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
-        monkeypatch.setattr(boundary, "_root_dual", rooting)
         monkeypatch.setattr(boundary, "check_covariances", checking)
         monkeypatch.setattr(boundary, "_rates", rating)
         return seen
 
     @staticmethod
-    def _only_read(seen):
-        due = seen["cap"] + seen["repaired"]
+    def _only_read(seen, boundaries):
+        # the CAP rows of every evaluated record and the rooted DUAL rows of
+        # every root call, rescaled and repaired ones among them, as counted
+        work = experiments._work(boundaries)
+        due = work["cap_rows"] + work["repaired_rows"]
         assert seen["checked"] == seen["rated"] == due
         # rescaled rooted DUAL rows stay in spectral form
-        assert 0 < seen["rescaled"] < seen["rooted"]
+        assert 0 < work["rescaled_rows"] < work["scan_root_rows"] + work["finish_root_rows"]
+        return work
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
     def test_sweep(self, strategy, m, monkeypatch):
         seen = self._count(monkeypatch)
-        for seed in (1, 2, 3):
+        swept = [
             re_sweep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P, n_points=24)
-        assert seen["cap"] > 0
-        self._only_read(seen)
+            for seed in (1, 2, 3)
+        ]
+        assert self._only_read(seen, swept)["cap_rows"] > 0
 
     def test_scheduled_run(self, monkeypatch):
         seen = self._count(monkeypatch)
-        scheduled_run(draw_channel_set(2, 2, ALPHA, seed=3), self.P, n_points=32)
-        self._only_read(seen)
+        # the scheduled curve lists every lockstep of the run
+        sched = scheduled_run(draw_channel_set(2, 2, ALPHA, seed=3), self.P, n_points=32)[2]
+        self._only_read(seen, [sched])
 
-    def test_solve_p3_covariance(self, monkeypatch):
+    def test_solve_p3_covariance(self):
         # the covariance solve_p3 returns is valid, and it is water-filling,
-        # the cap beam, or the SVD route's ray point at the same root,
-        # repaired alike
-        real = boundary._ratio_roots
-        roots = []
-
-        def rooting(*args):
-            out = real(*args)
-            roots.append(float(out[0][0]))
-            return out
-
-        monkeypatch.setattr(boundary, "_ratio_roots", rooting)
+        # the cap beam, or the SVD route's ray point at the same root
+        # rho = lam / mu, repaired alike
         solve_cases = TestSolveP3()
         cases = [(*solve_cases._links(100 + s), 5.0, (0.2, 0.5, 0.8, 0.99)) for s in range(20)]
         cases += [(*solve_cases._links(200 + s), 3.0, (0.6,)) for s in range(10)]
@@ -788,7 +763,6 @@ class TestAssembledRows:
             _, _, cmax, v12 = boundary._cross_factor(h12)
             cap = p * cmax
             for frac in fracs:
-                roots.clear()
                 q, diag = solve_p3(ht, h12, frac * cap, p)
                 check_covariances(q.q, p)
                 branches.add(diag.branch)
@@ -797,7 +771,7 @@ class TestAssembledRows:
                 elif diag.branch == "CAP":
                     want = p * np.outer(v12, v12.conj())
                 else:
-                    want, trace, energy = _svd_ray(ht, h12, roots[0], p)
+                    want, trace, energy = _svd_ray(ht, h12, diag.lam / diag.mu, p)
                     scale = min(1.0, p / trace[0])
                     want, trace, energy = want * scale, trace * scale, energy * scale
                     e_req = np.array([frac * cap])
@@ -1015,26 +989,18 @@ class TestStackedLockstep:
             for j, i in enumerate(mine):
                 assert both[i].tobytes() == own[j].tobytes()
 
-    def test_mixed_stack_evaluates_each_slnr_pair_once(self, monkeypatch):
+    def test_mixed_stack_evaluates_each_slnr_pair_once(self):
         # slnr's rule reads no e_bar, so its rows of one (context, P1) pair
-        # share one beam and whitened link even beside a sler row, whose
-        # rule reads e_bar and shares with none
+        # share one beam and whitened link, formed by the first of them, even
+        # beside a sler row, whose rule reads e_bar and shares with none
         p = 5.0
         cs = draw_channel_set(3, 3, ALPHA, seed=38)
         ctxs = [boundary._StrategyContext(cs, strategy, p) for strategy in ("slnr", "sler")]
         ci = np.array([0, 0, 1])
         e_bars = np.array([0.2, 0.6, 0.4]) * min(ctx.emax() for ctx in ctxs)
         p1s = np.full(3, 0.5 * p)
-        real = boundary._whitened_links
-        whitened = []
-
-        def counting(st, ci, f, p1s):
-            whitened.append(ci.size)
-            return real(st, ci, f, p1s)
-
-        monkeypatch.setattr(boundary, "_whitened_links", counting)
         both = boundary._evaluate_batch(boundary._stack(ctxs), ci, e_bars, p1s)
-        assert whitened == [2]
+        assert both["formed"].tolist() == [True, False, True]
         self._assert_rows_are_own(both, ctxs, ci, e_bars, p1s)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -1106,72 +1072,29 @@ class TestStackedLockstep:
         assert got == [repr(want[alone, e]) for e in grids[0].tolist()]
 
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
-    def test_one_batch_per_backoff_round(self, strategy, monkeypatch):
+    def test_one_batch_per_backoff_round(self, strategy):
         # the evaluation at a target's settled P1 shares the backoff's rounds:
-        # no separate pass, so the most evaluated target is in every batch;
-        # after the last of them, one root call over exactly the targets that
-        # end on DUAL, and no further evaluation
+        # no separate pass, so the lockstep takes as many batches as its most
+        # evaluated target takes alone, and as many rows as all of them, with
+        # no rescue and no root before the last batch
         p = 5.0
-        events = _record_lockstep(monkeypatch)
         for seed in range(1, 6):
             ctx = boundary._StrategyContext(draw_channel_set(4, 4, ALPHA, seed=seed), strategy, p)
             grid = np.linspace(0.0, ctx.emax(), 32)
-            events.clear()
             solved = boundary._solve_many([(ctx, grid)])
-            calls = [e_bars for kind, scan, e_bars in events if kind == "eval"]
-            # no rescue: every batch is a backoff round, none is the scan,
-            # and no root call comes before the last of them
-            assert all(scan is False for kind, scan, _ in events if kind == "eval")
-            points = [(e, pt) for (_, e), pt in solved.items() if isinstance(pt, REPoint)]
-            iters = [pt.iterations for _, pt in points]
-            assert len(calls) <= max(iters) + 1
-            assert len(calls) == max(sum(e in call for call in calls) for e in grid.tolist())
-            dual = [e for e, pt in points if pt.p3.branch == "DUAL"]
-            last = max(i for i, (kind, _, _) in enumerate(events) if kind == "eval")
-            after = events[last + 1 :]
-            assert all(kind == "eval" for kind, _, _ in events[:last])
-            if dual:
-                assert [kind for kind, _, _ in after] == ["dual", "root"]
-                assert grid[after[0][2]].tolist() == dual and after[1][2] == len(dual)
-            else:
-                assert after == []
+            work = ctx.locksteps[0].counts
+            for e in grid.tolist():
+                boundary._solve_many([(ctx, [e])])
+            alone = [w.counts for w in ctx.locksteps[1:]]
+            assert work["backoff_batches"] == max(a["backoff_batches"] for a in alone)
+            assert work["backoff_rows"] == sum(a["backoff_rows"] for a in alone)
+            assert work["scan_batches"] == work["rescue_batches"] == work["scan_root_calls"] == 0
+            assert work["finish_root_rows"] == len(_dual_points(solved))
 
 
-def _is_scan(p1s, p):
-    """Whether a batch's P1 column is the rescue's scan: `_RESCUE_SCAN`
-    powers from 0 to P for each of its targets."""
-    scan = np.linspace(0.0, p, boundary._RESCUE_SCAN)
-    return p1s.size % scan.size == 0 and bool(np.all(p1s.reshape(-1, scan.size) == scan))
-
-
-def _record_lockstep(monkeypatch):
-    """Log, in order, each `_evaluate_batch` call ("eval", whether it is the
-    rescue's scan, e_bars), each `_root_dual` call ("dual", None, rows) and
-    each `_ratio_roots` call ("root", the name of its caller, row count)
-    that a lockstep makes."""
-    events = []
-    real_eval, real_dual, real_roots = (
-        boundary._evaluate_batch,
-        boundary._root_dual,
-        boundary._ratio_roots,
-    )
-
-    def evaluating(st, ci, e_bars, p1s):
-        events.append(("eval", _is_scan(p1s, st.p), e_bars.tolist()))
-        return real_eval(st, ci, e_bars, p1s)
-
-    def finishing(rec, k, *args):
-        events.append(("dual", None, k.tolist()))
-        return real_dual(rec, k, *args)
-
-    def rooting(*args):
-        events.append(("root", sys._getframe(1).f_code.co_name, len(args[2])))
-        return real_roots(*args)
-
-    monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
-    monkeypatch.setattr(boundary, "_root_dual", finishing)
-    monkeypatch.setattr(boundary, "_ratio_roots", rooting)
-    return events
+def _dual_points(solved):
+    """The points of a `_solve_many` outcome whose floored solve is DUAL."""
+    return [pt for pt in solved.values() if isinstance(pt, REPoint) and pt.p3.branch == "DUAL"]
 
 
 class TestDeferredRoots:
@@ -1189,31 +1112,43 @@ class TestDeferredRoots:
 
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
     @pytest.mark.parametrize("m", [2, 4])
-    def test_backoff_makes_no_root(self, strategy, m, monkeypatch):
-        events = _record_lockstep(monkeypatch)
-        unrescued = 0
+    def test_backoff_makes_no_root(self, strategy, m):
+        # the roots run in two steps alone, one call each: right after the
+        # rescue's scan, over exactly its deferred rows, and after the last
+        # evaluation, over targets that end on DUAL, every one that the
+        # rescue did not serve among them
+        unrescued = scans = 0
+        scan = np.linspace(0.0, self.P, boundary._RESCUE_SCAN)
         for seed in (1, 2, 3):
-            events.clear()
-            _, jobs = self._lockstep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P)
-            todo = [(ctx, e) for ctx, grid in jobs for e in grid.tolist()]
+            ctxs, jobs = self._lockstep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P)
             solved = boundary._solve_many(jobs)
-            dual = [key for key in todo if isinstance(solved[key], REPoint)]
-            dual = [key for key in dual if solved[key].p3.branch == "DUAL"]
+            dual = _dual_points(solved)
             assert dual
-            # a root call only right after the rescue's scan or after the
-            # last evaluation
-            evals = [i for i, (kind, _, _) in enumerate(events) if kind == "eval"]
-            for i, (kind, _, _) in enumerate(events):
-                if kind == "root" and i < evals[-1]:
-                    assert events[max(j for j in evals if j < i)][1] is True
-            after = events[evals[-1] + 1 :]
-            if not any(events[j][1] for j in evals):
-                # no rescue scan: after the backoff, one root call over
-                # exactly the targets that end on DUAL
-                assert [kind for kind, _, _ in after] == ["dual", "root"]
-                assert [todo[k] for k in after[0][2]] == dual and after[1][2] == len(dual)
+            # both contexts share the lockstep's one record
+            assert ctxs[0].locksteps == ctxs[1].locksteps and len(ctxs[0].locksteps) == 1
+            work = ctxs[0].locksteps[0].counts
+            assert work["scan_root_calls"] == (work["scan_root_rows"] > 0) <= work["scan_batches"]
+            assert work["scan_batches"] <= 1
+            assert work["finish_root_calls"] == (work["finish_root_rows"] > 0)
+            assert sum(not pt.rescued for pt in dual) <= work["finish_root_rows"] <= len(dual)
+            if not work["scan_batches"]:
+                # no rescue scan: exactly the targets that end on DUAL, with
+                # the rays their points report
+                assert work["finish_root_rows"] == len(dual)
+                assert work["finish_rays"] == sum(pt.p3.iterations for pt in dual)
                 unrescued += 1
+            # the scan: each target that the backoff left short, evaluated
+            # alone at every scan P1; its deferred rows are the ones rooted
+            short = [(c, min(e, c.emax())) for (c, e), pt in solved.items()
+                     if isinstance(pt, InfeasibleTargetError) or pt.rescued]
+            assert work["scan_rows"] == scan.size * len(short)
+            one = np.zeros(scan.size, dtype=int)
+            recs = [boundary._evaluate_batch(boundary._stack([c]), one, np.full_like(scan, e), scan)
+                    for c, e in short]
+            assert work["scan_root_rows"] == sum(np.isnan(rec["rate"]).sum() for rec in recs)
+            scans += work["scan_batches"]
         assert unrescued >= 2
+        assert scans >= (strategy == "sler" and m == 2)
 
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "meb_rank2"])
     def test_finishing_root_that_raises_goes_row_by_row(self, strategy, monkeypatch):
@@ -1221,8 +1156,9 @@ class TestDeferredRoots:
         # finishing one; when it raises, each of its rows is rooted alone
         # from its record, with nothing evaluated again, to the same points
         cs = draw_channel_set(3, 2, ALPHA, seed=4)
-        want = boundary._solve_many(self._lockstep(cs, strategy, self.P)[1])
-        real_dual, real_eval = boundary._root_dual, boundary._evaluate_batch
+        ctxs, jobs = self._lockstep(cs, strategy, self.P)
+        want = boundary._solve_many(jobs)
+        real_dual = boundary._root_dual
         refused = []
         late = []
 
@@ -1233,17 +1169,17 @@ class TestDeferredRoots:
             late.append(k.tolist())
             return real_dual(rec, k, *args)
 
-        def evaluating(*args):
-            assert not refused
-            return real_eval(*args)
-
         monkeypatch.setattr(boundary, "_root_dual", refuse_first)
-        monkeypatch.setattr(boundary, "_evaluate_batch", evaluating)
-        got = boundary._solve_many(self._lockstep(cs, strategy, self.P)[1])
-        dual = [pt for pt in want.values() if isinstance(pt, REPoint) and pt.p3.branch == "DUAL"]
+        again, jobs = self._lockstep(cs, strategy, self.P)
+        got = boundary._solve_many(jobs)
+        dual = _dual_points(want)
         assert refused == [len(dual)] and len(dual) >= 2
         assert len(late) == len(dual) and all(len(rows) == 1 for rows in late)
         assert [repr(pt) for pt in got.values()] == [repr(pt) for pt in want.values()]
+        # the same batches and rows, none run again, and one root call more
+        # per row
+        work = ctxs[0].locksteps[0].counts
+        assert again[0].locksteps[0].counts == work | {"finish_root_calls": 1 + len(dual)}
 
     def test_row_that_raises_takes_the_error(self, monkeypatch):
         # when the row-by-row retry raises on one row, only that row's
@@ -1267,59 +1203,6 @@ class TestDeferredRoots:
                 assert isinstance(got[i], InvariantViolationError) and str(got[i]) == "refused"
             else:
                 assert repr(got[i]) == repr(pt)
-
-    @pytest.mark.parametrize("strategy", ["meb", "slnr", "sler"])
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_ratio_roots_called_only_from_root_dual(self, strategy, m, monkeypatch):
-        # `_ratio_roots` is called by `_root_dual` alone: once right after
-        # the rescue's scan, over exactly its deferred rows, and once after
-        # the last evaluation, over targets that end on DUAL, every such
-        # target the scan did not see among them; nowhere else
-        events = _record_lockstep(monkeypatch)
-        logged = boundary._evaluate_batch
-        deferred = []
-
-        def counting(*args):
-            rec = logged(*args)
-            deferred.append(np.flatnonzero(np.isnan(rec["rate"])).tolist())
-            return rec
-
-        monkeypatch.setattr(boundary, "_evaluate_batch", counting)
-        scans = 0
-        for seed in (1, 2, 3):
-            events.clear()
-            deferred.clear()
-            _, jobs = self._lockstep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P)
-            todo = [(ctx, e) for ctx, grid in jobs for e in grid.tolist()]
-            solved = boundary._solve_many(jobs)
-            kinds = [kind for kind, _, _ in events]
-            roots = [i for i, kind in enumerate(kinds) if kind == "root"]
-            assert all(events[i][1] == "_root_dual" for i in roots)
-            evals = [i for i, kind in enumerate(kinds) if kind == "eval"]
-            scan = [j for j, i in enumerate(evals) if events[i][1]]
-            assert len(scan) <= 1
-            seen = set()
-            if scan:
-                scans += 1
-                i = evals[scan[0]]
-                seen = set(events[i][2])
-                if deferred[scan[0]]:
-                    assert kinds[i + 1 : i + 3] == ["dual", "root"]
-                    assert events[i + 1][2] == deferred[scan[0]]
-                    del kinds[i + 1 : i + 3]
-            # what is left: evaluations, then at most one finishing root
-            last = max(i for i, kind in enumerate(kinds) if kind == "eval")
-            assert all(kind == "eval" for kind in kinds[:last])
-            assert kinds[last + 1 :] in ([], ["dual", "root"])
-            finish = set(events[-2][2]) if kinds[last + 1 :] else set()
-            dual = {
-                k
-                for k, key in enumerate(todo)
-                if isinstance(solved[key], REPoint) and solved[key].p3.branch == "DUAL"
-            }
-            assert finish <= dual
-            assert {k for k in dual if todo[k][1] not in seen} <= finish
-        assert scans >= (strategy == "sler" and m == 2)
 
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler", "meb_rank2"])
     def test_dual_points_match_direct_evaluation(self, strategy):
@@ -1362,7 +1245,6 @@ class TestRescueShortfall:
         want = re_sweep(cs, "sler", p, n_points=n)
         target = want.points[k].e_bar
         real = boundary._evaluate_batch
-        short = []
 
         def falls_short(st, ci, e_bars, p1s):
             # the target gets half of itself at full power, less below; a
@@ -1373,7 +1255,6 @@ class TestRescueShortfall:
             rec["e11"][hit] = 0.0
             rec["e2"][hit] = 0.5 * target * (p1s[hit] / p)
             rec["rate"][hit & np.isnan(rec["rate"])] = 0.0
-            short.extend(p1s[hit].tolist())
             return rec
 
         monkeypatch.setattr(boundary, "_evaluate_batch", falls_short)
@@ -1381,7 +1262,8 @@ class TestRescueShortfall:
         text = f"strategy 'sler' delivers {0.5 * target!r} at target {target!r}"
         assert got.gaps == [(k, target, text)]
         # the rescue scanned the target's P1 range before giving up
-        assert set(np.linspace(0.0, p, boundary._RESCUE_SCAN).tolist()) <= set(short)
+        scans = [bd.locksteps[0].counts["scan_rows"] for bd in (want, got)]
+        assert scans == [0, boundary._RESCUE_SCAN]
         assert [pt.e_bar for pt in got.points] == [
             pt.e_bar for i, pt in enumerate(want.points) if i != k
         ]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import swiptifc
-from swiptifc import boundary, experiments
+from swiptifc import experiments
 from swiptifc import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -340,6 +340,15 @@ class TestPlotData:
             emit_plot_data(self._boundary(), tmp_path / "c.csv", label=label, seed=1)
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("edit", [dict(branch=b) for b in ("W,F", "W\nF", "")]
+                             + [dict(iterations=n) for n in (1.5, True, -1)])
+    def test_emit_rejects_points_that_do_not_read_back(self, tmp_path, edit):
+        bd = self._boundary()
+        bd.points[1] = dataclasses.replace(bd.points[1], **edit)
+        with pytest.raises(InvalidInputError, match="want one of NO_TX, WF, DUAL, CAP, TS"):
+            emit_plot_data(bd, tmp_path / "c.csv", label="meb", seed=1)
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("seed", [1.5, True, "7", -3, np.float64(2.0)])
     def test_emit_rejects_seeds_that_are_not_nonnegative_integers(self, tmp_path, seed):
         with pytest.raises(InvalidInputError, match="nonnegative integer or None"):
@@ -385,24 +394,20 @@ class TestSeedLocksteps:
             ("fig8", ["meb"], [["meb"]]),
         ],
     )
-    def test_curves_match_own_sweeps(self, tmp_path, monkeypatch, preset, strategies, locksteps):
+    def test_curves_match_own_sweeps(self, tmp_path, preset, strategies, locksteps):
         (_, d), *_ = preset_variants(preset)
         d.update(seeds=[1, 2], output_dir=str(tmp_path))
         if strategies is not None:
             d["strategies"] = strategies
         cfg = ExperimentConfig.from_dict(d)
-        real = boundary._solve_many
-        calls = []
-
-        def solve_many(jobs):
-            calls.append([ctx.strategy for ctx, _ in jobs])
-            return real(jobs)
-
-        monkeypatch.setattr(boundary, "_solve_many", solve_many)
+        scheduled = {"sler", "sler_swap", "sler_sched"} if cfg.scheduling else set()
         for seed in cfg.seeds:
-            calls.clear()
             got = experiments._seed_task(cfg, seed)
-            assert calls == locksteps
+            runs = {label: b.locksteps for label, b in got["curves"].items()}
+            swept = [w for label in runs if label not in scheduled for w in runs[label]]
+            assert [list(w.labels) for w in dict.fromkeys(swept)] == locksteps
+            # scheduling solves its curves in its own locksteps
+            assert not {w for label in scheduled for w in runs[label]} & set(swept)
             cs = draw_channel_set(cfg.m_t, cfg.m_r, np.asarray(cfg.alpha), seed)
             want = {}
             for strategy in cfg.strategies:
@@ -442,8 +447,7 @@ class TestRunExperiment:
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_a = _tiny_cfg(tmp_path, output_dir=str(tmp_path / "a"))
         cfg_b = _tiny_cfg(tmp_path, output_dir=str(tmp_path / "b"))
-        run_experiment(cfg_a)
-        run_experiment(cfg_b)
+        assert run_experiment(cfg_a)["work"] == run_experiment(cfg_b)["work"]
         a = (tmp_path / "a" / "curve_meb_seed1.csv").read_bytes()
         b = (tmp_path / "b" / "curve_meb_seed1.csv").read_bytes()
         assert a == b
@@ -467,8 +471,24 @@ class TestRunExperiment:
             assert (tmp_path / "w1" / name).read_bytes() == (
                 tmp_path / "w2" / name
             ).read_bytes()
-        for key in ("channels", "gaps", "unconverged_games", "exit_code"):
+        for key in ("channels", "gaps", "unconverged_games", "exit_code", "work"):
             assert one[key] == two[key]
+
+    def test_work_counts_the_known_capped_point(self, tmp_path):
+        # channel 46 of the scheduled 2x2 benchmark: the swapped orientation's
+        # backoff at target 43.002 stops at the 20-round cap on WF, at P1
+        # 3.614 and 6.0% over its target; no point that settles sooner does
+        swapped = scheduled_run(draw_channel_set(2, 2, [[1, 1], [1, 1]], 46), 50.0, 64)[1]
+        (pt,) = [pt for pt in swapped.points if pt.capped]
+        assert (pt.branch, pt.iterations, round(pt.e_bar, 3), round(pt.p1, 3)) == (
+            "WF", 20, 43.002, 3.614
+        )
+        assert round(pt.energy / pt.e_bar - 1.0, 3) == 0.060
+        assert any(pt.iterations < 20 for pt in swapped.points)
+        cfg = _tiny_cfg(tmp_path, alpha=((1.0, 1.0), (1.0, 1.0)), p=50.0, strategies=("sler",),
+                        scheduling=True, e_grid_points=64, seeds=(46,))
+        work = run_experiment(cfg)["work"]
+        assert [work[k]["capped"] for k in ("sler", "sler_swap", "sler_sched")] == [0, 1, 0]
 
     def test_time_sharing_curves(self, tmp_path):
         cfg = _tiny_cfg(tmp_path, time_sharing=True, ts_points=5)
