@@ -247,8 +247,8 @@ class REBoundary:
     Invariants (validate): e_bar strictly increasing, rate non-increasing
     within 1e-6, achieved energy at least e_bar - 1e-6 * max(1, e_bar).
     Failed grid points are listed in `gaps` as (index, e_bar, reason).
-    `locksteps` holds the `Lockstep` of each lockstep that solved targets of
-    its context; it is the work, not the curve, so eq and repr skip it.
+    `locksteps` holds the `Lockstep` of each lockstep that solved its points
+    or gaps; it is the work, not the curve, so eq and repr skip it.
     """
 
     points: list

@@ -131,6 +131,7 @@ def scheduled_run(cs, p, n_points=64):
         for t, ctx in ctxs.items()
     ]
     solved = _solve_many(own + first)
+    swept = [_sweep_boundary(ctx, g, solved) for ctx, g in own]  # before the fallbacks' lockstep
     fallbacks = [
         (ctx, [
             e for e, order in zip(e_bars, orders)
@@ -165,7 +166,7 @@ def scheduled_run(cs, p, n_points=64):
         gaps=gaps,
         locksteps=tuple(dict.fromkeys(w for ctx in ctxs.values() for w in ctx.locksteps)),
     )
-    return (*(_sweep_boundary(ctx, g, solved) for ctx, g in own), scheduled, tags)
+    return (*swept, scheduled, tags)
 
 
 def scheduled_sweep(cs, p, n_points=64):

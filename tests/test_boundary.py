@@ -736,10 +736,8 @@ class TestAssembledRows:
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
     def test_sweep(self, strategy, m, monkeypatch):
         seen = self._count(monkeypatch)
-        swept = [
-            re_sweep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P, n_points=24)
-            for seed in (1, 2, 3)
-        ]
+        draws = [draw_channel_set(m, m, ALPHA, seed=seed) for seed in (1, 2, 3)]
+        swept = [re_sweep(cs, strategy, self.P, n_points=24) for cs in draws]
         assert self._only_read(seen, swept)["cap_rows"] > 0
 
     def test_scheduled_run(self, monkeypatch):
@@ -1070,13 +1068,14 @@ class TestStackedLockstep:
             assert isinstance(out, InvariantViolationError) and str(out) == "refused"
         got = [repr(both[ctxs[0], e]) for e in grids[0].tolist()]
         assert got == [repr(want[alone, e]) for e in grids[0].tolist()]
+        # the first batch alone held the second context's rows, and ran again row by row
+        assert ctxs[0].locksteps[0].counts["rerun_rows"] == sum(g.size for g in grids)
 
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
     def test_one_batch_per_backoff_round(self, strategy):
         # the evaluation at a target's settled P1 shares the backoff's rounds:
-        # no separate pass, so the lockstep takes as many batches as its most
-        # evaluated target takes alone, and as many rows as all of them, with
-        # no rescue and no root before the last batch
+        # no separate pass, so the lockstep takes the batches of its most
+        # evaluated target alone and the rows of all, with no rescue and no scan root
         p = 5.0
         for seed in range(1, 6):
             ctx = boundary._StrategyContext(draw_channel_set(4, 4, ALPHA, seed=seed), strategy, p)
@@ -1176,8 +1175,7 @@ class TestDeferredRoots:
         assert refused == [len(dual)] and len(dual) >= 2
         assert len(late) == len(dual) and all(len(rows) == 1 for rows in late)
         assert [repr(pt) for pt in got.values()] == [repr(pt) for pt in want.values()]
-        # the same batches and rows, none run again, and one root call more
-        # per row
+        # the same batches and rows, none run again, one more root call per row
         work = ctxs[0].locksteps[0].counts
         assert again[0].locksteps[0].counts == work | {"finish_root_calls": 1 + len(dual)}
 
