@@ -1366,6 +1366,7 @@ class TestAitkenStep:
         # an Aitken step that does not over-deliver is reverted to T(x)
         nxt, settled = self._next(steps, self._ev(y, e2=self.E - self.KAPPA * y - 1.0))
         assert nxt == t and not settled and not steps.fast[0]
+        assert (steps.taken[0], steps.reverted[0]) == (1, 1)
         # and two more plain steps must agree before the next Aitken step
         nxt, _ = self._next(steps, self._ev(t))
         assert not steps.fast[0]
