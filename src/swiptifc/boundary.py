@@ -74,15 +74,16 @@ alone.
 
 The lockstep counts its own work as it goes, in array operations beside
 the records.  Per target, each `REPoint` carries its backoff rounds, the
-Aitken steps taken and reverted, whether the backoff behind it stopped at
-the 20-round cap without settling, and whether the stall rescue served it.
-Per lockstep, one `Lockstep` record, which each of its contexts keeps and
-each of their boundaries lists, holds the batches and rows of the backoff,
-the rescue's scan and the rescue's backoff; the rows that formed a beam and
-whitened link (one per sharing key), those run again one at a time after a
-batch raised, and those evaluated at the cap; the root calls, rows and ray
-evaluations of the scan's and the finishing root step; and the rooted rows
-rescaled into the power ball and repaired toward the cross-link beam.
+Aitken steps taken and reverted, whether the backoff behind it, the main
+one or the rescue's, stopped at the 20-round cap without settling, and
+whether the stall rescue served it.  Per lockstep, one `Lockstep` record,
+which `_solve_many` returns beside its points and every boundary it solved
+lists, holds the batches and rows of the backoff, the rescue's scan and the
+rescue's backoff; the rows that formed a beam and whitened link (one per
+sharing key), those run again one at a time after a batch raised, and those
+evaluated at the cap; the root calls, rows and ray evaluations of the scan's
+and the finishing root step; and the rooted rows rescaled into the power
+ball and repaired toward the cross-link beam.
 
 Each public entry point builds the strategy context (`_StrategyContext`)
 of its channel orientation, strategy and P, and passes it down; a context
@@ -719,7 +720,6 @@ class _StrategyContext:
 
     `consts` holds what an evaluation reads per row, the rule's included (see
     `_stack`); the name is a label.  e_max is found once, on first use.
-    `locksteps` gathers the `Lockstep` of each lockstep that solves its targets.
     """
 
     def __init__(self, cs, strategy, p):
@@ -730,7 +730,6 @@ class _StrategyContext:
         self.consts = dict(h11=cs.h11, h21=cs.h21, h22=cs.h22, c=c, w=w, cmax=cmax, v12=v12)
         self.consts.update(_BEAMS[strategy](cs))
         self._emax = None
-        self.locksteps = ()
 
     def emax(self):
         """Largest reachable energy target for this strategy at full power."""
@@ -1047,13 +1046,13 @@ def _solve_many(jobs):
     which the backoff and the scan both reach, is published as NO_TX.  If a
     batch or a root call raises a SwiptError, its rows are evaluated, or
     rooted from their records, one at a time, and each target whose row
-    raises takes the error.  Each context's `locksteps` gains the lockstep's
-    `Lockstep`.  Returns a dict that maps each pair to its REPoint or to the
-    SwiptError that stopped it.
+    raises takes the error.  Returns a dict that maps each pair to its
+    REPoint or to the SwiptError that stopped it, and the lockstep's
+    `Lockstep` (None where there is no target).
     """
     todo = list(dict.fromkeys((ctx, float(e)) for ctx, e_bars in jobs for e in e_bars))
     if not todo:
-        return {}
+        return {}, None
     ctxs = list(dict.fromkeys(ctx for ctx, _ in todo))
     ems = _emax_many(ctxs)
     ci = np.array([ctxs.index(ctx) for ctx, _ in todo])
@@ -1168,10 +1167,11 @@ def _solve_many(jobs):
         latest[live] = ev
         short[live] = False
         rescued[live] = True
-        # a new backoff from each candidate; the counts go on
+        # a new backoff from each candidate, whose 20th round is judged as the
+        # main backoff's is, capped unless it settled; the counts go on
         steps.x[live] = steps.t[live] = steps.r[live] = np.nan
-        for _ in range(_N_MAX):
-            step, stop = steps.next_p1(live, e_eff[live], ev, p, tol_p1, False)
+        for i in range(_N_MAX + 1):
+            step, stop = steps.next_p1(live, e_eff[live], ev, p, tol_p1, i == _N_MAX)
             live, step = live[~stop], step[~stop]
             if not live.size:
                 break
@@ -1182,7 +1182,6 @@ def _solve_many(jobs):
             latest[live[ok]] = ev[ok]
             on = ok | steps.fast[live]
             live, ev = live[on], ev[on]
-        steps.capped[live] = True
     # reachability is genuinely not an interval for per-target beams: some
     # interior targets stay short at every P1
     for k in np.flatnonzero(short & ~failed).tolist():
@@ -1195,23 +1194,19 @@ def _solve_many(jobs):
     # the targets that end on a deferred DUAL row are rooted together, from
     # the links and Grams their records keep
     root(np.arange(len(todo)), latest, "finish")
-    lockstep = Lockstep(tuple(dict.fromkeys(ctx.strategy for ctx in ctxs)), counts)
-    for ctx in ctxs:
-        ctx.locksteps += (lockstep,)
 
     # the published points, built from Python values read column by column
     done = np.flatnonzero(~failed)
     fin = latest[done]
-    counted = (iters, steps.taken, steps.reverted, steps.capped, rescued)  # `_POINT_COUNTS`
     rows = zip(
         done.tolist(),
         _columns(fin, _P3_FIELDS),
         (fin["e11"] + fin["e2"]).tolist(),
         fin["p1"].tolist(),
         (fin["clamped"] | (targets[done] > e_eff[done])).tolist(),
-        zip(*(a[done].tolist() for a in counted)),
+        *(a[done].tolist() for a in (iters, steps.taken, steps.reverted, steps.capped, rescued)),
     )
-    for k, fields, energy, p1k, clamped, n in rows:
+    for k, fields, energy, p1k, clamped, n_iter, n_fast, n_back, capped, saved in rows:
         diag = _diagnostics(*fields)
         branch = "NO_TX" if p1k == 0.0 else diag.branch
         dual = branch == "DUAL"
@@ -1221,13 +1216,18 @@ def _solve_many(jobs):
             energy=energy,
             p1=p1k,
             branch=branch,
+            iterations=n_iter,
             lam=diag.lam if dual else None,
             mu=diag.mu if dual else None,
             clamped=clamped,
+            aitken_steps=n_fast,
+            aitken_reverted=n_back,
+            capped=capped,
+            rescued=saved,
             p3=diag,
-            **dict(zip(_POINT_COUNTS, n)),
         )
-    return dict(zip(todo, out))
+    labels = tuple(dict.fromkeys(ctx.strategy for ctx in ctxs))
+    return dict(zip(todo, out)), Lockstep(labels, counts)
 
 
 def _grid(ctxs, n_points):
@@ -1240,9 +1240,9 @@ def _grid(ctxs, n_points):
     return np.linspace(0.0, max(_emax_many(ctxs)), n_points)
 
 
-def _sweep_boundary(ctx, grid, solved):
+def _sweep_boundary(ctx, grid, solved, lockstep):
     """The validated boundary of one context's sweep over `grid`, from the
-    outcomes `_solve_many` returned.
+    outcomes and the `Lockstep` that `_solve_many` returned.
 
     Failed points become gap entries; a point whose rate a higher target's
     point beats is replaced by a copy of it (flagged `carried`).
@@ -1269,7 +1269,7 @@ def _sweep_boundary(ctx, grid, solved):
         e_max=ctx.emax(),
         seed=ctx.cs.seed,
         gaps=gaps,
-        locksteps=ctx.locksteps,
+        locksteps=(lockstep,),
     ).validate()
 
 
@@ -1284,7 +1284,7 @@ def re_boundary_point(cs, strategy, e_bar, p):
     of `_solve_many`.
     """
     e_bar = _as_real(e_bar, "e_bar")
-    (out,) = _solve_many([(_StrategyContext(cs, strategy, p), [e_bar])]).values()
+    (out,) = _solve_many([(_StrategyContext(cs, strategy, p), [e_bar])])[0].values()
     if isinstance(out, SwiptError):
         raise out
     return out
@@ -1316,14 +1316,17 @@ def _sweeps(cs, strategies, p, n_points, e_grid=None):
     """`re_sweep` of each strategy of one channel orientation, on its own
     grid or on the checked `e_grid`: one `_solve_many` lockstep per rule kind
     and factor width (see `_stack`), such as meb with mlb and slnr with sler."""
-    jobs, locksteps = [], {}
+    jobs, groups = [], {}
     for strategy in strategies:
         ctx = _StrategyContext(cs, strategy, p)
         jobs.append((ctx, _grid([ctx], n_points) if e_grid is None else e_grid))
         shapes = tuple((k, getattr(v, "shape", ())) for k, v in ctx.consts.items())
-        locksteps.setdefault(shapes, []).append(jobs[-1])
-    solved = {k: v for group in locksteps.values() for k, v in _solve_many(group).items()}
-    return [_sweep_boundary(ctx, grid, solved) for ctx, grid in jobs]
+        groups.setdefault(shapes, []).append(jobs[-1])
+    swept = {}
+    for group in groups.values():
+        solved, lockstep = _solve_many(group)
+        swept |= {ctx: _sweep_boundary(ctx, grid, solved, lockstep) for ctx, grid in group}
+    return [swept[ctx] for ctx, _ in jobs]
 
 
 def time_sharing_curve(boundary, weights):

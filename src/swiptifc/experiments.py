@@ -19,7 +19,6 @@ import dataclasses
 import json
 import math
 import numbers
-import operator
 import os
 import time
 from pathlib import Path
@@ -68,7 +67,6 @@ _AGG_ROW = "%s,%d,%.12g,%d,%.12g,%.12g,%.12g\n"
 _MODE_ROW = "%s,%d,%d,%d,%.12g,%.12g\n"
 
 _BRANCHES = ("NO_TX", "WF", "DUAL", "CAP", "TS")  # a curve point's, as `REPoint` lists them
-_counted = operator.attrgetter(*_POINT_COUNTS)  # a point's counts, as one tuple
 
 # the size fields and their largest values: a run's complex arrays of m_t^2,
 # m_r^2, e_grid_points or ts_points entries must stay within the byte count
@@ -478,10 +476,11 @@ def _work(boundaries):
     """One label's `work` over its boundaries, one per seed: the sums of its
     points' counts (a carried point repeats those of the point it copies, as
     its `iterations` column does) and of its boundaries' lockstep counts."""
-    rows = [_counted(pt) for b in boundaries for pt in b.points] or [(0,) * len(_POINT_COUNTS)]
-    work = {name: int(sum(column)) for name, column in zip(_POINT_COUNTS, zip(*rows))}
+    points = [pt for b in boundaries for pt in b.points]
     counts = [w.counts for b in boundaries for w in b.locksteps]
-    return work | {name: sum(c[name] for c in counts) for name in _LOCKSTEP_COUNTS}
+    return {name: int(sum(getattr(pt, name) for pt in points)) for name in _POINT_COUNTS} | {
+        name: sum(c[name] for c in counts) for name in _LOCKSTEP_COUNTS
+    }
 
 
 def run_experiment(cfg, workers=1):

@@ -130,8 +130,7 @@ def scheduled_run(cs, p, n_points=64):
         (ctx, [e for e, order in zip(e_bars, orders) if order[:1] == [t]])
         for t, ctx in ctxs.items()
     ]
-    solved = _solve_many(own + first)
-    swept = [_sweep_boundary(ctx, g, solved) for ctx, g in own]  # before the fallbacks' lockstep
+    solved, lockstep = _solve_many(own + first)
     fallbacks = [
         (ctx, [
             e for e, order in zip(e_bars, orders)
@@ -141,7 +140,8 @@ def scheduled_run(cs, p, n_points=64):
         ])
         for t, ctx in ctxs.items()
     ]
-    solved |= _solve_many(fallbacks)
+    more, again = _solve_many(fallbacks)
+    solved |= more
     points, tags, gaps = [], [], []
     for k, (e_bar, order) in enumerate(zip(e_bars, orders)):
         err = None
@@ -164,9 +164,9 @@ def scheduled_run(cs, p, n_points=64):
         e_max=max(ems.values()),
         seed=cs.seed,
         gaps=gaps,
-        locksteps=tuple(dict.fromkeys(w for ctx in ctxs.values() for w in ctx.locksteps)),
+        locksteps=tuple(w for w in (lockstep, again) if w is not None),
     )
-    return (*swept, scheduled, tags)
+    return (*(_sweep_boundary(ctx, g, solved, lockstep) for ctx, g in own), scheduled, tags)
 
 
 def scheduled_sweep(cs, p, n_points=64):

@@ -270,7 +270,7 @@ def test_c07_endpoints_flat_segment_timesharing_rank2(census, capsys):
             e_bar = float(ebars[idx])
             rng = np.random.default_rng(6000 + GRID_N * d + int(idx))
             # the pair's 200 splits, one context each, solved in one lockstep
-            solved = _solve_many([
+            solved, _ = _solve_many([
                 (_at_split(base, streams, float(split)), [e_bar])
                 for split in rng.uniform(0.1, 0.9, 200)
             ])

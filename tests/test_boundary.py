@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from swiptifc import boundary, experiments
+from swiptifc import boundary
 from swiptifc import (
     ChannelSet,
     DegenerateChannelError,
@@ -117,7 +117,7 @@ def _split_sweep(cs, p, split, n_points):
     sweep the even split only, so this builds the private context."""
     ctx = _context(cs, "meb_rank2", p, split)
     grid = boundary._grid([ctx], n_points)
-    return boundary._sweep_boundary(ctx, grid, boundary._solve_many([(ctx, grid)]))
+    return boundary._sweep_boundary(ctx, grid, *boundary._solve_many([(ctx, grid)]))
 
 
 def _g(cs, strategy, e_bar, p):
@@ -725,7 +725,8 @@ class TestAssembledRows:
     def _only_read(seen, boundaries):
         # the CAP rows of every evaluated record and the rooted DUAL rows of
         # every root call, rescaled and repaired ones among them, as counted
-        work = experiments._work(boundaries)
+        locksteps = [w.counts for b in boundaries for w in b.locksteps]
+        work = {name: sum(c[name] for c in locksteps) for name in locksteps[0]}
         due = work["cap_rows"] + work["repaired_rows"]
         assert seen["checked"] == seen["rated"] == due
         # rescaled rooted DUAL rows stay in spectral form
@@ -917,7 +918,7 @@ class TestLockstepSweep:
                 ctx = boundary._StrategyContext(cs, strategy, p)
                 grid = np.linspace(0.0, ctx.emax(), 12)
                 grid = np.append(grid, 1.5 * grid[-1])  # one unreachable target
-                solved = boundary._solve_many([(ctx, grid)])
+                solved, _ = boundary._solve_many([(ctx, grid)])
                 swept = [solved[ctx, e] for e in grid.tolist()]
                 for e_bar, got in zip(grid, swept):
                     try:
@@ -1030,10 +1031,10 @@ class TestStackedLockstep:
             ctxs = [_context(side, strategy, p, split) for side, strategy, split in keys]
             grids = [np.linspace(0.0, ctx.emax(), 10) for ctx in ctxs]
             grids[0] = np.append(grids[0], 2.0 * grids[0][-1])  # one unreachable target
-            both = boundary._solve_many(list(zip(ctxs, grids)))
+            both, _ = boundary._solve_many(list(zip(ctxs, grids)))
             for (side, strategy, split), ctx, grid in zip(keys, ctxs, grids):
                 alone = _context(side, strategy, p, split)
-                want = boundary._solve_many([(alone, grid)])
+                want, _ = boundary._solve_many([(alone, grid)])
                 got = [repr(both[ctx, e]) for e in grid.tolist()]
                 assert got == [repr(want[alone, e]) for e in grid.tolist()]
             # distinct contexts give distinct points
@@ -1052,7 +1053,7 @@ class TestStackedLockstep:
             for side in sides
         ]
         alone = boundary._StrategyContext(cs, strategy, p)
-        want = boundary._solve_many([(alone, grids[0])])
+        want, _ = boundary._solve_many([(alone, grids[0])])
         real = boundary._whitened_links
 
         def refuse_second(st, ci, f, p1s):
@@ -1062,14 +1063,14 @@ class TestStackedLockstep:
 
         monkeypatch.setattr(boundary, "_whitened_links", refuse_second)
         ctxs = [boundary._StrategyContext(side, strategy, p) for side in sides]
-        both = boundary._solve_many(list(zip(ctxs, grids)))
+        both, work = boundary._solve_many(list(zip(ctxs, grids)))
         for e in grids[1].tolist():
             out = both[ctxs[1], e]
             assert isinstance(out, InvariantViolationError) and str(out) == "refused"
         got = [repr(both[ctxs[0], e]) for e in grids[0].tolist()]
         assert got == [repr(want[alone, e]) for e in grids[0].tolist()]
         # the first batch alone held the second context's rows, and ran again row by row
-        assert ctxs[0].locksteps[0].counts["rerun_rows"] == sum(g.size for g in grids)
+        assert work.counts["rerun_rows"] == sum(g.size for g in grids)
 
     @pytest.mark.parametrize("strategy", ["meb", "mlb", "slnr", "sler"])
     def test_one_batch_per_backoff_round(self, strategy):
@@ -1080,11 +1081,9 @@ class TestStackedLockstep:
         for seed in range(1, 6):
             ctx = boundary._StrategyContext(draw_channel_set(4, 4, ALPHA, seed=seed), strategy, p)
             grid = np.linspace(0.0, ctx.emax(), 32)
-            solved = boundary._solve_many([(ctx, grid)])
-            work = ctx.locksteps[0].counts
-            for e in grid.tolist():
-                boundary._solve_many([(ctx, [e])])
-            alone = [w.counts for w in ctx.locksteps[1:]]
+            solved, work = boundary._solve_many([(ctx, grid)])
+            work = work.counts
+            alone = [boundary._solve_many([(ctx, [e])])[1].counts for e in grid.tolist()]
             assert work["backoff_batches"] == max(a["backoff_batches"] for a in alone)
             assert work["backoff_rows"] == sum(a["backoff_rows"] for a in alone)
             assert work["scan_batches"] == work["rescue_batches"] == work["scan_root_calls"] == 0
@@ -1119,13 +1118,13 @@ class TestDeferredRoots:
         unrescued = scans = 0
         scan = np.linspace(0.0, self.P, boundary._RESCUE_SCAN)
         for seed in (1, 2, 3):
-            ctxs, jobs = self._lockstep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P)
-            solved = boundary._solve_many(jobs)
+            _, jobs = self._lockstep(draw_channel_set(m, m, ALPHA, seed=seed), strategy, self.P)
+            solved, work = boundary._solve_many(jobs)
             dual = _dual_points(solved)
             assert dual
             # both contexts share the lockstep's one record
-            assert ctxs[0].locksteps == ctxs[1].locksteps and len(ctxs[0].locksteps) == 1
-            work = ctxs[0].locksteps[0].counts
+            assert work.labels == (strategy,)
+            work = work.counts
             assert work["scan_root_calls"] == (work["scan_root_rows"] > 0) <= work["scan_batches"]
             assert work["scan_batches"] <= 1
             assert work["finish_root_calls"] == (work["finish_root_rows"] > 0)
@@ -1155,8 +1154,7 @@ class TestDeferredRoots:
         # finishing one; when it raises, each of its rows is rooted alone
         # from its record, with nothing evaluated again, to the same points
         cs = draw_channel_set(3, 2, ALPHA, seed=4)
-        ctxs, jobs = self._lockstep(cs, strategy, self.P)
-        want = boundary._solve_many(jobs)
+        want, work = boundary._solve_many(self._lockstep(cs, strategy, self.P)[1])
         real_dual = boundary._root_dual
         refused = []
         late = []
@@ -1169,21 +1167,19 @@ class TestDeferredRoots:
             return real_dual(rec, k, *args)
 
         monkeypatch.setattr(boundary, "_root_dual", refuse_first)
-        again, jobs = self._lockstep(cs, strategy, self.P)
-        got = boundary._solve_many(jobs)
+        got, again = boundary._solve_many(self._lockstep(cs, strategy, self.P)[1])
         dual = _dual_points(want)
         assert refused == [len(dual)] and len(dual) >= 2
         assert len(late) == len(dual) and all(len(rows) == 1 for rows in late)
         assert [repr(pt) for pt in got.values()] == [repr(pt) for pt in want.values()]
         # the same batches and rows, none run again, one more root call per row
-        work = ctxs[0].locksteps[0].counts
-        assert again[0].locksteps[0].counts == work | {"finish_root_calls": 1 + len(dual)}
+        assert again.counts == work.counts | {"finish_root_calls": 1 + len(dual)}
 
     def test_row_that_raises_takes_the_error(self, monkeypatch):
         # when the row-by-row retry raises on one row, only that row's
         # target takes the error; every other target keeps its point
         cs = draw_channel_set(3, 2, ALPHA, seed=4)
-        want = boundary._solve_many(self._lockstep(cs, "meb", self.P)[1])
+        want, _ = boundary._solve_many(self._lockstep(cs, "meb", self.P)[1])
         dual = [i for i, pt in enumerate(want.values()) if pt.p3.branch == "DUAL"]
         bad = dual[len(dual) // 2]
         real = boundary._root_dual
@@ -1194,7 +1190,7 @@ class TestDeferredRoots:
             return real(rec, k, *args)
 
         monkeypatch.setattr(boundary, "_root_dual", refuse_bad)
-        got = list(boundary._solve_many(self._lockstep(cs, "meb", self.P)[1]).values())
+        got = list(boundary._solve_many(self._lockstep(cs, "meb", self.P)[1])[0].values())
         assert len(got) == len(want)
         for i, pt in enumerate(want.values()):
             if i == bad:
@@ -1207,7 +1203,7 @@ class TestDeferredRoots:
         checked = 0
         for seed in (4, 5):
             ctxs, jobs = self._lockstep(draw_channel_set(3, 2, ALPHA, seed=seed), strategy, self.P)
-            solved = boundary._solve_many(jobs)
+            solved, _ = boundary._solve_many(jobs)
             for ctx, grid in jobs:
                 e_max = ctx.emax()
                 for e_bar in grid.tolist():
@@ -1243,6 +1239,7 @@ class TestRescueShortfall:
         want = re_sweep(cs, "sler", p, n_points=n)
         target = want.points[k].e_bar
         real = boundary._evaluate_batch
+        short = []
 
         def falls_short(st, ci, e_bars, p1s):
             # the target gets half of itself at full power, less below; a
@@ -1253,13 +1250,15 @@ class TestRescueShortfall:
             rec["e11"][hit] = 0.0
             rec["e2"][hit] = 0.5 * target * (p1s[hit] / p)
             rec["rate"][hit & np.isnan(rec["rate"])] = 0.0
+            short.extend(p1s[hit].tolist())
             return rec
 
         monkeypatch.setattr(boundary, "_evaluate_batch", falls_short)
         got = re_sweep(cs, "sler", p, n_points=n)
         text = f"strategy 'sler' delivers {0.5 * target!r} at target {target!r}"
         assert got.gaps == [(k, target, text)]
-        # the rescue scanned the target's P1 range before giving up
+        # the rescue scanned the target's P1 range before giving up, in one batch
+        assert set(np.linspace(0.0, p, boundary._RESCUE_SCAN).tolist()) <= set(short)
         scans = [bd.locksteps[0].counts["scan_rows"] for bd in (want, got)]
         assert scans == [0, boundary._RESCUE_SCAN]
         assert [pt.e_bar for pt in got.points] == [
@@ -1269,6 +1268,35 @@ class TestRescueShortfall:
         with pytest.raises(InfeasibleTargetError, match="delivers") as info:
             re_boundary_point(cs, "sler", target, p)
         assert info.value.max_attainable == 0.5 * target
+
+    @pytest.mark.parametrize("settles", [False, True])
+    def test_rescue_backoff_at_the_cap(self, settles, monkeypatch):
+        # short but at the scan's full power; from there each rescue round
+        # over-delivers by 0.01 e11, so the next P1 is 0.99 P1, and never
+        # settles, or meets the target in round 20: like a main backoff's,
+        # the point reads capped only where its 20th round did not settle
+        p, scan, cap = 5.0, boundary._RESCUE_SCAN, boundary._N_MAX
+        ctx = boundary._StrategyContext(draw_channel_set(2, 2, ALPHA, seed=37), "meb", p)
+        target = 0.5 * ctx.emax()
+        real, sizes = boundary._evaluate_batch, []
+
+        def stalls(st, ci, e_bars, p1s):
+            rec = real(st, ci, e_bars, p1s)
+            sizes.append(p1s.size)
+            rounds = len(sizes) - 1 - sizes.index(scan) if scan in sizes else -1
+            over = 0.0 if settles and rounds == cap else 0.01
+            reach = (rounds > 0) | (rounds == 0) & (p1s == p)
+            rec["e2"] = np.where(reach, target - (1 - over) * rec["e11"], 0.5 * target - rec["e11"])
+            rec["rate"][np.isnan(rec["rate"])] = 0.0
+            return rec
+
+        monkeypatch.setattr(boundary, "_evaluate_batch", stalls)
+        solved, work = boundary._solve_many([(ctx, [target])])
+        pt = solved[ctx, target]
+        assert (pt.branch, pt.iterations, pt.aitken_steps, pt.rescued) == ("WF", 1, 0, True)
+        assert pt.capped is not settles
+        assert pt.p1 == pytest.approx(p * 0.99**cap, rel=1e-12)
+        assert sizes == [1, scan] + [1] * cap and work.counts["rescue_batches"] == cap
 
 
 class TestBackoffSettles:

@@ -433,12 +433,12 @@ class TestScheduledRun:
         real = boundary._solve_many
 
         def solve_many(jobs):
-            solved = real(jobs)
+            solved, lockstep = real(jobs)
             for ctx, e_bar in solved:
                 for h11, err in answers:
                     if e_bar == float(grid[k]) and np.array_equal(ctx.cs.h11, h11):
                         solved[ctx, e_bar] = err
-            return solved
+            return solved, lockstep
 
         monkeypatch.setattr(boundary, "_solve_many", solve_many)
         monkeypatch.setattr(scheduling, "_solve_many", solve_many)
