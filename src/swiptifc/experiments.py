@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import numbers
+import operator
 import os
 import time
 from pathlib import Path
@@ -478,7 +479,7 @@ def _work(boundaries):
     its `iterations` column does) and of its boundaries' lockstep counts."""
     points = [pt for b in boundaries for pt in b.points]
     counts = [w.counts for b in boundaries for w in b.locksteps]
-    return {name: int(sum(getattr(pt, name) for pt in points)) for name in _POINT_COUNTS} | {
+    return {name: sum(map(operator.attrgetter(name), points)) for name in _POINT_COUNTS} | {
         name: sum(c[name] for c in counts) for name in _LOCKSTEP_COUNTS
     }
 
